@@ -1,9 +1,9 @@
 """A1 — How Ambit throughput scales with the number of DRAM banks.
 
-Design-choice ablation from DESIGN.md: the 44x headline (E1) assumes 8-bank
-parallelism on a DDR module.  This sweep shows throughput scaling from 1 to
-64 banks and where the advantage over the CPU baseline starts (already at a
-single bank for row-wide operations).
+Design-choice ablation (README.md, "Tests and benchmarks"): the 44x
+headline (E1) assumes 8-bank parallelism on a DDR module.  This sweep shows
+throughput scaling from 1 to 64 banks and where the advantage over the CPU
+baseline starts (already at a single bank for row-wide operations).
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """A3 — Offload-decision crossover as compute intensity rises.
 
-Design-choice ablation from DESIGN.md: the adoption layer's offload planner
-(Section 4 of the paper: runtime scheduling of code on PIM logic) should
-send data-movement-bound kernels to PIM and keep compute-bound kernels on
-the host.  This sweep varies a kernel's operations-per-byte ratio and
-reports the chosen target, the projected speedup, and the projected energy
-reduction, locating the crossover point.
+Design-choice ablation (README.md, "Tests and benchmarks"): the adoption
+layer's offload planner (Section 4 of the paper: runtime scheduling of code
+on PIM logic) should send data-movement-bound kernels to PIM and keep
+compute-bound kernels on the host.  This sweep varies a kernel's
+operations-per-byte ratio and reports the chosen target, the projected
+speedup, and the projected energy reduction, locating the crossover point.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """A2 — Where Tesseract's win comes from: bandwidth vs. the programming model.
 
-Design-choice ablation from DESIGN.md: Tesseract couples (1) the raw
-bandwidth of vault-local access with (2) non-blocking remote function calls
-that move computation to data instead of pulling data across the network.
+Design-choice ablation (README.md, "Tests and benchmarks"): Tesseract
+couples (1) the raw bandwidth of vault-local access with (2) non-blocking
+remote function calls that move computation to data instead of pulling data
+across the network.
 This ablation compares the full design against a variant that services
 remote edges with blocking remote reads, isolating the contribution of the
 communication interface.

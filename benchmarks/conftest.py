@@ -1,9 +1,9 @@
-"""Shared fixtures and reporting helpers for the benchmark harness.
+"""Shared fixtures for the benchmark harness.
 
-Each benchmark module regenerates one experiment from DESIGN.md (E1–E8 and
-the ablations A1–A3).  Benchmarks print the same rows/series the paper
-reports and assert that the headline ratios fall in the expected band, so a
-green benchmark run doubles as a reproduction check.
+Each benchmark module regenerates one experiment (E1–E8 and the ablations
+A1–A3; see "Tests and benchmarks" in README.md).  Benchmarks print the same
+rows/series the paper reports and assert that the headline ratios fall in
+the expected band, so a green benchmark run doubles as a reproduction check.
 
 Run with::
 
@@ -13,12 +13,6 @@ Run with::
 from __future__ import annotations
 
 import pytest
-
-
-def emit(table_or_text) -> None:
-    """Print a result table (or text) so it appears in the benchmark log."""
-    text = table_or_text.render() if hasattr(table_or_text, "render") else str(table_or_text)
-    print("\n" + text)
 
 
 @pytest.fixture(scope="session")

@@ -312,26 +312,6 @@ class QueueMetrics:
             return 1.0
         return self.serial_latency_ns / self.busy_ns
 
-    @classmethod
-    def from_samples(
-        cls,
-        name: str,
-        wait_ns: Iterable[float],
-        sojourn_ns: Iterable[float],
-        **counts,
-    ) -> "QueueMetrics":
-        """Build metrics from per-request wait/sojourn samples."""
-        waits = list(wait_ns)
-        sojourns = list(sojourn_ns)
-        return cls(
-            name=name,
-            wait_p50_ns=percentile_or(waits, 50),
-            wait_p99_ns=percentile_or(waits, 99),
-            sojourn_p50_ns=percentile_or(sojourns, 50),
-            sojourn_p99_ns=percentile_or(sojourns, 99),
-            **counts,
-        )
-
 
 def summarize_envelopes(records: Sequence) -> Dict:
     """Common queueing summary over duck-typed request envelopes.
@@ -340,8 +320,7 @@ def summarize_envelopes(records: Sequence) -> Dict:
     (offered/admitted/rejected/shed/completed/deadline misses), the
     wait/sojourn percentiles, and the serial latency/energy of the
     completed work.  Both the service tier
-    (:func:`summarize_queue_records`, behind
-    :func:`repro.service.frontend.summarize_records`) and the cluster
+    (:func:`summarize_queue_records`) and the cluster
     roll-up (:meth:`ClusterMetrics.from_records`) build their metrics
     from this dict, so the two tiers can never drift on what a count or
     a percentile means.

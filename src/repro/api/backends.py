@@ -17,8 +17,8 @@ Three implementations exist today:
 * :class:`HostBackend` (here) — the no-PIM baseline: every scan and
   conjunction runs serially on the host CPU's cache-aware cost model.
   It admits everything (a host has no bank occupancy to protect) and
-  serves each request the instant it arrives, which is exactly the
-  single-server FIFO queue the legacy CPU pipeline modeled.
+  serves each request the instant it arrives: a single-server FIFO
+  queue.
 
 Because all three speak the protocol, the *same* client code — a
 session, a retry client, an arrival schedule — runs an identical
@@ -38,6 +38,7 @@ from repro.service.requests import (
     FrontendRequest,
     QueuedRequest,
     ScanRequest,
+    checked_arrival,
 )
 
 
@@ -111,7 +112,7 @@ class HostBackend:
         arrival_ns: Optional[float] = None,
     ) -> QueuedRequest:
         """Serve one request immediately (FIFO single server, no rejection)."""
-        arrival = self.clock_ns if arrival_ns is None else float(arrival_ns)
+        arrival = checked_arrival(self.clock_ns, arrival_ns, deadline_ns)
         self.clock_ns = max(self.clock_ns, arrival)
         queued = QueuedRequest(
             request=request,

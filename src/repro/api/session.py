@@ -1,10 +1,8 @@
 """``PimSession``: one submit/future surface over every execution tier.
 
-Before this module, running "the same workload" against the single-device
-service tier and the sharded cluster tier meant choosing among six
-divergent :class:`~repro.database.queries.QueryEngine` entry points and
-two frontends returning five different result shapes.  A session
-collapses that to one loop::
+A session is the one way to submit a query: the same loop runs "the same
+workload" against the single-device service tier, the sharded cluster
+tier, or the serial host baseline::
 
     session = PimSession.over_cluster(num_shards=4)   # or .over_service()
     f1 = session.scan(column, "between", 10, 99, priority=1)
@@ -40,7 +38,7 @@ workload across tiers is pinned by ``tests/test_api_session.py``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.metrics import (
@@ -65,6 +63,7 @@ from repro.database.bitmap_index import BitmapIndex
 from repro.database.queries import QueryEngine
 from repro.obs import NULL_OBSERVER, Observer, resolve_observe
 from repro.service.frontend import ArrivalEvent
+from repro.service.requests import checked_arrival
 
 
 class RequestRejected(RuntimeError):
@@ -150,9 +149,7 @@ ResponseDetails = Union[ServiceDetails, ClusterDetails, HostDetails]
 class Response:
     """The unified outcome of one session request, identical across tiers.
 
-    Collapses the legacy ``QueryResult`` / ``BatchQueryResult`` /
-    ``PipelineResult`` / ``ClusterResult`` / ``BatchResult`` shapes: the
-    per-request fields live here, the per-stream roll-up in
+    The per-request fields live here, the per-stream roll-up in
     :class:`SessionReport`.
 
     Attributes:
@@ -302,27 +299,10 @@ class Future:
             )
 
 
-_SHARED_METRIC_FIELDS = (
-    "offered",
-    "admitted",
-    "rejected",
-    "shed",
-    "completed",
-    "deadline_misses",
-    "wait_p50_ns",
-    "wait_p99_ns",
-    "sojourn_p50_ns",
-    "sojourn_p99_ns",
-    "makespan_ns",
-    "busy_ns",
-    "serial_latency_ns",
-    "energy_j",
-    "host_merge_ns",
-    "ops_eliminated",
-    "shared_subchains",
-    "cache_hits",
-    "cache_misses",
-    "cache_invalidations",
+#: The queueing surface both tiers' metrics carry: every dataclass field
+#: :class:`QueueMetrics` and :class:`ClusterMetrics` have in common.
+_SHARED_METRIC_FIELDS = frozenset(f.name for f in fields(QueueMetrics)) & frozenset(
+    f.name for f in fields(ClusterMetrics)
 )
 
 
@@ -357,7 +337,7 @@ class SessionReport:
 
     def __getattr__(self, item: str) -> Any:
         # Delegate the shared queueing surface to the tier metrics; keeps
-        # one report shape without duplicating fifteen fields.
+        # one report shape without duplicating the fields.
         if item in _SHARED_METRIC_FIELDS or item in (
             "rejection_rate",
             "deadline_miss_rate",
@@ -378,7 +358,7 @@ class PimSession:
         coster: Host-side query cost model for the epilogue (popcount +
             materialization).  Defaults to a :class:`QueryEngine` sharing
             the backend's engine, so session responses price epilogues
-            exactly as the legacy entry points did.
+            exactly as :meth:`QueryEngine.execute_scan` does.
         name: Default label of this session's reports.
         observe: Observability plane (``repro.obs``): ``True`` binds a
             fresh recording :class:`~repro.obs.Observer` to the backend
@@ -788,8 +768,7 @@ class PimSession:
         under lane pipelining that is the busy-union the batch *added*,
         so completion time a batch spent overlapped with its predecessor
         on other banks is never double-counted; for a batch-synchronous
-        backend it is exactly the batch makespan, the single-session
-        legacy accounting.
+        backend it is exactly the batch makespan.
         """
         own_serial: Dict[int, float] = {}
         for record in completed:
@@ -832,7 +811,9 @@ class PimSession:
         return self._submit(spec, spec.to_request(), kind, priority, deadline_ns, at_ns)
 
     def _submit(self, spec, request, kind, priority, deadline_ns, at_ns) -> Future:
-        arrival = self.backend.clock_ns if at_ns is None else float(at_ns)
+        # Validated before the clock advances: a rejected stamp must leave
+        # the backend untouched.
+        arrival = checked_arrival(self.backend.clock_ns, at_ns, deadline_ns)
         # Serve whatever the policy closes before this arrival, so
         # admission sees the live queue — identical to the frontends'
         # own run() loops.

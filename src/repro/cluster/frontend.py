@@ -60,6 +60,7 @@ from repro.service.requests import (
     FrontendRequest,
     QueuedRequest,
     ScanRequest,
+    checked_arrival,
 )
 from repro.storage.maintenance import MaintenancePolicy, resolve_maintenance
 from repro.storage.requests import WriteRequest, charged_columns, is_write_request
@@ -522,7 +523,7 @@ class ClusterFrontend:
         else goes to the least-loaded shard.  Scatter admission is
         all-or-nothing: one refused part withdraws the rest.
         """
-        arrival = self.clock_ns if arrival_ns is None else float(arrival_ns)
+        arrival = checked_arrival(self.clock_ns, arrival_ns, deadline_ns)
         self.clock_ns = max(self.clock_ns, arrival)
         record = ClusterRecord(
             request=request,

@@ -1,6 +1,6 @@
 """Counters, gauges, and streaming histograms for the observability plane.
 
-The existing roll-ups (``QueueMetrics.from_samples`` and friends) retain
+The existing roll-ups (``summarize_queue_records`` and friends) retain
 every sample and compute exact percentiles at the end of a run — fine
 for thousands of requests, wrong for the ROADMAP's millions.  The
 :class:`StreamingHistogram` here is the constant-memory alternative:

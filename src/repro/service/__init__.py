@@ -10,8 +10,8 @@ BitWeaving predicate scans, RowClone copies, bitmap-index conjunctions):
 * :class:`BatchExecutor` — pure execution with bank-level overlap (LPT
   makespan scheduling), operation fusion, and allocation reuse.
 
-:class:`BatchScheduler` remains as the one-shot facade for callers that
-hand-build their own batches.
+Callers that hand-build their own batches pass a request list straight to
+:meth:`BatchExecutor.run`.
 """
 
 from repro.service.client import BackoffPolicy, RetryClient, RetryOutcome, RetryRecord
@@ -22,7 +22,6 @@ from repro.service.frontend import (
     PipelineResult,
     ServiceFrontend,
     poisson_schedule,
-    summarize_records,
     trace_schedule,
 )
 from repro.service.planner import BatchPlanner, BatchPolicy, LoweredGroup
@@ -38,7 +37,6 @@ from repro.service.requests import (
     SCAN_KINDS,
     ScanRequest,
 )
-from repro.service.scheduler import BatchScheduler
 
 __all__ = [
     "ArrivalEvent",
@@ -47,7 +45,6 @@ __all__ = [
     "BatchPlanner",
     "BatchPolicy",
     "BatchResult",
-    "BatchScheduler",
     "BitmapConjunctionRequest",
     "BulkOpRequest",
     "CopyRequest",
@@ -66,6 +63,5 @@ __all__ = [
     "ServiceFrontend",
     "VectorPool",
     "poisson_schedule",
-    "summarize_records",
     "trace_schedule",
 ]

@@ -69,28 +69,20 @@ class BackoffPolicy:
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError("jitter must be in [0, 1)")
 
-    def delay_ns(
-        self,
-        attempt: int,
-        rng: Optional[np.random.Generator] = None,
-        *,
-        seed: int = 0,
-        key: int = 0,
-    ) -> float:
+    def delay_ns(self, attempt: int, *, seed: int = 0, key: int = 0) -> float:
         """Backoff before retry number ``attempt`` (1-based).
 
-        Jitter draws come from ``rng`` when given (legacy shared-stream
-        mode), else from a generator keyed on ``(seed, key, attempt)`` —
-        every (request, attempt) pair gets its own deterministic draw,
-        independent of the order retries pop off the virtual-time heap.
-        Keyed jitter is what de-synchronizes the retry storm after a
-        shard failure: the victims' re-offers spread over the backoff
-        window instead of landing on the survivors in one spike.
+        Jitter draws come from a generator keyed on ``(seed, key,
+        attempt)`` — every (request, attempt) pair gets its own
+        deterministic draw, independent of the order retries pop off the
+        virtual-time heap.  Keyed jitter is what de-synchronizes the
+        retry storm after a shard failure: the victims' re-offers spread
+        over the backoff window instead of landing on the survivors in
+        one spike.
         """
         delay = self.base_ns * self.multiplier ** (attempt - 1)
         if self.jitter > 0.0:
-            if rng is None:
-                rng = np.random.default_rng((seed, key, attempt))
+            rng = np.random.default_rng((seed, key, attempt))
             delay *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
         return delay
 

@@ -72,7 +72,12 @@ from repro.obs import Observer, resolve_observe
 from repro.service.executor import BatchExecutor
 from repro.service.lanes import HOST_LANE
 from repro.service.planner import BatchPlanner, BatchPolicy, LoweredGroup
-from repro.service.requests import BatchResult, FrontendRequest, QueuedRequest
+from repro.service.requests import (
+    BatchResult,
+    FrontendRequest,
+    QueuedRequest,
+    checked_arrival,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.optimizer.passes import OptimizerConfig
@@ -180,27 +185,6 @@ class PipelineResult:
     def rejected(self) -> List[QueuedRequest]:
         """Envelopes refused by admission control, in offer order."""
         return [r for r in self.records if not r.admitted]
-
-
-def summarize_records(
-    name: str,
-    records: Sequence[QueuedRequest],
-    makespan_ns: float,
-    busy_ns: float,
-    batches: int,
-) -> QueueMetrics:
-    """Queueing summary over a window of request envelopes.
-
-    Used by :meth:`ServiceFrontend.result` over the frontend's lifetime
-    and by per-session reporting (:meth:`repro.api.session.PimSession
-    .report`) over just one session's records, so a reused frontend never
-    folds earlier traffic into a later report.  The roll-up arithmetic is
-    shared with the cluster tier in
-    :func:`repro.analysis.metrics.summarize_envelopes`.
-    """
-    return summarize_queue_records(
-        name, records, makespan_ns=makespan_ns, busy_ns=busy_ns, batches=batches
-    )
 
 
 class ServiceFrontend:
@@ -612,7 +596,7 @@ class ServiceFrontend:
         current queue; a rejected envelope has ``admitted=False`` and a
         ``rejected_reason`` and will never be served.
         """
-        arrival = self.clock_ns if arrival_ns is None else float(arrival_ns)
+        arrival = checked_arrival(self.clock_ns, arrival_ns, deadline_ns)
         self.clock_ns = max(self.clock_ns, arrival)
         queued = QueuedRequest(
             request=request,
@@ -889,7 +873,7 @@ class ServiceFrontend:
     # ------------------------------------------------------------------
     def result(self, name: str = "frontend") -> PipelineResult:
         """Summarize everything served so far into a :class:`PipelineResult`."""
-        metrics = summarize_records(
+        metrics = summarize_queue_records(
             name, self.records, self.completion_ns, self.busy_ns, len(self.batches)
         )
         return PipelineResult(records=list(self.records), batches=list(self.batches), metrics=metrics)

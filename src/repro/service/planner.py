@@ -78,6 +78,8 @@ class BatchPolicy:
     def __post_init__(self) -> None:
         if self.max_batch <= 0:
             raise ValueError("max_batch must be positive")
+        if self.window_ns is not None and not self.window_ns >= 0:
+            raise ValueError("window_ns must be non-negative")
 
 
 @dataclass

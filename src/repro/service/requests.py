@@ -115,6 +115,25 @@ class CopyRequest:
 ServiceRequest = Union[BulkOpRequest, ScanRequest, CopyRequest]
 
 
+def checked_arrival(
+    clock_ns: float, arrival_ns: Optional[float], deadline_ns: Optional[float]
+) -> float:
+    """The arrival instant of one offer: ``arrival_ns``, or the backend's
+    ``clock_ns`` when the offer is unstamped.
+
+    Every backend's ``offer`` resolves its arrival here, before it appends
+    a record or moves its clock: a NaN or infinite arrival would poison
+    the clock and every percentile of the window, a negative one predates
+    the clock's origin, and a NaN deadline can never be missed.
+    """
+    arrival = clock_ns if arrival_ns is None else float(arrival_ns)
+    if not math.isfinite(arrival) or arrival < 0:
+        raise ValueError(f"arrival time must be finite and non-negative, got {arrival!r}")
+    if deadline_ns is not None and math.isnan(deadline_ns):
+        raise ValueError("deadline_ns must not be NaN")
+    return arrival
+
+
 @dataclass
 class BitmapConjunctionRequest:
     """One bitmap-index conjunction: ``AND`` of per-column ``IN`` predicates.
@@ -278,7 +297,7 @@ class RequestResult:
 
 @dataclass
 class BatchResult:
-    """Outcome of one :meth:`BatchScheduler.execute` call.
+    """Outcome of one :meth:`BatchExecutor.run` call.
 
     Attributes:
         results: One entry per request, in submission order.

@@ -7,15 +7,17 @@ whether the backend is a single-device :class:`ServiceFrontend`, an
 N-shard :class:`ClusterFrontend`, or the serial :class:`HostBackend`.
 Around it: the ``Backend`` protocol surface, future semantics
 (rejection, windowed sessions, lazy drain), the host-side gather merge
-cost, and the deprecation shims over the legacy ``QueryEngine`` entry
-points.
+cost, and responses pricing exactly as the ``QueryEngine`` cost model.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ambit.engine import AmbitConfig, AmbitEngine
+from repro.analysis.metrics import ClusterMetrics, QueueMetrics
 from repro.api import (
     Backend,
     ClusterDetails,
@@ -424,115 +426,103 @@ class TestGatherMergeCost:
             ClusterFrontend(num_shards=2, engine_factory=lambda: _engine(), merge_ns_per_op=-1.0)
 
 
-class TestDeprecationShims:
-    """The six legacy QueryEngine entry points still pass — and warn."""
+class TestCostModelReference:
+    """Session responses price exactly as the QueryEngine cost model does."""
 
-    @pytest.fixture
-    def query_engine(self):
-        return QueryEngine(ambit=_engine())
-
-    @pytest.fixture
-    def column(self):
-        return _random_column(np.random.default_rng(15), 8, 400)
-
-    def test_range_count_query_warns_and_matches_session(self, query_engine, column):
-        with pytest.warns(DeprecationWarning, match="range_count_query"):
-            legacy = query_engine.range_count_query(column, 20, 180, ScanBackend.AMBIT)
-        session = PimSession(
-            ServiceFrontend(executor=BatchExecutor(engine=_engine())), coster=query_engine
-        )
-        response = session.range_count(column, 20, 180).result()
-        assert legacy.matching_rows == response.matching_rows
-        assert legacy.latency_ns == pytest.approx(response.latency_ns)
-        assert legacy.energy_j == pytest.approx(response.energy_j)
-
-    def test_range_count_query_cpu_matches_plan_model(self, query_engine, column):
-        with pytest.warns(DeprecationWarning):
-            legacy = query_engine.range_count_query(column, 20, 180, ScanBackend.CPU)
+    def test_host_response_matches_cpu_reference(self):
+        query_engine = QueryEngine(ambit=_engine())
+        column = _random_column(np.random.default_rng(15), 8, 400)
+        response = PimSession.over_host(coster=query_engine).range_count(column, 20, 180).result()
         expected, plan = column.scan_range(20, 180)
         reference = query_engine.execute_scan(
             expected, plan, column.num_rows, ScanBackend.CPU
         )
-        assert legacy.matching_rows == reference.matching_rows
-        assert legacy.latency_ns == pytest.approx(reference.latency_ns)
-        assert legacy.energy_j == pytest.approx(reference.energy_j)
+        assert response.matching_rows == reference.matching_rows
+        assert response.latency_ns == pytest.approx(reference.latency_ns)
+        assert response.energy_j == pytest.approx(reference.energy_j)
 
-    def test_bitmap_conjunction_query_warns(self, query_engine):
-        index = _bitmap_index(np.random.default_rng(16))
-        predicates = [("region", [1, 2]), ("status", [0])]
-        with pytest.warns(DeprecationWarning, match="bitmap_conjunction_query"):
-            cpu = query_engine.bitmap_conjunction_query(index, predicates, ScanBackend.CPU)
-        with pytest.warns(DeprecationWarning):
-            ambit = query_engine.bitmap_conjunction_query(index, predicates, ScanBackend.AMBIT)
-        expected, _ = index.evaluate_conjunction(predicates)
-        assert cpu.matching_rows == ambit.matching_rows == BitmapIndex.count(
-            expected, index.num_rows
-        )
-
-    def test_scan_query_batch_warns_and_stays_bit_exact(self, query_engine):
+    def test_service_scan_ns_matches_ambit_scan_cost(self):
         rng = np.random.default_rng(17)
+        query_engine = QueryEngine(ambit=_engine())
+        session = PimSession.over_service(engine=query_engine.ambit, coster=query_engine)
         scans = [(_random_column(rng), "less_than", (c,)) for c in (5, 20, 40)]
-        with pytest.warns(DeprecationWarning, match="scan_query_batch"):
-            batch = query_engine.scan_query_batch(scans, ScanBackend.AMBIT)
-        assert len(batch.results) == len(scans)
-        assert batch.batching_speedup >= 1.0
-        for (column, kind, constants), result in zip(scans, batch.results):
+        futures = [session.scan(column, kind, *cs) for column, kind, cs in scans]
+        for (column, kind, constants), future in zip(scans, futures):
+            response = future.result()
             expected, plan = column.scan(kind, *constants)
-            assert result.matching_rows == BitmapIndex.count(expected, column.num_rows)
+            assert response.matching_rows == BitmapIndex.count(expected, column.num_rows)
             sequential = query_engine.ambit_scan_cost(plan)
-            assert result.breakdown["scan_ns"] == pytest.approx(sequential.latency_ns)
+            assert response.breakdown["scan_ns"] == pytest.approx(sequential.latency_ns)
+        assert session.report().details.pipeline_speedup >= 1.0
 
-    def test_range_count_query_batch_warns(self, query_engine):
-        rng = np.random.default_rng(18)
-        ranges = [(_random_column(rng), 5, 40) for _ in range(3)]
-        with pytest.warns(DeprecationWarning, match="range_count_query_batch"):
-            batch = query_engine.range_count_query_batch(ranges, ScanBackend.AMBIT)
-        assert len(batch.results) == 3
 
-    def test_scan_query_pipeline_warns(self, query_engine):
-        rng = np.random.default_rng(19)
-        scans = [(_random_column(rng), "equal", (7,)) for _ in range(3)]
-        with pytest.warns(DeprecationWarning, match="scan_query_pipeline"):
-            batch, metrics = query_engine.scan_query_pipeline(
-                scans, ScanBackend.AMBIT, rate_per_s=1e6, seed=1
-            )
-        assert metrics.completed == len(scans)
-        assert batch.request_indices == list(range(len(scans)))
+class TestTimeValidation:
+    """Non-finite or negative times fail at the API boundary, before any
+    record is appended or any clock moves."""
 
-    def test_bitmap_conjunction_query_batch_warns(self, query_engine):
-        index = _bitmap_index(np.random.default_rng(20))
-        conjunctions = [[("region", [1, 2]), ("status", [0])], [("tier", [1])]]
-        with pytest.warns(DeprecationWarning, match="bitmap_conjunction_query_batch"):
-            batch = query_engine.bitmap_conjunction_query_batch(
-                index, conjunctions, ScanBackend.AMBIT
-            )
-        for predicates, result in zip(conjunctions, batch.results):
-            expected, _ = index.evaluate_conjunction(predicates)
-            assert result.matching_rows == BitmapIndex.count(expected, index.num_rows)
+    BACKENDS = {
+        "service": lambda: ServiceFrontend(executor=BatchExecutor(engine=_engine())),
+        "cluster": lambda: ClusterFrontend(num_shards=2, engine_factory=lambda: _engine()),
+        "host": lambda: HostBackend(),
+    }
+    bad_times = pytest.mark.parametrize(
+        "bad",
+        [
+            pytest.param({"arrival_ns": float("nan")}, id="arrival=nan"),
+            pytest.param({"arrival_ns": float("inf")}, id="arrival=inf"),
+            pytest.param({"arrival_ns": -1.0}, id="arrival=-1"),
+            pytest.param({"deadline_ns": float("nan")}, id="deadline=nan"),
+        ],
+    )
 
-    def test_internal_callers_of_shims_fail(self):
-        """The CI guard: a legacy-entry-point DeprecationWarning raised
-        from inside repro.* (an internal straggler) is an error, while
-        the same warning from a test/user module — and unrelated
-        deprecations from repro frames — stay warnings."""
-        import warnings as w
+    @bad_times
+    @pytest.mark.parametrize("tier", sorted(BACKENDS))
+    def test_offer_rejects_bad_times_and_leaves_backend_untouched(self, tier, bad):
+        backend = self.BACKENDS[tier]()
+        column = _random_column(np.random.default_rng(23))
+        request = ScanRequest(column=column, kind="less_than", constants=(5,))
+        backend.offer(request, arrival_ns=100.0)  # queued (or served) work to disturb
+        clock, records = backend.clock_ns, len(backend.records)
+        with pytest.raises(ValueError):
+            backend.offer(request, **bad)
+        assert backend.clock_ns == clock
+        assert len(backend.records) == records
 
-        message = "QueryEngine.range_count_query is deprecated; use ..."
-        with w.catch_warnings():
-            w.filterwarnings(
-                "error",
-                message=r"QueryEngine\..+ is deprecated",
-                category=DeprecationWarning,
-                module=r"repro\..*",
-            )
-            # Same message from a non-repro caller: warning only.
-            w.warn(message, DeprecationWarning)
-            repro_frame = {"__name__": "repro.fake_module", "message": message}
-            # Unrelated deprecation from a repro frame: warning only.
-            exec("import warnings; warnings.warn('x', DeprecationWarning)", dict(repro_frame))
-            # Legacy-entry-point warning from a repro frame: error.
-            with pytest.raises(DeprecationWarning):
-                exec(
-                    "import warnings; warnings.warn(message, DeprecationWarning)",
-                    repro_frame,
-                )
+    @bad_times
+    @pytest.mark.parametrize("tier", sorted(BACKENDS))
+    def test_session_submit_inherits_the_check(self, tier, bad):
+        session = PimSession(self.BACKENDS[tier]())
+        column = _random_column(np.random.default_rng(24))
+        good = session.scan(column, "less_than", 5, at_ns=100.0)
+        clock, records = session.backend.clock_ns, len(session.backend.records)
+        kwargs = {("at_ns" if key == "arrival_ns" else key): value for key, value in bad.items()}
+        with pytest.raises(ValueError):
+            session.scan(column, "less_than", 5, **kwargs)
+        # Not even the pre-arrival advance ran: the queued request is
+        # still queued, and the window's percentiles stay finite.
+        assert session.backend.clock_ns == clock
+        assert len(session.backend.records) == records
+        assert len(session.futures) == 1
+        assert good.result().completed
+        assert np.isfinite(session.report().sojourn_p99_ns)
+
+    @pytest.mark.parametrize("window_ns", [-1.0, float("nan")])
+    def test_batch_policy_rejects_a_negative_window(self, window_ns):
+        with pytest.raises(ValueError):
+            BatchPolicy(window_ns=window_ns)
+        assert BatchPolicy(window_ns=0.0).window_ns == 0.0
+
+
+def test_session_report_exposes_every_shared_metric_field():
+    """Every dataclass field QueueMetrics and ClusterMetrics have in common
+    reads straight off a SessionReport, on both tiers."""
+    shared = {f.name for f in dataclasses.fields(QueueMetrics)} & {
+        f.name for f in dataclasses.fields(ClusterMetrics)
+    }
+    assert {"offered", "sojourn_p99_ns", "energy_j", "cache_hits"} <= shared
+    column = _random_column(np.random.default_rng(25))
+    for session in (_service_session(), _cluster_session(2)):
+        session.scan(column, "less_than", 9).result()
+        report = session.report()
+        for name in shared:
+            assert getattr(report, name) == getattr(report.details, name)

@@ -16,7 +16,7 @@ from repro.dram.device import DramDevice
 from repro.dram.energy import DramEnergyParameters
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import DramTimingParameters
-from repro.service import BatchScheduler
+from repro.service import BatchExecutor, ScanRequest
 
 
 def _engine(banks: int = 2) -> AmbitEngine:
@@ -52,9 +52,8 @@ def _oracle(codes: np.ndarray, predicate) -> np.ndarray:
 def _scan(column, kind, constants, functional):
     """Run one scan on the chosen backend and return the packed result."""
     if functional:
-        scheduler = BatchScheduler(engine=_engine())
-        scheduler.submit_scan(column, kind, *constants)
-        batch = scheduler.execute(functional=True)
+        request = ScanRequest(column=column, kind=kind, constants=tuple(constants))
+        batch = BatchExecutor(engine=_engine()).run([request], functional=True)
         return batch.results[0].value
     result, _ = column.scan(kind, *constants)
     return result

@@ -16,11 +16,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ambit.engine import AmbitConfig, AmbitEngine
+from repro.api import PimSession
 from repro.cluster import ClusterFrontend, ShardRouter
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.sharding import BitmapIndexShardView, TableShardView
 from repro.database.bitweaving import BitWeavingColumn
-from repro.database.queries import QueryEngine, ScanBackend
 from repro.database.tables import ColumnTable
 from repro.dram.device import DramDevice
 from repro.dram.energy import DramEnergyParameters
@@ -274,10 +274,8 @@ class TestClusterBitExactness:
             [("region", [1, 2]), ("status", [0]), ("tier", [0, 1])],
             [("region", [3]), ("status", [1, 2])],
         ]
-        single_engine = QueryEngine(ambit=_engine_factory()())
-        single = single_engine.bitmap_conjunction_query_batch(
-            index, conjunctions, ScanBackend.AMBIT
-        )
+        single = PimSession.over_service(engine=_engine_factory()())
+        singles = [single.conjunction(index, p).result() for p in conjunctions]
         cluster = _cluster(3)
         requests = [
             BitmapConjunctionRequest(
@@ -286,7 +284,7 @@ class TestClusterBitExactness:
             for p in conjunctions
         ]
         result = cluster.run(trace_schedule(requests, [0.0] * len(requests)))
-        for record, query in zip(result.records, single.results):
+        for record, query in zip(result.records, singles):
             assert BitmapIndex.count(record.value, index.num_rows) == query.matching_rows
 
 

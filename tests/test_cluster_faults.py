@@ -565,10 +565,6 @@ class TestRetryClientDeadlineBudget:
         assert policy.delay_ns(2, seed=8, key=3) != first
         base = 1000.0 * 2.0
         assert base * 0.5 <= first <= base * 1.5
-        # The legacy positional-rng path still works.
-        rng = np.random.default_rng(0)
-        legacy = policy.delay_ns(1, rng)
-        assert 500.0 <= legacy <= 1500.0
 
     def test_retry_budget_capped_by_remaining_slack(self):
         """A retry whose backoff lands past the deadline is not offered:

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.api import PimSession
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.bitweaving import BitWeavingColumn
-from repro.database.queries import QueryEngine, ScanBackend
+from repro.database.queries import QueryEngine
 from repro.database.tables import ColumnTable, generate_sales_table
 
 
@@ -147,12 +148,21 @@ class TestBitWeaving:
             BitWeavingColumn(np.array([[1, 2]]), num_bits=4)
 
 
+def _sessions():
+    """(host-CPU session, Ambit service session) priced by one cost model."""
+    engine = QueryEngine()
+    return (
+        PimSession.over_host(coster=engine),
+        PimSession.over_service(engine=engine.ambit, coster=engine),
+    )
+
+
 class TestQueryEngine:
     def test_backends_agree_on_result(self, table):
         column = BitWeavingColumn.from_table(table, "quantity")
-        engine = QueryEngine()
-        cpu = engine.range_count_query(column, 32, 96, ScanBackend.CPU)
-        ambit = engine.range_count_query(column, 32, 96, ScanBackend.AMBIT)
+        host, service = _sessions()
+        cpu = host.range_count(column, 32, 96).result()
+        ambit = service.range_count(column, 32, 96).result()
         assert cpu.matching_rows == ambit.matching_rows
         expected = int(((table.column("quantity") >= 32) & (table.column("quantity") <= 96)).sum())
         assert cpu.matching_rows == expected
@@ -160,29 +170,29 @@ class TestQueryEngine:
     def test_ambit_scan_is_faster_for_large_tables(self):
         table = generate_sales_table(8_000_000, seed=1)
         column = BitWeavingColumn.from_table(table, "quantity")
-        engine = QueryEngine()
-        cpu = engine.range_count_query(column, 32, 57, ScanBackend.CPU)
-        ambit = engine.range_count_query(column, 32, 57, ScanBackend.AMBIT)
+        host, service = _sessions()
+        cpu = host.range_count(column, 32, 57).result()
+        ambit = service.range_count(column, 32, 57).result()
         assert ambit.latency_ns < cpu.latency_ns
         assert cpu.latency_ns / ambit.latency_ns > 3
 
     def test_speedup_grows_with_table_size(self):
-        engine = QueryEngine()
+        host, service = _sessions()
         speedups = []
         for rows in (500_000, 4_000_000, 16_000_000):
             table = generate_sales_table(rows, seed=2)
             column = BitWeavingColumn.from_table(table, "quantity")
-            cpu = engine.range_count_query(column, 32, 57, ScanBackend.CPU)
-            ambit = engine.range_count_query(column, 32, 57, ScanBackend.AMBIT)
+            cpu = host.range_count(column, 32, 57).result()
+            ambit = service.range_count(column, 32, 57).result()
             speedups.append(cpu.latency_ns / ambit.latency_ns)
         assert speedups[0] < speedups[1] < speedups[2]
 
-    def test_bitmap_conjunction_query(self, table):
+    def test_conjunction_backends_agree(self, table):
         index = BitmapIndex(table, ["region", "product"])
-        engine = QueryEngine()
+        host, service = _sessions()
         predicates = [("region", [0, 1]), ("product", [0, 1, 2])]
-        cpu = engine.bitmap_conjunction_query(index, predicates, ScanBackend.CPU)
-        ambit = engine.bitmap_conjunction_query(index, predicates, ScanBackend.AMBIT)
+        cpu = host.conjunction(index, predicates).result()
+        ambit = service.conjunction(index, predicates).result()
         assert cpu.matching_rows == ambit.matching_rows
         assert cpu.breakdown["scan_ns"] > 0
         assert ambit.breakdown["epilogue_ns"] == pytest.approx(cpu.breakdown["epilogue_ns"])

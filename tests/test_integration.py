@@ -11,10 +11,10 @@ import pytest
 from repro.ambit.engine import AmbitConfig, AmbitEngine
 from repro.analysis.metrics import arithmetic_mean, geometric_mean
 from repro.consumer.analysis import ConsumerStudy
+from repro.api import PimSession
 from repro.core.system import PIMSystem
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.bitweaving import BitWeavingColumn
-from repro.database.queries import QueryEngine, ScanBackend
 from repro.database.tables import generate_sales_table
 from repro.dram.device import DramDevice
 from repro.graph.algorithms import breadth_first_search, pagerank
@@ -77,21 +77,19 @@ class TestDatabaseEndToEnd:
         table = generate_sales_table(20_000, seed=5)
         index = BitmapIndex(table, ["region"])
         column = BitWeavingColumn.from_table(table, "quantity")
-        engine = QueryEngine()
+        host, service = PimSession.over_host(), PimSession.over_service()
 
         region_codes = table.column("region")
         quantity_codes = table.column("quantity")
         reference = int(
             (np.isin(region_codes, [0, 1]) & True).sum()
         )
-        bitmap_result = engine.bitmap_conjunction_query(
-            index, [("region", [0, 1])], ScanBackend.AMBIT
-        )
+        bitmap_result = service.conjunction(index, [("region", [0, 1])]).result()
         assert bitmap_result.matching_rows == reference
 
         reference_range = int(((quantity_codes >= 10) & (quantity_codes <= 200)).sum())
-        for backend in (ScanBackend.CPU, ScanBackend.AMBIT):
-            result = engine.range_count_query(column, 10, 200, backend)
+        for session in (host, service):
+            result = session.range_count(column, 10, 200).result()
             assert result.matching_rows == reference_range
 
 

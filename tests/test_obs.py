@@ -33,7 +33,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ambit.engine import AmbitConfig, AmbitEngine
 from repro.analysis import render_lane_timeline, render_span_tree
-from repro.analysis.metrics import QueueMetrics, percentile, percentile_or
+from repro.analysis.metrics import percentile, percentile_or, summarize_queue_records
 from repro.cluster import ClusterFrontend
 from repro.database.bitweaving import BitWeavingColumn
 from repro.dram.device import DramDevice
@@ -191,7 +191,7 @@ class TestPercentileOr:
         assert percentile_or([0.0, 0.0], 99.0, default=-1.0) == 0.0
 
     def test_queue_metrics_from_no_samples(self):
-        metrics = QueueMetrics.from_samples("idle", [], [])
+        metrics = summarize_queue_records("idle", [], makespan_ns=0.0, busy_ns=0.0, batches=0)
         assert metrics.wait_p50_ns == 0.0
         assert metrics.wait_p99_ns == 0.0
         assert metrics.sojourn_p50_ns == 0.0

@@ -312,10 +312,8 @@ class TestRetryClient:
 
     def test_jitter_is_seeded_and_bounded(self):
         policy = BackoffPolicy(base_ns=1000.0, multiplier=2.0, jitter=0.5)
-        rng_a = np.random.default_rng(1)
-        rng_b = np.random.default_rng(1)
-        delays_a = [policy.delay_ns(i, rng_a) for i in range(1, 5)]
-        delays_b = [policy.delay_ns(i, rng_b) for i in range(1, 5)]
+        delays_a = [policy.delay_ns(i, seed=1) for i in range(1, 5)]
+        delays_b = [policy.delay_ns(i, seed=1) for i in range(1, 5)]
         assert delays_a == delays_b
         for attempt, delay in enumerate(delays_a, start=1):
             nominal = 1000.0 * 2.0 ** (attempt - 1)

@@ -18,13 +18,14 @@ from repro.ambit.bitvector import BulkBitVector
 from repro.ambit.engine import AmbitConfig, AmbitEngine
 from repro.analysis.metrics import BatchMetrics, combine_serial
 from repro.database.bitweaving import BitWeavingColumn
-from repro.database.queries import QueryEngine, ScanBackend
+from repro.api import PimSession
+from repro.database.queries import QueryEngine
 from repro.dram.device import DramDevice
 from repro.dram.energy import DramEnergyParameters
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import DramTimingParameters
 from repro.rowclone.engine import CopyMode
-from repro.service import BatchScheduler, BulkOpRequest, CopyRequest, ScanRequest, VectorPool
+from repro.service import BatchExecutor, BulkOpRequest, CopyRequest, ScanRequest, VectorPool
 
 
 def _device(banks: int = 4, rows_per_subarray: int = 32) -> DramDevice:
@@ -53,11 +54,14 @@ def _random_column(rng, num_bits: int, rows: int) -> BitWeavingColumn:
     return BitWeavingColumn(rng.integers(0, 1 << num_bits, size=rows), num_bits)
 
 
+def _scan(column, kind: str, *constants: int) -> ScanRequest:
+    return ScanRequest(column=column, kind=kind, constants=constants)
+
+
 class TestBatchedScansBitExact:
     @pytest.mark.parametrize("functional", [False, True])
     def test_mixed_scan_batch_matches_sequential(self, functional):
         rng = np.random.default_rng(3)
-        scheduler = BatchScheduler(engine=_engine())
         columns = [_random_column(rng, 8, 300) for _ in range(3)]
         scans = []
         for i, column in enumerate(columns):
@@ -65,9 +69,10 @@ class TestBatchedScansBitExact:
             scans.append((column, "equal", (i * 11,)))
             scans.append((column, "less_than", (255,)))
             scans.append((column, "less_equal", (0,)))
-        for column, kind, constants in scans:
-            scheduler.submit_scan(column, kind, *constants)
-        batch = scheduler.execute(functional=functional)
+        batch = BatchExecutor(engine=_engine()).run(
+            [_scan(column, kind, *constants) for column, kind, constants in scans],
+            functional=functional,
+        )
 
         assert len(batch) == len(scans)
         for (column, kind, constants), result in zip(scans, batch.results):
@@ -85,10 +90,10 @@ class TestBatchedScansBitExact:
     def test_property_batch_bit_exact_with_sequential(
         self, num_bits, rows, seed, constants, functional
     ):
-        """The acceptance property: BatchScheduler output == sequential output."""
+        """The acceptance property: BatchExecutor output == sequential output."""
         rng = np.random.default_rng(seed)
         column = _random_column(rng, num_bits, rows)
-        scheduler = BatchScheduler(engine=_engine())
+        executor = BatchExecutor(engine=_engine())
         kinds = ["less_than", "less_equal", "equal", "between"]
         scans = []
         for i, constant in enumerate(constants):
@@ -99,13 +104,13 @@ class TestBatchedScansBitExact:
                 scans.append((column, kind, (min(constant, high), high)))
             else:
                 scans.append((column, kind, (constant,)))
-        for _, kind, cs in scans:
-            scheduler.submit_scan(column, kind, *cs)
-        batch = scheduler.execute(functional=functional)
+        batch = executor.run(
+            [_scan(column, kind, *cs) for _, kind, cs in scans], functional=functional
+        )
 
         serial_energy = 0.0
         serial_latency = 0.0
-        query_engine = QueryEngine(ambit=scheduler.engine)
+        query_engine = QueryEngine(ambit=executor.engine)
         for (column_, kind, cs), result in zip(scans, batch.results):
             expected, plan = column_.scan(kind, *cs)
             # Bit-exact with sequential execution.
@@ -123,7 +128,7 @@ class TestBatchedScansBitExact:
         assert batch.metrics.serial_latency_ns == pytest.approx(serial_latency)
         assert batch.metrics.latency_ns <= serial_latency * (1 + 1e-9)
         longest = max(r.metrics.latency_ns for r in batch.results)
-        banks = scheduler.engine.config.banks_parallel
+        banks = executor.engine.config.banks_parallel
         assert batch.metrics.latency_ns >= longest * (1 - 1e-9)
         assert batch.metrics.latency_ns >= serial_latency / banks * (1 - 1e-9)
 
@@ -134,11 +139,8 @@ class TestBatchedScansBitExact:
 
         outputs = []
         for functional in (False, True):
-            scheduler = BatchScheduler(engine=_engine())
-            for kind, constants in scans:
-                scheduler.submit_scan(column, kind, *constants)
-            batch = scheduler.execute(functional=functional)
-            outputs.append(batch)
+            requests = [_scan(column, kind, *constants) for kind, constants in scans]
+            outputs.append(BatchExecutor(engine=_engine()).run(requests, functional=functional))
         for a, b in zip(outputs[0].results, outputs[1].results):
             assert np.array_equal(a.value, b.value)
             assert a.metrics.latency_ns == pytest.approx(b.metrics.latency_ns)
@@ -149,10 +151,10 @@ class TestBatchedScansBitExact:
         column = _random_column(rng, 8, 256)
         batches = []
         for fuse in (True, False):
-            scheduler = BatchScheduler(engine=_engine(), fuse=fuse)
-            scheduler.submit_scan(column, "between", 20, 220)
-            scheduler.submit_scan(column, "between", 40, 200)
-            batches.append(scheduler.execute(functional=True))
+            requests = [_scan(column, "between", 20, 220), _scan(column, "between", 40, 200)]
+            batches.append(
+                BatchExecutor(engine=_engine(), fuse=fuse).run(requests, functional=True)
+            )
         fused, unfused = batches
         for a, b in zip(fused.results, unfused.results):
             assert np.array_equal(a.value, b.value)
@@ -166,14 +168,15 @@ class TestBatchedBulkOps:
     @pytest.mark.parametrize("functional", [False, True])
     def test_bulk_ops_bit_exact_with_direct_execution(self, functional):
         engine = _engine()
-        scheduler = BatchScheduler(engine=engine)
         a = engine.alloc_vector(600).fill_random(seed=1)
         b = engine.alloc_vector(600).fill_random(seed=2)
         c = engine.alloc_vector(600).fill_random(seed=3)
-        scheduler.submit_bulk_op("xor", a, b)
-        scheduler.submit_bulk_op("nand", b, c)
-        scheduler.submit_bulk_op("not", a)
-        batch = scheduler.execute(functional=functional)
+        requests = [
+            BulkOpRequest(op="xor", a=a, b=b),
+            BulkOpRequest(op="nand", a=b, b=c),
+            BulkOpRequest(op="not", a=a),
+        ]
+        batch = BatchExecutor(engine=engine).run(requests, functional=functional)
 
         reference_engine = _engine()
         ra = reference_engine.alloc_vector(600)
@@ -191,16 +194,18 @@ class TestBatchedBulkOps:
             assert result.metrics.energy_j == pytest.approx(metrics.energy_j)
 
     def test_copies_charge_rowclone_costs(self):
-        engine = _engine()
-        scheduler = BatchScheduler(engine=engine)
-        scheduler.submit_copy(1024)
-        scheduler.submit_copy(4096, mode=CopyMode.PSM)
-        scheduler.submit_copy(2048, fill=True)
-        batch = scheduler.execute()
+        executor = BatchExecutor(engine=_engine())
+        batch = executor.run(
+            [
+                CopyRequest(num_bytes=1024),
+                CopyRequest(num_bytes=4096, mode=CopyMode.PSM),
+                CopyRequest(num_bytes=2048, fill=True),
+            ]
+        )
         reference = [
-            scheduler.rowclone.bulk_copy(1024),
-            scheduler.rowclone.bulk_copy(4096, CopyMode.PSM),
-            scheduler.rowclone.bulk_fill(2048),
+            executor.rowclone.bulk_copy(1024),
+            executor.rowclone.bulk_copy(4096, CopyMode.PSM),
+            executor.rowclone.bulk_fill(2048),
         ]
         for result, expected in zip(batch.results, reference):
             assert result.metrics.latency_ns == pytest.approx(expected.latency_ns)
@@ -210,12 +215,11 @@ class TestBatchedBulkOps:
     def test_mixed_batch_overlaps_across_banks(self):
         """Single-row requests on different banks overlap; makespan shrinks."""
         rng = np.random.default_rng(9)
-        scheduler = BatchScheduler(engine=_engine(banks=4))
         # Four single-row-columns land on four distinct banks.
         columns = [_random_column(rng, 6, 200) for _ in range(4)]
-        for column in columns:
-            scheduler.submit_scan(column, "less_than", 30)
-        batch = scheduler.execute()
+        batch = BatchExecutor(engine=_engine(banks=4)).run(
+            [_scan(column, "less_than", 30) for column in columns]
+        )
         assert batch.metrics.batching_speedup > 2.0
         assert batch.metrics.latency_ns < batch.metrics.serial_latency_ns
 
@@ -223,25 +227,23 @@ class TestBatchedBulkOps:
         """Regression: recycled ids of dead columns must not hand stale bank
         offsets to new columns and cluster them onto the same banks."""
         rng = np.random.default_rng(13)
-        scheduler = BatchScheduler(engine=_engine(banks=4))
+        executor = BatchExecutor(engine=_engine(banks=4))
         speedups = []
         for _ in range(3):
             columns = [_random_column(rng, 6, 200) for _ in range(4)]
-            for column in columns:
-                scheduler.submit_scan(column, "less_than", 30)
-            speedups.append(scheduler.execute().metrics.batching_speedup)
-            del columns  # allow id reuse for the next round's columns
+            requests = [_scan(column, "less_than", 30) for column in columns]
+            speedups.append(executor.run(requests).metrics.batching_speedup)
+            del columns, requests  # allow id reuse for the next round's columns
         assert all(s == pytest.approx(speedups[0]) for s in speedups)
         assert speedups[0] > 2.0
 
     def test_scans_of_one_column_contend_for_its_banks(self):
         """A column's planes live in fixed banks: no overlap within a column."""
         rng = np.random.default_rng(9)
-        scheduler = BatchScheduler(engine=_engine(banks=4))
         column = _random_column(rng, 6, 200)
-        for constant in (5, 10, 20, 40):
-            scheduler.submit_scan(column, "less_than", constant)
-        batch = scheduler.execute()
+        batch = BatchExecutor(engine=_engine(banks=4)).run(
+            [_scan(column, "less_than", constant) for constant in (5, 10, 20, 40)]
+        )
         assert batch.metrics.latency_ns == pytest.approx(batch.metrics.serial_latency_ns)
 
 
@@ -249,7 +251,7 @@ class TestLptScheduling:
     """LPT makespan fix: requests are placed longest-first onto their banks."""
 
     @staticmethod
-    def _lpt_instance(scheduler):
+    def _lpt_instance():
         """Two short single-bank ops followed by a long two-bank op.
 
         Submission order forces the two-bank NOT between the two XORs: it
@@ -264,18 +266,17 @@ class TestLptScheduling:
         a2 = BulkBitVector(row_bits).fill_random(seed=3)
         b2 = BulkBitVector(row_bits).fill_random(seed=4)
         wide = BulkBitVector(2 * row_bits).fill_random(seed=5)
-        from repro.service import BulkOpRequest
-
-        scheduler.submit(BulkOpRequest(op="xor", a=a1, b=b1, bank_offset=0))
-        scheduler.submit(BulkOpRequest(op="not", a=wide, bank_offset=0))
-        scheduler.submit(BulkOpRequest(op="xor", a=a2, b=b2, bank_offset=1))
+        return [
+            BulkOpRequest(op="xor", a=a1, b=b1, bank_offset=0),
+            BulkOpRequest(op="not", a=wide, bank_offset=0),
+            BulkOpRequest(op="xor", a=a2, b=b2, bank_offset=1),
+        ]
 
     def test_lpt_makespan_not_worse_than_submission_order(self):
         batches = {}
         for lpt in (False, True):
-            scheduler = BatchScheduler(engine=_engine(banks=2), lpt=lpt)
-            self._lpt_instance(scheduler)
-            batches[lpt] = scheduler.execute()
+            executor = BatchExecutor(engine=_engine(banks=2), lpt=lpt)
+            batches[lpt] = executor.run(self._lpt_instance())
         greedy, lpt = batches[False], batches[True]
         assert lpt.metrics.latency_ns < greedy.metrics.latency_ns
         # Ordering moves start times only: results and charged costs are
@@ -291,13 +292,14 @@ class TestLptScheduling:
 
     def test_lpt_is_the_default_and_respects_bounds(self):
         rng = np.random.default_rng(21)
-        scheduler = BatchScheduler(engine=_engine(banks=4))
-        assert scheduler.executor.lpt
+        executor = BatchExecutor(engine=_engine(banks=4))
+        assert executor.lpt
         columns = [_random_column(rng, 6, 200) for _ in range(4)]
+        requests = []
         for column in columns:
-            scheduler.submit_scan(column, "less_than", 30)
-            scheduler.submit_scan(column, "between", 5, 50)
-        batch = scheduler.execute()
+            requests.append(_scan(column, "less_than", 30))
+            requests.append(_scan(column, "between", 5, 50))
+        batch = executor.run(requests)
         longest = max(r.metrics.latency_ns for r in batch.results)
         assert batch.metrics.latency_ns >= longest * (1 - 1e-9)
         assert batch.metrics.latency_ns <= batch.metrics.serial_latency_ns * (1 + 1e-9)
@@ -386,14 +388,15 @@ class TestVectorPoolAndAllocator:
 
     def test_repeated_batches_do_not_leak_rows(self):
         rng = np.random.default_rng(1)
-        scheduler = BatchScheduler(engine=_engine(), pool_capacity=8)
+        executor = BatchExecutor(engine=_engine(), pool_capacity=8)
         column = _random_column(rng, 8, 300)
         watermark = None
         for round_index in range(5):
-            scheduler.submit_scan(column, "between", 10, 240)
-            scheduler.submit_scan(column, "equal", 77)
-            scheduler.execute(functional=True)
-            rows = scheduler.engine.allocator.allocated_rows()
+            executor.run(
+                [_scan(column, "between", 10, 240), _scan(column, "equal", 77)],
+                functional=True,
+            )
+            rows = executor.engine.allocator.allocated_rows()
             if watermark is None:
                 watermark = rows
             assert rows <= watermark
@@ -426,32 +429,40 @@ class TestVectorPoolAndAllocator:
 
 
 class TestQueryBatchApi:
-    def test_scan_query_batch_matches_single_queries(self):
+    def test_batched_range_counts_match_single_queries(self):
         rng = np.random.default_rng(2)
         engine = _engine(banks=4)
         query_engine = QueryEngine(ambit=engine)
         columns = [_random_column(rng, 8, 400) for _ in range(4)]
         ranges = [(column, 10, 150) for column in columns]
-        batch = query_engine.range_count_query_batch(ranges, ScanBackend.AMBIT)
+        # One session closes all four range counts into a single batch...
+        batched = PimSession.over_service(engine=engine, coster=query_engine)
+        futures = [batched.range_count(column, low, high) for column, low, high in ranges]
+        batched.drain()
+        report = batched.report()
+        assert report.details.batches == 1
+        # ...the other drains after every query: one-at-a-time execution.
+        single_session = PimSession.over_service(engine=engine, coster=query_engine)
         serial_energy = 0.0
-        for (column, low, high), result in zip(ranges, batch.results):
-            single = query_engine.range_count_query(column, low, high, ScanBackend.AMBIT)
+        for (column, low, high), future in zip(ranges, futures):
+            result = future.result()
+            single = single_session.range_count(column, low, high).result()
             assert result.matching_rows == single.matching_rows
             assert result.latency_ns == pytest.approx(single.latency_ns)
             assert result.energy_j == pytest.approx(single.energy_j)
             serial_energy += single.energy_j
-        assert batch.energy_j == pytest.approx(serial_energy)
-        assert batch.batching_speedup >= 1.0
+        assert sum(f.result().energy_j for f in futures) == pytest.approx(serial_energy)
+        assert report.energy_j == pytest.approx(single_session.report().energy_j)
+        assert report.details.pipeline_speedup >= 1.0
 
     def test_cpu_backend_runs_serially(self):
         rng = np.random.default_rng(2)
-        query_engine = QueryEngine(ambit=_engine())
+        session = PimSession.over_host(coster=QueryEngine(ambit=_engine()))
         columns = [_random_column(rng, 6, 200) for _ in range(3)]
-        batch = query_engine.scan_query_batch(
-            [(c, "less_than", (20,)) for c in columns], ScanBackend.CPU
-        )
-        assert batch.latency_ns == pytest.approx(batch.serial_latency_ns)
-        assert len(batch.results) == 3
+        futures = [session.scan(column, "less_than", 20) for column in columns]
+        report = session.report()
+        assert report.busy_ns == pytest.approx(report.serial_latency_ns)
+        assert all(future.done() for future in futures)
 
 
 class TestBatchMetrics:

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ambit.engine import AmbitConfig, AmbitEngine
+from repro.api import PimSession
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.bitweaving import BitWeavingColumn
 from repro.database.queries import QueryEngine, ScanBackend
@@ -294,91 +295,104 @@ class TestPipelineBitExactness:
         assert result.metrics.busy_ns <= result.metrics.serial_latency_ns * (1 + 1e-9)
 
     def test_reused_frontend_reports_per_call_metrics(self):
-        """Regression: a second call on one frontend must not fold the
-        first call's traffic into its report, and arrivals must start at
+        """Regression: a second session on one frontend must not fold the
+        first one's traffic into its report, and arrivals must start at
         the frontend's advanced clock (identical seeds => identical
-        per-call dynamics)."""
+        per-session dynamics)."""
         rng = np.random.default_rng(18)
-        executor = BatchExecutor(engine=_engine())
-        frontend = ServiceFrontend(executor=executor, max_queue_depth=256)
-        query_engine = QueryEngine(ambit=executor.engine)
+        frontend = _frontend(max_queue_depth=256)
         columns = [_random_column(rng, 8, 400) for _ in range(3)]
-        scans = [(c, "less_than", (40,)) for c in columns]
-        first, first_metrics = query_engine.scan_query_pipeline(
-            scans, ScanBackend.AMBIT, rate_per_s=1e6, seed=1, frontend=frontend,
-            deadline_slack_ns=1e9,
-        )
-        second, second_metrics = query_engine.scan_query_pipeline(
-            scans, ScanBackend.AMBIT, rate_per_s=1e6, seed=1, frontend=frontend,
-            deadline_slack_ns=1e9,
-        )
-        assert first_metrics.completed == len(scans)
-        assert second_metrics.completed == len(scans)
+        reports = []
+        for _ in range(2):
+            session = PimSession(frontend)
+            session.submit_stream(
+                poisson_schedule(
+                    [_scan(c, "less_than", 40) for c in columns],
+                    rate_per_s=1e6,
+                    seed=1,
+                    deadline_slack_ns=1e9,
+                    start_ns=frontend.clock_ns,
+                )
+            )
+            session.drain()
+            reports.append(session.report())
+        first, second = reports
+        assert first.completed == len(columns)
+        assert second.completed == len(columns)
         assert second.serial_latency_ns == pytest.approx(first.serial_latency_ns)
         assert second.energy_j == pytest.approx(first.energy_j)
-        # Same seed and an idle frontend: the second call's queueing
-        # dynamics replay the first call's, just shifted on the clock.
-        assert second_metrics.wait_p50_ns == pytest.approx(first_metrics.wait_p50_ns)
-        assert second_metrics.sojourn_p99_ns == pytest.approx(first_metrics.sojourn_p99_ns)
-        assert second_metrics.deadline_misses == first_metrics.deadline_misses == 0
+        # Same seed and an idle frontend: the second session's queueing
+        # dynamics replay the first one's, just shifted on the clock.
+        assert second.wait_p50_ns == pytest.approx(first.wait_p50_ns)
+        assert second.sojourn_p99_ns == pytest.approx(first.sojourn_p99_ns)
+        assert second.deadline_misses == first.deadline_misses == 0
 
     def test_caller_frontend_keeps_its_functional_flag(self):
-        """Regression: the pipeline call borrows, never overwrites, a
-        caller frontend's functional setting."""
+        """Regression: a session drives a caller's frontend as configured;
+        it never rewrites the frontend's knobs."""
         rng = np.random.default_rng(22)
-        executor = BatchExecutor(engine=_engine())
-        frontend = ServiceFrontend(executor=executor, functional=True)
-        query_engine = QueryEngine(ambit=executor.engine)
-        scans = [(_random_column(rng, 6, 200), "less_than", (20,))]
-        query_engine.scan_query_pipeline(
-            scans, ScanBackend.AMBIT, rate_per_s=1e6, frontend=frontend
+        frontend = _frontend(
+            functional=True, max_queue_depth=3, policy=BatchPolicy(max_batch=2)
         )
-        assert frontend.functional is True  # None default: frontend's own setting
-        query_engine.scan_query_pipeline(
-            scans, ScanBackend.AMBIT, rate_per_s=1e6, frontend=frontend,
-            functional=False,
-        )
-        assert frontend.functional is True  # explicit False applied per call only
+        session = PimSession(frontend)
+        for _ in range(4):
+            session.scan(_random_column(rng, 6, 200), "less_than", 20)
+        session.drain()
+        assert frontend.functional is True
+        assert frontend.max_queue_depth == 3
+        assert frontend.planner.policy.max_batch == 2
+        assert frontend.executor.functional_executed == session.report().completed > 0
 
     def test_rejections_keep_result_to_query_mapping(self):
-        """Regression: rejected scans leave gaps; request_indices maps
-        each result back to its source query."""
+        """Regression: rejected scans leave gaps; each future still maps
+        its result back to its source query."""
         rng = np.random.default_rng(19)
-        executor = BatchExecutor(engine=_engine())
-        frontend = ServiceFrontend(executor=executor, max_queue_depth=2)
-        query_engine = QueryEngine(ambit=executor.engine)
+        frontend = _frontend(max_queue_depth=2)
+        query_engine = QueryEngine(ambit=frontend.executor.engine)
+        session = PimSession(frontend, coster=query_engine)
         columns = [_random_column(rng, 8, 400) for _ in range(6)]
         scans = [(c, "equal", (i * 7,)) for i, c in enumerate(columns)]
-        batch, metrics = query_engine.scan_query_pipeline(
-            scans, ScanBackend.AMBIT, rate_per_s=1e9, seed=4, frontend=frontend
+        futures = session.submit_stream(
+            poisson_schedule(
+                [_scan(c, kind, *cs) for c, kind, cs in scans],
+                rate_per_s=1e9,
+                seed=4,
+            )
         )
-        assert metrics.rejected > 0
-        assert len(batch.results) == metrics.completed < len(scans)
-        assert len(batch.request_indices) == len(batch.results)
-        for request_index, result in zip(batch.request_indices, batch.results):
-            column, kind, constants = scans[request_index]
+        session.drain()
+        report = session.report()
+        served = [i for i, future in enumerate(futures) if future.done()]
+        assert report.rejected > 0
+        assert len(served) == report.completed < len(scans)
+        for i in served:
+            column, kind, constants = scans[i]
             expected_bits, plan = column.scan(kind, *constants)
             single = query_engine.execute_scan(
                 expected_bits, plan, column.num_rows, ScanBackend.AMBIT
             )
-            assert result.matching_rows == single.matching_rows
+            assert futures[i].result().matching_rows == single.matching_rows
 
     def test_cpu_and_ambit_pipelines_agree_on_results(self):
         rng = np.random.default_rng(10)
         columns = [_random_column(rng, 8, 400) for _ in range(4)]
-        scans = [(c, "between", (20, 180)) for c in columns]
         query_engine = QueryEngine(ambit=_engine())
-        outcomes = {}
-        for backend in (ScanBackend.CPU, ScanBackend.AMBIT):
-            batch, metrics = query_engine.scan_query_pipeline(
-                scans, backend, rate_per_s=1e6, seed=3
+        outcomes = []
+        for session in (
+            PimSession.over_host(coster=query_engine),
+            PimSession.over_service(engine=query_engine.ambit, coster=query_engine),
+        ):
+            futures = session.submit_stream(
+                poisson_schedule(
+                    [_scan(c, "between", 20, 180) for c in columns],
+                    rate_per_s=1e6,
+                    seed=3,
+                )
             )
-            assert metrics.completed == len(scans)
-            outcomes[backend] = batch
-        cpu, ambit = outcomes[ScanBackend.CPU], outcomes[ScanBackend.AMBIT]
-        assert [q.matching_rows for q in cpu.results] == [
-            q.matching_rows for q in ambit.results
-        ]
+            session.drain()
+            assert session.report().completed == len(columns)
+            outcomes.append([future.result().matching_rows for future in futures])
+        cpu, ambit = outcomes
+        assert cpu == ambit
 
 
 class TestBitmapConjunctionLowering:
@@ -446,13 +460,16 @@ class TestBitmapConjunctionLowering:
             [("region", [1, 2]), ("status", [0])],
             [("region", [3]), ("status", [1, 2])],
         ]
-        batch = query_engine.bitmap_conjunction_query_batch(
-            index, conjunctions, ScanBackend.AMBIT, functional=True
+        # Batched on the simulated banks vs one at a time, analytically.
+        batched = PimSession(
+            _frontend(executor=BatchExecutor(engine=query_engine.ambit), functional=True),
+            coster=query_engine,
         )
-        for predicates, result in zip(conjunctions, batch.results):
-            single = query_engine.bitmap_conjunction_query(
-                index, predicates, ScanBackend.AMBIT
-            )
+        futures = [batched.conjunction(index, predicates) for predicates in conjunctions]
+        one_by_one = PimSession.over_service(engine=query_engine.ambit, coster=query_engine)
+        for predicates, future in zip(conjunctions, futures):
+            result = future.result()
+            single = one_by_one.conjunction(index, predicates).result()
             assert result.matching_rows == single.matching_rows
             assert result.latency_ns == pytest.approx(single.latency_ns)
             assert result.energy_j == pytest.approx(single.energy_j)
