@@ -47,6 +47,12 @@ class BulkBitVector:
         num_bits: Logical length of the vector.
         row_size_bytes: Row size of the device the vector is placed in.
         allocation: Row placement (may be None for host-only vectors).
+        data: Existing backing bytes to adopt *without copying* — a
+            ``uint8`` array of exactly :attr:`storage_bytes` entries whose
+            padding bits past ``num_bits`` are zero.  The vector aliases
+            the array; pass a read-only view when the owner must not be
+            written through it (lowered index planes do).  Fresh zeroed
+            storage is allocated when omitted.
     """
 
     def __init__(
@@ -54,6 +60,7 @@ class BulkBitVector:
         num_bits: int,
         row_size_bytes: int = 8192,
         allocation: Optional[RowAllocation] = None,
+        data: Optional[np.ndarray] = None,
     ) -> None:
         if num_bits <= 0:
             raise ValueError("num_bits must be positive")
@@ -62,7 +69,14 @@ class BulkBitVector:
         self.num_bits = num_bits
         self.row_size_bytes = row_size_bytes
         self.allocation = allocation
-        self._data = np.zeros(self.storage_bytes, dtype=np.uint8)
+        if data is None:
+            data = np.zeros(self.storage_bytes, dtype=np.uint8)
+        elif data.dtype != np.uint8 or data.shape != (self.storage_bytes,):
+            raise ValueError(
+                f"backing data must be {self.storage_bytes} uint8 bytes, "
+                f"got {data.dtype} of shape {data.shape}"
+            )
+        self._data = data
 
     # ------------------------------------------------------------------
     # Sizes

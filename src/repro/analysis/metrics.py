@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 
-@dataclass
+@dataclass(slots=True)
 class OperationMetrics:
     """Latency, energy, and data-movement volume of one simulated operation.
 
@@ -88,7 +88,6 @@ class BatchMetrics:
         serial_latency_ns: Latency of executing the batch sequentially.
         energy_j: Total energy (identical to sequential execution).
         bytes_produced: Total result bytes produced.
-        per_request: Metrics of each request, in submission order.
         device_busy_ns: Device-busy time this batch *added* (the union of
             its scheduled intervals not already covered by earlier
             batches' lanes).  None for a batch-synchronous batch, where
@@ -114,7 +113,6 @@ class BatchMetrics:
     serial_latency_ns: float
     energy_j: float
     bytes_produced: int = 0
-    per_request: List[OperationMetrics] = field(default_factory=list)
     device_busy_ns: Optional[float] = None
     cross_batch_overlap_ns: float = 0.0
     ops_eliminated: int = 0

@@ -372,8 +372,21 @@ def lower_predicate_steps(
 
 
 def _bitmap_vector(index: Any, column: str, value: int, row_size_bytes: int) -> BulkBitVector:
-    """A host-only vector holding one value's packed bitmap."""
-    packed = index.bitmap(column, value)
-    vector = BulkBitVector(index.num_rows, row_size_bytes)
-    vector.data[: packed.size] = packed
-    return vector
+    """A read-only host-only vector over one value's packed bitmap.
+
+    A plane that already spans whole device rows is adopted as a zero-copy
+    view of the index's own array — safe because the index never mutates
+    a plane in place (:meth:`BitmapIndex.apply_update` is copy-on-write),
+    so the vector keeps the bits it was lowered over even when a write
+    lands later in the same batch.  A shorter plane has no whole-row
+    storage to alias and is zero-padded into a fresh one.
+    """
+    packed: np.ndarray = index.bitmap(column, value)
+    storage_bytes = -(-packed.size // row_size_bytes) * row_size_bytes
+    if packed.size != storage_bytes:
+        padded = np.zeros(storage_bytes, dtype=np.uint8)
+        padded[: packed.size] = packed
+        packed = padded
+    view = packed.view()
+    view.flags.writeable = False
+    return BulkBitVector(index.num_rows, row_size_bytes, data=view)

@@ -778,7 +778,7 @@ class PimSession:
                 )
         busy = 0.0
         for index, serial in own_serial.items():
-            batch = frontend.batches[index].metrics
+            batch = frontend.batches[index]
             if batch.serial_latency_ns > 0:
                 busy += batch.busy_ns * min(1.0, serial / batch.serial_latency_ns)
         return busy

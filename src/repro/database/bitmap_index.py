@@ -139,6 +139,12 @@ class BitmapIndex:
         The caller must pass the codes *before* the table mutation
         (``old_codes``); the column must not be dirty (incremental deltas
         over stale planes would compound the staleness).
+
+        Planes are **copy-on-write**: a touched plane is rebound to a
+        fresh array before its bits change, never mutated in place.
+        Lowered source operands are zero-copy views of the planes
+        (:mod:`repro.api.plans`), so a read lowered earlier in the same
+        batch keeps executing over the pre-write bits.
         """
         if column in self._dirty:
             raise ValueError(
@@ -162,14 +168,14 @@ class BitmapIndex:
         news = new_codes[changed]
         for value in np.unique(olds):
             sel = ids[olds == value]
-            plane = planes[int(value)]
+            plane = planes[int(value)] = planes[int(value)].copy()
             np.bitwise_and.at(
                 plane, sel // 8, (~(np.uint8(1) << (sel % 8).astype(np.uint8))) & np.uint8(0xFF)
             )
             touched += 1
         for value in np.unique(news):
             sel = ids[news == value]
-            plane = planes[int(value)]
+            plane = planes[int(value)] = planes[int(value)].copy()
             np.bitwise_or.at(plane, sel // 8, np.uint8(1) << (sel % 8).astype(np.uint8))
             touched += 1
         return touched
@@ -263,9 +269,16 @@ class BitmapIndex:
 
     @staticmethod
     def count(packed_bitmap: np.ndarray, num_rows: int) -> int:
-        """COUNT(*) over a packed result bitmap."""
-        bits = np.unpackbits(packed_bitmap, bitorder="little")[:num_rows]
-        return int(bits.sum())
+        """COUNT(*) over a packed result bitmap (its first ``num_rows`` bits)."""
+        # Hardware popcount over the whole 64-bit words; only the unaligned
+        # tail (under 64 bits) is unpacked bit by bit.
+        words, tail_bits = divmod(num_rows, 64)
+        head = np.ascontiguousarray(packed_bitmap[: words * 8]).view(np.uint64)
+        count = int(np.bitwise_count(head).sum())
+        if tail_bits:
+            tail = packed_bitmap[words * 8 : (num_rows + 7) // 8]
+            count += int(np.unpackbits(tail, bitorder="little")[:tail_bits].sum())
+        return count
 
     def shard_view(self, columns: Iterable[str]) -> "BitmapIndexShardView":
         """A zero-copy view restricted to ``columns`` (cluster placement hook).

@@ -284,7 +284,6 @@ class BatchExecutor:
             serial_latency_ns=serial.latency_ns,
             energy_j=serial.energy_j,
             bytes_produced=serial.bytes_produced,
-            per_request=[r.metrics for r in results],
             device_busy_ns=device_busy if self.pipeline else None,
             cross_batch_overlap_ns=overlap,
             notes=f"{context.fused_ops} fused ops" if context.fused_ops else "",

@@ -66,7 +66,12 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Unio
 
 import numpy as np
 
-from repro.analysis.metrics import LaneMetrics, QueueMetrics, summarize_queue_records
+from repro.analysis.metrics import (
+    BatchMetrics,
+    LaneMetrics,
+    QueueMetrics,
+    summarize_queue_records,
+)
 from repro.cache.result_cache import ResultCache, resolve_cache
 from repro.obs import Observer, resolve_observe
 from repro.service.executor import BatchExecutor
@@ -170,12 +175,13 @@ class PipelineResult:
     Attributes:
         records: Every offered request's envelope, in offer order —
             including rejected ones (check :attr:`QueuedRequest.admitted`).
-        batches: The executor's per-batch results, in service order.
+        batches: Each served batch's :class:`BatchMetrics` roll-up, in
+            service order (the primitives themselves are not retained).
         metrics: Queueing summary (percentiles, misses, rejections).
     """
 
     records: List[QueuedRequest] = field(default_factory=list)
-    batches: List[BatchResult] = field(default_factory=list)
+    batches: List[BatchMetrics] = field(default_factory=list)
     metrics: Optional[QueueMetrics] = None
 
     def completed(self) -> List[QueuedRequest]:
@@ -270,7 +276,12 @@ class ServiceFrontend:
         self.shed_low_priority = shed_low_priority
         self.clock_ns = 0.0
         self.records: List[QueuedRequest] = []
-        self.batches: List[BatchResult] = []
+        #: One :class:`BatchMetrics` roll-up per served batch, in service
+        #: order.  Only the roll-up is kept, so retention stays O(in-flight):
+        #: a batch's primitives, operand/result vectors and per-op metrics
+        #: are released once its envelopes hold their values.  Hold the
+        #: :class:`BatchResult` that :meth:`serve_batch` returns to keep them.
+        self.batches: List[BatchMetrics] = []
         self.busy_ns = 0.0
         #: Queued requests evicted by priority-class load shedding.
         self.shed_requests = 0
@@ -796,7 +807,7 @@ class ServiceFrontend:
         if not pipelined:
             self.clock_ns = batch_start + batch.metrics.latency_ns
         self.busy_ns += batch.metrics.busy_ns
-        self.batches.append(batch)
+        self.batches.append(batch.metrics)
         return batch
 
     def drain(self) -> None:

@@ -58,7 +58,7 @@ HOST_LANE = "host"
 LaneKey = Hashable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LanePlacement:
     """One scheduled request interval, as the race detector consumes it.
 

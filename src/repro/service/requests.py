@@ -33,7 +33,7 @@ from repro.rowclone.engine import CopyMode
 SCAN_KINDS = ("less_than", "less_equal", "equal", "between")
 
 
-@dataclass
+@dataclass(slots=True)
 class BulkOpRequest:
     """One Ambit bulk bitwise operation: ``out = op(a, b)``.
 
@@ -264,7 +264,7 @@ class QueuedRequest:
         return (-self.priority, deadline, self.seq)
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestResult:
     """Outcome of one request within a batch.
 

@@ -121,3 +121,19 @@ class TestReferenceOps:
         assert twin.num_bits == 100
         assert twin.row_size_bytes == 32
         assert twin.count_ones() == 0
+
+
+class TestAdoptedStorage:
+    def test_data_is_adopted_without_copying(self):
+        backing = np.arange(128, dtype=np.uint8)
+        vector = BulkBitVector(1024, row_size_bytes=64, data=backing)
+        assert vector.data is backing
+        assert vector.storage_bytes == 128
+        backing[0] = 0xFF
+        assert vector.get_bit(7) == 1
+
+    def test_wrong_size_or_dtype_rejected(self):
+        with pytest.raises(ValueError):
+            BulkBitVector(1024, row_size_bytes=64, data=np.zeros(64, dtype=np.uint8))
+        with pytest.raises(ValueError):
+            BulkBitVector(1024, row_size_bytes=64, data=np.zeros(128, dtype=np.uint16))

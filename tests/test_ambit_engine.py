@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from repro.ambit.bitvector import BulkBitVector
-from repro.ambit.engine import AMBIT_PRIMITIVE_COUNTS, AmbitConfig, AmbitEngine, BINARY_OPS, UNARY_OPS
+from repro.ambit.engine import (
+    AMBIT_PRIMITIVE_COUNTS,
+    BINARY_OPS,
+    UNARY_OPS,
+    AmbitConfig,
+    AmbitEngine,
+    reference_result,
+)
 from repro.dram.device import DramDevice
 from repro.hostsim.cpu import HostCpu
 
@@ -181,3 +188,82 @@ class TestCostModel:
         _, many = many_banks.execute("or", a, b)
         assert few.energy_j == pytest.approx(many.energy_j)
         assert many.latency_ns < few.latency_ns
+
+
+class TestInternedOpCost:
+    """``op_cost`` interns the formula per (op, rows, banks_parallel) and
+    stamps a fresh metrics object from it on every call."""
+
+    def test_calls_return_equal_but_distinct_objects(self):
+        engine = AmbitEngine(DramDevice.ddr3(), AmbitConfig(banks_parallel=8))
+        first = engine.op_cost("or", 3, 100)
+        second = engine.op_cost("or", 3, 100)
+        assert first == second and first is not second
+        # Callers edit the stamped object in place (_scan_metrics does):
+        # that must never reach the intern table.
+        first.bytes_produced = 7
+        first.notes = "edited"
+        assert engine.op_cost("or", 3, 100) == second
+
+    @pytest.mark.parametrize("mode", ["modeled", "analytical", "functional staged"])
+    def test_notes_strings_keep_their_format(self, mode):
+        engine = AmbitEngine(DramDevice.ddr3(), AmbitConfig(banks_parallel=8))
+        assert engine.op_cost("and", 3, 10, mode).notes == f"{mode}, 3 rows over 3 banks"
+        assert engine.op_cost("and", 20, 10, mode).notes == f"{mode}, 20 rows over 8 banks"
+        assert engine.op_cost("not", 0, mode=mode).notes == f"{mode}, 0 rows over 1 banks"
+        assert engine.op_cost("and", 3).name == "ambit_and"
+
+    def test_matches_the_formula(self):
+        engine = AmbitEngine(DramDevice.ddr3(), AmbitConfig(banks_parallel=8))
+        for op in ALL_OPS:
+            for rows in (0, 1, 8, 20):
+                for _ in range(2):  # cold and interned
+                    cost = engine.op_cost(op, rows, bytes_produced=rows)
+                    per_bank = -(-rows // min(8, rows)) if rows else 0
+                    assert cost.latency_ns == per_bank * engine.per_row_latency_ns(op)
+                    assert cost.energy_j == rows * engine.per_row_energy_j(op)
+                    assert cost.bytes_produced == rows
+
+    def test_banks_parallel_change_after_a_priced_call_is_honoured(self):
+        engine = AmbitEngine(DramDevice.ddr3(), AmbitConfig(banks_parallel=8))
+        wide = engine.op_cost("and", 16)
+        engine.config.banks_parallel = 2
+        narrow = engine.op_cost("and", 16)
+        assert narrow.latency_ns == pytest.approx(4 * wide.latency_ns)
+        assert narrow.notes == "modeled, 16 rows over 2 banks"
+        engine.config.banks_parallel = 8
+        assert engine.op_cost("and", 16) == wide
+
+    def test_unknown_op_still_rejected(self):
+        engine = AmbitEngine(DramDevice.ddr3())
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                engine.op_cost("mystery", 4)
+
+
+class TestInPlaceAnalyticalOps:
+    @pytest.mark.parametrize("op", ALL_OPS)
+    def test_analytical_result_equals_masked_reference(self, op):
+        engine = AmbitEngine(DramDevice.ddr3())
+        a = BulkBitVector(1003, 64).fill_random(seed=1)
+        b = BulkBitVector(1003, 64).fill_random(seed=2) if op in BINARY_OPS else None
+        out = BulkBitVector(1003, 64).fill_value(1)  # stale bytes must be overwritten
+        result, _ = engine.execute(op, a, b, out=out)
+        assert result is out
+        np.testing.assert_array_equal(out.data, reference_result(op, a, b))
+
+    def test_destination_may_alias_an_operand(self):
+        engine = AmbitEngine(DramDevice.ddr3())
+        a = BulkBitVector(512, 64).fill_random(seed=3)
+        b = BulkBitVector(512, 64).fill_random(seed=4)
+        expected = a.expected_xor(b)
+        engine.execute("xor", a, b, out=a)
+        np.testing.assert_array_equal(a.data[: a.num_bytes], expected)
+
+    def test_read_only_destination_is_refused(self):
+        engine = AmbitEngine(DramDevice.ddr3())
+        a = BulkBitVector(512, 64).fill_random(seed=5)
+        frozen = a.data.view()
+        frozen.flags.writeable = False
+        with pytest.raises(ValueError):
+            engine.execute("and", a, a, out=BulkBitVector(512, 64, data=frozen))

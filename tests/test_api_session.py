@@ -11,11 +11,13 @@ cost, and responses pricing exactly as the ``QueryEngine`` cost model.
 """
 
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.ambit.bitvector import BulkBitVector
 from repro.ambit.engine import AmbitConfig, AmbitEngine
 from repro.analysis.metrics import ClusterMetrics, QueueMetrics
 from repro.api import (
@@ -43,6 +45,8 @@ from repro.dram.timing import DramTimingParameters
 from repro.service import (
     BatchExecutor,
     BatchPolicy,
+    BulkOpRequest,
+    RequestResult,
     RetryClient,
     ScanRequest,
     ServiceFrontend,
@@ -243,7 +247,7 @@ class TestFutureSemantics:
         own_record = second.futures[0].record
         assert second.report().busy_ns == pytest.approx(
             sum(
-                frontend.batches[i].metrics.latency_ns
+                frontend.batches[i].latency_ns
                 for i in {f.record.batch_index for f in second.futures}
             )
         )
@@ -320,6 +324,52 @@ class TestFutureSemantics:
         outcome = RetryClient(session).run(events)
         assert outcome.delivered > 0
         assert outcome.result.metrics.completed == outcome.delivered
+
+
+class TestRetention:
+    """A served batch leaves only its roll-up behind: host memory is
+    O(in-flight) primitives plus a flat per-request envelope."""
+
+    @staticmethod
+    def _serve(count: int):
+        """Submit ``count`` plain conjunctions and drain; returns the live
+        session and the GC-tracked objects the run left per request."""
+        rng = np.random.default_rng(5)
+        index = _bitmap_index(rng, rows=512)  # whole-row planes: the view path
+        pool = [
+            [("region", (1, 2, 3)), ("status", (0, 1))],
+            [("region", (0, 4)), ("status", (2, 3)), ("tier", (0, 1))],
+            [("tier", (0, 2)), ("region", (5, 6, 7))],
+        ]
+        gc.collect()
+        before = len(gc.get_objects())
+        session = _service_session(max_queue_depth=4096)
+        for i in range(count):
+            session.conjunction(index, pool[i % len(pool)], at_ns=1000.0 * i)
+        session.drain()
+        gc.collect()
+        return session, (len(gc.get_objects()) - before) / count
+
+    def test_no_primitive_outlives_its_batch(self):
+        primitive_types = (BulkBitVector, BulkOpRequest, RequestResult)
+        gc.collect()
+        before = {id(o) for o in gc.get_objects() if isinstance(o, primitive_types)}
+        session, _ = self._serve(300)
+        frontend = session.backend
+        assert len(frontend.batches) >= 300 // 32
+        assert all(f.done() for f in session.futures)
+        leaked = [
+            o for o in gc.get_objects()
+            if isinstance(o, primitive_types) and id(o) not in before
+        ]
+        assert leaked == []
+        # What the roll-ups still answer: the session's busy time.
+        assert session.report().busy_ns == pytest.approx(frontend.busy_ns)
+
+    def test_retained_objects_per_request_are_flat(self):
+        _, short = self._serve(1000)
+        _, long = self._serve(2000)
+        assert long == pytest.approx(short, rel=0.10)
 
 
 class TestPlanIR:

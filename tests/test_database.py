@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import PimSession
 from repro.database.bitmap_index import BitmapIndex
@@ -85,6 +86,54 @@ class TestBitmapIndex:
             index.evaluate_conjunction([])
         with pytest.raises(KeyError):
             index.bitmap("region", 99)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        num_rows=st.integers(1, 2100),
+        seed=st.integers(0, 2**16),
+        extra_bytes=st.integers(0, 9),
+        strided=st.booleans(),
+    )
+    def test_count_matches_unpackbits_reference(self, num_rows, seed, extra_bytes, strided):
+        """Word popcount + unpacked tail == the plain unpackbits count, for
+        row counts off the 8- and 64-bit grid, over-long inputs (bits past
+        ``num_rows`` set) and non-contiguous ones."""
+        rng = np.random.default_rng(seed)
+        size = (num_rows + 7) // 8 + extra_bytes
+        if strided:
+            packed = rng.integers(0, 256, size=2 * size, dtype=np.uint8)[::2]
+            assert not packed.flags.c_contiguous or size == 1
+        else:
+            packed = rng.integers(0, 256, size=size, dtype=np.uint8)
+        reference = int(np.unpackbits(packed, bitorder="little")[:num_rows].sum())
+        assert BitmapIndex.count(packed, num_rows) == reference
+
+    def test_lowered_source_operands_are_read_only_views(self):
+        # 65 536 rows = exactly one 8 KiB device row per plane.
+        whole = ColumnTable("whole", 65536)
+        whole.add_column("c", np.arange(65536) % 4, cardinality=4)
+        index = BitmapIndex(whole, ["c"])
+        steps, _result, _plan = index.lower_conjunction([("c", [1, 2])])
+        (_op, a, b, out) = steps[0]
+        for operand, value in ((a, 1), (b, 2)):
+            assert np.shares_memory(operand.data, index.bitmap("c", value))
+            with pytest.raises(ValueError):
+                operand.data[0] = 1
+        out.data[0] = 1  # destinations stay writable
+
+    def test_short_plane_lowers_to_a_zero_padded_full_row(self):
+        # 16 384 rows -> 2 048 B planes, shorter than one 8 192 B row.
+        short = ColumnTable("short", 16384)
+        short.add_column("c", np.arange(16384) % 4, cardinality=4)
+        index = BitmapIndex(short, ["c"])
+        steps, _result, _plan = index.lower_conjunction([("c", [0, 3])])
+        (_op, a, b, _out) = steps[0]
+        for operand, value in ((a, 0), (b, 3)):
+            plane = index.bitmap("c", value)
+            assert operand.storage_bytes == operand.data.size == 8192
+            np.testing.assert_array_equal(operand.data[: plane.size], plane)
+            assert not operand.data[plane.size :].any()
+            assert not operand.data.flags.writeable
 
     def test_storage_and_bulk_vectors(self, table):
         index = BitmapIndex(table, ["region"])

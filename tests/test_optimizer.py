@@ -229,8 +229,8 @@ class TestCseAccounting:
             copy.shared_subchains + other.shared_subchains
         )
         batch = frontend.batches[0]
-        assert batch.metrics.ops_eliminated == plan_total
-        assert batch.metrics.shared_subchains == result.metrics.shared_subchains
+        assert batch.ops_eliminated == plan_total
+        assert batch.shared_subchains == result.metrics.shared_subchains
         # A fully shared request is attributed zero-cost metrics.
         assert copy.metrics.latency_ns == 0.0
         assert copy.metrics.energy_j == 0.0

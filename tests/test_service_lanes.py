@@ -322,7 +322,7 @@ class TestPipelinedDominance:
         assert 0.0 <= lanes.bank_idle_fraction < 1.0
         # Frontend busy is the device-busy union, never the makespan sum.
         assert frontend.busy_ns == pytest.approx(lanes.busy_union_ns)
-        serial = sum(b.metrics.serial_latency_ns for b in frontend.batches)
+        serial = sum(b.serial_latency_ns for b in frontend.batches)
         assert frontend.busy_ns <= serial * (1 + 1e-9)
 
     def test_barrier_mode_keeps_batch_synchronous_clock(self):
@@ -334,13 +334,13 @@ class TestPipelinedDominance:
         for _ in range(4):
             frontend.offer(_scan(column))
         frontend.serve_batch()
-        first_makespan = frontend.batches[0].metrics.latency_ns
+        first_makespan = frontend.batches[0].latency_ns
         assert frontend.clock_ns == pytest.approx(first_makespan)
         assert frontend.executor.horizon_ns() == 0.0
         assert frontend.completion_ns == pytest.approx(frontend.clock_ns)
         frontend.drain()
         assert frontend.busy_ns == pytest.approx(
-            sum(b.metrics.latency_ns for b in frontend.batches)
+            sum(b.latency_ns for b in frontend.batches)
         )
 
     def test_admission_counts_inflight_lane_remainder(self):

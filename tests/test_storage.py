@@ -224,6 +224,55 @@ class TestRebuildEquivalence:
         _assert_rebuild_equivalent(index, table)
 
 
+class TestPlaneOwnership:
+    """Lowered source operands are zero-copy views of the index planes;
+    the index keeps them safe by never mutating a plane in place."""
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_same_batch_read_update_read_is_sequentially_consistent(self, optimize):
+        rng = np.random.default_rng(21)
+        # 512 rows = one whole 64 B device row per plane: the view path.
+        table, index = _table_index(rng, rows=512)
+        frontend = _frontend("eager", optimize=optimize)
+        read = BitmapConjunctionRequest(index=index, predicates=(("status", (0, 1)),))
+        before, _ = index.evaluate_conjunction(read.predicates)
+        row_ids = tuple(range(0, 512, 2))
+        update = UpdateRequest(
+            table=table, index=index, column="status",
+            row_ids=row_ids, values=(3,) * len(row_ids),
+        )
+        first = frontend.offer(read)
+        frontend.offer(update)
+        second = frontend.offer(
+            BitmapConjunctionRequest(index=index, predicates=read.predicates)
+        )
+        frontend.drain()
+        assert len(frontend.batches) == 1  # all three closed together
+        after, _ = index.evaluate_conjunction(read.predicates)
+        assert not np.array_equal(before, after)
+        # Lowered before the write, executed after it: still pre-write bits.
+        np.testing.assert_array_equal(first.value, before)
+        np.testing.assert_array_equal(second.value, after)
+        _assert_rebuild_equivalent(index, table)
+
+    def test_apply_update_rebinds_instead_of_mutating(self):
+        rng = np.random.default_rng(22)
+        table, index = _table_index(rng, rows=512)
+        held = {value: index.bitmap("status", value) for value in range(4)}
+        snapshot = {value: plane.copy() for value, plane in held.items()}
+        frontend = _frontend("eager")
+        frontend.offer(
+            UpdateRequest(
+                table=table, index=index, column="status",
+                row_ids=tuple(range(64)), values=(2,) * 64,
+            )
+        )
+        frontend.drain()
+        for value, plane in held.items():
+            np.testing.assert_array_equal(plane, snapshot[value])
+        assert not np.array_equal(index.bitmap("status", 2), snapshot[2])
+
+
 class TestWriteCosts:
     def test_eager_write_costs_land_in_the_ledger(self):
         rng = np.random.default_rng(3)

@@ -539,6 +539,52 @@ class TestInvariantLint:
         rules = sorted(f.rule for f in lint_invariants.lint_source(source, "bad.py"))
         assert rules == ["export-drift", "export-drift"]
 
+    _PLANE_WRITES = (
+        "import numpy as np\n"
+        "def clear(self, column, value, sel):\n"
+        "    plane = self.bitmaps[column][value]\n"
+        "    np.bitwise_and.at(plane, sel // 8, 0)\n"
+        "def set_bits(index, column, value, sel):\n"
+        "    planes = index.bitmaps[column]\n"
+        "    plane = planes[value]\n"
+        "    plane[sel] = 1\n"
+        "    plane[sel] |= 1\n"
+        "    plane |= 1\n"
+        "    planes[value][sel] = 1\n"
+    )
+
+    def test_plane_aliasing_flagged_in_index_and_storage_modules(self):
+        for path in ("src/repro/database/bad.py", "src/repro/storage/bad.py"):
+            findings = lint_invariants.lint_source(self._PLANE_WRITES, path)
+            assert [(f.rule, f.line) for f in findings] == [
+                ("plane-aliasing", line) for line in (4, 8, 9, 10, 11)
+            ]
+        # The copy-on-write discipline binds only those two packages.
+        assert lint_invariants.lint_source(self._PLANE_WRITES, "src/repro/cache/ok.py") == []
+
+    def test_plane_copy_on_write_not_flagged(self):
+        source = (
+            "import numpy as np\n"
+            "def update(self, column, value, sel, packed_len):\n"
+            "    planes = self.bitmaps[column]\n"
+            "    planes[value] = np.zeros(packed_len, dtype=np.uint8)\n"  # new plane
+            "    plane = planes[value] = planes[value].copy()\n"
+            "    np.bitwise_or.at(plane, sel // 8, 1)\n"
+            "    stale = planes[value]\n"
+            "    stale = stale.copy()\n"  # rebinding to a copy clears the alias
+            "    stale[sel] = 1\n"
+            "    result = self.bitmaps[column][value].copy()\n"
+            "    result |= planes[value]\n"
+        )
+        assert lint_invariants.lint_source(source, "src/repro/database/good.py") == []
+
+    def test_plane_aliasing_waiver(self):
+        source = (
+            "def poke(planes, value):\n"
+            "    planes[value][0] = 1  # lint: allow[plane-aliasing]\n"
+        )
+        assert lint_invariants.lint_source(source, "src/repro/storage/waived.py") == []
+
     def test_waiver_suppresses(self):
         source = (
             "from dataclasses import dataclass\n"

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo invariant lint: an AST pass over ``src/repro`` run as a CI gate.
 
-Four rules, each guarding an invariant the simulator's design depends on
+Seven rules, each guarding an invariant the simulator's design depends on
 (stdlib-only; no third-party linter required):
 
 * ``mutable-default`` — a dataclass field whose default is a mutable
@@ -31,6 +31,14 @@ Four rules, each guarding an invariant the simulator's design depends on
   may mutate them in place; an aliased return would corrupt every later
   hit of that entry.  ``.copy()`` calls (and any other call result)
   pass.
+* ``plane-aliasing`` — inside ``repro/database/`` and ``repro/storage/``,
+  an in-place write through a name bound to an index plane
+  (``…bitmaps[…][…]`` / ``planes[…]``) without an intervening
+  ``.copy()``: a ``np.<ufunc>.at(plane, …)`` call, a subscript store
+  ``plane[…] = …`` / ``plane[…] op= …``, or ``plane op= …``.  Lowered
+  source operands are zero-copy views of the planes, so planes are
+  copy-on-write — an in-place edit would rewrite the operands of reads
+  already lowered into the same batch.
 
 A finding is suppressed by a ``# lint: allow[<rule>]`` comment on its
 line.  Run locally with::
@@ -48,7 +56,7 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
 #: Rules this linter knows (the only rule names a waiver may reference).
 RULES = (
@@ -58,6 +66,7 @@ RULES = (
     "export-drift",
     "obs-wall-clock",
     "cache-aliasing",
+    "plane-aliasing",
 )
 
 _WAIVER_RE = re.compile(r"#\s*lint:\s*allow\[([a-z-]+)\]")
@@ -124,6 +133,25 @@ def _is_frozen(decorator: ast.expr) -> bool:
     return False
 
 
+def _terminal_name(node: ast.expr) -> str:
+    """``x`` of ``x`` / ``anything.x`` ('' for any other expression)."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return ""
+
+
+def _is_plane_expr(node: ast.expr) -> bool:
+    """``…bitmaps[…][…]`` or ``…planes[…]``: an index plane itself, not a copy."""
+    if not isinstance(node, ast.Subscript):
+        return False
+    base = node.value
+    if _terminal_name(base) == "planes":
+        return True
+    return isinstance(base, ast.Subscript) and _terminal_name(base.value) == "bitmaps"
+
+
 def _is_field_call(node: ast.expr) -> bool:
     return isinstance(node, ast.Call) and _decorator_name(node) in (
         "field",
@@ -155,8 +183,14 @@ class _ModuleLinter(ast.NodeVisitor):
             )
         )
         # Cache modules get the aliasing rule on public-method returns.
-        self._in_cache = "repro/cache" in path.replace("\\", "/")
+        self._in_cache = "repro/cache" in normalized
         self._function_stack: List[str] = []
+        # Index/storage modules get the copy-on-write plane rule: per
+        # function, the names currently bound to an index plane.
+        self._in_planes = any(
+            fragment in normalized for fragment in ("repro/database", "repro/storage")
+        )
+        self._plane_aliases: List[Set[str]] = []
 
     def _add(self, node: ast.AST, rule: str, message: str) -> None:
         self.findings.append(
@@ -244,18 +278,29 @@ class _ModuleLinter(ast.NodeVisitor):
         name = _decorator_name(node)
         if name.endswith((".now", ".utcnow")) and "datetime" in name:
             self._add(node, "wall-clock", f"call of {name}: wall-clock reads are unreproducible")
+        if (
+            self._in_planes
+            and name.startswith(("np.", "numpy."))
+            and name.endswith(".at")
+            and node.args
+            and self._aliases_plane(node.args[0])
+        ):
+            self._plane_finding(node, f"{name}(...)")
         self.generic_visit(node)
 
     # -- cache-aliasing ------------------------------------------------
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+    def _visit_function(self, node: Union[ast.FunctionDef, ast.AsyncFunctionDef]) -> None:
         self._function_stack.append(node.name)
+        self._plane_aliases.append(set())
         self.generic_visit(node)
+        self._plane_aliases.pop()
         self._function_stack.pop()
 
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        self._visit_function(node)
+
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._function_stack.append(node.name)
-        self.generic_visit(node)
-        self._function_stack.pop()
+        self._visit_function(node)
 
     def visit_Return(self, node: ast.Return) -> None:
         if (
@@ -276,18 +321,59 @@ class _ModuleLinter(ast.NodeVisitor):
                 )
         self.generic_visit(node)
 
+    # -- plane-aliasing ------------------------------------------------
+    def _aliases_plane(self, node: ast.expr) -> bool:
+        """Is ``node`` an index plane (directly, or through a bound name)?"""
+        if isinstance(node, ast.Name):
+            return bool(self._plane_aliases) and node.id in self._plane_aliases[-1]
+        return _is_plane_expr(node)
+
+    def _plane_finding(self, node: ast.AST, what: str) -> None:
+        self._add(
+            node,
+            "plane-aliasing",
+            f"{what} writes an index plane in place; planes are copy-on-write "
+            "(lowered operands alias them) — rebind the plane to a .copy() first",
+        )
+
+    def _check_plane_store(
+        self, node: ast.AST, targets: Sequence[ast.expr], value: Optional[ast.expr]
+    ) -> None:
+        """Flag stores through a plane; then track what the names now hold.
+
+        ``value`` is None for an augmented assignment, which mutates a
+        bare name's array in place instead of rebinding it.
+        """
+        if not (self._in_planes and self._plane_aliases):
+            return
+        aliases = self._plane_aliases[-1]
+        for target in targets:
+            if isinstance(target, ast.Subscript) and self._aliases_plane(target.value):
+                self._plane_finding(node, "subscript store")
+            elif isinstance(target, ast.Name):
+                if value is None:
+                    if target.id in aliases:
+                        self._plane_finding(node, "augmented assignment")
+                elif self._aliases_plane(value):
+                    aliases.add(target.id)
+                else:
+                    aliases.discard(target.id)  # e.g. rebound to a .copy()
+
     # -- frozen-mutation -----------------------------------------------
     def visit_Assign(self, node: ast.Assign) -> None:
         self._check_self_assign(node, node.targets)
+        self._check_plane_store(node, node.targets, node.value)
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         if node.value is not None:
             self._check_self_assign(node, [node.target])
+            self._check_plane_store(node, [node.target], node.value)
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         self._check_self_assign(node, [node.target])
+        self._check_plane_store(node, [node.target], None)
         self.generic_visit(node)
 
     def _check_self_assign(self, node: ast.AST, targets: Sequence[ast.expr]) -> None:
