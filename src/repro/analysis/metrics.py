@@ -312,7 +312,7 @@ class QueueMetrics:
 
 
 def summarize_envelopes(records: Sequence) -> Dict:
-    """Common queueing summary over duck-typed request envelopes.
+    """Common queueing summary over request envelopes.
 
     The one place the per-request roll-up arithmetic lives: counts
     (offered/admitted/rejected/shed/completed/deadline misses), the
@@ -323,10 +323,8 @@ def summarize_envelopes(records: Sequence) -> Dict:
     from this dict, so the two tiers can never drift on what a count or
     a percentile means.
 
-    ``records`` are duck-typed envelopes carrying ``admitted``,
-    ``rejected_reason``, ``completed``, ``wait_ns``, ``sojourn_ns``,
-    ``deadline_missed``, and ``metrics`` — i.e. either
-    :class:`~repro.service.requests.QueuedRequest` or
+    ``records`` are :class:`~repro.service.requests.RequestEnvelope`
+    subclasses — :class:`~repro.service.requests.QueuedRequest` or
     :class:`~repro.cluster.frontend.ClusterRecord`.
     """
     records = list(records)
@@ -344,12 +342,12 @@ def summarize_envelopes(records: Sequence) -> Dict:
         sojourn_p99_ns=percentile_or([r.sojourn_ns for r in completed], 99),
         serial_latency_ns=sum(r.metrics.latency_ns for r in completed),
         energy_j=sum(r.metrics.energy_j for r in completed),
-        host_merge_ns=sum(getattr(r, "host_merge_ns", 0.0) for r in completed),
-        ops_eliminated=sum(getattr(r, "ops_eliminated", 0) for r in completed),
-        shared_subchains=sum(getattr(r, "shared_subchains", 0) for r in completed),
-        cache_hits=sum(getattr(r, "cache_hits", 0) for r in completed),
-        cache_misses=sum(getattr(r, "cache_misses", 0) for r in completed),
-        cache_invalidations=sum(getattr(r, "cache_invalidations", 0) for r in completed),
+        host_merge_ns=sum(r.host_merge_ns for r in completed),
+        ops_eliminated=sum(r.ops_eliminated for r in completed),
+        shared_subchains=sum(r.shared_subchains for r in completed),
+        cache_hits=sum(r.cache_hits for r in completed),
+        cache_misses=sum(r.cache_misses for r in completed),
+        cache_invalidations=sum(r.cache_invalidations for r in completed),
     )
 
 
@@ -377,52 +375,31 @@ def summarize_queue_records(
 
 
 @dataclass
-class ClusterMetrics:
+class ClusterMetrics(QueueMetrics):
     """Roll-up of serving a request stream across a sharded cluster.
 
-    Aggregates the cluster frontend's scatter-gather records (one per
-    *cluster-level* request, however many shards it fanned out to) with
-    each shard frontend's own :class:`QueueMetrics`.  Counts are
-    cluster-level: a conjunction scattered over three shards is one
-    offered/completed request here, while each shard's ``per_shard`` entry
-    counts its local sub-request.
+    The :class:`QueueMetrics` surface at cluster level, plus what only a
+    cluster has.  The cluster frontend's scatter-gather records (one per
+    *cluster-level* request, however many shards it fanned out to) supply
+    the counts and percentiles: a conjunction scattered over three shards
+    is one offered/completed request here, while each shard's
+    ``per_shard`` entry counts its local sub-request.  Wait runs to the
+    first sub-request's start and sojourn to the last one's finish, merge
+    included.  ``makespan_ns`` is the slowest shard, extended by any
+    gather merge that completes after it (a request is not done until the
+    host has merged it); ``busy_ns`` and ``batches`` sum over the shards;
+    ``host_merge_ns`` is the gather merge tree — partials merge pairwise
+    in parallel, so each record is charged ``ceil(log2(fanout))`` levels
+    of the cluster frontend's ``merge_ns_per_op``.
 
     Attributes:
-        name: Label of the run.
         shards: Number of shard executors in the cluster.
-        offered / admitted / rejected / shed / completed / deadline_misses:
-            Cluster-level request counts (see :class:`QueueMetrics`).
-        wait_p50_ns / wait_p99_ns: Wait percentiles over completed cluster
-            requests (first sub-request start minus arrival).
-        sojourn_p50_ns / sojourn_p99_ns: Sojourn percentiles (last
-            sub-request finish minus arrival, merge included).
-        makespan_ns: Virtual-clock end of the stream: the slowest shard,
-            extended by any gather merge that completes after it (a
-            request is not done until the host has merged it).
-        busy_ns: Summed shard service time.
-        serial_latency_ns: Latency of the completed requests' device work
-            executed one at a time (the no-overlap, no-sharding baseline).
-        energy_j: Total device energy of the completed requests.
         utilization: Per-shard busy time over the cluster makespan.
         imbalance: Hottest shard's busy time over the mean shard busy time
             (1.0 = perfectly balanced).
         cross_shard_fanout: Mean number of shards a completed request
             touched (1.0 = no scatter).
         merge_ops: Host-side bitwise merges the gather stage performed.
-        host_merge_ns: Host time charged for those merges — the gather
-            path's AND-merges are host work, not free.  Partials merge
-            pairwise in parallel, so each record is charged
-            ``ceil(log2(fanout))`` levels of the cluster frontend's
-            ``merge_ns_per_op`` knob rather than one per merge op.
-        ops_eliminated: Device ops the shard-local batch plan optimizers
-            removed across the completed requests (cross-request CSE).
-        shared_subchains: Predicate sub-chains completed requests served
-            from another request's lowering on some shard.
-        cache_hits: Sub-chains completed requests served from the
-            shard-local result caches instead of re-running bank work.
-        cache_misses: Shard-local result-cache lookups that missed.
-        cache_invalidations: Cached bitmaps dropped by completed writes
-            across the shards.
         shard_failures / shard_revivals / shards_joined / shards_retired:
             Pool lifecycle events during the run (fault injection plus
             elastic controller actions); all zero for a healthy fixed
@@ -438,32 +415,11 @@ class ClusterMetrics:
         per_shard: Each shard frontend's own queueing summary.
     """
 
-    name: str
     shards: int = 0
-    offered: int = 0
-    admitted: int = 0
-    rejected: int = 0
-    shed: int = 0
-    completed: int = 0
-    deadline_misses: int = 0
-    wait_p50_ns: float = 0.0
-    wait_p99_ns: float = 0.0
-    sojourn_p50_ns: float = 0.0
-    sojourn_p99_ns: float = 0.0
-    makespan_ns: float = 0.0
-    busy_ns: float = 0.0
-    serial_latency_ns: float = 0.0
-    energy_j: float = 0.0
     utilization: List[float] = field(default_factory=list)
     imbalance: float = 1.0
     cross_shard_fanout: float = 0.0
     merge_ops: int = 0
-    host_merge_ns: float = 0.0
-    ops_eliminated: int = 0
-    shared_subchains: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_invalidations: int = 0
     # Failover / elasticity accounting (all zero for a healthy fixed
     # pool; fed by ClusterFrontend.elastic_summary()).
     shard_failures: int = 0
@@ -476,20 +432,6 @@ class ClusterMetrics:
     copied_bytes: int = 0
     copy_ns: float = 0.0
     per_shard: List[QueueMetrics] = field(default_factory=list)
-
-    @property
-    def rejection_rate(self) -> float:
-        """Fraction of offered cluster requests refused (or shed)."""
-        if self.offered <= 0:
-            return 0.0
-        return self.rejected / self.offered
-
-    @property
-    def deadline_miss_rate(self) -> float:
-        """Fraction of completed cluster requests past their deadline."""
-        if self.completed <= 0:
-            return 0.0
-        return self.deadline_misses / self.completed
 
     @property
     def mean_utilization(self) -> float:
@@ -510,11 +452,9 @@ class ClusterMetrics:
     ) -> "ClusterMetrics":
         """Build the roll-up from cluster records plus per-shard summaries.
 
-        ``records`` are duck-typed cluster envelopes (the cluster package
-        defines them; metrics stays import-free of it): each carries
-        ``admitted``, ``rejected_reason``, ``completed``, ``wait_ns``,
-        ``sojourn_ns``, ``deadline_missed``, ``shard_ids``, and
-        ``metrics``.  ``clock_offset`` is the absolute virtual-clock
+        ``records`` are :class:`~repro.cluster.frontend.ClusterRecord`
+        envelopes (the cluster package defines them; metrics stays
+        import-free of it).  ``clock_offset`` is the absolute virtual-clock
         origin of the observation window (0 for a whole-life roll-up):
         record finish times are measured against it so the makespan can
         be extended past the shard makespans by late host merges.
@@ -533,6 +473,7 @@ class ClusterMetrics:
             shards=len(per_shard),
             makespan_ns=makespan,
             busy_ns=sum(busy),
+            batches=sum(m.batches for m in per_shard),
             utilization=[b / makespan if makespan > 0 else 0.0 for b in busy],
             imbalance=max(busy) / mean_busy if mean_busy > 0 else 1.0,
             cross_shard_fanout=(
@@ -541,8 +482,6 @@ class ClusterMetrics:
                 else 0.0
             ),
             merge_ops=merge_ops,
-            # host_merge_ns / ops_eliminated / shared_subchains arrive via
-            # the shared envelope summary below.
             per_shard=list(per_shard),
             **summarize_envelopes(records),
             **(elastic or {}),

@@ -3,36 +3,26 @@
 ``repro.api`` is the one stable surface callers program against,
 whatever executes underneath:
 
-* :class:`PimSession` — declarative submit (``scan`` / ``conjunction`` /
-  ``range_count``), :class:`Future` handles, one :class:`Response`
-  shape, one :class:`SessionReport` roll-up;
+* :class:`PimSession` — ``submit`` takes the request dataclasses of
+  :mod:`repro.service.requests` / :mod:`repro.storage.requests` (the one
+  request vocabulary; ``scan`` / ``conjunction`` / ``range_count`` /
+  ``append`` / ``update`` / ``delete`` are sugar that builds them),
+  :class:`Future` handles, one :class:`Response` shape, one
+  :class:`SessionReport` roll-up;
 * :class:`Backend` — the ``offer`` / ``advance_to`` / ``drain`` /
   ``result`` protocol every tier speaks
   (:class:`~repro.service.frontend.ServiceFrontend`,
   :class:`~repro.cluster.frontend.ClusterFrontend`, and the serial
   :class:`HostBackend` baseline);
-* :mod:`repro.api.plans` — the shared plan IR both tiers lower through
-  (:class:`ScanSpec`, :class:`ConjunctionSpec`,
-  :func:`lower_conjunction_steps`).
+* :mod:`repro.api.plans` — the shared chain lowering both tiers run
+  (:func:`lower_conjunction_steps`).
 
 The exported names below are pinned by ``tests/test_api_surface.py``;
 additions are deliberate API growth, removals are breaking changes.
 """
 
 from repro.api.backends import Backend, HostBackend
-from repro.api.plans import (
-    SCAN_KINDS,
-    AppendSpec,
-    ConjunctionSpec,
-    DeleteSpec,
-    QuerySpec,
-    ScanSpec,
-    UpdateSpec,
-    WriteSpec,
-    lower_conjunction_steps,
-    range_count_spec,
-    spec_for_request,
-)
+from repro.api.plans import lower_conjunction_steps
 from repro.api.session import (
     ClusterDetails,
     Future,
@@ -46,30 +36,22 @@ from repro.api.session import (
     SessionReport,
     ShardUnavailable,
 )
+from repro.service.requests import SCAN_KINDS
 
 __all__ = [
-    "AppendSpec",
     "Backend",
     "ClusterDetails",
-    "ConjunctionSpec",
-    "DeleteSpec",
     "Future",
     "HostBackend",
     "HostDetails",
     "PimSession",
-    "QuerySpec",
     "RequestFailed",
     "RequestRejected",
     "Response",
     "ResponseDetails",
     "SCAN_KINDS",
-    "ScanSpec",
     "ServiceDetails",
     "SessionReport",
     "ShardUnavailable",
-    "UpdateSpec",
-    "WriteSpec",
     "lower_conjunction_steps",
-    "range_count_spec",
-    "spec_for_request",
 ]

@@ -12,11 +12,12 @@ tier, or the serial host baseline::
     print(response.matching_rows, response.latency_ns, response.details)
     print(session.report())         # unified SessionReport, any tier
 
-* **Declarative constructors** (:meth:`~PimSession.scan`,
-  :meth:`~PimSession.conjunction`, :meth:`~PimSession.range_count`)
-  build :mod:`repro.api.plans` specs, lower them once through the shared
-  plan IR, and submit them to the backend at the session's virtual
-  clock.
+* **Requests are the one vocabulary**: :meth:`~PimSession.submit` takes
+  the :mod:`repro.service.requests` / :mod:`repro.storage.requests`
+  dataclasses, and the declarative constructors
+  (:meth:`~PimSession.scan`, :meth:`~PimSession.conjunction`,
+  :meth:`~PimSession.range_count`, ...) are sugar that builds one and
+  submits it at the session's virtual clock.
 * **Futures** wrap the backend's envelope: ``done()``, ``status``,
   ``result()`` (which virtually blocks — it drains the backend), and the
   per-request timing surface.
@@ -47,23 +48,22 @@ from repro.analysis.metrics import (
     summarize_queue_records,
 )
 from repro.api.backends import Backend, HostBackend
-from repro.api.plans import (
-    AppendSpec,
-    ConjunctionSpec,
-    DeleteSpec,
-    QuerySpec,
-    ScanSpec,
-    UpdateSpec,
-    WriteSpec,
-    range_count_spec,
-    spec_for_request,
-)
 from repro.cluster.frontend import FAILURE_REASONS
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.queries import QueryEngine
 from repro.obs import NULL_OBSERVER, Observer, resolve_observe
-from repro.service.frontend import ArrivalEvent
-from repro.service.requests import checked_arrival
+from repro.service.frontend import ArrivalEvent, replay
+from repro.service.requests import (
+    BitmapConjunctionRequest,
+    ScanRequest,
+    checked_arrival,
+)
+from repro.storage.requests import (
+    AppendRequest,
+    DeleteRequest,
+    UpdateRequest,
+    is_write_request,
+)
 
 
 class RequestRejected(RuntimeError):
@@ -206,23 +206,16 @@ class Future:
     and then materializes the unified :class:`Response`.
 
     Attributes:
-        spec: The declarative spec (None for raw primitive submissions).
-        request: The lowered request the backend queued.
-        record: The backend's envelope (tier-specific; the protocol
-            surface — ``admitted``, ``completed``, ``value``,
-            ``metrics``, timing — is what the session reads).
+        request: The request the backend queued.
+        record: The backend's envelope (a
+            :class:`~repro.service.requests.RequestEnvelope`; the
+            cluster tier's adds the scatter parts).
     """
 
     def __init__(
-        self,
-        session: "PimSession",
-        spec: Optional[QuerySpec],
-        request: Any,
-        record: Any,
-        kind: str,
+        self, session: "PimSession", request: Any, record: Any, kind: str
     ) -> None:
         self._session = session
-        self.spec = spec
         self.request = request
         self.record = record
         self.kind = kind
@@ -258,7 +251,7 @@ class Future:
     def trace(self) -> Any:
         """Root :class:`repro.obs.Span` of this request's lifecycle, or
         None unless the backend records with ``observe=True``."""
-        return getattr(self.record, "trace", None)
+        return self.record.trace
 
     def result(self) -> Response:
         """The unified response; drains the backend when still queued.
@@ -299,23 +292,25 @@ class Future:
             )
 
 
-#: The queueing surface both tiers' metrics carry: every dataclass field
-#: :class:`QueueMetrics` and :class:`ClusterMetrics` have in common.
-_SHARED_METRIC_FIELDS = frozenset(f.name for f in fields(QueueMetrics)) & frozenset(
-    f.name for f in fields(ClusterMetrics)
-)
+#: What a report delegates to its tier metrics: every dataclass field and
+#: derived rate of :class:`QueueMetrics` (which every tier's metrics are).
+_QUEUE_SURFACE = frozenset(f.name for f in fields(QueueMetrics)) | {
+    name for name, attr in vars(QueueMetrics).items() if isinstance(attr, property)
+}
 
 
 @dataclass
 class SessionReport:
     """The unified per-stream roll-up, identical in shape across tiers.
 
-    The common queueing surface (counts, percentiles, makespan, busy
-    time, serial latency, energy) reads directly off the report; the
-    full tier-specific metrics object stays available in ``details`` —
-    :class:`~repro.analysis.metrics.QueueMetrics` for the service and
-    host tiers, :class:`~repro.analysis.metrics.ClusterMetrics` (with
-    utilization, imbalance, fan-out, host merge cost) for the cluster.
+    The whole :class:`~repro.analysis.metrics.QueueMetrics` surface
+    (counts, percentiles, makespan, busy time, batches, serial latency,
+    energy, the derived rates) reads directly off the report on every
+    tier; the metrics object itself stays available in ``details`` — a
+    plain ``QueueMetrics`` for the service and host tiers, its subclass
+    :class:`~repro.analysis.metrics.ClusterMetrics` (adding utilization,
+    imbalance, fan-out, elastic counters, per-shard summaries) for the
+    cluster.
 
     Attributes:
         name: Label of the report.
@@ -332,16 +327,15 @@ class SessionReport:
     name: str
     tier: str
     requests: int
-    details: Union[QueueMetrics, ClusterMetrics]
+    details: QueueMetrics
     obs: Optional[Dict[str, Any]] = None
 
     def __getattr__(self, item: str) -> Any:
-        # Delegate the shared queueing surface to the tier metrics; keeps
-        # one report shape without duplicating the fields.
-        if item in _SHARED_METRIC_FIELDS or item in (
-            "rejection_rate",
-            "deadline_miss_rate",
-        ):
+        # Delegate the queueing surface to the tier metrics; keeps one
+        # report shape without duplicating the fields.  The membership
+        # guard comes first: copy/pickle probe a half-built instance, and
+        # an unguarded ``self.details`` would recurse.
+        if item in _QUEUE_SURFACE:
             return getattr(self.details, item)
         raise AttributeError(item)
 
@@ -467,8 +461,8 @@ class PimSession:
         at_ns: Optional[float] = None,
     ) -> Future:
         """Submit one BitWeaving predicate scan; returns its future."""
-        spec = ScanSpec(column=column, kind=kind, constants=tuple(constants))
-        return self._submit_spec(spec, "scan", priority, deadline_ns, at_ns)
+        request = ScanRequest(column=column, kind=kind, constants=tuple(constants))
+        return self._submit(request, "scan", priority, deadline_ns, at_ns)
 
     def range_count(
         self,
@@ -480,8 +474,8 @@ class PimSession:
         at_ns: Optional[float] = None,
     ) -> Future:
         """Submit ``SELECT COUNT(*) WHERE low <= col <= high``."""
-        spec = range_count_spec(column, low, high)
-        return self._submit_spec(spec, "range_count", priority, deadline_ns, at_ns)
+        request = ScanRequest(column=column, kind="between", constants=(low, high))
+        return self._submit(request, "range_count", priority, deadline_ns, at_ns)
 
     def conjunction(
         self,
@@ -492,11 +486,8 @@ class PimSession:
         at_ns: Optional[float] = None,
     ) -> Future:
         """Submit a bitmap-index conjunction of per-column ``IN`` predicates."""
-        spec = ConjunctionSpec(
-            index=index,
-            predicates=tuple((column, tuple(values)) for column, values in predicates),
-        )
-        return self._submit_spec(spec, "conjunction", priority, deadline_ns, at_ns)
+        request = BitmapConjunctionRequest(index=index, predicates=tuple(predicates))
+        return self._submit(request, "conjunction", priority, deadline_ns, at_ns)
 
     def append(
         self,
@@ -508,8 +499,8 @@ class PimSession:
         at_ns: Optional[float] = None,
     ) -> Future:
         """Submit a row append; the response value is rows appended."""
-        spec = AppendSpec(table=table, index=index, rows=rows)
-        return self._submit_spec(spec, "append", priority, deadline_ns, at_ns)
+        request = AppendRequest(table=table, index=index, rows=rows)
+        return self._submit(request, "append", priority, deadline_ns, at_ns)
 
     def update(
         self,
@@ -524,14 +515,14 @@ class PimSession:
     ) -> Future:
         """Submit ``column[row_ids] = values``; the response value is rows
         overwritten.  Row ids must be unique within one update."""
-        spec = UpdateSpec(
+        request = UpdateRequest(
             table=table,
             index=index,
             column=column,
             row_ids=tuple(row_ids),
             values=tuple(values),
         )
-        return self._submit_spec(spec, "update", priority, deadline_ns, at_ns)
+        return self._submit(request, "update", priority, deadline_ns, at_ns)
 
     def delete(
         self,
@@ -544,8 +535,8 @@ class PimSession:
     ) -> Future:
         """Submit a physical row deletion; the response value is rows
         removed (rows after them renumber down)."""
-        spec = DeleteSpec(table=table, index=index, row_ids=tuple(row_ids))
-        return self._submit_spec(spec, "delete", priority, deadline_ns, at_ns)
+        request = DeleteRequest(table=table, index=index, row_ids=tuple(row_ids))
+        return self._submit(request, "delete", priority, deadline_ns, at_ns)
 
     def submit(
         self,
@@ -554,34 +545,18 @@ class PimSession:
         deadline_ns: Optional[float] = None,
         at_ns: Optional[float] = None,
     ) -> Future:
-        """Submit a plan-IR spec or an already-lowered frontend request.
-
-        Specs lower through :mod:`repro.api.plans`; raw requests (the
-        shape arrival schedulers produce) pass through untouched so their
-        cached evaluations are preserved.
-        """
-        if isinstance(work, (ScanSpec, ConjunctionSpec, AppendSpec, UpdateSpec, DeleteSpec)):
-            return self._submit_spec(
-                work, self._kind_of_spec(work), priority, deadline_ns, at_ns
-            )
-        try:
-            spec = spec_for_request(work)
-            kind = self._kind_of_spec(spec)
-        except TypeError:
-            spec, kind = None, "request"
-        return self._submit(spec, work, kind, priority, deadline_ns, at_ns)
-
-    @staticmethod
-    def _kind_of_spec(spec: Union[QuerySpec, WriteSpec]) -> str:
-        if isinstance(spec, ConjunctionSpec):
-            return "conjunction"
-        if isinstance(spec, ScanSpec):
-            return "scan"
-        if isinstance(spec, AppendSpec):
-            return "append"
-        if isinstance(spec, UpdateSpec):
-            return "update"
-        return "delete"
+        """Submit any frontend request (the shape arrival schedulers
+        produce); it reaches the backend untouched, so its cached
+        evaluations are preserved."""
+        if isinstance(work, BitmapConjunctionRequest):
+            kind = "conjunction"
+        elif isinstance(work, ScanRequest):
+            kind = "scan"
+        elif is_write_request(work):
+            kind = work.kind
+        else:
+            kind = "request"
+        return self._submit(work, kind, priority, deadline_ns, at_ns)
 
     def submit_stream(self, events: Iterable[ArrivalEvent]) -> List[Future]:
         """Submit a whole arrival stream; futures come back in event order.
@@ -590,18 +565,15 @@ class PimSession:
         whatever its policy closes between them), exactly like the
         frontends' own ``run`` loops.
         """
-        events = list(events)
-        futures: List[Optional[Future]] = [None] * len(events)
-        order = sorted(range(len(events)), key=lambda i: events[i].arrival_ns)
-        for i in order:
-            event = events[i]
-            futures[i] = self.submit(
+        return replay(
+            events,
+            lambda event: self.submit(
                 event.request,
                 priority=event.priority,
                 deadline_ns=event.deadline_ns,
                 at_ns=event.arrival_ns,
-            )
-        return futures  # type: ignore[return-value]
+            ),
+        )
 
     # ------------------------------------------------------------------
     # Clock and lifecycle
@@ -664,7 +636,7 @@ class PimSession:
                 max(0, len(r.parts) - 1) for r in records if r.completed
             )
             elastic = getattr(self.backend, "elastic_summary", None)
-            metrics: Union[QueueMetrics, ClusterMetrics] = ClusterMetrics.from_records(
+            metrics: QueueMetrics = ClusterMetrics.from_records(
                 label,
                 records,
                 per_shard,
@@ -807,10 +779,7 @@ class PimSession:
             batches=len(self._own_batches(shard, completed)),
         )
 
-    def _submit_spec(self, spec, kind, priority, deadline_ns, at_ns) -> Future:
-        return self._submit(spec, spec.to_request(), kind, priority, deadline_ns, at_ns)
-
-    def _submit(self, spec, request, kind, priority, deadline_ns, at_ns) -> Future:
+    def _submit(self, request, kind, priority, deadline_ns, at_ns) -> Future:
         # Validated before the clock advances: a rejected stamp must leave
         # the backend untouched.
         arrival = checked_arrival(self.backend.clock_ns, at_ns, deadline_ns)
@@ -821,11 +790,9 @@ class PimSession:
         record = self.backend.offer(
             request, priority=priority, deadline_ns=deadline_ns, arrival_ns=arrival
         )
-        if self.obs.enabled:
-            trace = getattr(record, "trace", None)
-            if trace is not None:
-                trace.set(submitted=kind, session=self.name)
-        future = Future(self, spec, request, record, kind)
+        if self.obs.enabled and record.trace is not None:
+            record.trace.set(submitted=kind, session=self.name)
+        future = Future(self, request, record, kind)
         self.futures.append(future)
         return future
 
@@ -834,11 +801,11 @@ class PimSession:
             return ClusterDetails(
                 shard_ids=tuple(record.shard_ids),
                 fanout=len(record.shard_ids),
-                host_merge_ns=getattr(record, "host_merge_ns", 0.0),
-                cache_hits=getattr(record, "cache_hits", 0),
-                cache_misses=getattr(record, "cache_misses", 0),
-                cache_invalidations=getattr(record, "cache_invalidations", 0),
-                failovers=getattr(record, "failovers", 0),
+                host_merge_ns=record.host_merge_ns,
+                cache_hits=record.cache_hits,
+                cache_misses=record.cache_misses,
+                cache_invalidations=record.cache_invalidations,
+                failovers=record.failovers,
             )
         if self.tier == "host":
             return HostDetails()
@@ -846,9 +813,9 @@ class PimSession:
             batch_index=record.batch_index,
             modeled_ns=record.modeled_ns,
             modeled_banks=tuple(record.modeled_banks),
-            cache_hits=getattr(record, "cache_hits", 0),
-            cache_misses=getattr(record, "cache_misses", 0),
-            cache_invalidations=getattr(record, "cache_invalidations", 0),
+            cache_hits=record.cache_hits,
+            cache_misses=record.cache_misses,
+            cache_invalidations=record.cache_invalidations,
         )
 
     def _build_response(self, future: Future) -> Response:
@@ -860,7 +827,14 @@ class PimSession:
         matching: Optional[int] = None
         epilogue_ns = 0.0
         epilogue_j = 0.0
-        num_rows = future.spec.num_rows if future.spec is not None else None
+        # Only a query's value is a result bitmap with rows to count (a
+        # write's is rows affected, a raw primitive's an operand vector).
+        request = future.request
+        num_rows: Optional[int] = None
+        if isinstance(request, ScanRequest):
+            num_rows = request.column.num_rows
+        elif isinstance(request, BitmapConjunctionRequest):
+            num_rows = request.index.num_rows
         if num_rows is not None and value is not None:
             matching = BitmapIndex.count(value, num_rows)
             epilogue = self._coster.epilogue_cost(num_rows, matching)
@@ -881,5 +855,5 @@ class PimSession:
             sojourn_ns=record.sojourn_ns,
             deadline_missed=record.deadline_missed,
             details=self._details_for(record),
-            trace=getattr(record, "trace", None),
+            trace=record.trace,
         )

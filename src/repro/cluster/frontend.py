@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional,
 import numpy as np
 
 from repro.ambit.engine import AmbitConfig, AmbitEngine
-from repro.analysis.metrics import ClusterMetrics, OperationMetrics, combine_serial
+from repro.analysis.metrics import ClusterMetrics, combine_serial
 from repro.cache.result_cache import ResultCache
 from repro.cluster.faults import FaultPlan
 from repro.cluster.router import PlacementUnavailable, ShardRouter
@@ -52,13 +52,14 @@ from repro.database.bitmap_index import BitmapIndex
 from repro.database.sharding import BitmapIndexShardView
 from repro.obs import Observer, resolve_observe
 from repro.service.executor import BatchExecutor
-from repro.service.frontend import ArrivalEvent, PipelineResult, ServiceFrontend
+from repro.service.frontend import ArrivalEvent, PipelineResult, ServiceFrontend, replay
 from repro.service.planner import BatchPolicy
 from repro.service.requests import (
     BitmapConjunctionRequest,
     CopyRequest,
     FrontendRequest,
     QueuedRequest,
+    RequestEnvelope,
     ScanRequest,
     checked_arrival,
 )
@@ -77,64 +78,33 @@ FAILURE_REASONS = frozenset({"shard_failed", "shard_unavailable", "shard_retired
 
 
 @dataclass
-class ClusterRecord:
+class ClusterRecord(RequestEnvelope):
     """Envelope of one cluster-level request across its shard parts.
 
     A request that scatters over G shards has G ``parts`` (one per-shard
     :class:`~repro.service.requests.QueuedRequest`); a routed scan has
-    one.  Times are absolute nanoseconds on the cluster's virtual clock.
+    one.  The shared envelope fields read at cluster level: ``admitted``
+    is False when any shard refused its part, ``start_ns`` is the first
+    part's service start and ``finish_ns`` the last part's finish plus
+    the gather merge, ``value`` is the gathered result (merged partial
+    bitmaps for a scattered conjunction; the part's own value otherwise)
+    and ``metrics`` the serial device cost across the parts.  The
+    gather-side AND-merges are host work, tallied in ``host_merge_ns``
+    (and :attr:`ClusterMetrics.merge_ops`) rather than in ``metrics``;
+    shard-local host merges (the plan optimizer's split-mode joins) are
+    already inside each part's finish.
 
     Attributes:
-        request: The cluster-level request as the client offered it.
-        arrival_ns: When the request reached the cluster frontend.
-        priority: Larger values are served first (propagated to parts).
-        deadline_ns: Absolute completion deadline, or None.
-        seq: Cluster admission sequence number.
         shard_ids: Shards the request was routed/scattered to.
         parts: Per-shard sub-request envelopes, aligned with shard_ids.
-        admitted: False when any shard refused its part.
-        rejected_reason: Why admission refused it ("" if admitted).
-        value: Gathered result (merged partial bitmaps for a scattered
-            conjunction; the part's own value otherwise).
-        metrics: Serial device cost across the parts (host-side merge ANDs
-            are *not* device work and are tallied in
-            :attr:`ClusterMetrics.merge_ops` /
-            :attr:`ClusterMetrics.host_merge_ns` instead).
-        host_merge_ns: Host time charged for this record's gather-side
-            AND-merges (``merge_ns_per_op`` per merge; 0 for a single
-            part).  Included in ``finish_ns`` and therefore the sojourn.
-            Shard-local host merges (the plan optimizer's split-mode
-            joins) are already inside each part's finish and roll up in
-            the per-shard :class:`~repro.analysis.metrics.QueueMetrics`.
-        start_ns / finish_ns: First part's service start / last part's
-            finish plus the host merge time (NaN before service).
     """
 
-    request: FrontendRequest
-    arrival_ns: float = 0.0
-    priority: int = 0
-    deadline_ns: Optional[float] = None
-    seq: int = 0
     shard_ids: List[int] = field(default_factory=list)
     parts: List[QueuedRequest] = field(default_factory=list)
-    admitted: bool = True
-    rejected_reason: str = ""
-    value: Any = None
-    metrics: Optional[OperationMetrics] = None
-    host_merge_ns: float = 0.0
-    start_ns: float = math.nan
-    finish_ns: float = math.nan
-    #: Cached bitmaps this write dropped across the shard-local caches
-    #: (set by the coordinator's invalidation step; 0 for reads).
-    cache_invalidations: int = 0
     #: Rows the coordinator's functional mutation touched (write requests
     #: only; the authoritative gather value — charge-only scatter parts
     #: report pre-deduplication estimates).
     rows_affected: Optional[int] = None
-    #: Root :class:`repro.obs.Span` of the record's lifecycle (set only
-    #: when the cluster's observability plane is recording); the shard
-    #: parts' spans are adopted as its children at scatter time.
-    trace: Any = field(default=None, repr=False, compare=False)
     #: Times any part of this record was re-offered off a failed or
     #: draining shard (0 for requests untouched by faults).
     failovers: int = 0
@@ -172,25 +142,6 @@ class ClusterRecord:
     def cache_misses(self) -> int:
         """Shard-local result-cache lookups that missed."""
         return sum(p.cache_misses for p in self.parts)
-
-    @property
-    def wait_ns(self) -> float:
-        """Arrival to first part's service start (NaN before service)."""
-        return self.start_ns - self.arrival_ns
-
-    @property
-    def sojourn_ns(self) -> float:
-        """Arrival to last part's finish (NaN before service)."""
-        return self.finish_ns - self.arrival_ns
-
-    @property
-    def deadline_missed(self) -> bool:
-        """True when the gathered result completed after the deadline."""
-        return (
-            self.deadline_ns is not None
-            and self.completed
-            and self.finish_ns > self.deadline_ns + 1e-9
-        )
 
 
 @dataclass
@@ -539,20 +490,15 @@ class ClusterFrontend:
 
         load = lambda shard: self.shard_load(shard, arrival)  # noqa: E731
         try:
-            if isinstance(request, BitmapConjunctionRequest):
-                plan = self._scatter_conjunction(request, load)
-            elif is_write_request(request):
+            if is_write_request(request):
                 plan = self._scatter_write(request, load)
-            elif isinstance(request, ScanRequest):
-                plan = [(self.router.route(request.column, load), request)]
             else:
-                plan = [(self.router.route_any(load), request)]
+                plan = self._route_read(request, load)
         except PlacementUnavailable:
             # Degraded mode: no routable replica holds the data.  Reject
             # with a failure-typed reason (mapped to ShardUnavailable by
             # the session layer) instead of serving a wrong answer.
-            record.admitted = False
-            record.rejected_reason = "shard_unavailable"
+            self._reject_record(record, "shard_unavailable")
             if self.obs.enabled:
                 self.obs.metrics.counter("cluster.failover.unavailable").inc()
                 self._obs_scattered(record)
@@ -570,10 +516,7 @@ class ClusterFrontend:
             record.shard_ids.append(shard_id)
             record.parts.append(part)
             if not part.admitted:
-                record.admitted = False
-                record.rejected_reason = part.rejected_reason
-                for shard, sibling in zip(record.shard_ids[:-1], record.parts[:-1]):
-                    self.shards[shard].cancel(sibling)
+                self._reject_record(record, part.rejected_reason)
                 break
         if record.admitted and is_write_request(request):
             # The scatter parts are charge-only; the functional mutation
@@ -672,8 +615,14 @@ class ClusterFrontend:
     def _scatter_conjunction(
         self, request: BitmapConjunctionRequest, load
     ) -> List[Tuple[int, BitmapConjunctionRequest]]:
-        """Split a conjunction into shard-local sub-conjunctions."""
+        """Split a conjunction into shard-local sub-conjunctions.
+
+        A sub-conjunction being re-homed by failover (its index is
+        already a shard view) re-scatters over its parent index.
+        """
         index = request.index
+        if isinstance(index, BitmapIndexShardView):
+            index = index.index
         views = self._views_for(index)
         assignment = self.router.assign_scatter(
             [column for column, _ in request.predicates], load
@@ -701,6 +650,30 @@ class ClusterFrontend:
                 [(shard, sub.predicates) for shard, sub in parts],
             )
         return parts
+
+    def _route_read(
+        self, request: FrontendRequest, load
+    ) -> List[Tuple[int, FrontendRequest]]:
+        """The (shard, sub-request) parts of anything but a write:
+        conjunctions scatter, scans follow their column's replicas, the
+        rest goes wherever the backlog is smallest."""
+        if isinstance(request, BitmapConjunctionRequest):
+            return self._scatter_conjunction(request, load)
+        if isinstance(request, ScanRequest):
+            return [(self.router.route(request.column, load), request)]
+        return [(self.router.route_any(load), request)]
+
+    def _reject_record(
+        self, record: ClusterRecord, reason: str, part_reason: str = "cancelled"
+    ) -> None:
+        """All-or-nothing: reject ``record`` and withdraw every part still
+        queued (parts already served are wasted work, as in a real
+        scatter)."""
+        record.admitted = False
+        record.rejected_reason = reason
+        for shard, sibling in zip(record.shard_ids, record.parts):
+            if sibling.admitted and not sibling.completed:
+                self.shards[shard].cancel(sibling, reason=part_reason)
 
     # ------------------------------------------------------------------
     # Service
@@ -942,31 +915,7 @@ class ClusterFrontend:
         request = part.request
         plan: List[Tuple[int, FrontendRequest]]
         try:
-            if isinstance(request, BitmapConjunctionRequest) and isinstance(
-                request.index, BitmapIndexShardView
-            ):
-                # Re-scatter the sub-conjunction's predicates over the
-                # surviving replicas of the parent index.
-                parent = request.index.index
-                views = self._views_for(parent)
-                assignment = self.router.assign_scatter(
-                    [column for column, _ in request.predicates], load
-                )
-                by_shard: Dict[int, List[Tuple[str, Tuple[int, ...]]]] = {}
-                for (column, values), (_, shard) in zip(request.predicates, assignment):
-                    by_shard.setdefault(shard, []).append((column, values))
-                plan = [
-                    (
-                        shard,
-                        BitmapConjunctionRequest(
-                            index=views[shard], predicates=tuple(predicates)
-                        ),
-                    )
-                    for shard, predicates in sorted(by_shard.items())
-                ]
-            elif isinstance(request, ScanRequest):
-                plan = [(self.router.route(request.column, load), request)]
-            elif is_write_request(request):
+            if is_write_request(request):
                 # Charge-only maintenance part: prefer a surviving replica
                 # of one of its columns, else charge the least-loaded shard.
                 target: Optional[int] = None
@@ -980,7 +929,7 @@ class ClusterFrontend:
                     target = self.router.route_any(load)
                 plan = [(target, request)]
             else:
-                plan = [(self.router.route_any(load), request)]
+                plan = self._route_read(request, load)
         except PlacementUnavailable:
             self._fail_record(record, "shard_unavailable", now)
             return None
@@ -1017,11 +966,7 @@ class ClusterFrontend:
     def _fail_record(self, record: ClusterRecord, reason: str, now: float) -> None:
         """Terminal degraded-mode failure: mark the record rejected with a
         failure-typed reason and withdraw its still-queued siblings."""
-        record.admitted = False
-        record.rejected_reason = reason
-        for shard, sibling in zip(record.shard_ids, record.parts):
-            if sibling.admitted and not sibling.completed:
-                self.shards[shard].cancel(sibling, reason=reason)
+        self._reject_record(record, reason, part_reason=reason)
         self.failover_records_failed += 1
         if self.obs.enabled:
             registry = self.obs.metrics
@@ -1136,14 +1081,7 @@ class ClusterFrontend:
         batches its own policy closes before each arrival, so routing
         reads shard loads as they stand at the arrival instant.
         """
-        for event in sorted(events, key=lambda e: e.arrival_ns):
-            self.advance_to(event.arrival_ns)
-            self.offer(
-                event.request,
-                priority=event.priority,
-                deadline_ns=event.deadline_ns,
-                arrival_ns=event.arrival_ns,
-            )
+        replay(events, lambda event: event.offer_to(self))
         self.drain()
         return self.result(name)
 
@@ -1205,16 +1143,10 @@ class ClusterFrontend:
         """Sync scatter failures and gather finished records; host merges."""
         merge_ops = 0
         for record in self.records:
-            # A part shed after admission sinks the whole scatter: mark the
-            # record rejected and withdraw siblings still queued (siblings
-            # already served are wasted work, as in a real scatter).
+            # A part shed after admission sinks the whole scatter.
             if record.admitted and any(not p.admitted for p in record.parts):
                 failed = next(p for p in record.parts if not p.admitted)
-                record.admitted = False
-                record.rejected_reason = failed.rejected_reason
-                for shard, sibling in zip(record.shard_ids, record.parts):
-                    if sibling.admitted and not sibling.completed:
-                        self.shards[shard].cancel(sibling)
+                self._reject_record(record, failed.rejected_reason)
                 if record.trace is not None:
                     record.trace.end(self.clock_ns).set(
                         status="rejected", reason=record.rejected_reason

@@ -22,7 +22,6 @@ from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.ambit.bitvector import BulkBitVector
 from repro.database.tables import ColumnTable
 
 
@@ -80,6 +79,24 @@ class BitmapIndex:
             return self.bitmaps[column][value]
         except KeyError as exc:
             raise KeyError(f"no bitmap for {column!r} = {value}") from exc
+
+    def check_predicates(self, predicates: Sequence[Tuple[str, Sequence[int]]]) -> None:
+        """Raise the ``KeyError`` :meth:`bitmap` would for any
+        ``(column, value)`` of ``predicates``, without reading a plane.
+
+        The side-effect-free probe request validation uses: a column's
+        planes cover ``range(cardinality)``, so a dirty column is judged
+        by the table's cardinality and never repaired here — repair (and
+        its lazy-maintenance charge) stays with the first real read.
+        """
+        cardinalities = self.table.cardinalities
+        for column, values in predicates:
+            if column not in self.bitmaps:
+                raise KeyError(f"column {column!r} is not indexed")
+            cardinality = cardinalities[column]
+            for value in values:
+                if not 0 <= value < cardinality:
+                    raise KeyError(f"no bitmap for {column!r} = {value}")
 
     # ------------------------------------------------------------------
     # Maintenance (the write path; policy lives in repro.storage)
@@ -227,46 +244,6 @@ class BitmapIndex:
             operations.append(("and", len(predicates) - 1))
         return result, BitmapPlan(operations=operations, result_bits=self.num_rows)
 
-    # ------------------------------------------------------------------
-    # Lowering to primitive bulk operations (service-pipeline hook)
-    # ------------------------------------------------------------------
-    def lower_conjunction(
-        self,
-        predicates: Sequence[Tuple[str, Sequence[int]]],
-        row_size_bytes: int = 8192,
-    ) -> Tuple[List[Tuple[str, BulkBitVector, BulkBitVector, BulkBitVector]], BulkBitVector, BitmapPlan]:
-        """Lower a conjunction into primitive bulk bitwise steps.
-
-        Each step is ``(op, a, b, out)`` over host-only
-        :class:`BulkBitVector` operands: first the OR chain of each
-        predicate's value bitmaps, then the AND chain across predicates.
-        The steps are data-dependent in order (each ``out`` feeds a later
-        operand), so an executor must run them in sequence.  The step count
-        matches :meth:`evaluate_conjunction`'s :class:`BitmapPlan` exactly,
-        so charging each step at the engine's bulk-operation cost attributes
-        the same total latency and energy as the plan-level cost model.
-
-        Args:
-            predicates: (column, values) pairs.
-            row_size_bytes: Row size of the *target device* — the vectors'
-                row-chunk count, and therefore the cost the executor
-                charges per step, is derived from it.  Callers lowering for
-                an engine must pass its device's row size or the charged
-                cost diverges from the plan-level model.
-
-        Returns:
-            (steps, result vector, plan).  With one single-value predicate
-            the step list is empty and the result is the bitmap itself.
-
-        The expansion itself lives in the shared plan IR
-        (:func:`repro.api.plans.lower_conjunction_steps`), which both the
-        single-device planner and every cluster shard lower through; this
-        method remains as the index-side convenience surface.
-        """
-        from repro.api.plans import lower_conjunction_steps  # local: avoid cycle
-
-        return lower_conjunction_steps(self, predicates, row_size_bytes=row_size_bytes)
-
     @staticmethod
     def count(packed_bitmap: np.ndarray, num_rows: int) -> int:
         """COUNT(*) over a packed result bitmap (its first ``num_rows`` bits)."""
@@ -289,17 +266,3 @@ class BitmapIndex:
         from repro.database.sharding import BitmapIndexShardView  # local: avoid cycle
 
         return BitmapIndexShardView(self, columns)
-
-    def as_bulk_vectors(self, column: str) -> Dict[int, BulkBitVector]:
-        """Return the column's bitmaps as :class:`BulkBitVector` objects.
-
-        Used by examples that want to run the index's operations through the
-        Ambit engine functionally.
-        """
-        self._ensure_clean(column)
-        vectors = {}
-        for value, packed in self.bitmaps[column].items():
-            vector = BulkBitVector(self.num_rows)
-            vector.data[: packed.size] = packed
-            vectors[value] = vector
-        return vectors

@@ -8,7 +8,7 @@ replicated onto several shards).  A shard never sees the whole
 placed on that shard.
 
 The view implements exactly the surface the service planner needs —
-``num_rows``, ``bitmap``, ``evaluate_conjunction``, ``lower_conjunction``
+``num_rows``, ``bitmap``, ``check_predicates``, ``evaluate_conjunction``
 — so lowering a scattered :class:`~repro.service.requests
 .BitmapConjunctionRequest` happens *shard-locally*: each shard lowers and
 executes only the OR/AND chain of its own predicates, and the cluster
@@ -27,7 +27,6 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.ambit.bitvector import BulkBitVector
 from repro.database.bitmap_index import BitmapIndex, BitmapPlan
 from repro.database.tables import ColumnTable
 
@@ -71,9 +70,9 @@ class BitmapIndexShardView:
 
     The view quacks like a bitmap index over only its shard's columns, so
     the service planner's conjunction lowering
-    (:meth:`lower_conjunction`) and latency model work unchanged on a
-    shard — with predicates outside the shard's columns rejected loudly
-    rather than silently answered.
+    (:func:`repro.api.plans.lower_conjunction_steps`) and latency model
+    work unchanged on a shard — with predicates outside the shard's
+    columns rejected loudly rather than silently answered.
     """
 
     def __init__(self, index: BitmapIndex, columns: Iterable[str]) -> None:
@@ -121,7 +120,7 @@ class BitmapIndexShardView:
         )
 
     # ------------------------------------------------------------------
-    # Shard-local evaluation and lowering
+    # Shard-local evaluation
     # ------------------------------------------------------------------
     def evaluate_conjunction(
         self, predicates: Sequence[Tuple[str, Sequence[int]]]
@@ -130,19 +129,11 @@ class BitmapIndexShardView:
         self._require_all_local(predicates)
         return self.index.evaluate_conjunction(predicates)
 
-    def lower_conjunction(
-        self,
-        predicates: Sequence[Tuple[str, Sequence[int]]],
-        row_size_bytes: int = 8192,
-    ) -> Tuple[List[Tuple[str, BulkBitVector, BulkBitVector, BulkBitVector]], BulkBitVector, BitmapPlan]:
-        """Lower shard-local predicates to primitive bulk operations.
-
-        Delegates to :meth:`BitmapIndex.lower_conjunction` after checking
-        every predicate column is placed here, so a shard's planner can
-        only ever lower work its own device holds the bitmaps for.
-        """
+    def check_predicates(self, predicates: Sequence[Tuple[str, Sequence[int]]]) -> None:
+        """Raise ``KeyError`` unless every predicate column is placed here
+        and every value has a plane (see :meth:`BitmapIndex.check_predicates`)."""
         self._require_all_local(predicates)
-        return self.index.lower_conjunction(predicates, row_size_bytes=row_size_bytes)
+        self.index.check_predicates(predicates)
 
     def _require_all_local(self, predicates: Sequence[Tuple[str, Sequence[int]]]) -> None:
         for column, _values in predicates:

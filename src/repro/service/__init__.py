@@ -33,6 +33,7 @@ from repro.service.requests import (
     CopyRequest,
     FrontendRequest,
     QueuedRequest,
+    RequestEnvelope,
     RequestResult,
     SCAN_KINDS,
     ScanRequest,
@@ -54,6 +55,7 @@ __all__ = [
     "LoweredGroup",
     "PipelineResult",
     "QueuedRequest",
+    "RequestEnvelope",
     "RequestResult",
     "RetryClient",
     "RetryOutcome",

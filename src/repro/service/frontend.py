@@ -62,7 +62,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -81,6 +81,7 @@ from repro.service.requests import (
     BatchResult,
     FrontendRequest,
     QueuedRequest,
+    RequestEnvelope,
     checked_arrival,
 )
 
@@ -104,6 +105,31 @@ class ArrivalEvent:
     arrival_ns: float
     priority: int = 0
     deadline_ns: Optional[float] = None
+
+    def offer_to(self, backend) -> RequestEnvelope:
+        """Let ``backend`` serve whatever its policy closes before this
+        arrival, then offer the request against the live queue."""
+        backend.advance_to(self.arrival_ns)
+        return backend.offer(
+            self.request,
+            priority=self.priority,
+            deadline_ns=self.deadline_ns,
+            arrival_ns=self.arrival_ns,
+        )
+
+
+def replay(events: Iterable[ArrivalEvent], arrive: Callable[[ArrivalEvent], Any]) -> List:
+    """Feed an arrival stream to ``arrive`` in virtual-time order.
+
+    The one arrival loop (both frontends' ``run`` and
+    :meth:`PimSession.submit_stream`): simultaneous arrivals keep their
+    stream order, and the results come back in *event* order.
+    """
+    events = list(events)
+    results: List = [None] * len(events)
+    for i in sorted(range(len(events)), key=lambda i: events[i].arrival_ns):
+        results[i] = arrive(events[i])
+    return results
 
 
 def poisson_schedule(
@@ -868,14 +894,7 @@ class ServiceFrontend:
         — the clock through each batch's makespan for a barrier executor,
         the per-bank lane horizons for a pipelined one.
         """
-        for event in sorted(events, key=lambda e: e.arrival_ns):
-            self.advance_to(event.arrival_ns)
-            self.offer(
-                event.request,
-                priority=event.priority,
-                deadline_ns=event.deadline_ns,
-                arrival_ns=event.arrival_ns,
-            )
+        replay(events, lambda event: event.offer_to(self))
         self.drain()
         return self.result(name)
 

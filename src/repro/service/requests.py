@@ -140,13 +140,17 @@ class BitmapConjunctionRequest:
 
     This is a *high-level* request: the executor does not understand it.
     The :class:`~repro.service.planner.BatchPlanner` lowers it — via
-    :meth:`BitmapIndex.lower_conjunction` — into a chain of primitive
-    :class:`BulkOpRequest` steps (the OR of each predicate's value bitmaps,
-    then the AND across predicates), pinned to one bank-offset hint so the
-    data-dependent chain serializes on its banks.
+    :func:`repro.api.plans.lower_conjunction_steps` — into a chain of
+    primitive :class:`BulkOpRequest` steps (the OR of each predicate's
+    value bitmaps, then the AND across predicates), pinned to one
+    bank-offset hint so the data-dependent chain serializes on its banks.
+
+    Construction is the API boundary: a predicate the index cannot answer
+    raises here, not inside ``serve_batch`` after its batch was popped.
 
     Attributes:
-        index: The bitmap index holding the per-value bitmaps.
+        index: The bitmap source holding the per-value bitmaps (a
+            :class:`BitmapIndex` or a shard view of one).
         predicates: (column, values) pairs; each contributes an ``IN``.
     """
 
@@ -156,12 +160,14 @@ class BitmapConjunctionRequest:
     def __post_init__(self) -> None:
         if not self.predicates:
             raise ValueError("predicates must not be empty")
-        self.predicates = tuple(
-            (column, tuple(values)) for column, values in self.predicates
-        )
+        normalized = []
         for column, values in self.predicates:
+            values = tuple(values)
             if not values:
                 raise ValueError(f"predicate on {column!r} has no values")
+            normalized.append((column, values))
+        self.predicates = tuple(normalized)
+        self.index.check_predicates(self.predicates)
 
 
 #: Everything the frontend accepts (primitives plus high-level requests).
@@ -169,12 +175,19 @@ FrontendRequest = Union[ServiceRequest, BitmapConjunctionRequest]
 
 
 @dataclass
-class QueuedRequest:
-    """Envelope of one request inside the frontend's admission queue.
+class RequestEnvelope:
+    """What every tier's per-request envelope carries.
 
-    Carries the arrival-side attributes (arrival time, priority, deadline)
-    and, after service, the outcome (start/finish times, value, metrics).
-    Times are absolute nanoseconds on the frontend's virtual clock.
+    The arrival-side attributes (arrival time, priority, deadline) and,
+    after service, the outcome (start/finish times, value, metrics) — the
+    one declaration :class:`QueuedRequest` (a frontend's queue entry) and
+    :class:`~repro.cluster.frontend.ClusterRecord` (a scatter-gather
+    record over several of them) both extend, and the surface
+    :func:`~repro.analysis.metrics.summarize_envelopes` and the session
+    layer read.  Subclasses also supply ``ops_eliminated``,
+    ``shared_subchains``, ``cache_hits`` and ``cache_misses`` (stored per
+    queue entry, summed over the parts of a cluster record).  Times are
+    absolute nanoseconds on the owning frontend's virtual clock.
 
     Attributes:
         request: The wrapped request (primitive or high-level).
@@ -184,13 +197,13 @@ class QueuedRequest:
         seq: Admission sequence number (FIFO tiebreak within a priority).
         admitted: False when admission control rejected the request.
         rejected_reason: Why admission control refused it ("" if admitted).
-        batch_index: Which batch served the request (-1 before service).
         start_ns: When the request started on its banks.
-        finish_ns: When its last bank finished.
+        finish_ns: When its last bank finished (host merge included).
         value: Result payload (see :attr:`RequestResult.value`); for a
-            lowered conjunction, the packed result bitmap.
-        metrics: Sequential-execution cost of the request (for a lowered
-            request, the serial combination of its primitive steps).
+            conjunction, the packed result bitmap.
+        metrics: Sequential-execution device cost of the request (for a
+            lowered or scattered request, the serial combination of its
+            primitive steps / shard parts).
     """
 
     request: FrontendRequest
@@ -200,33 +213,14 @@ class QueuedRequest:
     seq: int = 0
     admitted: bool = True
     rejected_reason: str = ""
-    #: Modeled sequential service latency (filled at admission; drives the
-    #: planner's deadline urgency and the frontend's backlog accounting).
-    modeled_ns: float = 0.0
-    #: Bank keys the request is modeled to occupy (filled at admission;
-    #: empty = unpinned, spread evenly).  Drives the frontend's per-bank
-    #: backlog vector.
-    modeled_banks: List = field(default_factory=list)
-    batch_index: int = -1
     start_ns: float = math.nan
     finish_ns: float = math.nan
     value: Any = None
     metrics: Optional[OperationMetrics] = None
-    #: Host-side merge cost charged into ``finish_ns`` when the optimizer
-    #: split the request's sub-chains across lanes (same merge-tree model
-    #: as the cluster gather path; 0.0 when unsplit).
+    #: Host-side merge cost charged into ``finish_ns``: the optimizer's
+    #: split-mode cross-lane joins on a queue entry, the gather merge tree
+    #: on a cluster record (0.0 when nothing was merged).
     host_merge_ns: float = 0.0
-    #: Device ops this request did not have to run because the batch plan
-    #: optimizer shared or restructured its chain (0 when unoptimized).
-    ops_eliminated: int = 0
-    #: Sub-chains of this request served from another request's (or an
-    #: earlier duplicate's) lowered output instead of being re-lowered.
-    shared_subchains: int = 0
-    #: Sub-chains (or whole conjunctions) this request served from the
-    #: cross-batch result cache instead of re-running bank work.
-    cache_hits: int = 0
-    #: Cache lookups of this request that missed (0 with caching off).
-    cache_misses: int = 0
     #: Cached bitmaps a write request invalidated (write requests only).
     cache_invalidations: int = 0
     #: Root :class:`repro.obs.Span` of this request's lifecycle — set by
@@ -257,6 +251,35 @@ class QueuedRequest:
             and self.completed
             and self.finish_ns > self.deadline_ns + 1e-9
         )
+
+
+@dataclass
+class QueuedRequest(RequestEnvelope):
+    """Envelope of one request inside the frontend's admission queue.
+
+    Attributes:
+        batch_index: Which batch served the request (-1 before service).
+    """
+
+    #: Modeled sequential service latency (filled at admission; drives the
+    #: planner's deadline urgency and the frontend's backlog accounting).
+    modeled_ns: float = 0.0
+    #: Bank keys the request is modeled to occupy (filled at admission;
+    #: empty = unpinned, spread evenly).  Drives the frontend's per-bank
+    #: backlog vector.
+    modeled_banks: List = field(default_factory=list)
+    batch_index: int = -1
+    #: Device ops this request did not have to run because the batch plan
+    #: optimizer shared or restructured its chain (0 when unoptimized).
+    ops_eliminated: int = 0
+    #: Sub-chains of this request served from another request's (or an
+    #: earlier duplicate's) lowered output instead of being re-lowered.
+    shared_subchains: int = 0
+    #: Sub-chains (or whole conjunctions) this request served from the
+    #: cross-batch result cache instead of re-running bank work.
+    cache_hits: int = 0
+    #: Cache lookups of this request that missed (0 with caching off).
+    cache_misses: int = 0
 
     def sort_key(self) -> Tuple[float, float, int]:
         """Queue order: priority first, then earliest deadline, then FIFO."""

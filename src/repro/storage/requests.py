@@ -79,6 +79,8 @@ class UpdateRequest:
     kind: str = field(default="update", init=False)
 
     def __post_init__(self) -> None:
+        if len(self.row_ids) != len(self.values):
+            raise ValueError("row_ids and values must have equal lengths")
         if self.columns is not None:
             object.__setattr__(self, "columns", tuple(self.columns))
 

@@ -10,8 +10,10 @@ Around it: the ``Backend`` protocol surface, future semantics
 cost, and responses pricing exactly as the ``QueryEngine`` cost model.
 """
 
+import copy
 import dataclasses
 import gc
+import pickle
 
 import numpy as np
 import pytest
@@ -23,15 +25,12 @@ from repro.analysis.metrics import ClusterMetrics, QueueMetrics
 from repro.api import (
     Backend,
     ClusterDetails,
-    ConjunctionSpec,
     HostBackend,
     HostDetails,
     PimSession,
     RequestRejected,
-    ScanSpec,
     ServiceDetails,
     lower_conjunction_steps,
-    spec_for_request,
 )
 from repro.cluster import ClusterFrontend, ShardRouter
 from repro.database.bitmap_index import BitmapIndex
@@ -45,6 +44,7 @@ from repro.dram.timing import DramTimingParameters
 from repro.service import (
     BatchExecutor,
     BatchPolicy,
+    BitmapConjunctionRequest,
     BulkOpRequest,
     RequestResult,
     RetryClient,
@@ -52,6 +52,7 @@ from repro.service import (
     ServiceFrontend,
     poisson_schedule,
 )
+from repro.storage import UpdateRequest
 
 
 def _device(banks: int = 4) -> DramDevice:
@@ -373,27 +374,32 @@ class TestRetention:
 
 
 class TestPlanIR:
-    def test_specs_validate(self):
+    def test_requests_validate(self):
+        """The request dataclasses are the API boundary: malformed input
+        raises at construction, never inside a popped batch."""
         rng = np.random.default_rng(9)
         column = _random_column(rng)
+        index = _bitmap_index(rng)
         with pytest.raises(ValueError):
-            ScanSpec(column=column, kind="nope", constants=(1,))
+            ScanRequest(column=column, kind="nope", constants=(1,))
         with pytest.raises(ValueError):
-            ScanSpec(column=column, kind="between", constants=(1,))
+            ScanRequest(column=column, kind="between", constants=(1,))
         with pytest.raises(ValueError):
-            ConjunctionSpec(index=_bitmap_index(rng), predicates=())
-        with pytest.raises(TypeError):
-            spec_for_request(object())
-
-    def test_spec_round_trip_preserves_requests(self):
-        rng = np.random.default_rng(10)
-        column = _random_column(rng)
-        spec = ScanSpec(column=column, kind="between", constants=(3, 17))
-        request = spec.to_request()
-        assert spec_for_request(request) == spec
-        expected, _ = spec.evaluate()
-        got, _ = request.scan_result()
-        assert np.array_equal(got, expected)
+            BitmapConjunctionRequest(index=index, predicates=())
+        with pytest.raises(ValueError):
+            BitmapConjunctionRequest(index=index, predicates=(("region", ()),))
+        with pytest.raises(KeyError):  # unindexed column
+            BitmapConjunctionRequest(index=index, predicates=(("nope", (0,)),))
+        with pytest.raises(KeyError):  # value with no bitmap
+            BitmapConjunctionRequest(index=index, predicates=(("region", (0, 10**6)),))
+        with pytest.raises(KeyError):  # indexed, but not placed on this shard
+            BitmapConjunctionRequest(
+                index=index.shard_view(["region"]), predicates=(("status", (0,)),)
+            )
+        with pytest.raises(ValueError):
+            UpdateRequest(
+                table=index.table, index=index, column="region", row_ids=(0, 1), values=(1,)
+            )
 
     def test_shared_lowering_matches_evaluate_on_index_and_view(self):
         """One code path: the IR lowers a full index and a shard view
@@ -564,15 +570,100 @@ class TestTimeValidation:
 
 
 def test_session_report_exposes_every_shared_metric_field():
-    """Every dataclass field QueueMetrics and ClusterMetrics have in common
-    reads straight off a SessionReport, on both tiers."""
-    shared = {f.name for f in dataclasses.fields(QueueMetrics)} & {
-        f.name for f in dataclasses.fields(ClusterMetrics)
+    """Every tier's metrics are QueueMetrics, and its whole surface —
+    dataclass fields and derived rates — reads straight off a
+    SessionReport, which also survives copy and pickle (an unguarded
+    ``__getattr__`` delegate would recurse there)."""
+    surface = {f.name for f in dataclasses.fields(QueueMetrics)} | {
+        "rejection_rate",
+        "deadline_miss_rate",
+        "pipeline_speedup",
     }
-    assert {"offered", "sojourn_p99_ns", "energy_j", "cache_hits"} <= shared
     column = _random_column(np.random.default_rng(25))
-    for session in (_service_session(), _cluster_session(2)):
+    for session in (_service_session(), _cluster_session(2), PimSession.over_host()):
         session.scan(column, "less_than", 9).result()
         report = session.report()
-        for name in shared:
+        assert isinstance(report.details, QueueMetrics)
+        assert isinstance(report.details, ClusterMetrics) == (session.tier == "cluster")
+        assert report.batches >= 1 and report.pipeline_speedup > 0.0
+        for name in surface:
             assert getattr(report, name) == getattr(report.details, name)
+        with pytest.raises(AttributeError):
+            report.no_such_metric
+        assert copy.deepcopy(report) == report
+        assert pickle.loads(pickle.dumps(report)) == report
+
+
+class TestRequestBoundary:
+    """A malformed request fails where it is built — it can no longer be
+    admitted, popped with its batch, and strand the innocent siblings."""
+
+    BACKENDS = TestTimeValidation.BACKENDS
+
+    @pytest.mark.parametrize("tier", ["cluster", "service"])
+    def test_bad_request_never_reaches_the_queue(self, tier):
+        rng = np.random.default_rng(26)
+        index = _bitmap_index(rng)
+        session = PimSession(self.BACKENDS[tier]())
+        good = session.conjunction(index, [("region", (1, 2)), ("status", (0,))])
+        records = len(session.backend.records)
+        with pytest.raises(KeyError):
+            session.conjunction(index, [("region", (1,)), ("nope", (0,))])
+        with pytest.raises(KeyError):
+            session.submit(
+                BitmapConjunctionRequest(index=index, predicates=(("region", (99,)),))
+            )
+        with pytest.raises(ValueError):
+            session.update(index.table, index, "region", row_ids=(0, 1), values=(1,))
+        assert len(session.backend.records) == records
+        assert len(session.futures) == 1
+        expected, _ = index.evaluate_conjunction([("region", (1, 2)), ("status", (0,))])
+        assert np.array_equal(good.result().value, expected)
+
+    def test_validation_never_repairs_a_dirty_column(self):
+        """The probe is side-effect free: building a request over a
+        lazily-dirty column leaves the rebuild (and its charge) to the
+        batch that first reads it."""
+        index = _bitmap_index(np.random.default_rng(27))
+        index.mark_dirty(["region"])
+        BitmapConjunctionRequest(index=index, predicates=(("region", (1, 7)),))
+        BitmapConjunctionRequest(
+            index=index.shard_view(["region"]), predicates=(("region", (0,)),)
+        )
+        assert index.dirty_columns() == ["region"]
+        assert index.rebuilds == 0
+
+
+def test_cluster_details_sum_cache_counters_over_the_parts():
+    """A scattered record's details report the per-part sums, whether the
+    record completed or was rejected after its parts were served."""
+    index = _bitmap_index(np.random.default_rng(28))
+    cluster = ClusterFrontend(
+        num_shards=3,
+        router=ShardRouter(3, strategy="range"),
+        engine_factory=lambda: _engine(),
+        cache=True,
+    )
+    cluster.router.register_names(index.indexed_columns())
+    session = PimSession(cluster)
+    predicates = [("region", (1, 2)), ("status", (0, 1)), ("tier", (0,))]
+    first = session.conjunction(index, predicates)
+    first.result()
+    second = session.conjunction(index, predicates)
+    for future in (first, second):
+        details = future.result().details
+        parts = future.record.parts
+        assert len(parts) == 3
+        assert details.cache_hits == sum(p.cache_hits for p in parts)
+        assert details.cache_misses == sum(p.cache_misses for p in parts)
+    assert first.result().details.cache_misses > 0
+    assert second.result().details.cache_hits > 0
+    # A served scatter that a late shed sinks keeps its parts' counters.
+    third = session.conjunction(index, predicates)
+    session.drain()
+    record = third.record
+    record.admitted, record.rejected_reason = False, "shed"
+    rejected = third.response()
+    assert rejected.status == "rejected"
+    assert rejected.details.cache_hits == sum(p.cache_hits for p in record.parts) > 0
+    assert rejected.details.cache_misses == sum(p.cache_misses for p in record.parts)

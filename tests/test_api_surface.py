@@ -11,30 +11,21 @@ import repro.api as api
 
 #: The pinned public surface.  Keep sorted; update deliberately.
 EXPECTED_EXPORTS = [
-    "AppendSpec",
     "Backend",
     "ClusterDetails",
-    "ConjunctionSpec",
-    "DeleteSpec",
     "Future",
     "HostBackend",
     "HostDetails",
     "PimSession",
-    "QuerySpec",
     "RequestFailed",
     "RequestRejected",
     "Response",
     "ResponseDetails",
     "SCAN_KINDS",
-    "ScanSpec",
     "ServiceDetails",
     "SessionReport",
     "ShardUnavailable",
-    "UpdateSpec",
-    "WriteSpec",
     "lower_conjunction_steps",
-    "range_count_spec",
-    "spec_for_request",
 ]
 
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ambit.engine import AmbitConfig, AmbitEngine
-from repro.api import PimSession
+from repro.api import PimSession, lower_conjunction_steps
 from repro.cluster import ClusterFrontend, ShardRouter
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.sharding import BitmapIndexShardView, TableShardView
@@ -169,7 +169,7 @@ class TestShardViews:
         with pytest.raises(KeyError):
             view.bitmap("status", 0)
         with pytest.raises(KeyError):
-            view.lower_conjunction([("status", [0])])
+            lower_conjunction_steps(view, [("status", [0])])
         with pytest.raises(KeyError):
             BitmapIndexShardView(index, ["nope"])
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import PimSession
+from repro.api import PimSession, lower_conjunction_steps
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.bitweaving import BitWeavingColumn
 from repro.database.queries import QueryEngine
@@ -113,7 +113,7 @@ class TestBitmapIndex:
         whole = ColumnTable("whole", 65536)
         whole.add_column("c", np.arange(65536) % 4, cardinality=4)
         index = BitmapIndex(whole, ["c"])
-        steps, _result, _plan = index.lower_conjunction([("c", [1, 2])])
+        steps, _result, _plan = lower_conjunction_steps(index, [("c", [1, 2])])
         (_op, a, b, out) = steps[0]
         for operand, value in ((a, 1), (b, 2)):
             assert np.shares_memory(operand.data, index.bitmap("c", value))
@@ -126,7 +126,7 @@ class TestBitmapIndex:
         short = ColumnTable("short", 16384)
         short.add_column("c", np.arange(16384) % 4, cardinality=4)
         index = BitmapIndex(short, ["c"])
-        steps, _result, _plan = index.lower_conjunction([("c", [0, 3])])
+        steps, _result, _plan = lower_conjunction_steps(index, [("c", [0, 3])])
         (_op, a, b, _out) = steps[0]
         for operand, value in ((a, 0), (b, 3)):
             plane = index.bitmap("c", value)
@@ -138,9 +138,6 @@ class TestBitmapIndex:
     def test_storage_and_bulk_vectors(self, table):
         index = BitmapIndex(table, ["region"])
         assert index.storage_bytes() == 16 * ((table.num_rows + 7) // 8)
-        vectors = index.as_bulk_vectors("region")
-        assert len(vectors) == 16
-        assert vectors[0].num_bits == table.num_rows
 
 
 class TestBitWeaving:
