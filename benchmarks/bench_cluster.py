@@ -24,7 +24,7 @@ import pytest
 from repro.ambit.engine import AmbitConfig, AmbitEngine
 from repro.analysis.tables import ResultTable
 from repro.api import PimSession
-from repro.cluster import ClusterFrontend, ShardRouter
+from repro.cluster import ShardRouter
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.bitweaving import BitWeavingColumn
 from repro.database.tables import ColumnTable
@@ -68,12 +68,13 @@ def _engine_factory():
     return AmbitEngine(DramDevice.ddr3(), AmbitConfig(banks_parallel=BANKS_PER_SHARD))
 
 
-def _build_cluster(num_shards: int) -> ClusterFrontend:
-    return ClusterFrontend(
+def _cluster_session(num_shards: int, name: str, policy: BatchPolicy) -> PimSession:
+    return PimSession.over_cluster(
         num_shards=num_shards,
+        name=name,
         router=ShardRouter(num_shards),
         engine_factory=_engine_factory,
-        policy=BatchPolicy(max_batch=MAX_BATCH, window_ns=None),
+        policy=policy,
         max_queue_depth=MAX_QUEUE_DEPTH,
         # sanitize: every shard dispatch, lowered chain, and scatter is
         # certified by repro.verify — the benchmark doubles as its workload.
@@ -87,7 +88,9 @@ def _run_experiment():
     for num_shards in SHARD_COUNTS:
         # The exact same session loop drives one shard or four — the
         # unified client API is the knob-free part of the scaling story.
-        session = PimSession(_build_cluster(num_shards), name=f"cluster_{num_shards}")
+        session = _cluster_session(
+            num_shards, f"cluster_{num_shards}", BatchPolicy(max_batch=MAX_BATCH, window_ns=None)
+        )
         requests = [ScanRequest(column=c, kind=k, constants=cs) for c, k, cs in scans]
         events = poisson_schedule(
             requests,
@@ -144,17 +147,7 @@ def _conjunction_check(seed: int = 13):
         (("region", (0, 4)), ("tier", (1, 3))),
         (("status", (2,)), ("tier", (5,))),
     ]
-    session = PimSession(
-        ClusterFrontend(
-            num_shards=4,
-            router=ShardRouter(4),
-            engine_factory=_engine_factory,
-            policy=BatchPolicy(max_batch=MAX_BATCH),
-            max_queue_depth=MAX_QUEUE_DEPTH,
-            sanitize=True,
-        ),
-        name="cluster_conjunctions",
-    )
+    session = _cluster_session(4, "cluster_conjunctions", BatchPolicy(max_batch=MAX_BATCH))
     requests = [BitmapConjunctionRequest(index=index, predicates=c) for c in conjunctions]
     events = poisson_schedule(requests, rate_per_s=1e6, seed=seed)
     futures = session.submit_stream(events)

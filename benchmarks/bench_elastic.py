@@ -27,7 +27,13 @@ from repro.database.bitmap_index import BitmapIndex
 from repro.database.bitweaving import BitWeavingColumn
 from repro.database.tables import ColumnTable
 from repro.dram.device import DramDevice
-from repro.service import BatchPolicy, BitmapConjunctionRequest, ScanRequest, poisson_schedule
+from repro.service import (
+    BatchPolicy,
+    BitmapConjunctionRequest,
+    PipelineConfig,
+    ScanRequest,
+    poisson_schedule,
+)
 
 from _bench_utils import emit, emit_json
 
@@ -89,18 +95,21 @@ def _build_requests(seed: int = 17):
 
 
 def _build_cluster(faults=None) -> ClusterFrontend:
+    config = PipelineConfig(
+        policy=BatchPolicy(max_batch=MAX_BATCH, window_ns=None),
+        max_queue_depth=MAX_QUEUE_DEPTH,
+        # sanitize: every failover re-offer is certified by the
+        # repro.verify failover lint alongside the usual plan checks.
+        sanitize=True,
+    )
     return ClusterFrontend(
-        num_shards=NUM_SHARDS,
+        NUM_SHARDS,
+        config,
         router=ShardRouter(NUM_SHARDS, replication_factor=REPLICATION),
         engine_factory=lambda: AmbitEngine(
             DramDevice.ddr3(), AmbitConfig(banks_parallel=BANKS_PER_SHARD)
         ),
-        policy=BatchPolicy(max_batch=MAX_BATCH, window_ns=None),
-        max_queue_depth=MAX_QUEUE_DEPTH,
         faults=faults,
-        # sanitize: every failover re-offer is certified by the
-        # repro.verify failover lint alongside the usual plan checks.
-        sanitize=True,
     )
 
 

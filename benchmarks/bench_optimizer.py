@@ -41,9 +41,9 @@ from repro.analysis.tables import ResultTable
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.tables import ColumnTable
 from repro.service import (
-    BatchExecutor,
     BatchPolicy,
     BitmapConjunctionRequest,
+    PipelineConfig,
     ServiceFrontend,
     poisson_schedule,
 )
@@ -94,18 +94,18 @@ def _build_workload(seed: int = 7):
 
 def _run_mode(system, requests, optimize: bool):
     ambit = system["ambit"]
-    frontend = ServiceFrontend(
+    config = PipelineConfig.from_knobs(
         # sanitize: the race detector replays every dispatch, and (when
         # optimizing) the extended plan linter certifies every batch DAG
         # — the benchmark numbers are certified ones.
-        executor=BatchExecutor(engine=ambit, sanitize=True),
+        sanitize=True,
         policy=BatchPolicy(max_batch=MAX_BATCH, window_ns=None),
         max_queue_depth=10 * NUM_REQUESTS,  # unbounded: identical workloads
         optimize=optimize,
-        # Trace the optimized mode (bit-exactness with observe=False is a
-        # property test); its TRACE_optimizer.json ships with the bench JSON.
-        observe=optimize,
     )
+    # Trace the optimized mode (bit-exactness with observe=False is a
+    # property test); its TRACE_optimizer.json ships with the bench JSON.
+    frontend = ServiceFrontend(config, engine=ambit, observe=optimize)
     events = poisson_schedule(requests, rate_per_s=ARRIVAL_RATE_PER_S, seed=11)
     result = frontend.run(events, name="optimized" if optimize else "baseline")
     metrics = result.metrics

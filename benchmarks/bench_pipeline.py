@@ -31,8 +31,8 @@ import pytest
 from repro.analysis.tables import ResultTable
 from repro.database.bitweaving import BitWeavingColumn
 from repro.service import (
-    BatchExecutor,
     BatchPolicy,
+    PipelineConfig,
     ScanRequest,
     ServiceFrontend,
     poisson_schedule,
@@ -75,16 +75,17 @@ def _build_scans(seed: int = 7):
 
 def _run_mode(system, scans, pipeline: bool):
     ambit = system["ambit"]
-    frontend = ServiceFrontend(
+    config = PipelineConfig(
+        pipeline=pipeline,
         # sanitize: every dispatch is certified by the schedule race
         # detector (repro.verify) — the benchmark doubles as its workload.
-        executor=BatchExecutor(engine=ambit, pipeline=pipeline, sanitize=True),
+        sanitize=True,
         policy=BatchPolicy(max_batch=MAX_BATCH, window_ns=None),
         max_queue_depth=10 * NUM_SCANS,  # unbounded: identical workloads
-        # Trace the pipelined mode (bit-exactness with observe=False is a
-        # property test); its TRACE_pipeline.json ships with the bench JSON.
-        observe=pipeline,
     )
+    # Trace the pipelined mode (bit-exactness with observe=False is a
+    # property test); its TRACE_pipeline.json ships with the bench JSON.
+    frontend = ServiceFrontend(config, engine=ambit, observe=pipeline)
     requests = [ScanRequest(column=c, kind=k, constants=cs) for c, k, cs in scans]
     events = poisson_schedule(requests, rate_per_s=ARRIVAL_RATE_PER_S, seed=11)
     result = frontend.run(events, name="pipelined" if pipeline else "barrier")

@@ -60,13 +60,7 @@ def _build_scans(seed: int = 7):
 
 def _run_experiment(system):
     from repro.api import PimSession
-    from repro.service import (
-        BatchExecutor,
-        BatchPolicy,
-        ScanRequest,
-        ServiceFrontend,
-        poisson_schedule,
-    )
+    from repro.service import BatchPolicy, ScanRequest, poisson_schedule
 
     ambit = system["ambit"]
     scans = _build_scans()
@@ -85,15 +79,14 @@ def _run_experiment(system):
 
     # Frontend-shaped service under Poisson arrivals, driven through the
     # unified client API (the same loop drives the cluster benchmark).
-    session = PimSession(
-        ServiceFrontend(
-            # sanitize=True: every dispatched schedule is replayed by the
-            # race detector — the benchmark numbers are certified ones.
-            executor=BatchExecutor(engine=ambit, sanitize=True),
-            policy=BatchPolicy(max_batch=MAX_BATCH, window_ns=None),
-            max_queue_depth=MAX_QUEUE_DEPTH,
-        ),
+    session = PimSession.over_service(
+        engine=ambit,
         name="poisson_frontend",
+        # sanitize=True: every dispatched schedule is replayed by the
+        # race detector — the benchmark numbers are certified ones.
+        sanitize=True,
+        policy=BatchPolicy(max_batch=MAX_BATCH, window_ns=None),
+        max_queue_depth=MAX_QUEUE_DEPTH,
     )
     requests = [ScanRequest(column=c, kind=k, constants=cs) for c, k, cs in scans]
     events = poisson_schedule(

@@ -38,9 +38,9 @@ from repro.analysis.tables import ResultTable
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.tables import ColumnTable
 from repro.service import (
-    BatchExecutor,
     BatchPolicy,
     BitmapConjunctionRequest,
+    PipelineConfig,
     ServiceFrontend,
     poisson_schedule,
 )
@@ -123,16 +123,17 @@ def _run_mode(system, mode: str):
     ambit = system["ambit"]
     table, index, requests, duplication_rate = _build_stream()
     strategy = "eager" if mode == "eager_nocache" else mode
-    frontend = ServiceFrontend(
+    config = PipelineConfig(
         # sanitize: every dispatch is replayed by the race detector and
         # every lowered write certified by the write-plan lint (cache on
         # adds the cache-consistency lint after each invalidation).
-        executor=BatchExecutor(engine=ambit, sanitize=True),
+        sanitize=True,
         policy=BatchPolicy(max_batch=MAX_BATCH, window_ns=None),
         max_queue_depth=10 * NUM_REQUESTS,  # unbounded: identical workloads
         cache=(mode != "eager_nocache"),
         maintenance=strategy,
     )
+    frontend = ServiceFrontend(config, engine=ambit)
     events = poisson_schedule(requests, rate_per_s=ARRIVAL_RATE_PER_S, seed=11)
     result = frontend.run(events, name=mode)
     metrics = result.metrics

@@ -25,7 +25,7 @@ import numpy as np
 from repro.ambit.engine import AmbitConfig, AmbitEngine
 from repro.analysis.tables import ResultTable
 from repro.api import PimSession
-from repro.cluster import ClusterFrontend, ShardRouter
+from repro.cluster import ShardRouter
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.bitweaving import BitWeavingColumn
 from repro.database.tables import ColumnTable
@@ -42,9 +42,10 @@ def engine_factory() -> AmbitEngine:
     return AmbitEngine(DramDevice.ddr3(), AmbitConfig(banks_parallel=BANKS_PER_SHARD))
 
 
-def build_cluster(num_shards: int, router: ShardRouter = None) -> ClusterFrontend:
-    return ClusterFrontend(
+def cluster_session(num_shards: int, router: ShardRouter = None, name="session") -> PimSession:
+    return PimSession.over_cluster(
         num_shards=num_shards,
+        name=name,
         router=router or ShardRouter(num_shards),
         engine_factory=engine_factory,
         policy=BatchPolicy(max_batch=64, window_ns=None),
@@ -57,7 +58,7 @@ def hot_column_replication() -> None:
     rng = np.random.default_rng(1)
     hot = BitWeavingColumn(rng.integers(0, 1 << CODE_BITS, size=ROWS), CODE_BITS)
     router = ShardRouter(4, replication_factor=3, hot_columns=[hot])
-    cluster = build_cluster(4, router)
+    cluster = cluster_session(4, router).backend
     records = [
         cluster.offer(ScanRequest(column=hot, kind="less_than", constants=(c,)))
         for c in range(30, 42)
@@ -79,7 +80,7 @@ def scatter_gather() -> None:
     table.add_column("tier", rng.integers(0, 6, size=ROWS), cardinality=6)
     index = BitmapIndex(table, ["region", "status", "tier"])
 
-    session = PimSession(build_cluster(4))
+    session = cluster_session(4)
     predicates = [("region", (1, 2, 3)), ("status", (0, 1)), ("tier", (0, 2))]
     response = session.conjunction(index, predicates).result()
     expected, _plan = index.evaluate_conjunction(predicates)
@@ -118,7 +119,7 @@ def scaling_sweep() -> None:
     for num_shards in (1, 2, 4):
         # One session loop, any shard count: the unified API is what
         # makes "the same workload, both tiers" a one-line change.
-        session = PimSession(build_cluster(num_shards), name=f"cluster_{num_shards}")
+        session = cluster_session(num_shards, name=f"cluster_{num_shards}")
         events = poisson_schedule(list(scans), rate_per_s=16e6, seed=11)
         futures = session.submit_stream(events)
         session.drain()

@@ -36,13 +36,7 @@ from repro.api import PimSession
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.tables import ColumnTable
 from repro.dram.device import DramDevice
-from repro.service import (
-    BatchExecutor,
-    BatchPolicy,
-    BitmapConjunctionRequest,
-    ServiceFrontend,
-    poisson_schedule,
-)
+from repro.service import BatchPolicy, BitmapConjunctionRequest, poisson_schedule
 
 NUM_ROWS = 65536
 CARDINALITIES = {"region": 16, "status": 8, "channel": 8}
@@ -83,17 +77,13 @@ def build_stream(rng):
 
 
 def serve(requests, optimize):
-    session = PimSession(
-        ServiceFrontend(
-            executor=BatchExecutor(
-                engine=AmbitEngine(DramDevice.ddr3(), AmbitConfig(banks_parallel=8)),
-                sanitize=True,
-            ),
-            policy=BatchPolicy(max_batch=16, window_ns=None),
-            max_queue_depth=10 * NUM_REQUESTS,
-            optimize=optimize,
-        ),
+    session = PimSession.over_service(
+        engine=AmbitEngine(DramDevice.ddr3(), AmbitConfig(banks_parallel=8)),
         name="optimized" if optimize else "baseline",
+        sanitize=True,
+        policy=BatchPolicy(max_batch=16, window_ns=None),
+        max_queue_depth=10 * NUM_REQUESTS,
+        optimize=optimize,
     )
     session.submit_stream(poisson_schedule(requests, rate_per_s=6e6, seed=11))
     session.drain()

@@ -21,13 +21,12 @@ import numpy as np
 from repro.ambit.engine import AmbitConfig, AmbitEngine
 from repro.analysis.tables import ResultTable
 from repro.api import PimSession
-from repro.cluster import ClusterFrontend
 from repro.database.bitweaving import BitWeavingColumn
 from repro.dram.device import DramDevice
 from repro.service import (
     BackoffPolicy,
-    BatchExecutor,
     BatchPolicy,
+    PipelineConfig,
     RetryClient,
     ScanRequest,
     ServiceFrontend,
@@ -58,14 +57,14 @@ def build_events(seed: int = 3):
 
 
 def build_frontend() -> ServiceFrontend:
-    return ServiceFrontend(
-        executor=BatchExecutor(
-            engine=AmbitEngine(DramDevice.ddr3(), AmbitConfig(banks_parallel=8))
-        ),
+    config = PipelineConfig(
         # Batches must close while retries are pending (size 8 fires well
         # below the queue bound), or the queue never drains mid-stream.
         policy=BatchPolicy(max_batch=8, window_ns=None),
         max_queue_depth=24,
+    )
+    return ServiceFrontend(
+        config, engine=AmbitEngine(DramDevice.ddr3(), AmbitConfig(banks_parallel=8))
     )
 
 
@@ -95,15 +94,11 @@ def main() -> None:
     # The same client drives a sharded cluster unchanged — here wrapped in
     # a PimSession (the client speaks the shared Backend protocol either
     # way, so passing the session or its backend is equivalent).
-    session = PimSession(
-        ClusterFrontend(
-            num_shards=2,
-            engine_factory=lambda: AmbitEngine(
-                DramDevice.ddr3(), AmbitConfig(banks_parallel=8)
-            ),
-            policy=BatchPolicy(max_batch=8, window_ns=None),
-            max_queue_depth=12,
-        )
+    session = PimSession.over_cluster(
+        num_shards=2,
+        engine_factory=lambda: AmbitEngine(DramDevice.ddr3(), AmbitConfig(banks_parallel=8)),
+        policy=BatchPolicy(max_batch=8, window_ns=None),
+        max_queue_depth=12,
     )
     clustered = RetryClient(session, policy, seed=1).run(build_events(), name="cluster")
     table.add_row(

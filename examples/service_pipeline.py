@@ -37,9 +37,9 @@ from repro.dram.geometry import DramGeometry
 from repro.dram.timing import DramTimingParameters
 from repro.service import (
     ArrivalEvent,
-    BatchExecutor,
     BatchPolicy,
     BitmapConjunctionRequest,
+    PipelineConfig,
     ScanRequest,
     ServiceFrontend,
 )
@@ -98,13 +98,11 @@ def serve_stream() -> None:
     engine = AmbitEngine(DramDevice.ddr3(), AmbitConfig(banks_parallel=8))
     # The unified client API: a session over the service frontend.  The
     # identical loop would drive a ClusterFrontend or the host baseline.
-    session = PimSession(
-        ServiceFrontend(
-            executor=BatchExecutor(engine=engine),
-            policy=BatchPolicy(max_batch=48, window_ns=25_000.0, urgency_slack_ns=0.0),
-            max_queue_depth=64,
-        ),
+    session = PimSession.over_service(
+        engine=engine,
         name="two_class_stream",
+        policy=BatchPolicy(max_batch=48, window_ns=25_000.0, urgency_slack_ns=0.0),
+        max_queue_depth=64,
     )
     events = build_workload(rng)
     futures = session.submit_stream(events)
@@ -154,10 +152,11 @@ def verify_functional_smoke() -> None:
     engine = AmbitEngine(
         device, AmbitConfig(banks_parallel=4, vectorized_functional=True)
     )
-    executor = BatchExecutor(engine=engine, verify_fraction=0.5, verify_seed=3)
-    frontend = ServiceFrontend(
-        executor=executor, policy=BatchPolicy(max_batch=8), functional=True
+    config = PipelineConfig(
+        policy=BatchPolicy(max_batch=8), functional=True, verify_fraction=0.5, verify_seed=3
     )
+    frontend = ServiceFrontend(config, engine=engine)
+    executor = frontend.executor
     rng = np.random.default_rng(7)
     columns = [BitWeavingColumn(rng.integers(0, 64, size=300), 6) for _ in range(4)]
     for column in columns:

@@ -30,8 +30,8 @@ from repro.dram.device import DramDevice
 from repro.database.bitweaving import BitWeavingColumn
 from repro.obs import write_trace
 from repro.service import (
-    BatchExecutor,
     BatchPolicy,
+    PipelineConfig,
     ScanRequest,
     ServiceFrontend,
     poisson_schedule,
@@ -68,12 +68,10 @@ def build_requests(rng):
 def main() -> None:
     rng = np.random.default_rng(9)
     engine = AmbitEngine(DramDevice.ddr3(), AmbitConfig(banks_parallel=BANKS))
-    frontend = ServiceFrontend(
-        executor=BatchExecutor(engine=engine),
-        policy=BatchPolicy(max_batch=8, window_ns=None),
-        max_queue_depth=QUEUE_DEPTH,
-        observe=True,
+    config = PipelineConfig(
+        policy=BatchPolicy(max_batch=8, window_ns=None), max_queue_depth=QUEUE_DEPTH
     )
+    frontend = ServiceFrontend(config, engine=engine, observe=True)
     events = poisson_schedule(
         build_requests(rng), rate_per_s=ARRIVAL_RATE_PER_S, seed=17
     )

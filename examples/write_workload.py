@@ -31,9 +31,9 @@ from repro.database.bitmap_index import BitmapIndex
 from repro.database.tables import ColumnTable
 from repro.dram.device import DramDevice
 from repro.service import (
-    BatchExecutor,
     BatchPolicy,
     BitmapConjunctionRequest,
+    PipelineConfig,
     ServiceFrontend,
 )
 from repro.storage import AppendRequest, UpdateRequest
@@ -46,14 +46,14 @@ STATUS_PREDICATES = (("status", (0, 1)), ("region", (4, 5)))
 
 def build_frontend(maintenance: str, cache: bool) -> ServiceFrontend:
     engine = AmbitEngine(DramDevice.ddr3(), AmbitConfig(banks_parallel=8))
-    return ServiceFrontend(
-        executor=BatchExecutor(engine=engine, sanitize=True),
+    config = PipelineConfig(
+        sanitize=True,
         policy=BatchPolicy(max_batch=16, window_ns=None),
         max_queue_depth=512,
         cache=cache,
         maintenance=maintenance,
-        observe=True,
     )
+    return ServiceFrontend(config, engine=engine, observe=True)
 
 
 def build_table(seed: int = 5):

@@ -6,9 +6,9 @@ benchmark tables use: one row per audited schedule with its placement,
 batch, lane, busy-union and overlap accounting, and — when the audit is
 run non-raising — every violation listed underneath.  This is the
 offline/"report" face of the sanitizer; the online face is the
-``sanitize=True`` knob on :class:`~repro.service.executor.BatchExecutor`
-and :class:`~repro.cluster.frontend.ClusterFrontend`, which raises on the
-first violation instead.
+``sanitize=True`` knob of :class:`~repro.service.config.PipelineConfig`
+(either tier, or a hand-built executor), which raises on the first
+violation instead.
 """
 
 from __future__ import annotations

@@ -40,19 +40,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.metrics import (
     ClusterMetrics,
     QueueMetrics,
     summarize_queue_records,
 )
+from repro.ambit.engine import AmbitEngine
 from repro.api.backends import Backend, HostBackend
-from repro.cluster.frontend import FAILURE_REASONS
+from repro.cluster.faults import FaultPlan
+from repro.cluster.frontend import FAILURE_REASONS, ClusterFrontend
+from repro.cluster.router import ShardRouter
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.queries import QueryEngine
 from repro.obs import NULL_OBSERVER, Observer, resolve_observe
-from repro.service.frontend import ArrivalEvent, replay
+from repro.service.config import DEFAULT_MERGE_NS_PER_OP, PipelineConfig
+from repro.service.frontend import ArrivalEvent, ServiceFrontend, replay
 from repro.service.requests import (
     BitmapConjunctionRequest,
     ScanRequest,
@@ -359,10 +363,10 @@ class PimSession:
             (span trees per request, counters/histograms in
             ``report().obs``); an observer shares a plane.  ``False``
             (the default) adopts whatever plane the backend already
-            carries, so ``PimSession.over_service(observe=True)`` — the
-            knob forwarded to the frontend — also lights up the session
-            surface.  The host backend has no spans (it executes
-            immediately); a session over it records nothing.
+            carries, so ``PimSession.over_service(observe=True)`` — handed
+            to the frontend — also lights up the session surface.  The
+            host backend has no spans (it executes immediately); a session
+            over it records nothing.
     """
 
     def __init__(
@@ -399,25 +403,26 @@ class PimSession:
     # ------------------------------------------------------------------
     @classmethod
     def over_service(
-        cls, engine=None, coster=None, name="service_session", pipeline=True, **kwargs
+        cls,
+        engine: Optional[AmbitEngine] = None,
+        coster: Optional[QueryEngine] = None,
+        name: str = "service_session",
+        observe: Union[bool, Observer] = False,
+        **knobs: Any,
     ) -> "PimSession":
         """A session over a fresh single-device :class:`ServiceFrontend`.
 
         ``engine`` is the :class:`~repro.ambit.engine.AmbitEngine` to
-        execute on (a vectorized default is built when omitted);
-        ``pipeline`` selects lane-pipelined vs batch-synchronous dispatch
-        (see :class:`~repro.service.executor.BatchExecutor`); other
-        keyword arguments go to the frontend (``policy``,
-        ``max_queue_depth``, ``max_backlog_ns``, ``functional``,
-        ``shed_low_priority``, ``optimize`` for the batch plan
-        optimizer, ``observe`` for the observability plane — the session
-        adopts the frontend's plane automatically).
+        execute on (a vectorized default is built when omitted) and
+        ``observe`` the frontend's observability plane (the session
+        adopts it).  ``knobs`` are the fields of
+        :class:`~repro.service.config.PipelineConfig` — the same keywords
+        on both tiers — in the loose spellings
+        :meth:`~repro.service.config.PipelineConfig.from_knobs` accepts
+        (``optimize=True``, ``cache=True``, ``maintenance="hybrid"``).
         """
-        from repro.service.executor import BatchExecutor  # local: avoid cycle
-        from repro.service.frontend import ServiceFrontend  # local: avoid cycle
-
         frontend = ServiceFrontend(
-            executor=BatchExecutor(engine=engine, pipeline=pipeline), **kwargs
+            PipelineConfig.from_knobs(**knobs), engine=engine, observe=observe
         )
         return cls(frontend, coster=coster, name=name)
 
@@ -427,19 +432,29 @@ class PimSession:
         num_shards: int = 2,
         coster: Optional[QueryEngine] = None,
         name: str = "cluster_session",
-        **kwargs: Any,
+        router: Optional[ShardRouter] = None,
+        engine_factory: Optional[Callable[[], AmbitEngine]] = None,
+        merge_ns_per_op: float = DEFAULT_MERGE_NS_PER_OP,
+        observe: Union[bool, Observer] = False,
+        faults: Optional[FaultPlan] = None,
+        **knobs: Any,
     ) -> "PimSession":
         """A session over a fresh N-shard :class:`ClusterFrontend`.
 
-        Keyword arguments go to the cluster frontend (``router``,
-        ``engine_factory``, ``policy``, admission knobs,
-        ``merge_ns_per_op``, ``optimize`` for shard-local batch plan
-        optimizers, ``observe`` for a cluster-wide observability plane —
-        the session adopts the cluster's plane automatically).
+        The named arguments are the cluster's topology (see
+        :class:`~repro.cluster.frontend.ClusterFrontend`); ``knobs`` are
+        the per-shard pipeline knobs, exactly as for :meth:`over_service`.
         """
-        from repro.cluster.frontend import ClusterFrontend  # local: avoid cycle
-
-        return cls(ClusterFrontend(num_shards=num_shards, **kwargs), coster=coster, name=name)
+        cluster = ClusterFrontend(
+            num_shards,
+            PipelineConfig.from_knobs(**knobs),
+            router=router,
+            engine_factory=engine_factory,
+            merge_ns_per_op=merge_ns_per_op,
+            observe=observe,
+            faults=faults,
+        )
+        return cls(cluster, coster=coster, name=name)
 
     @classmethod
     def over_host(

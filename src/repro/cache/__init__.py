@@ -8,6 +8,6 @@ accounted end-to-end through the metrics roll-ups.  See
 
 from __future__ import annotations
 
-from repro.cache.result_cache import ResultCache, resolve_cache
+from repro.cache.result_cache import ResultCache
 
-__all__ = ["ResultCache", "resolve_cache"]
+__all__ = ["ResultCache"]

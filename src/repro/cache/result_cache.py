@@ -26,7 +26,7 @@ Cached bytes are stored read-only and handed out as copies — the
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -234,13 +234,4 @@ class ResultCache:
         self._bytes = 0
 
 
-def resolve_cache(cache: Union[None, bool, ResultCache]) -> Optional[ResultCache]:
-    """Normalize a ``cache=`` knob: ``True`` builds a default-capacity
-    cache, ``False``/``None`` disables caching, an instance passes
-    through (shareable across frontends of one device)."""
-    if isinstance(cache, ResultCache):
-        return cache
-    return ResultCache() if cache else None
-
-
-__all__ = ["ResultCache", "resolve_cache"]
+__all__ = ["ResultCache"]

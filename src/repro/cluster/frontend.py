@@ -32,6 +32,10 @@ rejected.
 drives them together: arrivals are processed in global order, each shard
 serves whatever batches its policy closes before the next arrival, and
 routing decisions read the shard loads *at the arrival instant*.
+
+**Configuration.**  Every shard — initial or joined — is built from the
+cluster's one :class:`~repro.service.config.PipelineConfig`, where the
+per-shard knobs are declared; the constructor takes only the topology.
 """
 
 from __future__ import annotations
@@ -43,17 +47,15 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional,
 
 import numpy as np
 
-from repro.ambit.engine import AmbitConfig, AmbitEngine
+from repro.ambit.engine import AmbitEngine
 from repro.analysis.metrics import ClusterMetrics, combine_serial
-from repro.cache.result_cache import ResultCache
 from repro.cluster.faults import FaultPlan
 from repro.cluster.router import PlacementUnavailable, ShardRouter
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.sharding import BitmapIndexShardView
 from repro.obs import Observer, resolve_observe
-from repro.service.executor import BatchExecutor
+from repro.service.config import DEFAULT_MERGE_NS_PER_OP, PipelineConfig
 from repro.service.frontend import ArrivalEvent, PipelineResult, ServiceFrontend, replay
-from repro.service.planner import BatchPolicy
 from repro.service.requests import (
     BitmapConjunctionRequest,
     CopyRequest,
@@ -63,12 +65,10 @@ from repro.service.requests import (
     ScanRequest,
     checked_arrival,
 )
-from repro.storage.maintenance import MaintenancePolicy, resolve_maintenance
-from repro.storage.requests import WriteRequest, charged_columns, is_write_request
+from repro.storage.requests import WriteRequest, charged_columns, check_row_ids, is_write_request
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.controller import ElasticController
-    from repro.optimizer.passes import OptimizerConfig
 
 #: ``rejected_reason`` values that mean infrastructure failure (a shard
 #: died or no replica holds the data), not admission-control refusal.
@@ -168,39 +168,22 @@ class ClusterResult:
         return [r for r in self.records if not r.admitted]
 
 
-def _default_engine_factory() -> AmbitEngine:
-    return AmbitEngine(config=AmbitConfig(vectorized_functional=True))
-
-
 class ClusterFrontend:
     """Routes, scatters, and gathers requests over N shard executors.
 
     Args:
-        num_shards: Shard executors to build (ignored when ``shards`` is
-            given).
+        num_shards: Shard executors to build.
+        config: The :class:`~repro.service.config.PipelineConfig` every
+            shard frontend is built from (defaults to ``PipelineConfig()``).
+            At the coordinator, ``sanitize`` also certifies every scatter,
+            write scatter and failover re-offer, and a write invalidates
+            the affected entries of every shard's cache (see :meth:`offer`).
         router: Placement/routing policy (defaults to a hash router with
             no replication over ``num_shards`` shards).
         engine_factory: Builds one engine **per shard** — each shard is
             its own device; sharing an engine would share banks and void
-            the scaling story.
-        policy: Batch-closing policy applied to every shard's planner.
-        max_queue_depth / max_backlog_ns / shed_low_priority: Per-shard
-            admission knobs (see :class:`ServiceFrontend`).
-        functional: Execute shard batches on the simulated banks.
-        pipeline: Per-shard lane pipelining (the default; see
-            :class:`~repro.service.executor.BatchExecutor`).  Each shard
-            advances its own bank lanes independently, so a hot shard
-            dispatches its next batch the moment one of its banks drains
-            instead of stalling behind its own prior batch's makespan.
-            ``False`` restores batch-synchronous shards for A/B runs.
-        sanitize: Run the static verification layer cluster-wide: every
-            shard executor is built with ``sanitize=True`` (schedule race
-            detector on each dispatch, plan lint on each lowered chain)
-            and every scattered conjunction's shard parts are certified
-            to cover the full predicate set exactly once before being
-            offered.  Ignored for pre-built ``shards``, which keep their
-            own executors' setting.
-        shards: Pre-built shard frontends (overrides the factory path).
+            the scaling story.  Omitted, every shard builds the executor's
+            default engine.
         merge_ns_per_op: Host time charged per *level* of the gather-side
             AND-merge tree of shard partials.  The merge runs on the
             host, not on a device: partials are merged pairwise in
@@ -208,101 +191,47 @@ class ClusterFrontend:
             per-op chain — and the total is charged to the record's
             completion time (and rolled up in
             :attr:`ClusterMetrics.host_merge_ns`) rather than to device
-            metrics.  The default prices one AND over an 8 KiB row-sized
-            bitmap through host memory (read two operands, write one
-            result at tens of GB/s); 0 restores the pre-costing
-            behaviour.
-        optimize: Enable the batch plan optimizer on every shard's
-            planner: ``True`` for the default
-            :class:`~repro.optimizer.OptimizerConfig`, or an explicit
-            config.  Each shard's batches CSE and split shard-locally
-            (over its own shard views and bank lanes); the gather path is
-            untouched.  Ignored for pre-built ``shards``.
-        cache: Shard-local result caching: ``True`` gives every shard
-            frontend its *own* :class:`~repro.cache.ResultCache` (entries
-            are keyed by the shard's index views, so caches never share
-            bitmaps across shards); an instance is shared verbatim (the
-            view-scoped keys keep shard entries disjoint even then).
-            Writes invalidate the affected entries on every shard at the
-            coordinator (see :meth:`offer`).  Ignored for pre-built
-            ``shards`` — their planners' caches win.
-        maintenance: Index-maintenance policy for cluster writes: a
-            strategy name or one :class:`~repro.storage
-            .MaintenancePolicy` shared by the coordinator and every shard
-            planner (so hybrid hotness aggregates reads cluster-wide).
-            For pre-built ``shards`` the policy still drives the
-            coordinator's functional write step, but each shard keeps
-            its planner's own policy for charging.
+            metrics.  0 restores the pre-costing behaviour.
         observe: Observability plane (``repro.obs``): ``True`` records
             one span tree per cluster request (scatter → per-shard parts
             → gather-merge) with every shard's frontend and executor
             sharing the plane (shard-prefixed lane tracks), plus
-            cluster-level counters/histograms.  Applies to pre-built
-            ``shards`` too (they are re-bound).  Recording never changes
+            cluster-level counters/histograms.  Recording never changes
             routing, admission, schedules, or results.
+        faults: The fault schedule driven by :meth:`advance_to` /
+            :meth:`drain` (None runs the healthy fixed pool).
     """
-
-    #: Default host cost of AND-merging two 8 KiB partial bitmaps.
-    DEFAULT_MERGE_NS_PER_OP = 250.0
 
     def __init__(
         self,
         num_shards: int = 2,
+        config: Optional[PipelineConfig] = None,
         router: Optional[ShardRouter] = None,
         engine_factory: Optional[Callable[[], AmbitEngine]] = None,
-        policy: Optional[BatchPolicy] = None,
-        max_queue_depth: int = 64,
-        max_backlog_ns: Optional[float] = None,
-        functional: bool = False,
-        pipeline: bool = True,
-        shed_low_priority: bool = False,
-        sanitize: bool = False,
-        shards: Optional[List[ServiceFrontend]] = None,
         merge_ns_per_op: float = DEFAULT_MERGE_NS_PER_OP,
-        optimize: Union[bool, "OptimizerConfig"] = False,
-        cache: Union[None, bool, ResultCache] = None,
-        maintenance: Union[None, str, MaintenancePolicy] = None,
         observe: Union[bool, Observer] = False,
         faults: Optional[FaultPlan] = None,
     ) -> None:
         if merge_ns_per_op < 0.0:
             raise ValueError("merge_ns_per_op must be non-negative")
+        if num_shards < 1:
+            raise ValueError("num_shards must be at least 1")
         self.merge_ns_per_op = float(merge_ns_per_op)
-        self.sanitize = sanitize
-        self.maintenance = resolve_maintenance(maintenance)
-        # Shard-construction knobs are kept so :meth:`join_shard` can mint
-        # new shards identical to the originals (pre-built ``shards`` get
-        # joins built from the same knobs the defaults would use).
-        self._engine_factory = engine_factory or _default_engine_factory
-        self._pipeline = pipeline
-        self._shard_kwargs: Dict[str, Any] = dict(
-            policy=policy,
-            max_queue_depth=max_queue_depth,
-            max_backlog_ns=max_backlog_ns,
-            functional=functional,
-            shed_low_priority=shed_low_priority,
-            optimize=optimize,
-            cache=cache,
-            maintenance=self.maintenance,
-        )
-        if shards is not None:
-            if not shards:
-                raise ValueError("shards must not be empty")
-            self.shards = list(shards)
-        else:
-            if num_shards < 1:
-                raise ValueError("num_shards must be at least 1")
-            self.shards = [self._build_shard() for _ in range(num_shards)]
+        config = config or PipelineConfig()
+        #: One policy for the coordinator's functional write step and
+        #: every shard planner's charging: pinned into the config the
+        #: shards (and :meth:`join_shard`) are built from.
+        self.maintenance = config.new_maintenance()
+        self.config = dataclasses.replace(config, maintenance=self.maintenance)
+        self._engine_factory = engine_factory
+        self.shards = [self._build_shard() for _ in range(num_shards)]
         self.router = router or ShardRouter(len(self.shards))
         if self.router.num_shards != len(self.shards):
             raise ValueError("router shard count must match the cluster's")
         self.records: List[ClusterRecord] = []
         self.clock_ns = 0.0
         self._seq = 0
-        self.obs = resolve_observe(False)
-        resolved = resolve_observe(observe)
-        if resolved.enabled:
-            self.bind_observer(resolved)
+        self.bind_observer(resolve_observe(observe))
         # Shard views per index, pinned by the index object itself (id()
         # reuse must not hand one index's placement to another) and by
         # the router's placement epoch (live re-placement, joins, and
@@ -328,14 +257,8 @@ class ClusterFrontend:
         self.copy_ns_total = 0.0
 
     def _build_shard(self) -> ServiceFrontend:
-        return ServiceFrontend(
-            executor=BatchExecutor(
-                engine=self._engine_factory(),
-                pipeline=self._pipeline,
-                sanitize=self.sanitize,
-            ),
-            **self._shard_kwargs,
-        )
+        factory = self._engine_factory
+        return ServiceFrontend(self.config, engine=factory() if factory else None)
 
     # ------------------------------------------------------------------
     # Observability
@@ -475,6 +398,8 @@ class ClusterFrontend:
         all-or-nothing: one refused part withdraws the rest.
         """
         arrival = checked_arrival(self.clock_ns, arrival_ns, deadline_ns)
+        if is_write_request(request):
+            check_row_ids(request)
         self.clock_ns = max(self.clock_ns, arrival)
         record = ClusterRecord(
             request=request,
@@ -573,7 +498,7 @@ class ClusterFrontend:
                     dataclasses.replace(request, columns=(), apply=False),
                 )
             ]
-        if self.sanitize:
+        if self.config.sanitize:
             from repro.verify.plan_lint import check_write_scatter  # local: avoid cycle
 
             # Certify the scatter before any shard sees its part: the
@@ -639,7 +564,7 @@ class ClusterFrontend:
             )
             for shard, predicates in sorted(by_shard.items())
         ]
-        if self.sanitize:
+        if self.config.sanitize:
             from repro.verify.plan_lint import check_scatter_coverage  # local: avoid cycle
 
             # Certify the scatter before any shard sees its part: the
@@ -849,7 +774,7 @@ class ClusterFrontend:
 
     def join_shard(self, at_ns: Optional[float] = None) -> int:
         """Grow the pool by one shard (built from the cluster's own
-        construction knobs) starting life at ``at_ns``; returns its id.
+        :attr:`config`) starting life at ``at_ns``; returns its id.
         Existing placements are sticky — the new shard takes load via
         affinity-free routing, controller re-replication, and keys first
         seen after the join."""
@@ -933,7 +858,7 @@ class ClusterFrontend:
         except PlacementUnavailable:
             self._fail_record(record, "shard_unavailable", now)
             return None
-        if self.sanitize:
+        if self.config.sanitize:
             from repro.verify.plan_lint import check_failover_reoffer  # local: avoid cycle
 
             check_failover_reoffer(self.router, old_shard, [s for s, _ in plan])

@@ -105,6 +105,23 @@ class ColumnTable:
         self.num_rows += count
         return count
 
+    def checked_row_ids(self, row_ids: Sequence[int], unique: bool = False) -> np.ndarray:
+        """``row_ids`` as a one-dimensional integer array inside
+        ``[0, num_rows)`` (duplicate-free when ``unique``), or a typed
+        error.  Run by the mutators, and by the frontends at ``offer``."""
+        ids = np.asarray(row_ids)
+        if ids.ndim != 1:
+            raise ValueError("row_ids must be one-dimensional")
+        if ids.size == 0:
+            return ids
+        if not np.issubdtype(ids.dtype, np.integer):
+            raise TypeError("row_ids must be integers")
+        if ids.min() < 0 or ids.max() >= self.num_rows:
+            raise ValueError(f"row_ids must be in [0, {self.num_rows})")
+        if unique and np.unique(ids).size != ids.size:
+            raise ValueError("row_ids must be unique within one update")
+        return ids
+
     def update_rows(self, name: str, row_ids: Sequence[int], values: Sequence[int]) -> int:
         """Overwrite ``column[row_ids] = values``; returns rows updated.
 
@@ -113,20 +130,14 @@ class ColumnTable:
         range.  Cardinality widens for new codes.
         """
         column = self.column(name)
-        ids = np.asarray(row_ids)
+        ids = self.checked_row_ids(row_ids, unique=True)
         codes = np.asarray(values)
-        if ids.shape != codes.shape or ids.ndim != 1:
+        if ids.shape != codes.shape:
             raise ValueError("row_ids and values must be one-dimensional and equal-length")
         if ids.size == 0:
             return 0
-        if not np.issubdtype(ids.dtype, np.integer):
-            raise TypeError("row_ids must be integers")
         if not np.issubdtype(codes.dtype, np.integer):
             raise TypeError("updated codes must be integers")
-        if ids.min() < 0 or ids.max() >= self.num_rows:
-            raise ValueError(f"row_ids must be in [0, {self.num_rows})")
-        if np.unique(ids).size != ids.size:
-            raise ValueError("row_ids must be unique within one update")
         if codes.min() < 0:
             raise ValueError("updated codes must be non-negative")
         column[ids] = codes.astype(np.int64)
@@ -136,16 +147,9 @@ class ColumnTable:
     def delete_rows(self, row_ids: Sequence[int]) -> int:
         """Physically delete rows; later rows renumber down (simulation
         semantics — there is no tombstone layer).  Returns rows deleted."""
-        ids = np.asarray(row_ids)
-        if ids.ndim != 1:
-            raise ValueError("row_ids must be one-dimensional")
+        ids = np.unique(self.checked_row_ids(row_ids))
         if ids.size == 0:
             return 0
-        if not np.issubdtype(ids.dtype, np.integer):
-            raise TypeError("row_ids must be integers")
-        if ids.min() < 0 or ids.max() >= self.num_rows:
-            raise ValueError(f"row_ids must be in [0, {self.num_rows})")
-        ids = np.unique(ids)
         for name in self.columns:
             self.columns[name] = np.delete(self.columns[name], ids)
         self.num_rows -= int(ids.size)

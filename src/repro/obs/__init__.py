@@ -6,10 +6,9 @@ tracing a run is bit-exact with not tracing it (property-tested in
 ``tests/test_obs.py``).  Wall-clock imports are banned here by the
 ``obs-wall-clock`` rule in ``tools/lint_invariants.py``.
 
-The public knob is ``observe=`` on :class:`~repro.service.BatchExecutor`,
-:class:`~repro.service.ServiceFrontend`,
-:class:`~repro.cluster.ClusterFrontend`, and
-:class:`~repro.api.PimSession`:
+The public knob is ``observe=`` on :class:`~repro.service.ServiceFrontend`,
+:class:`~repro.cluster.ClusterFrontend`, and :class:`~repro.api.PimSession`
+(each pushes its plane down to the executors it owns):
 
 * ``observe=False`` (default) — the shared :data:`NULL_OBSERVER`; hot
   paths allocate no span objects.

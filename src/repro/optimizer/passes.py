@@ -54,6 +54,7 @@ from repro.analysis.metrics import OperationMetrics
 from repro.api.plans import lower_predicate_steps
 from repro.cache.result_cache import ResultCache
 from repro.optimizer.canonical import Key, canonical_key, predicate_key, sort_token
+from repro.service.config import OptimizerConfig
 from repro.service.planner import LoweredGroup
 from repro.service.requests import (
     BitmapConjunctionRequest,
@@ -68,35 +69,6 @@ from repro.verify.plan_lint import (
     OptimizedRequestView,
     lint_optimized_batch,
 )
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Knobs of the batch plan optimizer.
-
-    Attributes:
-        cse: Share identical predicate sub-chains (and, in unsplit mode,
-            equal AND prefixes) across the batch's requests.
-        split_subchains: Spread one conjunction's independent sub-chains
-            across bank lanes and join them host-side, instead of
-            pinning the whole chain to one bank offset.
-        max_split_lanes: Most distinct bank offsets one request may fan
-            its sub-chains across (further sub-chains reuse the
-            cheapest of those offsets).
-        merge_ns_per_op: Host cost per level of the split join's pairwise
-            merge tree (the cluster gather path's model and default).
-    """
-
-    cse: bool = True
-    split_subchains: bool = True
-    max_split_lanes: int = 4
-    merge_ns_per_op: float = 250.0
-
-    def __post_init__(self) -> None:
-        if self.max_split_lanes < 1:
-            raise ValueError("max_split_lanes must be at least 1")
-        if self.merge_ns_per_op < 0.0:
-            raise ValueError("merge_ns_per_op must be non-negative")
 
 
 @dataclass

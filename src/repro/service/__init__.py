@@ -15,6 +15,7 @@ Callers that hand-build their own batches pass a request list straight to
 """
 
 from repro.service.client import BackoffPolicy, RetryClient, RetryOutcome, RetryRecord
+from repro.service.config import BatchPolicy, PipelineConfig
 from repro.service.executor import BatchExecutor
 from repro.service.lanes import HOST_LANE, LaneSchedule
 from repro.service.frontend import (
@@ -24,7 +25,7 @@ from repro.service.frontend import (
     poisson_schedule,
     trace_schedule,
 )
-from repro.service.planner import BatchPlanner, BatchPolicy, LoweredGroup
+from repro.service.planner import BatchPlanner, LoweredGroup
 from repro.service.pool import VectorPool
 from repro.service.requests import (
     BatchResult,
@@ -53,6 +54,7 @@ __all__ = [
     "HOST_LANE",
     "LaneSchedule",
     "LoweredGroup",
+    "PipelineConfig",
     "PipelineResult",
     "QueuedRequest",
     "RequestEnvelope",

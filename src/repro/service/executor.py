@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -61,7 +61,7 @@ from repro.ambit.bitvector import BulkBitVector
 from repro.ambit.engine import AmbitConfig, AmbitEngine
 from repro.analysis.metrics import BatchMetrics, OperationMetrics, combine_serial
 from repro.database.bitweaving import BitWeavingColumn
-from repro.obs import Observer, Span, resolve_observe
+from repro.obs import NULL_OBSERVER, Observer, Span
 from repro.rowclone.engine import RowCloneEngine
 from repro.service.lanes import HOST_LANE, LaneSchedule
 from repro.service.pool import VectorPool
@@ -91,8 +91,6 @@ class BatchExecutor:
     Args:
         engine: Ambit engine to execute on.  When omitted, an engine with
             the vectorized functional path enabled is created.
-        rowclone: RowClone engine for copy requests (created on the same
-            device when omitted).
         pool_capacity: Size of the LRU pool of intermediate row allocations.
         fuse: Enable operation fusion (shared plane complements).  Fusion
             never changes results or charged costs; disabling it is only
@@ -102,55 +100,33 @@ class BatchExecutor:
             times within the batch; per-request results, latencies, and
             energies are unchanged.  Disabling falls back to submission
             order, useful for A/B-testing the makespan.
-        pipeline: Carry per-bank lane horizons *across* batches (see
-            :class:`~repro.service.lanes.LaneSchedule`): a new batch's
-            requests start on banks the previous batch has drained
-            instead of waiting for its global makespan.  ``False``
-            restores the batch-synchronous barrier (a fresh schedule per
-            batch) for A/B benchmarking.  The mode only moves start
-            times — results and charged costs are identical either way.
-        verify_fraction: Fraction of each batch's requests that a
-            ``functional=True`` run executes on the simulated banks (and
-            verifies); the rest run analytically.  Sampling is
-            deterministic in ``verify_seed``, the executor's batch counter,
-            and the request's position, so a run is reproducible.
-        verify_seed: Seed of the verification sampler.
-        sanitize: Run the static verification layer on every dispatch:
-            the schedule race detector
-            (:class:`~repro.verify.schedule_check.ScheduleSanitizer`)
-            audits each batch's lane placements as they land (hazards,
-            causality, barrier bound, accounting), and the planner lints
-            every lowered conjunction chain before execution.  Any
-            violation raises a typed
-            :class:`~repro.verify.errors.VerifyError`.  Off by default;
-            intended for tests and benchmark certification runs.
-        observe: Observability plane (``repro.obs``): ``True`` records a
-            span per dispatched batch and per lane placement plus
-            executor counters/histograms; an :class:`~repro.obs.Observer`
-            shares a plane with the frontends.  Off by default — the
-            disabled path allocates no span objects, and recording never
-            changes results, schedules, or charged costs (the spans are
-            stamped from virtual-clock times the schedule already
-            computed).
+        pipeline / verify_fraction / verify_seed / sanitize: The
+            :class:`~repro.service.config.PipelineConfig` knobs of the same
+            names, documented there; this is the leaf that consumes them.
+
+    Tracing is off until :meth:`bind_observer` hands in a recording plane
+    (the frontends push theirs down): a span per dispatched batch and per
+    lane placement plus executor counters/histograms.  The disabled path
+    allocates no span objects, and recording never changes results,
+    schedules, or charged costs.
     """
 
     def __init__(
         self,
         engine: Optional[AmbitEngine] = None,
-        rowclone: Optional[RowCloneEngine] = None,
         pool_capacity: int = 16,
         fuse: bool = True,
         lpt: bool = True,
-        pipeline: bool = True,
-        verify_fraction: float = 1.0,
-        verify_seed: int = 0,
-        sanitize: bool = False,
-        observe: Union[bool, Observer] = False,
+        pipeline: bool = True,  # lint: allow[knob-drift]
+        verify_fraction: float = 1.0,  # lint: allow[knob-drift]
+        verify_seed: int = 0,  # lint: allow[knob-drift]
+        sanitize: bool = False,  # lint: allow[knob-drift]
     ) -> None:
         if not 0.0 <= verify_fraction <= 1.0:
             raise ValueError("verify_fraction must be in [0, 1]")
         self.engine = engine or AmbitEngine(config=AmbitConfig(vectorized_functional=True))
-        self.rowclone = rowclone or RowCloneEngine(
+        #: RowClone engine for copy requests, on the same device.
+        self.rowclone = RowCloneEngine(
             self.engine.device, banks_parallel=self.engine.config.banks_parallel
         )
         self.pool = VectorPool(self.engine, capacity=pool_capacity)
@@ -185,7 +161,7 @@ class BatchExecutor:
         #: sets ``"shard<i>/"`` so identical bank keys on different shard
         #: devices stay distinct Perfetto tracks.
         self.obs_prefix = ""
-        self.bind_observer(resolve_observe(observe))
+        self.bind_observer(NULL_OBSERVER)
 
     # ------------------------------------------------------------------
     # Observability
@@ -193,8 +169,8 @@ class BatchExecutor:
     def bind_observer(self, obs: Observer) -> None:
         """Adopt an observability plane (tracer + metrics registry).
 
-        Called at construction from the ``observe=`` knob, and by the
-        frontends when they push a shared plane down the pipeline.
+        Called by the frontends when they push their plane down the
+        pipeline (or directly, to trace hand-built batches).
         Declares one trace track per bank lane plus the host lane and a
         batch-dispatch row, so an exported trace always carries the full
         lane topology — including lanes that never ran work.

@@ -52,9 +52,12 @@ lane schedule, :attr:`completion_ns` extends the clock by the in-flight
 horizon, admission occupancy counts each bank's in-flight remainder on
 top of its queued backlog, and :attr:`busy_ns` accumulates the
 overlap-aware device-busy union rather than a sum of makespans.  With
-``BatchExecutor(pipeline=False)`` every one of these reduces to the
-batch-synchronous behaviour: the clock rides through each makespan and
-in-flight remainders are zero.
+``pipeline=False`` every one of these reduces to the batch-synchronous
+behaviour: the clock rides through each makespan and in-flight
+remainders are zero.
+
+Every knob named here is a field of
+:class:`~repro.service.config.PipelineConfig`, declared and validated there.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -72,11 +75,12 @@ from repro.analysis.metrics import (
     QueueMetrics,
     summarize_queue_records,
 )
-from repro.cache.result_cache import ResultCache, resolve_cache
+from repro.ambit.engine import AmbitEngine
 from repro.obs import Observer, resolve_observe
+from repro.service.config import PipelineConfig
 from repro.service.executor import BatchExecutor
 from repro.service.lanes import HOST_LANE
-from repro.service.planner import BatchPlanner, BatchPolicy, LoweredGroup
+from repro.service.planner import BatchPlanner, LoweredGroup
 from repro.service.requests import (
     BatchResult,
     FrontendRequest,
@@ -84,10 +88,7 @@ from repro.service.requests import (
     RequestEnvelope,
     checked_arrival,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.optimizer.passes import OptimizerConfig
-    from repro.storage.maintenance import MaintenancePolicy
+from repro.storage.requests import check_row_ids, is_write_request
 
 
 @dataclass
@@ -223,83 +224,43 @@ class ServiceFrontend:
     """Admission-controlled request frontend over the batch pipeline.
 
     Args:
-        executor: The execution stage (a default one is created on demand).
-        planner: The planning stage (defaults to one over ``executor``
-            with ``policy``).
-        policy: Batch-closing policy for the default planner.
-        max_queue_depth: Admission bound on queued (not yet serving)
-            requests.
-        max_backlog_ns: Admission bound on modeled bank occupancy: the
-            backlog already charged to the hottest bank the candidate
-            would occupy, plus the candidate's own latency.  None disables
-            occupancy-based admission.
-        functional: Execute batches on the simulated banks (subject to the
-            executor's ``verify_fraction``) instead of analytically.
-        shed_low_priority: When over an admission bound, evict queued work
-            of strictly lower priority (``rejected_reason="shed"``) to
-            make room, instead of only rejecting the candidate at the door.
-        optimize: Enable the batch plan optimizer on the default planner:
-            ``True`` for the default
-            :class:`~repro.optimizer.OptimizerConfig`, or an explicit
-            config.  Ignored when an explicit ``planner`` is passed
-            (configure that planner directly).
-        cache: Cross-batch result cache (``repro.cache``): ``True``
-            builds a default :class:`~repro.cache.ResultCache`, an
-            instance is adopted as-is (shareable across frontends over
-            one device), ``False``/``None`` disables caching.  Enabling
-            the cache auto-enables the batch plan optimizer (consults
-            and fills ride its canonical-key pass).  Ignored when an
-            explicit ``planner`` is passed — the planner's own
-            ``result_cache`` wins.
-        maintenance: Index-maintenance policy for write requests
-            (``repro.storage``): a strategy name (``"eager"``,
-            ``"lazy"``, ``"hybrid"``) or a configured
-            :class:`~repro.storage.MaintenancePolicy`; ``None`` means
-            eager.  Ignored when an explicit ``planner`` is passed.
+        config: Every pipeline knob (admission bounds, batch policy,
+            executor mode, optimizer, cache, maintenance); the frontend
+            builds its own :attr:`executor` and :attr:`planner` from it.
+            Defaults to ``PipelineConfig()``.
+        engine: The :class:`~repro.ambit.engine.AmbitEngine` to execute
+            on (a vectorized default is built when omitted).
         observe: Observability plane (``repro.obs``): ``True`` records a
             span tree per request (admission → queue → service) plus
-            frontend counters/gauges/histograms, and pushes the plane
-            down to the executor (batch + lane spans).  An
+            frontend counters/gauges/histograms, and is pushed down to the
+            executor (batch + lane spans) and the maintenance policy; an
             :class:`~repro.obs.Observer` shares one plane across
-            components; ``False`` (the default) adopts whatever plane the
-            executor already carries — so either end of the pipeline can
-            switch tracing on.  Recording never changes admission,
-            schedules, results, or accounting.
+            components.  Recording never changes admission, schedules,
+            results, or accounting.
     """
 
     def __init__(
         self,
-        executor: Optional[BatchExecutor] = None,
-        planner: Optional[BatchPlanner] = None,
-        policy: Optional[BatchPolicy] = None,
-        max_queue_depth: int = 64,
-        max_backlog_ns: Optional[float] = None,
-        functional: bool = False,
-        shed_low_priority: bool = False,
-        optimize: Union[bool, "OptimizerConfig"] = False,
-        cache: Union[None, bool, ResultCache] = None,
-        maintenance: Union[None, str, "MaintenancePolicy"] = None,
+        config: Optional[PipelineConfig] = None,
+        engine: Optional[AmbitEngine] = None,
         observe: Union[bool, Observer] = False,
     ) -> None:
-        if max_queue_depth <= 0:
-            raise ValueError("max_queue_depth must be positive")
-        self.executor = executor or BatchExecutor()
-        if planner is not None:
-            self.planner = planner
-            self.cache = planner.result_cache
-        else:
-            self.cache = resolve_cache(cache)
-            self.planner = BatchPlanner(
-                self.executor,
-                policy,
-                optimize=optimize,
-                maintenance=maintenance,
-                result_cache=self.cache,
-            )
-        self.max_queue_depth = max_queue_depth
-        self.max_backlog_ns = max_backlog_ns
-        self.functional = functional
-        self.shed_low_priority = shed_low_priority
+        config = config or PipelineConfig()
+        self.config = config
+        self.executor = BatchExecutor(
+            engine=engine,
+            pipeline=config.pipeline,
+            verify_fraction=config.verify_fraction,
+            verify_seed=config.verify_seed,
+            sanitize=config.sanitize,
+        )
+        self.planner = BatchPlanner(self.executor, config)
+        self.cache = self.planner.result_cache
+        # Hoisted: `offer` and `serve_batch` read these per request.
+        self.max_queue_depth = config.max_queue_depth
+        self.max_backlog_ns = config.max_backlog_ns
+        self.functional = config.functional
+        self.shed_low_priority = config.shed_low_priority
         self.clock_ns = 0.0
         self.records: List[QueuedRequest] = []
         #: One :class:`BatchMetrics` roll-up per served batch, in service
@@ -315,13 +276,7 @@ class ServiceFrontend:
         self._seq = 0
         self._backlog_ns = 0.0
         self._bank_backlog: Dict = {key: 0.0 for key in self.executor.active_bank_keys()}
-        if observe is False:
-            # Adopt the executor's plane, so `BatchExecutor(observe=True)`
-            # alone traces the full pipeline (and the default stays the
-            # shared no-op observer).
-            self.obs = self.executor.obs
-        else:
-            self.bind_observer(resolve_observe(observe))
+        self.bind_observer(resolve_observe(observe))
 
     # ------------------------------------------------------------------
     # Observability
@@ -634,6 +589,8 @@ class ServiceFrontend:
         ``rejected_reason`` and will never be served.
         """
         arrival = checked_arrival(self.clock_ns, arrival_ns, deadline_ns)
+        if is_write_request(request):
+            check_row_ids(request)
         self.clock_ns = max(self.clock_ns, arrival)
         queued = QueuedRequest(
             request=request,

@@ -4,10 +4,10 @@
 (frontend → planner → executor).  It owns two decisions:
 
 * **When a batch closes.**  :meth:`BatchPlanner.should_close` applies the
-  :class:`BatchPolicy`: close when enough requests are queued (size), when
-  the oldest admitted request has waited long enough (time window), or
-  when a queued deadline would be missed unless service starts now
-  (deadline urgency).
+  :class:`~repro.service.config.BatchPolicy`: close when enough requests
+  are queued (size), when the oldest admitted request has waited long
+  enough (time window), or when a queued deadline would be missed unless
+  service starts now (deadline urgency).
 * **What the executor sees.**  :meth:`BatchPlanner.lower_batch` turns the
   queued envelopes into primitive requests the executor understands.
   Primitives pass through unchanged; high-level requests are *lowered* —
@@ -18,15 +18,18 @@
 
 The executor orders the lowered batch longest-first (LPT) before bank
 assignment; the planner deliberately leaves intra-batch ordering to it.
+The knobs the planner reads (``policy``, ``optimizer``, ``cache``,
+``maintenance``) are declared in :mod:`repro.service.config`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
 from repro.analysis.metrics import OperationMetrics, combine_serial
+from repro.service.config import PipelineConfig
 from repro.service.executor import BatchExecutor
 from repro.service.requests import (
     BitmapConjunctionRequest,
@@ -38,48 +41,11 @@ from repro.service.requests import (
     ScanRequest,
     ServiceRequest,
 )
-from repro.storage.maintenance import MaintenancePolicy, WriteOutcome, resolve_maintenance
+from repro.storage.maintenance import WriteOutcome
 from repro.storage.requests import is_write_request
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cache.result_cache import ResultCache
-    from repro.optimizer.passes import BatchOptimizer, OptimizerConfig
-
-
-@dataclass
-class BatchPolicy:
-    """When the planner closes the next batch.
-
-    Attributes:
-        max_batch: Close as soon as this many requests are queued (also the
-            hard cap on batch size).
-        window_ns: Close when the oldest queued request has waited this
-            long, even if the batch is not full.  None disables the window
-            (the frontend still closes on stream end).
-        urgency_slack_ns: Close when a queued request's deadline minus its
-            modeled service latency is within this slack of the current
-            time — the last moment service can start without missing it.
-            None disables urgency-driven closing.
-        horizon_urgency: Price urgency from the *lanes' busy horizons*
-            rather than from "now": under deep pipelining a request's
-            service cannot start before its modeled banks drain, so a
-            deadline that looks comfortable from the current clock may
-            already be at risk.  Fires only inside the savable window —
-            when the banks' horizon lands within ``urgency_slack_ns``
-            below the latest viable start — so it never degenerates into
-            closing every batch early under overload.
-    """
-
-    max_batch: int = 32
-    window_ns: Optional[float] = None
-    urgency_slack_ns: Optional[float] = 0.0
-    horizon_urgency: bool = True
-
-    def __post_init__(self) -> None:
-        if self.max_batch <= 0:
-            raise ValueError("max_batch must be positive")
-        if self.window_ns is not None and not self.window_ns >= 0:
-            raise ValueError("window_ns must be non-negative")
+    from repro.optimizer.passes import BatchOptimizer
 
 
 @dataclass
@@ -136,49 +102,22 @@ class BatchPlanner:
     Args:
         executor: The executor the plans target (its latency model drives
             LPT ordering, deadline urgency, and admission backlog).
-        policy: Batch-closing policy (defaults to size-32, urgency on).
-        optimize: Enable the batch plan optimizer: ``True`` for the
-            default :class:`~repro.optimizer.OptimizerConfig` (CSE and
-            sub-chain splitting on), or an explicit config.  ``False``
-            (the default) lowers every conjunction in isolation, exactly
-            as before the optimizer existed.
-        maintenance: :class:`~repro.storage.MaintenancePolicy` (or a
-            strategy name) governing how writes keep the bitmap planes
-            consistent.  Defaults to eager — always-consistent planes.
-        result_cache: Cross-batch :class:`~repro.cache.ResultCache` the
-            optimizer consults and fills, and writes invalidate through
-            this planner.  Requires the optimizer (the consult pass
-            lives there); the frontend turns it on when a cache is set.
+        config: The pipeline's :class:`~repro.service.config.PipelineConfig`
+            (``policy``, ``optimizer``, ``cache``, ``maintenance`` are the
+            knobs read here); the cache and the maintenance policy are
+            materialized per planner.
     """
 
-    def __init__(
-        self,
-        executor: BatchExecutor,
-        policy: Optional[BatchPolicy] = None,
-        optimize: Union[bool, "OptimizerConfig"] = False,
-        maintenance: Union[None, str, MaintenancePolicy] = None,
-        result_cache: Optional["ResultCache"] = None,
-    ) -> None:
+    def __init__(self, executor: BatchExecutor, config: PipelineConfig) -> None:
         self.executor = executor
-        self.policy = policy or BatchPolicy()
-        self.maintenance = resolve_maintenance(maintenance)
-        self.result_cache = result_cache
+        self.policy = config.policy
+        self.maintenance = config.new_maintenance()
+        self.result_cache = config.new_cache()
         self.optimizer: Optional["BatchOptimizer"] = None
-        if optimize or result_cache is not None:
-            from repro.optimizer.passes import (  # local: avoid cycle
-                BatchOptimizer,
-                OptimizerConfig,
-            )
+        if config.optimizer is not None:
+            from repro.optimizer.passes import BatchOptimizer  # local: avoid cycle
 
-            if isinstance(optimize, OptimizerConfig):
-                config = optimize
-            elif result_cache is not None and not optimize:
-                # Cache-driven auto-enable: unsplit lowering, so whole
-                # conjunctions are cacheable under one canonical key.
-                config = OptimizerConfig(split_subchains=False)
-            else:
-                config = None
-            self.optimizer = BatchOptimizer(config, result_cache=result_cache)
+            self.optimizer = BatchOptimizer(config.optimizer, result_cache=self.result_cache)
         #: High-level requests lowered across the planner's lifetime.
         self.lowered_requests = 0
 
@@ -361,7 +300,7 @@ class BatchPlanner:
                 )
             else:
                 raise TypeError(f"unknown request type {type(request).__name__}")
-        if self.optimizer is not None and getattr(self.executor, "sanitize", False):
+        if self.optimizer is not None and self.executor.sanitize:
             self.optimizer.lint_batch(
                 row_size_bytes=self.executor.engine.device.geometry.row_size_bytes
             )
@@ -421,7 +360,7 @@ class BatchPlanner:
                 columns=outcome.invalidate_columns,
                 invalidate_all=outcome.invalidate_all,
             )
-        if getattr(self.executor, "sanitize", False):
+        if self.executor.sanitize:
             from repro.verify.plan_lint import (  # local: avoid cycle
                 lint_cache_consistency,
                 lint_write_plan,
@@ -479,7 +418,7 @@ class BatchPlanner:
             # diverges from the plan-level model (and the functional path).
             row_size_bytes=self.executor.engine.device.geometry.row_size_bytes,
         )
-        if getattr(self.executor, "sanitize", False):
+        if self.executor.sanitize:
             from repro.verify.plan_lint import lint_lowered_conjunction  # local: avoid cycle
 
             # Certify the lowered chain statically before any step

@@ -16,7 +16,6 @@ from repro.storage.maintenance import (
     MaintenancePolicy,
     STRATEGIES,
     WriteOutcome,
-    resolve_maintenance,
 )
 from repro.storage.requests import (
     AppendRequest,
@@ -26,6 +25,7 @@ from repro.storage.requests import (
     WriteRequest,
     apply_mutation,
     charged_columns,
+    check_row_ids,
     is_write_request,
 )
 
@@ -41,6 +41,6 @@ __all__ = [
     "WriteRequest",
     "apply_mutation",
     "charged_columns",
+    "check_row_ids",
     "is_write_request",
-    "resolve_maintenance",
 ]

@@ -24,7 +24,7 @@ keeps the bitmap planes consistent with the table:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -321,21 +321,9 @@ class MaintenancePolicy:
         return max(1, math.ceil(packed / row_size))
 
 
-def resolve_maintenance(
-    maintenance: Union[None, str, MaintenancePolicy],
-) -> MaintenancePolicy:
-    """Normalize a ``maintenance=`` knob: a strategy name builds a policy,
-    ``None`` means eager (the always-consistent default), a policy passes
-    through (shared across frontends)."""
-    if isinstance(maintenance, MaintenancePolicy):
-        return maintenance
-    return MaintenancePolicy(strategy=maintenance or "eager")
-
-
 __all__ = [
     "CODE_BYTES",
     "MaintenancePolicy",
     "STRATEGIES",
     "WriteOutcome",
-    "resolve_maintenance",
 ]

@@ -142,6 +142,21 @@ def charged_columns(request: WriteRequest) -> Tuple[str, ...]:
     return tuple(column for column in affected if column in allowed)
 
 
+def check_row_ids(request: WriteRequest) -> None:
+    """Refuse an update/delete whose row ids the table cannot take.
+
+    Called at ``offer``, before anything is recorded: lowering mutates the
+    table after the batch was popped, where a bad id would strand it.
+    Charge-only scatter parts were checked by the coordinator already.
+    """
+    if not request.apply:
+        return
+    if isinstance(request, UpdateRequest):
+        request.table.checked_row_ids(request.row_ids, unique=True)
+    elif isinstance(request, DeleteRequest):
+        request.table.checked_row_ids(request.row_ids)
+
+
 def apply_mutation(request: WriteRequest) -> int:
     """Perform the functional table mutation; returns rows affected.
 
@@ -166,5 +181,6 @@ __all__ = [
     "WriteRequest",
     "apply_mutation",
     "charged_columns",
+    "check_row_ids",
     "is_write_request",
 ]

@@ -32,6 +32,7 @@ from repro.api import (
     ServiceDetails,
     lower_conjunction_steps,
 )
+from repro.cache import ResultCache
 from repro.cluster import ClusterFrontend, ShardRouter
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.bitweaving import BitWeavingColumn
@@ -42,17 +43,19 @@ from repro.dram.energy import DramEnergyParameters
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import DramTimingParameters
 from repro.service import (
-    BatchExecutor,
     BatchPolicy,
     BitmapConjunctionRequest,
     BulkOpRequest,
+    PipelineConfig,
     RequestResult,
     RetryClient,
     ScanRequest,
     ServiceFrontend,
     poisson_schedule,
 )
-from repro.storage import UpdateRequest
+from repro.optimizer import OptimizerConfig
+from repro.storage import MaintenancePolicy, UpdateRequest
+from repro.verify import VerifyError
 
 
 def _device(banks: int = 4) -> DramDevice:
@@ -76,15 +79,13 @@ def _engine(banks: int = 4) -> AmbitEngine:
 
 
 def _service_session(**kwargs) -> PimSession:
-    return PimSession(
-        ServiceFrontend(executor=BatchExecutor(engine=_engine()), **kwargs)
-    )
+    return PimSession.over_service(engine=_engine(), name="session", **kwargs)
 
 
 def _cluster_session(num_shards: int, **kwargs) -> PimSession:
     kwargs.setdefault("engine_factory", lambda: _engine())
     kwargs.setdefault("policy", BatchPolicy(max_batch=3))
-    return PimSession(ClusterFrontend(num_shards=num_shards, **kwargs))
+    return PimSession.over_cluster(num_shards=num_shards, name="session", **kwargs)
 
 
 def _random_column(rng, num_bits: int = 6, rows: int = 200) -> BitWeavingColumn:
@@ -120,7 +121,7 @@ def _mixed_workload(session: PimSession, columns, index, constants, num_bits):
 
 class TestBackendProtocol:
     def test_all_tiers_speak_the_protocol(self):
-        assert isinstance(ServiceFrontend(executor=BatchExecutor(engine=_engine())), Backend)
+        assert isinstance(ServiceFrontend(engine=_engine()), Backend)
         assert isinstance(
             ClusterFrontend(num_shards=2, engine_factory=lambda: _engine()), Backend
         )
@@ -225,7 +226,7 @@ class TestFutureSemantics:
         """Two sessions over one frontend report only their own traffic —
         counts AND time-based fields (makespan, busy, batches)."""
         rng = np.random.default_rng(6)
-        frontend = ServiceFrontend(executor=BatchExecutor(engine=_engine()))
+        frontend = ServiceFrontend(engine=_engine())
         first = PimSession(frontend, name="first")
         first.scan(_random_column(rng), "less_than", 7)
         first.drain()
@@ -261,7 +262,8 @@ class TestFutureSemantics:
         time instead of each counting the batch in full."""
         rng = np.random.default_rng(61)
         frontend = ServiceFrontend(
-            executor=BatchExecutor(engine=_engine()), policy=BatchPolicy(max_batch=64)
+            PipelineConfig(policy=BatchPolicy(max_batch=64)),
+            engine=_engine(),
         )
         first = PimSession(frontend, name="first")
         second = PimSession(frontend, name="second")
@@ -280,7 +282,9 @@ class TestFutureSemantics:
         session's traffic moves neither makespan nor busy time."""
         rng = np.random.default_rng(60)
         cluster = ClusterFrontend(
-            num_shards=2, engine_factory=lambda: _engine(), policy=BatchPolicy(max_batch=2)
+            num_shards=2,
+            config=PipelineConfig(policy=BatchPolicy(max_batch=2)),
+            engine_factory=lambda: _engine(),
         )
         first = PimSession(cluster, name="first")
         first.scan(_random_column(rng), "less_than", 9)
@@ -517,7 +521,7 @@ class TestTimeValidation:
     record is appended or any clock moves."""
 
     BACKENDS = {
-        "service": lambda: ServiceFrontend(executor=BatchExecutor(engine=_engine())),
+        "service": lambda: ServiceFrontend(engine=_engine()),
         "cluster": lambda: ClusterFrontend(num_shards=2, engine_factory=lambda: _engine()),
         "host": lambda: HostBackend(),
     }
@@ -620,6 +624,53 @@ class TestRequestBoundary:
         expected, _ = index.evaluate_conjunction([("region", (1, 2)), ("status", (0,))])
         assert np.array_equal(good.result().value, expected)
 
+    @pytest.mark.parametrize("tier", ["cluster", "service"])
+    def test_bad_row_ids_are_refused_before_anything_moves(self, tier):
+        """An out-of-range (or duplicated) row id used to be admitted and
+        then strand its batch at lowering (service) or half-commit the
+        scattered write (cluster); it is a typed error at ``submit``."""
+        rng = np.random.default_rng(29)
+        index = _bitmap_index(rng)
+        table = index.table
+        predicates = [("region", (1, 2)), ("status", (0,))]
+        expected, _ = index.evaluate_conjunction(predicates)
+        codes = {name: column.copy() for name, column in table.columns.items()}
+        session = PimSession(self.BACKENDS[tier]())
+        backend = session.backend
+        shards = backend.shards if tier == "cluster" else [backend]
+        first = session.conjunction(index, predicates)
+        before = (
+            len(backend.records),
+            [shard.queue_depth for shard in shards],
+            [len(shard.records) for shard in shards],
+            backend.clock_ns,
+        )
+        with pytest.raises(ValueError, match="row_ids must be in"):
+            session.update(table, index, "region", [999999], [1])
+        with pytest.raises(ValueError, match="unique"):
+            session.update(table, index, "region", [3, 3], [1, 2])
+        with pytest.raises(ValueError, match="row_ids must be in"):
+            session.delete(table, index, [-1])
+        with pytest.raises(TypeError):
+            session.delete(table, index, [0.5])
+        assert before == (
+            len(backend.records),
+            [shard.queue_depth for shard in shards],
+            [len(shard.records) for shard in shards],
+            backend.clock_ns,
+        )
+        assert len(session.futures) == 1
+        assert table.num_rows == 400
+        for name, column in table.columns.items():
+            assert np.array_equal(column, codes[name])
+        second = session.conjunction(index, predicates)
+        session.drain()
+        for future in (first, second):
+            assert future.status == "completed"
+            assert np.array_equal(future.result().value, expected)
+        # A well-formed write over the same backend still goes through.
+        assert session.update(table, index, "region", [3, 4], [1, 2]).result().value == 2
+
     def test_validation_never_repairs_a_dirty_column(self):
         """The probe is side-effect free: building a request over a
         lazily-dirty column leaves the rebuild (and its charge) to the
@@ -640,9 +691,9 @@ def test_cluster_details_sum_cache_counters_over_the_parts():
     index = _bitmap_index(np.random.default_rng(28))
     cluster = ClusterFrontend(
         num_shards=3,
+        config=PipelineConfig(cache=True),
         router=ShardRouter(3, strategy="range"),
         engine_factory=lambda: _engine(),
-        cache=True,
     )
     cluster.router.register_names(index.indexed_columns())
     session = PimSession(cluster)
@@ -667,3 +718,153 @@ def test_cluster_details_sum_cache_counters_over_the_parts():
     assert rejected.status == "rejected"
     assert rejected.details.cache_hits == sum(p.cache_hits for p in record.parts) > 0
     assert rejected.details.cache_misses == sum(p.cache_misses for p in record.parts)
+
+
+# ----------------------------------------------------------------------
+# One PipelineConfig: the same knob vocabulary on both tiers
+# ----------------------------------------------------------------------
+#: A non-default value for every knob.  Keyed by field name, so a new
+#: ``PipelineConfig`` field fails ``test_every_knob_has_a_probe_value``
+#: until it is exercised here on both tiers.
+KNOB_VALUES = {
+    "policy": BatchPolicy(max_batch=5),
+    "max_queue_depth": 7,
+    "max_backlog_ns": 1e6,
+    "shed_low_priority": True,
+    "functional": True,
+    "pipeline": False,
+    "sanitize": True,
+    "verify_fraction": 0.5,
+    "verify_seed": 3,
+    "optimizer": OptimizerConfig(split_subchains=False),
+    "cache": ResultCache(),
+    "maintenance": MaintenancePolicy("lazy"),
+}
+KNOB_NAMES = [f.name for f in dataclasses.fields(PipelineConfig)]
+
+
+class TestPipelineConfig:
+    def test_every_knob_has_a_probe_value(self):
+        assert sorted(KNOB_VALUES) == sorted(KNOB_NAMES)
+
+    @pytest.mark.parametrize("knob", KNOB_NAMES)
+    def test_both_tiers_accept_every_knob(self, knob):
+        value = KNOB_VALUES[knob]
+        default = getattr(PipelineConfig(), knob)
+        service = PimSession.over_service(engine=_engine(), **{knob: value}).backend
+        cluster = PimSession.over_cluster(
+            num_shards=2, engine_factory=_engine, **{knob: value}
+        ).backend
+        for config in (service.config, cluster.config):
+            assert getattr(config, knob) == value != default
+        assert all(shard.config is cluster.config for shard in cluster.shards)
+
+    def test_knobs_reach_the_stage_that_consumes_them(self):
+        knobs = dict(KNOB_VALUES)
+        service = PimSession.over_service(engine=_engine(), **knobs).backend
+        cluster = PimSession.over_cluster(num_shards=2, engine_factory=_engine, **knobs).backend
+        for frontend in [service, *cluster.shards]:
+            executor, planner = frontend.executor, frontend.planner
+            assert (executor.pipeline, executor.sanitize) == (False, True)
+            assert (executor.verify_fraction, executor.verify_seed) == (0.5, 3)
+            assert planner.policy is knobs["policy"]
+            assert planner.optimizer.config is knobs["optimizer"]
+            assert planner.maintenance is knobs["maintenance"]
+            assert frontend.cache is planner.result_cache is knobs["cache"]
+            assert (frontend.max_queue_depth, frontend.max_backlog_ns) == (7, 1e6)
+            assert frontend.functional and frontend.shed_low_priority
+
+    def test_sanitize_on_the_service_tier_certifies_dispatches(self):
+        """``over_service(sanitize=True)`` used to be a TypeError naming
+        ``ServiceFrontend.__init__``; now the race detector is live."""
+        rng = np.random.default_rng(30)
+        session = PimSession.over_service(engine=_engine(), sanitize=True)
+        session.scan(_random_column(rng), "less_than", 9).result()
+        session.backend.executor.lanes.busy_union_ns += 11.0  # cook the books
+        session.scan(_random_column(rng), "less_than", 9)
+        with pytest.raises(VerifyError):
+            session.drain()
+
+    def test_loose_spellings(self):
+        default = PipelineConfig()
+        assert PipelineConfig.from_knobs() == default
+        assert PipelineConfig.from_knobs(
+            policy=None, optimize=False, cache=None, maintenance=None, max_backlog_ns=None
+        ) == default
+        assert PipelineConfig.from_knobs(optimize=True).optimizer == OptimizerConfig()
+        explicit = OptimizerConfig(cse=False)
+        assert PipelineConfig.from_knobs(optimize=explicit).optimizer is explicit
+        assert PipelineConfig.from_knobs(optimizer=explicit).optimizer is explicit
+        assert PipelineConfig.from_knobs(maintenance="hybrid").maintenance == "hybrid"
+        with pytest.raises(TypeError, match="not both"):
+            PipelineConfig.from_knobs(optimize=True, optimizer=explicit)
+
+    def test_cache_without_optimizer_turns_on_the_unsplit_one(self):
+        assert PipelineConfig(cache=True).optimizer == OptimizerConfig(split_subchains=False)
+        assert PipelineConfig(cache=ResultCache()).optimizer.split_subchains is False
+        split = OptimizerConfig()
+        assert PipelineConfig(cache=True, optimizer=split).optimizer is split
+        assert PipelineConfig().optimizer is None
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"max_backlog_ns": -5.0},
+            {"max_backlog_ns": float("nan")},
+            {"max_backlog_ns": float("inf")},
+            {"max_queue_depth": 0},
+            {"verify_fraction": 1.5},
+            {"maintenance": "write-through"},
+        ],
+        ids=lambda bad: "{}={}".format(*next(iter(bad.items()))),
+    )
+    def test_bad_knob_values_fail_at_construction(self, bad):
+        """``max_backlog_ns=-5.0`` used to build and then reject every
+        request as ``bank_occupancy``."""
+        with pytest.raises(ValueError):
+            PimSession.over_service(engine=_engine(), **bad)
+        with pytest.raises(ValueError):
+            PimSession.over_cluster(num_shards=2, engine_factory=_engine, **bad)
+
+    def test_unknown_knob_names_the_valid_ones(self):
+        for build in (PimSession.over_service, PimSession.over_cluster):
+            with pytest.raises(TypeError, match="unknown pipeline knob.*sanitise") as caught:
+                build(sanitise=True)
+            assert all(name in str(caught.value) for name in KNOB_NAMES)
+            assert "__init__" not in str(caught.value)
+
+    def test_joined_shard_is_built_from_the_cluster_config(self):
+        cluster = PimSession.over_cluster(
+            num_shards=2, engine_factory=_engine, pipeline=False, sanitize=True, cache=True
+        ).backend
+        joined = cluster.shards[cluster.join_shard()]
+        assert joined.config is cluster.config
+        assert (joined.executor.pipeline, joined.executor.sanitize) == (False, True)
+        assert joined.planner.maintenance is cluster.maintenance
+        assert joined.cache is not None
+        assert all(joined.cache is not shard.cache for shard in cluster.shards[:2])
+
+    def test_cache_true_is_per_shard_and_an_instance_is_shared(self):
+        own = PimSession.over_cluster(num_shards=3, engine_factory=_engine, cache=True).backend
+        caches = [shard.cache for shard in own.shards]
+        assert all(isinstance(cache, ResultCache) for cache in caches)
+        assert len({id(cache) for cache in caches}) == 3
+        shared = ResultCache()
+        one = PimSession.over_cluster(num_shards=3, engine_factory=_engine, cache=shared).backend
+        assert all(shard.cache is shared for shard in one.shards)
+
+    def test_a_reused_config_shares_no_live_state(self):
+        config = PipelineConfig(cache=True, maintenance="hybrid")
+        first = ServiceFrontend(config, engine=_engine())
+        second = ServiceFrontend(config, engine=_engine())
+        assert first.cache is not second.cache
+        assert first.planner.maintenance is not second.planner.maintenance
+        first.planner.maintenance.note_read(["region"] * 8)
+        assert first.planner.maintenance.is_hot("region")
+        assert not second.planner.maintenance.is_hot("region")
+        clusters = [ClusterFrontend(2, config, engine_factory=_engine) for _ in range(2)]
+        assert clusters[0].maintenance is not clusters[1].maintenance
+        for cluster in clusters:
+            # ...while one cluster's coordinator and shards share theirs.
+            assert all(s.planner.maintenance is cluster.maintenance for s in cluster.shards)
+        assert config.maintenance == "hybrid" and config.cache is True

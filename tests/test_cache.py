@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ambit.engine import AmbitConfig, AmbitEngine
 from repro.api import PimSession
-from repro.cache import ResultCache, resolve_cache
+from repro.cache import ResultCache
 from repro.cluster import ClusterFrontend
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.tables import ColumnTable
@@ -26,9 +26,9 @@ from repro.dram.energy import DramEnergyParameters
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import DramTimingParameters
 from repro.service import (
-    BatchExecutor,
     BatchPolicy,
     BitmapConjunctionRequest,
+    PipelineConfig,
     ServiceFrontend,
 )
 from repro.storage import AppendRequest, UpdateRequest, is_write_request
@@ -71,11 +71,8 @@ def _frontend(cache, **kwargs) -> ServiceFrontend:
     kwargs.setdefault("policy", BatchPolicy(max_batch=4, window_ns=None))
     kwargs.setdefault("max_queue_depth", 256)
     kwargs.setdefault("maintenance", "eager")
-    return ServiceFrontend(
-        executor=BatchExecutor(engine=_engine(), sanitize=True),
-        cache=cache,
-        **kwargs,
-    )
+    session = PimSession.over_service(engine=_engine(), sanitize=True, cache=cache, **kwargs)
+    return session.backend
 
 
 def _mixed_stream(rng, table, index, count: int = 24):
@@ -132,6 +129,9 @@ class TestResultCacheUnit:
             ResultCache(capacity_entries=0)
 
     def test_resolve_normalizes(self):
+        def resolve_cache(cache):
+            return PipelineConfig.from_knobs(cache=cache).new_cache()
+
         assert resolve_cache(None) is None
         assert resolve_cache(False) is None
         assert isinstance(resolve_cache(True), ResultCache)
@@ -218,11 +218,13 @@ class TestBitExactness:
             table, index = _table_index(rng)
             cluster = ClusterFrontend(
                 num_shards=2,
+                config=PipelineConfig.from_knobs(
+                    policy=BatchPolicy(max_batch=4, window_ns=None),
+                    sanitize=True,
+                    cache=cache,
+                    maintenance="eager",
+                ),
                 engine_factory=lambda: _engine(),
-                policy=BatchPolicy(max_batch=4, window_ns=None),
-                sanitize=True,
-                cache=cache,
-                maintenance="eager",
             )
             records = []
             for request in _mixed_stream(rng, table, index, count=16):

@@ -29,6 +29,7 @@ from repro.dram.timing import DramTimingParameters
 from repro.service import (
     BatchPolicy,
     BitmapConjunctionRequest,
+    PipelineConfig,
     ScanRequest,
     poisson_schedule,
     trace_schedule,
@@ -58,7 +59,7 @@ def _engine_factory(banks: int = 4):
 def _cluster(num_shards: int, **kwargs) -> ClusterFrontend:
     kwargs.setdefault("engine_factory", _engine_factory())
     kwargs.setdefault("policy", BatchPolicy(max_batch=3))
-    return ClusterFrontend(num_shards=num_shards, **kwargs)
+    return PimSession.over_cluster(num_shards=num_shards, **kwargs).backend
 
 
 def _random_column(rng, num_bits: int, rows: int) -> BitWeavingColumn:
@@ -392,7 +393,7 @@ class TestClusterRoutingAndAdmission:
     def test_single_shard_cluster_matches_plain_frontend(self):
         """A 1-shard cluster is the single-device pipeline with extra
         bookkeeping: identical values, waits, and sojourns."""
-        from repro.service import BatchExecutor, ServiceFrontend
+        from repro.service import ServiceFrontend
 
         rng = np.random.default_rng(9)
         columns = [_random_column(rng, 6, 200) for _ in range(5)]
@@ -400,8 +401,8 @@ class TestClusterRoutingAndAdmission:
             ScanRequest(column=c, kind="less_equal", constants=(9,)) for c in columns
         ]
         plain = ServiceFrontend(
-            executor=BatchExecutor(engine=_engine_factory()()),
-            policy=BatchPolicy(max_batch=3),
+            PipelineConfig(policy=BatchPolicy(max_batch=3)),
+            engine=_engine_factory()(),
         )
         plain_result = plain.run(poisson_schedule(make_requests(), rate_per_s=1e6, seed=2))
         cluster = _cluster(1)

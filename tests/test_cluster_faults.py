@@ -72,7 +72,7 @@ def _engine_factory(banks: int = 4):
 def _cluster(num_shards: int, **kwargs) -> ClusterFrontend:
     kwargs.setdefault("engine_factory", _engine_factory())
     kwargs.setdefault("policy", BatchPolicy(max_batch=3))
-    return ClusterFrontend(num_shards=num_shards, **kwargs)
+    return PimSession.over_cluster(num_shards=num_shards, **kwargs).backend
 
 
 def _bitmap_index(rng, rows: int = 150) -> BitmapIndex:

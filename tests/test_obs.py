@@ -53,8 +53,8 @@ from repro.obs import (
     write_trace,
 )
 from repro.service import (
-    BatchExecutor,
     BatchPolicy,
+    PipelineConfig,
     ScanRequest,
     ServiceFrontend,
     poisson_schedule,
@@ -109,9 +109,11 @@ def _scan_requests(rng, count: int = 24, banks: int = 2):
 
 def _service_frontend(observe, *, banks: int = 2, max_queue_depth: int = 8):
     return ServiceFrontend(
-        executor=BatchExecutor(engine=_engine(banks)),
-        policy=BatchPolicy(max_batch=4, window_ns=None),
-        max_queue_depth=max_queue_depth,
+        PipelineConfig(
+            policy=BatchPolicy(max_batch=4, window_ns=None),
+            max_queue_depth=max_queue_depth,
+        ),
+        engine=_engine(banks),
         observe=observe,
     )
 
@@ -269,8 +271,8 @@ class TestBitExactness:
             rng = np.random.default_rng(6)
             cluster = ClusterFrontend(
                 num_shards=2,
+                config=PipelineConfig(policy=BatchPolicy(max_batch=3)),
                 engine_factory=_engine,
-                policy=BatchPolicy(max_batch=3),
                 observe=observe,
             )
             events = poisson_schedule(

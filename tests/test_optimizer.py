@@ -43,6 +43,7 @@ from repro.service import (
     BatchPolicy,
     BitmapConjunctionRequest,
     BulkOpRequest,
+    PipelineConfig,
     ServiceFrontend,
 )
 from repro.service.requests import QueuedRequest
@@ -109,10 +110,14 @@ def _requests(draws):
 
 def _serve(requests, optimize, pipeline=True, banks=4, max_batch=4, policy=None):
     frontend = ServiceFrontend(
-        executor=BatchExecutor(engine=_engine(banks), pipeline=pipeline, sanitize=True),
-        policy=policy or BatchPolicy(max_batch=max_batch, window_ns=None),
-        max_queue_depth=1000,
-        optimize=optimize,
+        PipelineConfig.from_knobs(
+            pipeline=pipeline,
+            sanitize=True,
+            policy=policy or BatchPolicy(max_batch=max_batch, window_ns=None),
+            max_queue_depth=1000,
+            optimize=optimize,
+        ),
+        engine=_engine(banks),
     )
     for request in requests:
         frontend.offer(request)
@@ -188,12 +193,14 @@ class TestBitExactness:
     def test_cluster_tier_matches_host(self, draws, shards):
         cluster = ClusterFrontend(
             num_shards=shards,
+            config=PipelineConfig.from_knobs(
+                policy=BatchPolicy(max_batch=3),
+                max_queue_depth=1000,
+                sanitize=True,
+                optimize=True,
+            ),
             router=ShardRouter(shards),
             engine_factory=lambda: _engine(),
-            policy=BatchPolicy(max_batch=3),
-            max_queue_depth=1000,
-            sanitize=True,
-            optimize=True,
         )
         events = [
             ArrivalEvent(request=r, arrival_ns=float(i) * 50.0)
@@ -260,10 +267,13 @@ class TestCseAccounting:
     def test_session_report_exposes_the_counters(self):
         session = PimSession(
             ServiceFrontend(
-                executor=BatchExecutor(engine=_engine(), sanitize=True),
-                policy=BatchPolicy(max_batch=4, window_ns=None),
-                max_queue_depth=1000,
-                optimize=True,
+                PipelineConfig.from_knobs(
+                    sanitize=True,
+                    policy=BatchPolicy(max_batch=4, window_ns=None),
+                    max_queue_depth=1000,
+                    optimize=True,
+                ),
+                engine=_engine(),
             ),
             name="optimizer_session",
         )
@@ -309,13 +319,16 @@ class TestSubchainSplitting:
 
     def test_split_mode_unpins_conjunction_admission(self):
         frontend = ServiceFrontend(
-            executor=BatchExecutor(engine=_engine(), sanitize=True),
-            optimize=True,
+            PipelineConfig.from_knobs(sanitize=True, optimize=True),
+            engine=_engine(),
         )
         assert frontend.planner.modeled_banks(_requests([0])[0]) == []
         unsplit = ServiceFrontend(
-            executor=BatchExecutor(engine=_engine(), sanitize=True),
-            optimize=OptimizerConfig(split_subchains=False),
+            PipelineConfig.from_knobs(
+                sanitize=True,
+                optimize=OptimizerConfig(split_subchains=False),
+            ),
+            engine=_engine(),
         )
         assert unsplit.planner.modeled_banks(_requests([0])[0]) != []
 
@@ -494,7 +507,12 @@ class TestOptimizedBatchLint:
 # ----------------------------------------------------------------------
 class TestHorizonUrgency:
     def _arena(self, horizon_urgency):
-        executor = BatchExecutor(engine=_engine(), pipeline=True, sanitize=True)
+        policy = BatchPolicy(max_batch=8, window_ns=None, horizon_urgency=horizon_urgency)
+        frontend = ServiceFrontend(
+            PipelineConfig(policy=policy, max_queue_depth=100, sanitize=True),
+            engine=_engine(),
+        )
+        executor = frontend.executor
         # Preload bank 0's lanes: an in-flight chunk occupies them until H.
         heavy = BulkOpRequest(
             op="or",
@@ -506,17 +524,7 @@ class TestHorizonUrgency:
         executor.run([heavy])
         horizon = executor.ready_ns()
         assert horizon > 0.0
-        slack = horizon / 4.0
-        frontend = ServiceFrontend(
-            executor=executor,
-            policy=BatchPolicy(
-                max_batch=8,
-                window_ns=None,
-                urgency_slack_ns=slack,
-                horizon_urgency=horizon_urgency,
-            ),
-            max_queue_depth=100,
-        )
+        policy.urgency_slack_ns = horizon / 4.0
         return frontend, horizon
 
     def _run_race(self, horizon_urgency):

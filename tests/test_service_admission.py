@@ -27,6 +27,7 @@ from repro.service import (
     BackoffPolicy,
     BatchExecutor,
     BatchPolicy,
+    PipelineConfig,
     RetryClient,
     ScanRequest,
     ServiceFrontend,
@@ -72,9 +73,8 @@ class TestPerBankBacklog:
         executor = BatchExecutor(engine=_engine())
         per_request_ns = executor.modeled_latency_ns(_scan(column))
         frontend = ServiceFrontend(
-            executor=executor,
-            max_queue_depth=100,
-            max_backlog_ns=2.5 * per_request_ns,
+            PipelineConfig(max_queue_depth=100, max_backlog_ns=2.5 * per_request_ns),
+            engine=executor.engine,
         )
         records = [frontend.offer(_scan(column)) for _ in range(10)]
         admitted = [r for r in records if r.admitted]
@@ -90,9 +90,8 @@ class TestPerBankBacklog:
         executor = BatchExecutor(engine=_engine())
         per_request_ns = executor.modeled_latency_ns(_scan(hot))
         frontend = ServiceFrontend(
-            executor=executor,
-            max_queue_depth=100,
-            max_backlog_ns=1.5 * per_request_ns,
+            PipelineConfig(max_queue_depth=100, max_backlog_ns=1.5 * per_request_ns),
+            engine=executor.engine,
         )
         frontend.offer(_scan(hot))
         blocked = frontend.offer(_scan(hot, 10))
@@ -112,9 +111,8 @@ class TestPerBankBacklog:
         probe = _scan(_random_column(rng))
         per_request_ns = executor.modeled_latency_ns(probe)
         frontend = ServiceFrontend(
-            executor=executor,
-            max_queue_depth=100,
-            max_backlog_ns=per_request_ns,
+            PipelineConfig(max_queue_depth=100, max_backlog_ns=per_request_ns),
+            engine=executor.engine,
         )
         records = [frontend.offer(_scan(_random_column(rng))) for _ in range(10)]
         admitted = [r for r in records if r.admitted]
@@ -125,7 +123,7 @@ class TestPerBankBacklog:
 
     def test_backlog_vector_accounting_drains(self):
         rng = np.random.default_rng(3)
-        frontend = ServiceFrontend(executor=BatchExecutor(engine=_engine()))
+        frontend = ServiceFrontend(engine=_engine())
         for _ in range(5):
             frontend.offer(_scan(_random_column(rng)))
         assert frontend.backlog_ns > 0.0
@@ -140,11 +138,13 @@ class TestLoadShedding:
         executor = BatchExecutor(engine=_engine())
         per_request_ns = executor.modeled_latency_ns(_scan(_random_column(rng)))
         frontend = ServiceFrontend(
-            executor=executor,
-            max_queue_depth=kwargs.pop("max_queue_depth", 100),
-            max_backlog_ns=bound_requests * per_request_ns,
-            shed_low_priority=True,
-            **kwargs,
+            PipelineConfig.from_knobs(
+                max_queue_depth=kwargs.pop("max_queue_depth", 100),
+                max_backlog_ns=bound_requests * per_request_ns,
+                shed_low_priority=True,
+                **kwargs,
+            ),
+            engine=executor.engine,
         )
         return frontend
 
@@ -190,10 +190,12 @@ class TestLoadShedding:
         big_ns = executor.modeled_latency_ns(_scan(big_column))
         assert big_ns > 2 * small_ns
         frontend = ServiceFrontend(
-            executor=executor,
-            max_queue_depth=100,
-            max_backlog_ns=1.5 * small_ns,
-            shed_low_priority=True,
+            PipelineConfig(
+                max_queue_depth=100,
+                max_backlog_ns=1.5 * small_ns,
+                shed_low_priority=True,
+            ),
+            engine=executor.engine,
         )
         low = frontend.offer(_scan(column), priority=0)
         doomed = frontend.offer(_scan(big_column), priority=9)
@@ -212,10 +214,12 @@ class TestLoadShedding:
         big_column = _random_column(rng, num_bits=8, rows=8000)
         assert executor.modeled_latency_ns(_scan(big_column)) > 2 * small_ns
         frontend = ServiceFrontend(
-            executor=executor,
-            max_queue_depth=1,
-            max_backlog_ns=1.5 * small_ns,
-            shed_low_priority=True,
+            PipelineConfig(
+                max_queue_depth=1,
+                max_backlog_ns=1.5 * small_ns,
+                shed_low_priority=True,
+            ),
+            engine=executor.engine,
         )
         low = frontend.offer(_scan(column), priority=0)
         doomed = frontend.offer(_scan(big_column), priority=9)
@@ -228,9 +232,8 @@ class TestLoadShedding:
     def test_queue_full_sheds_one_victim(self):
         rng = np.random.default_rng(7)
         frontend = ServiceFrontend(
-            executor=BatchExecutor(engine=_engine()),
-            max_queue_depth=2,
-            shed_low_priority=True,
+            PipelineConfig(max_queue_depth=2, shed_low_priority=True),
+            engine=_engine(),
         )
         low = [frontend.offer(_scan(_random_column(rng)), priority=0) for _ in range(2)]
         urgent = frontend.offer(_scan(_random_column(rng)), priority=3)
@@ -244,7 +247,7 @@ class TestLoadShedding:
 
     def test_cancel_withdraws_queued_request(self):
         rng = np.random.default_rng(8)
-        frontend = ServiceFrontend(executor=BatchExecutor(engine=_engine()))
+        frontend = ServiceFrontend(engine=_engine())
         record = frontend.offer(_scan(_random_column(rng)))
         other = frontend.offer(_scan(_random_column(rng)))
         assert frontend.cancel(record)
@@ -259,11 +262,9 @@ class TestLoadShedding:
 class TestRetryClient:
     def test_rejections_are_delivered_after_backoff(self):
         rng = np.random.default_rng(9)
-        executor = BatchExecutor(engine=_engine())
         frontend = ServiceFrontend(
-            executor=executor,
-            max_queue_depth=2,
-            policy=BatchPolicy(max_batch=2),
+            PipelineConfig(max_queue_depth=2, policy=BatchPolicy(max_batch=2)),
+            engine=_engine(),
         )
         columns = [_random_column(rng) for _ in range(8)]
         requests = [_scan(c) for c in columns]
@@ -293,10 +294,12 @@ class TestRetryClient:
     def test_gives_up_after_max_attempts(self):
         rng = np.random.default_rng(10)
         frontend = ServiceFrontend(
-            executor=BatchExecutor(engine=_engine()),
-            max_queue_depth=1,
-            # Huge window: the queue never drains during the retry horizon.
-            policy=BatchPolicy(max_batch=64, window_ns=1e12, urgency_slack_ns=None),
+            PipelineConfig(
+                max_queue_depth=1,
+                # Huge window: the queue never drains during the retry horizon.
+                policy=BatchPolicy(max_batch=64, window_ns=1e12, urgency_slack_ns=None),
+            ),
+            engine=_engine(),
         )
         requests = [_scan(_random_column(rng)) for _ in range(3)]
         events = poisson_schedule(requests, rate_per_s=1e9, seed=10)
@@ -337,9 +340,8 @@ class TestRetryClient:
         rng = np.random.default_rng(11)
         cluster = ClusterFrontend(
             num_shards=2,
+            config=PipelineConfig(policy=BatchPolicy(max_batch=2), max_queue_depth=2),
             engine_factory=lambda: _engine(),
-            policy=BatchPolicy(max_batch=2),
-            max_queue_depth=2,
         )
         requests = [_scan(_random_column(rng)) for _ in range(8)]
         events = poisson_schedule(requests, rate_per_s=1e9, seed=11)

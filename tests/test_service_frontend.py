@@ -37,6 +37,7 @@ from repro.service import (
     BatchPlanner,
     BatchPolicy,
     BitmapConjunctionRequest,
+    PipelineConfig,
     ScanRequest,
     ServiceFrontend,
     poisson_schedule,
@@ -64,9 +65,8 @@ def _engine(banks: int = 4) -> AmbitEngine:
     )
 
 
-def _frontend(banks: int = 4, **kwargs) -> ServiceFrontend:
-    executor = kwargs.pop("executor", None) or BatchExecutor(engine=_engine(banks))
-    return ServiceFrontend(executor=executor, **kwargs)
+def _frontend(banks: int = 4, engine=None, **knobs) -> ServiceFrontend:
+    return ServiceFrontend(PipelineConfig(**knobs), engine=engine or _engine(banks))
 
 
 def _random_column(rng, num_bits: int, rows: int) -> BitWeavingColumn:
@@ -162,11 +162,11 @@ class TestAdmissionControl:
     def test_bank_occupancy_rejects(self):
         rng = np.random.default_rng(5)
         column = _random_column(rng, 8, 400)
-        executor = BatchExecutor(engine=_engine())
+        engine = _engine()
         probe = _scan(column)
-        per_request_ns = executor.modeled_latency_ns(probe)
-        frontend = ServiceFrontend(
-            executor=executor,
+        per_request_ns = BatchExecutor(engine=engine).modeled_latency_ns(probe)
+        frontend = _frontend(
+            engine=engine,
             max_queue_depth=100,
             max_backlog_ns=per_request_ns,  # room for ~banks requests
         )
@@ -462,7 +462,7 @@ class TestBitmapConjunctionLowering:
         ]
         # Batched on the simulated banks vs one at a time, analytically.
         batched = PimSession(
-            _frontend(executor=BatchExecutor(engine=query_engine.ambit), functional=True),
+            _frontend(engine=query_engine.ambit, functional=True),
             coster=query_engine,
         )
         futures = [batched.conjunction(index, predicates) for predicates in conjunctions]

@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ambit.bitvector import BulkBitVector
 from repro.ambit.engine import AmbitConfig, AmbitEngine
+from repro.api import PimSession
 from repro.cluster import ClusterFrontend, ShardRouter
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.bitweaving import BitWeavingColumn
@@ -33,12 +34,13 @@ from repro.dram.energy import DramEnergyParameters
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import DramTimingParameters
 from repro.service import (
-    HOST_LANE,
     BatchExecutor,
     BatchPolicy,
     BitmapConjunctionRequest,
     BulkOpRequest,
+    HOST_LANE,
     LaneSchedule,
+    PipelineConfig,
     ScanRequest,
     ServiceFrontend,
 )
@@ -65,8 +67,7 @@ def _engine(banks: int = 4) -> AmbitEngine:
 
 
 def _frontend(pipeline: bool, banks: int = 4, **kwargs) -> ServiceFrontend:
-    executor = BatchExecutor(engine=_engine(banks), pipeline=pipeline)
-    return ServiceFrontend(executor=executor, **kwargs)
+    return PimSession.over_service(engine=_engine(banks), pipeline=pipeline, **kwargs).backend
 
 
 def _random_column(rng, num_bits: int = 6, rows: int = 200) -> BitWeavingColumn:
@@ -267,11 +268,13 @@ class TestPipelinedBitExactness:
         for pipeline in (True, False):
             cluster = ClusterFrontend(
                 num_shards=num_shards,
+                config=PipelineConfig(
+                    policy=BatchPolicy(max_batch=3),
+                    pipeline=pipeline,
+                    functional=functional,
+                ),
                 router=ShardRouter(num_shards),
                 engine_factory=lambda: _engine(),
-                policy=BatchPolicy(max_batch=3),
-                pipeline=pipeline,
-                functional=functional,
             )
             scan_records = [cluster.offer(_scan(c)) for c in columns]
             conj_record = cluster.offer(
@@ -352,10 +355,12 @@ class TestPipelinedDominance:
         executor = BatchExecutor(engine=_engine())
         per_request_ns = executor.modeled_latency_ns(_scan(column))
         frontend = ServiceFrontend(
-            executor=executor,
-            max_queue_depth=100,
-            max_backlog_ns=2.5 * per_request_ns,
-            policy=BatchPolicy(max_batch=2),
+            PipelineConfig(
+                max_queue_depth=100,
+                max_backlog_ns=2.5 * per_request_ns,
+                policy=BatchPolicy(max_batch=2),
+            ),
+            engine=executor.engine,
         )
         frontend.offer(_scan(column))
         frontend.offer(_scan(column))
@@ -437,8 +442,6 @@ class TestDrainAndReuse:
         """Regression: a mid-stream session report over a pipelined
         backend must not report a makespan shorter than its completed
         sojourns (the dispatch clock lags the lane horizons)."""
-        from repro.api import PimSession
-
         frontend = _frontend(pipeline=True, policy=BatchPolicy(max_batch=4))
         session = PimSession(frontend)
         rng = np.random.default_rng(19)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ambit.engine import AmbitConfig, AmbitEngine
+from repro.api import PimSession
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.tables import ColumnTable
 from repro.dram.device import DramDevice
@@ -24,6 +25,7 @@ from repro.service import (
     BatchExecutor,
     BatchPolicy,
     BitmapConjunctionRequest,
+    PipelineConfig,
     ServiceFrontend,
 )
 from repro.storage import (
@@ -35,7 +37,6 @@ from repro.storage import (
     apply_mutation,
     charged_columns,
     is_write_request,
-    resolve_maintenance,
 )
 from repro.verify import WritePlanError
 from repro.verify.plan_lint import lint_write_plan
@@ -75,11 +76,10 @@ def _table_index(rng, rows: int = 240):
 def _frontend(maintenance, **kwargs) -> ServiceFrontend:
     kwargs.setdefault("policy", BatchPolicy(max_batch=4, window_ns=None))
     kwargs.setdefault("max_queue_depth", 256)
-    return ServiceFrontend(
-        executor=BatchExecutor(engine=_engine(), sanitize=True),
-        maintenance=maintenance,
-        **kwargs,
+    session = PimSession.over_service(
+        engine=_engine(), sanitize=True, maintenance=maintenance, **kwargs
     )
+    return session.backend
 
 
 def _random_write(rng, table, index):
@@ -141,6 +141,9 @@ class TestMaintenancePolicy:
             MaintenancePolicy("write-through")
 
     def test_resolve_normalizes(self):
+        def resolve_maintenance(maintenance):
+            return PipelineConfig.from_knobs(maintenance=maintenance).new_maintenance()
+
         assert resolve_maintenance(None).strategy == "eager"
         assert resolve_maintenance("lazy").strategy == "lazy"
         policy = MaintenancePolicy("hybrid")

@@ -19,6 +19,7 @@ Three checkers, each tested from both sides:
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import json
 import subprocess
@@ -38,9 +39,9 @@ from repro.database.bitweaving import BitWeavingColumn
 from repro.database.tables import ColumnTable
 from repro.service import (
     ArrivalEvent,
-    BatchExecutor,
     BitmapConjunctionRequest,
     LaneSchedule,
+    PipelineConfig,
     ScanRequest,
     ServiceFrontend,
 )
@@ -403,13 +404,12 @@ def _workload(table: ColumnTable, index: BitmapIndex):
 class TestSanitizeKnob:
     @pytest.mark.parametrize("pipeline", [True, False])
     def test_service_tier_clean_under_sanitize(self, table, index, pipeline):
-        executor = BatchExecutor(pipeline=pipeline, sanitize=True)
-        frontend = ServiceFrontend(executor=executor)
+        frontend = ServiceFrontend(PipelineConfig(pipeline=pipeline, sanitize=True))
         result = frontend.run(_workload(table, index))
         assert len(result.completed()) == 20
         # Same workload without the sanitizer: identical results (the
         # checker is read-only).
-        baseline = ServiceFrontend(executor=BatchExecutor(pipeline=pipeline))
+        baseline = ServiceFrontend(PipelineConfig(pipeline=pipeline))
         expected = baseline.run(_workload(table, index))
         for got, want in zip(result.completed(), expected.completed()):
             assert np.array_equal(got.value, want.value)
@@ -417,7 +417,9 @@ class TestSanitizeKnob:
     @pytest.mark.parametrize("pipeline", [True, False])
     def test_cluster_tier_clean_under_sanitize(self, table, index, pipeline):
         cluster = ClusterFrontend(
-            num_shards=3, router=ShardRouter(3), pipeline=pipeline, sanitize=True
+            num_shards=3,
+            config=PipelineConfig(pipeline=pipeline, sanitize=True),
+            router=ShardRouter(3),
         )
         result = cluster.run(_workload(table, index))
         assert len(result.completed()) == 20
@@ -427,8 +429,8 @@ class TestSanitizeKnob:
                 assert np.array_equal(record.value, expected)
 
     def test_audit_report_over_sanitized_run(self, table, index):
-        executor = BatchExecutor(pipeline=True, sanitize=True)
-        frontend = ServiceFrontend(executor=executor)
+        frontend = ServiceFrontend(PipelineConfig(pipeline=True, sanitize=True))
+        executor = frontend.executor
         frontend.run(_workload(table, index))
         audit = audit_executor(executor)
         assert audit.ok and audit.report.placements == executor.lanes.requests
@@ -436,7 +438,7 @@ class TestSanitizeKnob:
         assert "ok" in rendered and "executor" in rendered
 
     def test_audit_report_over_cluster(self, table, index):
-        cluster = ClusterFrontend(num_shards=2, sanitize=True)
+        cluster = ClusterFrontend(num_shards=2, config=PipelineConfig(sanitize=True))
         cluster.run(_workload(table, index))
         audits = audit_cluster(cluster)
         assert len(audits) == 2 and all(a.ok for a in audits)
@@ -584,6 +586,48 @@ class TestInvariantLint:
             "    planes[value][0] = 1  # lint: allow[plane-aliasing]\n"
         )
         assert lint_invariants.lint_source(source, "src/repro/storage/waived.py") == []
+
+    _KNOB_DRIFT = (
+        "from dataclasses import dataclass\n"
+        "class Frontend:\n"
+        "    def __init__(self, config, policy: 'Optional[BatchPolicy]' = None,\n"
+        "                 max_queue_depth=64, *, cache: bool = False): ...\n"
+        "    def run(self, functional: bool = False): ...\n"  # per-call, not a knob
+        "class Client:\n"
+        "    def __init__(self, policy: Optional[BackoffPolicy] = None): ...\n"  # other policy
+        "@dataclass\n"
+        "class Record:\n"
+        "    sanitize: bool = False\n"
+        "    priority: int = 0\n"
+    )
+
+    def test_knob_drift_flags_redeclared_pipeline_knobs(self):
+        knobs = lint_invariants.pipeline_knobs(
+            (REPO_ROOT / "src" / "repro" / "service" / "config.py").read_text()
+        )
+        assert set(knobs) == {f.name for f in dataclasses.fields(PipelineConfig)}
+        for package in ("service", "cluster", "api"):
+            findings = lint_invariants.lint_source(self._KNOB_DRIFT, f"src/repro/{package}/x.py")
+            assert [(f.rule, f.line) for f in findings] == [
+                ("knob-drift", 3),
+                ("knob-drift", 4),
+                ("knob-drift", 4),
+                ("knob-drift", 10),
+            ]
+        # Only the three tiers are in scope, and the config module is exempt.
+        assert lint_invariants.lint_source(self._KNOB_DRIFT, "src/repro/optimizer/x.py") == []
+        assert lint_invariants.lint_source(self._KNOB_DRIFT, "src/repro/service/config.py") == []
+
+    def test_knob_drift_waivers_sit_only_on_the_executor(self):
+        waived = [
+            str(path.relative_to(REPO_ROOT))
+            for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+            if "allow[knob-drift]" in path.read_text()
+        ]
+        assert waived == ["src/repro/service/executor.py"]
+        source = (REPO_ROOT / waived[0]).read_text().replace("# lint: allow[knob-drift]", "")
+        names = [f.message.split("'")[1] for f in lint_invariants.lint_source(source, waived[0])]
+        assert names == ["pipeline", "verify_fraction", "verify_seed", "sanitize"]
 
     def test_waiver_suppresses(self):
         source = (

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo invariant lint: an AST pass over ``src/repro`` run as a CI gate.
 
-Seven rules, each guarding an invariant the simulator's design depends on
+Eight rules, each guarding an invariant the simulator's design depends on
 (stdlib-only; no third-party linter required):
 
 * ``mutable-default`` — a dataclass field whose default is a mutable
@@ -39,6 +39,16 @@ Seven rules, each guarding an invariant the simulator's design depends on
   source operands are zero-copy views of the planes, so planes are
   copy-on-write — an in-place edit would rewrite the operands of reads
   already lowered into the same batch.
+* ``knob-drift`` — inside ``repro/service/``, ``repro/cluster/`` and
+  ``repro/api/``, an ``__init__`` parameter or dataclass field that
+  re-declares a ``PipelineConfig`` knob (same name, and an annotation
+  naming one of the knob's types — ``RetryClient(policy: BackoffPolicy)``
+  is a different ``policy``).  The knobs are read off the config module's
+  ``@dataclass``; every pipeline knob is declared, defaulted and validated
+  there and passed whole, so adding the next one touches one file.  Only
+  constructors count: ``BatchExecutor.run(functional=)`` is a per-call
+  argument.  ``BatchExecutor.__init__``, the leaf that consumes
+  ``pipeline`` / ``sanitize`` / ``verify_*``, carries the only waivers.
 
 A finding is suppressed by a ``# lint: allow[<rule>]`` comment on its
 line.  Run locally with::
@@ -52,11 +62,12 @@ Exit status is 1 when any finding survives, so CI can gate on it.
 from __future__ import annotations
 
 import ast
+import functools
 import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 #: Rules this linter knows (the only rule names a waiver may reference).
 RULES = (
@@ -67,6 +78,7 @@ RULES = (
     "obs-wall-clock",
     "cache-aliasing",
     "plane-aliasing",
+    "knob-drift",
 )
 
 _WAIVER_RE = re.compile(r"#\s*lint:\s*allow\[([a-z-]+)\]")
@@ -78,6 +90,11 @@ _WALL_CLOCK_MODULES = {"time", "random"}
 #: see virtual-clock nanoseconds, so even ``datetime`` (allowed elsewhere
 #: for formatting) is off-limits there.
 _OBS_CLOCK_MODULES = {"time", "random", "datetime"}
+
+#: Where ``PipelineConfig`` is declared (the one module knob-drift skips)
+#: and the packages whose constructors may not re-declare its fields.
+_CONFIG_MODULE = "repro/service/config.py"
+_KNOB_PACKAGES = ("repro/service/", "repro/cluster/", "repro/api/")
 
 #: Mutable literal node types a default must never be.
 _MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
@@ -159,6 +176,40 @@ def _is_field_call(node: ast.expr) -> bool:
     )
 
 
+def _type_names(annotation: Optional[ast.expr]) -> Set[str]:
+    """Type identifiers an annotation mentions (wrappers aside)."""
+    names: Set[str] = set()
+    for node in ast.walk(annotation) if annotation is not None else ():
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(re.findall(r"[A-Za-z_]\w*", node.value))
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            names.add(_terminal_name(node))
+    return names - {"typing", "Optional", "Union", "None"}
+
+
+def pipeline_knobs(source: str) -> Dict[str, Set[str]]:
+    """``field -> type names`` of the ``PipelineConfig`` dataclass in the
+    config module's source (the knob-drift pre-pass)."""
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.ClassDef)
+            and node.name == "PipelineConfig"
+            and _dataclass_decorator(node) is not None
+        ):
+            return {
+                statement.target.id: _type_names(statement.annotation)
+                for statement in node.body
+                if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name)
+            }
+    return {}
+
+
+@functools.lru_cache(maxsize=None)
+def _repo_knobs() -> Dict[str, Set[str]]:
+    config = Path(__file__).resolve().parent.parent / "src" / _CONFIG_MODULE
+    return pipeline_knobs(config.read_text()) if config.exists() else {}
+
+
 class _ModuleLinter(ast.NodeVisitor):
     """Collects findings for one parsed module."""
 
@@ -191,6 +242,10 @@ class _ModuleLinter(ast.NodeVisitor):
             fragment in normalized for fragment in ("repro/database", "repro/storage")
         )
         self._plane_aliases: List[Set[str]] = []
+        # Service/cluster/api constructors may not re-declare a knob.
+        self._in_knob_scope = not normalized.endswith(_CONFIG_MODULE) and any(
+            fragment in normalized for fragment in _KNOB_PACKAGES
+        )
 
     def _add(self, node: ast.AST, rule: str, message: str) -> None:
         self.findings.append(
@@ -202,9 +257,37 @@ class _ModuleLinter(ast.NodeVisitor):
         decorator = _dataclass_decorator(node)
         if decorator is not None:
             self._check_dataclass_defaults(node)
+        if self._in_knob_scope:
+            self._check_knob_drift(node, is_dataclass=decorator is not None)
         self._frozen_stack.append(decorator is not None and _is_frozen(decorator))
         self.generic_visit(node)
         self._frozen_stack.pop()
+
+    def _check_knob_drift(self, node: ast.ClassDef, is_dataclass: bool) -> None:
+        knobs = _repo_knobs()
+        declared: List[Tuple[ast.AST, str, Optional[ast.expr]]] = []
+        for statement in node.body:
+            if isinstance(statement, ast.FunctionDef) and statement.name == "__init__":
+                arguments = statement.args
+                for arg in arguments.posonlyargs + arguments.args + arguments.kwonlyargs:
+                    declared.append((arg, arg.arg, arg.annotation))
+            elif (
+                is_dataclass
+                and isinstance(statement, ast.AnnAssign)
+                and isinstance(statement.target, ast.Name)
+            ):
+                declared.append((statement, statement.target.id, statement.annotation))
+        for where, name, annotation in declared:
+            types = knobs.get(name)
+            if types is None:
+                continue
+            if annotation is None or types & _type_names(annotation):
+                self._add(
+                    where,
+                    "knob-drift",
+                    f"{node.name} re-declares the PipelineConfig knob {name!r}; take the "
+                    f"config whole (knobs are declared only in {_CONFIG_MODULE})",
+                )
 
     def _check_dataclass_defaults(self, node: ast.ClassDef) -> None:
         for statement in node.body:
