@@ -31,6 +31,8 @@ def mask_padding_bytes(data: np.ndarray, num_bits: int) -> np.ndarray:
     """
     full_bytes = num_bits // 8
     remaining = num_bits - full_bytes * 8
+    if not remaining and full_bytes >= data.size:
+        return data  # the bits fill the array exactly: no padding to mask
     if remaining:
         if full_bytes < data.size:
             data[full_bytes] &= (1 << remaining) - 1
@@ -69,6 +71,14 @@ class BulkBitVector:
         self.num_bits = num_bits
         self.row_size_bytes = row_size_bytes
         self.allocation = allocation
+        # Sizes are fixed at construction (the hot paths read them per
+        # primitive), so they are plain attributes, not properties.
+        #: Bytes needed to hold the logical bits (unpadded).
+        self.num_bytes = (num_bits + 7) // 8
+        #: DRAM rows needed to hold the vector.
+        self.num_rows = (self.num_bytes + row_size_bytes - 1) // row_size_bytes
+        #: Bytes of backing storage (padded up to whole rows).
+        self.storage_bytes = self.num_rows * row_size_bytes
         if data is None:
             data = np.zeros(self.storage_bytes, dtype=np.uint8)
         elif data.dtype != np.uint8 or data.shape != (self.storage_bytes,):
@@ -77,24 +87,6 @@ class BulkBitVector:
                 f"got {data.dtype} of shape {data.shape}"
             )
         self._data = data
-
-    # ------------------------------------------------------------------
-    # Sizes
-    # ------------------------------------------------------------------
-    @property
-    def num_bytes(self) -> int:
-        """Bytes needed to hold the logical bits (unpadded)."""
-        return (self.num_bits + 7) // 8
-
-    @property
-    def num_rows(self) -> int:
-        """DRAM rows needed to hold the vector."""
-        return (self.num_bytes + self.row_size_bytes - 1) // self.row_size_bytes
-
-    @property
-    def storage_bytes(self) -> int:
-        """Bytes of backing storage (padded up to whole rows)."""
-        return self.num_rows * self.row_size_bytes
 
     # ------------------------------------------------------------------
     # Value access

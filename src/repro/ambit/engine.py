@@ -285,8 +285,9 @@ class AmbitEngine:
     ) -> OperationMetrics:
         direct = _INPLACE_OPS.get(op)
         if direct is not None:
-            direct(a.data, b.data, out=out.data)
-            mask_padding_bytes(out.data, a.num_bits)
+            result = out.data
+            direct(a.data, b.data, out=result)
+            mask_padding_bytes(result, a.num_bits)
         else:
             # Complementing ops set the padding bits: masked-reference route.
             out.data[:] = reference_result(op, a, b)

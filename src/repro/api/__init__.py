@@ -14,8 +14,10 @@ whatever executes underneath:
   (:class:`~repro.service.frontend.ServiceFrontend`,
   :class:`~repro.cluster.frontend.ClusterFrontend`, and the serial
   :class:`HostBackend` baseline);
-* :mod:`repro.api.plans` — the shared chain lowering both tiers run
-  (:func:`lower_conjunction_steps`).
+* :mod:`repro.api.plans` — the shared chain lowering both tiers run:
+  a conjunction's shape is compiled once
+  (:class:`~repro.api.plans.CompiledChain`) and bound per request;
+  :func:`lower_conjunction_steps` is both in one call.
 
 The exported names below are pinned by ``tests/test_api_surface.py``;
 additions are deliberate API growth, removals are breaking changes.

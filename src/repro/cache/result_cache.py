@@ -21,12 +21,21 @@ Consistency comes from two mechanisms:
 Cached bytes are stored read-only and handed out as copies — the
 ``cache-aliasing`` lint rule bans returning the stored buffer itself
 (a consumer mutating it in place would corrupt every later hit).
+
+Entries, epochs and the canonical keys are scoped by ``id(index)``, and
+an ``id`` is only unique among *live* objects: a cache shared across
+sessions can outlive an index, and CPython hands the next same-sized
+allocation the dead one's address.  So the cache holds a weak reference
+to every bitmap source it has entries or epochs for — an entry answers
+only for the live object it was filled from, and everything scoped to a
+source is purged the moment the source is collected.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,6 +53,8 @@ class _Entry:
         self, key: Key, index_id: int, columns: Tuple[str, ...], data: np.ndarray, num_rows: int
     ) -> None:
         self.key = key
+        #: ``id()`` of the source the entry was filled from — only ever
+        #: compared for a source :meth:`ResultCache._owns` vouches for.
         self.index_id = index_id
         self.columns = columns
         self.data = data
@@ -70,6 +81,11 @@ class ResultCache:
         # guard compares plan-time and fill-time stamps through these.
         self._index_epochs: Dict[int, int] = {}
         self._column_epochs: Dict[Tuple[int, str], int] = {}
+        # id(source) -> weak reference to the source every entry and epoch
+        # under that id belongs to; its callback purges them on collection.
+        self._owners: Dict[int, Callable[[], Optional[object]]] = {}
+        # Owners the collector reported dead, awaiting :meth:`_reap`.
+        self._collected: List["weakref.ReferenceType[object]"] = []
         #: Lifetime accounting (end-to-end visible through BatchMetrics
         #: and the obs counters the frontend emits).
         self.hits = 0
@@ -85,15 +101,64 @@ class ResultCache:
     @property
     def live_entries(self) -> int:
         """Entries currently cached."""
+        if self._collected:
+            self._reap()
         return len(self._entries)
 
     @property
     def live_bytes(self) -> int:
         """Bytes currently cached."""
+        if self._collected:
+            self._reap()
         return self._bytes
+
+    # ------------------------------------------------------------------
+    # Source liveness (id() is only unique among live objects)
+    # ------------------------------------------------------------------
+    def _owns(self, index: object) -> bool:
+        """Is ``index`` the live source its ``id()``'s state belongs to?"""
+        owner = self._owners.get(id(index))
+        return owner is not None and owner() is index
+
+    def _adopt(self, index: object) -> int:
+        """Start (or keep) scoping state by ``index``; returns its id."""
+        index_id = id(index)
+        if not self._owns(index):
+            # Whatever an earlier object at this address left behind must
+            # never answer for the newcomer.
+            self._purge(index_id)
+            try:
+                self._owners[index_id] = weakref.ref(index, self._collected.append)
+            except TypeError:
+                # Not weakly referenceable (no real bitmap source is):
+                # pinning the object keeps its address from being recycled.
+                self._owners[index_id] = lambda: index
+        return index_id
+
+    def _reap(self) -> None:
+        """Purge the state of collected sources.
+
+        Deferred from the weak-reference callback, which only queues: the
+        collector can run it inside any allocation, including one made
+        while a method here iterates the entries.
+        """
+        self._collected.clear()
+        for index_id in [i for i, owner in self._owners.items() if owner() is None]:
+            self._purge(index_id)
+
+    def _purge(self, index_id: int) -> None:
+        """Forget everything scoped to ``index_id``: owner, entries, epochs."""
+        self._owners.pop(index_id, None)
+        for key in [key for key, entry in self._entries.items() if entry.index_id == index_id]:
+            self._drop(key)
+        self._index_epochs.pop(index_id, None)
+        for epoch_key in [k for k in self._column_epochs if k[0] == index_id]:
+            del self._column_epochs[epoch_key]
 
     def entries_for(self, index: object) -> List[Key]:
         """Keys of the live entries depending on ``index`` (test surface)."""
+        if not self._owns(index):
+            return []
         return [key for key, entry in self._entries.items() if entry.index_id == id(index)]
 
     def live_for(self, index: object) -> List[Tuple[Key, Tuple[str, ...], int, int]]:
@@ -103,6 +168,8 @@ class ResultCache:
         .lint_cache_consistency`) reads this instead of the stored
         buffers themselves, so certification never aliases cached bytes.
         """
+        if not self._owns(index):
+            return []
         return [
             (key, entry.columns, entry.num_rows, entry.data.nbytes)
             for key, entry in self._entries.items()
@@ -132,6 +199,8 @@ class ResultCache:
         columns advances it, so equality between a plan-time and a
         fill-time stamp proves no write landed in between.
         """
+        if not self._owns(index):
+            return 0  # never written through this cache
         index_id = id(index)
         epoch = self._index_epochs.get(index_id, 0)
         for column in columns:
@@ -150,7 +219,7 @@ class ResultCache:
         should already have invalidated it.
         """
         entry = self._entries.get(key)
-        if entry is None or entry.index_id != id(index):
+        if entry is None or entry.index_id != id(index) or not self._owns(index):
             self.misses += 1
             return None
         if entry.num_rows != num_rows:
@@ -170,12 +239,14 @@ class ResultCache:
         num_rows: int,
     ) -> None:
         """Cache a finished result bitmap with its dependency columns."""
+        if self._collected:
+            self._reap()
         data = np.asarray(packed, dtype=np.uint8).copy()
         data.setflags(write=False)
         existing = self._entries.pop(key, None)
         if existing is not None:
             self._bytes -= existing.data.nbytes
-        entry = _Entry(key, id(index), tuple(columns), data, num_rows)
+        entry = _Entry(key, self._adopt(index), tuple(columns), data, num_rows)
         self._entries[key] = entry
         self._bytes += data.nbytes
         self.fills += 1
@@ -199,17 +270,17 @@ class ResultCache:
     def invalidate_columns(self, index: object, columns: Iterable[str]) -> int:
         """Drop entries of ``index`` depending on any of ``columns``;
         returns the number dropped.  Bumps the columns' write epochs."""
-        index_id = id(index)
         stale = set(columns)
         if not stale:
             return 0
+        index_id = self._adopt(index)
         for column in stale:
-            key = (index_id, column)
-            self._column_epochs[key] = self._column_epochs.get(key, 0) + 1
+            epoch_key = (index_id, column)
+            self._column_epochs[epoch_key] = self._column_epochs.get(epoch_key, 0) + 1
         dropped = [
             key
             for key, entry in self._entries.items()
-            if entry.index_id == index_id and stale.intersection(entry.columns)
+            if entry.index_id == index_id and not stale.isdisjoint(entry.columns)
         ]
         for key in dropped:
             self._drop(key)
@@ -219,7 +290,7 @@ class ResultCache:
     def invalidate_index(self, index: object) -> int:
         """Drop every entry of ``index`` (row count changed); returns the
         number dropped.  Bumps the index-level write epoch."""
-        index_id = id(index)
+        index_id = self._adopt(index)
         self._index_epochs[index_id] = self._index_epochs.get(index_id, 0) + 1
         dropped = [key for key, entry in self._entries.items() if entry.index_id == index_id]
         for key in dropped:

@@ -203,9 +203,12 @@ class Tracer:
         """
         if not self.enabled or span is NULL_SPAN or parent is NULL_SPAN:
             return
-        for index, root in enumerate(self.roots):
-            if root is span:
-                del self.roots[index]
+        # Adopted spans were opened a moment ago, and `roots` keeps every
+        # request and batch of the stream: search from the tail.
+        roots = self.roots
+        for index in range(len(roots) - 1, -1, -1):
+            if roots[index] is span:
+                del roots[index]
                 break
         span.parent = parent
         parent.children.append(span)

@@ -149,6 +149,8 @@ class BatchExecutor:
         self._object_offsets: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         self._next_offset = 0
         self._bank_keys = [key for key, _ in self.engine.device.iter_banks()]
+        # (rows, offset, banks_available) -> bank keys; see span_banks.
+        self._spans: Dict[Tuple[int, int, int], List] = {}
         #: Persistent per-bank lane timelines (only advanced in pipelined
         #: mode; a barrier run schedules on a fresh throwaway timeline).
         self.lanes = LaneSchedule(self.active_bank_keys())
@@ -304,17 +306,38 @@ class BatchExecutor:
         raise TypeError(f"unknown request type {type(request).__name__}")
 
     def _scan_metrics(self, request: ScanRequest) -> OperationMetrics:
-        """Charged cost of a scan (identical to the plan-level cost model)."""
-        expected, plan = request.scan_result()
-        rows = max(1, -(-len(expected) // self.engine.device.geometry.row_size_bytes))
-        per_op = [
-            self.engine.op_cost(op, rows, (request.column.num_rows + 7) // 8)
-            for op in plan.sequence
-        ]
-        metrics = combine_serial(f"ambit_scan_{request.kind}", per_op)
-        metrics.bytes_produced = len(expected)
-        metrics.notes = f"{plan.total_operations} bulk ops over {plan.planes_touched} planes"
-        return metrics
+        """Charged cost of a scan (identical to the plan-level cost model).
+
+        Admission prices a scan and execution prices it again, so the
+        roll-up is kept on the request — valid only for this executor and
+        the ``banks_parallel`` it was priced under (a failover re-offer to
+        another shard, or the bank ablation, re-prices) — and every call
+        stamps a fresh :class:`OperationMetrics` from it (callers edit
+        ``bytes_produced`` / ``notes`` in place).
+        """
+        banks_parallel = self.engine.config.banks_parallel
+        price = request._scan_price
+        if price is None or price[0]() is not self or price[1] != banks_parallel:
+            expected, plan = request.scan_result()
+            rows = max(1, -(-len(expected) // self.engine.device.geometry.row_size_bytes))
+            per_op = [
+                self.engine.op_cost(op, rows, (request.column.num_rows + 7) // 8)
+                for op in plan.sequence
+            ]
+            serial = combine_serial(f"ambit_scan_{request.kind}", per_op)
+            price = request._scan_price = (
+                weakref.ref(self),
+                banks_parallel,
+                (
+                    serial.name,
+                    serial.latency_ns,
+                    serial.energy_j,
+                    serial.bytes_moved_on_channel,
+                    len(expected),
+                    f"{plan.total_operations} bulk ops over {plan.planes_touched} planes",
+                ),
+            )
+        return OperationMetrics(*price[2])
 
     # ------------------------------------------------------------------
     # Per-request execution
@@ -371,7 +394,7 @@ class BatchExecutor:
         else:
             metrics = self.rowclone.bulk_copy(request.num_bytes, request.mode)
         rows = max(1, -(-request.num_bytes // self.engine.device.geometry.row_size_bytes))
-        bank_ids = self._modeled_banks(rows, self._rotate_offset(rows))
+        bank_ids = self.span_banks(rows, self._rotate_offset(rows))
         return RequestResult(request=request, metrics=metrics, value=None, bank_ids=bank_ids)
 
     def _run_scan(
@@ -391,7 +414,7 @@ class BatchExecutor:
         else:
             value = expected
         rows = max(1, -(-len(expected) // self.engine.device.geometry.row_size_bytes))
-        bank_ids = self._modeled_banks(rows, self._column_offset(column))
+        bank_ids = self.span_banks(rows, self._column_offset(column))
         return RequestResult(request=request, metrics=metrics, value=value, bank_ids=bank_ids)
 
     # ------------------------------------------------------------------
@@ -584,8 +607,26 @@ class BatchExecutor:
         return list(self._bank_keys[: self.banks_available()])
 
     def span_banks(self, rows: int, offset: int) -> List:
-        """Bank keys a ``rows``-chunk request occupies from ``offset``."""
-        return self._modeled_banks(rows, offset % self.banks_available())
+        """Bank keys a ``rows``-chunk request occupies from ``offset``
+        (any non-negative offset; it wraps around the active banks).
+
+        Uses the same id space as real placements (the device's bank keys)
+        so modeled and placed requests contend for the same banks.  A
+        stream asks for the same few spans per primitive, so each is
+        derived once per ``(rows, offset, banks_available)`` — keyed on
+        the live bank count, which the bank ablation sweeps; rows and
+        offset are reduced to the active banks first, so the memo is
+        bounded by the device — and every call hands out its own list.
+        """
+        available = self.banks_available()
+        key = (min(rows, available), offset % available, available)
+        span = self._spans.get(key)
+        if span is None:
+            width, first, _ = key
+            span = self._spans[key] = [
+                self._bank_keys[(first + i) % available] for i in range(width)
+            ]
+        return span[:]
 
     def modeled_banks(self, request: ServiceRequest) -> List:
         """Bank keys the request is modeled to occupy (empty = unpinned).
@@ -615,21 +656,12 @@ class BatchExecutor:
             return []
         raise TypeError(f"unknown request type {type(request).__name__}")
 
-    def _modeled_banks(self, rows: int, offset: int) -> List:
-        """Bank keys a request of ``rows`` chunks occupies from ``offset``.
-
-        Uses the same id space as real placements (the device's bank keys)
-        so modeled and placed requests contend for the same banks.
-        """
-        available = self.banks_available()
-        return [self._bank_keys[(offset + i) % available] for i in range(min(rows, available))]
-
     def _request_banks(self, request: BulkOpRequest, rows: int) -> List:
         vector = request.a
         if vector.allocation is not None and vector.allocation.placements:
             return sorted({p.bank_key for p in vector.allocation.placements})
         if request.bank_offset is not None:
-            return self._modeled_banks(rows, request.bank_offset % self.banks_available())
+            return self.span_banks(rows, request.bank_offset)
         # Host-only operands with no bank hint never touch DRAM banks:
         # the op runs (and serializes) on the dedicated host lane instead
         # of being rotated onto — and falsely contending with — real banks.
@@ -684,17 +716,21 @@ class BatchExecutor:
         finish_max = release_ns
         overlap = 0.0
         finishes: List[float] = []
+        # Looked up per batch, not cached at construction: a tracer shims
+        # `lanes.place` as an instance attribute after the executor exists.
+        place = lanes.place
         for result in order:
             release = release_ns
-            for dep in getattr(result.request, "after", ()):
-                if not 0 <= dep < len(finishes):
-                    raise ValueError(
-                        f"after={dep} must reference an earlier primitive of "
-                        f"the same batch (placed so far: {len(finishes)})"
-                    )
-                release = max(release, finishes[dep])
+            if has_deps:
+                for dep in getattr(result.request, "after", ()):
+                    if not 0 <= dep < len(finishes):
+                        raise ValueError(
+                            f"after={dep} must reference an earlier primitive of "
+                            f"the same batch (placed so far: {len(finishes)})"
+                        )
+                    release = max(release, finishes[dep])
             banks = result.bank_ids or [HOST_LANE]
-            start, finish = lanes.place(banks, result.metrics.latency_ns, release)
+            start, finish = place(banks, result.metrics.latency_ns, release)
             result.start_ns = start
             if batch_span is not None:
                 # One exec span per placement, on every lane it occupies —

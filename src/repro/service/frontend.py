@@ -736,6 +736,8 @@ class ServiceFrontend:
         # a fill whose dependency columns took a write since plan time is
         # bypassed instead of caching a stale bitmap.
         self.planner.commit_cache_fills()
+        results = batch.results
+        group_metrics = self.planner.group_metrics
         for group in groups:
             queued = group.queued
             queued.batch_index = batch_index
@@ -743,18 +745,22 @@ class ServiceFrontend:
             # steps it consumes (CSE deps bound its finish but are only
             # charged to their owner); split-mode host joins extend the
             # finish by the merge tree.
-            cone = list(group.indices) + list(group.dep_indices)
+            own = cone = [results[i] for i in group.indices]
+            if group.dep_indices:
+                cone = own + [results[i] for i in group.dep_indices]
             if cone:
                 # Result start times are absolute against the frontend
                 # clock (the executor scheduled from ``release_ns``).
-                results = [batch.results[i] for i in cone]
-                queued.start_ns = min(r.start_ns for r in results)
-                queued.finish_ns = (
-                    max(r.start_ns + r.metrics.latency_ns for r in results)
-                    + group.host_merge_ns
-                )
-                own = [batch.results[i] for i in group.indices]
-                queued.metrics = self.planner.group_metrics(group, own)
+                start = finish = cone[0].start_ns
+                for result in cone:
+                    if result.start_ns < start:
+                        start = result.start_ns
+                    end = result.start_ns + result.metrics.latency_ns
+                    if end > finish:
+                        finish = end
+                queued.start_ns = start
+                queued.finish_ns = finish + group.host_merge_ns
+                queued.metrics = group_metrics(group, own)
                 queued.value = group.finalize(own)
             else:
                 queued.start_ns = batch_start
@@ -819,12 +825,13 @@ class ServiceFrontend:
         cluster frontend, and the retry client.
         """
         while self._heap and self.clock_ns < until_ns:
-            if self.planner.should_close(self._queued(), self.clock_ns):
+            queued = self._queued()  # the heap only changes when a batch is served
+            if self.planner.should_close(queued, self.clock_ns):
                 # An urgent (horizon-priced deadline) close bypasses the
                 # dispatch gate: waiting for a free lane is exactly what
                 # would miss the deadline.  The lane schedule still
                 # serializes the placements themselves.
-                urgent = self.planner.urgent_close(self._queued(), self.clock_ns)
+                urgent = self.planner.urgent_close(queued, self.clock_ns)
                 ready = self._dispatch_ready_ns()
                 if ready > self.clock_ns and not urgent:
                     # Every lane the next batch would use is busy: the
@@ -837,7 +844,7 @@ class ServiceFrontend:
                 continue
             # Sleep until the policy's next closing instant (window expiry /
             # the last moment an urgent deadline can still start on time).
-            wake = self.planner.next_close_ns(self._queued(), self.clock_ns)
+            wake = self.planner.next_close_ns(queued, self.clock_ns)
             if wake >= until_ns or wake <= self.clock_ns or math.isinf(wake):
                 break
             self.clock_ns = wake

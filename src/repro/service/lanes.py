@@ -166,13 +166,16 @@ class LaneSchedule:
         The request starts once it is released *and* every one of its
         lanes has drained, then occupies all of them for ``latency_ns``.
         """
+        horizon, busy = self.horizon, self.busy
         start = release_ns
         for key in lanes:
-            start = max(start, self.horizon.get(key, 0.0))
+            drained = horizon.get(key, 0.0)
+            if drained > start:
+                start = drained
         finish = start + latency_ns
         for key in lanes:
-            self.horizon[key] = finish
-            self.busy[key] = self.busy.get(key, 0.0) + latency_ns
+            horizon[key] = finish
+            busy[key] = busy.get(key, 0.0) + latency_ns
         self._add_interval(start, finish)
         self.requests += 1
         self.log.append(
@@ -192,6 +195,19 @@ class LaneSchedule:
         if finish <= start:
             return 0.0
         starts, ends = self._starts, self._ends
+        if not ends or start >= ends[-1]:
+            # Nothing scheduled at or after `start` yet — the common case
+            # of a stream placed in time order: the interval opens a new
+            # union segment, or extends the last one it touches.  Zero
+            # overlap, so `added` is what the general path computes.
+            if ends and start == ends[-1]:
+                ends[-1] = finish
+            else:
+                starts.append(start)
+                ends.append(finish)
+            added = finish - start
+            self.busy_union_ns += added
+            return added
         i = bisect.bisect_left(ends, start)
         j = bisect.bisect_right(starts, finish)
         overlap = 0.0

@@ -13,8 +13,10 @@
   Primitives pass through unchanged; high-level requests are *lowered* —
   a :class:`~repro.service.requests.BitmapConjunctionRequest` becomes the
   OR/AND chain of :class:`~repro.service.requests.BulkOpRequest` steps
-  produced by :func:`repro.api.plans.lower_conjunction_steps`, pinned to
-  one bank offset so the data-dependent chain serializes on its banks.
+  its :class:`~repro.api.plans.CompiledChain` binds, pinned to one bank
+  offset so the data-dependent chain serializes on its banks.  The
+  chain's *shape* is compiled and priced once per template and interned
+  on the planner; only the bind runs per request.
 
 The executor orders the lowered batch longest-first (LPT) before bank
 assignment; the planner deliberately leaves intra-batch ordering to it.
@@ -25,6 +27,7 @@ The knobs the planner reads (``policy``, ``optimizer``, ``cache``,
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
@@ -45,7 +48,39 @@ from repro.storage.maintenance import WriteOutcome
 from repro.storage.requests import is_write_request
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.api.plans import CompiledChain, SharedSources
     from repro.optimizer.passes import BatchOptimizer
+
+#: Compiled conjunction shapes a planner keeps interned (LRU).  A constant,
+#: not a knob: an entry is a few hundred bytes of structure and a miss only
+#: re-compiles, so no workload needs a different value.
+CHAIN_INTERN_CAPACITY = 512
+
+#: ``(latency_ns, energy_j, bytes_moved_on_channel, bytes_produced)``.
+SerialCost = Tuple[float, float, int, int]
+
+
+@dataclass(slots=True)
+class _PricedChain:
+    """One interned conjunction shape plus what the engine charges for it.
+
+    The prices depend only on the shape and on the engine's cost key
+    (``config.banks_parallel``, what ``op_cost`` itself is keyed on), so
+    they are computed once per shape and re-computed when the key moves.
+
+    Attributes:
+        chain: The interned shape.
+        cost_key: ``banks_parallel`` the prices were computed under.
+        latency_ns: Admission latency — the chain's sequential-execution
+            time.
+        serial: Serial roll-up of the chain's steps (priced on first
+            lowering).
+    """
+
+    chain: "CompiledChain"
+    cost_key: Optional[int] = None
+    latency_ns: float = 0.0
+    serial: Optional[SerialCost] = None
 
 
 @dataclass
@@ -78,6 +113,9 @@ class LoweredGroup:
             (strategy attribution, charged planes; None for reads).
         rebuild_columns: Lazily-maintained columns this read repaired
             (their rebuild charge rides in ``indices``).
+        chain_cost: Serial roll-up of the group's primitives, priced once
+            per conjunction shape — set only while ``indices`` is exactly
+            one compiled chain's steps (None: sum the results).
     """
 
     queued: QueuedRequest
@@ -94,6 +132,7 @@ class LoweredGroup:
     cache_invalidations: int = 0
     write_outcome: Optional[WriteOutcome] = None
     rebuild_columns: Tuple[str, ...] = ()
+    chain_cost: Optional[SerialCost] = None
 
 
 class BatchPlanner:
@@ -120,6 +159,10 @@ class BatchPlanner:
             self.optimizer = BatchOptimizer(config.optimizer, result_cache=self.result_cache)
         #: High-level requests lowered across the planner's lifetime.
         self.lowered_requests = 0
+        # Interned conjunction shapes, least recently used first, keyed
+        # (predicates, num_rows, row_size_bytes).  Per planner, like the
+        # engine's op-cost table: no warm state crosses sessions.
+        self._chains: "OrderedDict[Tuple[Any, int, int], _PricedChain]" = OrderedDict()
 
     # ------------------------------------------------------------------
     # Latency model (includes high-level requests)
@@ -132,20 +175,63 @@ class BatchPlanner:
             return self.maintenance.modeled_write_ns(request, self.executor)
         return self.executor.modeled_latency_ns(request)
 
-    def _conjunction_latency_ns(self, request: BitmapConjunctionRequest) -> float:
+    def _priced_chain(self, request: BitmapConjunctionRequest) -> _PricedChain:
+        """The request's interned shape (compiled on first sight; requests
+        with equal predicates over equal-sized sources share one), priced
+        for the engine as it is now."""
         engine = self.executor.engine
-        ops = sum(len(values) - 1 for _, values in request.predicates)
-        ands = len(request.predicates) - 1
-        rows = self._conjunction_rows(request)
-        return (
-            ops * engine.op_cost("or", rows).latency_ns
-            + ands * engine.op_cost("and", rows).latency_ns
+        key = (
+            request.predicates,
+            request.index.num_rows,
+            engine.device.geometry.row_size_bytes,
         )
+        chains = self._chains
+        priced = chains.get(key)
+        if priced is None:
+            from repro.api.plans import CompiledChain  # local: avoid cycle
 
-    def _conjunction_rows(self, request: BitmapConjunctionRequest) -> int:
-        vector_bytes = (request.index.num_rows + 7) // 8
-        row_size = self.executor.engine.device.geometry.row_size_bytes
-        return max(1, -(-vector_bytes // row_size))
+            priced = chains[key] = _PricedChain(CompiledChain.compile(*key))
+            if len(chains) > CHAIN_INTERN_CAPACITY:
+                chains.popitem(last=False)
+        else:
+            chains.move_to_end(key)
+        if priced.cost_key != engine.config.banks_parallel:
+            chain = priced.chain
+            ops = sum(len(values) - 1 for _, values in chain.predicates)
+            ands = len(chain.predicates) - 1
+            priced.cost_key = engine.config.banks_parallel
+            priced.latency_ns = (
+                ops * engine.op_cost("or", chain.rows).latency_ns
+                + ands * engine.op_cost("and", chain.rows).latency_ns
+            )
+            priced.serial = None
+        return priced
+
+    def _conjunction_latency_ns(self, request: BitmapConjunctionRequest) -> float:
+        return self._priced_chain(request).latency_ns
+
+    def _serial_cost(self, priced: _PricedChain) -> SerialCost:
+        """Serial roll-up of a (freshly looked-up) chain's steps.
+
+        Every execution path charges a step ``op_cost(op, rows, bytes)``,
+        so the roll-up is a property of the shape: the same sum over the
+        same sequence :meth:`group_metrics` would take over the executed
+        results, taken once per shape and cost key.
+        """
+        if priced.serial is None:
+            chain = priced.chain
+            engine = self.executor.engine
+            serial = combine_serial(
+                "bitmap_conjunction",
+                [engine.op_cost(op, chain.rows, chain.packed_bytes) for op, _a, _b in chain.steps],
+            )
+            priced.serial = (
+                serial.latency_ns,
+                serial.energy_j,
+                serial.bytes_moved_on_channel,
+                serial.bytes_produced,
+            )
+        return priced.serial
 
     def modeled_banks(self, request: FrontendRequest) -> List:
         """Bank keys any frontend request is modeled to occupy.
@@ -160,7 +246,8 @@ class BatchPlanner:
             if self.optimizer is not None and self.optimizer.config.split_subchains:
                 return []
             return self.executor.span_banks(
-                self._conjunction_rows(request), self.executor.stable_offset(request.index)
+                self._priced_chain(request).chain.rows,
+                self.executor.stable_offset(request.index),
             )
         if is_write_request(request):
             return self.maintenance.modeled_write_banks(request, self.executor)
@@ -267,6 +354,9 @@ class BatchPlanner:
         """
         primitives: List[ServiceRequest] = []
         groups: List[LoweredGroup] = []
+        # Source operands bound so far, shared by the batch's chains and
+        # dropped with this frame: no vector may outlive its batch.
+        shared: "SharedSources" = {}
         if self.optimizer is not None:
             self.optimizer.open_batch(self.executor)
         for queued in batch:
@@ -282,7 +372,7 @@ class BatchPlanner:
                     self.lowered_requests += 1
                     group = self.optimizer.lower_conjunction(queued, primitives)
                 else:
-                    group = self._lower_conjunction(queued, primitives)
+                    group = self._lower_conjunction(queued, primitives, shared)
                 if pending:
                     self._charge_rebuilds(group, pending, primitives)
                 groups.append(group)
@@ -333,6 +423,7 @@ class BatchPlanner:
                 primitives.append(primitive)
                 group.indices.append(len(primitives) - 1)
         group.rebuild_columns = tuple(columns)
+        group.chain_cost = None  # no longer just the chain: sum the results
 
     def _lower_write(
         self, queued: QueuedRequest, primitives: List[ServiceRequest]
@@ -401,43 +492,39 @@ class BatchPlanner:
         )
 
     def _lower_conjunction(
-        self, queued: QueuedRequest, primitives: List[ServiceRequest]
+        self, queued: QueuedRequest, primitives: List[ServiceRequest], shared: "SharedSources"
     ) -> LoweredGroup:
-        from repro.api.plans import lower_conjunction_steps  # local: avoid cycle
-
         request = queued.request
         index = request.index
-        # One lowering path for every tier: the shared plan IR expands the
-        # chain identically whether `index` is a full BitmapIndex (service
-        # tier) or a shard view (each cluster shard).
-        steps, result_vector, plan = lower_conjunction_steps(
-            index,
-            request.predicates,
-            # The executor charges each step from the vectors' row-chunk
-            # count: lower at the device's row size or the analytical cost
-            # diverges from the plan-level model (and the functional path).
-            row_size_bytes=self.executor.engine.device.geometry.row_size_bytes,
-        )
+        # One lowering path for every tier: the shared plan IR binds the
+        # interned shape identically whether `index` is a full BitmapIndex
+        # (service tier) or a shard view (each cluster shard).  The shape
+        # was compiled at the device's row size — the executor charges
+        # each step from the vectors' row-chunk count, so any other size
+        # would diverge from the plan-level model (and the functional path).
+        priced = self._priced_chain(request)
+        chain = priced.chain
+        steps, result_vector = chain.bind(index, shared)
         if self.executor.sanitize:
             from repro.verify.plan_lint import lint_lowered_conjunction  # local: avoid cycle
 
-            # Certify the lowered chain statically before any step
+            # Certify the bound chain statically before any step
             # executes: topology, widths, and cost-model agreement.
             lint_lowered_conjunction(
                 request.predicates,
                 steps,
                 result_vector,
-                plan,
+                chain.plan(),
                 num_rows=index.num_rows,
-                row_size_bytes=self.executor.engine.device.geometry.row_size_bytes,
+                row_size_bytes=chain.row_size_bytes,
             )
         self.lowered_requests += 1
         offset = self.executor.stable_offset(index)
-        indices: List[int] = []
+        first = len(primitives)
         for op, a, b, out in steps:
-            primitives.append(BulkOpRequest(op=op, a=a, b=b, out=out, bank_offset=offset))
-            indices.append(len(primitives) - 1)
-        packed_bytes = (index.num_rows + 7) // 8
+            primitives.append(BulkOpRequest(op, a, b, out, offset))
+        indices = list(range(first, len(primitives)))
+        packed_bytes = chain.packed_bytes
 
         def finalize(results: List[RequestResult]) -> Any:
             return result_vector.data[:packed_bytes].copy()
@@ -452,10 +539,15 @@ class BatchPlanner:
                 latency_ns=0.0,
                 energy_j=0.0,
                 bytes_produced=packed_bytes,
-                notes=f"{plan.total_operations} bulk ops (identity)",
+                notes=f"{len(chain.steps)} bulk ops (identity)",
             )
         return LoweredGroup(
-            queued=queued, indices=indices, finalize=finalize, zero_cost_metrics=zero_cost
+            queued=queued,
+            indices=indices,
+            finalize=finalize,
+            zero_cost_metrics=zero_cost,
+            # A single step's metrics are its result's own (group_metrics).
+            chain_cost=self._serial_cost(priced) if len(indices) > 1 else None,
         )
 
     @staticmethod
@@ -465,6 +557,12 @@ class BatchPlanner:
             return group.zero_cost_metrics
         if len(results) == 1:
             return results[0].metrics
+        if group.chain_cost is not None:
+            latency_ns, energy_j, moved, produced = group.chain_cost
+            return OperationMetrics(
+                "bitmap_conjunction", latency_ns, energy_j, moved, produced,
+                f"{len(results)} lowered bulk ops",
+            )
         if group.write_outcome is not None:
             name = f"storage_{group.write_outcome.request.kind}"
         else:

@@ -78,6 +78,12 @@ class ScanRequest:
     _scan_cache: Optional[Tuple[np.ndarray, ScanPlan]] = field(
         default=None, repr=False, compare=False
     )
+    #: The executor's priced roll-up of the scan, beside the evaluation it
+    #: prices: ``(weak ref to the executor, banks_parallel, OperationMetrics
+    #: fields)`` — see :meth:`BatchExecutor._scan_metrics`, its only user.
+    _scan_price: Optional[Tuple[Any, int, Tuple[Any, ...]]] = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.kind not in SCAN_KINDS:
@@ -139,11 +145,12 @@ class BitmapConjunctionRequest:
     """One bitmap-index conjunction: ``AND`` of per-column ``IN`` predicates.
 
     This is a *high-level* request: the executor does not understand it.
-    The :class:`~repro.service.planner.BatchPlanner` lowers it — via
-    :func:`repro.api.plans.lower_conjunction_steps` — into a chain of
-    primitive :class:`BulkOpRequest` steps (the OR of each predicate's
-    value bitmaps, then the AND across predicates), pinned to one
-    bank-offset hint so the data-dependent chain serializes on its banks.
+    The :class:`~repro.service.planner.BatchPlanner` lowers it — binding
+    the :class:`repro.api.plans.CompiledChain` of its predicates — into a
+    chain of primitive :class:`BulkOpRequest` steps (the OR of each
+    predicate's value bitmaps, then the AND across predicates), pinned to
+    one bank-offset hint so the data-dependent chain serializes on its
+    banks.
 
     Construction is the API boundary: a predicate the index cannot answer
     raises here, not inside ``serve_batch`` after its batch was popped.

@@ -32,11 +32,13 @@ from repro.api import (
     ServiceDetails,
     lower_conjunction_steps,
 )
+from repro.api.plans import CompiledChain
 from repro.cache import ResultCache
 from repro.cluster import ClusterFrontend, ShardRouter
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.bitweaving import BitWeavingColumn
 from repro.database.queries import QueryEngine, ScanBackend
+from repro.database.sharding import BitmapIndexShardView
 from repro.database.tables import ColumnTable
 from repro.dram.device import DramDevice
 from repro.dram.energy import DramEnergyParameters
@@ -53,6 +55,7 @@ from repro.service import (
     ServiceFrontend,
     poisson_schedule,
 )
+from repro.service.planner import CHAIN_INTERN_CAPACITY
 from repro.optimizer import OptimizerConfig
 from repro.storage import MaintenancePolicy, UpdateRequest
 from repro.verify import VerifyError
@@ -429,6 +432,219 @@ class TestPlanIR:
         view = index.shard_view(["region"])
         with pytest.raises(KeyError):
             lower_conjunction_steps(view, [("status", (0,))])
+
+    @staticmethod
+    def _reference_wiring(predicates):
+        """The lowering as one loop, as it was before compile and bind
+        were told apart: per predicate the OR chain of its value bitmaps,
+        then the AND chain across predicates.  Operands are named
+        ``("bitmap", column, value)`` or ``("step", i)``."""
+        steps, operations, partials = [], [], []
+        for column, values in predicates:
+            acc = ("bitmap", column, values[0])
+            for value in values[1:]:
+                steps.append(("or", acc, ("bitmap", column, value)))
+                acc = ("step", len(steps) - 1)
+            if len(values) > 1:
+                operations.append(("or", len(values) - 1))
+            partials.append(acc)
+        result = partials[0]
+        for partial in partials[1:]:
+            steps.append(("and", result, partial))
+            result = ("step", len(steps) - 1)
+        if len(predicates) > 1:
+            operations.append(("and", len(predicates) - 1))
+        return steps, result, operations
+
+    @staticmethod
+    def _assert_wired(source, label, vector, outputs, packed_bytes):
+        if label[0] == "step":
+            assert vector is outputs[label[1]]
+        else:
+            assert all(vector is not out for out in outputs)
+            plane = source.bitmap(label[1], label[2])
+            np.testing.assert_array_equal(vector.data[:packed_bytes], plane)
+            assert not vector.data[packed_bytes:].any()
+            assert not vector.data.flags.writeable
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        rows=st.sampled_from([64, 400, 512, 1500]),
+        row_size=st.sampled_from([64, 8192]),
+        as_view=st.booleans(),
+        shape=st.lists(
+            st.tuples(
+                st.sampled_from(["region", "status", "tier"]),
+                st.lists(st.integers(0, 2), min_size=1, max_size=4),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_bind_of_compile_is_the_one_loop_lowering(self, seed, rows, row_size, as_view, shape):
+        """Op sequence, operand wiring and plan of ``bind(compile(...))``
+        equal the reference loop on a full index and a shard view, and
+        executing the chain yields ``evaluate_conjunction``."""
+        index = _bitmap_index(np.random.default_rng(seed), rows=rows)
+        source = index.shard_view(["region", "status", "tier"]) if as_view else index
+        predicates = tuple((column, tuple(values)) for column, values in shape)
+        chain = CompiledChain.compile(predicates, source.num_rows, row_size)
+        steps, result = chain.bind(source)
+        ref_steps, ref_result, ref_operations = self._reference_wiring(predicates)
+        assert [op for op, _a, _b, _out in steps] == [op for op, _a, _b in ref_steps]
+        outputs = [out for _op, _a, _b, out in steps]
+        packed = (rows + 7) // 8
+        for (_op, a, b, _out), (_ref_op, ref_a, ref_b) in zip(steps, ref_steps):
+            self._assert_wired(source, ref_a, a, outputs, packed)
+            self._assert_wired(source, ref_b, b, outputs, packed)
+        self._assert_wired(source, ref_result, result, outputs, packed)
+        assert chain.plan().operations == ref_operations
+        assert chain.plan().result_bits == rows
+        assert (chain.rows, chain.packed_bytes) == (result.num_rows, packed)
+        # The public one-call form is the same bind over the same shape.
+        lowered, _result, plan = lower_conjunction_steps(source, shape, row_size_bytes=row_size)
+        assert [op for op, *_ in lowered] == [op for op, *_ in steps]
+        assert plan == chain.plan()
+        for op, a, b, out in steps:
+            (np.bitwise_or if op == "or" else np.bitwise_and)(a.data, b.data, out=out.data)
+        expected, evaluated_plan = index.evaluate_conjunction(predicates)
+        np.testing.assert_array_equal(result.data[:packed], expected)
+        assert chain.plan().total_operations == evaluated_plan.total_operations
+
+    def test_equal_shapes_intern_to_one_chain_per_planner(self):
+        index = _bitmap_index(np.random.default_rng(31))
+        as_lists = BitmapConjunctionRequest(index, [["region", [1, 2]], ["status", [0]]])
+        as_tuples = BitmapConjunctionRequest(index, (("region", (1, 2)), ("status", (0,))))
+        planner = _service_session().backend.planner
+        def interned(planner, source, predicates=as_tuples.predicates):
+            return planner._priced_chain(BitmapConjunctionRequest(source, predicates)).chain
+
+        chain = planner._priced_chain(as_lists).chain
+        assert planner._priced_chain(as_tuples).chain is chain
+        # Same predicates over a same-sized other source: the shape holds no index.
+        assert interned(planner, _bitmap_index(np.random.default_rng(32))) is chain
+        assert interned(planner, _bitmap_index(np.random.default_rng(33), rows=200)) is not chain
+        # Per planner, never process-wide.
+        assert interned(_service_session().backend.planner, index) is not chain
+
+    def test_the_intern_is_bounded_and_holds_structure_only(self):
+        """Ten times the bound in distinct templates leave at most the
+        bound interned, and nothing reachable from the intern is data: no
+        array, no vector, no bitmap source (so a write has nothing to
+        invalidate there and nothing can be retained through it)."""
+        index = _bitmap_index(np.random.default_rng(34))
+        session = _service_session(max_queue_depth=4096)
+        planner = session.backend.planner
+        for i in range(10 * CHAIN_INTERN_CAPACITY):
+            digits = tuple((i >> (3 * k)) & 7 for k in range(5))  # distinct per i
+            planner._priced_chain(
+                BitmapConjunctionRequest(index, [("region", digits), ("status", (i % 4,))])
+            )
+            assert len(planner._chains) <= CHAIN_INTERN_CAPACITY
+        assert len(planner._chains) == CHAIN_INTERN_CAPACITY
+        for i in range(64):  # and serve some, so priced entries are walked too
+            session.conjunction(index, [("region", (i % 8, (i + 1) % 8)), ("tier", (0, 1))])
+        session.drain()
+        assert 0 < len(planner._chains) <= CHAIN_INTERN_CAPACITY
+        data_types = (np.ndarray, BulkBitVector, BitmapIndex, BitmapIndexShardView)
+        seen, frontier = set(), [planner._chains]
+        while frontier:
+            node = frontier.pop()
+            if id(node) in seen or isinstance(node, (type, type(np), type(len), type(_engine))):
+                continue  # classes, modules and functions lead to the whole program
+            seen.add(id(node))
+            assert not isinstance(node, data_types), type(node)
+            frontier.extend(gc.get_referents(node))
+        assert len(seen) > CHAIN_INTERN_CAPACITY  # the walk did descend into the chains
+
+    def test_changing_banks_parallel_reprices_admission(self):
+        """Prices hang on the shape *and* the engine's cost key: a later
+        ``banks_parallel`` change (the bank ablation) re-prices both the
+        admission latency and the bank footprint."""
+        index = _bitmap_index(np.random.default_rng(35), rows=2048)  # 4 x 64 B rows
+        request = BitmapConjunctionRequest(index, [("region", (1, 2, 3)), ("status", (0, 1))])
+        engine = _engine(banks=4)
+        planner = PimSession.over_service(engine=engine).backend.planner
+        wide_ns, wide_banks = planner.modeled_latency_ns(request), planner.modeled_banks(request)
+        assert wide_ns == 4 * engine.op_cost("or", 4).latency_ns and len(wide_banks) == 4
+        engine.config.banks_parallel = 2
+        narrow_ns = planner.modeled_latency_ns(request)
+        narrow_banks = planner.modeled_banks(request)
+        assert narrow_ns == 4 * engine.op_cost("or", 4).latency_ns == 2 * wide_ns
+        assert len(narrow_banks) == 2 and set(narrow_banks) < set(wide_banks)
+        # ...and what a served request is charged follows the same key.
+        session = PimSession.over_service(engine=_engine(banks=4))
+        first = session.conjunction(index, request.predicates)
+        session.drain()
+        session.backend.executor.engine.config.banks_parallel = 2
+        second = session.conjunction(index, request.predicates)
+        session.drain()
+        assert second.record.metrics.latency_ns == 2 * first.record.metrics.latency_ns
+        assert second.record.modeled_ns == second.record.metrics.latency_ns
+
+    def test_priced_roll_up_is_the_sum_over_the_executed_steps(self):
+        """A lowered chain's metrics are priced once per shape; they must
+        be what summing the batch's own results gives, bit for bit."""
+        index = _bitmap_index(np.random.default_rng(36), rows=1500)
+        session = _service_session(policy=BatchPolicy(max_batch=4))
+        frontend = session.backend
+        for predicates in (
+            [("region", (1, 2, 3)), ("status", (0, 1)), ("tier", (2,))],
+            [("region", (0, 7)), ("tier", (0, 1))],
+            [("region", (1, 2, 3)), ("status", (0, 1)), ("tier", (2,))],
+            [("status", (3,))],
+        ):
+            session.conjunction(index, predicates)
+        batch = frontend.serve_batch()
+        cursor = 0
+        for record in frontend.records:
+            steps = sum(len(v) - 1 for _c, v in record.request.predicates) + (
+                len(record.request.predicates) - 1
+            )
+            own = batch.results[cursor: cursor + steps]
+            cursor += steps
+            assert record.metrics.latency_ns == sum(r.metrics.latency_ns for r in own)
+            assert record.metrics.energy_j == sum(r.metrics.energy_j for r in own)
+            if own:  # (an identity chain reports the bitmap it hands back)
+                assert record.metrics.bytes_produced == sum(r.metrics.bytes_produced for r in own)
+        assert cursor == len(batch.results)
+
+    def test_two_sessions_in_one_process_do_the_same_work(self, monkeypatch):
+        """No process-global warm state: a second, identical session
+        prices, reads and allocates exactly as often as the first — and
+        shims attached *after* construction see every call (nothing
+        caches a bound method of the engine or the index)."""
+
+        def served():
+            counts = {"op_cost": 0, "bitmap": 0, "vectors": 0}
+            index = _bitmap_index(np.random.default_rng(37), rows=512)
+            engine = _engine()
+            session = PimSession.over_service(engine=engine, max_queue_depth=4096)
+            op_cost, bitmap, init = engine.op_cost, index.bitmap, BulkBitVector.__init__
+
+            def count(name, call):
+                def shim(*args, **kwargs):
+                    counts[name] += 1
+                    return call(*args, **kwargs)
+                return shim
+
+            engine.op_cost = count("op_cost", op_cost)
+            index.bitmap = count("bitmap", bitmap)
+            monkeypatch.setattr(BulkBitVector, "__init__", count("vectors", init))
+            pool = [
+                [("region", (1, 2, 3)), ("status", (0, 1))],
+                [("region", (0, 4)), ("status", (2, 3)), ("tier", (0, 1))],
+            ]
+            for i in range(96):
+                session.conjunction(index, pool[i % 2], at_ns=500.0 * i)
+            session.drain()
+            monkeypatch.undo()
+            return counts
+
+        first, second = served(), served()
+        assert first == second
+        assert all(first.values())
 
 
 class TestGatherMergeCost:

@@ -11,6 +11,8 @@ accounting through ``Response.details`` and ``SessionReport``, and the
 ``cache.*`` observability counters.
 """
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -191,6 +193,105 @@ class TestResultCacheUnit:
         cache.put(("k",), index, ("c",), np.zeros(4, dtype=np.uint8), 32)
         assert cache.get(("k",), index, 40) is None
         assert cache.live_entries == 0
+
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        entries=st.lists(
+            st.tuples(st.integers(0, 1), st.sets(st.sampled_from("abcd"), min_size=1)),
+            max_size=12,
+        ),
+        owner=st.integers(0, 1),
+        written=st.sets(st.sampled_from("abcde")),
+    )
+    def test_invalidate_columns_drops_exactly_the_dependents(self, entries, owner, written):
+        """The reference rule, spelled out: an entry goes iff it belongs
+        to the written index and depends on a written column; exactly the
+        written columns' epochs (of that index only) advance."""
+        cache = ResultCache()
+        indexes = (object(), object())
+        for i, (which, columns) in enumerate(entries):
+            cache.put((i,), indexes[which], sorted(columns), np.zeros(4, dtype=np.uint8), 32)
+        expected = [
+            (i,) for i, (which, columns) in enumerate(entries)
+            if which == owner and columns & written
+        ]
+        survivors = [(i,) for i in range(len(entries)) if (i,) not in expected]
+        epochs = {
+            (which, c): cache.write_epoch(indexes[which], [c]) for which in (0, 1) for c in "abcde"
+        }
+        assert cache.invalidate_columns(indexes[owner], written) == len(expected)
+        assert cache.invalidations == len(expected)
+        live = cache.entries_for(indexes[0]) + cache.entries_for(indexes[1])
+        assert sorted(live) == survivors
+        for (which, c), before in epochs.items():
+            bumped = which == owner and c in written
+            assert cache.write_epoch(indexes[which], [c]) == before + bumped
+
+
+class TestSourceLiveness:
+    """``id(index)`` scopes entries, epochs and canonical keys, and an id
+    is unique only among live objects: a shared cache must never let a
+    dead index's state answer for a new one at the recycled address."""
+
+    PREDICATES = [("region", (1, 2)), ("status", (0, 1))]
+
+    @staticmethod
+    def _session(cache) -> PimSession:
+        return PimSession.over_service(engine=_engine(), optimize=True, cache=cache)
+
+    def test_a_recycled_id_never_serves_the_dead_indexs_bitmaps(self):
+        class WideIndex(BitmapIndex):
+            """An index in an allocator size class almost nothing else
+            uses, so a freed instance's address comes straight back."""
+
+            __slots__ = tuple(f"_pad{i}" for i in range(40))
+
+        cache = ResultCache()
+        table, _plain = _table_index(np.random.default_rng(1))
+        index = WideIndex(table, list(CARDINALITIES))
+        session = self._session(cache)
+        session.conjunction(index, self.PREDICATES).result()
+        assert cache.fills > 0 and cache.entries_for(index)
+        dead_id = id(index)
+        table, _plain = _table_index(np.random.default_rng(2))  # different data
+        del session, index
+        gc.collect()
+        # Same-shaped indexes over the other data until one lands on the
+        # dead one's address (the misses stay pinned: they walk the
+        # allocator's free list instead of recycling one block).
+        hits_before = cache.hits
+        misses = []
+        for _ in range(10_000):
+            index = WideIndex(table, list(CARDINALITIES))
+            if id(index) == dead_id:
+                break
+            misses.append(index)
+        else:
+            pytest.skip("the allocator never reused the dead index's id")
+        response = self._session(cache).conjunction(index, self.PREDICATES).result()
+        expected, _plan = index.evaluate_conjunction(self.PREDICATES)
+        np.testing.assert_array_equal(response.value, expected)
+        assert cache.hits == hits_before  # nothing of the dead index answered
+
+    @pytest.mark.parametrize("as_view", [False, True])
+    def test_entries_and_epochs_die_with_their_source(self, as_view):
+        cache = ResultCache()
+        _table, index = _table_index(np.random.default_rng(2))
+        source = index.shard_view(["region", "status"]) if as_view else index
+        cache.put(("k",), source, ("status",), np.zeros(4, dtype=np.uint8), 32)
+        cache.invalidate_columns(source, ["region"])
+        cache.invalidate_index(source)  # drops the entry, bumps the index epoch
+        cache.put(("k",), source, ("status",), np.zeros(4, dtype=np.uint8), 32)
+        other = object()
+        cache.put(("o",), other, ("status",), np.zeros(4, dtype=np.uint8), 32)
+        assert cache.write_epoch(source, ["region"]) == 2
+        del source, index, _table
+        gc.collect()
+        assert cache.live_entries == 1 and cache.live_bytes == 4
+        assert cache.entries_for(other) == [("o",)]
+        assert not cache._index_epochs and not cache._column_epochs
+        assert list(cache._owners) == [id(other)]
 
 
 class TestBitExactness:

@@ -306,6 +306,39 @@ class TestBitExactness:
 # ---------------------------------------------------------------------
 # The recorded span trees and metrics
 # ---------------------------------------------------------------------
+class TestAdopt:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        script=st.lists(
+            st.one_of(st.none(), st.tuples(st.integers(0, 30), st.integers(0, 30))),
+            max_size=40,
+        )
+    )
+    def test_roots_match_the_forward_scan_reference(self, script):
+        """``adopt`` finds its span from the tail of ``roots``; whatever
+        the interleaving of opens and adopts (re-adopting an adopted
+        span included), ``roots`` ends up exactly as the front-to-back
+        scan left it."""
+        tracer = Tracer()
+        opened, reference = [], []
+        for step in script:
+            if step is None or not opened:
+                opened.append(tracer.span(f"s{len(opened)}"))
+                reference.append(opened[-1])
+                continue
+            child, parent = (opened[i % len(opened)] for i in step)
+            if child is parent:
+                continue
+            tracer.adopt(child, parent)
+            for position, root in enumerate(reference):
+                if root is child:
+                    del reference[position]
+                    break
+            assert child.parent is parent and parent.children[-1] is child
+        assert len(tracer.roots) == len(reference)
+        assert all(a is b for a, b in zip(tracer.roots, reference))
+
+
 class TestRecordedSpans:
     def test_completed_request_tree_shape(self):
         frontend, result = _run_service(observe=True)

@@ -465,6 +465,65 @@ class TestQueryBatchApi:
         assert all(future.done() for future in futures)
 
 
+class TestScanPricedOnce:
+    """Admission and execution price a scan through one roll-up, kept on
+    the request and valid only for the executor and ``banks_parallel`` it
+    was priced under."""
+
+    @staticmethod
+    def _counting(engine):
+        calls = []
+        original = engine.op_cost
+        engine.op_cost = lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs)
+        return calls
+
+    def test_admission_then_execution_price_once(self):
+        engine = _engine()
+        calls = self._counting(engine)
+        executor = BatchExecutor(engine=engine)
+        request = _scan(_random_column(np.random.default_rng(3), 6, 300), "between", 9, 40)
+        modeled_ns = executor.modeled_latency_ns(request)
+        priced = len(calls)
+        assert priced == len(request.scan_result()[1].sequence) > 0
+        (result,) = executor.run([request]).results
+        assert len(calls) == priced  # execution re-used admission's roll-up
+        assert result.metrics.latency_ns == modeled_ns
+        # What the roll-up must equal: the plan's ops, summed in order.
+        rows = max(1, -(-len(result.value) // engine.device.geometry.row_size_bytes))
+        reference = combine_serial(
+            "reference",
+            [engine.op_cost(op, rows, (300 + 7) // 8) for op in request.scan_result()[1].sequence],
+        )
+        assert result.metrics.latency_ns == reference.latency_ns
+        assert result.metrics.energy_j == reference.energy_j
+        assert result.metrics.bytes_produced == len(result.value)
+
+    def test_every_use_gets_its_own_metrics(self):
+        executor = BatchExecutor(engine=_engine())
+        request = _scan(_random_column(np.random.default_rng(4), 6, 300), "less_than", 17)
+        first = executor._scan_metrics(request)
+        first.notes, first.bytes_produced = "scribbled", -1  # callers edit in place
+        second = executor._scan_metrics(request)
+        assert second is not first
+        assert second.notes != "scribbled" and second.bytes_produced > 0
+
+    def test_another_executor_or_bank_count_reprices(self):
+        request = _scan(_random_column(np.random.default_rng(5), 6, 3000), "less_equal", 33)
+        engine = _engine(banks=4)
+        executor = BatchExecutor(engine=engine)
+        wide = executor.modeled_latency_ns(request)
+        # The bank ablation: the same executor, fewer banks in parallel.
+        engine.config.banks_parallel = 1
+        narrow = executor.modeled_latency_ns(request)
+        assert narrow > wide
+        assert narrow == BatchExecutor(engine=_engine(banks=1)).modeled_latency_ns(request)
+        # A failover re-offer: another shard's executor prices for itself.
+        other_engine = _engine(banks=4)
+        calls = self._counting(other_engine)
+        assert BatchExecutor(engine=other_engine).modeled_latency_ns(request) == wide
+        assert calls  # priced there, not read off the first executor's roll-up
+
+
 class TestBatchMetrics:
     def test_combine_serial_sums_components(self):
         engine = _engine()

@@ -25,6 +25,7 @@ from repro.service import (
     BatchExecutor,
     BatchPolicy,
     BitmapConjunctionRequest,
+    BulkOpRequest,
     PipelineConfig,
     ServiceFrontend,
 )
@@ -256,6 +257,60 @@ class TestPlaneOwnership:
         # Lowered before the write, executed after it: still pre-write bits.
         np.testing.assert_array_equal(first.value, before)
         np.testing.assert_array_equal(second.value, after)
+        _assert_rebuild_equivalent(index, table)
+
+    @pytest.mark.parametrize("maintenance", ["eager", "lazy"])
+    def test_shared_sources_rebind_after_an_in_batch_write(self, maintenance):
+        """Reads of one template share their interned shape and, within a
+        batch, their source operand vectors — until a write lands between
+        them: the later read's ``index.bitmap`` call sees rebound planes
+        (copy-on-write under eager maintenance, the rebuild it triggers
+        itself under lazy) and binds fresh vectors over post-write bits."""
+        rng = np.random.default_rng(23)
+        table, index = _table_index(rng, rows=512)
+        frontend = _frontend(maintenance, policy=BatchPolicy(max_batch=8, window_ns=None))
+        predicates = (("status", (0, 1)), ("region", (2, 3)))
+        before, _ = index.evaluate_conjunction(predicates)
+        row_ids = tuple(range(0, 512, 2))
+        reads = [
+            frontend.offer(BitmapConjunctionRequest(index=index, predicates=predicates))
+            for _ in range(2)
+        ]
+        frontend.offer(
+            UpdateRequest(
+                table=table, index=index, column="status",
+                row_ids=row_ids, values=(3,) * len(row_ids),
+            )
+        )
+        reads += [
+            frontend.offer(BitmapConjunctionRequest(index=index, predicates=predicates))
+            for _ in range(2)
+        ]
+        planner = frontend.planner
+        assert len({id(planner._priced_chain(q.request).chain) for q in reads}) == 1
+        rebuilds = index.rebuilds
+        batch = frontend.serve_batch()
+        assert len(frontend.batches) == 1 and frontend.queue_depth == 0
+        assert index.rebuilds == rebuilds + (maintenance == "lazy")
+        after, _ = index.evaluate_conjunction(predicates)
+        assert not np.array_equal(before, after)
+        for read, expected in zip(reads, (before, before, after, after)):
+            np.testing.assert_array_equal(read.value, expected)
+        # Operand sharing follows plane identity: the two pre-write reads
+        # ran over one set of source vectors, the two post-write reads
+        # over another for the written column and the same for the other.
+        bulk = [r.request for r in batch.results if isinstance(r.request, BulkOpRequest)]
+        producer = {id(request.out): request for request in bulk}
+        joins = [
+            request for request in bulk
+            if request.op == "and" and {id(request.a), id(request.b)} <= set(producer)
+        ]
+        assert len(joins) == 4  # the reads' AND steps, in lowering order
+        status = [(producer[id(join.a)].a, producer[id(join.a)].b) for join in joins]
+        region = [(producer[id(join.b)].a, producer[id(join.b)].b) for join in joins]
+        assert status[0][0] is status[1][0] and status[2][0] is status[3][0]
+        assert status[0][0] is not status[2][0] and status[0][1] is not status[2][1]
+        assert all(pair[0] is region[0][0] and pair[1] is region[0][1] for pair in region)
         _assert_rebuild_equivalent(index, table)
 
     def test_apply_update_rebinds_instead_of_mutating(self):
