@@ -8,7 +8,8 @@ run non-raising — every violation listed underneath.  This is the
 offline/"report" face of the sanitizer; the online face is the
 ``sanitize=True`` knob of :class:`~repro.service.config.PipelineConfig`
 (either tier, or a hand-built executor), which raises on the first
-violation instead.
+violation instead — and is what makes an executor keep the interval log
+this report replays (an unsanitized one's lanes raise ``ValueError``).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def audit_schedule(schedule: "LaneSchedule", name: str = "lanes") -> ScheduleAud
 
 
 def audit_executor(executor: "BatchExecutor", name: str = "executor") -> ScheduleAudit:
-    """Audit a (pipelined) executor's persistent lane timelines."""
+    """Audit a (pipelined, sanitized) executor's persistent lane timelines."""
     return audit_schedule(executor.lanes, name=name)
 
 

@@ -38,8 +38,11 @@ from repro.service.requests import (
     FrontendRequest,
     QueuedRequest,
     ScanRequest,
+    check_request_type,
     checked_arrival,
 )
+
+_HOST_REFUSAL = "the host backend serves scans and conjunctions, not"
 
 
 @runtime_checkable
@@ -51,6 +54,12 @@ class Backend(Protocol):
     ``rejected_reason``, ``completed``, ``value``, ``metrics`` and the
     wait/sojourn accounting), serves queued work as its clock advances,
     and summarizes everything served with :meth:`result`.
+
+    The three tiers here also offer ``check_request(request)``, raising
+    for a request :meth:`offer` would refuse outright (a type the tier
+    does not serve, row ids the table cannot take); :meth:`offer` runs it
+    before recording anything, and a session runs it — when the backend
+    has one — before its pre-arrival :meth:`advance_to`.
     """
 
     clock_ns: float
@@ -104,6 +113,12 @@ class HostBackend:
         #: Requests served (each is its own "batch": no host batching).
         self.served = 0
 
+    @staticmethod
+    def check_request(request: object) -> None:
+        """Refuse (``TypeError``) anything but a scan or a conjunction,
+        before anything is recorded or the clock moves."""
+        check_request_type(request, (ScanRequest, BitmapConjunctionRequest), _HOST_REFUSAL)
+
     def offer(
         self,
         request: FrontendRequest,
@@ -113,6 +128,7 @@ class HostBackend:
     ) -> QueuedRequest:
         """Serve one request immediately (FIFO single server, no rejection)."""
         arrival = checked_arrival(self.clock_ns, arrival_ns, deadline_ns)
+        self.check_request(request)
         self.clock_ns = max(self.clock_ns, arrival)
         queued = QueuedRequest(
             request=request,
@@ -140,10 +156,7 @@ class HostBackend:
         if isinstance(request, BitmapConjunctionRequest):
             bits, plan = request.index.evaluate_conjunction(list(request.predicates))
             return bits, self.coster.cpu_scan_cost(plan)
-        raise TypeError(
-            f"the host backend serves scans and conjunctions, not "
-            f"{type(request).__name__}"
-        )
+        raise TypeError(f"{_HOST_REFUSAL} {type(request).__name__}")
 
     def advance_to(self, until_ns: float) -> None:
         """No-op: host service is synchronous, nothing is ever queued."""

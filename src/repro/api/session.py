@@ -387,6 +387,7 @@ class PimSession:
             if binder is not None:
                 binder(self.obs)
         self.futures: List[Future] = []
+        self._check_request = getattr(backend, "check_request", None)
         self._coster = coster or self._default_coster()
         # Window snapshot: report() covers only this session's traffic.
         self._clock0 = backend.clock_ns
@@ -674,7 +675,8 @@ class PimSession:
             tier=self.tier,
             requests=len(self.futures),
             details=metrics,
-            obs=self.obs.snapshot() if self.obs.enabled else None,
+            # A report, not a decision: the one place the plane is read.
+            obs=self.obs.snapshot() if self.obs.enabled else None,  # lint: allow[obs-readback]
         )
 
     # ------------------------------------------------------------------
@@ -795,9 +797,12 @@ class PimSession:
         )
 
     def _submit(self, request, kind, priority, deadline_ns, at_ns) -> Future:
-        # Validated before the clock advances: a rejected stamp must leave
-        # the backend untouched.
+        # Validated before the clock advances: a rejected stamp — or a
+        # request the backend says it cannot serve — must leave the
+        # backend untouched.
         arrival = checked_arrival(self.backend.clock_ns, at_ns, deadline_ns)
+        if self._check_request is not None:
+            self._check_request(request)
         # Serve whatever the policy closes before this arrival, so
         # admission sees the live queue — identical to the frontends'
         # own run() loops.

@@ -19,10 +19,11 @@ throughput across banks:
   shard kills, revivals, drains, retirements, and joins at scheduled
   instants or on predicate triggers, with replica failover of the
   victim's queued work;
-* :class:`ElasticController` — the obs-driven scale/re-placement loop:
-  re-replicates hot keys under imbalance, joins shards under sustained
-  overload, drains and retires them when idle — every copy byte charged
-  to the lanes it occupies;
+* :class:`ElasticController` — the scale/re-placement loop over the
+  cluster's own health (:meth:`ClusterFrontend.health`): re-replicates
+  hot keys under imbalance, joins shards under sustained overload,
+  drains and retires them when idle — every copy byte charged to the
+  lanes it occupies;
 * :class:`~repro.analysis.metrics.ClusterMetrics` — the roll-up:
   per-shard utilization, imbalance factor, cross-shard fan-out,
   aggregate latency percentiles, and the failover/scale accounting.
@@ -36,11 +37,12 @@ from repro.cluster.faults import (
     FaultTrigger,
     kill_revive_schedule,
 )
-from repro.cluster.frontend import ClusterFrontend, ClusterRecord, ClusterResult
+from repro.cluster.frontend import ClusterFrontend, ClusterHealth, ClusterRecord, ClusterResult
 from repro.cluster.router import PlacementUnavailable, ShardRouter
 
 __all__ = [
     "ClusterFrontend",
+    "ClusterHealth",
     "ClusterRecord",
     "ClusterResult",
     "ControllerPolicy",

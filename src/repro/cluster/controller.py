@@ -1,16 +1,22 @@
-"""Obs-driven elastic scale and re-placement controller.
+"""Elastic scale and re-placement controller.
 
 :class:`ElasticController` is the closed-loop half of the cluster's
 elasticity story: it ticks on the cluster's **virtual clock** (the
 frontend fires :meth:`run_due` from ``advance_to``/``drain``, exactly
-like a scheduled fault event) and decides from the **observability
-plane only** — it reads ``Observer.snapshot()`` gauges and counters, not
-private frontend state, per the ROADMAP's rule that control decisions
-must flow through the same signals an operator would watch:
+like a scheduled fault event) and decides from the **cluster's own
+state** — the :class:`~repro.cluster.frontend.ClusterHealth` that
+:meth:`ClusterFrontend.publish_gauges` returns, and its ``key_reads``:
 
-* ``cluster.backlog_ns.shard<i>`` / ``cluster.imbalance`` — queue skew;
-* ``cluster.rejection_rate`` — admission pressure;
-* ``cluster.key_reads.<label>`` — per-key read heat (what to replicate).
+* ``health.backlogs`` / ``health.imbalance`` — queue skew;
+* ``health.rejection_rate`` — admission pressure;
+* ``cluster.key_reads[label]`` — per-key read heat (what to replicate).
+
+Decisions still flow through the signals an operator watches: each tick
+publishes that same health as the ``cluster.backlog_ns.shard<i>`` /
+``cluster.imbalance`` / ``cluster.rejection_rate`` gauges (the heat as
+``cluster.key_reads.<label>`` counters) when the plane records — a
+write-only copy.  The controller never reads the plane and needs none,
+so a plane shared with another cluster cannot leak its signals in.
 
 Three actuators, all on the cluster frontend's public surface:
 
@@ -31,7 +37,7 @@ Three actuators, all on the cluster frontend's public surface:
 Every decision is appended to :attr:`ElasticController.events` as a
 :class:`ScaleEvent` for post-run audit.  The controller is fully
 deterministic: same arrival stream + same policy → same tick instants →
-same snapshot values → same decisions.  Wall-clock and host-randomness
+same health values → same decisions.  Wall-clock and host-randomness
 imports are banned here by the ``obs-wall-clock`` rule in
 ``tools/lint_invariants.py``.
 """
@@ -40,9 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
-
-from repro.obs import resolve_observe
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.frontend import ClusterFrontend
@@ -116,12 +120,10 @@ class ScaleEvent:
 
 
 class ElasticController:
-    """Watches the obs plane and resizes/re-places the cluster.
+    """Watches the cluster's health and resizes/re-places it.
 
     Registers itself as ``cluster.controller`` so the frontend's event
-    loop fires its ticks; a cluster built without ``observe=`` gets a
-    recording observer bound (the controller cannot read a null plane —
-    and recording never changes schedules or results).
+    loop fires its ticks and starts counting per-key reads.
 
     Args:
         cluster: The frontend to control.
@@ -138,8 +140,6 @@ class ElasticController:
     ) -> None:
         self.cluster = cluster
         self.policy = policy or ControllerPolicy()
-        if not cluster.obs.enabled:
-            cluster.bind_observer(resolve_observe(True))
         self._next_tick = float(start_ns) + self.policy.interval_ns
         #: Decision audit log, in tick order.
         self.events: List[ScaleEvent] = []
@@ -160,7 +160,7 @@ class ElasticController:
         """Execute the tick due at or before ``at_ns`` (missed ticks —
         the clock jumped past several periods — collapse into one tick at
         the latest due instant; the skipped windows carried no new
-        information, the snapshot is cumulative).  Returns ticks run."""
+        information, the health signals are cumulative).  Returns ticks run."""
         if self._next_tick > at_ns:
             return 0
         interval = self.policy.interval_ns
@@ -174,28 +174,20 @@ class ElasticController:
     # The control loop body
     # ------------------------------------------------------------------
     def step(self, now_ns: float) -> None:
-        """One control decision at ``now_ns`` from the current snapshot."""
+        """One control decision at ``now_ns`` from the cluster's health."""
         self.ticks += 1
         cluster = self.cluster
         policy = self.policy
         router = cluster.router
-        cluster.publish_gauges(now_ns)
-        snapshot = cluster.obs.snapshot()
-        gauges: Dict[str, float] = snapshot["gauges"]
-        counters: Dict[str, float] = snapshot["counters"]
-
-        routable = router.routable_shards()
-        backlogs = {
-            shard: gauges.get(f"cluster.backlog_ns.shard{shard}", 0.0)
-            for shard in routable
-        }
+        # One health reading: published to the operator's gauges, then decided from.
+        health = cluster.publish_gauges(now_ns)
+        backlogs, rejection_rate = health.backlogs, health.rejection_rate
+        routable = list(backlogs)
         mean = sum(backlogs.values()) / len(backlogs) if backlogs else 0.0
         peak = max(backlogs.values()) if backlogs else 0.0
-        imbalance = gauges.get("cluster.imbalance", 1.0)
-        rejection_rate = gauges.get("cluster.rejection_rate", 0.0)
 
-        if imbalance > policy.imbalance_threshold and len(routable) > 1:
-            self._replicate_hot_keys(now_ns, backlogs, counters)
+        if health.imbalance > policy.imbalance_threshold and len(routable) > 1:
+            self._replicate_hot_keys(now_ns, backlogs)
 
         overloaded = (
             mean > policy.overload_backlog_ns
@@ -241,12 +233,7 @@ class ElasticController:
                 )
             self._idle_streak = 0
 
-    def _replicate_hot_keys(
-        self,
-        now_ns: float,
-        backlogs: Dict[int, float],
-        counters: Dict[str, float],
-    ) -> None:
+    def _replicate_hot_keys(self, now_ns: float, backlogs: Dict[int, float]) -> None:
         """Give the hottest keys of the most-backlogged shard a replica
         on the least-backlogged one (the copy is charged there)."""
         policy = self.policy
@@ -256,7 +243,9 @@ class ElasticController:
         if hot_shard == cold_shard:
             return
         replicated = 0
-        for label, reads in self._keys_by_heat(counters):
+        # Key labels by cumulative read count, hottest first.
+        heat = sorted(self.cluster.key_reads.items(), key=lambda item: (-item[1], item[0]))
+        for label, reads in heat:
             if replicated >= policy.replicate_per_tick:
                 break
             key = router.key_for_label(label)
@@ -280,17 +269,6 @@ class ElasticController:
                     )
                 )
                 replicated += 1
-
-    @staticmethod
-    def _keys_by_heat(counters: Dict[str, float]) -> List[Tuple[str, float]]:
-        """Key labels by cumulative read count, hottest first."""
-        prefix = "cluster.key_reads."
-        heat = [
-            (name[len(prefix):], value)
-            for name, value in counters.items()
-            if name.startswith(prefix)
-        ]
-        return sorted(heat, key=lambda item: (-item[1], item[0]))
 
 
 __all__ = [

@@ -55,7 +55,13 @@ from repro.database.bitmap_index import BitmapIndex
 from repro.database.sharding import BitmapIndexShardView
 from repro.obs import Observer, resolve_observe
 from repro.service.config import DEFAULT_MERGE_NS_PER_OP, PipelineConfig
-from repro.service.frontend import ArrivalEvent, PipelineResult, ServiceFrontend, replay
+from repro.service.frontend import (
+    ArrivalEvent,
+    PipelineResult,
+    ServiceFrontend,
+    check_frontend_request,
+    replay,
+)
 from repro.service.requests import (
     BitmapConjunctionRequest,
     CopyRequest,
@@ -65,7 +71,7 @@ from repro.service.requests import (
     ScanRequest,
     checked_arrival,
 )
-from repro.storage.requests import WriteRequest, charged_columns, check_row_ids, is_write_request
+from repro.storage.requests import WriteRequest, charged_columns, is_write_request
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.controller import ElasticController
@@ -142,6 +148,15 @@ class ClusterRecord(RequestEnvelope):
     def cache_misses(self) -> int:
         """Shard-local result-cache lookups that missed."""
         return sum(p.cache_misses for p in self.parts)
+
+
+@dataclass(frozen=True)
+class ClusterHealth:
+    """What :meth:`ClusterFrontend.health` returns (documented there)."""
+
+    backlogs: Dict[int, float]
+    imbalance: float
+    rejection_rate: float
 
 
 @dataclass
@@ -244,6 +259,11 @@ class ClusterFrontend:
         #: (:class:`~repro.cluster.controller.ElasticController` registers
         #: itself here).
         self.controller: Optional["ElasticController"] = None
+        #: Cluster records rejected so far, on any path.
+        self.rejected = 0
+        #: Read touches per router key label, counted while a controller
+        #: is attached or the plane records (what re-replication ranks).
+        self.key_reads: Dict[str, int] = {}
         # Elastic accounting (mirrors the cluster.failover.* and
         # cluster.scale.* obs counters, so obs-off runs still report).
         self.shards_failed = 0
@@ -314,15 +334,19 @@ class ClusterFrontend:
             )
             registry.counter("cluster.rejected").inc()
 
-    def _obs_key_reads(self, request: FrontendRequest) -> None:
-        """Count per-key read touches (the controller's hotness signal)."""
-        registry = self.obs.metrics
+    def _count_key_reads(self, request: FrontendRequest) -> None:
+        """Count per-key read touches (the controller's hotness signal);
+        a recording plane gets the same counts as ``cluster.key_reads.*``."""
+        keys: List[Any] = []
         if isinstance(request, ScanRequest):
-            label = self.router.key_label(request.column)
-            registry.counter(f"cluster.key_reads.{label}").inc()
+            keys = [request.column]
         elif isinstance(request, BitmapConjunctionRequest):
-            for column, _ in request.predicates:
-                label = self.router.key_label(column)
+            keys = [column for column, _ in request.predicates]
+        registry = self.obs.metrics if self.obs.enabled else None
+        for key in keys:
+            label = self.router.key_label(key)
+            self.key_reads[label] = self.key_reads.get(label, 0) + 1
+            if registry is not None:
                 registry.counter(f"cluster.key_reads.{label}").inc()
 
     def _obs_gathered(self, record: ClusterRecord, tree_depth: int) -> None:
@@ -363,9 +387,17 @@ class ClusterFrontend:
         shard = self.shards[shard_id]
         return max(0.0, shard.completion_ns - at) + shard.backlog_ns
 
-    def backlog_vector(self, at_ns: Optional[float] = None) -> List[float]:
-        """Per-shard backlog (the routing signal), shard order."""
-        return [self.shard_load(i, at_ns) for i in range(self.num_shards)]
+    def health(self, at_ns: Optional[float] = None) -> ClusterHealth:
+        """The cluster's health at an instant, read off its own state (never
+        off the observability plane): the routable shards' ``backlogs``
+        (shard id → :meth:`shard_load`, ascending), their ``imbalance``
+        (hottest over mean; 1.0 when idle) and the cumulative
+        ``rejection_rate`` (rejected / offered records)."""
+        backlogs = {s: self.shard_load(s, at_ns) for s in self.router.routable_shards()}
+        mean = sum(backlogs.values()) / len(backlogs) if backlogs else 0.0
+        imbalance = max(backlogs.values()) / mean if mean > 0.0 else 1.0
+        offered = len(self.records)
+        return ClusterHealth(backlogs, imbalance, self.rejected / offered if offered else 0.0)
 
     def _views_for(self, index: BitmapIndex) -> Dict[int, BitmapIndexShardView]:
         entry = self._index_views.get(id(index))
@@ -383,6 +415,8 @@ class ClusterFrontend:
     # ------------------------------------------------------------------
     # Admission (routing + scatter)
     # ------------------------------------------------------------------
+    check_request = staticmethod(check_frontend_request)
+
     def offer(
         self,
         request: FrontendRequest,
@@ -398,8 +432,7 @@ class ClusterFrontend:
         all-or-nothing: one refused part withdraws the rest.
         """
         arrival = checked_arrival(self.clock_ns, arrival_ns, deadline_ns)
-        if is_write_request(request):
-            check_row_ids(request)
+        self.check_request(request)
         self.clock_ns = max(self.clock_ns, arrival)
         record = ClusterRecord(
             request=request,
@@ -428,8 +461,8 @@ class ClusterFrontend:
                 self.obs.metrics.counter("cluster.failover.unavailable").inc()
                 self._obs_scattered(record)
             return record
-        if self.obs.enabled:
-            self._obs_key_reads(request)
+        if self.controller is not None or self.obs.enabled:
+            self._count_key_reads(request)
 
         for shard_id, sub_request in plan:
             part = self.shards[shard_id].offer(
@@ -596,6 +629,7 @@ class ClusterFrontend:
         scatter)."""
         record.admitted = False
         record.rejected_reason = reason
+        self.rejected += 1
         for shard, sibling in zip(record.shard_ids, record.parts):
             if sibling.admitted and not sibling.completed:
                 self.shards[shard].cancel(sibling, reason=part_reason)
@@ -956,33 +990,26 @@ class ClusterFrontend:
                 return int(size())
         return 8192  # one DRAM row: conservative floor for unknown keys
 
-    def publish_gauges(self, at_ns: Optional[float] = None) -> None:
-        """Publish the cluster health gauges the controller reads:
-        per-shard backlog, imbalance factor, pool size, rejection rate."""
-        if not self.obs.enabled:
-            return
+    def publish_gauges(self, at_ns: Optional[float] = None) -> ClusterHealth:
+        """Publish the health gauges (per-shard backlog and queue depth,
+        pool size, imbalance, rejection rate) and return the :meth:`health`
+        they show: the controller decides from what an operator watches."""
         now = self.clock_ns if at_ns is None else float(at_ns)
+        health = self.health(now)
+        if not self.obs.enabled:
+            return health
         registry = self.obs.metrics
-        routable = self.router.routable_shards()
-        backlogs = []
-        for shard_id in range(self.num_shards):
-            backlog = self.shard_load(shard_id, now)
+        for shard_id, shard in enumerate(self.shards):
+            backlog = health.backlogs.get(shard_id)
+            if backlog is None:  # down / draining / retired: display only
+                backlog = self.shard_load(shard_id, now)
             registry.gauge(f"cluster.backlog_ns.shard{shard_id}").set(backlog)
-            registry.gauge(f"cluster.queue_depth.shard{shard_id}").set(
-                float(self.shards[shard_id].queue_depth)
-            )
-            if shard_id in routable:
-                backlogs.append(backlog)
+            registry.gauge(f"cluster.queue_depth.shard{shard_id}").set(float(shard.queue_depth))
         registry.gauge("cluster.shards_alive").set(float(len(self.router.alive_shards())))
-        registry.gauge("cluster.shards_routable").set(float(len(routable)))
-        mean = sum(backlogs) / len(backlogs) if backlogs else 0.0
-        imbalance = (max(backlogs) / mean) if mean > 0.0 else 1.0
-        registry.gauge("cluster.imbalance").set(imbalance)
-        offered = registry.counter("cluster.offered").value
-        rejected = registry.counter("cluster.rejected").value
-        registry.gauge("cluster.rejection_rate").set(
-            rejected / offered if offered > 0.0 else 0.0
-        )
+        registry.gauge("cluster.shards_routable").set(float(len(health.backlogs)))
+        registry.gauge("cluster.imbalance").set(health.imbalance)
+        registry.gauge("cluster.rejection_rate").set(health.rejection_rate)
+        return health
 
     def elastic_summary(self) -> Dict[str, Any]:
         """Failover/scale accounting for :class:`ClusterMetrics` (kept as

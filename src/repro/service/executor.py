@@ -151,10 +151,11 @@ class BatchExecutor:
         self._bank_keys = [key for key, _ in self.engine.device.iter_banks()]
         # (rows, offset, banks_available) -> bank keys; see span_banks.
         self._spans: Dict[Tuple[int, int, int], List] = {}
+        self.sanitize = sanitize
         #: Persistent per-bank lane timelines (only advanced in pipelined
         #: mode; a barrier run schedules on a fresh throwaway timeline).
-        self.lanes = LaneSchedule(self.active_bank_keys())
-        self.sanitize = sanitize
+        #: The interval log is the sanitizer's input, kept only for it.
+        self.lanes = LaneSchedule(self.active_bank_keys(), keep_log=sanitize)
         # Incremental race detector over the persistent lanes: each batch
         # only replays its own placements, so certifying every dispatch
         # stays O(batch) rather than O(history).
@@ -709,7 +710,9 @@ class BatchExecutor:
             order = sorted(results, key=lambda r: -r.metrics.latency_ns)
         else:
             order = results
-        lanes = self.lanes if self.pipeline else LaneSchedule(self.active_bank_keys())
+        lanes = self.lanes
+        if not self.pipeline:
+            lanes = LaneSchedule(self.active_bank_keys(), keep_log=self.sanitize)
         lanes.open_batch()
         prev_horizon = lanes.horizon_ns()
         busy_before = lanes.busy_union_ns

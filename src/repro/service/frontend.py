@@ -65,7 +65,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union, get_args
 
 import numpy as np
 
@@ -86,9 +86,29 @@ from repro.service.requests import (
     FrontendRequest,
     QueuedRequest,
     RequestEnvelope,
+    check_request_type,
     checked_arrival,
 )
-from repro.storage.requests import check_row_ids, is_write_request
+from repro.storage.requests import WriteRequest, check_row_ids
+
+#: Every request type a frontend (either tier) serves: the members of the
+#: request unions themselves, so a new kind is declared in one place.
+_WRITE_TYPES: Tuple[type, ...] = get_args(WriteRequest)
+SERVED_REQUEST_TYPES: Tuple[type, ...] = get_args(FrontendRequest) + _WRITE_TYPES
+
+
+def check_frontend_request(request: object) -> None:
+    """Refuse a request a frontend's ``offer`` could not serve — an unknown
+    type (``TypeError``), a write whose row ids the table cannot take
+    (``ValueError``) — before anything is recorded or any clock moves.
+
+    Both tiers expose it as ``check_request``: ``offer`` runs it beside
+    :func:`~repro.service.requests.checked_arrival`, and a session runs it
+    before its pre-arrival advance.
+    """
+    check_request_type(request, SERVED_REQUEST_TYPES)
+    if isinstance(request, _WRITE_TYPES):
+        check_row_ids(request)
 
 
 @dataclass
@@ -285,9 +305,10 @@ class ServiceFrontend:
         """Adopt an observability plane and push it to the executor."""
         self.obs = obs
         self.executor.bind_observer(obs)
-        # The maintenance policy's hotness counters ride the same plane
-        # (``storage.reads.<column>``) so hybrid strategy decisions are
-        # inspectable wherever the frontend's metrics land.
+        # The maintenance policy publishes its per-column read counts
+        # (``storage.reads.<column>``) to the same plane, so hybrid
+        # strategy decisions are inspectable wherever the frontend's
+        # metrics land; it never reads them back.
         self.planner.maintenance.bind_observer(obs)
 
     def _obs_offered(self, queued: QueuedRequest) -> None:
@@ -412,6 +433,8 @@ class ServiceFrontend:
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
+    check_request = staticmethod(check_frontend_request)
+
     @property
     def queue_depth(self) -> int:
         """Requests admitted and waiting for a batch."""
@@ -589,8 +612,7 @@ class ServiceFrontend:
         ``rejected_reason`` and will never be served.
         """
         arrival = checked_arrival(self.clock_ns, arrival_ns, deadline_ns)
-        if is_write_request(request):
-            check_row_ids(request)
+        self.check_request(request)
         self.clock_ns = max(self.clock_ns, arrival)
         queued = QueuedRequest(
             request=request,

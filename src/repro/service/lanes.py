@@ -26,14 +26,15 @@ pipelining win measurable:
   before the previous batch's completion horizon, which is exactly the
   time the barrier used to waste.
 
-Every placement is additionally appended to an **interval log**
+With ``keep_log`` (an executor's schedules: only under ``sanitize=True``)
+every placement is additionally appended to an **interval log**
 (:attr:`LaneSchedule.log` of :class:`LanePlacement` entries) — the primary
 input of the schedule race detector
 (:mod:`repro.verify.schedule_check`), which replays the log to certify
 that no two requests overlapped on a lane, that causality held (no start
 before release, completions within the barrier bound), and that the
 busy/union/overlap accounting above reconciles with the placements that
-produced it.
+produced it.  Without that reader, :meth:`place` builds and keeps nothing.
 
 The schedule is deliberately policy-free: the executor decides lane
 membership (bank assignment) and request order (LPT), the frontend decides
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import LaneMetrics
 
@@ -87,9 +88,11 @@ class LaneSchedule:
         lane_keys: Lanes to pre-create (the executor's active bank keys).
             Further lanes — notably :data:`HOST_LANE` — are created lazily
             the first time work is placed on them.
+        keep_log: Keep the interval log the race detector replays (the
+            executor passes its ``sanitize``).
     """
 
-    def __init__(self, lane_keys: Iterable[LaneKey] = ()) -> None:
+    def __init__(self, lane_keys: Iterable[LaneKey] = (), keep_log: bool = True) -> None:
         #: Busy-until horizon per lane (absolute virtual ns).
         self.horizon: Dict[LaneKey, float] = {key: 0.0 for key in lane_keys}
         #: Total busy time charged per lane.
@@ -104,8 +107,9 @@ class LaneSchedule:
         #: Batches dispatched across the schedule's lifetime.
         self.batches = 0
         #: Interval log of every placement, in placement order — the
-        #: schedule race detector's input (see module docstring).
-        self.log: List[LanePlacement] = []
+        #: schedule race detector's input (see module docstring); None
+        #: when the schedule was built without one.
+        self.log: Optional[List[LanePlacement]] = [] if keep_log else None
         #: Batch windows opened via :meth:`open_batch` (stamps the log).
         self.batches_opened = 0
         # Disjoint, sorted union intervals (parallel start/end arrays).
@@ -178,16 +182,12 @@ class LaneSchedule:
             busy[key] = busy.get(key, 0.0) + latency_ns
         self._add_interval(start, finish)
         self.requests += 1
-        self.log.append(
-            LanePlacement(
-                lanes=tuple(lanes),
-                latency_ns=latency_ns,
-                release_ns=release_ns,
-                start_ns=start,
-                finish_ns=finish,
-                batch_index=self.batches_opened,
+        if self.log is not None:
+            self.log.append(
+                LanePlacement(
+                    tuple(lanes), latency_ns, release_ns, start, finish, self.batches_opened
+                )
             )
-        )
         return start, finish
 
     def _add_interval(self, start: float, finish: float) -> float:

@@ -157,8 +157,6 @@ class BatchPlanner:
             from repro.optimizer.passes import BatchOptimizer  # local: avoid cycle
 
             self.optimizer = BatchOptimizer(config.optimizer, result_cache=self.result_cache)
-        #: High-level requests lowered across the planner's lifetime.
-        self.lowered_requests = 0
         # Interned conjunction shapes, least recently used first, keyed
         # (predicates, num_rows, row_size_bytes).  Per planner, like the
         # engine's op-cost table: no warm state crosses sessions.
@@ -369,7 +367,6 @@ class BatchPlanner:
                 self.maintenance.note_read(columns)
                 pending = self.maintenance.pending_rebuilds(request.index, columns)
                 if self.optimizer is not None:
-                    self.lowered_requests += 1
                     group = self.optimizer.lower_conjunction(queued, primitives)
                 else:
                     group = self._lower_conjunction(queued, primitives, shared)
@@ -377,7 +374,6 @@ class BatchPlanner:
                     self._charge_rebuilds(group, pending, primitives)
                 groups.append(group)
             elif is_write_request(request):
-                self.lowered_requests += 1
                 groups.append(self._lower_write(queued, primitives))
             elif isinstance(request, (BulkOpRequest, ScanRequest, CopyRequest)):
                 primitives.append(request)
@@ -518,7 +514,6 @@ class BatchPlanner:
                 num_rows=index.num_rows,
                 row_size_bytes=chain.row_size_bytes,
             )
-        self.lowered_requests += 1
         offset = self.executor.stable_offset(index)
         first = len(primitives)
         for op, a, b, out in steps:

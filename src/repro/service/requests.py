@@ -140,6 +140,20 @@ def checked_arrival(
     return arrival
 
 
+def check_request_type(
+    request: object, served: Tuple[type, ...], refusal: str = "unknown request type"
+) -> None:
+    """Refuse a request whose type the backend cannot serve.
+
+    Every backend's ``offer`` calls this beside :func:`checked_arrival`,
+    for the same reason: the latency model and the planner would raise
+    the same ``TypeError`` later — after the envelope was recorded and
+    the clock lifted — and strand a request in no terminal state.
+    """
+    if not isinstance(request, served):
+        raise TypeError(f"{refusal} {type(request).__name__}")
+
+
 @dataclass
 class BitmapConjunctionRequest:
     """One bitmap-index conjunction: ``AND`` of per-column ``IN`` predicates.

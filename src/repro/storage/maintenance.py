@@ -14,11 +14,12 @@ keeps the bitmap planes consistent with the table:
   :meth:`BitmapIndex.bitmap` rebuilds it, and the planner charges the
   rebuild (one bulk op per plane + the column scan traffic) into the
   reading request's batch.
-* **hybrid** — eager for hot columns, lazy for cold.  Hotness is read
-  from the ``repro.obs`` metrics registry (``storage.reads.<column>``
-  counters the planner bumps on every lowered predicate); when the
-  frontend runs without a recording plane the policy keeps a private
-  registry so hybrid works under ``observe=False`` too.
+* **hybrid** — eager for hot columns, lazy for cold.  Hotness is the
+  policy's own state: a per-column count of the reads its planner
+  lowered (:meth:`MaintenancePolicy.note_read`).  A recording plane gets a
+  write-only copy (the ``storage.reads.<column>`` counters) that nothing
+  reads back, so sharing a plane between backends, or binding one
+  mid-stream, never changes which columns are hot.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from repro.ambit.bitvector import BulkBitVector
 from repro.database.bitmap_index import BitmapIndex
-from repro.obs import MetricsRegistry, Observer
+from repro.obs import NULL_OBSERVER, Observer
 from repro.storage.requests import (
     UpdateRequest,
     WriteRequest,
@@ -116,27 +117,31 @@ class MaintenancePolicy:
             raise ValueError(f"strategy must be one of {STRATEGIES}, not {strategy!r}")
         self.strategy = strategy
         self.hot_threshold = hot_threshold
-        # Hotness store: a private registry unless a recording plane is
-        # bound — then hotness is just more metrics on the shared plane.
-        self._metrics = MetricsRegistry()
+        # Hotness: reads per column, owned here.  The plane is only where
+        # the same counts are published; nothing reads it back.
+        self._reads: Dict[str, float] = {}
+        self._obs = NULL_OBSERVER
 
     # ------------------------------------------------------------------
-    # Hotness (the repro.obs consumption surface)
+    # Hotness
     # ------------------------------------------------------------------
     def bind_observer(self, obs: Observer) -> None:
-        """Adopt the frontend's recording plane as the hotness store."""
-        if obs.enabled:
-            self._metrics = obs.metrics
+        """Publish read counts to the frontend's plane from now on."""
+        self._obs = obs
 
     def note_read(self, columns: Iterable[str]) -> None:
         """Record one read of each column (planner calls this per lowered
         predicate); drives the hybrid strategy's hot/cold split."""
+        reads = self._reads
+        registry = self._obs.metrics if self._obs.enabled else None
         for column in columns:
-            self._metrics.counter(f"storage.reads.{column}").inc()
+            reads[column] = reads.get(column, 0.0) + 1.0
+            if registry is not None:
+                registry.counter(f"storage.reads.{column}").inc()
 
     def reads_of(self, column: str) -> float:
-        """Recorded read count of one column."""
-        return self._metrics.counter(f"storage.reads.{column}").value
+        """Read count of one column."""
+        return self._reads.get(column, 0.0)
 
     def is_hot(self, column: str) -> bool:
         """Hybrid hot/cold test against ``hot_threshold``."""

@@ -315,8 +315,15 @@ class ScheduleSanitizer:
 
     def check(self, schedule: LaneSchedule) -> ScheduleCheckReport:
         """Audit the schedule's log entries not yet consumed, then the
-        aggregate accounting; returns the (cumulative) report."""
+        aggregate accounting; returns the (cumulative) report.  A schedule
+        that kept no log is a ``ValueError``: reconciling it against zero
+        placements would read as corruption rather than the truth."""
         log = schedule.log
+        if log is None:
+            raise ValueError(
+                "this schedule kept no interval log to audit: an executor logs "
+                "placements only under sanitize=True (LaneSchedule(keep_log=False))"
+            )
         while self._consumed < len(log):
             placed = log[self._consumed]
             self._consumed += 1

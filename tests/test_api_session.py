@@ -48,6 +48,7 @@ from repro.service import (
     BatchPolicy,
     BitmapConjunctionRequest,
     BulkOpRequest,
+    CopyRequest,
     PipelineConfig,
     RequestResult,
     RetryClient,
@@ -886,6 +887,47 @@ class TestRequestBoundary:
             assert np.array_equal(future.result().value, expected)
         # A well-formed write over the same backend still goes through.
         assert session.update(table, index, "region", [3, 4], [1, 2]).result().value == 2
+
+    @pytest.mark.parametrize("tier", sorted(BACKENDS))
+    def test_unservable_request_type_is_refused_before_anything_moves(self, tier):
+        """A request the backend cannot serve used to raise from the latency
+        model *after* ``offer`` recorded the envelope and lifted the clock:
+        a record in no terminal state on every tier (and a stranded shard
+        part on the cluster).  It is the same ``TypeError`` at the door."""
+        session = PimSession(self.BACKENDS[tier]())
+        backend = session.backend
+        shards = backend.shards if tier == "cluster" else [backend]
+        column = _random_column(np.random.default_rng(33))
+        first = session.scan(column, "less_than", 9, at_ns=50.0)
+        before = (
+            len(backend.records),
+            [len(shard.records) for shard in shards],
+            backend.clock_ns,
+            len(session.futures),
+        )
+        # The host serves scans and conjunctions only; no tier serves this.
+        unservable = [object()] + ([CopyRequest(num_bytes=8192)] if tier == "host" else [])
+        for work in unservable:
+            match = "host backend serves" if tier == "host" else "unknown request type object"
+            with pytest.raises(TypeError, match=match):
+                session.submit(work, at_ns=500.0)
+            with pytest.raises(TypeError, match=match):
+                backend.offer(work, arrival_ns=500.0)
+        assert before == (
+            len(backend.records),
+            [len(shard.records) for shard in shards],
+            backend.clock_ns,
+            len(session.futures),
+        )
+        second = session.scan(column, "less_than", 9, at_ns=600.0)
+        session.drain()
+        expected, _ = column.scan("less_than", 9)
+        for future in (first, second):
+            assert np.array_equal(future.result().value, expected)
+        metrics = backend.result().metrics
+        assert (metrics.offered, metrics.admitted, metrics.rejected, metrics.completed) == (
+            2, 2, 0, 2,
+        )
 
     def test_validation_never_repairs_a_dirty_column(self):
         """The probe is side-effect free: building a request over a

@@ -6,8 +6,9 @@ shards), the cluster's results are bit-exact with a healthy fixed-pool
 run, and no request is lost or double-executed — every offered request
 terminates exactly once, as completed or as a typed rejection.  Around
 it: the FaultPlan schedule/trigger semantics, degraded-mode typed
-outcomes (ShardUnavailable), drain/retire conservation, the obs-driven
-ElasticController's three actuators, the deadline-aware retry budget,
+outcomes (ShardUnavailable), drain/retire conservation, the
+ElasticController's three actuators (decided from the cluster's own
+health, never read back off the obs plane), the deadline-aware retry budget,
 the failover-reoffer lint, and the counter-vs-metrics audit.
 """
 
@@ -37,6 +38,7 @@ from repro.dram.device import DramDevice
 from repro.dram.energy import DramEnergyParameters
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import DramTimingParameters
+from repro.obs import Observer, Span
 from repro.service import (
     BatchPolicy,
     BitmapConjunctionRequest,
@@ -554,6 +556,117 @@ class TestElasticController:
         controller.run_due(10_500.0)  # 10 periods due; one cumulative tick
         assert controller.ticks == 1
         assert controller.next_tick_ns() == 11_000.0
+
+
+class TestControllerDecidesFromTheCluster:
+    """The controller reads the cluster's own health, never the plane: a
+    shared plane cannot leak a neighbour's signals in, and no plane is
+    needed (or forced) at all."""
+
+    @staticmethod
+    def _idle_cluster_beside_a_rejecting_one(observe_a, observe_b):
+        rng = np.random.default_rng(0)
+        column = BitWeavingColumn(rng.integers(0, 64, size=4096), 6)
+        # A: one shard, a queue of two, 200 simultaneous scans -> 198 rejected.
+        a = PimSession.over_cluster(
+            num_shards=1,
+            max_queue_depth=2,
+            policy=BatchPolicy(max_batch=2, window_ns=None),
+            observe=observe_a,
+        )
+        for _ in range(200):
+            a.scan(column, "less_than", 9, at_ns=0.0)
+        assert sum(1 for f in a.futures if not f.record.admitted) == 198
+        # B: healthy and nearly idle, under an elastic controller.
+        b = PimSession.over_cluster(num_shards=2, router=ShardRouter(2), observe=observe_b)
+        controller = ElasticController(
+            b.backend,
+            ControllerPolicy(interval_ns=1_000.0, idle_windows=10**6, max_shards=4),
+        )
+        for i in range(20):
+            b.scan(column, "less_than", 9, at_ns=1000.0 * (i + 1))
+        b.drain()
+        report = b.report()
+        assert report.rejected == 0
+        return (
+            b.backend.num_shards,
+            [event.action for event in controller.events],
+            report.completed / report.makespan_ns * 1e6,  # modeled kreq/s
+        )
+
+    def test_a_neighbours_rejections_do_not_scale_an_idle_cluster(self):
+        """On one shared plane B's controller used to compute
+        ``cluster.rejected / cluster.offered`` from A's counters and fire
+        join, replicate, join, replicate (4 shards, 396.16 kreq/s)."""
+        own = self._idle_cluster_beside_a_rejecting_one(True, True)
+        plane = Observer()
+        shared = self._idle_cluster_beside_a_rejecting_one(plane, plane)
+        unobserved = self._idle_cluster_beside_a_rejecting_one(False, False)
+        assert shared == own == unobserved
+        shards, actions, krps = shared
+        assert (shards, actions) == (2, [])
+        assert krps == pytest.approx(186.74, abs=0.005)
+
+    def test_controller_forces_no_recording_plane(self):
+        """The controller used to bind a recording plane to any cluster
+        that had none — a span tree per request nobody asked for."""
+        rng = np.random.default_rng(33)
+        index = _bitmap_index(rng)
+        cluster = _cluster(2, router=ShardRouter(2, replication_factor=1))
+        before = Span.allocated
+        controller = ElasticController(
+            cluster,
+            ControllerPolicy(
+                interval_ns=2_000.0, imbalance_threshold=1.2, overload_backlog_ns=1e12
+            ),
+        )
+        requests = [
+            BitmapConjunctionRequest(index=index, predicates=(("region", (1, 2)),))
+            for _ in range(30)
+        ]
+        result = cluster.run(poisson_schedule(requests, rate_per_s=20e6, seed=33))
+        assert result.metrics.completed == len(requests)
+        assert controller.ticks > 0
+        assert [e.action for e in controller.events].count("replicate") >= 1  # it did decide
+        assert not cluster.obs.enabled
+        assert Span.allocated == before
+
+    def test_recorded_signals_equal_the_clusters_own(self):
+        """With a plane recording, the heat counters and health gauges are
+        copies of what the cluster owns (and the controller decided from)."""
+        rng = np.random.default_rng(34)
+        index = _bitmap_index(rng)
+        cluster = _cluster(
+            2,
+            router=ShardRouter(2, replication_factor=1),
+            max_queue_depth=2,
+            policy=BatchPolicy(max_batch=4, window_ns=600.0),  # closes on the window only
+            observe=True,
+        )
+        controller = ElasticController(
+            cluster, ControllerPolicy(interval_ns=1_000.0, imbalance_threshold=1.2)
+        )
+        requests = _conjunctions(rng, index, count=30)
+        result = cluster.run(poisson_schedule(requests, rate_per_s=8e6, seed=34))
+        assert result.metrics.rejected > 0 and result.metrics.completed > 0
+        assert controller.ticks > 0
+        snapshot = cluster.obs.snapshot()
+        counters = snapshot["counters"]
+        prefix = "cluster.key_reads."
+        recorded = {n[len(prefix):]: v for n, v in counters.items() if n.startswith(prefix)}
+        assert recorded == {label: float(reads) for label, reads in cluster.key_reads.items()}
+        assert set(recorded) == {"region", "status", "tier"}
+        assert counters["cluster.rejected"] == cluster.rejected == result.metrics.rejected
+        assert counters["cluster.offered"] == len(cluster.records)
+        health = cluster.publish_gauges()
+        assert health == cluster.health()
+        gauges = cluster.obs.snapshot()["gauges"]
+        assert gauges["cluster.imbalance"] == health.imbalance
+        assert gauges["cluster.rejection_rate"] == health.rejection_rate
+        assert health.rejection_rate == cluster.rejected / len(cluster.records)
+        assert gauges["cluster.shards_routable"] == len(health.backlogs)
+        for shard, backlog in health.backlogs.items():
+            assert gauges[f"cluster.backlog_ns.shard{shard}"] == backlog == cluster.shard_load(shard)
 
 
 class TestRetryClientDeadlineBudget:

@@ -32,10 +32,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ambit.engine import AmbitConfig, AmbitEngine
-from repro.analysis import render_lane_timeline, render_span_tree
+from repro.analysis import audit_cluster, audit_executor, render_lane_timeline, render_span_tree
 from repro.analysis.metrics import percentile, percentile_or, summarize_queue_records
-from repro.cluster import ClusterFrontend
+from repro.api import PimSession
+from repro.cluster import ClusterFrontend, ControllerPolicy, ElasticController, ShardRouter
+from repro.database.bitmap_index import BitmapIndex
 from repro.database.bitweaving import BitWeavingColumn
+from repro.database.tables import ColumnTable
 from repro.dram.device import DramDevice
 from repro.dram.energy import DramEnergyParameters
 from repro.dram.geometry import DramGeometry
@@ -53,13 +56,18 @@ from repro.obs import (
     write_trace,
 )
 from repro.service import (
+    BatchExecutor,
     BatchPolicy,
+    BitmapConjunctionRequest,
     PipelineConfig,
     ScanRequest,
     ServiceFrontend,
     poisson_schedule,
 )
+from repro.service.frontend import ArrivalEvent, replay
 from repro.service.lanes import LaneSchedule
+from repro.storage import UpdateRequest, is_write_request
+from repro.verify import check_schedule
 
 _TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -301,6 +309,224 @@ class TestBitExactness:
             if s.name == "request"
         ]
         assert parts and all(p.attrs.get("shard") is not None for p in parts)
+
+
+# ---------------------------------------------------------------------
+# Observation is invisible: nothing decides from a recording
+# ---------------------------------------------------------------------
+_CARDINALITIES = {"region": 6, "status": 4, "tier": 3}
+
+
+def _mixed_events(seed: int, count: int = 24):
+    """A mixed read/write stream over its own fresh table (the writes
+    mutate it, so every run builds the stream again from the seed)."""
+    rng = np.random.default_rng(seed)
+    rows = 160
+    table = ColumnTable("t", rows)
+    for name, cardinality in _CARDINALITIES.items():
+        table.add_column(name, rng.integers(0, cardinality, size=rows), cardinality=cardinality)
+    index = BitmapIndex(table, list(_CARDINALITIES))
+    events, at_ns = [], 0.0
+    for i in range(count):
+        at_ns += float(rng.integers(40, 400))
+        if i % 4 == 3:
+            column = ("status", "region")[(i // 4) % 2]
+            request = UpdateRequest(
+                table=table,
+                index=index,
+                column=column,
+                row_ids=[int(r) for r in rng.choice(rows, size=3, replace=False)],
+                values=[int(v) for v in rng.integers(0, _CARDINALITIES[column], size=3)],
+            )
+        else:
+            request = BitmapConjunctionRequest(
+                index=index,
+                predicates=tuple(
+                    (c, tuple(sorted({int(v) for v in rng.integers(0, _CARDINALITIES[c], size=2)})))
+                    for c in ("status", "region", "tier")[: 1 + i % 3]
+                ),
+            )
+        events.append(ArrivalEvent(arrival_ns=at_ns, request=request))
+    return events
+
+
+def _noisy_neighbours(plane: Observer) -> None:
+    """Other backends recording into ``plane``: a hybrid service reading
+    the same column *names* hot, and a cluster rejecting nearly all it is
+    offered — everything a decision that read the plane would trip over."""
+    reads = [e for e in _mixed_events(seed=999) if not is_write_request(e.request)]
+    ServiceFrontend(PipelineConfig(maintenance="hybrid"), engine=_engine(), observe=plane).run(reads)
+    rejecting = ClusterFrontend(
+        1,
+        PipelineConfig(max_queue_depth=1, policy=BatchPolicy(max_batch=4, window_ns=None)),
+        engine_factory=_engine,
+        observe=plane,
+    )
+    result = rejecting.run([ArrivalEvent(arrival_ns=0.0, request=e.request) for e in reads])
+    assert result.metrics.rejected == len(reads) - 1
+
+
+def _observed_run(tier: str, maintenance: str, plane: str, seed: int):
+    """Serve the seeded stream with the plane attached one way; returns
+    what the simulation decided: every record's outcome, and the
+    controller's decisions on the cluster tier."""
+    observe = {"off": False, "own": True, "shared": Observer(), "late": False}[plane]
+    if plane == "shared":
+        _noisy_neighbours(observe)
+    config = PipelineConfig(
+        policy=BatchPolicy(max_batch=3, window_ns=500.0),
+        max_queue_depth=4,
+        maintenance=maintenance,
+    )
+    controller = None
+    if tier == "service":
+        backend = ServiceFrontend(config, engine=_engine(), observe=observe)
+    else:
+        backend = ClusterFrontend(
+            2, config, router=ShardRouter(2), engine_factory=_engine, observe=observe
+        )
+        controller = ElasticController(
+            backend,
+            ControllerPolicy(
+                interval_ns=700.0,
+                imbalance_threshold=1.1,
+                overload_backlog_ns=400.0,
+                overload_windows=1,
+                rejection_rate_threshold=0.2,
+                max_shards=3,
+                idle_windows=10**6,
+            ),
+        )
+    events = _mixed_events(seed)
+    half = len(events) // 2
+    replay(events[:half], lambda event: event.offer_to(backend))
+    if plane == "late":
+        PimSession(backend, observe=True)  # binds a fresh plane mid-stream
+        assert backend.obs.enabled
+    replay(events[half:], lambda event: event.offer_to(backend))
+    backend.drain()
+    backend.result()  # cluster: gather
+    records = [
+        (
+            r.admitted,
+            r.rejected_reason,
+            None if math.isnan(r.start_ns) else r.start_ns,
+            None if math.isnan(r.finish_ns) else r.finish_ns,
+            r.value.tobytes() if isinstance(r.value, np.ndarray) else r.value,
+            r.metrics,
+        )
+        for r in backend.records
+    ]
+    return records, (controller.events if controller else None)
+
+
+class TestObservationIsInvisible:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        tier=st.sampled_from(["service", "cluster"]),
+        maintenance=st.sampled_from(["eager", "lazy", "hybrid"]),
+        plane=st.sampled_from(["own", "shared", "late"]),
+    )
+    def test_no_way_of_attaching_a_plane_changes_a_run(self, seed, tier, maintenance, plane):
+        """Own plane, a plane shared with noisy neighbours, a plane bound
+        mid-stream: every record and every controller decision equals the
+        ``observe=False`` run's.  (Hybrid hotness and the elastic
+        controller used to read their inputs back out of the registry.)"""
+        assert _observed_run(tier, maintenance, plane, seed) == _observed_run(
+            tier, maintenance, "off", seed
+        )
+
+    def test_the_property_bites(self):
+        """The stream really exercises the decisions that used to read
+        the plane: hybrid resolves some writes eagerly and some lazily,
+        the controller acts, and admission rejects."""
+        served = {
+            maintenance: _observed_run("service", maintenance, "off", seed=5)[0]
+            for maintenance in ("eager", "lazy", "hybrid")
+        }
+        assert served["hybrid"] != served["eager"] and served["hybrid"] != served["lazy"]
+        outcomes = [_observed_run("cluster", "hybrid", "off", seed) for seed in (5, 6, 7)]
+        assert any(events for _, events in outcomes)
+        assert any(not admitted for records, _ in outcomes for admitted, *_ in records)
+
+
+# ---------------------------------------------------------------------
+# The interval log is a recording too: it exists for its reader
+# ---------------------------------------------------------------------
+class TestIntervalLogExistsForItsReader:
+    @staticmethod
+    def _run(**config):
+        rng = np.random.default_rng(12)
+        frontend = ServiceFrontend(
+            PipelineConfig(policy=BatchPolicy(max_batch=4, window_ns=None), **config),
+            engine=_engine(),
+        )
+        result = frontend.run(
+            poisson_schedule(_scan_requests(rng, count=20), rate_per_s=5e6, seed=12)
+        )
+        assert result.metrics.completed == 20
+        return frontend, result
+
+    def test_unsanitized_lanes_retain_no_placements(self):
+        plain, plain_result = self._run()
+        audited, audited_result = self._run(sanitize=True)
+        assert plain.executor.lanes.log is None
+        assert len(audited.executor.lanes.log) == audited.executor.lanes.requests == 20
+        # Same schedule, same accounting: only the recording differs.
+        assert plain.lane_metrics() == audited.lane_metrics()
+        assert plain_result.metrics == audited_result.metrics
+        assert audit_executor(audited.executor).report.placements == 20
+
+    def test_auditing_a_logless_schedule_says_why(self):
+        plain, _ = self._run()
+        for audit in (
+            lambda: check_schedule(plain.executor.lanes),
+            lambda: audit_executor(plain.executor),
+            lambda: audit_cluster(ClusterFrontend(2, engine_factory=_engine)),
+        ):
+            with pytest.raises(ValueError, match="sanitize=True"):
+                audit()
+        # A hand-built schedule still logs — and audits — by default.
+        lanes = LaneSchedule(["a"])
+        lanes.place(["a"], 10.0)
+        assert len(lanes.log) == 1 and check_schedule(lanes).ok
+        assert LaneSchedule(["a"], keep_log=False).log is None
+
+    @pytest.mark.parametrize("sanitize", [False, True])
+    def test_barrier_executor_builds_its_throwaway_schedules_alike(self, sanitize, monkeypatch):
+        """``pipeline=False`` schedules each batch on a fresh timeline: it
+        logs (and is audited whole) under ``sanitize``, and not otherwise."""
+        built = []
+        original = LaneSchedule.__init__
+
+        def spy(self, lane_keys=(), keep_log=True):
+            original(self, lane_keys, keep_log)
+            built.append(self)
+
+        monkeypatch.setattr(LaneSchedule, "__init__", spy)
+        frontend, result = self._run(pipeline=False, sanitize=sanitize)
+        throwaway = [lanes for lanes in built if lanes is not frontend.executor.lanes]
+        assert len(throwaway) == len(frontend.batches) > 0
+        for lanes in throwaway:
+            assert (lanes.log is not None) == sanitize
+            assert lanes.requests > 0
+            if sanitize:
+                assert len(lanes.log) == lanes.requests
+        assert frontend.executor.lanes.requests == 0  # never advanced
+        with pytest.raises(ValueError, match="pipelined"):
+            frontend.lane_metrics()
+        _, expected = self._run(pipeline=False, sanitize=not sanitize)
+        assert result.metrics == expected.metrics
+
+    def test_hand_built_executor_follows_its_sanitize(self):
+        rng = np.random.default_rng(13)
+        requests = _scan_requests(rng, count=6)
+        for sanitize in (False, True):
+            executor = BatchExecutor(engine=_engine(), sanitize=sanitize)
+            executor.run(requests)
+            assert (executor.lanes.log is not None) == sanitize
+            assert executor.lanes.requests == 6
 
 
 # ---------------------------------------------------------------------

@@ -21,6 +21,7 @@ from repro.dram.device import DramDevice
 from repro.dram.energy import DramEnergyParameters
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import DramTimingParameters
+from repro.obs import Observer
 from repro.service import (
     BatchExecutor,
     BatchPolicy,
@@ -386,6 +387,93 @@ class TestWriteCosts:
         append_record, delete_record = frontend.result().completed()
         assert append_record.value == 2
         assert delete_record.value == 3
+
+
+def _big_table_index(seed: int, rows: int = 65_536):
+    """The table of the shared-plane reproductions (paper device scale)."""
+    rng = np.random.default_rng(seed)
+    table = ColumnTable("t", rows)
+    table.add_column("region", rng.integers(0, 16, size=rows), cardinality=16)
+    table.add_column("status", rng.integers(0, 8, size=rows), cardinality=8)
+    return table, BitmapIndex(table, ["region", "status"])
+
+
+class TestHybridHotnessIsThePolicysOwn:
+    """Hotness is state the policy owns; the plane only gets a copy.  Each
+    case failed while ``MaintenancePolicy`` kept its read counts *in* the
+    bound ``MetricsRegistry`` and read them back to decide."""
+
+    @staticmethod
+    def _write_after_a_neighbours_reads(plane_a, plane_b):
+        _, index_a = _big_table_index(1)
+        table_b, index_b = _big_table_index(2)
+        a = PimSession.over_service(maintenance="hybrid", observe=plane_a)
+        b = PimSession.over_service(maintenance="hybrid", observe=plane_b)
+        for _ in range(6):
+            a.conjunction(index_a, [("status", (0, 1))])
+        a.drain()
+        # B never read anything: its own `status` is cold, the write lazy.
+        response = b.update(table_b, index_b, "status", [1, 2, 3], [0, 0, 0]).result()
+        policy = b.backend.planner.maintenance
+        return response.latency_ns, response.energy_j, policy.column_strategy("status")
+
+    def test_a_shared_plane_does_not_share_hotness(self):
+        """Two sessions over their own tables share one ``Observer`` (the
+        documented ``observe=<Observer>`` use).  With the registry as the
+        hotness store, B found A's ``storage.reads.status`` counter,
+        maintained eagerly and was charged 1 088.75 ns / 273.49 nJ."""
+        own = self._write_after_a_neighbours_reads(True, True)
+        plane = Observer()
+        shared = self._write_after_a_neighbours_reads(plane, plane)
+        assert shared == own
+        latency_ns, energy_j, strategy = shared
+        assert strategy == "lazy"
+        assert latency_ns == pytest.approx(83.75)
+        assert energy_j * 1e9 == pytest.approx(19.89, abs=0.005)
+        # The display still merges both sessions' reads — it is only a display.
+        assert plane.snapshot()["counters"]["storage.reads.status"] == 6.0
+
+    def test_a_late_bound_plane_keeps_the_hotness(self):
+        """``PimSession(backend, observe=True)`` binds a fresh plane as
+        documented; the policy used to swap its hotness store for the
+        empty registry and go cold again."""
+        _, index = _big_table_index(1)
+        session = PimSession.over_service(maintenance="hybrid")
+        for _ in range(6):
+            session.conjunction(index, [("status", (0, 1))])
+        session.drain()
+        policy = session.backend.planner.maintenance
+        assert policy.reads_of("status") == 6 and policy.column_strategy("status") == "eager"
+        late = PimSession(session.backend, observe=True)
+        assert policy.reads_of("status") == 6 and policy.column_strategy("status") == "eager"
+        # From the bind on, the plane shows what happens from the bind on.
+        late.conjunction(index, [("status", (0, 1))]).result()
+        assert policy.reads_of("status") == 7
+        assert late.report().obs["counters"]["storage.reads.status"] == 1.0
+
+    def test_recorded_read_counters_equal_the_policys(self):
+        rng = np.random.default_rng(9)
+        table, index = _table_index(rng)
+        session = PimSession.over_service(
+            engine=_engine(), maintenance="hybrid", observe=True,
+            policy=BatchPolicy(max_batch=4, window_ns=None),
+        )
+        for i in range(7):
+            predicates = [("region", (0, 1))] + ([("tier", (0,))] if i % 2 else [])
+            session.conjunction(index, predicates)
+        session.update(table, index, "status", [1, 2], [0, 1])  # never read: no counter
+        session.drain()
+        policy = session.backend.planner.maintenance
+        counters = session.report().obs["counters"]
+        recorded = {
+            name[len("storage.reads."):]: value
+            for name, value in counters.items()
+            if name.startswith("storage.reads.")
+        }
+        assert recorded == {"region": 7.0, "tier": 3.0}
+        assert all(policy.reads_of(column) == reads for column, reads in recorded.items())
+        assert policy.reads_of("status") == 0 and not policy.is_hot("status")
+        assert policy.is_hot("region") and not policy.is_hot("tier")
 
 
 class TestWritePlanLint:

@@ -79,6 +79,7 @@ def _load_tool(path: Path):
 
 lint_invariants = _load_tool(LINT_PATH)
 validate_bench = _load_tool(VALIDATE_PATH)
+check_artifacts_repeat = _load_tool(REPO_ROOT / "tools" / "check_artifacts_repeat.py")
 
 
 # ----------------------------------------------------------------------
@@ -629,6 +630,79 @@ class TestInvariantLint:
         names = [f.message.split("'")[1] for f in lint_invariants.lint_source(source, waived[0])]
         assert names == ["pipeline", "verify_fraction", "verify_seed", "sanitize"]
 
+    # The bodies the rule was written against: the elastic controller's
+    # `step` and the cluster frontend's `publish_gauges` as they stood
+    # when both decided from the shared registry, plus the hybrid
+    # hotness store's read.
+    _OBS_READBACK = (
+        "def step(self, now_ns):\n"
+        "    cluster = self.cluster\n"
+        "    cluster.publish_gauges(now_ns)\n"
+        "    snapshot = cluster.obs.snapshot()\n"
+        "    gauges = snapshot['gauges']\n"
+        "    imbalance = gauges.get('cluster.imbalance', 1.0)\n"
+        "def publish_gauges(self, at_ns=None):\n"
+        "    registry = self.obs.metrics\n"
+        "    offered = registry.counter('cluster.offered').value\n"
+        "    rejected = registry.counter('cluster.rejected').value\n"
+        "    registry.gauge('cluster.rejection_rate').set(\n"
+        "        rejected / offered if offered > 0.0 else 0.0\n"
+        "    )\n"
+        "def reads_of(self, column):\n"
+        "    return self._metrics.counter(f'storage.reads.{column}').value\n"
+        "def tail(self, registry, obs):\n"
+        "    level = registry.gauge('frontend.backlog_ns').value\n"
+        "    p99 = self.obs.metrics.histogram('frontend.wait_ns').quantile(99.0)\n"
+        "    summary = registry.histogram('frontend.wait_ns').snapshot()\n"
+        "    return obs.snapshot(), self.metrics.snapshot(), obs.metrics.snapshot()\n"
+    )
+
+    def test_obs_readback_flags_decisions_reading_recordings(self):
+        for path in ("src/repro/cluster/x.py", "src/repro/storage/x.py", "repro/api/x.py"):
+            findings = lint_invariants.lint_source(self._OBS_READBACK, path)
+            assert [(f.rule, f.line) for f in findings] == [
+                ("obs-readback", line) for line in (4, 9, 10, 15, 17, 18, 19, 20, 20, 20)
+            ]
+        # The plane reads itself; benchmarks, examples and tools print it.
+        for path in ("src/repro/obs/metrics.py", "benchmarks/bench_x.py", "tools/x.py"):
+            assert lint_invariants.lint_source(self._OBS_READBACK, path) == []
+
+    def test_obs_readback_passes_writes_and_owned_state(self):
+        source = (
+            "def note_read(self, columns):\n"
+            "    registry = self._obs.metrics if self._obs.enabled else None\n"
+            "    for column in columns:\n"
+            "        self._reads[column] = self._reads.get(column, 0.0) + 1.0\n"
+            "        if registry is not None:\n"
+            "            registry.counter(f'storage.reads.{column}').inc()\n"
+            "def publish_gauges(self, at_ns=None):\n"
+            "    health = self.health(at_ns)\n"
+            "    registry = self.obs.metrics\n"
+            "    registry.gauge('cluster.imbalance').set(health.imbalance)\n"
+            "    registry.histogram('cluster.sojourn_ns').observe(1.0)\n"
+            "    return health\n"
+            "def stats(self, record):\n"
+            "    return self.cache.snapshot(), record.value, self.result_cache.snapshot()\n"
+        )
+        assert lint_invariants.lint_source(source, "src/repro/cluster/x.py") == []
+
+    def test_obs_readback_waiver_sits_only_on_the_session_report(self):
+        waived = [
+            str(path.relative_to(REPO_ROOT))
+            for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+            if "allow[obs-readback]" in path.read_text()
+        ]
+        assert waived == ["src/repro/api/session.py"]
+        source = (REPO_ROOT / waived[0]).read_text()
+        assert source.count("allow[obs-readback]") == 1
+        findings = lint_invariants.lint_source(
+            source.replace("# lint: allow[obs-readback]", ""), waived[0]
+        )
+        assert [f.rule for f in findings] == ["obs-readback"]
+        # ...and it is the report, not a decision.
+        line = source.splitlines()[findings[0].line - 1]
+        assert "obs=self.obs.snapshot()" in line
+
     def test_waiver_suppresses(self):
         source = (
             "from dataclasses import dataclass\n"
@@ -723,3 +797,68 @@ class TestBenchValidation:
         emitted = sorted(REPO_ROOT.glob("BENCH_*.json"))
         for path in emitted:
             assert validate_bench.validate_file(path) == [], path
+
+
+# ----------------------------------------------------------------------
+# Artifact repeatability (tools/check_artifacts_repeat.py)
+# ----------------------------------------------------------------------
+class TestArtifactsRepeat:
+    """The CI step's verdict, with the benchmark passes stubbed out (the
+    real ones take a minute): it exits non-zero on one differing byte."""
+
+    FILES = {
+        "BENCH_pipeline.json": b'{"pipelined_vs_barrier_throughput": 1.4}\n',
+        "TRACE_pipeline.json": b'{"traceEvents": []}\n',
+    }
+
+    def _stub_passes(self, monkeypatch, *passes):
+        """Each stubbed ``run_pass`` call writes the next dict of files."""
+        pending = list(passes)
+
+        def run_pass(directory: Path) -> None:
+            directory.mkdir(parents=True, exist_ok=True)
+            for name, content in pending.pop(0).items():
+                (directory / name).write_bytes(content)
+
+        monkeypatch.setattr(check_artifacts_repeat, "run_pass", run_pass)
+        return pending
+
+    def test_identical_passes_exit_zero(self, monkeypatch, capsys):
+        pending = self._stub_passes(monkeypatch, self.FILES, self.FILES)
+        assert check_artifacts_repeat.main([]) == 0
+        assert pending == [] and "2 artifacts repeat" in capsys.readouterr().out
+
+    def test_one_differing_byte_fails_naming_the_file(self, monkeypatch, capsys):
+        tampered = dict(self.FILES)
+        tampered["TRACE_pipeline.json"] = tampered["TRACE_pipeline.json"].replace(b"[]", b"[ ]")
+        self._stub_passes(monkeypatch, self.FILES, tampered)
+        assert check_artifacts_repeat.main([]) == 1
+        assert "TRACE_pipeline.json" in capsys.readouterr().err
+
+    def test_against_reuses_the_first_pass_on_disk(self, monkeypatch, tmp_path, capsys):
+        for name, content in self.FILES.items():
+            (tmp_path / name).write_bytes(content)
+        (tmp_path / "notes.json").write_text("not an artifact")
+        pending = self._stub_passes(monkeypatch, self.FILES)  # only the second pass runs
+        assert check_artifacts_repeat.main(["--against", str(tmp_path)]) == 0
+        assert pending == []
+        # A file only one pass wrote is a difference too (here: a stale one).
+        (tmp_path / "BENCH_stale.json").write_text("{}")
+        self._stub_passes(monkeypatch, self.FILES)
+        assert check_artifacts_repeat.main(["--against", str(tmp_path)]) == 1
+        assert "BENCH_stale.json: only written by the first pass" in capsys.readouterr().err
+
+    def test_no_artifacts_at_all_is_a_failure(self, monkeypatch):
+        self._stub_passes(monkeypatch, {}, {})
+        assert check_artifacts_repeat.main([]) == 1
+
+    def test_the_passes_cover_the_ci_smokes(self):
+        """The script reruns exactly the smokes the workflow runs."""
+        workflow = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+        in_ci = [
+            line.split("benchmarks/bench_")[1].split(".py")[0]
+            for line in workflow.splitlines()
+            if "pytest benchmarks/bench_" in line
+        ]
+        assert tuple(in_ci) == check_artifacts_repeat.SMOKES
+        assert "tools/check_artifacts_repeat.py --against ." in workflow

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo invariant lint: an AST pass over ``src/repro`` run as a CI gate.
 
-Eight rules, each guarding an invariant the simulator's design depends on
+Nine rules, each guarding an invariant the simulator's design depends on
 (stdlib-only; no third-party linter required):
 
 * ``mutable-default`` — a dataclass field whose default is a mutable
@@ -49,6 +49,18 @@ Eight rules, each guarding an invariant the simulator's design depends on
   constructors count: ``BatchExecutor.run(functional=)`` is a per-call
   argument.  ``BatchExecutor.__init__``, the leaf that consumes
   ``pipeline`` / ``sanitize`` / ``verify_*``, carries the only waivers.
+* ``obs-readback`` — under ``repro/`` outside ``repro/obs/``, a *read* of
+  a recording: ``.value`` on the result of a ``.counter(…)`` /
+  ``.gauge(…)`` call, ``.quantile(…)`` / ``.snapshot()`` on a
+  ``.histogram(…)`` result, or ``<x>.obs.snapshot()`` /
+  ``<x>.metrics.snapshot()`` (``ResultCache.snapshot()`` is the cache's
+  own state, not a recording).  Simulation state decides, recordings
+  describe: a decision that reads the plane back changes when the plane
+  is shared, bound late or switched off — the hybrid hotness store and
+  the elastic controller both did.  The object that owns a number keeps
+  it and publishes a copy.  ``PimSession.report`` filling
+  ``SessionReport.obs`` — a report, not a decision — carries the only
+  waiver.
 
 A finding is suppressed by a ``# lint: allow[<rule>]`` comment on its
 line.  Run locally with::
@@ -79,6 +91,7 @@ RULES = (
     "cache-aliasing",
     "plane-aliasing",
     "knob-drift",
+    "obs-readback",
 )
 
 _WAIVER_RE = re.compile(r"#\s*lint:\s*allow\[([a-z-]+)\]")
@@ -95,6 +108,10 @@ _OBS_CLOCK_MODULES = {"time", "random", "datetime"}
 #: and the packages whose constructors may not re-declare its fields.
 _CONFIG_MODULE = "repro/service/config.py"
 _KNOB_PACKAGES = ("repro/service/", "repro/cluster/", "repro/api/")
+
+#: Where obs-readback applies: the simulator package, minus the plane itself.
+_REPRO_RE = re.compile(r"(^|/)repro/")
+_OBS_PACKAGE = "repro/obs/"
 
 #: Mutable literal node types a default must never be.
 _MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
@@ -156,6 +173,13 @@ def _terminal_name(node: ast.expr) -> str:
         return node.attr
     if isinstance(node, ast.Name):
         return node.id
+    return ""
+
+
+def _called_method(node: ast.expr) -> str:
+    """``m`` of a ``<x>.m(...)`` call expression ('' for anything else)."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return node.func.attr
     return ""
 
 
@@ -245,6 +269,11 @@ class _ModuleLinter(ast.NodeVisitor):
         # Service/cluster/api constructors may not re-declare a knob.
         self._in_knob_scope = not normalized.endswith(_CONFIG_MODULE) and any(
             fragment in normalized for fragment in _KNOB_PACKAGES
+        )
+        # Everything in the simulator but the plane itself may only write
+        # recordings, never read them back.
+        self._in_readback_scope = (
+            _REPRO_RE.search(normalized) is not None and _OBS_PACKAGE not in normalized
         )
 
     def _add(self, node: ast.AST, rule: str, message: str) -> None:
@@ -369,7 +398,32 @@ class _ModuleLinter(ast.NodeVisitor):
             and self._aliases_plane(node.args[0])
         ):
             self._plane_finding(node, f"{name}(...)")
+        if self._in_readback_scope and isinstance(node.func, ast.Attribute):
+            method, receiver = node.func.attr, node.func.value
+            if method in ("quantile", "snapshot") and _called_method(receiver) == "histogram":
+                self._readback_finding(node, f".histogram(...).{method}()")
+            elif method == "snapshot" and _terminal_name(receiver) in ("obs", "metrics"):
+                self._readback_finding(node, f"{_terminal_name(receiver)}.snapshot()")
         self.generic_visit(node)
+
+    # -- obs-readback --------------------------------------------------
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if (
+            self._in_readback_scope
+            and node.attr == "value"
+            and isinstance(node.ctx, ast.Load)
+            and _called_method(node.value) in ("counter", "gauge")
+        ):
+            self._readback_finding(node, f".{_called_method(node.value)}(...).value")
+        self.generic_visit(node)
+
+    def _readback_finding(self, node: ast.AST, what: str) -> None:
+        self._add(
+            node,
+            "obs-readback",
+            f"{what} reads a recording back: simulation state decides, recordings "
+            "describe — keep the number on the object that owns it and publish a copy",
+        )
 
     # -- cache-aliasing ------------------------------------------------
     def _visit_function(self, node: Union[ast.FunctionDef, ast.AsyncFunctionDef]) -> None:
