@@ -180,7 +180,7 @@ class CompiledChain:
             plane: np.ndarray = index.bitmap(*slot)
             bound = shared.get(slot)
             if bound is None or bound[0] is not plane:
-                bound = shared[slot] = (plane, _source_vector(plane, num_rows, row_size))
+                bound = shared[slot] = (plane, source_vector(plane, num_rows, row_size))
             vectors.append(bound[1])
         steps: List[LoweredStep] = []
         for op, a, b in self.steps:
@@ -233,15 +233,17 @@ def lower_predicate_steps(
     return chain.bind(index)
 
 
-def _source_vector(packed: np.ndarray, num_rows: int, row_size_bytes: int) -> BulkBitVector:
-    """A read-only host-only vector over one value's packed bitmap.
+def source_vector(packed: np.ndarray, num_rows: int, row_size_bytes: int) -> BulkBitVector:
+    """A read-only host-only vector over one packed bitmap.
 
-    A plane that already spans whole device rows is adopted as a zero-copy
-    view of the index's own array — safe because the index never mutates
-    a plane in place (:meth:`BitmapIndex.apply_update` is copy-on-write),
-    so the vector keeps the bits it was lowered over even when a write
-    lands later in the same batch.  A shorter plane has no whole-row
-    storage to alias and is zero-padded into a fresh one.
+    A bitmap that already spans whole device rows is adopted as a
+    zero-copy view of the caller's array: an index plane — safe because
+    the index never mutates a plane in place
+    (:meth:`BitmapIndex.apply_update` is copy-on-write), so the vector
+    keeps the bits it was lowered over even when a write lands later in
+    the same batch — or the private copy a result-cache hit hands out.
+    A shorter bitmap has no whole-row storage to alias and is zero-padded
+    into a fresh one.
     """
     storage_bytes = -(-packed.size // row_size_bytes) * row_size_bytes
     if packed.size != storage_bytes:

@@ -162,7 +162,11 @@ class Response:
             ``"delete"`` — or ``"request"`` for raw primitives).
         status: ``"completed"`` or ``"rejected"``.
         value: The packed result bitmap (None when rejected, or for
-            requests without a bitmap result).
+            requests without a bitmap result).  A conjunction's is
+            **read-only** on the service and cluster tiers — identical
+            requests of one batch may share one array — so writing
+            through it raises ``ValueError``; ``np.array(value)`` is a
+            private, writable copy.
         matching_rows: COUNT(*) of the predicate (None when not a query).
         latency_ns: Scan service latency plus the host epilogue
             (popcount + materialization) — the end-to-end query latency.
@@ -389,6 +393,10 @@ class PimSession:
         self.futures: List[Future] = []
         self._check_request = getattr(backend, "check_request", None)
         self._coster = coster or self._default_coster()
+        # Host epilogue (latency_ns, energy_j) per (num_rows, matching):
+        # a stream of few templates prices each of its pairs once.  At
+        # most one small entry per response the session already holds.
+        self._epilogues: Dict[Tuple[int, int], Tuple[float, float]] = {}
         # Window snapshot: report() covers only this session's traffic.
         self._clock0 = backend.clock_ns
         if self.tier == "cluster":
@@ -857,9 +865,14 @@ class PimSession:
             num_rows = request.index.num_rows
         if num_rows is not None and value is not None:
             matching = BitmapIndex.count(value, num_rows)
-            epilogue = self._coster.epilogue_cost(num_rows, matching)
-            epilogue_ns = epilogue.latency_ns
-            epilogue_j = epilogue.energy_j
+            priced = self._epilogues.get((num_rows, matching))
+            if priced is None:
+                epilogue = self._coster.epilogue_cost(num_rows, matching)
+                priced = self._epilogues[num_rows, matching] = (
+                    epilogue.latency_ns,
+                    epilogue.energy_j,
+                )
+            epilogue_ns, epilogue_j = priced
         return Response(
             kind=future.kind,
             status="completed",

@@ -12,7 +12,8 @@ Consistency comes from two mechanisms:
 * **Write-driven invalidation** — every entry carries its column-level
   dependency set; a write drops the entries whose dependencies it
   touched (appends/deletes change ``num_rows`` and drop everything for
-  that index).
+  that index).  A reverse map from ``(source, column)`` to the keys
+  depending on it makes that O(entries dropped), not O(entries cached).
 * **Epoch guards** — the optimizer stamps each planned fill with the
   dependency columns' *write epoch* at plan time; a fill whose epoch
   advanced by execution time (a write landed in the same batch) is
@@ -77,6 +78,11 @@ class ResultCache:
         self.capacity_entries = capacity_entries
         self._entries: "OrderedDict[Key, _Entry]" = OrderedDict()
         self._bytes = 0
+        # Reverse maps, kept in step with ``_entries`` by put / _forget:
+        # the live keys per source id and per (source id, dependency
+        # column).  Dicts as insertion-ordered sets (deterministic walks).
+        self._index_keys: Dict[int, Dict[Key, None]] = {}
+        self._column_keys: Dict[Tuple[int, str], Dict[Key, None]] = {}
         # Write epochs: bumped per invalidation; the optimizer's epoch
         # guard compares plan-time and fill-time stamps through these.
         self._index_epochs: Dict[int, int] = {}
@@ -149,7 +155,7 @@ class ResultCache:
     def _purge(self, index_id: int) -> None:
         """Forget everything scoped to ``index_id``: owner, entries, epochs."""
         self._owners.pop(index_id, None)
-        for key in [key for key, entry in self._entries.items() if entry.index_id == index_id]:
+        for key in list(self._index_keys.get(index_id, ())):
             self._drop(key)
         self._index_epochs.pop(index_id, None)
         for epoch_key in [k for k in self._column_epochs if k[0] == index_id]:
@@ -159,7 +165,7 @@ class ResultCache:
         """Keys of the live entries depending on ``index`` (test surface)."""
         if not self._owns(index):
             return []
-        return [key for key, entry in self._entries.items() if entry.index_id == id(index)]
+        return list(self._index_keys.get(id(index), ()))
 
     def live_for(self, index: object) -> List[Tuple[Key, Tuple[str, ...], int, int]]:
         """Live entries of ``index`` as ``(key, columns, num_rows, nbytes)``.
@@ -170,11 +176,8 @@ class ResultCache:
         """
         if not self._owns(index):
             return []
-        return [
-            (key, entry.columns, entry.num_rows, entry.data.nbytes)
-            for key, entry in self._entries.items()
-            if entry.index_id == id(index)
-        ]
+        entries = (self._entries[key] for key in self._index_keys.get(id(index), ()))
+        return [(e.key, e.columns, e.num_rows, e.data.nbytes) for e in entries]
 
     def snapshot(self) -> Dict[str, Any]:
         """Plain-dict accounting summary (reports and benchmarks)."""
@@ -243,18 +246,20 @@ class ResultCache:
             self._reap()
         data = np.asarray(packed, dtype=np.uint8).copy()
         data.setflags(write=False)
-        existing = self._entries.pop(key, None)
-        if existing is not None:
-            self._bytes -= existing.data.nbytes
-        entry = _Entry(key, self._adopt(index), tuple(columns), data, num_rows)
+        self._drop(key)
+        index_id = self._adopt(index)
+        entry = _Entry(key, index_id, tuple(columns), data, num_rows)
         self._entries[key] = entry
         self._bytes += data.nbytes
+        self._index_keys.setdefault(index_id, {})[key] = None
+        for column in entry.columns:
+            self._column_keys.setdefault((index_id, column), {})[key] = None
         self.fills += 1
         while self._entries and (
             self._bytes > self.capacity_bytes or len(self._entries) > self.capacity_entries
         ):
             evicted_key, evicted = self._entries.popitem(last=False)
-            self._bytes -= evicted.data.nbytes
+            self._forget(evicted)
             self.evictions += 1
             if evicted_key == key:
                 break
@@ -262,7 +267,23 @@ class ResultCache:
     def _drop(self, key: Key) -> None:
         entry = self._entries.pop(key, None)
         if entry is not None:
-            self._bytes -= entry.data.nbytes
+            self._forget(entry)
+
+    def _forget(self, entry: _Entry) -> None:
+        """Take an entry just removed from ``_entries`` off the byte
+        count and the reverse maps."""
+        self._bytes -= entry.data.nbytes
+        self._unlink(self._index_keys, entry.index_id, entry.key)
+        for column in entry.columns:
+            self._unlink(self._column_keys, (entry.index_id, column), entry.key)
+
+    @staticmethod
+    def _unlink(table: Dict[Any, Dict[Key, None]], bucket: Any, key: Key) -> None:
+        keys = table.get(bucket)
+        if keys is not None:
+            keys.pop(key, None)
+            if not keys:
+                del table[bucket]  # no empty bucket outlives its entries
 
     # ------------------------------------------------------------------
     # Write-driven invalidation
@@ -274,14 +295,13 @@ class ResultCache:
         if not stale:
             return 0
         index_id = self._adopt(index)
+        dropped: Dict[Key, None] = {}
         for column in stale:
             epoch_key = (index_id, column)
             self._column_epochs[epoch_key] = self._column_epochs.get(epoch_key, 0) + 1
-        dropped = [
-            key
-            for key, entry in self._entries.items()
-            if entry.index_id == index_id and not stale.isdisjoint(entry.columns)
-        ]
+            keys = self._column_keys.get(epoch_key)
+            if keys:
+                dropped.update(keys)
         for key in dropped:
             self._drop(key)
         self.invalidations += len(dropped)
@@ -292,7 +312,7 @@ class ResultCache:
         number dropped.  Bumps the index-level write epoch."""
         index_id = self._adopt(index)
         self._index_epochs[index_id] = self._index_epochs.get(index_id, 0) + 1
-        dropped = [key for key, entry in self._entries.items() if entry.index_id == index_id]
+        dropped = list(self._index_keys.get(index_id, ()))
         for key in dropped:
             self._drop(key)
         self.invalidations += len(dropped)
@@ -302,6 +322,8 @@ class ResultCache:
         """Drop everything (keeps lifetime accounting and epochs)."""
         self.invalidations += len(self._entries)
         self._entries.clear()
+        self._index_keys.clear()
+        self._column_keys.clear()
         self._bytes = 0
 
 

@@ -1075,6 +1075,7 @@ class ClusterFrontend:
         # result is not ready until the host has actually merged it, but
         # independent pairs never serialize behind each other.
         record.value = np.bitwise_and.reduce([p.value for p in parts])
+        record.value.setflags(write=False)  # like the shard partials it merges
         tree_depth = (len(parts) - 1).bit_length()
         record.host_merge_ns = tree_depth * self.merge_ns_per_op
         record.finish_ns += record.host_merge_ns

@@ -82,7 +82,10 @@ class ShardRouter:
     Args:
         num_shards: Number of shard executors in the cluster.
         replication_factor: Replicas per *hot* key (consecutive shards
-            from the home shard).  Capped by ``num_shards``.
+            from the home shard).  Kept as requested and capped by the
+            *current* ``num_shards`` where placements are computed, so a
+            cluster that starts below its factor replicates once
+            :meth:`add_shard` has grown it.
         hot_columns: Keys that deserve replication.  None replicates every
             key; an explicit collection replicates only its members (by
             name for strings, by identity for objects).
@@ -103,7 +106,7 @@ class ShardRouter:
         if strategy not in ("hash", "range"):
             raise ValueError(f"unknown placement strategy {strategy!r}")
         self.num_shards = num_shards
-        self.replication_factor = min(replication_factor, num_shards)
+        self.replication_factor = replication_factor
         self.strategy = strategy
         #: Bumped on every placement or health change; callers caching
         #: partition-derived state key their caches on it.
@@ -170,7 +173,7 @@ class ShardRouter:
         if override is not None:
             return list(override)
         home = self._home(key)
-        count = self.replication_factor if self._is_hot(key) else 1
+        count = min(self.replication_factor, self.num_shards) if self._is_hot(key) else 1
         return [(home + i) % self.num_shards for i in range(count)]
 
     def _override_for(self, key: Hashable) -> Optional[List[int]]:

@@ -23,11 +23,20 @@ bitwise op set guarantees — collide:
 Keys are plain nested tuples (hashable, comparable by ``repr``), scoped
 by the identity of the bitmap source so two different indexes never
 share a chain.
+
+Everything above except the source's identity depends on the
+conjunction's *shape* alone, so :class:`ConjunctionShape` derives it once
+per template — a planner interns one beside the shape's
+:class:`~repro.api.plans.CompiledChain` — and only
+:meth:`ConjunctionShape.keys` runs per request: it stamps ``id(index)``
+into the pre-ordered keys.  A shape holds no index and no ``id``, so
+nothing interned can answer for a source it was not asked about.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, FrozenSet, List, Sequence, Tuple
 
 #: A canonical sub-chain key: a nested tuple of op names, source ids,
 #: column names and value tuples.  Only equality/hashing semantics
@@ -69,3 +78,64 @@ def canonical_key(op: str, operands: Sequence[Key]) -> Key:
 def sort_token(key: Key) -> str:
     """Deterministic total-order token for heterogeneous keys."""
     return repr(key)
+
+
+@dataclass(frozen=True, slots=True)
+class ConjunctionShape:
+    """What canonical lowering derives from a conjunction's shape alone.
+
+    Attributes:
+        predicates: ``(column, sorted values)`` per predicate, in
+            canonical-key order (the order the optimizer lowers them in).
+        columns: Dependency-column set of each predicate's sub-chain.
+        prefix_columns: Dependency columns of each AND-spine prefix;
+            the last one is the whole conjunction's.
+        dep_columns: The whole conjunction's dependency columns, sorted.
+        plan_total: Bulk ops the unoptimized plan charges.
+        packed_bytes: Bytes of one packed result bitmap.
+        rows: Device rows one vector spans (the ``op_cost`` row count).
+    """
+
+    predicates: Tuple[Tuple[str, Tuple[int, ...]], ...]
+    columns: Tuple[FrozenSet[str], ...]
+    prefix_columns: Tuple[FrozenSet[str], ...]
+    dep_columns: Tuple[str, ...]
+    plan_total: int
+    packed_bytes: int
+    rows: int
+
+    @classmethod
+    def of(
+        cls,
+        predicates: Sequence[Tuple[str, Sequence[int]]],
+        num_rows: int,
+        row_size_bytes: int,
+    ) -> "ConjunctionShape":
+        """Derive the shape of ``predicates`` over a ``num_rows`` source."""
+        # Every key of one request carries the same source id, so the
+        # canonical order never depends on it: order with a placeholder.
+        ordered = sorted(
+            ((column, tuple(sorted(values))) for column, values in predicates),
+            key=lambda item: sort_token(("in", 0, *item)),
+        )
+        prefixes: List[FrozenSet[str]] = []
+        for column, _values in ordered:
+            prefixes.append((prefixes[-1] if prefixes else frozenset()) | {column})
+        packed_bytes = (num_rows + 7) // 8
+        return cls(
+            predicates=tuple(ordered),
+            columns=tuple(frozenset((column,)) for column, _values in ordered),
+            prefix_columns=tuple(prefixes),
+            dep_columns=tuple(sorted(prefixes[-1])),
+            plan_total=sum(len(values) - 1 for _c, values in ordered) + len(ordered) - 1,
+            packed_bytes=packed_bytes,
+            rows=max(1, -(-packed_bytes // row_size_bytes)),
+        )
+
+    def keys(self, index: object) -> Tuple[Tuple[Key, ...], Key]:
+        """``(predicate keys in canonical order, whole-conjunction key)``
+        over ``index`` — equal to :func:`predicate_key` per predicate and
+        :func:`canonical_key` ``("and", ...)`` over them (already sorted)."""
+        index_id = id(index)
+        parts = tuple(("in", index_id, column, values) for column, values in self.predicates)
+        return parts, ("and", *parts)

@@ -16,6 +16,17 @@ shared step DAG:
   predicates are lowered in canonical order, so equal conjunction
   prefixes share step for step — a fully duplicate request emits zero
   device ops).
+* **Request-level CSE** — in split mode the first request of a
+  conjunction records its part nodes under the whole-conjunction
+  canonical key; every later identical request of the batch takes the
+  parts from that one entry and shares one host join, computed by
+  whichever of them is finalized first (the *modeled* host still merges
+  per request, so ``host_merge_ns`` is charged to each).  The entry
+  depends on the union of its columns, so an in-batch write drops it by
+  the same rule as a predicate entry.  What a conjunction derives from
+  its shape alone (:class:`~repro.optimizer.canonical.ConjunctionShape`)
+  is interned per template by the planner; per request only the source
+  id is stamped into the keys.
 * **Sub-chain splitting** — a conjunction's predicate sub-chains are
   mutually independent, so in split mode each lands on its own bank
   offset, chosen cheapest-horizon-first from the executor's persistent
@@ -40,6 +51,10 @@ The optimizer never changes *what* is computed: AND/OR are commutative
 and associative over bitmaps, sharing only reuses an identical result
 vector, and splitting only moves sub-chains between lanes.  Property
 tests pin bit-exactness against unoptimized lowering on both tiers.
+
+Every conjunction's result value is **read-only**: a join shared by
+several responses cannot be written through one of them, and an unshared
+one behaves the same (``np.array(value)`` is a private, writable copy).
 """
 
 from __future__ import annotations
@@ -51,9 +66,9 @@ import numpy as np
 
 from repro.ambit.bitvector import BulkBitVector
 from repro.analysis.metrics import OperationMetrics
-from repro.api.plans import lower_predicate_steps
+from repro.api.plans import lower_predicate_steps, source_vector
 from repro.cache.result_cache import ResultCache
-from repro.optimizer.canonical import Key, canonical_key, predicate_key, sort_token
+from repro.optimizer.canonical import ConjunctionShape, Key, canonical_key
 from repro.service.config import OptimizerConfig
 from repro.service.planner import LoweredGroup
 from repro.service.requests import (
@@ -89,6 +104,45 @@ class _Node:
     producer: Optional[int]
 
 
+class _Answer:
+    """One conjunction's final nodes and the packed value they join to.
+
+    Every lowered conjunction gets one; in split mode it doubles as the
+    batch's CSE entry for the *whole* conjunction — identical later
+    requests hold the same object, so the host join runs once however
+    many responses carry its result.
+
+    Attributes:
+        parts: The nodes whose vectors AND to the result: one per
+            sub-chain when split across lanes, the single chain result
+            when unsplit.
+        cone: Sorted batch-step indices producing the parts.
+        packed_bytes: Bytes of the packed result bitmap.
+    """
+
+    __slots__ = ("parts", "cone", "packed_bytes", "_joined")
+
+    def __init__(self, parts: Tuple[_Node, ...], packed_bytes: int) -> None:
+        self.parts = parts
+        self.cone: Tuple[int, ...] = tuple(sorted({i for node in parts for i in node.cone}))
+        self.packed_bytes = packed_bytes
+        self._joined: Optional[np.ndarray] = None
+
+    def value(self, _results: List[RequestResult]) -> np.ndarray:
+        """The packed result, read-only; the group's ``finalize``.
+
+        Joined by the first caller — the part vectors only hold result
+        data once the batch has executed — and handed as is to the rest.
+        """
+        joined = self._joined
+        if joined is None:
+            planes = [node.vector.data[: self.packed_bytes] for node in self.parts]
+            joined = planes[0].copy() if len(planes) == 1 else np.bitwise_and.reduce(planes)
+            joined.setflags(write=False)
+            self._joined = joined
+        return joined
+
+
 class BatchOptimizer:
     """Lowers one batch's conjunctions into a shared, lane-spread DAG.
 
@@ -114,11 +168,15 @@ class BatchOptimizer:
         self.result_cache = result_cache
         self._executor: Any = None
         self._cache: Dict[Key, _Node] = {}
+        # Split mode: whole-conjunction key -> the answer every identical
+        # request of the batch shares.
+        self._answers: Dict[Key, _Answer] = {}
         # Dependency columns per CSE cache key: key -> (id(index), columns).
         # A write lowered mid-batch invalidates the overlapping entries
         # (see invalidate_writes) so no later request of the same batch
         # rides a vector materialized from pre-write planes.
         self._node_columns: Dict[Key, Tuple[int, FrozenSet[str]]] = {}
+        # What the batch lint replays; recorded under ``sanitize`` only.
         self._steps: Dict[int, ChainStep] = {}
         self._views: List[OptimizedRequestView] = []
         self._assigned: Dict[int, float] = {}
@@ -140,6 +198,7 @@ class BatchOptimizer:
         """Reset the batch-scoped state; subsequent lowerings share."""
         self._executor = executor
         self._cache = {}
+        self._answers = {}
         self._node_columns = {}
         self._steps = {}
         self._views = []
@@ -200,11 +259,13 @@ class BatchOptimizer:
         ]
         for key in stale:
             self._cache.pop(key, None)
+            self._answers.pop(key, None)
             del self._node_columns[key]
         return len(stale)
 
     def lint_batch(self, row_size_bytes: Optional[int] = None) -> Optional[OptimizedBatchReport]:
-        """Certify the open batch's DAG (None when nothing was lowered)."""
+        """Certify the open batch's DAG (None when nothing was lowered, or
+        the executor does not ``sanitize`` — nothing was recorded)."""
         if not self._views:
             return None
         return lint_optimized_batch(self._steps, self._views, row_size_bytes=row_size_bytes)
@@ -212,160 +273,83 @@ class BatchOptimizer:
     # ------------------------------------------------------------------
     # Lowering
     # ------------------------------------------------------------------
+    def shape(self, request: BitmapConjunctionRequest) -> ConjunctionShape:
+        """The canonical shape of ``request`` on the open batch's device
+        (what the planner interns per template)."""
+        row_size: int = self._executor.engine.device.geometry.row_size_bytes
+        return ConjunctionShape.of(request.predicates, request.index.num_rows, row_size)
+
     def lower_conjunction(
-        self, queued: QueuedRequest, primitives: List[ServiceRequest]
+        self,
+        queued: QueuedRequest,
+        primitives: List[ServiceRequest],
+        shape: Optional[ConjunctionShape] = None,
     ) -> LoweredGroup:
         """Lower one conjunction into the open batch's shared DAG.
 
         Appends the request's fresh steps to ``primitives`` and returns
         the :class:`LoweredGroup` carrying its cost ledger and finalize.
+        ``shape`` is the request's interned :meth:`shape` (derived here
+        when the caller keeps none).
         """
         request = queued.request
         assert isinstance(request, BitmapConjunctionRequest)
         executor = self._executor
+        config = self.config
         index = request.index
-        num_rows: int = index.num_rows
-        row_size: int = executor.engine.device.geometry.row_size_bytes
-        packed_bytes = (num_rows + 7) // 8
-        rows = max(1, -(-packed_bytes // row_size))
-        plan_total = sum(len(values) - 1 for _c, values in request.predicates) + (
-            len(request.predicates) - 1
-        )
+        if shape is None:
+            shape = self.shape(request)
+        plan_total = shape.plan_total
+        packed_bytes = shape.packed_bytes
+        pkeys, whole = shape.keys(index)
 
         own: List[int] = []
-        shared = 0
-        # Canonical commutative reordering: lowering predicates in key
-        # order makes equal conjunctions build identical AND spines.
-        keyed = sorted(
-            (
-                (predicate_key(index, column, values), column, values)
-                for column, values in request.predicates
-            ),
-            key=lambda item: sort_token(item[0]),
-        )
-
-        base: int = executor.stable_offset(index)
-        cache_hits = 0
-        cache_misses = 0
-        # Whole-conjunction consult first (unsplit mode): a repeated
-        # request across batches is then one host-memory read — zero
-        # device ops, no per-predicate reassembly.
-        full_key: Optional[Key] = None
-        full_node: Optional[_Node] = None
-        if (
-            self.result_cache is not None
-            and not self.config.split_subchains
-            and len(keyed) > 1
-        ):
-            full_key = canonical_key("and", tuple(item[0] for item in keyed))
-            full_node = self._cached_node(full_key, index, num_rows, row_size)
-            if full_node is not None:
-                cache_hits += 1
-            else:
-                cache_misses += 1
-
-        if full_node is not None:
-            finals = [full_node]
-            host_join_ops = 0
-            host_merge_ns = 0.0
+        cache_hits = cache_misses = 0
+        # Request-level CSE (split mode): an identical request lowered
+        # earlier in this batch — and not overwritten since — already
+        # holds every part; ride them and its one host join.
+        share_whole = config.cse and config.split_subchains
+        answer = self._answers.get(whole) if share_whole else None
+        if answer is not None:
+            shared = len(answer.parts)
         else:
-            parts: List[_Node] = []
-            part_cols: List[FrozenSet[str]] = []
-            for pkey, column, values in keyed:
-                node = self._cache.get(pkey) if self.config.cse else None
-                if node is not None:
-                    shared += 1
-                else:
-                    node = self._cached_node(pkey, index, num_rows, row_size)
-                    if node is not None:
-                        cache_hits += 1
-                        if self.config.cse:
-                            self._cache[pkey] = node
-                            self._node_columns[pkey] = (id(index), frozenset((column,)))
-                    else:
-                        if self.result_cache is not None:
-                            cache_misses += 1
-                        offset = self._choose_offset(executor, base, rows)
-                        node = self._emit_predicate(
-                            pkey, index, column, values, row_size, rows, offset,
-                            primitives, own,
-                        )
-                        if self.config.cse:
-                            self._cache[pkey] = node
-                            self._node_columns[pkey] = (id(index), frozenset((column,)))
-                        if node.producer is not None:
-                            # A multi-value OR chain is worth re-serving
-                            # from host memory; a bare bitmap is already
-                            # a zero-op source.
-                            self._record_fill(
-                                pkey, index, (column,), node.vector, packed_bytes, num_rows
-                            )
-                parts.append(node)
-                part_cols.append(frozenset((column,)))
+            finals, shared, cache_hits, cache_misses = self._lower_parts(
+                index, shape, pkeys, whole, primitives, own
+            )
+            answer = _Answer(finals, packed_bytes)
+            if share_whole:
+                self._answers[whole] = answer
+                self._node_columns[whole] = (id(index), shape.prefix_columns[-1])
 
-            if self.config.split_subchains:
-                finals = parts
-                host_join_ops = max(0, len(parts) - 1)
-                host_merge_ns = (
-                    (len(parts) - 1).bit_length() * self.config.merge_ns_per_op
-                    if host_join_ops
-                    else 0.0
-                )
-            else:
-                # Left-deep AND spine over the canonically ordered parts, with
-                # equal prefixes CSE'd across requests.
-                acc = parts[0]
-                acc_cols = part_cols[0]
-                for part, pcols in zip(parts[1:], part_cols[1:]):
-                    akey = canonical_key("and", (acc.key, part.key))
-                    merged = acc_cols | pcols
-                    node = self._cache.get(akey) if self.config.cse else None
-                    if node is None:
-                        node = self._emit_and(
-                            akey, acc, part, num_rows, row_size, base, primitives, own
-                        )
-                        if self.config.cse:
-                            self._cache[akey] = node
-                            self._node_columns[akey] = (id(index), merged)
-                    else:
-                        shared += 1
-                    acc = node
-                    acc_cols = merged
-                finals = [acc]
-                host_join_ops = 0
-                host_merge_ns = 0.0
-            if full_key is not None:
-                all_columns = tuple(sorted({column for column, _v in request.predicates}))
-                self._record_fill(
-                    full_key, index, all_columns, finals[0].vector, packed_bytes, num_rows
-                )
-
-        cone: Set[int] = set()
-        for node in finals:
-            cone.update(node.cone)
-        deps = tuple(sorted(cone - set(own)))
-        ops_eliminated = plan_total - len(own) - host_join_ops
-        vectors = tuple(node.vector for node in finals)
-
-        view = OptimizedRequestView(
-            predicates=request.predicates,
-            num_rows=num_rows,
-            plan_total=plan_total,
-            own_indices=tuple(own),
-            dep_indices=deps,
-            part_vectors=vectors,
-            host_join_ops=host_join_ops,
-            ops_eliminated=ops_eliminated,
-            shared_subchains=shared,
+        # Split parts are joined host-side, charged as a pairwise merge
+        # tree to every request (the modeled host merges per request even
+        # when the simulator joins once); an unsplit chain has one final.
+        host_join_ops = len(answer.parts) - 1
+        host_merge_ns = (
+            host_join_ops.bit_length() * config.merge_ns_per_op if host_join_ops else 0.0
         )
-        self._views.append(view)
+        deps = answer.cone
+        if own:
+            mine = set(own)
+            deps = tuple(i for i in deps if i not in mine)
+        ops_eliminated = plan_total - len(own) - host_join_ops
+
+        if executor.sanitize:
+            self._views.append(
+                OptimizedRequestView(
+                    predicates=request.predicates,
+                    num_rows=index.num_rows,
+                    plan_total=plan_total,
+                    own_indices=tuple(own),
+                    dep_indices=deps,
+                    part_vectors=tuple(node.vector for node in answer.parts),
+                    host_join_ops=host_join_ops,
+                    ops_eliminated=ops_eliminated,
+                    shared_subchains=shared,
+                )
+            )
         self.ops_eliminated += ops_eliminated
         self.shared_subchains += shared
-
-        def finalize(results: List[RequestResult]) -> Any:
-            if len(vectors) == 1:
-                return vectors[0].data[:packed_bytes].copy()
-            return np.bitwise_and.reduce([v.data[:packed_bytes] for v in vectors])
 
         zero_cost = None
         if not own:
@@ -389,7 +373,7 @@ class BatchOptimizer:
         return LoweredGroup(
             queued=queued,
             indices=own,
-            finalize=finalize,
+            finalize=answer.value,
             zero_cost_metrics=zero_cost,
             dep_indices=list(deps),
             host_merge_ns=host_merge_ns,
@@ -400,6 +384,95 @@ class BatchOptimizer:
             cache_misses=cache_misses,
         )
 
+    def _lower_parts(
+        self,
+        index: Any,
+        shape: ConjunctionShape,
+        pkeys: Tuple[Key, ...],
+        whole: Key,
+        primitives: List[ServiceRequest],
+        own: List[int],
+    ) -> Tuple[Tuple[_Node, ...], int, int, int]:
+        """Find or emit the nodes a conjunction's result joins from.
+
+        Appends fresh steps to ``primitives`` (their indices to ``own``);
+        returns ``(final nodes, shared sub-chains, cache hits, cache
+        misses)`` — one node per sub-chain when split, else the chain's
+        single result.
+        """
+        executor = self._executor
+        cse = self.config.cse
+        split = self.config.split_subchains
+        num_rows: int = index.num_rows
+        row_size: int = executor.engine.device.geometry.row_size_bytes
+        packed_bytes = shape.packed_bytes
+        rows = shape.rows
+        index_id = id(index)
+        # Every index is first seen here (a request that rides another's
+        # answer follows one that did not), so offsets are handed out in
+        # the same first-seen order as ever.
+        base: int = executor.stable_offset(index)
+        shared = cache_hits = cache_misses = 0
+        # Whole-conjunction consult first (unsplit mode): a repeated
+        # request across batches is then one host-memory read — zero
+        # device ops, no per-predicate reassembly.
+        consult_whole = self.result_cache is not None and not split and len(pkeys) > 1
+        if consult_whole:
+            full_node = self._cached_node(whole, index, num_rows, row_size)
+            if full_node is not None:
+                return (full_node,), 0, 1, 0
+            cache_misses += 1
+
+        # Canonical commutative reordering: lowering predicates in key
+        # order makes equal conjunctions build identical AND spines.
+        parts: List[_Node] = []
+        for pkey, (column, values), columns in zip(pkeys, shape.predicates, shape.columns):
+            node = self._cache.get(pkey) if cse else None
+            if node is not None:
+                shared += 1
+            else:
+                node = self._cached_node(pkey, index, num_rows, row_size)
+                if node is not None:
+                    cache_hits += 1
+                else:
+                    if self.result_cache is not None:
+                        cache_misses += 1
+                    offset = self._choose_offset(executor, base, rows)
+                    node = self._emit_predicate(
+                        pkey, index, column, values, row_size, rows, offset, primitives, own
+                    )
+                    if node.producer is not None:
+                        # A multi-value OR chain is worth re-serving from
+                        # host memory; a bare bitmap is already a zero-op
+                        # source.
+                        self._record_fill(
+                            pkey, index, (column,), node.vector, packed_bytes, num_rows
+                        )
+                if cse:
+                    self._cache[pkey] = node
+                    self._node_columns[pkey] = (index_id, columns)
+            parts.append(node)
+        if split:
+            return tuple(parts), shared, cache_hits, cache_misses
+
+        # Left-deep AND spine over the canonically ordered parts, with
+        # equal prefixes CSE'd across requests.
+        acc = parts[0]
+        for part, merged in zip(parts[1:], shape.prefix_columns[1:]):
+            akey = canonical_key("and", (acc.key, part.key))
+            node = self._cache.get(akey) if cse else None
+            if node is None:
+                node = self._emit_and(akey, acc, part, num_rows, row_size, base, primitives, own)
+                if cse:
+                    self._cache[akey] = node
+                    self._node_columns[akey] = (index_id, merged)
+            else:
+                shared += 1
+            acc = node
+        if consult_whole:
+            self._record_fill(whole, index, shape.dep_columns, acc.vector, packed_bytes, num_rows)
+        return (acc,), shared, cache_hits, cache_misses
+
     # ------------------------------------------------------------------
     # Cross-batch result cache (consult / fill)
     # ------------------------------------------------------------------
@@ -408,9 +481,10 @@ class BatchOptimizer:
     ) -> Optional[_Node]:
         """A source node preloaded from the result cache, or None.
 
-        The cached bytes load into a fresh vector, so the node is an
-        ordinary *source* to the batch DAG: produced by no step, shareable
-        by CSE, lint-clean under the cone-closure check.
+        The cache hands out a private copy, which the node's vector
+        adopts as its (read-only) storage, so the node is an ordinary
+        *source* to the batch DAG: produced by no step, shareable by
+        CSE, lint-clean under the cone-closure check.
         """
         cache = self.result_cache
         if cache is None:
@@ -418,9 +492,9 @@ class BatchOptimizer:
         data = cache.get(key, index, num_rows)
         if data is None:
             return None
-        vector = BulkBitVector(num_rows, row_size)
-        vector.data[: data.size] = data
-        return _Node(key=key, vector=vector, cone=(), producer=None)
+        return _Node(
+            key=key, vector=source_vector(data, num_rows, row_size), cone=(), producer=None
+        )
 
     def _record_fill(
         self,
@@ -459,12 +533,11 @@ class BatchOptimizer:
     ) -> _Node:
         """Emit one predicate's OR chain at ``offset``; returns its node.
 
-        The values are lowered in sorted order (the canonical key's
-        order) so identical value multisets build identical chains.
+        ``values`` arrive sorted (the canonical key's order) so identical
+        value multisets build identical chains.
         """
-        steps, vector = lower_predicate_steps(
-            index, column, sorted(values), row_size_bytes=row_size
-        )
+        steps, vector = lower_predicate_steps(index, column, values, row_size_bytes=row_size)
+        record = self._executor.sanitize
         cone: List[int] = []
         producer: Optional[int] = None
         latency = 0.0
@@ -474,7 +547,8 @@ class BatchOptimizer:
             primitives.append(
                 BulkOpRequest(op=op, a=a, b=b, out=out, bank_offset=offset, after=after)
             )
-            self._steps[step_index] = (op, a, b, out)
+            if record:
+                self._steps[step_index] = (op, a, b, out)
             own.append(step_index)
             cone.append(step_index)
             producer = step_index
@@ -506,7 +580,8 @@ class BatchOptimizer:
                 bank_offset=offset, after=after,
             )
         )
-        self._steps[step_index] = ("and", acc.vector, part.vector, out)
+        if self._executor.sanitize:
+            self._steps[step_index] = ("and", acc.vector, part.vector, out)
         own.append(step_index)
         cone = tuple(sorted({*acc.cone, *part.cone, step_index}))
         return _Node(key=akey, vector=out, cone=cone, producer=step_index)

@@ -49,6 +49,7 @@ from repro.storage.requests import is_write_request
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.plans import CompiledChain, SharedSources
+    from repro.optimizer.canonical import ConjunctionShape
     from repro.optimizer.passes import BatchOptimizer
 
 #: Compiled conjunction shapes a planner keeps interned (LRU).  A constant,
@@ -75,12 +76,16 @@ class _PricedChain:
             time.
         serial: Serial roll-up of the chain's steps (priced on first
             lowering).
+        canonical: What the batch plan optimizer derives from the shape
+            alone (canonical order, dependency columns, plan total; set
+            on first optimized lowering).  Structure only, like the chain.
     """
 
     chain: "CompiledChain"
     cost_key: Optional[int] = None
     latency_ns: float = 0.0
     serial: Optional[SerialCost] = None
+    canonical: Optional["ConjunctionShape"] = None
 
 
 @dataclass
@@ -275,22 +280,6 @@ class BatchPlanner:
             return True
         return False
 
-    def _lane_pressure_ns(self, q: QueuedRequest, now_ns: float) -> float:
-        """Earliest instant the lanes could start serving ``q``.
-
-        The latest busy horizon over the request's modeled banks (its
-        service cannot start before its pinned banks drain), or the
-        executor's global ready instant when the request is unpinned.
-        Never before "now"; always "now" for a barrier executor, whose
-        lanes carry no state across batches.
-        """
-        banks = q.modeled_banks
-        if banks:
-            pressure = max(self.executor.lane_horizon_ns(key) for key in banks)
-        else:
-            pressure = self.executor.ready_ns()
-        return max(now_ns, pressure)
-
     def urgent_close(self, queued: List[QueuedRequest], now_ns: float) -> bool:
         """Is some queued deadline at risk *given the lanes' horizons*?
 
@@ -303,16 +292,31 @@ class BatchPlanner:
         *urgent* — it bypasses the pipelined dispatch gate so the
         endangered request reaches its lane without queueing behind a
         whole extra batch.
+
+        A request's pressure is the earliest instant the lanes could
+        start serving it: the latest busy horizon over its modeled banks
+        (its service cannot start before its pinned banks drain), or the
+        executor's global ready instant when it is unpinned — one value
+        for the whole queue, read once.  Never before "now"; always "now"
+        for a barrier executor, whose lanes carry no state across batches.
         """
         if not self.policy.horizon_urgency or self.policy.urgency_slack_ns is None:
             return False
         slack = self.policy.urgency_slack_ns
+        executor = self.executor
+        ready_ns: Optional[float] = None
         for q in queued:
             if q.deadline_ns is None:
                 continue
             latest_start = q.deadline_ns - q.modeled_ns
-            pressure = self._lane_pressure_ns(q, now_ns)
-            if latest_start - slack <= pressure <= latest_start:
+            banks = q.modeled_banks
+            if banks:
+                pressure = max(executor.lane_horizon_ns(key) for key in banks)
+            else:
+                if ready_ns is None:
+                    ready_ns = executor.ready_ns()
+                pressure = ready_ns
+            if latest_start - slack <= max(now_ns, pressure) <= latest_start:
                 return True
         return False
 
@@ -367,7 +371,12 @@ class BatchPlanner:
                 self.maintenance.note_read(columns)
                 pending = self.maintenance.pending_rebuilds(request.index, columns)
                 if self.optimizer is not None:
-                    group = self.optimizer.lower_conjunction(queued, primitives)
+                    priced = self._priced_chain(request)
+                    if priced.canonical is None:
+                        priced.canonical = self.optimizer.shape(request)
+                    group = self.optimizer.lower_conjunction(
+                        queued, primitives, priced.canonical
+                    )
                 else:
                     group = self._lower_conjunction(queued, primitives, shared)
                 if pending:
@@ -522,7 +531,11 @@ class BatchPlanner:
         packed_bytes = chain.packed_bytes
 
         def finalize(results: List[RequestResult]) -> Any:
-            return result_vector.data[:packed_bytes].copy()
+            # Read-only like every conjunction value (the optimizer's may
+            # be shared between responses; one contract for both paths).
+            value = result_vector.data[:packed_bytes].copy()
+            value.setflags(write=False)
+            return value
 
         zero_cost = None
         if not indices:

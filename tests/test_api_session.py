@@ -335,6 +335,41 @@ class TestFutureSemantics:
         assert outcome.result.metrics.completed == outcome.delivered
 
 
+class TestConjunctionValuesAreReadOnly:
+    """One immutability contract on every PIM path: the optimizer may
+    hand several responses one shared join, so no conjunction value can
+    be written through — shared or not, optimized or not."""
+
+    WIDE = [("region", (1, 2, 3)), ("status", (0, 1)), ("tier", (0, 2))]
+    NARROW = [("region", (4,))]  # zero bulk ops, one shard
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    @pytest.mark.parametrize("tier", ["service", "cluster"])
+    def test_writing_through_a_value_raises_and_a_copy_is_private(self, tier, optimize):
+        index = _bitmap_index(np.random.default_rng(12))
+        if tier == "service":
+            session = _service_session(optimize=optimize)
+        else:
+            session = _cluster_session(
+                2, optimize=optimize, router=ShardRouter(2, strategy="range")
+            )
+        futures = [
+            session.conjunction(index, predicates)
+            for predicates in (self.WIDE, self.WIDE, self.NARROW)
+        ]
+        if tier == "cluster":
+            assert futures[0].result().details.fanout == 2  # the gather merge path too
+        for future in futures:
+            value = future.result().value
+            expected, _plan = index.evaluate_conjunction(future.request.predicates)
+            with pytest.raises(ValueError):
+                value[0] ^= 0xFF
+            np.testing.assert_array_equal(value, expected)
+            mine = np.array(value)
+            mine[0] ^= 0xFF  # the documented way to a writable bitmap
+            np.testing.assert_array_equal(value, expected)
+
+
 class TestRetention:
     """A served batch leaves only its roll-up behind: host memory is
     O(in-flight) primitives plus a flat per-request envelope."""

@@ -228,6 +228,71 @@ class TestResultCacheUnit:
             bumped = which == owner and c in written
             assert cache.write_epoch(indexes[which], [c]) == before + bumped
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["put", "put", "put", "get", "columns", "index", "clear"]),
+                st.integers(0, 1),  # which index
+                st.integers(0, 5),  # which key (re-put replaces)
+                st.sets(st.sampled_from("abc"), min_size=1),
+            ),
+            max_size=30,
+        )
+    )
+    def test_reverse_maps_track_the_entries_through_every_mutation(self, ops):
+        """Invalidation walks ``(source, column) -> keys`` instead of
+        every entry, so those maps must equal a scan of the entries after
+        any mix of fills, replacements (also across sources and column
+        sets), LRU evictions, defensive drops, invalidations and clears —
+        with the byte count and the counters exact."""
+        cache = ResultCache(capacity_entries=4)
+        indexes = (object(), object())
+        model = {}  # key -> (which, columns), in LRU order
+        evictions = invalidations = 0
+        for op, which, k, columns in ops:
+            key, index = (k,), indexes[which]
+            if op == "put":
+                model.pop(key, None)
+                model[key] = (which, columns)
+                cache.put(key, index, sorted(columns), np.zeros(4, dtype=np.uint8), 32)
+                while len(model) > 4:
+                    del model[next(iter(model))]
+                    evictions += 1
+            elif op == "get":
+                hit = key in model and model[key][0] == which
+                assert (cache.get(key, index, 32) is not None) == hit
+                if hit:
+                    model[key] = model.pop(key)
+            else:
+                stale = [
+                    key for key, (owner, deps) in model.items()
+                    if op == "clear" or (owner == which and (op == "index" or deps & columns))
+                ]
+                dropped = {
+                    "columns": lambda: cache.invalidate_columns(index, columns),
+                    "index": lambda: cache.invalidate_index(index),
+                    "clear": cache.clear,
+                }[op]()
+                assert dropped in (len(stale), None)
+                invalidations += len(stale)
+                for key in stale:
+                    del model[key]
+            by_index, by_column = {}, {}
+            for key, entry in cache._entries.items():
+                by_index.setdefault(entry.index_id, set()).add(key)
+                for column in entry.columns:
+                    by_column.setdefault((entry.index_id, column), set()).add(key)
+            assert {i: set(keys) for i, keys in cache._index_keys.items()} == by_index
+            assert {c: set(keys) for c, keys in cache._column_keys.items()} == by_column
+            assert list(cache._entries) == list(model)
+            assert cache.live_bytes == 4 * len(model)
+            assert (cache.evictions, cache.invalidations) == (evictions, invalidations)
+            for which, index in enumerate(indexes):
+                assert sorted(cache.entries_for(index)) == sorted(
+                    key for key, (owner, _deps) in model.items() if owner == which
+                )
+
 
 class TestSourceLiveness:
     """``id(index)`` scopes entries, epochs and canonical keys, and an id
@@ -239,6 +304,24 @@ class TestSourceLiveness:
     @staticmethod
     def _session(cache) -> PimSession:
         return PimSession.over_service(engine=_engine(), optimize=True, cache=cache)
+
+    @pytest.fixture(autouse=True)
+    def _populated_size_class(self):
+        """The recycled-address tests free one wide index and wait for the
+        allocator to hand its block back.  A block that was alone in its
+        pool goes back to the arena instead and may not return for
+        megabytes — how often depends on everything the process ran
+        before.  So pin a few pools of that size class half full for the
+        test's duration: the wide index then always lives, and dies,
+        beside live neighbours, and its block is the next one handed out."""
+
+        class Wide(BitmapIndex):
+            __slots__ = tuple(f"_pad{i}" for i in range(40))
+
+        neighbours = [Wide.__new__(Wide) for _ in range(64)]  # > one 16 KiB pool of 384 B blocks
+        del neighbours[1::2]
+        yield
+        del neighbours
 
     def test_a_recycled_id_never_serves_the_dead_indexs_bitmaps(self):
         class WideIndex(BitmapIndex):
@@ -273,6 +356,89 @@ class TestSourceLiveness:
         expected, _plan = index.evaluate_conjunction(self.PREDICATES)
         np.testing.assert_array_equal(response.value, expected)
         assert cache.hits == hits_before  # nothing of the dead index answered
+
+    def test_an_interned_shape_never_answers_for_another_index(self):
+        """The planner interns what a conjunction derives from its shape
+        alone — one entry for every index of that shape — so the entry
+        must carry no source identity: two equal-shaped indexes in ONE
+        batch share nothing, and nothing reachable from the intern is
+        (or names) an index."""
+        _table, index_a = _table_index(np.random.default_rng(3))
+        _table, index_b = _table_index(np.random.default_rng(4))
+        session = self._session(cache=True)
+        planner = session.backend.planner
+        futures = [
+            session.conjunction(index, self.PREDICATES)
+            for index in (index_a, index_b, index_a, index_b)
+        ]
+        session.drain()
+        assert len(session.backend.batches) == 1
+        for future, index in zip(futures, (index_a, index_b, index_a, index_b)):
+            expected, _plan = index.evaluate_conjunction(self.PREDICATES)
+            np.testing.assert_array_equal(future.result().value, expected)
+        assert not np.array_equal(futures[0].result().value, futures[1].result().value)
+        # Each index's duplicate rode its own first request, never the other's.
+        assert [f.record.shared_subchains for f in futures] == [0, 0, 2, 2]
+        assert futures[0].result().value is futures[2].result().value
+        assert futures[1].result().value is futures[3].result().value
+        (priced,) = planner._chains.values()  # one shape for both indexes
+        assert priced.canonical is not None
+        seen, frontier, ids = set(), [priced], {id(index_a), id(index_b)}
+        while frontier:
+            node = frontier.pop()
+            if id(node) in seen or isinstance(node, type):
+                continue
+            seen.add(id(node))
+            assert not isinstance(node, (BitmapIndex, np.ndarray)), type(node)
+            assert not (isinstance(node, int) and node in ids)
+            frontier.extend(gc.get_referents(node))
+
+    def test_a_recycled_id_never_rides_an_interned_shape(self):
+        """Same planner, same interned shape, a new index at a collected
+        one's address: it is lowered from its own planes (the batch CSE
+        tables die with their batch, the shape names no index, and the
+        cache answers only for the live object it was filled from)."""
+
+        class WideIndex(BitmapIndex):
+            __slots__ = tuple(f"_pad{i}" for i in range(41))
+
+        frontend = self._session(cache=True).backend
+        cache = frontend.cache
+
+        def serve(index):
+            records = [
+                frontend.offer(
+                    BitmapConjunctionRequest(index=index, predicates=tuple(self.PREDICATES))
+                )
+                for _ in range(2)
+            ]
+            frontend.drain()
+            values = [record.value for record in records]
+            frontend.records.clear()  # the envelopes pin their request's index
+            return values
+
+        table, _plain = _table_index(np.random.default_rng(5))
+        index = WideIndex(table, list(CARDINALITIES))
+        old_values = serve(index)
+        assert cache.fills > 0 and len(frontend.planner._chains) == 1
+        dead_id = id(index)
+        table, _plain = _table_index(np.random.default_rng(6))  # different data
+        del index
+        gc.collect()
+        hits_before = cache.hits
+        misses = []
+        for _ in range(10_000):
+            index = WideIndex(table, list(CARDINALITIES))
+            if id(index) == dead_id:
+                break
+            misses.append(index)
+        else:
+            pytest.skip("the allocator never reused the dead index's id")
+        expected, _plan = index.evaluate_conjunction(self.PREDICATES)
+        for value in serve(index):
+            np.testing.assert_array_equal(value, expected)
+        assert not np.array_equal(old_values[0], expected)
+        assert cache.hits == hits_before and len(frontend.planner._chains) == 1
 
     @pytest.mark.parametrize("as_view", [False, True])
     def test_entries_and_epochs_die_with_their_source(self, as_view):
@@ -388,6 +554,50 @@ class TestSameBatchWriteHazards:
         # ...and the optimized path tracked it bit for bit.
         assert np.array_equal(on_first.value, off_first.value)
         assert np.array_equal(on_second.value, off_second.value)
+
+    @pytest.mark.parametrize("cache", [True, False])
+    @pytest.mark.parametrize("maintenance", ["eager", "lazy", "hybrid"])
+    def test_whole_conjunction_entries_are_dropped_by_writes(self, maintenance, cache):
+        """Read, read, update, read, read of one 3-predicate conjunction
+        closing in ONE batch.  The duplicates ride request-level CSE
+        entries (one shared answer before the write, one after); the
+        write must drop the whole-conjunction entry — not only the
+        predicate entry of the column it touched — so the reads behind it
+        answer from the mutated planes, with the ledger the per-predicate
+        path always produced."""
+        predicates = (("status", (0, 1)), ("region", (0, 1)), ("tier", (2,)))
+        rng = np.random.default_rng(37)
+        table, index = _table_index(rng)
+        frontend = _frontend(
+            cache=cache,
+            optimize=True,
+            maintenance=maintenance,
+            policy=BatchPolicy(max_batch=5, window_ns=None),
+        )
+
+        def read():
+            return frontend.offer(BitmapConjunctionRequest(index=index, predicates=predicates))
+
+        first, second = read(), read()
+        frontend.offer(self._update_out_of_result(rng, table, index))
+        fourth, fifth = read(), read()
+        before, _plan = index.evaluate_conjunction(predicates)
+        frontend.drain()  # lowering applies the write
+        after, _plan = index.evaluate_conjunction(predicates)
+        assert len(frontend.batches) == 1
+        assert not np.array_equal(before, after)
+        for record, expected in ((first, before), (second, before), (fourth, after), (fifth, after)):
+            assert np.array_equal(record.value, expected)
+        # One answer per distinct question: duplicates carry the same array.
+        assert first.value is second.value
+        assert fourth.value is fifth.value
+        assert second.value is not fourth.value
+        ledger = [
+            (r.ops_eliminated, r.shared_subchains, r.cache_hits, r.cache_misses)
+            for r in (first, second, fourth, fifth)
+        ]
+        misses = 1 if cache else 0  # a lookup only happens with a cache
+        assert ledger == [(0, 0, 0, 3 * misses), (2, 3, 0, 0), (1, 2, 0, misses), (2, 3, 0, 0)]
 
     def test_stale_fills_are_bypassed_by_the_epoch_guard(self):
         """A fill planned before a same-batch write must not land."""

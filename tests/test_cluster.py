@@ -106,6 +106,20 @@ class TestShardRouter:
         everywhere = ShardRouter(3, replication_factor=5)  # capped at num_shards
         assert sorted(everywhere.replicas("x")) == [0, 1, 2]
 
+    def test_a_factor_above_the_initial_shard_count_survives_scale_out(self):
+        """Regression: ``ShardRouter(1, replication_factor=2)`` used to
+        store ``min(2, 1)`` for good, so a cluster that scaled out never
+        replicated and a later kill stranded its data."""
+        router = ShardRouter(1, replication_factor=2)
+        assert router.replicas("status") == [0]  # capped while there is one shard
+        router.add_shard()
+        router.add_shard()
+        assert router.num_shards == 3 and router.replication_factor == 2
+        home = router.replicas("status")[0]
+        assert router.replicas("status") == [home, (home + 1) % 3]
+        router.mark_down(home)
+        assert router.route("status", lambda shard: 0.0) == (home + 1) % 3
+
     def test_objects_place_round_robin(self):
         rng = np.random.default_rng(0)
         router = ShardRouter(3)

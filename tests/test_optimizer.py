@@ -37,6 +37,7 @@ from repro.dram.energy import DramEnergyParameters
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import DramTimingParameters
 from repro.optimizer import BatchOptimizer, OptimizerConfig, canonical_key, predicate_key
+from repro.optimizer.canonical import ConjunctionShape, sort_token
 from repro.service import (
     ArrivalEvent,
     BatchExecutor,
@@ -160,6 +161,30 @@ class TestCanonicalKeys:
 # ----------------------------------------------------------------------
 # Property: optimized lowering is bit-exact on the service tier
 # ----------------------------------------------------------------------
+    @pytest.mark.parametrize("template", range(len(TEMPLATES)))
+    def test_an_interned_shape_keys_exactly_as_the_per_request_derivation(self, template):
+        """``ConjunctionShape`` orders and keys once per template what
+        ``predicate_key`` / ``sort_token`` / ``canonical_key`` derive per
+        request — for any source, though the shape itself names none."""
+        predicates = TEMPLATES[template]
+        shape = ConjunctionShape.of(predicates, ROWS, ROW_SIZE)
+        for index in (INDEX, _build_index(seed=4)):
+            keyed = sorted(
+                (predicate_key(index, column, values) for column, values in predicates),
+                key=sort_token,
+            )
+            parts, whole = shape.keys(index)
+            assert list(parts) == keyed
+            assert whole == canonical_key("and", keyed)
+        assert [column for column, _values in shape.predicates] == [key[2] for key in keyed]
+        assert shape.plan_total == sum(len(v) - 1 for _c, v in predicates) + len(predicates) - 1
+        assert shape.columns == tuple(frozenset((key[2],)) for key in keyed)
+        assert shape.prefix_columns[-1] == frozenset(c for c, _v in predicates)
+        assert shape.dep_columns == tuple(sorted({c for c, _v in predicates}))
+        packed = (ROWS + 7) // 8
+        assert (shape.packed_bytes, shape.rows) == (packed, -(-packed // ROW_SIZE))
+
+
 class TestBitExactness:
     @settings(max_examples=12, deadline=None)
     @given(
