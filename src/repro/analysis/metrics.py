@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 @dataclass(slots=True)
@@ -68,8 +68,79 @@ class OperationMetrics:
         return baseline.energy_j / self.energy_j
 
 
+@dataclass(kw_only=True)
+class PlanCounts:
+    """What the plan optimizer and the result cache did for a unit of work.
+
+    Declared once and inherited by every holder on the way from the device
+    model to a report — a lowered group, both request envelopes,
+    :class:`BatchMetrics`, :class:`QueueMetrics`, the session's response
+    details — and moved between them *whole* (:meth:`add_counts`): an
+    envelope takes its lowered group's, a batch sums its groups', a cluster
+    record its parts', a roll-up its completed envelopes'.
+
+    Attributes:
+        ops_eliminated: Device ops that did not run because the batch plan
+            optimizer shared or restructured a chain (cross-request CSE).
+        shared_subchains: Predicate sub-chains served from another
+            request's (or an earlier duplicate's) lowered output.
+        cache_hits: Sub-chains (or whole conjunctions) served from the
+            cross-batch result cache instead of re-running bank work.
+        cache_misses: Result-cache lookups that missed (0 with caching off).
+        cache_invalidations: Cached bitmaps a write dropped.
+    """
+
+    ops_eliminated: int = 0
+    shared_subchains: int = 0
+    cache_hits: int = 0
+    cache_misses: int = 0
+    cache_invalidations: int = 0
+
+    def plan_counts(self) -> Dict[str, int]:
+        """The counters by name (constructor keywords of any holder)."""
+        return {f.name: getattr(self, f.name) for f in fields(PlanCounts)}
+
+    def add_counts(self, other: "PlanCounts") -> None:
+        """Add ``other``'s counters onto this holder's."""
+        self.ops_eliminated += other.ops_eliminated
+        self.shared_subchains += other.shared_subchains
+        self.cache_hits += other.cache_hits
+        self.cache_misses += other.cache_misses
+        self.cache_invalidations += other.cache_invalidations
+
+
+@dataclass(kw_only=True)
+class ElasticCounts:
+    """A cluster's lifetime failover and scale accounting (all zero for a
+    healthy fixed pool): bumped by the :class:`~repro.cluster.frontend
+    .ClusterFrontend`, inherited by :class:`ClusterMetrics`.
+
+    Attributes:
+        shard_failures / shard_revivals / shards_joined / shards_retired:
+            Pool lifecycle events (fault injection, controller actions).
+        failovers: Queued shard parts migrated off a failed or draining
+            shard onto survivors.
+        failover_failures: Requests terminally failed because no routable
+            replica could take their work (degraded-mode rejections).
+        replications: Keys given an extra replica live (re-placement).
+        copied_bytes / copy_ns: Bytes and modeled device time of the
+            replication copies — charged to the destination shards'
+            lanes, so elasticity shows up in ``busy_ns`` too.
+    """
+
+    shard_failures: int = 0
+    shard_revivals: int = 0
+    shards_joined: int = 0
+    shards_retired: int = 0
+    failovers: int = 0
+    failover_failures: int = 0
+    replications: int = 0
+    copied_bytes: int = 0
+    copy_ns: float = 0.0
+
+
 @dataclass
-class BatchMetrics:
+class BatchMetrics(PlanCounts):
     """Aggregate outcome of executing a batch of operations.
 
     Energy and bytes are plain sums over the batch (batching never changes
@@ -95,16 +166,9 @@ class BatchMetrics:
         cross_batch_overlap_ns: Work of this batch that ran before the
             previous batch's completion horizon (0 without pipelining) —
             the time a barrier would have wasted.
-        ops_eliminated: Device ops the batch plan optimizer removed from
-            the batch's unoptimized plan total (cross-request CSE).
-        shared_subchains: Predicate sub-chains served from another
-            request's lowering instead of re-executing.
-        cache_hits: Sub-chains (or whole conjunctions) served from the
-            cross-batch result cache instead of re-running bank work.
-        cache_misses: Result-cache lookups that missed (0 with caching
-            off).
-        cache_invalidations: Cached bitmaps the batch's writes dropped.
         notes: Free-form annotation.
+
+    The inherited :class:`PlanCounts` sum over the batch's requests.
     """
 
     name: str
@@ -115,11 +179,6 @@ class BatchMetrics:
     bytes_produced: int = 0
     device_busy_ns: Optional[float] = None
     cross_batch_overlap_ns: float = 0.0
-    ops_eliminated: int = 0
-    shared_subchains: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_invalidations: int = 0
     notes: str = ""
 
     @property
@@ -223,7 +282,7 @@ class LaneMetrics:
 
 
 @dataclass
-class QueueMetrics:
+class QueueMetrics(PlanCounts):
     """Queueing outcome of serving a request stream through the frontend.
 
     Latency percentiles are computed over the *completed* requests only;
@@ -255,15 +314,8 @@ class QueueMetrics:
         host_merge_ns: Host time charged for result merges (the
             optimizer's split-mode cross-predicate joins here; the gather
             merge tree at the cluster tier).
-        ops_eliminated: Device ops the batch plan optimizer removed
-            across the completed requests (cross-request CSE).
-        shared_subchains: Predicate sub-chains completed requests served
-            from another request's lowering.
-        cache_hits: Sub-chains (or whole conjunctions) completed requests
-            served from the cross-batch result cache.
-        cache_misses: Result-cache lookups that missed (0 with caching
-            off).
-        cache_invalidations: Cached bitmaps dropped by completed writes.
+
+    The inherited :class:`PlanCounts` sum over the completed requests.
     """
 
     name: str
@@ -283,11 +335,6 @@ class QueueMetrics:
     energy_j: float = 0.0
     batches: int = 0
     host_merge_ns: float = 0.0
-    ops_eliminated: int = 0
-    shared_subchains: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_invalidations: int = 0
 
     @property
     def rejection_rate(self) -> float:
@@ -311,44 +358,52 @@ class QueueMetrics:
         return self.serial_latency_ns / self.busy_ns
 
 
-def summarize_envelopes(records: Sequence) -> Dict:
-    """Common queueing summary over request envelopes.
+def summarize_envelopes(records: Iterable) -> Tuple[Dict, List]:
+    """Common queueing summary over request envelopes, folded in one pass.
 
-    The one place the per-request roll-up arithmetic lives: counts
-    (offered/admitted/rejected/shed/completed/deadline misses), the
-    wait/sojourn percentiles, and the serial latency/energy of the
-    completed work.  Both the service tier
-    (:func:`summarize_queue_records`) and the cluster
-    roll-up (:meth:`ClusterMetrics.from_records`) build their metrics
-    from this dict, so the two tiers can never drift on what a count or
-    a percentile means.
-
-    ``records`` are :class:`~repro.service.requests.RequestEnvelope`
-    subclasses — :class:`~repro.service.requests.QueuedRequest` or
-    :class:`~repro.cluster.frontend.ClusterRecord`.
+    The one place the per-request roll-up arithmetic lives, so no tier or
+    window can drift on what a count or a percentile means.  Returns the
+    :class:`QueueMetrics` keywords — counts, wait/sojourn percentiles,
+    serial latency/energy and summed :class:`PlanCounts` of the completed
+    work — and the completed envelopes, in record order, for callers that
+    window them further.  ``records`` are
+    :class:`~repro.service.requests.RequestEnvelope` subclasses.
     """
-    records = list(records)
-    completed = [r for r in records if r.completed]
+    offered = admitted = shed = deadline_misses = 0
+    completed: List = []
+    totals = PlanCounts()
+    waits: List[float] = []
+    sojourns: List[float] = []
+    for record in records:
+        offered += 1
+        admitted += record.admitted
+        shed += record.rejected_reason == "shed"
+        if record.completed:
+            completed.append(record)
+            totals.add_counts(record)
+            deadline_misses += record.deadline_missed
+            waits.append(record.wait_ns)
+            sojourns.append(record.sojourn_ns)
+    waits.sort()
+    sojourns.sort()
     return dict(
-        offered=len(records),
-        admitted=sum(1 for r in records if r.admitted),
-        rejected=sum(1 for r in records if not r.admitted),
-        shed=sum(1 for r in records if r.rejected_reason == "shed"),
+        offered=offered,
+        admitted=admitted,
+        rejected=offered - admitted,
+        shed=shed,
         completed=len(completed),
-        deadline_misses=sum(1 for r in completed if r.deadline_missed),
-        wait_p50_ns=percentile_or([r.wait_ns for r in completed], 50),
-        wait_p99_ns=percentile_or([r.wait_ns for r in completed], 99),
-        sojourn_p50_ns=percentile_or([r.sojourn_ns for r in completed], 50),
-        sojourn_p99_ns=percentile_or([r.sojourn_ns for r in completed], 99),
+        deadline_misses=deadline_misses,
+        wait_p50_ns=_sorted_percentile(waits, 50, 0.0),
+        wait_p99_ns=_sorted_percentile(waits, 99, 0.0),
+        sojourn_p50_ns=_sorted_percentile(sojourns, 50, 0.0),
+        sojourn_p99_ns=_sorted_percentile(sojourns, 99, 0.0),
+        # Float totals stay ``sum()`` over the completed envelopes in record
+        # order: Python 3.12's ``sum`` is compensated, a ``+=`` loop is not.
         serial_latency_ns=sum(r.metrics.latency_ns for r in completed),
         energy_j=sum(r.metrics.energy_j for r in completed),
         host_merge_ns=sum(r.host_merge_ns for r in completed),
-        ops_eliminated=sum(r.ops_eliminated for r in completed),
-        shared_subchains=sum(r.shared_subchains for r in completed),
-        cache_hits=sum(r.cache_hits for r in completed),
-        cache_misses=sum(r.cache_misses for r in completed),
-        cache_invalidations=sum(r.cache_invalidations for r in completed),
-    )
+        **totals.plan_counts(),
+    ), completed
 
 
 def summarize_queue_records(
@@ -370,12 +425,12 @@ def summarize_queue_records(
         makespan_ns=makespan_ns,
         busy_ns=busy_ns,
         batches=batches,
-        **summarize_envelopes(records),
+        **summarize_envelopes(records)[0],
     )
 
 
 @dataclass
-class ClusterMetrics(QueueMetrics):
+class ClusterMetrics(QueueMetrics, ElasticCounts):
     """Roll-up of serving a request stream across a sharded cluster.
 
     The :class:`QueueMetrics` surface at cluster level, plus what only a
@@ -400,19 +455,10 @@ class ClusterMetrics(QueueMetrics):
         cross_shard_fanout: Mean number of shards a completed request
             touched (1.0 = no scatter).
         merge_ops: Host-side bitwise merges the gather stage performed.
-        shard_failures / shard_revivals / shards_joined / shards_retired:
-            Pool lifecycle events during the run (fault injection plus
-            elastic controller actions); all zero for a healthy fixed
-            pool.
-        failovers: Queued shard parts migrated off a failed or draining
-            shard onto survivors.
-        failover_failures: Requests terminally failed because no routable
-            replica could take their work (degraded-mode rejections).
-        replications: Keys given an extra replica live (re-placement).
-        copied_bytes / copy_ns: Bytes and modeled device time of the
-            replication copies — charged to the destination shards'
-            lanes, so elasticity shows up in ``busy_ns`` too.
         per_shard: Each shard frontend's own queueing summary.
+
+    The inherited :class:`ElasticCounts` are the cluster's lifetime
+    failover/scale accounting (:meth:`ClusterFrontend.elastic_summary`).
     """
 
     shards: int = 0
@@ -420,17 +466,6 @@ class ClusterMetrics(QueueMetrics):
     imbalance: float = 1.0
     cross_shard_fanout: float = 0.0
     merge_ops: int = 0
-    # Failover / elasticity accounting (all zero for a healthy fixed
-    # pool; fed by ClusterFrontend.elastic_summary()).
-    shard_failures: int = 0
-    shard_revivals: int = 0
-    shards_joined: int = 0
-    shards_retired: int = 0
-    failovers: int = 0
-    failover_failures: int = 0
-    replications: int = 0
-    copied_bytes: int = 0
-    copy_ns: float = 0.0
     per_shard: List[QueueMetrics] = field(default_factory=list)
 
     @property
@@ -446,7 +481,6 @@ class ClusterMetrics(QueueMetrics):
         name: str,
         records: Iterable,
         per_shard: List[QueueMetrics],
-        merge_ops: int = 0,
         clock_offset: float = 0.0,
         elastic: Optional[Dict[str, Any]] = None,
     ) -> "ClusterMetrics":
@@ -459,8 +493,7 @@ class ClusterMetrics(QueueMetrics):
         record finish times are measured against it so the makespan can
         be extended past the shard makespans by late host merges.
         """
-        records = list(records)
-        completed = [r for r in records if r.completed]
+        summary, completed = summarize_envelopes(records)
         makespan = max(
             [m.makespan_ns for m in per_shard]
             + [r.finish_ns - clock_offset for r in completed]
@@ -477,13 +510,11 @@ class ClusterMetrics(QueueMetrics):
             utilization=[b / makespan if makespan > 0 else 0.0 for b in busy],
             imbalance=max(busy) / mean_busy if mean_busy > 0 else 1.0,
             cross_shard_fanout=(
-                sum(len(r.shard_ids) for r in completed) / len(completed)
-                if completed
-                else 0.0
+                sum(r.fanout for r in completed) / len(completed) if completed else 0.0
             ),
-            merge_ops=merge_ops,
+            merge_ops=sum(r.merge_ops for r in completed),
             per_shard=list(per_shard),
-            **summarize_envelopes(records),
+            **summary,
             **(elastic or {}),
         )
 
@@ -543,11 +574,11 @@ def harmonic_mean(values: Iterable[float]) -> float:
     return len(values) / sum(1.0 / v for v in values)
 
 
-def percentile(values: Iterable[float], q: float) -> Optional[float]:
-    """Linear-interpolated percentile ``q`` (0–100) of ``values``."""
-    data = sorted(values)
+def _sorted_percentile(data: Sequence[float], q: float, default: float) -> float:
+    """Linear-interpolated percentile ``q`` of already-sorted ``data``
+    (``default`` when it is empty)."""
     if not data:
-        return None
+        return default
     if not 0 <= q <= 100:
         raise ValueError("q must be in [0, 100]")
     if len(data) == 1:
@@ -561,15 +592,13 @@ def percentile(values: Iterable[float], q: float) -> Optional[float]:
     return data[low] * (1 - fraction) + data[high] * fraction
 
 
-def percentile_or(values: Iterable[float], q: float, default: float = 0.0) -> float:
-    """:func:`percentile` with an explicit no-samples default.
+def percentile(values: Iterable[float], q: float) -> Optional[float]:
+    """Linear-interpolated percentile ``q`` (0–100) of ``values``."""
+    data = sorted(values)
+    return _sorted_percentile(data, q, 0.0) if data else None
 
-    ``percentile`` returns None for empty input; call sites used to
-    spell the fallback as ``percentile(xs, q) or 0.0``, which also
-    replaces a *legitimate* 0.0 percentile (every wait exactly zero)
-    with the default — harmless only while the default is 0.0, and a
-    trap the moment someone passes anything else.  Keep the None case
-    explicit instead.
-    """
-    value = percentile(values, q)
-    return default if value is None else value
+
+def percentile_or(values: Iterable[float], q: float, default: float = 0.0) -> float:
+    """:func:`percentile` with an explicit no-samples default (a bare
+    ``percentile(xs, q) or default`` would also replace a legitimate 0.0)."""
+    return _sorted_percentile(sorted(values), q, default)

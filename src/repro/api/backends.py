@@ -110,8 +110,6 @@ class HostBackend:
         self.clock_ns = 0.0
         self.busy_ns = 0.0
         self.records: List[QueuedRequest] = []
-        #: Requests served (each is its own "batch": no host batching).
-        self.served = 0
 
     @staticmethod
     def check_request(request: object) -> None:
@@ -146,7 +144,6 @@ class HostBackend:
         queued.value = value
         self.clock_ns = queued.finish_ns
         self.busy_ns += metrics.latency_ns
-        self.served += 1
         return queued
 
     def _execute(self, request: FrontendRequest):
@@ -171,6 +168,6 @@ class HostBackend:
             self.records,
             makespan_ns=self.clock_ns,
             busy_ns=self.busy_ns,
-            batches=self.served,
+            batches=len(self.records),  # each request is its own "batch"
         )
         return PipelineResult(records=list(self.records), batches=[], metrics=metrics)

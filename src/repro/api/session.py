@@ -40,12 +40,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.metrics import (
     ClusterMetrics,
+    PlanCounts,
     QueueMetrics,
-    summarize_queue_records,
+    summarize_envelopes,
 )
 from repro.ambit.engine import AmbitEngine
 from repro.api.backends import Backend, HostBackend
@@ -114,30 +116,27 @@ def _rejection(reason: str) -> RequestRejected:
 # ----------------------------------------------------------------------
 # Tier-specific response details
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ServiceDetails:
+@dataclass
+class ServiceDetails(PlanCounts):
     """Service-tier extras: which batch served the request, what the
-    admission model charged for it, and how the result cache treated it."""
+    admission model charged for it, and (the inherited
+    :class:`~repro.analysis.metrics.PlanCounts`) how the plan optimizer
+    and the result cache treated it."""
 
     batch_index: int
     modeled_ns: float
     modeled_banks: Tuple = ()
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_invalidations: int = 0
 
 
-@dataclass(frozen=True)
-class ClusterDetails:
+@dataclass
+class ClusterDetails(PlanCounts):
     """Cluster-tier extras: where the request ran, what the gather cost,
-    and how the shard-local result caches treated it."""
+    and (the inherited :class:`~repro.analysis.metrics.PlanCounts`) how
+    the shard-local optimizers and result caches treated it."""
 
     shard_ids: Tuple[int, ...]
     fanout: int
     host_merge_ns: float
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_invalidations: int = 0
     failovers: int = 0
 
 
@@ -300,11 +299,12 @@ class Future:
             )
 
 
-#: What a report delegates to its tier metrics: every dataclass field and
-#: derived rate of :class:`QueueMetrics` (which every tier's metrics are).
-_QUEUE_SURFACE = frozenset(f.name for f in fields(QueueMetrics)) | {
-    name for name, attr in vars(QueueMetrics).items() if isinstance(attr, property)
-}
+@lru_cache(maxsize=None)
+def _metric_surface(metrics: type) -> frozenset[str]:
+    """What a report delegates to tier metrics of class ``metrics``: every
+    dataclass field and every derived rate, inherited ones included."""
+    rates = {name for name in dir(metrics) if isinstance(getattr(metrics, name), property)}
+    return frozenset(f.name for f in fields(metrics)) | rates
 
 
 @dataclass
@@ -313,12 +313,13 @@ class SessionReport:
 
     The whole :class:`~repro.analysis.metrics.QueueMetrics` surface
     (counts, percentiles, makespan, busy time, batches, serial latency,
-    energy, the derived rates) reads directly off the report on every
-    tier; the metrics object itself stays available in ``details`` — a
-    plain ``QueueMetrics`` for the service and host tiers, its subclass
-    :class:`~repro.analysis.metrics.ClusterMetrics` (adding utilization,
-    imbalance, fan-out, elastic counters, per-shard summaries) for the
-    cluster.
+    energy, plan counts, the derived rates) reads directly off the report
+    on every tier; the metrics object itself stays available in
+    ``details`` — a plain ``QueueMetrics`` for the service and host
+    tiers, its subclass :class:`~repro.analysis.metrics.ClusterMetrics`
+    for the cluster, whose own fields (utilization, imbalance, fan-out,
+    elastic counts, per-shard summaries) read off a cluster report the
+    same way and raise ``AttributeError`` off the others.
 
     Attributes:
         name: Label of the report.
@@ -339,12 +340,13 @@ class SessionReport:
     obs: Optional[Dict[str, Any]] = None
 
     def __getattr__(self, item: str) -> Any:
-        # Delegate the queueing surface to the tier metrics; keeps one
-        # report shape without duplicating the fields.  The membership
-        # guard comes first: copy/pickle probe a half-built instance, and
-        # an unguarded ``self.details`` would recurse.
-        if item in _QUEUE_SURFACE:
-            return getattr(self.details, item)
+        # Delegate the tier metrics' surface; keeps one report shape
+        # without duplicating the fields.  ``details`` is read off the
+        # instance dict: copy/pickle probe a half-built instance, and
+        # ``self.details`` would recurse there.
+        details = self.__dict__.get("details")
+        if details is not None and item in _metric_surface(type(details)):
+            return getattr(details, item)
         raise AttributeError(item)
 
 
@@ -656,28 +658,21 @@ class PimSession:
                 self._shard_window(f"{label}/shard{i}", shard, parts_by_shard.get(i, []), i)
                 for i, shard in enumerate(self.backend.shards)
             ]
-            merge_ops = sum(
-                max(0, len(r.parts) - 1) for r in records if r.completed
-            )
-            elastic = getattr(self.backend, "elastic_summary", None)
             metrics: QueueMetrics = ClusterMetrics.from_records(
                 label,
                 records,
                 per_shard,
-                merge_ops=merge_ops,
                 clock_offset=self._clock0,
                 # Failover/scale accounting is cluster-lifetime, not
                 # windowed: shard deaths reshape every session's traffic.
-                elastic=elastic() if callable(elastic) else None,
+                elastic=self.backend.elastic_summary(),
             )
         else:
-            metrics = summarize_queue_records(
-                label,
-                records,
-                makespan_ns=self._window_makespan(records),
-                busy_ns=self._window_busy(records),
-                batches=self._window_batches(records),
-            )
+            # Mid-stream the window covers the in-flight lane horizon, not
+            # just the dispatch clock — a pipelined backend's clock lags
+            # completions.
+            live_ns = getattr(self.backend, "completion_ns", self.backend.clock_ns)
+            metrics = self._window(label, records, self.backend, self._clock0, live_ns)
         return SessionReport(
             name=label,
             tier=self.tier,
@@ -722,40 +717,30 @@ class PimSession:
     # serial-latency share) — so a shared backend's other traffic never
     # leaks into the time-based fields.
 
-    @staticmethod
-    def _all_terminal(records: Sequence[Any]) -> bool:
-        return all((not r.admitted) or r.completed for r in records)
-
-    def _window_makespan(self, records: Sequence[Any]) -> float:
-        completed = [r for r in records if r.completed]
-        if records and self._all_terminal(records):
-            return max((r.finish_ns - self._clock0 for r in completed), default=0.0)
-        # Mid-stream: cover the in-flight lane horizon, not just the
-        # dispatch clock — a pipelined backend's clock lags completions.
-        return getattr(self.backend, "completion_ns", self.backend.clock_ns) - self._clock0
-
-    def _window_busy(self, records: Sequence[Any]) -> float:
-        completed = [r for r in records if r.completed]
-        if self.tier == "host":
-            return sum(r.metrics.latency_ns for r in completed)
-        return self._apportioned_busy(self.backend, completed)
-
-    def _window_batches(self, records: Sequence[Any]) -> int:
-        completed = [r for r in records if r.completed]
-        if self.tier == "host":
-            return len(completed)
-        return len(self._own_batches(self.backend, completed))
-
-    @staticmethod
-    def _own_batches(frontend: Any, completed: Sequence[Any]) -> List[int]:
-        """Indices of the frontend batches that served ``completed``."""
-        return sorted(
-            {r.batch_index for r in completed if 0 <= r.batch_index < len(frontend.batches)}
+    def _window(
+        self, label: str, records: Sequence[Any], frontend: Any, clock0: float, live_ns: float
+    ) -> QueueMetrics:
+        """``frontend``'s queueing summary over this session's own
+        envelopes on it: the window opens at ``clock0`` and closes at the
+        last own completion — at ``live_ns`` while any is still queued."""
+        summary, completed = summarize_envelopes(records)
+        if records and summary["rejected"] + summary["completed"] == summary["offered"]:
+            # Every own envelope is terminal.
+            makespan = max((r.finish_ns - clock0 for r in completed), default=0.0)
+        else:
+            makespan = live_ns - clock0
+        if self.tier == "host":  # every request is its own "batch"
+            busy, batches = summary["serial_latency_ns"], summary["completed"]
+        else:
+            busy, batches = self._batch_share(frontend, completed)
+        return QueueMetrics(
+            name=label, makespan_ns=makespan, busy_ns=busy, batches=batches, **summary
         )
 
     @staticmethod
-    def _apportioned_busy(frontend: Any, completed: Sequence[Any]) -> float:
-        """Executor busy time attributed to ``completed``'s batches.
+    def _batch_share(frontend: Any, completed: Sequence[Any]) -> Tuple[float, int]:
+        """Executor busy time attributed to the batches that served
+        ``completed``, and how many batches those are.
 
         A batch that also served another session's requests is split by
         serial-latency share, so concurrently interleaved sessions over
@@ -778,7 +763,7 @@ class PimSession:
             batch = frontend.batches[index]
             if batch.serial_latency_ns > 0:
                 busy += batch.busy_ns * min(1.0, serial / batch.serial_latency_ns)
-        return busy
+        return busy, len(own_serial)
 
     def _shard_window(self, label: str, shard, own_parts, shard_id: int) -> QueueMetrics:
         """One shard's queueing summary over this session's own parts."""
@@ -789,20 +774,9 @@ class PimSession:
             if shard_id < len(self._shard_clock0)
             else self._clock0
         )
-        completed = [p for p in own_parts if p.completed]
-        if own_parts and self._all_terminal(own_parts):
-            makespan = max((p.finish_ns - clock0 for p in completed), default=0.0)
-        elif own_parts:
-            makespan = shard.completion_ns - clock0
-        else:
-            makespan = 0.0
-        return summarize_queue_records(
-            label,
-            own_parts,
-            makespan_ns=makespan,
-            busy_ns=self._apportioned_busy(shard, completed),
-            batches=len(self._own_batches(shard, completed)),
-        )
+        # A shard none of this session's work touched has an empty window.
+        live_ns = shard.completion_ns if own_parts else clock0
+        return self._window(label, own_parts, shard, clock0, live_ns)
 
     def _submit(self, request, kind, priority, deadline_ns, at_ns) -> Future:
         # Validated before the clock advances: a rejected stamp — or a
@@ -825,26 +799,24 @@ class PimSession:
         return future
 
     def _details_for(self, record) -> ResponseDetails:
-        if self.tier == "cluster":
-            return ClusterDetails(
-                shard_ids=tuple(record.shard_ids),
-                fanout=len(record.shard_ids),
-                host_merge_ns=record.host_merge_ns,
-                cache_hits=record.cache_hits,
-                cache_misses=record.cache_misses,
-                cache_invalidations=record.cache_invalidations,
-                failovers=record.failovers,
-            )
         if self.tier == "host":
             return HostDetails()
-        return ServiceDetails(
-            batch_index=record.batch_index,
-            modeled_ns=record.modeled_ns,
-            modeled_banks=tuple(record.modeled_banks),
-            cache_hits=record.cache_hits,
-            cache_misses=record.cache_misses,
-            cache_invalidations=record.cache_invalidations,
-        )
+        details: Union[ServiceDetails, ClusterDetails]
+        if self.tier == "cluster":
+            details = ClusterDetails(
+                shard_ids=tuple(record.shard_ids),
+                fanout=record.fanout,
+                host_merge_ns=record.host_merge_ns,
+                failovers=record.failovers,
+            )
+        else:
+            details = ServiceDetails(
+                batch_index=record.batch_index,
+                modeled_ns=record.modeled_ns,
+                modeled_banks=tuple(record.modeled_banks),
+            )
+        details.add_counts(record)
+        return details
 
     def _build_response(self, future: Future) -> Response:
         record = future.record

@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional,
 import numpy as np
 
 from repro.ambit.engine import AmbitEngine
-from repro.analysis.metrics import ClusterMetrics, combine_serial
+from repro.analysis.metrics import ClusterMetrics, ElasticCounts, combine_serial
 from repro.cluster.faults import FaultPlan
 from repro.cluster.router import PlacementUnavailable, ShardRouter
 from repro.database.bitmap_index import BitmapIndex
@@ -93,8 +93,10 @@ class ClusterRecord(RequestEnvelope):
     is False when any shard refused its part, ``start_ns`` is the first
     part's service start and ``finish_ns`` the last part's finish plus
     the gather merge, ``value`` is the gathered result (merged partial
-    bitmaps for a scattered conjunction; the part's own value otherwise)
-    and ``metrics`` the serial device cost across the parts.  The
+    bitmaps for a scattered conjunction; the part's own value otherwise),
+    ``metrics`` the serial device cost across the parts and the plan
+    counts the sum of the parts' (plus, for a write, the cache entries
+    the coordinator invalidated).  The
     gather-side AND-merges are host work, tallied in ``host_merge_ns``
     (and :attr:`ClusterMetrics.merge_ops`) rather than in ``metrics``;
     shard-local host merges (the plan optimizer's split-mode joins) are
@@ -130,24 +132,9 @@ class ClusterRecord(RequestEnvelope):
         return len(self.shard_ids)
 
     @property
-    def ops_eliminated(self) -> int:
-        """Device ops shard-local plan optimizers removed across the parts."""
-        return sum(p.ops_eliminated for p in self.parts)
-
-    @property
-    def shared_subchains(self) -> int:
-        """Sub-chains the parts served from another request's lowering."""
-        return sum(p.shared_subchains for p in self.parts)
-
-    @property
-    def cache_hits(self) -> int:
-        """Sub-chains served from the shard-local result caches."""
-        return sum(p.cache_hits for p in self.parts)
-
-    @property
-    def cache_misses(self) -> int:
-        """Shard-local result-cache lookups that missed."""
-        return sum(p.cache_misses for p in self.parts)
+    def merge_ops(self) -> int:
+        """Host-side bitwise merges gathering this request's parts takes."""
+        return max(0, len(self.parts) - 1)
 
 
 @dataclass(frozen=True)
@@ -264,17 +251,10 @@ class ClusterFrontend:
         #: Read touches per router key label, counted while a controller
         #: is attached or the plane records (what re-replication ranks).
         self.key_reads: Dict[str, int] = {}
-        # Elastic accounting (mirrors the cluster.failover.* and
-        # cluster.scale.* obs counters, so obs-off runs still report).
-        self.shards_failed = 0
-        self.shards_revived = 0
-        self.shards_joined = 0
-        self.shards_retired = 0
-        self.failover_parts = 0
-        self.failover_records_failed = 0
-        self.replications = 0
-        self.copied_bytes = 0
-        self.copy_ns_total = 0.0
+        #: Failover/scale accounting, bumped where the events happen (the
+        #: ``cluster.failover.*`` / ``cluster.scale.*`` counters record
+        #: the same events, so obs-off runs report identically).
+        self.elastic = ElasticCounts()
 
     def _build_shard(self) -> ServiceFrontend:
         factory = self._engine_factory
@@ -328,11 +308,6 @@ class ClusterFrontend:
         registry.counter("cluster.fanout").inc(float(record.fanout))
         if record.admitted:
             registry.counter("cluster.admitted").inc()
-        else:
-            span.end(record.arrival_ns).set(
-                status="rejected", reason=record.rejected_reason
-            )
-            registry.counter("cluster.rejected").inc()
 
     def _count_key_reads(self, request: FrontendRequest) -> None:
         """Count per-key read touches (the controller's hotness signal);
@@ -350,23 +325,22 @@ class ClusterFrontend:
                 registry.counter(f"cluster.key_reads.{label}").inc()
 
     def _obs_gathered(self, record: ClusterRecord, tree_depth: int) -> None:
-        """Attach the gather-merge child and close the record's root."""
+        """Close the record's root (gather-merge child first) and count it."""
         span = record.trace
-        if span is None:
-            return
-        if record.host_merge_ns > 0.0:
-            span.child(
-                "gather_merge",
-                category="cluster",
-                start_ns=record.finish_ns - record.host_merge_ns,
-                end_ns=record.finish_ns,
-            ).set(parts=len(record.parts), tree_levels=tree_depth)
-        span.end(record.finish_ns).set(
-            status="completed", deadline_missed=record.deadline_missed
-        )
+        if span is not None:
+            if record.host_merge_ns > 0.0:
+                span.child(
+                    "gather_merge",
+                    category="cluster",
+                    start_ns=record.finish_ns - record.host_merge_ns,
+                    end_ns=record.finish_ns,
+                ).set(parts=len(record.parts), tree_levels=tree_depth)
+            span.end(record.finish_ns).set(
+                status="completed", deadline_missed=record.deadline_missed
+            )
         registry = self.obs.metrics
         registry.counter("cluster.completed").inc()
-        registry.counter("cluster.merge_ops").inc(float(max(0, len(record.parts) - 1)))
+        registry.counter("cluster.merge_ops").inc(float(record.merge_ops))
         registry.histogram("cluster.sojourn_ns").observe(record.sojourn_ns)
         if record.host_merge_ns > 0.0:
             registry.histogram("cluster.host_merge_ns").observe(record.host_merge_ns)
@@ -456,10 +430,9 @@ class ClusterFrontend:
             # Degraded mode: no routable replica holds the data.  Reject
             # with a failure-typed reason (mapped to ShardUnavailable by
             # the session layer) instead of serving a wrong answer.
-            self._reject_record(record, "shard_unavailable")
             if self.obs.enabled:
                 self.obs.metrics.counter("cluster.failover.unavailable").inc()
-                self._obs_scattered(record)
+            self._reject_record(record, "shard_unavailable")
             return record
         if self.controller is not None or self.obs.enabled:
             self._count_key_reads(request)
@@ -475,8 +448,8 @@ class ClusterFrontend:
             record.parts.append(part)
             if not part.admitted:
                 self._reject_record(record, part.rejected_reason)
-                break
-        if record.admitted and is_write_request(request):
+                return record
+        if is_write_request(request):
             # The scatter parts are charge-only; the functional mutation
             # and the shard-cache invalidations commit exactly once, at
             # the coordinator, only after the all-or-nothing admission
@@ -622,17 +595,32 @@ class ClusterFrontend:
         return [(self.router.route_any(load), request)]
 
     def _reject_record(
-        self, record: ClusterRecord, reason: str, part_reason: str = "cancelled"
+        self,
+        record: ClusterRecord,
+        reason: str,
+        part_reason: str = "cancelled",
+        left_ns: Optional[float] = None,
+        status: str = "rejected",
     ) -> None:
-        """All-or-nothing: reject ``record`` and withdraw every part still
-        queued (parts already served are wasted work, as in a real
-        scatter)."""
+        """The one door through which a record is rejected, all-or-nothing:
+        every part still queued is withdrawn (parts already served are
+        wasted work, as in a real scatter).  The record leaves at
+        ``left_ns`` — None when :meth:`offer` refuses it at the door, where
+        the scatter outcome is recorded first."""
         record.admitted = False
         record.rejected_reason = reason
         self.rejected += 1
         for shard, sibling in zip(record.shard_ids, record.parts):
             if sibling.admitted and not sibling.completed:
                 self.shards[shard].cancel(sibling, reason=part_reason)
+        if not self.obs.enabled:
+            return
+        if left_ns is None:
+            self._obs_scattered(record)
+            left_ns = record.arrival_ns
+        if record.trace is not None:
+            record.trace.end(left_ns).set(status=status, reason=reason)
+        self.obs.metrics.counter("cluster.rejected").inc()
 
     # ------------------------------------------------------------------
     # Service
@@ -743,9 +731,7 @@ class ClusterFrontend:
         now = self.clock_ns if at_ns is None else float(at_ns)
         if not self.router.mark_down(shard_id):
             return False
-        self.shards_failed += 1
-        if self.obs.enabled:
-            self.obs.metrics.counter("cluster.failover.kills").inc()
+        self._count("shard_failures", "cluster.failover.kills")
         self._migrate_queued(shard_id, now, reason="shard_failed")
         return True
 
@@ -756,9 +742,7 @@ class ClusterFrontend:
         del at_ns  # revival is a pure health flip; nothing to reschedule
         if not self.router.mark_up(shard_id):
             return False
-        self.shards_revived += 1
-        if self.obs.enabled:
-            self.obs.metrics.counter("cluster.failover.revives").inc()
+        self._count("shard_revivals", "cluster.failover.revives")
         return True
 
     def drain_shard(self, shard_id: int, at_ns: Optional[float] = None) -> bool:
@@ -801,9 +785,7 @@ class ClusterFrontend:
                 self.add_replica(key, target, at_ns=now, force=True)
             self.router.drop_replica(key, shard_id)
         self.router.retire(shard_id)
-        self.shards_retired += 1
-        if self.obs.enabled:
-            self.obs.metrics.counter("cluster.scale.retires").inc()
+        self._count("shards_retired", "cluster.scale.retires")
         return True
 
     def join_shard(self, at_ns: Optional[float] = None) -> int:
@@ -826,8 +808,7 @@ class ClusterFrontend:
             # Re-bind so the joined shard records into the shared plane
             # with its own shard-prefixed lane tracks.
             self.bind_observer(self.obs)
-            self.obs.metrics.counter("cluster.scale.joins").inc()
-        self.shards_joined += 1
+        self._count("shards_joined", "cluster.scale.joins")
         return new_id
 
     def _migrate_queued(self, shard_id: int, now: float, reason: str) -> int:
@@ -890,7 +871,10 @@ class ClusterFrontend:
             else:
                 plan = self._route_read(request, load)
         except PlacementUnavailable:
-            self._fail_record(record, "shard_unavailable", now)
+            # Terminal degraded-mode failure (typed, never a silent drop).
+            reason = "shard_unavailable"
+            self._reject_record(record, reason, part_reason=reason, left_ns=now, status="failed")
+            self._count("failover_failures", "cluster.failover.records_failed")
             return None
         if self.config.sanitize:
             from repro.verify.plan_lint import check_failover_reoffer  # local: avoid cycle
@@ -914,25 +898,12 @@ class ClusterFrontend:
         record.parts[k : k + 1] = new_parts
         record.migrated_parts.append(part)
         record.failovers += 1
-        self.failover_parts += 1
+        self._count("failovers", "cluster.failover.migrated_parts")
         if self.obs.enabled:
-            self.obs.metrics.counter("cluster.failover.migrated_parts").inc()
             self.obs.metrics.counter("cluster.failover.reoffers").inc(float(len(plan)))
         # A replacement refused by target admission flows through the
         # existing all-or-nothing rejection in _finalize_records.
         return len(new_parts)
-
-    def _fail_record(self, record: ClusterRecord, reason: str, now: float) -> None:
-        """Terminal degraded-mode failure: mark the record rejected with a
-        failure-typed reason and withdraw its still-queued siblings."""
-        self._reject_record(record, reason, part_reason=reason)
-        self.failover_records_failed += 1
-        if self.obs.enabled:
-            registry = self.obs.metrics
-            registry.counter("cluster.failover.records_failed").inc()
-            registry.counter("cluster.rejected").inc()
-            if record.trace is not None:
-                record.trace.end(now).set(status="failed", reason=reason)
 
     # ------------------------------------------------------------------
     # Elasticity (controller surface)
@@ -963,15 +934,9 @@ class ClusterFrontend:
         if not copy.admitted and not force:
             return False
         self.router.add_replica(key, shard_id)
-        self.replications += 1
-        self.copied_bytes += num_bytes
-        copy_ns = copy.modeled_ns if copy.admitted else 0.0
-        self.copy_ns_total += copy_ns
-        if self.obs.enabled:
-            registry = self.obs.metrics
-            registry.counter("cluster.scale.replications").inc()
-            registry.counter("cluster.scale.copied_bytes").inc(float(num_bytes))
-            registry.counter("cluster.scale.copy_ns").inc(copy_ns)
+        self._count("replications", "cluster.scale.replications")
+        self._count("copied_bytes", "cluster.scale.copied_bytes", num_bytes)
+        self._count("copy_ns", "cluster.scale.copy_ns", copy.modeled_ns if copy.admitted else 0.0)
         return True
 
     def _replica_bytes(self, key) -> int:
@@ -1011,20 +976,16 @@ class ClusterFrontend:
         registry.gauge("cluster.rejection_rate").set(health.rejection_rate)
         return health
 
+    def _count(self, name: str, counter: str, amount: float = 1) -> None:
+        """Bump one of the :attr:`elastic` counts and publish the event."""
+        setattr(self.elastic, name, getattr(self.elastic, name) + amount)
+        if self.obs.enabled:
+            self.obs.metrics.counter(counter).inc(float(amount))
+
     def elastic_summary(self) -> Dict[str, Any]:
-        """Failover/scale accounting for :class:`ClusterMetrics` (kept as
-        plain attributes so obs-off runs report identically)."""
-        return {
-            "shard_failures": self.shards_failed,
-            "shard_revivals": self.shards_revived,
-            "shards_joined": self.shards_joined,
-            "shards_retired": self.shards_retired,
-            "failovers": self.failover_parts,
-            "failover_failures": self.failover_records_failed,
-            "replications": self.replications,
-            "copied_bytes": self.copied_bytes,
-            "copy_ns": self.copy_ns_total,
-        }
+        """Failover/scale accounting so far, as :class:`ClusterMetrics`
+        keywords."""
+        return dataclasses.asdict(self.elastic)
 
     def run(self, events: Iterable[ArrivalEvent], name: str = "cluster") -> ClusterResult:
         """Serve a whole arrival stream across the cluster.
@@ -1041,10 +1002,14 @@ class ClusterFrontend:
     # Gather and reporting
     # ------------------------------------------------------------------
     def _gather(self, record: ClusterRecord) -> None:
-        """Merge a completed record's shard parts into its final value."""
+        """The one door through which a record completes: merge its shard
+        parts into its final value, take their counts, publish."""
         parts = record.parts
         record.start_ns = min(p.start_ns for p in parts)
         record.finish_ns = max(p.finish_ns for p in parts)
+        for part in parts:
+            record.add_counts(part)
+        tree_depth = 0
         if is_write_request(record.request):
             # A write's parts carry charge-only estimates; the gather
             # value is the coordinator's authoritative rows-affected
@@ -1059,61 +1024,50 @@ class ClusterFrontend:
                 if len(parts) == 1
                 else combine_serial("cluster_write", (p.metrics for p in parts))
             )
-            self._obs_gathered(record, tree_depth=0)
-            return
-        if len(parts) == 1:
+        elif len(parts) == 1:
             record.value = parts[0].value
             record.metrics = parts[0].metrics
-            self._obs_gathered(record, tree_depth=0)
-            return
-        # Scattered conjunction: AND the per-shard partial bitmaps.  The
-        # merge runs host-side (it is NOT charged as device work); device
-        # cost is the serial combination of the shard chains.  The host
-        # cost model charges the *merge tree*: partials merge pairwise in
-        # parallel, so a G-way gather costs ceil(log2(G)) levels of
-        # `merge_ns_per_op` on the record's completion time — a gathered
-        # result is not ready until the host has actually merged it, but
-        # independent pairs never serialize behind each other.
-        record.value = np.bitwise_and.reduce([p.value for p in parts])
-        record.value.setflags(write=False)  # like the shard partials it merges
-        tree_depth = (len(parts) - 1).bit_length()
-        record.host_merge_ns = tree_depth * self.merge_ns_per_op
-        record.finish_ns += record.host_merge_ns
-        merged = combine_serial("cluster_gather", (p.metrics for p in parts))
-        merged.notes = (
-            f"{len(parts)} shard partials, host-side AND merge tree "
-            f"({tree_depth} levels)"
-        )
-        record.metrics = merged
-        self._obs_gathered(record, tree_depth=tree_depth)
+        else:
+            # Scattered conjunction: AND the per-shard partial bitmaps.  The
+            # merge runs host-side (it is NOT charged as device work); device
+            # cost is the serial combination of the shard chains.  The host
+            # cost model charges the *merge tree*: partials merge pairwise in
+            # parallel, so a G-way gather costs ceil(log2(G)) levels of
+            # `merge_ns_per_op` on the record's completion time — a gathered
+            # result is not ready until the host has actually merged it, but
+            # independent pairs never serialize behind each other.
+            record.value = np.bitwise_and.reduce([p.value for p in parts])
+            record.value.setflags(write=False)  # like the shard partials it merges
+            tree_depth = (len(parts) - 1).bit_length()
+            record.host_merge_ns = tree_depth * self.merge_ns_per_op
+            record.finish_ns += record.host_merge_ns
+            merged = combine_serial("cluster_gather", (p.metrics for p in parts))
+            merged.notes = (
+                f"{len(parts)} shard partials, host-side AND merge tree "
+                f"({tree_depth} levels)"
+            )
+            record.metrics = merged
+        if self.obs.enabled:
+            self._obs_gathered(record, tree_depth)
 
-    def gather(self) -> int:
-        """Gather every finished record (public hook for sessions/futures);
-        returns the total host merge count so far."""
-        return self._finalize_records()
+    def gather(self) -> None:
+        """Gather every finished record (public hook for sessions/futures)."""
+        self._finalize_records()
 
-    def _finalize_records(self) -> int:
-        """Sync scatter failures and gather finished records; host merges."""
-        merge_ops = 0
+    def _finalize_records(self) -> None:
+        """Settle every record whose parts have: a part shed after
+        admission sinks the whole scatter, a record whose parts all
+        completed is gathered."""
         for record in self.records:
-            # A part shed after admission sinks the whole scatter.
             if record.admitted and any(not p.admitted for p in record.parts):
                 failed = next(p for p in record.parts if not p.admitted)
-                self._reject_record(record, failed.rejected_reason)
-                if record.trace is not None:
-                    record.trace.end(self.clock_ns).set(
-                        status="rejected", reason=record.rejected_reason
-                    )
-                    self.obs.metrics.counter("cluster.rejected").inc()
-            if record.completed:
-                if math.isnan(record.finish_ns):
-                    self._gather(record)
-                merge_ops += max(0, len(record.parts) - 1)
-        return merge_ops
+                self._reject_record(record, failed.rejected_reason, left_ns=self.clock_ns)
+            if math.isnan(record.finish_ns) and record.completed:
+                self._gather(record)
 
     def result(self, name: str = "cluster") -> ClusterResult:
         """Gather all finished records and roll up cluster metrics."""
-        merge_ops = self._finalize_records()
+        self._finalize_records()
         per_shard = [
             shard.result(f"{name}/shard{i}") for i, shard in enumerate(self.shards)
         ]
@@ -1121,7 +1075,6 @@ class ClusterFrontend:
             name,
             self.records,
             [r.metrics for r in per_shard],
-            merge_ops=merge_ops,
             elastic=self.elastic_summary(),
         )
         return ClusterResult(

@@ -184,12 +184,6 @@ class BatchOptimizer:
         # result vector, packed bytes, plan-time write epoch, num_rows).
         self._fills: List[Tuple[Key, Any, Tuple[str, ...], BulkBitVector, int, int, int]] = []
         self._fill_keys: Set[Key] = set()
-        #: Batches optimized across the optimizer's lifetime.
-        self.batches = 0
-        #: Device ops eliminated across the optimizer's lifetime.
-        self.ops_eliminated = 0
-        #: Sub-chains served from a shared producer across the lifetime.
-        self.shared_subchains = 0
 
     # ------------------------------------------------------------------
     # Batch lifecycle
@@ -205,7 +199,6 @@ class BatchOptimizer:
         self._assigned = {}
         self._fills = []
         self._fill_keys = set()
-        self.batches += 1
 
     def commit_fills(self) -> int:
         """Park the executed batch's finished bitmaps in the result cache.
@@ -348,8 +341,6 @@ class BatchOptimizer:
                     shared_subchains=shared,
                 )
             )
-        self.ops_eliminated += ops_eliminated
-        self.shared_subchains += shared
 
         zero_cost = None
         if not own:

@@ -86,6 +86,7 @@ from repro.service.requests import (
     FrontendRequest,
     QueuedRequest,
     RequestEnvelope,
+    RequestResult,
     check_request_type,
     checked_arrival,
 )
@@ -344,53 +345,6 @@ class ServiceFrontend:
         registry.gauge("frontend.queue_depth").set(float(len(self._heap)))
         registry.gauge("frontend.backlog_ns").set(self.backlog_ns)
 
-    def _obs_rejected(self, queued: QueuedRequest) -> None:
-        """Close the root span of a request refused at the door."""
-        queued.trace.child(
-            "admission",
-            category="request",
-            start_ns=queued.arrival_ns,
-            end_ns=queued.arrival_ns,
-        ).set(admitted=False, reason=queued.rejected_reason)
-        queued.trace.end(queued.arrival_ns).set(
-            status="rejected", reason=queued.rejected_reason
-        )
-        registry = self.obs.metrics
-        registry.counter("frontend.rejected").inc()
-        registry.counter(f"frontend.rejected.{queued.rejected_reason}").inc()
-
-    def _obs_served(self, queued: QueuedRequest, batch_index: int) -> None:
-        """Attach queue/service children and close the root at finish."""
-        span = queued.trace
-        span.child(
-            "queue",
-            category="request",
-            start_ns=queued.arrival_ns,
-            end_ns=queued.start_ns,
-        )
-        span.child(
-            "service",
-            category="request",
-            start_ns=queued.start_ns,
-            end_ns=queued.finish_ns,
-        ).set(
-            batch=batch_index,
-            ops_eliminated=queued.ops_eliminated,
-            shared_subchains=queued.shared_subchains,
-            host_merge_ns=queued.host_merge_ns,
-            cache_hits=queued.cache_hits,
-            cache_misses=queued.cache_misses,
-        )
-        span.end(queued.finish_ns).set(
-            status="completed", deadline_missed=queued.deadline_missed
-        )
-        registry = self.obs.metrics
-        registry.counter("frontend.completed").inc()
-        if queued.deadline_missed:
-            registry.counter("frontend.deadline_misses").inc()
-        registry.histogram("frontend.wait_ns").observe(queued.wait_ns)
-        registry.histogram("frontend.sojourn_ns").observe(queued.sojourn_ns)
-
     def _obs_maintenance(self, queued: QueuedRequest, group: LoweredGroup) -> None:
         """Attach a ``maintenance`` child span for index-maintenance work.
 
@@ -400,17 +354,11 @@ class ServiceFrontend:
         columns rebuilt into their service window.
         """
         outcome = group.write_outcome
+        strategy = self.planner.maintenance.strategy
         if outcome is not None:
-            request = outcome.request
-            span = queued.trace.child(
-                "maintenance",
-                category="storage",
-                start_ns=queued.start_ns,
-                end_ns=queued.finish_ns,
-            )
-            span.set(
-                kind=request.kind,
-                strategy=self.planner.maintenance.strategy,
+            attrs = dict(
+                kind=outcome.request.kind,
+                strategy=strategy,
                 columns=",".join(
                     f"{col}={strat}" for col, strat in sorted(outcome.strategies.items())
                 ),
@@ -419,16 +367,96 @@ class ServiceFrontend:
                 cache_invalidations=queued.cache_invalidations,
             )
         elif group.rebuild_columns:
-            queued.trace.child(
-                "maintenance",
-                category="storage",
+            attrs = dict(kind="rebuild", strategy=strategy, columns=",".join(group.rebuild_columns))
+        else:
+            return
+        queued.trace.child(
+            "maintenance", category="storage", start_ns=queued.start_ns, end_ns=queued.finish_ns
+        ).set(**attrs)
+
+    # ------------------------------------------------------------------
+    # Settling: the one door per outcome through which an envelope becomes
+    # terminal — where the outcome is stamped, the counts are taken and
+    # the recording is published.  Counters and histograms count every
+    # transition that happens while the plane records; span children need
+    # a root opened at arrival (a plane bound mid-stream has none for the
+    # requests already queued).
+    # ------------------------------------------------------------------
+    def _settle_rejected(
+        self, queued: QueuedRequest, reason: str, left_ns: Optional[float] = None
+    ) -> None:
+        """Refuse ``queued``: at the door (``left_ns`` None — it was never
+        admitted), or at ``left_ns`` when it leaves the queue it was in."""
+        queued.admitted = False
+        queued.rejected_reason = reason
+        if not self.obs.enabled:
+            return
+        span = queued.trace
+        if span is not None:
+            if left_ns is None:
+                span.child(
+                    "admission",
+                    category="request",
+                    start_ns=queued.arrival_ns,
+                    end_ns=queued.arrival_ns,
+                ).set(admitted=False, reason=reason)
+                left_ns = queued.arrival_ns
+            span.end(left_ns).set(status="rejected", reason=reason)
+        registry = self.obs.metrics
+        registry.counter("frontend.rejected").inc()
+        registry.counter(f"frontend.rejected.{reason}").inc()
+
+    def _settle_completed(
+        self,
+        group: LoweredGroup,
+        batch_index: int,
+        start_ns: float,
+        finish_ns: float,
+        own: List[RequestResult],
+    ) -> None:
+        """Complete a lowered ``group``'s request, served from ``start_ns`` to
+        ``finish_ns`` (host merge excluded) as the group's ``own`` results."""
+        queued = group.queued
+        queued.batch_index = batch_index
+        queued.start_ns = start_ns
+        queued.finish_ns = finish_ns + group.host_merge_ns
+        queued.host_merge_ns = group.host_merge_ns
+        queued.metrics = self.planner.group_metrics(group, own)
+        queued.value = group.finalize(own)
+        queued.add_counts(group)
+        if not self.obs.enabled:
+            return
+        span = queued.trace
+        if span is not None:
+            span.child(
+                "queue",
+                category="request",
+                start_ns=queued.arrival_ns,
+                end_ns=queued.start_ns,
+            )
+            span.child(
+                "service",
+                category="request",
                 start_ns=queued.start_ns,
                 end_ns=queued.finish_ns,
             ).set(
-                kind="rebuild",
-                strategy=self.planner.maintenance.strategy,
-                columns=",".join(group.rebuild_columns),
+                batch=batch_index,
+                ops_eliminated=queued.ops_eliminated,
+                shared_subchains=queued.shared_subchains,
+                host_merge_ns=queued.host_merge_ns,
+                cache_hits=queued.cache_hits,
+                cache_misses=queued.cache_misses,
             )
+            span.end(queued.finish_ns).set(
+                status="completed", deadline_missed=queued.deadline_missed
+            )
+            self._obs_maintenance(queued, group)
+        registry = self.obs.metrics
+        registry.counter("frontend.completed").inc()
+        if queued.deadline_missed:
+            registry.counter("frontend.deadline_misses").inc()
+        registry.histogram("frontend.wait_ns").observe(queued.wait_ns)
+        registry.histogram("frontend.sojourn_ns").observe(queued.sojourn_ns)
 
     # ------------------------------------------------------------------
     # Admission
@@ -534,19 +562,9 @@ class ServiceFrontend:
         self._charge(queued, -1.0)
         if not self._heap:
             self._reset_backlog()
-        queued.admitted = False
-        queued.rejected_reason = reason
-        if self.obs.enabled:
-            if queued.trace is not None:
-                # The span ends when the request leaves the system — at
-                # the shed/cancel instant, not its arrival.
-                queued.trace.end(self.clock_ns).set(status="rejected", reason=reason)
-            self.obs.metrics.counter("frontend.rejected").inc()
-            self.obs.metrics.counter(f"frontend.rejected.{reason}").inc()
-
-    def _evict(self, victim: QueuedRequest, reason: str) -> None:
-        self._remove_queued(victim, reason)
-        self.shed_requests += 1
+        # The request leaves the system at the shed/cancel instant, not
+        # at its arrival.
+        self._settle_rejected(queued, reason, left_ns=self.clock_ns)
 
     def cancel(self, queued: QueuedRequest, reason: str = "cancelled") -> bool:
         """Withdraw a queued, not-yet-served request; True when removed.
@@ -640,31 +658,23 @@ class ServiceFrontend:
                 if sheddable:
                     victims.append(sheddable[0])
             if not victims:
-                queued.admitted = False
-                queued.rejected_reason = "queue_full"
-                if observe:
-                    self._obs_rejected(queued)
+                self._settle_rejected(queued, "queue_full")
                 return queued
         queued.modeled_ns = self.planner.modeled_latency_ns(request)
         queued.modeled_banks = self.planner.modeled_banks(request)
         if self.max_backlog_ns is not None:
+            extra: Optional[List[QueuedRequest]] = []
             if self.shed_low_priority:
                 extra = self._plan_occupancy_shed(queued, pre_evicted=victims)
-                if extra is None:
-                    queued.admitted = False
-                    queued.rejected_reason = "bank_occupancy"
-                    if observe:
-                        self._obs_rejected(queued)
-                    return queued
-                victims.extend(extra)
             elif self._occupancy_with(self._bank_backlog, queued) > self.max_backlog_ns:
-                queued.admitted = False
-                queued.rejected_reason = "bank_occupancy"
-                if observe:
-                    self._obs_rejected(queued)
+                extra = None
+            if extra is None:
+                self._settle_rejected(queued, "bank_occupancy")
                 return queued
+            victims.extend(extra)
         for victim in victims:
-            self._evict(victim, "shed")
+            self._remove_queued(victim, "shed")
+            self.shed_requests += 1
         heapq.heappush(self._heap, (queued.sort_key(), queued))
         self._charge(queued, 1.0)
         if observe:
@@ -759,10 +769,7 @@ class ServiceFrontend:
         # bypassed instead of caching a stale bitmap.
         self.planner.commit_cache_fills()
         results = batch.results
-        group_metrics = self.planner.group_metrics
         for group in groups:
-            queued = group.queued
-            queued.batch_index = batch_index
             # A request's service spans its own steps *plus* any shared
             # steps it consumes (CSE deps bound its finish but are only
             # charged to their owner); split-mode host joins extend the
@@ -770,39 +777,18 @@ class ServiceFrontend:
             own = cone = [results[i] for i in group.indices]
             if group.dep_indices:
                 cone = own + [results[i] for i in group.dep_indices]
-            if cone:
-                # Result start times are absolute against the frontend
-                # clock (the executor scheduled from ``release_ns``).
-                start = finish = cone[0].start_ns
-                for result in cone:
-                    if result.start_ns < start:
-                        start = result.start_ns
-                    end = result.start_ns + result.metrics.latency_ns
-                    if end > finish:
-                        finish = end
-                queued.start_ns = start
-                queued.finish_ns = finish + group.host_merge_ns
-                queued.metrics = group_metrics(group, own)
-                queued.value = group.finalize(own)
-            else:
-                queued.start_ns = batch_start
-                queued.finish_ns = batch_start + group.host_merge_ns
-                queued.metrics = group.zero_cost_metrics
-                queued.value = group.finalize([])
-            queued.host_merge_ns = group.host_merge_ns
-            queued.ops_eliminated = group.ops_eliminated
-            queued.shared_subchains = group.shared_subchains
-            queued.cache_hits = group.cache_hits
-            queued.cache_misses = group.cache_misses
-            queued.cache_invalidations = group.cache_invalidations
-            if observe and queued.trace is not None:
-                self._obs_served(queued, batch_index)
-                self._obs_maintenance(queued, group)
-        batch.metrics.ops_eliminated = sum(g.ops_eliminated for g in groups)
-        batch.metrics.shared_subchains = sum(g.shared_subchains for g in groups)
-        batch.metrics.cache_hits = sum(g.cache_hits for g in groups)
-        batch.metrics.cache_misses = sum(g.cache_misses for g in groups)
-        batch.metrics.cache_invalidations = sum(g.cache_invalidations for g in groups)
+            # Result start times are absolute against the frontend clock
+            # (the executor scheduled from ``release_ns``); a request with
+            # nothing to run starts and finishes at the dispatch instant.
+            start = finish = cone[0].start_ns if cone else batch_start
+            for result in cone:
+                if result.start_ns < start:
+                    start = result.start_ns
+                end = result.start_ns + result.metrics.latency_ns
+                if end > finish:
+                    finish = end
+            self._settle_completed(group, batch_index, start, finish, own)
+            batch.metrics.add_counts(group)
         if observe:
             registry = self.obs.metrics
             registry.gauge("frontend.queue_depth").set(float(len(self._heap)))

@@ -31,7 +31,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
-from repro.analysis.metrics import OperationMetrics, combine_serial
+from repro.analysis.metrics import OperationMetrics, PlanCounts, combine_serial
 from repro.service.config import PipelineConfig
 from repro.service.executor import BatchExecutor
 from repro.service.requests import (
@@ -89,8 +89,11 @@ class _PricedChain:
 
 
 @dataclass
-class LoweredGroup:
+class LoweredGroup(PlanCounts):
     """Bookkeeping of one queued request lowered into primitive steps.
+
+    The inherited :class:`~repro.analysis.metrics.PlanCounts` are what the
+    optimizer and the cache did for this request.
 
     Attributes:
         queued: The envelope the group came from.
@@ -106,14 +109,6 @@ class LoweredGroup:
         host_merge_ns: Host-side merge-tree cost added to the group's
             finish time (split-mode cross-predicate join).
         host_join_ops: Host AND ops the split-mode join performs.
-        ops_eliminated: Device ops the optimizer removed from this
-            request's unoptimized plan total.
-        shared_subchains: Sub-chains this request consumed from (or
-            shared with) another request of the batch.
-        cache_hits: Sub-chains (or whole conjunctions) served from the
-            cross-batch result cache.
-        cache_misses: Result-cache lookups that missed.
-        cache_invalidations: Cached bitmaps this (write) request dropped.
         write_outcome: The maintenance outcome of a lowered write request
             (strategy attribution, charged planes; None for reads).
         rebuild_columns: Lazily-maintained columns this read repaired
@@ -130,11 +125,6 @@ class LoweredGroup:
     dep_indices: List[int] = field(default_factory=list)
     host_merge_ns: float = 0.0
     host_join_ops: int = 0
-    ops_eliminated: int = 0
-    shared_subchains: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_invalidations: int = 0
     write_outcome: Optional[WriteOutcome] = None
     rebuild_columns: Tuple[str, ...] = ()
     chain_cost: Optional[SerialCost] = None

@@ -23,7 +23,7 @@ from typing import Any, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.ambit.bitvector import BulkBitVector
-from repro.analysis.metrics import BatchMetrics, OperationMetrics
+from repro.analysis.metrics import BatchMetrics, OperationMetrics, PlanCounts
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.bitweaving import BitWeavingColumn, ScanPlan
 from repro.rowclone.engine import CopyMode
@@ -196,7 +196,7 @@ FrontendRequest = Union[ServiceRequest, BitmapConjunctionRequest]
 
 
 @dataclass
-class RequestEnvelope:
+class RequestEnvelope(PlanCounts):
     """What every tier's per-request envelope carries.
 
     The arrival-side attributes (arrival time, priority, deadline) and,
@@ -205,10 +205,11 @@ class RequestEnvelope:
     :class:`~repro.cluster.frontend.ClusterRecord` (a scatter-gather
     record over several of them) both extend, and the surface
     :func:`~repro.analysis.metrics.summarize_envelopes` and the session
-    layer read.  Subclasses also supply ``ops_eliminated``,
-    ``shared_subchains``, ``cache_hits`` and ``cache_misses`` (stored per
-    queue entry, summed over the parts of a cluster record).  Times are
-    absolute nanoseconds on the owning frontend's virtual clock.
+    layer read.  The inherited :class:`~repro.analysis.metrics.PlanCounts`
+    are taken when the envelope completes.  Times are absolute nanoseconds
+    on the owning frontend's virtual clock.  ``admitted``,
+    ``rejected_reason`` and ``finish_ns`` make an envelope terminal: only
+    its tier's settle methods write them (``terminal-write`` lint rule).
 
     Attributes:
         request: The wrapped request (primitive or high-level).
@@ -242,8 +243,6 @@ class RequestEnvelope:
     #: split-mode cross-lane joins on a queue entry, the gather merge tree
     #: on a cluster record (0.0 when nothing was merged).
     host_merge_ns: float = 0.0
-    #: Cached bitmaps a write request invalidated (write requests only).
-    cache_invalidations: int = 0
     #: Root :class:`repro.obs.Span` of this request's lifecycle — set by
     #: the frontend only when its observability plane is recording
     #: (``observe=True``); None under the default no-op plane.
@@ -290,17 +289,6 @@ class QueuedRequest(RequestEnvelope):
     #: backlog vector.
     modeled_banks: List = field(default_factory=list)
     batch_index: int = -1
-    #: Device ops this request did not have to run because the batch plan
-    #: optimizer shared or restructured its chain (0 when unoptimized).
-    ops_eliminated: int = 0
-    #: Sub-chains of this request served from another request's (or an
-    #: earlier duplicate's) lowered output instead of being re-lowered.
-    shared_subchains: int = 0
-    #: Sub-chains (or whole conjunctions) this request served from the
-    #: cross-batch result cache instead of re-running bank work.
-    cache_hits: int = 0
-    #: Cache lookups of this request that missed (0 with caching off).
-    cache_misses: int = 0
 
     def sort_key(self) -> Tuple[float, float, int]:
         """Queue order: priority first, then earliest deadline, then FIFO."""

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ambit.bitvector import BulkBitVector
 from repro.ambit.engine import AmbitConfig, AmbitEngine
-from repro.analysis.metrics import ClusterMetrics, QueueMetrics
+from repro.analysis.metrics import ClusterMetrics, PlanCounts, QueueMetrics
 from repro.api import (
     Backend,
     ClusterDetails,
@@ -835,6 +835,7 @@ def test_session_report_exposes_every_shared_metric_field():
         "deadline_miss_rate",
         "pipeline_speedup",
     }
+    assert surface >= set(PlanCounts().plan_counts())  # inherited, still delegated
     column = _random_column(np.random.default_rng(25))
     for session in (_service_session(), _cluster_session(2), PimSession.over_host()):
         session.scan(column, "less_than", 9).result()
@@ -844,6 +845,15 @@ def test_session_report_exposes_every_shared_metric_field():
         assert report.batches >= 1 and report.pipeline_speedup > 0.0
         for name in surface:
             assert getattr(report, name) == getattr(report.details, name)
+        # What only a cluster's metrics have reads off a cluster report the
+        # same way, and is no attribute of the other tiers' reports.
+        for name in ("failovers", "shard_failures", "copy_ns", "imbalance", "mean_utilization"):
+            assert name not in surface
+            if session.tier == "cluster":
+                assert getattr(report, name) == getattr(report.details, name)
+            else:
+                with pytest.raises(AttributeError):
+                    getattr(report, name)
         with pytest.raises(AttributeError):
             report.no_such_metric
         assert copy.deepcopy(report) == report

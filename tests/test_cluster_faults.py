@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.metrics import PlanCounts, percentile_or, summarize_envelopes
 from repro.api import PimSession, RequestFailed, RequestRejected, ShardUnavailable
 from repro.cluster import (
     ClusterFrontend,
@@ -779,3 +780,165 @@ class TestFailoverLintAndAudit:
         assert "cluster.backlog_ns.shard0" in gauges
         assert "cluster.queue_depth.shard1" in gauges
         assert 0.0 <= gauges["cluster.rejection_rate"] <= 1.0
+
+
+# ----------------------------------------------------------------------
+# One accounting path: every envelope settles once, every roll-up folds once
+# ----------------------------------------------------------------------
+def _reference_summary(records):
+    """The roll-up as it stood before it became one pass: one expression
+    per number, kept here as the reference the fold must equal."""
+    records = list(records)
+    completed = [r for r in records if r.completed]
+    return dict(
+        offered=len(records),
+        admitted=sum(1 for r in records if r.admitted),
+        rejected=sum(1 for r in records if not r.admitted),
+        shed=sum(1 for r in records if r.rejected_reason == "shed"),
+        completed=len(completed),
+        deadline_misses=sum(1 for r in completed if r.deadline_missed),
+        wait_p50_ns=percentile_or([r.wait_ns for r in completed], 50),
+        wait_p99_ns=percentile_or([r.wait_ns for r in completed], 99),
+        sojourn_p50_ns=percentile_or([r.sojourn_ns for r in completed], 50),
+        sojourn_p99_ns=percentile_or([r.sojourn_ns for r in completed], 99),
+        serial_latency_ns=sum(r.metrics.latency_ns for r in completed),
+        energy_j=sum(r.metrics.energy_j for r in completed),
+        host_merge_ns=sum(r.host_merge_ns for r in completed),
+        ops_eliminated=sum(r.ops_eliminated for r in completed),
+        shared_subchains=sum(r.shared_subchains for r in completed),
+        cache_hits=sum(r.cache_hits for r in completed),
+        cache_misses=sum(r.cache_misses for r in completed),
+        cache_invalidations=sum(r.cache_invalidations for r in completed),
+    )
+
+
+def _sum_counts(holders):
+    total = PlanCounts()
+    for holder in holders:
+        total.add_counts(holder)
+    return total.plan_counts()
+
+
+class TestOneAccountingPath:
+    KNOBS = dict(
+        policy=BatchPolicy(max_batch=3, window_ns=600.0),
+        max_queue_depth=3,
+        shed_low_priority=True,
+        optimize=True,
+        cache=True,
+    )
+
+    @settings(max_examples=25, deadline=None)
+    @given(tier=st.sampled_from(["service", "cluster"]), seed=st.integers(0, 2**16))
+    def test_every_envelope_settles_exactly_once(self, tier, seed):
+        """Shedding, cancellation, a mid-stream shard kill and a key no
+        routable replica holds: after the drain every envelope is
+        completed or rejected-with-a-reason, never both or neither, and
+        every tally that describes them agrees."""
+        rng = np.random.default_rng(seed)
+        index = _bitmap_index(rng)
+        lonely = BitWeavingColumn(rng.integers(0, 64, size=200), 6)
+        requests = _conjunctions(rng, index, count=18)
+        for i in range(2, len(requests), 4):
+            requests[i] = ScanRequest(
+                column=lonely, kind="less_than", constants=(int(rng.integers(1, 60)),)
+            )
+        events = poisson_schedule(
+            requests,
+            rate_per_s=6e6,
+            seed=seed,
+            priorities=[int(p) for p in rng.integers(0, 3, size=len(requests))],
+        )
+        if tier == "service":
+            backend = PimSession.over_service(engine=_engine_factory()(), **self.KNOBS).backend
+            frontends = [backend]
+        else:
+            backend = _cluster(3, router=ShardRouter(3, replication_factor=2), **self.KNOBS)
+            frontends = backend.shards
+            # `lonely` keeps one home, so killing it strands the column.
+            home, spare = backend.router.replicas(lonely)
+            backend.router.drop_replica(lonely, spare)
+
+        half = len(events) // 2
+        offered = [event.offer_to(backend) for event in events[:half]]
+        if tier == "service":
+            queued = [q for q in offered if q.admitted and not q.completed]
+            assert not queued or backend.cancel(queued[0])
+        else:
+            assert backend.fail_shard(home)
+        offered += [event.offer_to(backend) for event in events[half:]]
+        backend.drain()
+        metrics = backend.result().metrics
+
+        envelopes = list(backend.records)
+        if tier == "cluster":
+            envelopes += [part for frontend in frontends for part in frontend.records]
+        for envelope in envelopes:
+            assert envelope.completed != (not envelope.admitted)
+            assert envelope.admitted == (envelope.rejected_reason == "")
+            assert math.isnan(envelope.finish_ns) == (not envelope.admitted)
+        assert backend.records == offered
+        rejected = [r for r in backend.records if not r.admitted]
+        assert metrics.offered == len(offered) == metrics.completed + metrics.rejected
+        assert metrics.rejected == len(rejected)
+        assert metrics.shed == sum(r.rejected_reason == "shed" for r in rejected)
+        assert sum(f.shed_requests for f in frontends) == sum(
+            q.rejected_reason == "shed" for f in frontends for q in f.records
+        )
+        assert {k: getattr(metrics, k) for k in PlanCounts().plan_counts()} == _sum_counts(
+            r for r in backend.records if r.completed
+        )
+        if tier == "cluster":
+            assert backend.rejected == len(rejected)
+            assert metrics.failover_failures == sum(
+                r.rejected_reason == "shard_unavailable" and bool(r.parts) for r in rejected
+            )
+            for record in backend.records:
+                # Counts are taken at the completion door, whole.
+                parts = record.parts if record.completed else []
+                assert record.plan_counts() == _sum_counts(parts)
+                assert record.merge_ops == max(0, record.fanout - 1)
+            assert any(r.rejected_reason == "shard_unavailable" for r in rejected)
+
+    def test_one_pass_fold_equals_the_expression_by_expression_rollup(self):
+        """`summarize_envelopes` — one walk, each series sorted once —
+        returns exactly (floats included) what seventeen separate
+        expressions did, on an optimizer+cache service stream and on a
+        faulted cluster stream with rejections."""
+        rng = np.random.default_rng(77)
+        index = _bitmap_index(rng)
+        requests = _conjunctions(rng, index, count=30)
+        requests += requests[:10]  # duplicates: shared sub-chains, cache hits
+        priorities = [int(p) for p in rng.integers(0, 3, size=len(requests))]
+
+        def events():
+            return poisson_schedule(
+                requests, rate_per_s=2e7, seed=77, priorities=priorities, deadline_slack_ns=1200.0
+            )
+
+        service = PimSession.over_service(engine=_engine_factory()(), **self.KNOBS).backend
+        service_result = service.run(events())
+        cluster = _cluster(
+            3,
+            router=ShardRouter(3, replication_factor=2),
+            faults=kill_revive_schedule([(1, 400.0, None)]),
+            **self.KNOBS,
+        )
+        cluster_result = cluster.run(events())
+
+        for result in (service_result, cluster_result, *cluster_result.per_shard):
+            summary, completed = summarize_envelopes(result.records)
+            assert summary == _reference_summary(result.records)
+            assert completed == [r for r in result.records if r.completed]
+            for name, value in summary.items():
+                assert getattr(result.metrics, name) == value
+        # Both streams exercise every number the fold produces.
+        for metrics in (service_result.metrics, cluster_result.metrics):
+            assert metrics.completed and metrics.shed and metrics.deadline_misses
+            assert metrics.rejected > metrics.shed
+            assert metrics.shared_subchains and metrics.cache_hits and metrics.host_merge_ns
+        assert cluster_result.metrics.failovers
+        assert cluster_result.metrics.merge_ops == sum(
+            r.merge_ops for r in cluster_result.completed()
+        )
+        assert summarize_envelopes([]) == (_reference_summary([]), [])

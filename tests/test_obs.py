@@ -346,7 +346,8 @@ def _mixed_events(seed: int, count: int = 24):
                     for c in ("status", "region", "tier")[: 1 + i % 3]
                 ),
             )
-        events.append(ArrivalEvent(arrival_ns=at_ns, request=request))
+        # Two priority classes, so a full queue sheds as well as refuses.
+        events.append(ArrivalEvent(arrival_ns=at_ns, request=request, priority=i % 2))
     return events
 
 
@@ -366,6 +367,40 @@ def _noisy_neighbours(plane: Observer) -> None:
     assert result.metrics.rejected == len(reads) - 1
 
 
+#: Reasons only a frontend's door gives (anything else left a queue).
+_DOOR_REASONS = ("queue_full", "bank_occupancy")
+
+
+def _owner_counts(backend, admitted_at_door) -> dict:
+    """What the plane's counters describe, read off the owners' state:
+    envelopes, batch roll-ups and the cluster's own tallies.  A counter
+    the owners have nothing for is left out, as the registry leaves it."""
+    shards = getattr(backend, "shards", [backend])
+    parts = [q for shard in shards for q in shard.records]
+    batches = [b for shard in shards for b in shard.batches]
+    counts = {
+        "frontend.offered": len(parts),
+        "frontend.admitted": sum(q.rejected_reason not in _DOOR_REASONS for q in parts),
+        "frontend.completed": sum(q.completed for q in parts),
+        "frontend.rejected": sum(not q.admitted for q in parts),
+        "frontend.deadline_misses": sum(q.deadline_missed for q in parts),
+        "cache.hit": sum(b.cache_hits for b in batches),
+        "cache.miss": sum(b.cache_misses for b in batches),
+        "cache.invalidations": sum(b.cache_invalidations for b in batches),
+    }
+    for q in parts:
+        if not q.admitted:
+            name = f"frontend.rejected.{q.rejected_reason}"
+            counts[name] = counts.get(name, 0) + 1
+    if backend is not shards[0]:
+        counts["cluster.offered"] = len(backend.records)
+        counts["cluster.admitted"] = sum(admitted_at_door)
+        # A record completes when it is gathered, not when its last part does.
+        counts["cluster.completed"] = sum(not math.isnan(r.finish_ns) for r in backend.records)
+        counts["cluster.rejected"] = backend.rejected
+    return counts
+
+
 def _observed_run(tier: str, maintenance: str, plane: str, seed: int):
     """Serve the seeded stream with the plane attached one way; returns
     what the simulation decided: every record's outcome, and the
@@ -376,6 +411,7 @@ def _observed_run(tier: str, maintenance: str, plane: str, seed: int):
     config = PipelineConfig(
         policy=BatchPolicy(max_batch=3, window_ns=500.0),
         max_queue_depth=4,
+        shed_low_priority=True,
         maintenance=maintenance,
     )
     controller = None
@@ -399,13 +435,25 @@ def _observed_run(tier: str, maintenance: str, plane: str, seed: int):
         )
     events = _mixed_events(seed)
     half = len(events) // 2
-    replay(events[:half], lambda event: event.offer_to(backend))
+    admitted_at_door = []
+    offer = lambda event: admitted_at_door.append(event.offer_to(backend).admitted)  # noqa: E731
+    replay(events[:half], offer)
     if plane == "late":
+        before = _owner_counts(backend, admitted_at_door)
         PimSession(backend, observe=True)  # binds a fresh plane mid-stream
         assert backend.obs.enabled
-    replay(events[half:], lambda event: event.offer_to(backend))
+    replay(events[half:], offer)
     backend.drain()
     backend.result()  # cluster: gather
+    if plane == "late":
+        # A display counts from the moment it is bound: every counter
+        # equals its owner's state delta since then, whether or not the
+        # request it counts was traced from arrival.
+        counters = backend.obs.snapshot()["counters"]
+        after = _owner_counts(backend, admitted_at_door)
+        for name in sorted(after):
+            delta = after[name] - before.get(name, 0)
+            assert counters.get(name, 0.0) == delta, (name, counters.get(name), delta)
     records = [
         (
             r.admitted,

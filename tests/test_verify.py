@@ -703,6 +703,60 @@ class TestInvariantLint:
         line = source.splitlines()[findings[0].line - 1]
         assert "obs=self.obs.snapshot()" in line
 
+    # A module that rejects and completes inline, the way `offer` and
+    # `serve_batch` did before each tier had one door per outcome.
+    _TERMINAL_WRITES = (
+        "def offer(self, queued):\n"
+        "    if len(self._heap) >= self.max_queue_depth:\n"
+        "        queued.admitted = False\n"
+        "        queued.rejected_reason = 'queue_full'\n"
+        "    queued.start_ns = self.clock_ns\n"  # not terminal on its own
+        "def _gather(self, record, parts):\n"
+        "    record.finish_ns: float = max(p.finish_ns for p in parts)\n"
+        "    record.finish_ns += record.host_merge_ns\n"
+        "    record.admitted, record.value = True, None\n"
+        "def _settle_rejected(self, queued, reason):\n"
+        "    queued.admitted = False\n"
+    )
+
+    def test_terminal_write_flags_inline_settling(self):
+        flagged = {
+            "src/repro/service/x.py": (3, 4, 7, 8, 9, 11),
+            "src/repro/optimizer/x.py": (3, 4, 7, 8, 9, 11),
+            # Each tier's own doors are allow-listed in its own module only.
+            "src/repro/service/frontend.py": (3, 4, 7, 8, 9),
+            "src/repro/cluster/frontend.py": (3, 4, 11),
+            "src/repro/api/backends.py": (7, 8, 9, 11),
+        }
+        for path, lines in flagged.items():
+            findings = lint_invariants.lint_source(self._TERMINAL_WRITES, path)
+            assert [(f.rule, f.line) for f in findings] == [
+                ("terminal-write", line) for line in lines
+            ]
+        # Tests, benchmarks and tools build envelopes however they like.
+        for path in ("tests/test_x.py", "benchmarks/bench_x.py", "tools/x.py"):
+            assert lint_invariants.lint_source(self._TERMINAL_WRITES, path) == []
+        waived = self._TERMINAL_WRITES.replace(
+            "    queued.admitted = False\n",
+            "    queued.admitted = False  # lint: allow[terminal-write]\n",
+        )
+        findings = lint_invariants.lint_source(waived, "src/repro/service/frontend.py")
+        assert [f.line for f in findings] == [4, 7, 8, 9]
+
+    def test_terminal_write_allow_list_names_real_methods(self):
+        """Every allow-listed settle method exists in its module and does
+        write a terminal attribute — a renamed door cannot leave a stale
+        allowance behind — and nothing in the tree needs a waiver."""
+        for suffix, names in lint_invariants._SETTLE_METHODS.items():
+            path = REPO_ROOT / "src" / suffix
+            source = path.read_text()
+            assert "allow[terminal-write]" not in source
+            for name in sorted(names):
+                renamed = source.replace(f"def {name}(", f"def {name}_inline(")
+                assert renamed != source, f"{suffix} has no {name}"
+                findings = lint_invariants.lint_source(renamed, str(path))
+                assert findings and {f.rule for f in findings} == {"terminal-write"}
+
     def test_waiver_suppresses(self):
         source = (
             "from dataclasses import dataclass\n"

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo invariant lint: an AST pass over ``src/repro`` run as a CI gate.
 
-Nine rules, each guarding an invariant the simulator's design depends on
+Ten rules, each guarding an invariant the simulator's design depends on
 (stdlib-only; no third-party linter required):
 
 * ``mutable-default`` — a dataclass field whose default is a mutable
@@ -61,6 +61,15 @@ Nine rules, each guarding an invariant the simulator's design depends on
   it and publishes a copy.  ``PimSession.report`` filling
   ``SessionReport.obs`` — a report, not a decision — carries the only
   waiver.
+* ``terminal-write`` — under ``repro/``, an assignment to ``.admitted``,
+  ``.rejected_reason`` or ``.finish_ns`` outside the tiers' settle methods
+  (``ServiceFrontend._settle_rejected`` / ``_settle_completed``,
+  ``ClusterFrontend._reject_record`` / ``_gather``, ``HostBackend.offer``).
+  Those three attributes make a request envelope terminal, and the settle
+  method is also where its counts are taken and its recording published:
+  an inline ``record.admitted = False`` is a rejection no counter, span
+  or roll-up hears about — the way ``frontend.completed`` and
+  ``cluster.rejected`` once drifted from the state they describe.
 
 A finding is suppressed by a ``# lint: allow[<rule>]`` comment on its
 line.  Run locally with::
@@ -92,6 +101,7 @@ RULES = (
     "plane-aliasing",
     "knob-drift",
     "obs-readback",
+    "terminal-write",
 )
 
 _WAIVER_RE = re.compile(r"#\s*lint:\s*allow\[([a-z-]+)\]")
@@ -112,6 +122,15 @@ _KNOB_PACKAGES = ("repro/service/", "repro/cluster/", "repro/api/")
 #: Where obs-readback applies: the simulator package, minus the plane itself.
 _REPRO_RE = re.compile(r"(^|/)repro/")
 _OBS_PACKAGE = "repro/obs/"
+
+#: terminal-write: the attributes that make a request envelope terminal,
+#: and the settle methods (per module) that alone may assign them.
+_TERMINAL_ATTRS = {"admitted", "rejected_reason", "finish_ns"}
+_SETTLE_METHODS = {
+    "repro/service/frontend.py": {"_settle_rejected", "_settle_completed"},
+    "repro/cluster/frontend.py": {"_reject_record", "_gather"},
+    "repro/api/backends.py": {"offer"},
+}
 
 #: Mutable literal node types a default must never be.
 _MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
@@ -272,9 +291,17 @@ class _ModuleLinter(ast.NodeVisitor):
         )
         # Everything in the simulator but the plane itself may only write
         # recordings, never read them back.
-        self._in_readback_scope = (
-            _REPRO_RE.search(normalized) is not None and _OBS_PACKAGE not in normalized
-        )
+        in_repro = _REPRO_RE.search(normalized) is not None
+        self._in_readback_scope = in_repro and _OBS_PACKAGE not in normalized
+        # Everything in the simulator settles envelopes through the tiers'
+        # doors: the methods of this module (if any) that may write the
+        # terminal attributes, None outside the simulator.
+        self._settle_methods: Optional[Set[str]] = None
+        if in_repro:
+            self._settle_methods = next(
+                (names for suffix, names in _SETTLE_METHODS.items() if normalized.endswith(suffix)),
+                set(),
+            )
 
     def _add(self, node: ast.AST, rule: str, message: str) -> None:
         self.findings.append(
@@ -496,21 +523,42 @@ class _ModuleLinter(ast.NodeVisitor):
                 else:
                     aliases.discard(target.id)  # e.g. rebound to a .copy()
 
+    # -- terminal-write ------------------------------------------------
+    def _check_terminal_write(self, node: ast.AST, targets: Sequence[ast.expr]) -> None:
+        if self._settle_methods is None:
+            return
+        if self._function_stack and self._function_stack[-1] in self._settle_methods:
+            return
+        for target in targets:
+            if isinstance(target, (ast.Tuple, ast.List)):
+                self._check_terminal_write(node, target.elts)
+            elif isinstance(target, ast.Attribute) and target.attr in _TERMINAL_ATTRS:
+                self._add(
+                    node,
+                    "terminal-write",
+                    f"assignment to .{target.attr} outside a settle method: an envelope "
+                    "goes terminal through its tier's one door, where the counts are "
+                    "taken and the recording is published",
+                )
+
     # -- frozen-mutation -----------------------------------------------
     def visit_Assign(self, node: ast.Assign) -> None:
         self._check_self_assign(node, node.targets)
         self._check_plane_store(node, node.targets, node.value)
+        self._check_terminal_write(node, node.targets)
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         if node.value is not None:
             self._check_self_assign(node, [node.target])
             self._check_plane_store(node, [node.target], node.value)
+            self._check_terminal_write(node, [node.target])
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         self._check_self_assign(node, [node.target])
         self._check_plane_store(node, [node.target], None)
+        self._check_terminal_write(node, [node.target])
         self.generic_visit(node)
 
     def _check_self_assign(self, node: ast.AST, targets: Sequence[ast.expr]) -> None:
