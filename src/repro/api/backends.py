@@ -52,8 +52,10 @@ class Backend(Protocol):
     A backend owns a virtual clock (``clock_ns``), admits requests with
     :meth:`offer` (returning a duck-typed envelope carrying ``admitted``,
     ``rejected_reason``, ``completed``, ``value``, ``metrics`` and the
-    wait/sojourn accounting), serves queued work as its clock advances,
-    and summarizes everything served with :meth:`result`.
+    wait/sojourn accounting), serves queued work as its clock advances —
+    settling each envelope the instant its outcome is known, so what a
+    caller reads off one is never stale — and summarizes everything served
+    with :meth:`result`.
 
     The three tiers here also offer ``check_request(request)``, raising
     for a request :meth:`offer` would refuse outright (a type the tier

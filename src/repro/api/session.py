@@ -229,7 +229,8 @@ class Future:
         self._response: Optional[Response] = None
 
     def done(self) -> bool:
-        """True once the request has been served (never for rejected ones)."""
+        """True once the record is completed — its ``finish_ns``, ``value``
+        and ``metrics`` are stamped (never for rejected ones)."""
         return bool(self.record.completed)
 
     @property
@@ -649,7 +650,6 @@ class PimSession:
         label = name or self.name
         records = [future.record for future in self.futures]
         if self.tier == "cluster":
-            self.backend.gather()
             parts_by_shard: Dict[int, List] = {}
             for record in records:
                 for shard_id, part in zip(record.shard_ids, record.parts):
@@ -820,8 +820,6 @@ class PimSession:
 
     def _build_response(self, future: Future) -> Response:
         record = future.record
-        if self.tier == "cluster" and math.isnan(record.finish_ns):
-            self.backend.gather()
         scan = record.metrics
         value = record.value
         matching: Optional[int] = None

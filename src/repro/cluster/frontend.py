@@ -23,10 +23,14 @@ shards is *scattered*: each shard gets a sub-conjunction over its own
 :class:`~repro.database.sharding.BitmapIndexShardView` (lowered and
 executed entirely shard-locally), and the gather path merges the partial
 bitmaps host-side with bitwise ANDs — bit-exact with single-device
-evaluation, because every predicate is applied exactly once.  Scatter
-admission is all-or-nothing: if any shard refuses its part, the siblings
-are withdrawn (:meth:`ServiceFrontend.cancel`) and the cluster record is
-rejected.
+evaluation, because every predicate is applied exactly once.  A scatter
+is all-or-nothing, at the door and after it: the instant any part is lost
+— refused at admission, shed or cancelled while queued, its failover
+replacement refused — the siblings are withdrawn
+(:meth:`ServiceFrontend.cancel`) and the cluster record is rejected; the
+instant its last part completes, the record is gathered.  Each shard
+reports its settled envelopes as they happen
+(:attr:`ServiceFrontend.on_settled`); nothing polls.
 
 **Virtual time.**  Every shard runs its own virtual clock; the cluster
 drives them together: arrivals are processed in global order, each shard
@@ -41,7 +45,6 @@ per-shard knobs are declared; the constructor takes only the topology.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -70,6 +73,7 @@ from repro.service.requests import (
     RequestEnvelope,
     ScanRequest,
     checked_arrival,
+    checked_non_negative,
 )
 from repro.storage.requests import WriteRequest, charged_columns, is_write_request
 
@@ -90,7 +94,7 @@ class ClusterRecord(RequestEnvelope):
     A request that scatters over G shards has G ``parts`` (one per-shard
     :class:`~repro.service.requests.QueuedRequest`); a routed scan has
     one.  The shared envelope fields read at cluster level: ``admitted``
-    is False when any shard refused its part, ``start_ns`` is the first
+    is False once any part was refused or lost, ``start_ns`` is the first
     part's service start and ``finish_ns`` the last part's finish plus
     the gather merge, ``value`` is the gathered result (merged partial
     bitmaps for a scattered conjunction; the part's own value otherwise),
@@ -120,11 +124,6 @@ class ClusterRecord(RequestEnvelope):
     #: (the live replacements sit in :attr:`parts`); audit trail for the
     #: conservation property — nothing is dropped, only re-homed.
     migrated_parts: List[QueuedRequest] = field(default_factory=list)
-
-    @property
-    def completed(self) -> bool:
-        """True once every part has been served (and none was shed)."""
-        return self.admitted and bool(self.parts) and all(p.completed for p in self.parts)
 
     @property
     def fanout(self) -> int:
@@ -214,11 +213,9 @@ class ClusterFrontend:
         observe: Union[bool, Observer] = False,
         faults: Optional[FaultPlan] = None,
     ) -> None:
-        if merge_ns_per_op < 0.0:
-            raise ValueError("merge_ns_per_op must be non-negative")
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
-        self.merge_ns_per_op = float(merge_ns_per_op)
+        self.merge_ns_per_op = checked_non_negative("merge_ns_per_op", merge_ns_per_op)
         config = config or PipelineConfig()
         #: One policy for the coordinator's functional write step and
         #: every shard planner's charging: pinned into the config the
@@ -258,7 +255,9 @@ class ClusterFrontend:
 
     def _build_shard(self) -> ServiceFrontend:
         factory = self._engine_factory
-        return ServiceFrontend(self.config, engine=factory() if factory else None)
+        shard = ServiceFrontend(self.config, engine=factory() if factory else None)
+        shard.on_settled = self._part_settled
+        return shard
 
     # ------------------------------------------------------------------
     # Observability
@@ -402,8 +401,8 @@ class ClusterFrontend:
 
         Scans go to the least-loaded replica of their column's shard set;
         conjunctions scatter into shard-local sub-conjunctions; everything
-        else goes to the least-loaded shard.  Scatter admission is
-        all-or-nothing: one refused part withdraws the rest.
+        else goes to the least-loaded shard.  A scatter is all-or-nothing:
+        one refused part withdraws the rest.
         """
         arrival = checked_arrival(self.clock_ns, arrival_ns, deadline_ns)
         self.check_request(request)
@@ -446,6 +445,7 @@ class ClusterFrontend:
             )
             record.shard_ids.append(shard_id)
             record.parts.append(part)
+            part.parent = record
             if not part.admitted:
                 self._reject_record(record, part.rejected_reason)
                 return record
@@ -603,14 +603,15 @@ class ClusterFrontend:
         status: str = "rejected",
     ) -> None:
         """The one door through which a record is rejected, all-or-nothing:
-        every part still queued is withdrawn (parts already served are
-        wasted work, as in a real scatter).  The record leaves at
-        ``left_ns`` — None when :meth:`offer` refuses it at the door, where
-        the scatter outcome is recorded first."""
+        every part is let go of and, if still queued, withdrawn (parts
+        already served are wasted work, as in a real scatter).  The record
+        leaves at ``left_ns`` — None when :meth:`offer` refuses it at the
+        door, where the scatter outcome is recorded first."""
         record.admitted = False
         record.rejected_reason = reason
         self.rejected += 1
         for shard, sibling in zip(record.shard_ids, record.parts):
+            sibling.parent = None
             if sibling.admitted and not sibling.completed:
                 self.shards[shard].cancel(sibling, reason=part_reason)
         if not self.obs.enabled:
@@ -669,7 +670,7 @@ class ClusterFrontend:
             self.faults.poll(self, self.clock_ns)
 
     def drain(self) -> None:
-        """Serve every shard until all queues are empty, then gather.
+        """Serve every shard until all queues are empty.
 
         Fault events and controller ticks due before the work horizon
         still fire in order; events scheduled past the horizon stay
@@ -717,7 +718,6 @@ class ClusterFrontend:
         )
         if self.faults is not None:
             self.faults.poll(self, self.clock_ns)
-        self._finalize_records()
 
     # ------------------------------------------------------------------
     # Faults and failover
@@ -812,31 +812,29 @@ class ClusterFrontend:
         return new_id
 
     def _migrate_queued(self, shard_id: int, now: float, reason: str) -> int:
-        """Cancel every still-queued part on ``shard_id`` and re-offer it
-        to surviving shards; returns how many parts migrated.  Parts
-        already dispatched complete in place (fail-stop boundary); a part
-        with no surviving placement fails its whole record (typed
-        degraded-mode outcome, never a silent drop)."""
+        """Cancel every record part still queued on ``shard_id`` and
+        re-offer it to surviving shards, in (record, part position) order;
+        returns how many parts migrated.  Parts already dispatched complete
+        in place (fail-stop boundary); a part with no surviving placement,
+        or whose replacement is refused, sinks its whole record (a typed
+        outcome, never a silent drop)."""
+
+        def position(part: QueuedRequest) -> int:
+            return next(k for k, p in enumerate(part.parent.parts) if p is part)
+
+        shard = self.shards[shard_id]
+        queued = [part for part in shard.queued() if part.parent is not None]
+        queued.sort(key=lambda part: (part.parent.seq, position(part)))
         migrated = 0
-        for record in self.records:
-            if not record.admitted or record.completed:
-                continue
-            k = 0
-            while k < len(record.parts):
-                part = record.parts[k]
-                if (
-                    record.shard_ids[k] == shard_id
-                    and part.admitted
-                    and not part.completed
-                    and self.shards[shard_id].cancel(part, reason=reason)
-                ):
-                    replaced = self._reoffer_part(record, k, shard_id, part, now)
-                    if replaced is None:
-                        break  # record failed; siblings already withdrawn
-                    migrated += 1
-                    k += replaced
-                else:
-                    k += 1
+        for part in queued:
+            record = part.parent
+            if record is None:
+                continue  # its record sank with a part migrated before it
+            k = position(part)
+            part.parent = None  # detached: this cancel must not sink the record
+            shard.cancel(part, reason=reason)
+            if self._reoffer_part(record, k, shard_id, part, now) is not None:
+                migrated += 1
         return migrated
 
     def _reoffer_part(
@@ -849,8 +847,9 @@ class ClusterFrontend:
     ) -> Optional[int]:
         """Re-offer one cancelled part of ``record`` onto surviving
         shards at ``now``; returns how many replacement parts took its
-        place in :attr:`ClusterRecord.parts`, or None when no surviving
-        placement exists (the record is failed, siblings withdrawn)."""
+        place in :attr:`ClusterRecord.parts`, or None when the record sank
+        with it (siblings withdrawn): no surviving placement exists, or a
+        target shard refused its replacement at the door."""
         load = lambda shard: self.shard_load(shard, now)  # noqa: E731
         request = part.request
         plan: List[Tuple[int, FrontendRequest]]
@@ -889,6 +888,7 @@ class ClusterFrontend:
                 deadline_ns=record.deadline_ns,
                 arrival_ns=now,
             )
+            new_part.parent = record
             new_ids.append(shard_id)
             new_parts.append(new_part)
             if record.trace is not None and new_part.trace is not None:
@@ -901,8 +901,11 @@ class ClusterFrontend:
         self._count("failovers", "cluster.failover.migrated_parts")
         if self.obs.enabled:
             self.obs.metrics.counter("cluster.failover.reoffers").inc(float(len(plan)))
-        # A replacement refused by target admission flows through the
-        # existing all-or-nothing rejection in _finalize_records.
+        refused = next((p for p in new_parts if not p.admitted), None)
+        if refused is not None:
+            # All-or-nothing holds for a replacement too.
+            self._reject_record(record, refused.rejected_reason, left_ns=now)
+            return None
         return len(new_parts)
 
     # ------------------------------------------------------------------
@@ -1001,6 +1004,19 @@ class ClusterFrontend:
     # ------------------------------------------------------------------
     # Gather and reporting
     # ------------------------------------------------------------------
+    def _part_settled(self, shard: ServiceFrontend, part: QueuedRequest) -> None:
+        """A shard's settle doors report here (``on_settled``): a part lost
+        after admission sinks its record at that shard's instant, the last
+        part to complete gathers it.  A part with no ``parent`` — detached,
+        its record already terminal, or no record's part — is not ours."""
+        record = part.parent
+        if record is None:
+            return
+        if not part.admitted:
+            self._reject_record(record, part.rejected_reason, left_ns=shard.clock_ns)
+        elif all(p.completed for p in record.parts):
+            self._gather(record)
+
     def _gather(self, record: ClusterRecord) -> None:
         """The one door through which a record completes: merge its shard
         parts into its final value, take their counts, publish."""
@@ -1008,6 +1024,7 @@ class ClusterFrontend:
         record.start_ns = min(p.start_ns for p in parts)
         record.finish_ns = max(p.finish_ns for p in parts)
         for part in parts:
+            part.parent = None
             record.add_counts(part)
         tree_depth = 0
         if is_write_request(record.request):
@@ -1051,23 +1068,12 @@ class ClusterFrontend:
             self._obs_gathered(record, tree_depth)
 
     def gather(self) -> None:
-        """Gather every finished record (public hook for sessions/futures)."""
-        self._finalize_records()
-
-    def _finalize_records(self) -> None:
-        """Settle every record whose parts have: a part shed after
-        admission sinks the whole scatter, a record whose parts all
-        completed is gathered."""
-        for record in self.records:
-            if record.admitted and any(not p.admitted for p in record.parts):
-                failed = next(p for p in record.parts if not p.admitted)
-                self._reject_record(record, failed.rejected_reason, left_ns=self.clock_ns)
-            if math.isnan(record.finish_ns) and record.completed:
-                self._gather(record)
+        """Does nothing: a record is gathered the instant its last part
+        completes (:meth:`_part_settled`).  Kept only because the frozen
+        ``perf/tracing.py`` wraps it by name (ROADMAP item 1(a) removes it)."""
 
     def result(self, name: str = "cluster") -> ClusterResult:
-        """Gather all finished records and roll up cluster metrics."""
-        self._finalize_records()
+        """Roll up cluster metrics over every record offered so far."""
         per_shard = [
             shard.result(f"{name}/shard{i}") for i, shard in enumerate(self.shards)
         ]

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from numbers import Integral
 from typing import Any, Optional, Union
 
 from repro.cache.result_cache import ResultCache
+from repro.service.requests import checked_non_negative
 from repro.storage.maintenance import MaintenancePolicy
 
 #: Host cost of AND-merging two 8 KiB partial bitmaps: one level of the
@@ -59,10 +61,12 @@ class BatchPolicy:
     horizon_urgency: bool = True
 
     def __post_init__(self) -> None:
-        if self.max_batch <= 0:
-            raise ValueError("max_batch must be positive")
+        if not (isinstance(self.max_batch, Integral) and self.max_batch > 0):
+            raise ValueError("max_batch must be a positive integer")
         if self.window_ns is not None and not self.window_ns >= 0:
             raise ValueError("window_ns must be non-negative")
+        if self.urgency_slack_ns is not None:
+            checked_non_negative("urgency_slack_ns", self.urgency_slack_ns)
 
 
 @dataclass(frozen=True)
@@ -90,8 +94,7 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.max_split_lanes < 1:
             raise ValueError("max_split_lanes must be at least 1")
-        if self.merge_ns_per_op < 0.0:
-            raise ValueError("merge_ns_per_op must be non-negative")
+        checked_non_negative("merge_ns_per_op", self.merge_ns_per_op)
 
 
 @dataclass(frozen=True)
@@ -161,8 +164,8 @@ class PipelineConfig:
     maintenance: Union[str, MaintenancePolicy] = "eager"
 
     def __post_init__(self) -> None:
-        if self.max_queue_depth <= 0:
-            raise ValueError("max_queue_depth must be positive")
+        if not (isinstance(self.max_queue_depth, Integral) and self.max_queue_depth > 0):
+            raise ValueError("max_queue_depth must be a positive integer")
         if self.max_backlog_ns is not None and not 0.0 <= self.max_backlog_ns < math.inf:
             raise ValueError("max_backlog_ns must be finite and non-negative (or None)")
         if self.cache is not False and self.optimizer is None:

@@ -176,22 +176,18 @@ def poisson_schedule(
             ``clock_ns`` — arrivals stamped before the frontend's current
             clock would be accounted as having waited since t=0.
     """
-    if rate_per_s <= 0:
-        raise ValueError("rate_per_s must be positive")
+    if not 0 < rate_per_s < math.inf:
+        raise ValueError("rate_per_s must be finite and positive")
     rng = np.random.default_rng(seed)
-    events: List[ArrivalEvent] = []
+    arrivals: List[float] = []
     now = float(start_ns)
-    for i, request in enumerate(requests):
+    for _ in requests:
         now += rng.exponential(1e9 / rate_per_s)
-        events.append(
-            ArrivalEvent(
-                request=request,
-                arrival_ns=now,
-                priority=priorities[i] if priorities is not None else 0,
-                deadline_ns=now + deadline_slack_ns if deadline_slack_ns is not None else None,
-            )
-        )
-    return events
+        arrivals.append(now)
+    deadlines = None
+    if deadline_slack_ns is not None:
+        deadlines = [at + deadline_slack_ns for at in arrivals]
+    return trace_schedule(requests, arrivals, priorities, deadlines)
 
 
 def trace_schedule(
@@ -201,8 +197,12 @@ def trace_schedule(
     deadlines_ns: Optional[Sequence[Optional[float]]] = None,
 ) -> List[ArrivalEvent]:
     """Schedule requests at recorded trace timestamps."""
-    if len(requests) != len(arrival_times_ns):
-        raise ValueError("requests and arrival_times_ns differ in length")
+    per_request = dict(
+        arrival_times_ns=arrival_times_ns, priorities=priorities, deadlines_ns=deadlines_ns
+    )
+    for name, values in per_request.items():
+        if values is not None and len(values) != len(requests):
+            raise ValueError(f"requests and {name} differ in length")
     events = []
     for i, (request, at) in enumerate(zip(requests, arrival_times_ns)):
         events.append(
@@ -293,6 +293,10 @@ class ServiceFrontend:
         self.busy_ns = 0.0
         #: Queued requests evicted by priority-class load shedding.
         self.shed_requests = 0
+        #: Called with (this frontend, the envelope) the moment one goes
+        #: terminal, after its recording is published; a cluster installs
+        #: its part handler here.
+        self.on_settled: Optional[Callable[["ServiceFrontend", QueuedRequest], None]] = None
         self._heap: List = []
         self._seq = 0
         self._backlog_ns = 0.0
@@ -376,11 +380,11 @@ class ServiceFrontend:
 
     # ------------------------------------------------------------------
     # Settling: the one door per outcome through which an envelope becomes
-    # terminal — where the outcome is stamped, the counts are taken and
-    # the recording is published.  Counters and histograms count every
-    # transition that happens while the plane records; span children need
-    # a root opened at arrival (a plane bound mid-stream has none for the
-    # requests already queued).
+    # terminal — where the outcome is stamped, the counts are taken, the
+    # recording is published and ``on_settled`` is told.  Counters and
+    # histograms count every transition that happens while the plane
+    # records; span children need a root opened at arrival (a plane bound
+    # mid-stream has none for the requests already queued).
     # ------------------------------------------------------------------
     def _settle_rejected(
         self, queued: QueuedRequest, reason: str, left_ns: Optional[float] = None
@@ -389,22 +393,23 @@ class ServiceFrontend:
         admitted), or at ``left_ns`` when it leaves the queue it was in."""
         queued.admitted = False
         queued.rejected_reason = reason
-        if not self.obs.enabled:
-            return
-        span = queued.trace
-        if span is not None:
-            if left_ns is None:
-                span.child(
-                    "admission",
-                    category="request",
-                    start_ns=queued.arrival_ns,
-                    end_ns=queued.arrival_ns,
-                ).set(admitted=False, reason=reason)
-                left_ns = queued.arrival_ns
-            span.end(left_ns).set(status="rejected", reason=reason)
-        registry = self.obs.metrics
-        registry.counter("frontend.rejected").inc()
-        registry.counter(f"frontend.rejected.{reason}").inc()
+        if self.obs.enabled:
+            span = queued.trace
+            if span is not None:
+                if left_ns is None:
+                    span.child(
+                        "admission",
+                        category="request",
+                        start_ns=queued.arrival_ns,
+                        end_ns=queued.arrival_ns,
+                    ).set(admitted=False, reason=reason)
+                    left_ns = queued.arrival_ns
+                span.end(left_ns).set(status="rejected", reason=reason)
+            registry = self.obs.metrics
+            registry.counter("frontend.rejected").inc()
+            registry.counter(f"frontend.rejected.{reason}").inc()
+        if self.on_settled is not None:
+            self.on_settled(self, queued)
 
     def _settle_completed(
         self,
@@ -424,39 +429,40 @@ class ServiceFrontend:
         queued.metrics = self.planner.group_metrics(group, own)
         queued.value = group.finalize(own)
         queued.add_counts(group)
-        if not self.obs.enabled:
-            return
-        span = queued.trace
-        if span is not None:
-            span.child(
-                "queue",
-                category="request",
-                start_ns=queued.arrival_ns,
-                end_ns=queued.start_ns,
-            )
-            span.child(
-                "service",
-                category="request",
-                start_ns=queued.start_ns,
-                end_ns=queued.finish_ns,
-            ).set(
-                batch=batch_index,
-                ops_eliminated=queued.ops_eliminated,
-                shared_subchains=queued.shared_subchains,
-                host_merge_ns=queued.host_merge_ns,
-                cache_hits=queued.cache_hits,
-                cache_misses=queued.cache_misses,
-            )
-            span.end(queued.finish_ns).set(
-                status="completed", deadline_missed=queued.deadline_missed
-            )
-            self._obs_maintenance(queued, group)
-        registry = self.obs.metrics
-        registry.counter("frontend.completed").inc()
-        if queued.deadline_missed:
-            registry.counter("frontend.deadline_misses").inc()
-        registry.histogram("frontend.wait_ns").observe(queued.wait_ns)
-        registry.histogram("frontend.sojourn_ns").observe(queued.sojourn_ns)
+        if self.obs.enabled:
+            span = queued.trace
+            if span is not None:
+                span.child(
+                    "queue",
+                    category="request",
+                    start_ns=queued.arrival_ns,
+                    end_ns=queued.start_ns,
+                )
+                span.child(
+                    "service",
+                    category="request",
+                    start_ns=queued.start_ns,
+                    end_ns=queued.finish_ns,
+                ).set(
+                    batch=batch_index,
+                    ops_eliminated=queued.ops_eliminated,
+                    shared_subchains=queued.shared_subchains,
+                    host_merge_ns=queued.host_merge_ns,
+                    cache_hits=queued.cache_hits,
+                    cache_misses=queued.cache_misses,
+                )
+                span.end(queued.finish_ns).set(
+                    status="completed", deadline_missed=queued.deadline_missed
+                )
+                self._obs_maintenance(queued, group)
+            registry = self.obs.metrics
+            registry.counter("frontend.completed").inc()
+            if queued.deadline_missed:
+                registry.counter("frontend.deadline_misses").inc()
+            registry.histogram("frontend.wait_ns").observe(queued.wait_ns)
+            registry.histogram("frontend.sojourn_ns").observe(queued.sojourn_ns)
+        if self.on_settled is not None:
+            self.on_settled(self, queued)
 
     # ------------------------------------------------------------------
     # Admission
@@ -684,7 +690,8 @@ class ServiceFrontend:
     # ------------------------------------------------------------------
     # Service
     # ------------------------------------------------------------------
-    def _queued(self) -> List[QueuedRequest]:
+    def queued(self) -> List[QueuedRequest]:
+        """The admitted requests still waiting for a batch (heap order)."""
         return [q for _, q in self._heap]
 
     def _dispatch_ready_ns(self) -> float:
@@ -833,7 +840,7 @@ class ServiceFrontend:
         cluster frontend, and the retry client.
         """
         while self._heap and self.clock_ns < until_ns:
-            queued = self._queued()  # the heap only changes when a batch is served
+            queued = self.queued()  # the heap only changes when a batch is served
             if self.planner.should_close(queued, self.clock_ns):
                 # An urgent (horizon-priced deadline) close bypasses the
                 # dispatch gate: waiting for a free lane is exactly what

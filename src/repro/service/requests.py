@@ -121,6 +121,20 @@ class CopyRequest:
 ServiceRequest = Union[BulkOpRequest, ScanRequest, CopyRequest]
 
 
+def checked_non_negative(name: str, value: float) -> float:
+    """``value`` as a float, refused unless finite and non-negative.
+
+    The one check behind every time and cost a caller hands in (arrival
+    stamps, ``merge_ns_per_op``, ``urgency_slack_ns``): NaN passes any
+    ``< 0`` guard and then poisons every clock it is added to, stranding
+    requests in no terminal state.
+    """
+    value = float(value)
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+    return value
+
+
 def checked_arrival(
     clock_ns: float, arrival_ns: Optional[float], deadline_ns: Optional[float]
 ) -> float:
@@ -132,9 +146,7 @@ def checked_arrival(
     the clock and every percentile of the window, a negative one predates
     the clock's origin, and a NaN deadline can never be missed.
     """
-    arrival = clock_ns if arrival_ns is None else float(arrival_ns)
-    if not math.isfinite(arrival) or arrival < 0:
-        raise ValueError(f"arrival time must be finite and non-negative, got {arrival!r}")
+    arrival = checked_non_negative("arrival time", clock_ns if arrival_ns is None else arrival_ns)
     if deadline_ns is not None and math.isnan(deadline_ns):
         raise ValueError("deadline_ns must not be NaN")
     return arrival
@@ -250,7 +262,9 @@ class RequestEnvelope(PlanCounts):
 
     @property
     def completed(self) -> bool:
-        """True once the request has been served."""
+        """True once ``finish_ns`` is stamped — the one definition on every
+        tier: the completion door stamps it together with ``value`` and
+        ``metrics``, so a completed envelope always has a finite sojourn."""
         return self.admitted and not math.isnan(self.finish_ns)
 
     @property
@@ -289,6 +303,10 @@ class QueuedRequest(RequestEnvelope):
     #: backlog vector.
     modeled_banks: List = field(default_factory=list)
     batch_index: int = -1
+    #: The :class:`~repro.cluster.frontend.ClusterRecord` this envelope is
+    #: a live part of: set by the cluster when it takes the part, cleared
+    #: when the record settles or the part is detached to be re-homed.
+    parent: Any = field(default=None, repr=False, compare=False)
 
     def sort_key(self) -> Tuple[float, float, int]:
         """Queue order: priority first, then earliest deadline, then FIFO."""

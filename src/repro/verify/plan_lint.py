@@ -74,6 +74,77 @@ class ChainLintReport:
     op_counts: Dict[str, int] = field(default_factory=dict)
 
 
+def _check_step(
+    index: int, step: ChainStep, num_rows: int, produced: Dict[int, int], row_size: Optional[int]
+) -> Tuple[List[BulkBitVector], Optional[int]]:
+    """Certify one ``(op, a, b, out)`` step: a known op of the right arity
+    that does not consume its own output, or an output ``produced`` (vector
+    id → step index) by a step that has not executed yet, over vectors
+    ``num_rows`` wide and uniformly padded.  Returns the operands no step
+    produces (the step's sources) and the padding every later step must
+    match (``row_size``, or the first vector's when that was None)."""
+    op, a, b, out = step
+    if op not in BULK_OPS:
+        raise DanglingOperandError(
+            f"step {index} carries unknown op {op!r}",
+            details={"step": index, "op": op},
+        )
+    operands = [a] if op == "not" else [a, b]
+    if op == "not" and b is not None:
+        raise DanglingOperandError(
+            f"step {index}: unary 'not' carries a second operand",
+            details={"step": index, "op": op},
+        )
+    if op != "not" and b is None:
+        raise DanglingOperandError(
+            f"step {index}: binary {op!r} is missing its second operand",
+            details={"step": index, "op": op},
+        )
+    unproduced: List[BulkBitVector] = []
+    for operand in operands:
+        assert operand is not None
+        if operand is out:
+            raise ChainCycleError(
+                f"step {index} consumes its own output in place",
+                details={"step": index, "op": op},
+            )
+        producer = produced.get(id(operand))
+        if producer is None:
+            unproduced.append(operand)
+        elif producer >= index:
+            raise ChainCycleError(
+                f"step {index} consumes the output of step {producer}, "
+                "which has not executed yet",
+                details={"step": index, "producer": producer},
+            )
+    for vector in (*operands, out):
+        assert vector is not None
+        if vector.num_bits != num_rows:
+            raise WidthMismatchError(
+                f"step {index}: operand width {vector.num_bits} != "
+                f"conjunction rows {num_rows}",
+                details={
+                    "step": index,
+                    "num_bits": vector.num_bits,
+                    "num_rows": num_rows,
+                },
+            )
+        if row_size is None:
+            row_size = vector.row_size_bytes
+        elif vector.row_size_bytes != row_size:
+            raise WidthMismatchError(
+                f"step {index}: row padding {vector.row_size_bytes} != "
+                f"chain padding {row_size} — charged per-step cost would "
+                "diverge from the plan-level model",
+                details={
+                    "step": index,
+                    "row_size_bytes": vector.row_size_bytes,
+                    "expected": row_size,
+                },
+            )
+    return unproduced, row_size
+
+
 def lint_chain(
     steps: Sequence[ChainStep],
     result: BulkBitVector,
@@ -108,64 +179,9 @@ def lint_chain(
 
     sources: Dict[int, BulkBitVector] = {}
     row_size = row_size_bytes
-    for index, (op, a, b, out) in enumerate(steps):
-        if op not in BULK_OPS:
-            raise DanglingOperandError(
-                f"step {index} carries unknown op {op!r}",
-                details={"step": index, "op": op},
-            )
-        operands = [a] if op == "not" else [a, b]
-        if op == "not" and b is not None:
-            raise DanglingOperandError(
-                f"step {index}: unary 'not' carries a second operand",
-                details={"step": index, "op": op},
-            )
-        if op != "not" and b is None:
-            raise DanglingOperandError(
-                f"step {index}: binary {op!r} is missing its second operand",
-                details={"step": index, "op": op},
-            )
-        for operand in operands:
-            assert operand is not None
-            if operand is out:
-                raise ChainCycleError(
-                    f"step {index} consumes its own output in place",
-                    details={"step": index, "op": op},
-                )
-            producer = produced.get(id(operand))
-            if producer is None:
-                sources[id(operand)] = operand
-            elif producer >= index:
-                raise ChainCycleError(
-                    f"step {index} consumes the output of step {producer}, "
-                    "which has not executed yet",
-                    details={"step": index, "producer": producer},
-                )
-        for vector in (*operands, out):
-            assert vector is not None
-            if vector.num_bits != num_rows:
-                raise WidthMismatchError(
-                    f"step {index}: operand width {vector.num_bits} != "
-                    f"conjunction rows {num_rows}",
-                    details={
-                        "step": index,
-                        "num_bits": vector.num_bits,
-                        "num_rows": num_rows,
-                    },
-                )
-            if row_size is None:
-                row_size = vector.row_size_bytes
-            elif vector.row_size_bytes != row_size:
-                raise WidthMismatchError(
-                    f"step {index}: row padding {vector.row_size_bytes} != "
-                    f"chain padding {row_size} — charged per-step cost would "
-                    "diverge from the plan-level model",
-                    details={
-                        "step": index,
-                        "row_size_bytes": vector.row_size_bytes,
-                        "expected": row_size,
-                    },
-                )
+    for index, step in enumerate(steps):
+        unproduced, row_size = _check_step(index, step, num_rows, produced, row_size)
+        sources.update((id(operand), operand) for operand in unproduced)
 
     # The final result must be what the chain actually computes: the last
     # step's output, or (for a zero-step chain) a source vector.
@@ -379,67 +395,12 @@ def lint_optimized_batch(
             details={"steps": unowned},
         )
 
-    # Per-step structure: op validity, arity, self-consumption, operands
-    # produced before (across request boundaries), widths and padding.
+    # Per-step structure, with operands produced before their consumers
+    # across request boundaries.
     row_size = row_size_bytes
     for index in sorted(steps):
-        op, a, b, out = steps[index]
         num_rows = views[owner[index]].num_rows
-        if op not in BULK_OPS:
-            raise DanglingOperandError(
-                f"step {index} carries unknown op {op!r}",
-                details={"step": index, "op": op},
-            )
-        operands = [a] if op == "not" else [a, b]
-        if op == "not" and b is not None:
-            raise DanglingOperandError(
-                f"step {index}: unary 'not' carries a second operand",
-                details={"step": index, "op": op},
-            )
-        if op != "not" and b is None:
-            raise DanglingOperandError(
-                f"step {index}: binary {op!r} is missing its second operand",
-                details={"step": index, "op": op},
-            )
-        for operand in operands:
-            assert operand is not None
-            if operand is out:
-                raise ChainCycleError(
-                    f"step {index} consumes its own output in place",
-                    details={"step": index, "op": op},
-                )
-            producer = produced.get(id(operand))
-            if producer is not None and producer >= index:
-                raise ChainCycleError(
-                    f"step {index} consumes the output of step {producer}, "
-                    "which has not executed yet",
-                    details={"step": index, "producer": producer},
-                )
-        for vector in (*operands, out):
-            assert vector is not None
-            if vector.num_bits != num_rows:
-                raise WidthMismatchError(
-                    f"step {index}: operand width {vector.num_bits} != "
-                    f"conjunction rows {num_rows}",
-                    details={
-                        "step": index,
-                        "num_bits": vector.num_bits,
-                        "num_rows": num_rows,
-                    },
-                )
-            if row_size is None:
-                row_size = vector.row_size_bytes
-            elif vector.row_size_bytes != row_size:
-                raise WidthMismatchError(
-                    f"step {index}: row padding {vector.row_size_bytes} != "
-                    f"chain padding {row_size} — charged per-step cost would "
-                    "diverge from the plan-level model",
-                    details={
-                        "step": index,
-                        "row_size_bytes": vector.row_size_bytes,
-                        "expected": row_size,
-                    },
-                )
+        _, row_size = _check_step(index, steps[index], num_rows, produced, row_size)
 
     shared_steps = 0
     total_eliminated = 0

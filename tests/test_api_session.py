@@ -1129,6 +1129,27 @@ class TestPipelineConfig:
         with pytest.raises(ValueError):
             PimSession.over_cluster(num_shards=2, engine_factory=_engine, **bad)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: OptimizerConfig(merge_ns_per_op=float("nan")),
+            lambda: OptimizerConfig(merge_ns_per_op=float("inf")),
+            lambda: PimSession.over_cluster(
+                num_shards=3, engine_factory=_engine, merge_ns_per_op=float("nan")
+            ),
+            lambda: BatchPolicy(urgency_slack_ns=float("nan")),
+            lambda: BatchPolicy(max_batch=2.5),
+            lambda: PipelineConfig(max_queue_depth=2.5),
+        ],
+        ids=["optimizer-nan", "optimizer-inf", "cluster-nan", "slack-nan", "batch-2.5", "depth-2.5"],
+    )
+    def test_nan_and_fractional_knobs_fail_at_construction(self, build):
+        """A NaN ``merge_ns_per_op`` passed both ``< 0.0`` guards and then
+        stamped NaN finish times: the service tier's conjunction "did not
+        complete after drain", the cluster's came back with a NaN sojourn."""
+        with pytest.raises(ValueError):
+            build()
+
     def test_unknown_knob_names_the_valid_ones(self):
         for build in (PimSession.over_service, PimSession.over_cluster):
             with pytest.raises(TypeError, match="unknown pipeline knob.*sanitise") as caught:

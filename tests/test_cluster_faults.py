@@ -13,6 +13,7 @@ the failover-reoffer lint, and the counter-vs-metrics audit.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -819,6 +820,95 @@ def _sum_counts(holders):
     return total.plan_counts()
 
 
+def _two_shard_stream(observe=True):
+    """Two shards, index column "a" and a scan column on shard 0, "b" on
+    shard 1; queues two deep, shedding on, batches that close only on a
+    50 µs window — so what is offered stays queued until the test says."""
+    rng = np.random.default_rng(3)
+    table = ColumnTable("t", 150)
+    table.add_column("a", rng.integers(0, 8, size=150), cardinality=8)
+    table.add_column("b", rng.integers(0, 4, size=150), cardinality=4)
+    column = BitWeavingColumn(rng.integers(0, 64, size=200), 6)
+    router = ShardRouter(2)
+    router.set_replicas("a", [0])
+    router.set_replicas("b", [1])
+    router.set_replicas(column, [0])
+    cluster = _cluster(
+        2,
+        router=router,
+        observe=observe,
+        max_queue_depth=2,
+        shed_low_priority=True,
+        policy=BatchPolicy(max_batch=64, window_ns=50_000.0),
+    )
+    return cluster, BitmapIndex(table, ["a", "b"]), column
+
+
+class TestSettledWhereItHappens:
+    """A cluster record goes terminal at its part's settle door — the
+    instant the part is lost or the last one completes — not at the next
+    ``drain()`` / ``result()``."""
+
+    def test_a_part_shed_after_admission_sinks_its_record_at_once(self):
+        cluster, index, column = _two_shard_stream()
+        session = PimSession(cluster)
+        future = session.conjunction(index, [("a", (1, 2)), ("b", (0, 1))], at_ns=5.0)
+        record = future.record
+        assert record.shard_ids == [0, 1] and future.status == "queued"
+        busy = cluster.shards[1].busy_ns
+        for k, at in enumerate((10.0, 11.0, 12.0)):  # the second sheds the part
+            session.scan(column, "less_than", 10 + k, priority=1, at_ns=at)
+
+        # Right after the shedding offer — no drain, no advance.
+        assert (record.admitted, record.rejected_reason) == (False, "shed")
+        assert future.status == "rejected" and not future.done()
+        assert [p.rejected_reason for p in record.parts] == ["shed", "cancelled"]
+        assert record.trace.end_ns == record.parts[0].trace.end_ns == 11.0
+        assert cluster.rejected == 2  # with the third scan, refused queue_full
+        assert cluster.health().rejection_rate == 0.5
+        counters = cluster.obs.metrics.snapshot()["counters"]
+        assert counters["cluster.rejected"] == 2
+        assert all(p.parent is None for p in record.parts)
+        with pytest.raises(RequestRejected, match="shed"):
+            future.result()
+        # The withdrawn sibling never runs.
+        session.advance_to(200_000.0)
+        assert cluster.shards[1].busy_ns == busy
+        assert cluster.shards[1].result().metrics.completed == 0
+
+    def test_done_means_finished_on_every_surface(self):
+        cluster, index, _ = _two_shard_stream(observe=False)
+        session = PimSession(cluster)
+        future = session.conjunction(index, [("a", (1, 2)), ("b", (0, 1))], at_ns=5.0)
+        assert not future.done() and math.isnan(future.sojourn_ns)
+        assert all(p.parent is future.record for p in future.record.parts)
+        session.advance_to(200_000.0)  # serves both parts; nobody polls
+        assert future.done() and future.status == "completed"
+        assert math.isfinite(future.sojourn_ns) and future.metrics is not None
+        record = future.record
+        assert record.finish_ns == max(p.finish_ns for p in record.parts) + record.host_merge_ns
+        assert record.value is not None and all(p.parent is None for p in record.parts)
+        assert session.report().completed == 1
+
+    def test_an_idle_drain_touches_no_record(self):
+        cluster, index, _ = _two_shard_stream(observe=False)
+        cluster.offer(
+            BitmapConjunctionRequest(index=index, predicates=(("a", (1,)), ("b", (0,)))),
+            arrival_ns=5.0,
+        )
+        cluster.drain()
+
+        class Untouchable(list):
+            def __iter__(self):
+                raise AssertionError("the lifetime record list was walked")
+
+        cluster.records = Untouchable(cluster.records)
+        cluster.drain()
+        cluster.advance_to(cluster.clock_ns + 1_000.0)
+        cluster.gather()
+        assert len(cluster.records) == 1 and cluster.health().rejection_rate == 0.0
+
+
 class TestOneAccountingPath:
     KNOBS = dict(
         policy=BatchPolicy(max_batch=3, window_ns=600.0),
@@ -858,6 +948,15 @@ class TestOneAccountingPath:
             # `lonely` keeps one home, so killing it strands the column.
             home, spare = backend.router.replicas(lonely)
             backend.router.drop_replica(lonely, spare)
+            # Count every walk through a cluster door, per record.
+            doors = Counter()
+            for name in ("_gather", "_reject_record"):
+
+                def counted(record, *args, _door=getattr(backend, name), **kwargs):
+                    doors[record.seq] += 1
+                    return _door(record, *args, **kwargs)
+
+                setattr(backend, name, counted)
 
         half = len(events) // 2
         offered = [event.offer_to(backend) for event in events[:half]]
@@ -866,6 +965,13 @@ class TestOneAccountingPath:
             assert not queued or backend.cancel(queued[0])
         else:
             assert backend.fail_shard(home)
+            # Settled where it happened, not at the drain below: no admitted
+            # record holds a lost part, and only a live record is pointed at.
+            for record in backend.records:
+                assert not record.admitted or all(p.admitted for p in record.parts)
+                live = record.admitted and not record.completed
+                assert all((p.parent is record) == live for p in record.parts)
+                assert all(p.parent is None for p in record.migrated_parts)
         offered += [event.offer_to(backend) for event in events[half:]]
         backend.drain()
         metrics = backend.result().metrics
@@ -889,6 +995,7 @@ class TestOneAccountingPath:
             r for r in backend.records if r.completed
         )
         if tier == "cluster":
+            assert doors == Counter(record.seq for record in offered)  # one door, once
             assert backend.rejected == len(rejected)
             assert metrics.failover_failures == sum(
                 r.rejected_reason == "shard_unavailable" and bool(r.parts) for r in rejected
@@ -899,6 +1006,35 @@ class TestOneAccountingPath:
                 assert record.plan_counts() == _sum_counts(parts)
                 assert record.merge_ops == max(0, record.fanout - 1)
             assert any(r.rejected_reason == "shard_unavailable" for r in rejected)
+
+    def test_a_refused_replacement_rejects_its_record_at_the_kill(self):
+        """The one outcome only the old poll caught: a failover replacement
+        refused at its target's door.  The record sinks there — the target's
+        reason, the kill instant — and never reaches the drain in no state."""
+        cluster, index, column = _two_shard_stream()
+        conj = cluster.offer(
+            BitmapConjunctionRequest(index=index, predicates=(("a", (1, 2)), ("b", (0, 1)))),
+            arrival_ns=5.0,
+        )
+        filler = cluster.offer(
+            ScanRequest(column=column, kind="less_than", constants=(10,)), arrival_ns=6.0
+        )
+        assert conj.shard_ids == [0, 1] and cluster.shards[0].queue_depth == 2  # full
+        cluster.router.add_replica("b", 0)  # the only place shard 1's part can go
+        assert cluster.fail_shard(1, at_ns=7.0)
+
+        assert (conj.admitted, conj.rejected_reason) == (False, "queue_full")
+        assert [p.rejected_reason for p in conj.parts] == ["cancelled", "queue_full"]
+        assert [p.rejected_reason for p in conj.migrated_parts] == ["shard_failed"]
+        assert conj.trace.end_ns == 7.0
+        assert all(p.parent is None for p in conj.parts + conj.migrated_parts)
+        assert cluster.rejected == 1 and cluster.elastic.failover_failures == 0
+        busy = [shard.busy_ns for shard in cluster.shards]
+        cluster.drain()
+        metrics = cluster.result().metrics
+        assert (metrics.offered, metrics.completed, metrics.rejected) == (2, 1, 1)
+        assert filler.completed and cluster.rejected == 1
+        assert cluster.shards[1].busy_ns == busy[1]  # nothing of the record ran
 
     def test_one_pass_fold_equals_the_expression_by_expression_rollup(self):
         """`summarize_envelopes` — one walk, each series sorted once —

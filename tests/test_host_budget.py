@@ -25,7 +25,10 @@ vector per primitive, keying a conjunction per request, walking the cache
 per write): the tree before conjunction shapes were compiled once per
 template spent ~680 calls per plain request, the one before shapes were
 keyed once per template ~230 per all-hit request and ~810 per mixed one.
-Run with ``-s`` to see the measured numbers.
+A fourth budget is a *slope*: ``scan(...).result()`` per request over a
+two-shard cluster must cost the same at request 2 000 as at request 100 —
+the tree that settled records by walking every record ever offered spent
+7× more by then.  Run with ``-s`` to see the measured numbers.
 """
 
 import cProfile
@@ -172,3 +175,29 @@ def test_all_hit_optimizer_path_stays_within_its_call_budget():
 
 def test_mixed_read_write_path_stays_within_its_call_budget():
     _check_budget("mixed_rw", 740)  # ~722 (~797 when every write walked the cache)
+
+
+def test_interactive_cluster_requests_cost_the_same_at_any_stream_position():
+    """``f = session.scan(...); f.result()`` per request — the pattern
+    ``PimSession``'s docstring shows — is flat: calls per request at
+    requests 1 900-2 000 within 10 % of requests 100-200."""
+    rng = np.random.default_rng(7)
+    column = BitWeavingColumn(rng.integers(0, 64, size=512), 6)
+    session = PimSession.over_cluster(num_shards=2)
+
+    def calls_per_request(first, last):
+        for i in range(len(session.futures), first):
+            session.scan(column, "less_than", 1 + i % 60).result()
+        profile = cProfile.Profile()
+        profile.enable()
+        for i in range(first, last):
+            session.scan(column, "less_than", 1 + i % 60).result()
+        profile.disable()
+        return pstats.Stats(profile).total_calls / (last - first)
+
+    early = calls_per_request(100, 200)
+    late = calls_per_request(1900, 2000)
+    print(f"\nhost path [interactive cluster]: {early:.1f} Python calls per request at "
+          f"100-200, {late:.1f} at 1900-2000")
+    assert session.report().completed == 2000
+    assert abs(late / early - 1.0) <= 0.10

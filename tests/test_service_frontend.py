@@ -227,6 +227,24 @@ class TestDeadlines:
         assert result.metrics.deadline_misses == 0
         assert result.metrics.batches == 2
 
+    def test_schedules_refuse_bad_rates_and_short_sequences(self):
+        """A NaN rate used to stamp NaN arrivals (an infinite one stamped
+        every arrival 0.0), and a short per-request sequence died with a
+        bare IndexError mid-loop."""
+        rng = np.random.default_rng(10)
+        scans = [_scan(_random_column(rng, 6, 200)) for _ in range(2)]
+        for rate in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="rate_per_s"):
+                poisson_schedule(scans, rate_per_s=rate)
+        with pytest.raises(ValueError, match="priorities differ in length"):
+            poisson_schedule(scans, rate_per_s=1e6, priorities=[1])
+        with pytest.raises(ValueError, match="priorities differ in length"):
+            trace_schedule(scans, [0.0, 1.0], priorities=[1])
+        with pytest.raises(ValueError, match="deadlines_ns differ in length"):
+            trace_schedule(scans, [0.0, 1.0], deadlines_ns=[5.0])
+        with pytest.raises(ValueError, match="arrival_times_ns differ in length"):
+            trace_schedule(scans, [0.0])
+
     def test_window_bounds_the_wait(self):
         rng = np.random.default_rng(9)
         window = 1e5

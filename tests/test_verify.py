@@ -757,6 +757,60 @@ class TestInvariantLint:
                 findings = lint_invariants.lint_source(renamed, str(path))
                 assert findings and {f.rule for f in findings} == {"terminal-write"}
 
+    # A frontend that polls its lifetime record list the way the cluster's
+    # `_finalize_records` / `_migrate_queued` did, beside the readers that may.
+    _HISTORY_WALKS = (
+        "from dataclasses import dataclass\n"
+        "class Frontend:\n"
+        "    def drain(self):\n"
+        "        for record in self.records:\n"
+        "            record.poll()\n"
+        "    def health(self):\n"
+        "        return sum(1 for r in self.records if not r.admitted) / len(self.records)\n"
+        "    def result(self):\n"
+        "        return [r for r in self.records if r.completed]\n"
+        "    def own(self, session):\n"
+        "        return [f.record for f in session.futures] + list(self.records)\n"
+        "@dataclass\n"
+        "class Result:\n"
+        "    def completed(self):\n"
+        "        return [r for r in self.records if r.completed]\n"
+    )
+
+    def test_history_walk_flags_polls_over_the_record_list(self):
+        for package in ("service", "cluster", "api"):
+            findings = lint_invariants.lint_source(
+                self._HISTORY_WALKS, f"src/repro/{package}/x.py"
+            )
+            assert [(f.rule, f.line) for f in findings] == [
+                ("history-walk", 4),
+                ("history-walk", 7),
+            ]
+        # Other packages keep lists called `records` for their own purposes.
+        for path in ("src/repro/analysis/x.py", "tests/test_x.py", "tools/x.py"):
+            assert lint_invariants.lint_source(self._HISTORY_WALKS, path) == []
+        waived = self._HISTORY_WALKS.replace(
+            "self.records:\n", "self.records:  # lint: allow[history-walk]\n"
+        )
+        findings = lint_invariants.lint_source(waived, "src/repro/cluster/x.py")
+        assert [f.line for f in findings] == [7]
+
+    def test_history_walk_tampering_the_tree_is_caught(self):
+        """The rule is what keeps the poll deleted: re-adding it to
+        `ClusterFrontend.drain` — or walking `records` in `health` — is a
+        finding, and nothing in the tree needs a waiver."""
+        path = REPO_ROOT / "src" / "repro" / "cluster" / "frontend.py"
+        source = path.read_text()
+        assert "allow[history-walk]" not in source
+        assert lint_invariants.lint_source(source, str(path)) == []
+        anchor = "        offered = len(self.records)\n"
+        assert anchor in source
+        tampered = source.replace(
+            anchor, "        offered = sum(1 for _ in self.records)\n"
+        )
+        findings = lint_invariants.lint_source(tampered, str(path))
+        assert [f.rule for f in findings] == ["history-walk"]
+
     def test_waiver_suppresses(self):
         source = (
             "from dataclasses import dataclass\n"

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo invariant lint: an AST pass over ``src/repro`` run as a CI gate.
 
-Ten rules, each guarding an invariant the simulator's design depends on
+Eleven rules, each guarding an invariant the simulator's design depends on
 (stdlib-only; no third-party linter required):
 
 * ``mutable-default`` — a dataclass field whose default is a mutable
@@ -70,6 +70,17 @@ Ten rules, each guarding an invariant the simulator's design depends on
   an inline ``record.admitted = False`` is a rejection no counter, span
   or roll-up hears about — the way ``frontend.completed`` and
   ``cluster.rejected`` once drifted from the state they describe.
+* ``history-walk`` — inside ``repro/service/``, ``repro/cluster/`` and
+  ``repro/api/``, a ``for`` loop or comprehension over ``self.records``
+  outside a method named ``result`` (the lifetime roll-up) and the result
+  containers — dataclasses such as ``PipelineResult`` / ``ClusterResult``,
+  whose ``completed()`` / ``rejected()`` helpers read the snapshot they
+  were handed.  A frontend's ``records`` is every envelope ever offered:
+  walking it to find out what happened is a poll — late (a shed scatter
+  part once left its record "queued" and its sibling running until the
+  next ``drain()``) and quadratic under ``submit(...).result()`` per
+  request.  An outcome is acted on at the settle door that produces it
+  (``ServiceFrontend.on_settled`` → ``ClusterFrontend._part_settled``).
 
 A finding is suppressed by a ``# lint: allow[<rule>]`` comment on its
 line.  Run locally with::
@@ -102,6 +113,7 @@ RULES = (
     "knob-drift",
     "obs-readback",
     "terminal-write",
+    "history-walk",
 )
 
 _WAIVER_RE = re.compile(r"#\s*lint:\s*allow\[([a-z-]+)\]")
@@ -115,7 +127,8 @@ _WALL_CLOCK_MODULES = {"time", "random"}
 _OBS_CLOCK_MODULES = {"time", "random", "datetime"}
 
 #: Where ``PipelineConfig`` is declared (the one module knob-drift skips)
-#: and the packages whose constructors may not re-declare its fields.
+#: and the packages whose constructors may not re-declare its fields —
+#: the serving tiers, which are also where history-walk applies.
 _CONFIG_MODULE = "repro/service/config.py"
 _KNOB_PACKAGES = ("repro/service/", "repro/cluster/", "repro/api/")
 
@@ -262,6 +275,8 @@ class _ModuleLinter(ast.NodeVisitor):
         # Frozen-dataclass nesting: methods of a frozen dataclass may not
         # assign to self; a nested non-frozen class resets the context.
         self._frozen_stack: List[bool] = []
+        # Dataclass nesting: a result container may walk its own records.
+        self._dataclass_stack: List[bool] = []
         # Observability modules get the stricter clock rule (obs-wall-clock
         # fires there instead of the generic wall-clock rule).  The fault
         # plan and elastic controller ride on the same rule: they schedule
@@ -285,10 +300,10 @@ class _ModuleLinter(ast.NodeVisitor):
             fragment in normalized for fragment in ("repro/database", "repro/storage")
         )
         self._plane_aliases: List[Set[str]] = []
-        # Service/cluster/api constructors may not re-declare a knob.
-        self._in_knob_scope = not normalized.endswith(_CONFIG_MODULE) and any(
-            fragment in normalized for fragment in _KNOB_PACKAGES
-        )
+        # Service/cluster/api constructors may not re-declare a knob, and
+        # nothing there walks the lifetime record list but the roll-up.
+        self._in_history_scope = any(fragment in normalized for fragment in _KNOB_PACKAGES)
+        self._in_knob_scope = self._in_history_scope and not normalized.endswith(_CONFIG_MODULE)
         # Everything in the simulator but the plane itself may only write
         # recordings, never read them back.
         in_repro = _REPRO_RE.search(normalized) is not None
@@ -316,7 +331,9 @@ class _ModuleLinter(ast.NodeVisitor):
         if self._in_knob_scope:
             self._check_knob_drift(node, is_dataclass=decorator is not None)
         self._frozen_stack.append(decorator is not None and _is_frozen(decorator))
+        self._dataclass_stack.append(decorator is not None)
         self.generic_visit(node)
+        self._dataclass_stack.pop()
         self._frozen_stack.pop()
 
     def _check_knob_drift(self, node: ast.ClassDef, is_dataclass: bool) -> None:
@@ -540,6 +557,33 @@ class _ModuleLinter(ast.NodeVisitor):
                     "goes terminal through its tier's one door, where the counts are "
                     "taken and the recording is published",
                 )
+
+    # -- history-walk --------------------------------------------------
+    def _check_history_walk(self, node: Union[ast.For, ast.comprehension]) -> None:
+        walked = node.iter
+        if (
+            self._in_history_scope
+            and isinstance(walked, ast.Attribute)
+            and walked.attr == "records"
+            and _terminal_name(walked.value) == "self"
+            and self._function_stack[-1:] != ["result"]
+            and self._dataclass_stack[-1:] != [True]
+        ):
+            self._add(
+                walked,
+                "history-walk",
+                "iteration over self.records outside result(): re-reading every "
+                "envelope ever offered to find out what happened is a poll — act on "
+                "an outcome at the settle door that produces it",
+            )
+
+    def visit_For(self, node: ast.For) -> None:
+        self._check_history_walk(node)
+        self.generic_visit(node)
+
+    def visit_comprehension(self, node: ast.comprehension) -> None:
+        self._check_history_walk(node)
+        self.generic_visit(node)
 
     # -- frozen-mutation -----------------------------------------------
     def visit_Assign(self, node: ast.Assign) -> None:
