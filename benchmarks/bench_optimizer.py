@@ -14,7 +14,9 @@ batch and fan their result bitmap out to every consumer (cross-request
 CSE), a single request's independent sub-chains spread over distinct
 bank lanes chosen from the executor's busy horizons (sub-chain
 splitting, joined by a host-side merge tree priced like the cluster
-gather), and deadline urgency is priced off those same horizons.
+gather).  Deadline urgency can be priced off those same horizons too, but
+only with a positive ``urgency_slack_ns``; this stream runs the default
+``0.0``, where that window is a single instant and never fires.
 
 This benchmark drives a skewed, repetition-heavy Poisson overload —
 ``NUM_REQUESTS`` conjunctions drawn Zipf-style from ``NUM_TEMPLATES``

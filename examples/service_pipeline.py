@@ -16,8 +16,7 @@ pipeline has to earn its keep:
   stay exactly sequential.
 
 A functional pass on a tiny device at the end re-runs a slice of the
-stream on the simulated banks with sampled verification
-(``verify_fraction``), double-checking bit-exactness.
+stream on the simulated banks, double-checking bit-exactness.
 
 Run with::
 
@@ -152,9 +151,7 @@ def verify_functional_smoke() -> None:
     engine = AmbitEngine(
         device, AmbitConfig(banks_parallel=4, vectorized_functional=True)
     )
-    config = PipelineConfig(
-        policy=BatchPolicy(max_batch=8), functional=True, verify_fraction=0.5, verify_seed=3
-    )
+    config = PipelineConfig(policy=BatchPolicy(max_batch=8), functional=True)
     frontend = ServiceFrontend(config, engine=engine)
     executor = frontend.executor
     rng = np.random.default_rng(7)
@@ -172,7 +169,6 @@ def verify_functional_smoke() -> None:
     print(
         f"\nfunctional smoke: {result.metrics.completed} scans bit-exact; "
         f"{executor.functional_executed} verified on the banks, "
-        f"{executor.sampled_out} sampled out (verify_fraction=0.5), "
         f"pool {executor.pool.hits} hits / {executor.pool.misses} misses"
     )
 

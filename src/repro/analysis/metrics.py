@@ -445,7 +445,7 @@ class ClusterMetrics(QueueMetrics, ElasticCounts):
     host has merged it); ``busy_ns`` and ``batches`` sum over the shards;
     ``host_merge_ns`` is the gather merge tree — partials merge pairwise
     in parallel, so each record is charged ``ceil(log2(fanout))`` levels
-    of the cluster frontend's ``merge_ns_per_op``.
+    of :data:`~repro.service.config.MERGE_NS_PER_OP`.
 
     Attributes:
         shards: Number of shard executors in the cluster.

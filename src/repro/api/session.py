@@ -57,7 +57,7 @@ from repro.cluster.router import ShardRouter
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.queries import QueryEngine
 from repro.obs import NULL_OBSERVER, Observer, resolve_observe
-from repro.service.config import DEFAULT_MERGE_NS_PER_OP, PipelineConfig
+from repro.service.config import PipelineConfig
 from repro.service.frontend import ArrivalEvent, ServiceFrontend, replay
 from repro.service.requests import (
     BitmapConjunctionRequest,
@@ -446,7 +446,6 @@ class PimSession:
         name: str = "cluster_session",
         router: Optional[ShardRouter] = None,
         engine_factory: Optional[Callable[[], AmbitEngine]] = None,
-        merge_ns_per_op: float = DEFAULT_MERGE_NS_PER_OP,
         observe: Union[bool, Observer] = False,
         faults: Optional[FaultPlan] = None,
         **knobs: Any,
@@ -462,7 +461,6 @@ class PimSession:
             PipelineConfig.from_knobs(**knobs),
             router=router,
             engine_factory=engine_factory,
-            merge_ns_per_op=merge_ns_per_op,
             observe=observe,
             faults=faults,
         )

@@ -57,7 +57,7 @@ from repro.cluster.router import PlacementUnavailable, ShardRouter
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.sharding import BitmapIndexShardView
 from repro.obs import Observer, resolve_observe
-from repro.service.config import DEFAULT_MERGE_NS_PER_OP, PipelineConfig
+from repro.service.config import MERGE_NS_PER_OP, PipelineConfig
 from repro.service.frontend import (
     ArrivalEvent,
     PipelineResult,
@@ -73,7 +73,6 @@ from repro.service.requests import (
     RequestEnvelope,
     ScanRequest,
     checked_arrival,
-    checked_non_negative,
 )
 from repro.storage.requests import WriteRequest, charged_columns, is_write_request
 
@@ -185,14 +184,6 @@ class ClusterFrontend:
             its own device; sharing an engine would share banks and void
             the scaling story.  Omitted, every shard builds the executor's
             default engine.
-        merge_ns_per_op: Host time charged per *level* of the gather-side
-            AND-merge tree of shard partials.  The merge runs on the
-            host, not on a device: partials are merged pairwise in
-            parallel — ``ceil(log2(fanout))`` tree levels, not a serial
-            per-op chain — and the total is charged to the record's
-            completion time (and rolled up in
-            :attr:`ClusterMetrics.host_merge_ns`) rather than to device
-            metrics.  0 restores the pre-costing behaviour.
         observe: Observability plane (``repro.obs``): ``True`` records
             one span tree per cluster request (scatter → per-shard parts
             → gather-merge) with every shard's frontend and executor
@@ -209,13 +200,11 @@ class ClusterFrontend:
         config: Optional[PipelineConfig] = None,
         router: Optional[ShardRouter] = None,
         engine_factory: Optional[Callable[[], AmbitEngine]] = None,
-        merge_ns_per_op: float = DEFAULT_MERGE_NS_PER_OP,
         observe: Union[bool, Observer] = False,
         faults: Optional[FaultPlan] = None,
     ) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
-        self.merge_ns_per_op = checked_non_negative("merge_ns_per_op", merge_ns_per_op)
         config = config or PipelineConfig()
         #: One policy for the coordinator's functional write step and
         #: every shard planner's charging: pinned into the config the
@@ -1050,13 +1039,13 @@ class ClusterFrontend:
             # cost is the serial combination of the shard chains.  The host
             # cost model charges the *merge tree*: partials merge pairwise in
             # parallel, so a G-way gather costs ceil(log2(G)) levels of
-            # `merge_ns_per_op` on the record's completion time — a gathered
+            # `MERGE_NS_PER_OP` on the record's completion time — a gathered
             # result is not ready until the host has actually merged it, but
             # independent pairs never serialize behind each other.
             record.value = np.bitwise_and.reduce([p.value for p in parts])
             record.value.setflags(write=False)  # like the shard partials it merges
             tree_depth = (len(parts) - 1).bit_length()
-            record.host_merge_ns = tree_depth * self.merge_ns_per_op
+            record.host_merge_ns = tree_depth * MERGE_NS_PER_OP
             record.finish_ns += record.host_merge_ns
             merged = combine_serial("cluster_gather", (p.metrics for p in parts))
             merged.notes = (

@@ -33,7 +33,7 @@ shared step DAG:
   :class:`~repro.service.lanes.LaneSchedule`; the request overlaps with
   *itself* across lanes.  The cross-predicate AND then happens host-side
   in the group's finalize, charged as a pairwise merge tree
-  (``ceil(log2(fan_in))`` levels of ``merge_ns_per_op``) — the identical
+  (``ceil(log2(fan_in))`` levels of ``MERGE_NS_PER_OP``) — the identical
   model the cluster gather path charges.
 * **Cost ledger** — every request's charged ops are its *owned* steps
   plus its host joins; the difference to the unoptimized plan total is
@@ -69,7 +69,7 @@ from repro.analysis.metrics import OperationMetrics
 from repro.api.plans import lower_predicate_steps, source_vector
 from repro.cache.result_cache import ResultCache
 from repro.optimizer.canonical import ConjunctionShape, Key, canonical_key
-from repro.service.config import OptimizerConfig
+from repro.service.config import MERGE_NS_PER_OP, OptimizerConfig
 from repro.service.planner import LoweredGroup
 from repro.service.requests import (
     BitmapConjunctionRequest,
@@ -84,6 +84,11 @@ from repro.verify.plan_lint import (
     OptimizedRequestView,
     lint_optimized_batch,
 )
+
+#: Most distinct bank offsets one request fans its sub-chains across
+#: (further sub-chains reuse the cheapest of those offsets).  A constant,
+#: not a knob: no workload needs a different value.
+MAX_SPLIT_LANES = 4
 
 
 @dataclass
@@ -288,7 +293,6 @@ class BatchOptimizer:
         request = queued.request
         assert isinstance(request, BitmapConjunctionRequest)
         executor = self._executor
-        config = self.config
         index = request.index
         if shape is None:
             shape = self.shape(request)
@@ -301,8 +305,8 @@ class BatchOptimizer:
         # Request-level CSE (split mode): an identical request lowered
         # earlier in this batch — and not overwritten since — already
         # holds every part; ride them and its one host join.
-        share_whole = config.cse and config.split_subchains
-        answer = self._answers.get(whole) if share_whole else None
+        split = self.config.split_subchains
+        answer = self._answers.get(whole) if split else None
         if answer is not None:
             shared = len(answer.parts)
         else:
@@ -310,7 +314,7 @@ class BatchOptimizer:
                 index, shape, pkeys, whole, primitives, own
             )
             answer = _Answer(finals, packed_bytes)
-            if share_whole:
+            if split:
                 self._answers[whole] = answer
                 self._node_columns[whole] = (id(index), shape.prefix_columns[-1])
 
@@ -318,9 +322,7 @@ class BatchOptimizer:
         # tree to every request (the modeled host merges per request even
         # when the simulator joins once); an unsplit chain has one final.
         host_join_ops = len(answer.parts) - 1
-        host_merge_ns = (
-            host_join_ops.bit_length() * config.merge_ns_per_op if host_join_ops else 0.0
-        )
+        host_merge_ns = host_join_ops.bit_length() * MERGE_NS_PER_OP if host_join_ops else 0.0
         deps = answer.cone
         if own:
             mine = set(own)
@@ -392,7 +394,6 @@ class BatchOptimizer:
         single result.
         """
         executor = self._executor
-        cse = self.config.cse
         split = self.config.split_subchains
         num_rows: int = index.num_rows
         row_size: int = executor.engine.device.geometry.row_size_bytes
@@ -418,7 +419,7 @@ class BatchOptimizer:
         # order makes equal conjunctions build identical AND spines.
         parts: List[_Node] = []
         for pkey, (column, values), columns in zip(pkeys, shape.predicates, shape.columns):
-            node = self._cache.get(pkey) if cse else None
+            node = self._cache.get(pkey)
             if node is not None:
                 shared += 1
             else:
@@ -439,9 +440,8 @@ class BatchOptimizer:
                         self._record_fill(
                             pkey, index, (column,), node.vector, packed_bytes, num_rows
                         )
-                if cse:
-                    self._cache[pkey] = node
-                    self._node_columns[pkey] = (index_id, columns)
+                self._cache[pkey] = node
+                self._node_columns[pkey] = (index_id, columns)
             parts.append(node)
         if split:
             return tuple(parts), shared, cache_hits, cache_misses
@@ -451,12 +451,11 @@ class BatchOptimizer:
         acc = parts[0]
         for part, merged in zip(parts[1:], shape.prefix_columns[1:]):
             akey = canonical_key("and", (acc.key, part.key))
-            node = self._cache.get(akey) if cse else None
+            node = self._cache.get(akey)
             if node is None:
                 node = self._emit_and(akey, acc, part, num_rows, row_size, base, primitives, own)
-                if cse:
-                    self._cache[akey] = node
-                    self._node_columns[akey] = (index_id, merged)
+                self._cache[akey] = node
+                self._node_columns[akey] = (index_id, merged)
             else:
                 shared += 1
             acc = node
@@ -583,7 +582,7 @@ class BatchOptimizer:
     def _choose_offset(self, executor: Any, base: int, rows: int) -> int:
         """Cheapest-horizon bank offset for a fresh sub-chain.
 
-        Candidates are the request's ``max_split_lanes`` offsets starting
+        Candidates are the request's :data:`MAX_SPLIT_LANES` offsets starting
         at its index's stable offset; each is priced as its lanes' busy
         horizon (:meth:`LaneSchedule.lane_load_ns`; 0 for a barrier
         executor) plus the latency already assigned to it this batch.
@@ -592,7 +591,7 @@ class BatchOptimizer:
         if not self.config.split_subchains:
             return base
         banks: int = executor.banks_available()
-        span = min(self.config.max_split_lanes, banks)
+        span = min(MAX_SPLIT_LANES, banks)
         best = base % banks
         best_load = float("inf")
         for k in range(span):

@@ -25,10 +25,11 @@ from repro.service.requests import checked_non_negative
 from repro.storage.maintenance import MaintenancePolicy
 
 #: Host cost of AND-merging two 8 KiB partial bitmaps: one level of the
-#: cluster gather tree and of the optimizer's split-mode join tree.  It
+#: cluster gather tree and of the optimizer's split-mode join tree (pairs
+#: merge in parallel, so a G-way join costs ``ceil(log2(G))`` levels).  It
 #: prices one AND over a row-sized bitmap through host memory (read two
 #: operands, write one result at tens of GB/s).
-DEFAULT_MERGE_NS_PER_OP = 250.0
+MERGE_NS_PER_OP = 250.0
 
 
 @dataclass
@@ -43,22 +44,18 @@ class BatchPolicy:
             (the frontend still closes on stream end).
         urgency_slack_ns: Close when a queued request's deadline minus its
             modeled service latency is within this slack of the current
-            time — the last moment service can start without missing it.
-            None disables urgency-driven closing.
-        horizon_urgency: Price urgency from the *lanes' busy horizons*
-            rather than from "now": under deep pipelining a request's
-            service cannot start before its modeled banks drain, so a
-            deadline that looks comfortable from the current clock may
-            already be at risk.  Fires only inside the savable window —
-            when the banks' horizon lands within ``urgency_slack_ns``
-            below the latest viable start — so it never degenerates into
-            closing every batch early under overload.
+            time — the last moment service can start without missing it —
+            and, priced off the lanes' busy horizons, when a deadline is
+            still savable but about to be lost
+            (:meth:`~repro.service.planner.BatchPlanner.urgent_close`).
+            The horizon clause needs a positive slack: at ``0.0`` its
+            window is a single instant.  None disables urgency-driven
+            closing.
     """
 
     max_batch: int = 32
     window_ns: Optional[float] = None
     urgency_slack_ns: Optional[float] = 0.0
-    horizon_urgency: bool = True
 
     def __post_init__(self) -> None:
         if not (isinstance(self.max_batch, Integral) and self.max_batch > 0):
@@ -73,28 +70,16 @@ class BatchPolicy:
 class OptimizerConfig:
     """Knobs of the batch plan optimizer (:mod:`repro.optimizer`).
 
+    The optimizer always shares identical sub-chains across a batch's
+    requests (CSE); what is left to choose is how a conjunction lands.
+
     Attributes:
-        cse: Share identical predicate sub-chains (and, in unsplit mode,
-            equal AND prefixes) across the batch's requests.
         split_subchains: Spread one conjunction's independent sub-chains
             across bank lanes and join them host-side, instead of
             pinning the whole chain to one bank offset.
-        max_split_lanes: Most distinct bank offsets one request may fan
-            its sub-chains across (further sub-chains reuse the
-            cheapest of those offsets).
-        merge_ns_per_op: Host cost per level of the split join's pairwise
-            merge tree (the cluster gather path's model and default).
     """
 
-    cse: bool = True
     split_subchains: bool = True
-    max_split_lanes: int = 4
-    merge_ns_per_op: float = DEFAULT_MERGE_NS_PER_OP
-
-    def __post_init__(self) -> None:
-        if self.max_split_lanes < 1:
-            raise ValueError("max_split_lanes must be at least 1")
-        checked_non_negative("merge_ns_per_op", self.merge_ns_per_op)
 
 
 @dataclass(frozen=True)
@@ -114,8 +99,9 @@ class PipelineConfig:
         shed_low_priority: When over an admission bound, evict queued work
             of strictly lower priority (``rejected_reason="shed"``) to
             make room, instead of only rejecting the candidate at the door.
-        functional: Execute batches on the simulated banks (subject to
-            ``verify_fraction``) instead of analytically.
+        functional: Execute every request of a batch on the simulated
+            banks (verified against the analytical result) instead of
+            analytically.
         pipeline: Carry per-bank lane horizons across batches, so a new
             batch starts on banks the previous one has drained (see
             :class:`~repro.service.executor.BatchExecutor`).  ``False`` is
@@ -126,11 +112,6 @@ class PipelineConfig:
             chain, batch DAG and write, and (cluster) the scatter and
             failover certificates.  Any violation raises a typed
             :class:`~repro.verify.errors.VerifyError`.
-        verify_fraction: Fraction of each batch a ``functional`` run
-            executes on the simulated banks; the rest runs analytically
-            (range-checked where it is consumed, by the executor).
-        verify_seed: Seed of the verification sampler (deterministic in
-            it, the executor's batch counter and the request's position).
         optimizer: Batch plan optimizer (cross-request CSE, sub-chain
             splitting), or None to lower every conjunction in isolation.
             A cache with no optimizer turns on the *unsplit* one: consults
@@ -157,8 +138,6 @@ class PipelineConfig:
     functional: bool = False
     pipeline: bool = True
     sanitize: bool = False
-    verify_fraction: float = 1.0
-    verify_seed: int = 0
     optimizer: Optional[OptimizerConfig] = None
     cache: Union[bool, ResultCache] = False
     maintenance: Union[str, MaintenancePolicy] = "eager"
@@ -211,4 +190,4 @@ class PipelineConfig:
         return MaintenancePolicy(strategy=self.maintenance)
 
 
-__all__ = ["BatchPolicy", "DEFAULT_MERGE_NS_PER_OP", "OptimizerConfig", "PipelineConfig"]
+__all__ = ["BatchPolicy", "MERGE_NS_PER_OP", "OptimizerConfig", "PipelineConfig"]

@@ -42,11 +42,7 @@ hardware is charged for:
 
 Functional execution goes through the engine's vectorized functional path
 (every row chunk of an operation in one NumPy call); results are bit-exact
-with one-at-a-time sequential execution on either path.  For large soak
-runs, ``verify_fraction`` executes only a deterministic seeded subset of
-each batch on the simulated banks (with verification) and the rest
-analytically — values are bit-exact either way, so sampling changes no
-results and no charged costs.
+with one-at-a-time sequential execution on either path.
 """
 
 from __future__ import annotations
@@ -91,7 +87,6 @@ class BatchExecutor:
     Args:
         engine: Ambit engine to execute on.  When omitted, an engine with
             the vectorized functional path enabled is created.
-        pool_capacity: Size of the LRU pool of intermediate row allocations.
         fuse: Enable operation fusion (shared plane complements).  Fusion
             never changes results or charged costs; disabling it is only
             useful for A/B testing the planner.
@@ -100,7 +95,7 @@ class BatchExecutor:
             times within the batch; per-request results, latencies, and
             energies are unchanged.  Disabling falls back to submission
             order, useful for A/B-testing the makespan.
-        pipeline / verify_fraction / verify_seed / sanitize: The
+        pipeline / sanitize: The
             :class:`~repro.service.config.PipelineConfig` knobs of the same
             names, documented there; this is the leaf that consumes them.
 
@@ -114,39 +109,26 @@ class BatchExecutor:
     def __init__(
         self,
         engine: Optional[AmbitEngine] = None,
-        pool_capacity: int = 16,
         fuse: bool = True,
         lpt: bool = True,
         pipeline: bool = True,  # lint: allow[knob-drift]
-        verify_fraction: float = 1.0,  # lint: allow[knob-drift]
-        verify_seed: int = 0,  # lint: allow[knob-drift]
         sanitize: bool = False,  # lint: allow[knob-drift]
     ) -> None:
-        if not 0.0 <= verify_fraction <= 1.0:
-            raise ValueError("verify_fraction must be in [0, 1]")
         self.engine = engine or AmbitEngine(config=AmbitConfig(vectorized_functional=True))
         #: RowClone engine for copy requests, on the same device.
         self.rowclone = RowCloneEngine(
             self.engine.device, banks_parallel=self.engine.config.banks_parallel
         )
-        self.pool = VectorPool(self.engine, capacity=pool_capacity)
+        self.pool = VectorPool(self.engine)
         self.fuse = fuse
         self.lpt = lpt
         self.pipeline = pipeline
-        self.verify_fraction = verify_fraction
-        self.verify_seed = verify_seed
         #: Requests executed on the simulated banks across all runs.
         self.functional_executed = 0
-        #: Functional-mode requests diverted to the analytical path by
-        #: ``verify_fraction`` sampling.
-        self.sampled_out = 0
         self._batches_run = 0
-        # Weakly keyed: a dead column must not pin its offset (or leak an
-        # entry) — id() reuse would hand stale offsets to new columns.
-        self._column_offsets: "weakref.WeakKeyDictionary[BitWeavingColumn, int]" = (
-            weakref.WeakKeyDictionary()
-        )
-        self._object_offsets: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+        # Weakly keyed: a dead owner must not pin its offset (or leak an
+        # entry) — id() reuse would hand stale offsets to new owners.
+        self._offsets: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         self._next_offset = 0
         self._bank_keys = [key for key, _ in self.engine.device.iter_banks()]
         # (rows, offset, banks_available) -> bank keys; see span_banks.
@@ -210,8 +192,7 @@ class BatchExecutor:
             functional: Execute on the simulated banks (bit-exact row data
                 in DRAM) instead of the analytical path.  Results are
                 identical either way; the functional path additionally
-                verifies them against the banks' contents, subject to
-                ``verify_fraction`` sampling.
+                verifies them against the banks' contents.
             release_ns: Dispatch instant of the batch on the caller's
                 virtual clock; every scheduled start is at or after it,
                 and result ``start_ns`` values are absolute against the
@@ -228,17 +209,13 @@ class BatchExecutor:
         self._batches_run += 1
         context = _BatchContext()
         results: List[RequestResult] = []
-        for index, request in enumerate(requests):
-            run_functional = functional and self._verify_sampled(batch_index, index)
-            if functional:
-                if run_functional:
-                    self.functional_executed += 1
-                else:
-                    self.sampled_out += 1
+        if functional:
+            self.functional_executed += len(requests)
+        for request in requests:
             if isinstance(request, BulkOpRequest):
-                results.append(self._run_bulk_op(request, run_functional))
+                results.append(self._run_bulk_op(request, functional))
             elif isinstance(request, ScanRequest):
-                results.append(self._run_scan(request, context, run_functional))
+                results.append(self._run_scan(request, context, functional))
             else:
                 results.append(self._run_copy(request))
         self._release_context(context)
@@ -281,15 +258,6 @@ class BatchExecutor:
             registry.counter("executor.fused_ops").inc(float(context.fused_ops))
             registry.histogram("executor.batch_makespan_ns").observe(makespan)
         return BatchResult(results=results, metrics=metrics)
-
-    def _verify_sampled(self, batch_index: int, request_index: int) -> bool:
-        """Deterministic seeded choice: execute this request on the banks?"""
-        if self.verify_fraction >= 1.0:
-            return True
-        if self.verify_fraction <= 0.0:
-            return False
-        rng = np.random.default_rng([self.verify_seed, batch_index, request_index])
-        return bool(rng.random() < self.verify_fraction)
 
     # ------------------------------------------------------------------
     # Latency model (used by the planner for LPT and deadline urgency)
@@ -360,9 +328,8 @@ class BatchExecutor:
         result is copied back into the request's destination.  The charged
         cost comes from the request's own shape — exactly what the
         analytical path charges — not from the staged vectors, whose
-        device-row-size chunking is simulation plumbing; a sampled
-        (``verify_fraction``) batch therefore charges identically however
-        each request is sampled.
+        device-row-size chunking is simulation plumbing; a functional
+        batch therefore charges identically to an analytical one.
         """
         offset = (request.bank_offset or 0) % self.banks_available()
         logical = request.a.num_bytes
@@ -415,7 +382,7 @@ class BatchExecutor:
         else:
             value = expected
         rows = max(1, -(-len(expected) // self.engine.device.geometry.row_size_bytes))
-        bank_ids = self.span_banks(rows, self._column_offset(column))
+        bank_ids = self.span_banks(rows, self.stable_offset(column))
         return RequestResult(request=request, metrics=metrics, value=value, bank_ids=bank_ids)
 
     # ------------------------------------------------------------------
@@ -423,7 +390,7 @@ class BatchExecutor:
     # ------------------------------------------------------------------
     def _functional_scan(self, request: ScanRequest, context: _BatchContext) -> np.ndarray:
         column = request.column
-        offset = self._column_offset(column)
+        offset = self.stable_offset(column)
         if request.kind == "equal":
             result = self._functional_equal(column, request.constants[0], context, offset)
         elif request.kind == "between":
@@ -570,29 +537,21 @@ class BatchExecutor:
     # ------------------------------------------------------------------
     # Bank assignment and makespan scheduling
     # ------------------------------------------------------------------
-    def _column_offset(self, column: BitWeavingColumn) -> int:
-        """Stable bank offset per column: a column's planes live in fixed
-        banks, so every scan of it contends for the same banks."""
-        offset = self._column_offsets.get(column)
-        if offset is None:
-            offset = self._next_offset
-            self._next_offset = (self._next_offset + 1) % self.banks_available()
-            self._column_offsets[column] = offset
-        return offset
-
     def stable_offset(self, obj) -> int:
-        """Stable bank offset for any weak-referenceable owner object.
+        """Stable bank offset for any weak-referenceable owner object,
+        handed out round-robin in first-seen order.
 
-        The planner pins every lowered step of one high-level request (e.g.
-        a bitmap index's conjunctions) to its owner's offset, so the
-        data-dependent steps serialize on one set of modeled banks — the
-        same contention rule columns follow.
+        A column's planes live in fixed banks, so every scan of it
+        contends for the same banks; the planner likewise pins every
+        lowered step of one high-level request (e.g. a bitmap index's
+        conjunctions) to its owner's offset, so the data-dependent steps
+        serialize on one set of modeled banks.
         """
-        offset = self._object_offsets.get(obj)
+        offset = self._offsets.get(obj)
         if offset is None:
             offset = self._next_offset
             self._next_offset = (self._next_offset + 1) % self.banks_available()
-            self._object_offsets[obj] = offset
+            self._offsets[obj] = offset
         return offset
 
     def _rotate_offset(self, rows: int) -> int:
@@ -652,7 +611,7 @@ class BatchExecutor:
         if isinstance(request, ScanRequest):
             expected, _ = request.scan_result()
             rows = max(1, -(-len(expected) // self.engine.device.geometry.row_size_bytes))
-            return self.span_banks(rows, self._column_offset(request.column))
+            return self.span_banks(rows, self.stable_offset(request.column))
         if isinstance(request, CopyRequest):
             return []
         raise TypeError(f"unknown request type {type(request).__name__}")

@@ -269,11 +269,7 @@ class ServiceFrontend:
         config = config or PipelineConfig()
         self.config = config
         self.executor = BatchExecutor(
-            engine=engine,
-            pipeline=config.pipeline,
-            verify_fraction=config.verify_fraction,
-            verify_seed=config.verify_seed,
-            sanitize=config.sanitize,
+            engine=engine, pipeline=config.pipeline, sanitize=config.sanitize
         )
         self.planner = BatchPlanner(self.executor, config)
         self.cache = self.planner.result_cache
@@ -537,15 +533,20 @@ class ServiceFrontend:
 
     def _charge(self, queued: QueuedRequest, sign: float) -> None:
         amount = sign * queued.modeled_ns
+        self._charge_onto(self._bank_backlog, queued, amount)
+        self._backlog_ns += amount
+
+    def _charge_onto(self, backlog: Dict, queued: QueuedRequest, amount: float) -> None:
+        """Add ``amount`` of ``queued``'s load to a backlog vector: onto its
+        modeled lanes, or spread over the bank lanes when it has none."""
         if queued.modeled_banks:
             for key in queued.modeled_banks:
-                self._bank_backlog[key] = self._bank_backlog.get(key, 0.0) + amount
+                backlog[key] = backlog.get(key, 0.0) + amount
         else:
             share = amount / self._banks()
-            for key in self._bank_backlog:
+            for key in backlog:
                 if key != HOST_LANE:
-                    self._bank_backlog[key] += share
-        self._backlog_ns += amount
+                    backlog[key] += share
 
     def _reset_backlog(self) -> None:
         """Absorb float drift once the queue is empty."""
@@ -585,17 +586,6 @@ class ServiceFrontend:
             return True
         return False
 
-    def _uncharge_copy(self, backlog: Dict, victim: QueuedRequest) -> None:
-        """Remove a victim's charge from a *copied* backlog vector."""
-        if victim.modeled_banks:
-            for key in victim.modeled_banks:
-                backlog[key] = backlog.get(key, 0.0) - victim.modeled_ns
-        else:
-            share = victim.modeled_ns / self._banks()
-            for key in backlog:
-                if key != HOST_LANE:
-                    backlog[key] -= share
-
     def _plan_occupancy_shed(
         self, candidate: QueuedRequest, pre_evicted: Sequence[QueuedRequest] = ()
     ) -> Optional[List[QueuedRequest]]:
@@ -609,14 +599,14 @@ class ServiceFrontend:
         """
         backlog = dict(self._bank_backlog)
         for victim in pre_evicted:
-            self._uncharge_copy(backlog, victim)
+            self._charge_onto(backlog, victim, -victim.modeled_ns)
         chosen: List[QueuedRequest] = []
         for victim in self._shed_order(candidate.priority):
             if any(victim is evicted for evicted in pre_evicted):
                 continue
             if self._occupancy_with(backlog, candidate) <= self.max_backlog_ns:
                 break
-            self._uncharge_copy(backlog, victim)
+            self._charge_onto(backlog, victim, -victim.modeled_ns)
             chosen.append(victim)
         if self._occupancy_with(backlog, candidate) > self.max_backlog_ns:
             return None
@@ -860,7 +850,7 @@ class ServiceFrontend:
             # Sleep until the policy's next closing instant (window expiry /
             # the last moment an urgent deadline can still start on time).
             wake = self.planner.next_close_ns(queued, self.clock_ns)
-            if wake >= until_ns or wake <= self.clock_ns or math.isinf(wake):
+            if wake >= until_ns:
                 break
             self.clock_ns = wake
 

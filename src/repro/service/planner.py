@@ -250,36 +250,35 @@ class BatchPlanner:
     # Batch closing
     # ------------------------------------------------------------------
     def should_close(self, queued: List[QueuedRequest], now_ns: float) -> bool:
-        """Does the policy call for closing a batch right now?"""
+        """Does the policy call for closing a batch right now?
+
+        The timed clauses (window expiry, deadline urgency) are read off
+        :meth:`next_close_ns` itself, so the instant the frontend wakes
+        at is, by construction, an instant this says close.
+        """
         if not queued:
             return False
         if len(queued) >= self.policy.max_batch:
             return True
-        if self.policy.window_ns is not None:
-            oldest = min(q.arrival_ns for q in queued)
-            if now_ns - oldest >= self.policy.window_ns:
-                return True
-        if self.policy.urgency_slack_ns is not None:
-            for q in queued:
-                if q.deadline_ns is None:
-                    continue
-                latest_start = q.deadline_ns - q.modeled_ns
-                if latest_start <= now_ns + self.policy.urgency_slack_ns:
-                    return True
-        if self.urgent_close(queued, now_ns):
+        if self.next_close_ns(queued, now_ns) <= now_ns:
             return True
-        return False
+        return self.urgent_close(queued, now_ns)
 
     def urgent_close(self, queued: List[QueuedRequest], now_ns: float) -> bool:
         """Is some queued deadline at risk *given the lanes' horizons*?
 
         Prices the latest viable service start against where the
-        request's banks are actually busy until, not against "now": true
-        exactly when a deadline is still savable but will be missed
-        unless the batch closes and dispatches immediately (the banks'
-        pressure has entered the ``urgency_slack_ns`` window below the
-        latest viable start).  The frontend treats such a close as
-        *urgent* — it bypasses the pipelined dispatch gate so the
+        request's banks are actually busy until, not against "now": under
+        deep pipelining a request's service cannot start before its
+        modeled banks drain, so a deadline that looks comfortable from the
+        current clock may already be at risk.  True exactly when a
+        deadline is still savable but will be missed unless the batch
+        closes and dispatches immediately (the banks' pressure has entered
+        the ``urgency_slack_ns`` window below the latest viable start) —
+        so it never degenerates into closing every batch early under
+        overload.  The window needs a positive slack: at the default
+        ``0.0`` it is a single instant.  The frontend treats such a close
+        as *urgent* — it bypasses the pipelined dispatch gate so the
         endangered request reaches its lane without queueing behind a
         whole extra batch.
 
@@ -290,7 +289,7 @@ class BatchPlanner:
         for the whole queue, read once.  Never before "now"; always "now"
         for a barrier executor, whose lanes carry no state across batches.
         """
-        if not self.policy.horizon_urgency or self.policy.urgency_slack_ns is None:
+        if self.policy.urgency_slack_ns is None:
             return False
         slack = self.policy.urgency_slack_ns
         executor = self.executor

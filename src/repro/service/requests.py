@@ -124,8 +124,8 @@ ServiceRequest = Union[BulkOpRequest, ScanRequest, CopyRequest]
 def checked_non_negative(name: str, value: float) -> float:
     """``value`` as a float, refused unless finite and non-negative.
 
-    The one check behind every time and cost a caller hands in (arrival
-    stamps, ``merge_ns_per_op``, ``urgency_slack_ns``): NaN passes any
+    The one check behind every time a caller hands in (arrival stamps,
+    ``urgency_slack_ns``): NaN passes any
     ``< 0`` guard and then poisons every clock it is added to, stranding
     requests in no terminal state.
     """

@@ -56,6 +56,7 @@ from repro.service import (
     ServiceFrontend,
     poisson_schedule,
 )
+from repro.service.config import MERGE_NS_PER_OP
 from repro.service.planner import CHAIN_INTERN_CAPACITY
 from repro.optimizer import OptimizerConfig
 from repro.storage import MaintenancePolicy, UpdateRequest
@@ -701,8 +702,7 @@ class TestGatherMergeCost:
         response = future.result()
         details = response.details
         assert details.fanout == 3
-        assert details.host_merge_ns == pytest.approx(2 * cluster.merge_ns_per_op)
-        assert cluster.merge_ns_per_op > 0.0
+        assert details.host_merge_ns == 2 * MERGE_NS_PER_OP > 0.0
         # The merge is charged into completion: the gathered finish is
         # strictly later than the last shard part's device finish.
         record = future.record
@@ -716,26 +716,34 @@ class TestGatherMergeCost:
         assert report.makespan_ns >= record.finish_ns
         assert report.sojourn_p99_ns <= report.makespan_ns + 1e-9
 
-    def test_merge_cost_knob_can_be_disabled(self):
+    @pytest.mark.parametrize(
+        "predicates, levels",
+        [
+            ([("region", (1, 2))], 0),
+            ([("region", (1, 2)), ("tier", (0,))], 1),
+        ],
+        ids=["one-shard", "two-shards"],
+    )
+    def test_merge_tree_depth_prices_the_gather(self, predicates, levels):
+        """A G-way gather costs ``ceil(log2(G))`` levels of
+        ``MERGE_NS_PER_OP``: nothing for a single-shard conjunction, one
+        level for a pair of partials."""
         rng = np.random.default_rng(14)
         index = _bitmap_index(rng)
         cluster = ClusterFrontend(
             num_shards=3,
             router=ShardRouter(3, strategy="range"),
             engine_factory=lambda: _engine(),
-            merge_ns_per_op=0.0,
         )
         cluster.router.register_names(index.indexed_columns())
-        session = PimSession(cluster)
-        future = session.conjunction(
-            index, [("region", (1,)), ("status", (0,)), ("tier", (0,))]
-        )
-        future.result()
+        future = PimSession(cluster).conjunction(index, predicates)
+        expected, _ = index.evaluate_conjunction(predicates)
+        assert np.array_equal(future.result().value, expected)
         record = future.record
-        assert record.host_merge_ns == 0.0
-        assert record.finish_ns == pytest.approx(max(p.finish_ns for p in record.parts))
-        with pytest.raises(ValueError):
-            ClusterFrontend(num_shards=2, engine_factory=lambda: _engine(), merge_ns_per_op=-1.0)
+        assert record.host_merge_ns == levels * MERGE_NS_PER_OP
+        if levels:
+            assert len(record.parts) == 2
+            assert record.finish_ns == max(p.finish_ns for p in record.parts) + MERGE_NS_PER_OP
 
 
 class TestCostModelReference:
@@ -1037,8 +1045,6 @@ KNOB_VALUES = {
     "functional": True,
     "pipeline": False,
     "sanitize": True,
-    "verify_fraction": 0.5,
-    "verify_seed": 3,
     "optimizer": OptimizerConfig(split_subchains=False),
     "cache": ResultCache(),
     "maintenance": MaintenancePolicy("lazy"),
@@ -1069,7 +1075,6 @@ class TestPipelineConfig:
         for frontend in [service, *cluster.shards]:
             executor, planner = frontend.executor, frontend.planner
             assert (executor.pipeline, executor.sanitize) == (False, True)
-            assert (executor.verify_fraction, executor.verify_seed) == (0.5, 3)
             assert planner.policy is knobs["policy"]
             assert planner.optimizer.config is knobs["optimizer"]
             assert planner.maintenance is knobs["maintenance"]
@@ -1095,7 +1100,7 @@ class TestPipelineConfig:
             policy=None, optimize=False, cache=None, maintenance=None, max_backlog_ns=None
         ) == default
         assert PipelineConfig.from_knobs(optimize=True).optimizer == OptimizerConfig()
-        explicit = OptimizerConfig(cse=False)
+        explicit = OptimizerConfig(split_subchains=False)
         assert PipelineConfig.from_knobs(optimize=explicit).optimizer is explicit
         assert PipelineConfig.from_knobs(optimizer=explicit).optimizer is explicit
         assert PipelineConfig.from_knobs(maintenance="hybrid").maintenance == "hybrid"
@@ -1116,7 +1121,6 @@ class TestPipelineConfig:
             {"max_backlog_ns": float("nan")},
             {"max_backlog_ns": float("inf")},
             {"max_queue_depth": 0},
-            {"verify_fraction": 1.5},
             {"maintenance": "write-through"},
         ],
         ids=lambda bad: "{}={}".format(*next(iter(bad.items()))),
@@ -1132,23 +1136,31 @@ class TestPipelineConfig:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: OptimizerConfig(merge_ns_per_op=float("nan")),
-            lambda: OptimizerConfig(merge_ns_per_op=float("inf")),
-            lambda: PimSession.over_cluster(
-                num_shards=3, engine_factory=_engine, merge_ns_per_op=float("nan")
-            ),
             lambda: BatchPolicy(urgency_slack_ns=float("nan")),
+            lambda: BatchPolicy(window_ns=float("nan")),
             lambda: BatchPolicy(max_batch=2.5),
             lambda: PipelineConfig(max_queue_depth=2.5),
         ],
-        ids=["optimizer-nan", "optimizer-inf", "cluster-nan", "slack-nan", "batch-2.5", "depth-2.5"],
+        ids=["slack-nan", "window-nan", "batch-2.5", "depth-2.5"],
     )
     def test_nan_and_fractional_knobs_fail_at_construction(self, build):
-        """A NaN ``merge_ns_per_op`` passed both ``< 0.0`` guards and then
-        stamped NaN finish times: the service tier's conjunction "did not
-        complete after drain", the cluster's came back with a NaN sojourn."""
+        """NaN passes any ``< 0.0`` guard and then stamps NaN clocks: a
+        request it reaches never completes, or completes with a NaN
+        sojourn."""
         with pytest.raises(ValueError):
             build()
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [{"urgency_slack_ns": -1.0}, {"window_ns": -1.0}, {"max_batch": 0}],
+        ids=lambda knobs: "{}={}".format(*next(iter(knobs.items()))),
+    )
+    def test_out_of_range_policy_fails_at_construction(self, knobs):
+        """A negative window would close every batch on arrival, a negative
+        slack would wake after a deadline's last viable start, and a zero
+        cap would close empty batches."""
+        with pytest.raises(ValueError):
+            BatchPolicy(**knobs)
 
     def test_unknown_knob_names_the_valid_ones(self):
         for build in (PimSession.over_service, PimSession.over_cluster):

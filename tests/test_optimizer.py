@@ -6,7 +6,7 @@ the load-bearing properties are:
 
 * **bit-exactness** — optimized lowering computes the identical result
   bitmaps as per-request lowering and host evaluation, across seeded
-  repetition-heavy workloads, every optimizer knob combination, both
+  repetition-heavy workloads, split and unsplit lowering, both
   pipeline modes, and both the service and the cluster tier, all under
   ``sanitize=True``;
 * **the cost ledger balances** — ``ops_eliminated`` is exactly the
@@ -18,8 +18,7 @@ the load-bearing properties are:
 * **dependency-aware scheduling** — lowered steps carrying ``after``
   never start before their producers finish, even across lanes;
 * **horizon urgency** — deadline closing priced off lane busy horizons
-  dispatches an endangered request in time where "now"-priced urgency
-  misses it under deep pipelining.
+  dispatches an endangered request in time under deep pipelining.
 """
 
 import numpy as np
@@ -37,6 +36,7 @@ from repro.dram.energy import DramEnergyParameters
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import DramTimingParameters
 from repro.optimizer import BatchOptimizer, OptimizerConfig, canonical_key, predicate_key
+from repro.optimizer import passes
 from repro.optimizer.canonical import ConjunctionShape, sort_token
 from repro.service import (
     ArrivalEvent,
@@ -47,6 +47,7 @@ from repro.service import (
     PipelineConfig,
     ServiceFrontend,
 )
+from repro.service.config import MERGE_NS_PER_OP
 from repro.service.requests import QueuedRequest
 from repro.verify import (
     ChainCycleError,
@@ -190,14 +191,11 @@ class TestBitExactness:
     @given(
         draws=st.lists(st.integers(0, len(TEMPLATES) - 1), min_size=3, max_size=10),
         pipeline=st.booleans(),
-        cse=st.booleans(),
         split=st.booleans(),
     )
-    def test_service_tier_matches_unoptimized_and_host(
-        self, draws, pipeline, cse, split
-    ):
+    def test_service_tier_matches_unoptimized_and_host(self, draws, pipeline, split):
         requests = _requests(draws)
-        config = OptimizerConfig(cse=cse, split_subchains=split)
+        config = OptimizerConfig(split_subchains=split)
         _, base = _serve(requests, optimize=False, pipeline=pipeline)
         _, opt = _serve(requests, optimize=config, pipeline=pipeline)
         assert base.metrics.completed == opt.metrics.completed == len(draws)
@@ -322,19 +320,15 @@ class TestSubchainSplitting:
         # its whole chain on one bank set; split, its three predicate
         # sub-chains run on distinct lanes and host-join afterwards.
         request = _requests([2])[0]
-        _, serial = _serve(
-            [request], optimize=OptimizerConfig(cse=False, split_subchains=False)
-        )
-        _, split = _serve(
-            [request], optimize=OptimizerConfig(cse=False, split_subchains=True)
-        )
+        _, serial = _serve([request], optimize=OptimizerConfig(split_subchains=False))
+        _, split = _serve([request], optimize=OptimizerConfig(split_subchains=True))
         (serial_q,) = serial.completed()
         (split_q,) = split.completed()
         expected, _ = INDEX.evaluate_conjunction(list(request.predicates))
         assert np.array_equal(split_q.value, expected)
         # Host joins are charged like the cluster gather tree: 3 parts
         # merge pairwise in ceil(log2(3)) = 2 levels.
-        assert split_q.host_merge_ns == pytest.approx(2 * 250.0)
+        assert split_q.host_merge_ns == 2 * MERGE_NS_PER_OP
         assert serial_q.host_merge_ns == 0.0
         # The split request's in-service time beats the serialized chain
         # even after paying for the host merge.
@@ -357,15 +351,12 @@ class TestSubchainSplitting:
         )
         assert unsplit.planner.modeled_banks(_requests([0])[0]) != []
 
-    def test_max_split_lanes_bounds_the_fanout(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(max_split_lanes=0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(merge_ns_per_op=-1.0)
-        # max_split_lanes=1 degenerates to the stable offset: every
-        # emitted step lands on one bank set.
+    def test_max_split_lanes_bounds_the_fanout(self, monkeypatch):
+        # One split lane degenerates to the stable offset: every emitted
+        # step lands on one bank set.
+        monkeypatch.setattr(passes, "MAX_SPLIT_LANES", 1)
         executor = BatchExecutor(engine=_engine(), sanitize=True)
-        optimizer = BatchOptimizer(OptimizerConfig(cse=False, max_split_lanes=1))
+        optimizer = BatchOptimizer()
         optimizer.open_batch(executor)
         primitives = []
         optimizer.lower_conjunction(
@@ -373,6 +364,22 @@ class TestSubchainSplitting:
         )
         offsets = {p.bank_offset for p in primitives}
         assert len(offsets) == 1
+
+    def test_split_lanes_stay_within_max_split_lanes(self):
+        # Eight banks but seven distinct predicate sub-chains: the split
+        # spreads them over the MAX_SPLIT_LANES offsets that start at the
+        # index's stable offset, and no further.
+        executor = BatchExecutor(engine=_engine(banks=8), sanitize=True)
+        optimizer = BatchOptimizer()
+        optimizer.open_batch(executor)
+        primitives = []
+        for request in _requests([2, 4, 3]):
+            optimizer.lower_conjunction(QueuedRequest(request=request), primitives)
+        base = executor.stable_offset(INDEX)
+        allowed = {(base + k) % 8 for k in range(passes.MAX_SPLIT_LANES)}
+        offsets = {p.bank_offset for p in primitives}
+        assert offsets <= allowed
+        assert len(offsets) == passes.MAX_SPLIT_LANES < 8
 
 
 # ----------------------------------------------------------------------
@@ -531,8 +538,8 @@ class TestOptimizedBatchLint:
 # Horizon-priced urgency
 # ----------------------------------------------------------------------
 class TestHorizonUrgency:
-    def _arena(self, horizon_urgency):
-        policy = BatchPolicy(max_batch=8, window_ns=None, horizon_urgency=horizon_urgency)
+    def _arena(self):
+        policy = BatchPolicy(max_batch=8, window_ns=None)
         frontend = ServiceFrontend(
             PipelineConfig(policy=policy, max_queue_depth=100, sanitize=True),
             engine=_engine(),
@@ -552,8 +559,8 @@ class TestHorizonUrgency:
         policy.urgency_slack_ns = horizon / 4.0
         return frontend, horizon
 
-    def _run_race(self, horizon_urgency):
-        frontend, horizon = self._arena(horizon_urgency)
+    def _run_race(self):
+        frontend, horizon = self._arena()
         rng = np.random.default_rng(1)
 
         def bulk(rows, offset):
@@ -578,15 +585,10 @@ class TestHorizonUrgency:
     def test_horizon_urgency_saves_the_deadline(self):
         # Horizon-priced closing sees that the endangered request's lane
         # is busy until its latest viable start and dispatches it alone,
-        # ahead of the heavier competitor: the deadline holds.
-        record = self._run_race(horizon_urgency=True)
+        # ahead of the heavier competitor: the deadline holds.  ("Now"-
+        # priced urgency alone would sleep until deadline-minus-slack, by
+        # which time the competitor has joined the batch and is LPT'd
+        # ahead on the same lane.)
+        record = self._run_race()
         assert record.completed
         assert not record.deadline_missed
-
-    def test_now_priced_urgency_misses_it(self):
-        # "Now"-priced urgency sleeps until deadline-minus-slack, by
-        # which time the competitor has joined the batch and is LPT'd
-        # ahead on the same lane: the deadline is missed.
-        record = self._run_race(horizon_urgency=False)
-        assert record.completed
-        assert record.deadline_missed

@@ -246,6 +246,27 @@ class TestBatchedBulkOps:
         )
         assert batch.metrics.latency_ns == pytest.approx(batch.metrics.serial_latency_ns)
 
+    def test_columns_and_other_owners_share_one_round_robin(self):
+        """Columns and any other owner (a bitmap index, say) draw stable
+        bank offsets from one first-seen round-robin, so neither kind
+        stacks onto banks the other already holds."""
+
+        class Owner:
+            pass
+
+        rng = np.random.default_rng(10)
+        executor = BatchExecutor(engine=_engine(banks=4))
+        first, second = _random_column(rng, 6, 200), _random_column(rng, 6, 200)
+        batch = executor.run([_scan(first, "less_than", 30)])
+        assert batch.results[0].bank_ids == executor.span_banks(1, 0)
+        owner = Owner()
+        assert executor.stable_offset(owner) == 1
+        batch = executor.run([_scan(second, "less_than", 30)])
+        assert batch.results[0].bank_ids == executor.span_banks(1, 2)
+        assert [executor.stable_offset(o) for o in (first, owner, second)] == [0, 1, 2]
+        late = [Owner(), Owner()]
+        assert [executor.stable_offset(o) for o in late] == [3, 0]
+
 
 class TestLptScheduling:
     """LPT makespan fix: requests are placed longest-first onto their banks."""
@@ -388,7 +409,7 @@ class TestVectorPoolAndAllocator:
 
     def test_repeated_batches_do_not_leak_rows(self):
         rng = np.random.default_rng(1)
-        executor = BatchExecutor(engine=_engine(), pool_capacity=8)
+        executor = BatchExecutor(engine=_engine())
         column = _random_column(rng, 8, 300)
         watermark = None
         for round_index in range(5):

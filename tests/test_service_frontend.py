@@ -39,6 +39,7 @@ from repro.service import (
     BitmapConjunctionRequest,
     PipelineConfig,
     ScanRequest,
+    QueuedRequest,
     ServiceFrontend,
     poisson_schedule,
     trace_schedule,
@@ -259,6 +260,88 @@ class TestDeadlines:
         first_batch = [r for r in result.records if r.batch_index == 0]
         assert all(r.arrival_ns + window <= r.start_ns + 1e-6 or r.wait_ns <= window * 2
                    for r in first_batch)
+
+    def test_window_expiry_closes_the_batch(self):
+        """The frontend wakes at ``oldest + window``; ``should_close`` used
+        to re-derive the window as ``now - oldest >= window``, which
+        rounds the other way for this arrival, so the lone request slept
+        until the next arrival instead of its window expiry."""
+        window = 20_000.0
+        arrival = 259_354.014
+        assert (arrival + window) - arrival < window
+        session = PimSession.over_service(
+            engine=_engine(), policy=BatchPolicy(max_batch=16, window_ns=window)
+        )
+        column = _random_column(np.random.default_rng(11), 6, 200)
+        future = session.scan(column, "less_than", 9, at_ns=arrival)
+        session.backend.advance_to(arrival + 200_000.0)
+        assert future.record.completed
+        assert future.record.start_ns == arrival + window
+
+    @settings(max_examples=25, deadline=None)
+    @given(arrival=st.floats(0.0, 1e7), window=st.floats(1.0, 1e6))
+    def test_a_lone_request_starts_at_its_window_expiry(self, arrival, window):
+        session = PimSession.over_service(
+            engine=_engine(), policy=BatchPolicy(max_batch=16, window_ns=window)
+        )
+        column = _random_column(np.random.default_rng(12), 6, 200)
+        future = session.scan(column, "less_than", 9, at_ns=arrival)
+        session.backend.advance_to(arrival + 2 * window)
+        assert future.record.completed
+        assert future.record.start_ns == arrival + window
+
+    def test_a_lone_deadline_closes_at_its_last_viable_start(self):
+        """With no window, only the deadline clause can close the batch:
+        the frontend wakes at ``deadline - modeled - slack`` and serves."""
+        slack = 1_000.0
+        session = PimSession.over_service(
+            engine=_engine(),
+            policy=BatchPolicy(max_batch=16, window_ns=None, urgency_slack_ns=slack),
+        )
+        column = _random_column(np.random.default_rng(13), 6, 200)
+        arrival = 259_354.014
+        deadline = arrival + 1e6
+        future = session.scan(column, "less_than", 9, deadline_ns=deadline, at_ns=arrival)
+        session.backend.advance_to(deadline)
+        record = future.record
+        assert record.completed
+        assert not record.deadline_missed
+        assert record.start_ns == deadline - record.modeled_ns - slack
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        queue=st.lists(
+            st.tuples(
+                st.floats(0.0, 1e7),
+                st.one_of(st.none(), st.floats(0.0, 1e6)),
+                st.floats(0.0, 1e5),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        window=st.one_of(st.none(), st.floats(0.0, 1e6)),
+        slack=st.one_of(st.none(), st.floats(0.0, 1e5)),
+        now_after=st.floats(0.0, 1e6),
+    )
+    def test_policy_never_wakes_without_closing(self, queue, window, slack, now_after):
+        """Wherever ``next_close_ns`` schedules the next wake-up,
+        ``should_close`` agrees that the batch closes there."""
+        policy = BatchPolicy(max_batch=64, window_ns=window, urgency_slack_ns=slack)
+        planner = BatchPlanner(BatchExecutor(engine=_engine()), PipelineConfig(policy=policy))
+        # The closing clauses read only an envelope's timing.
+        queued = [
+            QueuedRequest(
+                request=None,
+                arrival_ns=arrival,
+                deadline_ns=None if due is None else arrival + due,
+                modeled_ns=modeled,
+            )
+            for arrival, due, modeled in queue
+        ]
+        now = max(q.arrival_ns for q in queued) + now_after
+        wake = planner.next_close_ns(queued, now)
+        if math.isfinite(wake):
+            assert planner.should_close(queued, wake)
 
 
 class TestPipelineBitExactness:
@@ -494,44 +577,6 @@ class TestBitmapConjunctionLowering:
 
 
 class TestSampledVerification:
-    def test_verify_fraction_samples_deterministically(self):
-        rng = np.random.default_rng(14)
-        column = _random_column(rng, 8, 300)
-        executors = []
-        for _ in range(2):
-            executor = BatchExecutor(engine=_engine(), verify_fraction=0.4, verify_seed=9)
-            requests = [
-                ScanRequest(column=column, kind="less_than", constants=(c,))
-                for c in range(20)
-            ]
-            batch = executor.run(requests, functional=True)
-            for c, result in zip(range(20), batch.results):
-                expected, _ = column.scan("less_than", c)
-                assert np.array_equal(result.value, expected)
-            executors.append(executor)
-        first, second = executors
-        assert 0 < first.functional_executed < 20
-        assert first.functional_executed + first.sampled_out == 20
-        # Deterministic: an identical executor samples the identical subset.
-        assert first.functional_executed == second.functional_executed
-        assert [first._verify_sampled(0, i) for i in range(20)] == [
-            second._verify_sampled(0, i) for i in range(20)
-        ]
-
-    def test_verify_fraction_bounds(self):
-        with pytest.raises(ValueError):
-            BatchExecutor(engine=_engine(), verify_fraction=1.5)
-        executor = BatchExecutor(engine=_engine(), verify_fraction=0.0)
-        rng = np.random.default_rng(15)
-        column = _random_column(rng, 6, 200)
-        batch = executor.run(
-            [ScanRequest(column=column, kind="equal", constants=(7,))], functional=True
-        )
-        expected, _ = column.scan("equal", 7)
-        assert np.array_equal(batch.results[0].value, expected)
-        assert executor.functional_executed == 0
-        assert executor.sampled_out == 1
-
     def test_full_verification_is_the_default(self):
         executor = BatchExecutor(engine=_engine())
         rng = np.random.default_rng(16)
@@ -540,7 +585,23 @@ class TestSampledVerification:
             [ScanRequest(column=column, kind="equal", constants=(3,))], functional=True
         )
         assert executor.functional_executed == 1
-        assert executor.sampled_out == 0
+
+    def test_functional_batches_run_every_request_on_the_banks(self):
+        executor = BatchExecutor(engine=_engine())
+        rng = np.random.default_rng(14)
+        column = _random_column(rng, 8, 300)
+        requests = [
+            ScanRequest(column=column, kind="less_than", constants=(c,)) for c in range(10)
+        ]
+        for round_index in range(2):
+            batch = executor.run(requests, functional=True)
+            for request, result in zip(requests, batch.results):
+                expected, _ = column.scan("less_than", request.constants[0])
+                assert np.array_equal(result.value, expected)
+            assert executor.functional_executed == 10 * (round_index + 1)
+        # An analytical batch leaves the banks untouched.
+        executor.run(requests)
+        assert executor.functional_executed == 20
 
 
 class TestStagedHostVectors:

@@ -44,6 +44,7 @@ from repro.service import (
     ScanRequest,
     ServiceFrontend,
 )
+from repro.service.config import MERGE_NS_PER_OP
 
 
 def _device(banks: int = 4, rows_per_subarray: int = 32) -> DramDevice:
@@ -400,7 +401,7 @@ class TestGatherMergeTree:
         cluster.drain()
         assert record.completed and record.fanout == 4
         # Tree depth 2, not the serial 3 merges a chain would charge.
-        assert record.host_merge_ns == pytest.approx(2 * cluster.merge_ns_per_op)
+        assert record.host_merge_ns == 2 * MERGE_NS_PER_OP
         assert record.finish_ns == pytest.approx(
             max(p.finish_ns for p in record.parts) + record.host_merge_ns
         )

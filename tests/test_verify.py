@@ -628,7 +628,7 @@ class TestInvariantLint:
         assert waived == ["src/repro/service/executor.py"]
         source = (REPO_ROOT / waived[0]).read_text().replace("# lint: allow[knob-drift]", "")
         names = [f.message.split("'")[1] for f in lint_invariants.lint_source(source, waived[0])]
-        assert names == ["pipeline", "verify_fraction", "verify_seed", "sanitize"]
+        assert names == ["pipeline", "sanitize"]
 
     # The bodies the rule was written against: the elastic controller's
     # `step` and the cluster frontend's `publish_gauges` as they stood
