@@ -8,8 +8,8 @@ run non-raising — every violation listed underneath.  This is the
 offline/"report" face of the sanitizer; the online face is the
 ``sanitize=True`` knob of :class:`~repro.service.config.PipelineConfig`
 (either tier, or a hand-built executor), which raises on the first
-violation instead — and is what makes an executor keep the interval log
-this report replays (an unsanitized one's lanes raise ``ValueError``).
+violation instead — and is what makes an executor keep an interval log
+(an unsanitized one's audit raises ``ValueError``).
 """
 
 from __future__ import annotations
@@ -44,8 +44,11 @@ def audit_schedule(schedule: "LaneSchedule", name: str = "lanes") -> ScheduleAud
 
 
 def audit_executor(executor: "BatchExecutor", name: str = "executor") -> ScheduleAudit:
-    """Audit a (pipelined, sanitized) executor's persistent lane timelines."""
-    return audit_schedule(executor.lanes, name=name)
+    """The cumulative report of a sanitized executor's online checker,
+    which consumed each batch's placements as it certified them."""
+    if executor.sanitizer is None:
+        raise ValueError("an executor logs placements only under sanitize=True")
+    return ScheduleAudit(name=name, report=executor.sanitizer.report())
 
 
 def audit_cluster(cluster, name: str = "cluster") -> List[ScheduleAudit]:

@@ -267,35 +267,31 @@ class ClusterFrontend:
     def _obs_offered(self, record: ClusterRecord) -> None:
         """Open the cluster record's root span at arrival."""
         record.trace = self.obs.tracer.span(
-            "cluster_request", category="cluster", start_ns=record.arrival_ns
-        ).set(
+            "cluster_request", "cluster", record.arrival_ns,
             kind=type(record.request).__name__,
             seq=record.seq,
             priority=record.priority,
         )
-        self.obs.metrics.counter("cluster.offered").inc()
+        self.obs.metrics.counters["cluster.offered"].inc()
 
     def _obs_scattered(self, record: ClusterRecord) -> None:
         """Record the scatter outcome and adopt the part spans."""
         span = record.trace
-        span.child(
-            "scatter",
-            category="cluster",
-            start_ns=record.arrival_ns,
-            end_ns=record.arrival_ns,
-        ).set(
+        tracer = self.obs.tracer
+        tracer.record(
+            "scatter", "cluster", record.arrival_ns, record.arrival_ns, None, span.row,
             fanout=record.fanout,
-            shard_ids=",".join(str(s) for s in record.shard_ids),
+            shard_ids=",".join(map(str, record.shard_ids)),
             admitted=record.admitted,
         )
         for shard_id, part in zip(record.shard_ids, record.parts):
             if part.trace is not None:
                 part.trace.set(shard=shard_id)
-                self.obs.tracer.adopt(part.trace, span)
-        registry = self.obs.metrics
-        registry.counter("cluster.fanout").inc(float(record.fanout))
+                tracer.adopt(part.trace, span)
+        counters = self.obs.metrics.counters
+        counters["cluster.fanout"].inc(float(record.fanout))
         if record.admitted:
-            registry.counter("cluster.admitted").inc()
+            counters["cluster.admitted"].inc()
 
     def _count_key_reads(self, request: FrontendRequest) -> None:
         """Count per-key read touches (the controller's hotness signal);
@@ -305,33 +301,30 @@ class ClusterFrontend:
             keys = [request.column]
         elif isinstance(request, BitmapConjunctionRequest):
             keys = [column for column, _ in request.predicates]
-        registry = self.obs.metrics if self.obs.enabled else None
+        counters = self.obs.metrics.counters if self.obs.enabled else None
         for key in keys:
             label = self.router.key_label(key)
             self.key_reads[label] = self.key_reads.get(label, 0) + 1
-            if registry is not None:
-                registry.counter(f"cluster.key_reads.{label}").inc()
+            if counters is not None:
+                counters[f"cluster.key_reads.{label}"].inc()
 
     def _obs_gathered(self, record: ClusterRecord, tree_depth: int) -> None:
         """Close the record's root (gather-merge child first) and count it."""
         span = record.trace
         if span is not None:
             if record.host_merge_ns > 0.0:
-                span.child(
-                    "gather_merge",
-                    category="cluster",
-                    start_ns=record.finish_ns - record.host_merge_ns,
-                    end_ns=record.finish_ns,
-                ).set(parts=len(record.parts), tree_levels=tree_depth)
-            span.end(record.finish_ns).set(
-                status="completed", deadline_missed=record.deadline_missed
-            )
+                merge_start = record.finish_ns - record.host_merge_ns
+                self.obs.tracer.record(
+                    "gather_merge", "cluster", merge_start, record.finish_ns, None, span.row,
+                    parts=len(record.parts), tree_levels=tree_depth,
+                )
+            span.end(record.finish_ns, status="completed", deadline_missed=record.deadline_missed)
         registry = self.obs.metrics
-        registry.counter("cluster.completed").inc()
-        registry.counter("cluster.merge_ops").inc(float(record.merge_ops))
-        registry.histogram("cluster.sojourn_ns").observe(record.sojourn_ns)
+        registry.counters["cluster.completed"].inc()
+        registry.counters["cluster.merge_ops"].inc(float(record.merge_ops))
+        registry.histograms["cluster.sojourn_ns"].observe(record.sojourn_ns)
         if record.host_merge_ns > 0.0:
-            registry.histogram("cluster.host_merge_ns").observe(record.host_merge_ns)
+            registry.histograms["cluster.host_merge_ns"].observe(record.host_merge_ns)
 
     # ------------------------------------------------------------------
     # Load and placement
@@ -609,8 +602,8 @@ class ClusterFrontend:
             self._obs_scattered(record)
             left_ns = record.arrival_ns
         if record.trace is not None:
-            record.trace.end(left_ns).set(status=status, reason=reason)
-        self.obs.metrics.counter("cluster.rejected").inc()
+            record.trace.end(left_ns, status=status, reason=reason)
+        self.obs.metrics.counters["cluster.rejected"].inc()
 
     # ------------------------------------------------------------------
     # Service

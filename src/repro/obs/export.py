@@ -63,7 +63,7 @@ def trace_events(tracer: Tracer) -> List[Dict[str, Any]]:
     """Flatten the tracer's forest into trace-event dicts.
 
     Metadata events come first; "X" events follow in forest pre-order
-    (roots in creation order, children in creation order), so the device
+    (roots in creation order, children in attach order), so the device
     events of one batch appear in exact lane-placement order.
     """
     meta: List[Dict[str, Any]] = [

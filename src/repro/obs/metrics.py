@@ -16,7 +16,7 @@ schema and ``SessionReport.obs`` carries to clients.
 from __future__ import annotations
 
 import math
-from typing import Any, ClassVar, Dict
+from typing import Any, Callable, ClassVar, Dict, TypeVar
 
 
 class Counter:
@@ -74,8 +74,10 @@ class StreamingHistogram:
         sample = float(value)
         self.count += 1
         self.total += sample
-        self.min_value = min(self.min_value, sample)
-        self.max_value = max(self.max_value, sample)
+        if sample < self.min_value:
+            self.min_value = sample
+        if sample > self.max_value:
+            self.max_value = sample
         if sample <= 0.0:
             self._zeros += 1
             return
@@ -113,36 +115,43 @@ class StreamingHistogram:
         }
 
 
+Instrument = TypeVar("Instrument", Counter, Gauge, StreamingHistogram)
+
+
+class _Instruments(Dict[str, Instrument]):
+    """Name → instrument, created on first lookup (hot paths subscript
+    ``registry.counters[name]`` rather than call ``registry.counter``)."""
+
+    def __init__(self, factory: Callable[[str], Instrument]) -> None:
+        super().__init__()
+        self.factory = factory
+
+    def __missing__(self, name: str) -> Instrument:
+        instrument = self[name] = self.factory(name)
+        return instrument
+
+
 class MetricsRegistry:
     """Get-or-create registry of counters, gauges, and histograms."""
 
     def __init__(self) -> None:
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, StreamingHistogram] = {}
+        self.counters: _Instruments[Counter] = _Instruments(Counter)
+        self.gauges: _Instruments[Gauge] = _Instruments(Gauge)
+        self.histograms: _Instruments[StreamingHistogram] = _Instruments(StreamingHistogram)
 
     def counter(self, name: str) -> Counter:
-        counter = self._counters.get(name)
-        if counter is None:
-            counter = self._counters[name] = Counter(name)
-        return counter
+        return self.counters[name]
 
     def gauge(self, name: str) -> Gauge:
-        gauge = self._gauges.get(name)
-        if gauge is None:
-            gauge = self._gauges[name] = Gauge(name)
-        return gauge
+        return self.gauges[name]
 
     def histogram(self, name: str) -> StreamingHistogram:
-        histogram = self._histograms.get(name)
-        if histogram is None:
-            histogram = self._histograms[name] = StreamingHistogram(name)
-        return histogram
+        return self.histograms[name]
 
     def snapshot(self) -> Dict[str, Any]:
         """One plain dict for the whole registry, keys sorted for diffing."""
         return {
-            "counters": {name: self._counters[name].value for name in sorted(self._counters)},
-            "gauges": {name: self._gauges[name].value for name in sorted(self._gauges)},
-            "histograms": {name: self._histograms[name].snapshot() for name in sorted(self._histograms)},
+            "counters": {name: self.counters[name].value for name in sorted(self.counters)},
+            "gauges": {name: self.gauges[name].value for name in sorted(self.gauges)},
+            "histograms": {name: self.histograms[name].snapshot() for name in sorted(self.histograms)},
         }

@@ -8,66 +8,84 @@ already knows (``arrival_ns``, ``start_ns``, lane placements); nothing
 here ever reads a wall clock, which is what keeps tracing bit-exact:
 recording a run cannot perturb it.
 
-The :class:`Tracer` owns the forest.  ``Tracer(enabled=False)`` — the
-module-level :data:`NULL_TRACER` — is the zero-overhead default: its
-``span`` hands back one shared inert :data:`NULL_SPAN` and records
-nothing.  Hot paths additionally guard on :attr:`Tracer.enabled`, so the
-disabled configuration allocates no span objects at all (pinned by the
-``Span.allocated`` counter test in ``tests/test_obs.py``).
+The :class:`Tracer` owns the forest as flat rows — a tuple of atoms per
+span, which the collector stops tracking, beside its attribute dict — and
+a :class:`Span` is a view of one, made when the forest is read.
+``Tracer(enabled=False)`` — the module-level :data:`NULL_TRACER` — is the
+zero-overhead default: its ``span`` hands back one shared inert
+:data:`NULL_SPAN` and records nothing.  Hot paths additionally guard on
+:attr:`Tracer.enabled`, so the disabled configuration records no spans at
+all (pinned by the ``Span.allocated`` counter test in
+``tests/test_obs.py``).
 """
 
 from __future__ import annotations
 
 from typing import Any, ClassVar, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
+#: ``(name, category, start_ns, end_ns, track, parent row or -1, order)``;
+#: ``order`` counts attachments: children read back in the order they joined.
+Row = Tuple[str, str, float, Optional[float], Optional[Tuple[str, ...]], int, int]
+
 
 class Span:
     """One named interval of virtual time, with attributes and children.
 
-    ``track`` is the tuple of export-track labels the span renders on
-    (bank-lane labels for device execution, a batch row for dispatch
-    windows); spans without a track render on their request's row.
-    ``end_ns`` stays ``None`` while the interval is open (e.g. a request
-    still queued when the run stops).
+    A span is a view of its tracer's row.  ``track`` is the tuple of
+    export-track labels the span renders on (bank-lane labels for device
+    execution, a batch row for dispatch windows); spans without a track
+    render on their request's row.  ``end_ns`` stays ``None`` while the
+    interval is open (e.g. a request still queued when the run stops).
     """
 
-    __slots__ = ("name", "category", "start_ns", "end_ns", "track", "attrs", "children", "parent")
+    __slots__ = ("tracer", "row")
 
-    #: Spans constructed since import.  The disabled-path test pins the
+    #: Spans recorded since import.  The disabled-path test pins the
     #: delta of this counter at zero across an ``observe=False`` run — a
-    #: deterministic "no allocation on the hot path" assertion that
+    #: deterministic "nothing recorded on the hot path" assertion that
     #: cannot flake the way a wall-clock micro-benchmark would.
     allocated: ClassVar[int] = 0
 
-    def __init__(
-        self,
-        name: str,
-        category: str = "span",
-        start_ns: float = 0.0,
-        end_ns: Optional[float] = None,
-        track: Optional[Tuple[str, ...]] = None,
-        parent: Optional["Span"] = None,
-    ) -> None:
-        self.name = name
-        self.category = category
-        self.start_ns = float(start_ns)
-        self.end_ns: Optional[float] = float(end_ns) if end_ns is not None else None
-        self.track = track
-        self.attrs: Dict[str, Any] = {}
-        self.children: List[Span] = []
-        self.parent = parent
-        if parent is not None:
-            parent.children.append(self)
-        Span.allocated += 1
+    def __init__(self, tracer: "Tracer", row: int) -> None:
+        self.tracer = tracer
+        self.row = row
 
     @property
-    def duration_ns(self) -> float:
-        """Span length; 0.0 while the span is still open."""
-        return (self.end_ns if self.end_ns is not None else self.start_ns) - self.start_ns
+    def name(self) -> str:
+        return self.tracer._rows[self.row][0]
 
-    def end(self, end_ns: float) -> "Span":
-        """Close the interval at ``end_ns`` (chainable)."""
-        self.end_ns = float(end_ns)
+    @property
+    def category(self) -> str:
+        return self.tracer._rows[self.row][1]
+
+    @property
+    def start_ns(self) -> float:
+        return self.tracer._rows[self.row][2]
+
+    @property
+    def end_ns(self) -> Optional[float]:
+        return self.tracer._rows[self.row][3]
+
+    @property
+    def track(self) -> Optional[Tuple[str, ...]]:
+        return self.tracer._rows[self.row][4]
+
+    @property
+    def attrs(self) -> Dict[str, Any]:
+        return self.tracer._attrs[self.row]
+
+    @property
+    def parent(self) -> Optional["Span"]:
+        parent = self.tracer._rows[self.row][5]
+        return None if parent < 0 else self.tracer.view(parent)
+
+    @property
+    def children(self) -> List["Span"]:
+        return [self.tracer.view(row) for row in self.tracer._child_rows(self.row)]
+
+    def end(self, end_ns: float, **attrs: Any) -> "Span":
+        """Close the interval at ``end_ns``, attaching ``attrs`` (chainable)."""
+        self.tracer.close(self.row, end_ns, **attrs)
         return self
 
     def set(self, **attrs: Any) -> "Span":
@@ -82,12 +100,14 @@ class Span:
         start_ns: float = 0.0,
         end_ns: Optional[float] = None,
         track: Optional[Tuple[str, ...]] = None,
+        **attrs: Any,
     ) -> "Span":
-        """Create and attach a child span."""
-        return Span(name, category=category, start_ns=start_ns, end_ns=end_ns, track=track, parent=self)
+        """Record a child span."""
+        tracer = self.tracer
+        return tracer.view(tracer.record(name, category, start_ns, end_ns, track, self.row, **attrs))
 
     def walk(self) -> Iterator["Span"]:
-        """Pre-order traversal of this subtree (children in creation order)."""
+        """Pre-order traversal of this subtree (children in attach order)."""
         yield self
         for child in self.children:
             yield from child.walk()
@@ -98,22 +118,6 @@ class Span:
             if span.name == name:
                 return span
         return None
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form of the subtree (for reports and debugging)."""
-        payload: Dict[str, Any] = {
-            "name": self.name,
-            "category": self.category,
-            "start_ns": self.start_ns,
-            "end_ns": self.end_ns,
-        }
-        if self.track is not None:
-            payload["track"] = list(self.track)
-        if self.attrs:
-            payload["attrs"] = dict(self.attrs)
-        if self.children:
-            payload["children"] = [child.to_dict() for child in self.children]
-        return payload
 
     def __repr__(self) -> str:
         end = "open" if self.end_ns is None else f"{self.end_ns:.0f}"
@@ -130,31 +134,23 @@ class _NullSpan(Span):
 
     __slots__ = ()
 
-    def end(self, end_ns: float) -> "Span":
+    def end(self, *args: Any, **attrs: Any) -> "Span":
         return self
 
     def set(self, **attrs: Any) -> "Span":
         return self
 
-    def child(
-        self,
-        name: str,
-        category: str = "span",
-        start_ns: float = 0.0,
-        end_ns: Optional[float] = None,
-        track: Optional[Tuple[str, ...]] = None,
-    ) -> "Span":
+    def child(self, *args: Any, **attrs: Any) -> "Span":
         return self
 
-
-#: The one inert span (allocated once, at import).
-NULL_SPAN: Span = _NullSpan("null")
+    def __repr__(self) -> str:
+        return "NULL_SPAN"
 
 
 class Tracer:
     """Records a forest of span trees stamped on the virtual clock.
 
-    ``roots`` holds top-level spans (requests, batches) in creation
+    ``roots`` reads the top-level spans (requests, batches) in creation
     order; ``tracks`` holds the declared export-track labels (one per
     bank lane, plus the host lane and a batch row) in declaration order,
     so an exported trace shows the full lane topology even for lanes
@@ -163,9 +159,45 @@ class Tracer:
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.roots: List[Span] = []
         self.tracks: List[str] = []
         self._track_set: Set[str] = set()
+        self._rows: List[Row] = []
+        self._attrs: List[Dict[str, Any]] = []
+        self._views: Dict[int, Span] = {}
+        self._attached = 0
+        # Parent row -> child rows; rebuilt on the first read after a change.
+        self._children: Optional[Dict[int, List[int]]] = None
+
+    def record(
+        self,
+        name: str,
+        category: str = "span",
+        start_ns: float = 0.0,
+        end_ns: Optional[float] = None,
+        track: Optional[Tuple[str, ...]] = None,
+        parent: int = -1,
+        **attrs: Any,
+    ) -> int:
+        """Append a span's row under the ``parent`` row (-1: a root) and
+        return its number; a disabled tracer records nothing (-1)."""
+        if not self.enabled:
+            return -1
+        order = -1
+        if parent >= 0:
+            self._attached += 1
+            order = self._attached
+            self._children = None
+        rows = self._rows
+        rows.append((name, category, start_ns, end_ns, track, parent, order))
+        self._attrs.append(attrs)
+        Span.allocated += 1
+        return len(rows) - 1
+
+    def close(self, row: int, end_ns: float, **attrs: Any) -> None:
+        """Close ``row``'s interval at ``end_ns`` and attach ``attrs``."""
+        name, category, start_ns, _, track, parent, order = self._rows[row]
+        self._rows[row] = (name, category, start_ns, end_ns, track, parent, order)
+        self._attrs[row].update(attrs)
 
     def span(
         self,
@@ -175,15 +207,34 @@ class Tracer:
         end_ns: Optional[float] = None,
         track: Optional[Tuple[str, ...]] = None,
         parent: Optional[Span] = None,
+        **attrs: Any,
     ) -> Span:
-        """Open a span; parentless spans become roots.  Disabled tracers
-        return :data:`NULL_SPAN` and record nothing."""
+        """Record a span and return its view; parentless spans are roots.
+        Disabled tracers return :data:`NULL_SPAN` and record nothing."""
         if not self.enabled:
             return NULL_SPAN
-        span = Span(name, category=category, start_ns=start_ns, end_ns=end_ns, track=track, parent=parent)
-        if parent is None:
-            self.roots.append(span)
+        parent_row = -1 if parent is None else parent.row
+        return self.view(self.record(name, category, start_ns, end_ns, track, parent_row, **attrs))
+
+    def view(self, row: int) -> Span:
+        """The one view of a recorded row."""
+        span = self._views.get(row)
+        if span is None:
+            span = self._views[row] = Span(self, row)
         return span
+
+    @property
+    def roots(self) -> List[Span]:
+        """Top-level spans in creation order (adopted spans excluded)."""
+        return [self.view(row) for row, fields in enumerate(self._rows) if fields[5] < 0]
+
+    def _child_rows(self, row: int) -> List[int]:
+        if self._children is None:
+            self._children = {}
+            attached = sorted((f[6], f[5], child) for child, f in enumerate(self._rows) if f[5] >= 0)
+            for _, parent, child in attached:
+                self._children.setdefault(parent, []).append(child)
+        return self._children.get(row, [])
 
     def declare_tracks(self, labels: Iterable[str]) -> None:
         """Register export tracks (idempotent, order-preserving)."""
@@ -195,7 +246,7 @@ class Tracer:
                 self.tracks.append(label)
 
     def adopt(self, span: Span, parent: Span) -> None:
-        """Re-parent a root span under ``parent``.
+        """Re-parent ``span`` under ``parent``, as its newest child.
 
         The cluster tier uses this to pull the per-shard part spans (each
         opened as a root by its shard's frontend) under the cluster
@@ -203,16 +254,14 @@ class Tracer:
         """
         if not self.enabled or span is NULL_SPAN or parent is NULL_SPAN:
             return
-        # Adopted spans were opened a moment ago, and `roots` keeps every
-        # request and batch of the stream: search from the tail.
-        roots = self.roots
-        for index in range(len(roots) - 1, -1, -1):
-            if roots[index] is span:
-                del roots[index]
-                break
-        span.parent = parent
-        parent.children.append(span)
+        name, category, start_ns, end_ns, track, _, _ = self._rows[span.row]
+        self._attached += 1
+        self._rows[span.row] = (name, category, start_ns, end_ns, track, parent.row, self._attached)
+        self._children = None
 
 
 #: The shared no-op tracer behind ``observe=False``.
 NULL_TRACER = Tracer(enabled=False)
+
+#: The one inert span.
+NULL_SPAN: Span = _NullSpan(NULL_TRACER, -1)

@@ -57,7 +57,7 @@ from repro.ambit.bitvector import BulkBitVector
 from repro.ambit.engine import AmbitConfig, AmbitEngine
 from repro.analysis.metrics import BatchMetrics, OperationMetrics, combine_serial
 from repro.database.bitweaving import BitWeavingColumn
-from repro.obs import NULL_OBSERVER, Observer, Span
+from repro.obs import NULL_OBSERVER, Observer
 from repro.rowclone.engine import RowCloneEngine
 from repro.service.lanes import HOST_LANE, LaneSchedule
 from repro.service.pool import VectorPool
@@ -138,10 +138,10 @@ class BatchExecutor:
         #: mode; a barrier run schedules on a fresh throwaway timeline).
         #: The interval log is the sanitizer's input, kept only for it.
         self.lanes = LaneSchedule(self.active_bank_keys(), keep_log=sanitize)
-        # Incremental race detector over the persistent lanes: each batch
-        # only replays its own placements, so certifying every dispatch
-        # stays O(batch) rather than O(history).
-        self._sanitizer = ScheduleSanitizer() if sanitize else None
+        #: Incremental race detector over the persistent lanes: it consumes
+        #: each batch's placements, so certifying every dispatch stays
+        #: O(batch) in time and memory; its report is cumulative.
+        self.sanitizer = ScheduleSanitizer() if sanitize else None
         #: Label prefix for this executor's trace tracks; the cluster tier
         #: sets ``"shard<i>/"`` so identical bank keys on different shard
         #: devices stay distinct Perfetto tracks.
@@ -161,6 +161,9 @@ class BatchExecutor:
         lane topology — including lanes that never ran work.
         """
         self.obs = obs
+        # Lane-label track tuple per bank tuple; the labels carry
+        # obs_prefix, which is set before a plane is bound.
+        self._tracks: Dict[Tuple, Tuple[str, ...]] = {}
         if obs.enabled:
             labels = [self.lane_label(key) for key in self.active_bank_keys()]
             labels.append(self.lane_label(HOST_LANE))
@@ -223,15 +226,13 @@ class BatchExecutor:
         if release_ns is None:
             release_ns = self.ready_ns()
         release = float(release_ns)
-        batch_span: Optional[Span] = None
+        tracer = self.obs.tracer
+        batch_row = -1
         if self.obs.enabled:
-            batch_span = self.obs.tracer.span(
-                f"batch {batch_index}",
-                category="executor",
-                start_ns=release,
-                track=(self.batches_track(),),
+            batch_row = tracer.record(
+                f"batch {batch_index}", "executor", release, None, (self.batches_track(),)
             )
-        makespan, device_busy, overlap = self._schedule(results, release, batch_span)
+        makespan, device_busy, overlap = self._schedule(results, release, batch_row)
         serial = combine_serial("batch_serial", (r.metrics for r in results))
         metrics = BatchMetrics(
             name="service_batch",
@@ -244,8 +245,9 @@ class BatchExecutor:
             cross_batch_overlap_ns=overlap,
             notes=f"{context.fused_ops} fused ops" if context.fused_ops else "",
         )
-        if batch_span is not None:
-            batch_span.end(release + makespan).set(
+        if batch_row >= 0:
+            tracer.close(
+                batch_row, release + makespan,
                 batch=batch_index,
                 requests=len(results),
                 fused_ops=context.fused_ops,
@@ -253,10 +255,11 @@ class BatchExecutor:
                 cross_batch_overlap_ns=overlap,
             )
             registry = self.obs.metrics
-            registry.counter("executor.batches").inc()
-            registry.counter("executor.requests").inc(float(len(results)))
-            registry.counter("executor.fused_ops").inc(float(context.fused_ops))
-            registry.histogram("executor.batch_makespan_ns").observe(makespan)
+            counters = registry.counters
+            counters["executor.batches"].inc()
+            counters["executor.requests"].inc(float(len(results)))
+            counters["executor.fused_ops"].inc(float(context.fused_ops))
+            registry.histograms["executor.batch_makespan_ns"].observe(makespan)
         return BatchResult(results=results, metrics=metrics)
 
     # ------------------------------------------------------------------
@@ -631,7 +634,7 @@ class BatchExecutor:
         self,
         results: List[RequestResult],
         release_ns: float,
-        batch_span: Optional[Span] = None,
+        batch_row: int = -1,
     ) -> Tuple[float, float, float]:
         """Greedy per-bank lane schedule of one dispatched batch.
 
@@ -681,6 +684,7 @@ class BatchExecutor:
         # Looked up per batch, not cached at construction: a tracer shims
         # `lanes.place` as an instance attribute after the executor exists.
         place = lanes.place
+        record, tracks = self.obs.tracer.record, self._tracks
         for result in order:
             release = release_ns
             if has_deps:
@@ -694,17 +698,16 @@ class BatchExecutor:
             banks = result.bank_ids or [HOST_LANE]
             start, finish = place(banks, result.metrics.latency_ns, release)
             result.start_ns = start
-            if batch_span is not None:
+            if batch_row >= 0:
                 # One exec span per placement, on every lane it occupies —
                 # the export replays these intervals to reproduce the
                 # lanes' busy union exactly.
-                batch_span.child(
-                    result.metrics.name,
-                    category="exec",
-                    start_ns=start,
-                    end_ns=finish,
-                    track=tuple(self.lane_label(key) for key in banks),
-                ).set(
+                key = tuple(banks)
+                track = tracks.get(key)
+                if track is None:
+                    track = tracks[key] = tuple(self.lane_label(bank) for bank in banks)
+                record(
+                    result.metrics.name, "exec", start, finish, track, batch_row,
                     latency_ns=result.metrics.latency_ns,
                     release_ns=release,
                     banks=len(banks),
@@ -715,11 +718,11 @@ class BatchExecutor:
         if self.pipeline:
             lanes.cross_batch_overlap_ns += overlap
             lanes.batches += 1
-        if self._sanitizer is not None:
+        if self.sanitizer is not None:
             if self.pipeline:
                 # Incremental: audit only this batch's placements, then
                 # reconcile the persistent schedule's full accounting.
-                self._sanitizer.check(lanes)
+                self.sanitizer.check(lanes)
             else:
                 # The throwaway barrier schedule is complete: audit it whole.
                 check_schedule(lanes)

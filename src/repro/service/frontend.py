@@ -314,8 +314,8 @@ class ServiceFrontend:
 
     def _obs_offered(self, queued: QueuedRequest) -> None:
         """Open the request's root span at arrival."""
-        span = self.obs.tracer.span("request", category="request", start_ns=queued.arrival_ns)
-        span.set(
+        span = self.obs.tracer.span(
+            "request", "request", queued.arrival_ns,
             kind=type(queued.request).__name__,
             seq=queued.seq,
             priority=queued.priority,
@@ -326,24 +326,21 @@ class ServiceFrontend:
                 deadline_slack_ns=queued.deadline_ns - queued.arrival_ns,
             )
         queued.trace = span
-        self.obs.metrics.counter("frontend.offered").inc()
+        self.obs.metrics.counters["frontend.offered"].inc()
 
     def _obs_admitted(self, queued: QueuedRequest) -> None:
         """Record the admission decision and refresh the queue gauges."""
-        queued.trace.child(
-            "admission",
-            category="request",
-            start_ns=queued.arrival_ns,
-            end_ns=queued.arrival_ns,
-        ).set(
+        arrival = queued.arrival_ns
+        self.obs.tracer.record(
+            "admission", "request", arrival, arrival, None, queued.trace.row,
             admitted=True,
             modeled_ns=queued.modeled_ns,
             modeled_banks=len(queued.modeled_banks),
         )
         registry = self.obs.metrics
-        registry.counter("frontend.admitted").inc()
-        registry.gauge("frontend.queue_depth").set(float(len(self._heap)))
-        registry.gauge("frontend.backlog_ns").set(self.backlog_ns)
+        registry.counters["frontend.admitted"].inc()
+        registry.gauges["frontend.queue_depth"].set(float(len(self._heap)))
+        registry.gauges["frontend.backlog_ns"].set(self.backlog_ns)
 
     def _obs_maintenance(self, queued: QueuedRequest, group: LoweredGroup) -> None:
         """Attach a ``maintenance`` child span for index-maintenance work.
@@ -370,9 +367,9 @@ class ServiceFrontend:
             attrs = dict(kind="rebuild", strategy=strategy, columns=",".join(group.rebuild_columns))
         else:
             return
-        queued.trace.child(
-            "maintenance", category="storage", start_ns=queued.start_ns, end_ns=queued.finish_ns
-        ).set(**attrs)
+        self.obs.tracer.record(
+            "maintenance", "storage", queued.start_ns, queued.finish_ns, None, queued.trace.row, **attrs
+        )
 
     # ------------------------------------------------------------------
     # Settling: the one door per outcome through which an envelope becomes
@@ -393,17 +390,15 @@ class ServiceFrontend:
             span = queued.trace
             if span is not None:
                 if left_ns is None:
-                    span.child(
-                        "admission",
-                        category="request",
-                        start_ns=queued.arrival_ns,
-                        end_ns=queued.arrival_ns,
-                    ).set(admitted=False, reason=reason)
                     left_ns = queued.arrival_ns
-                span.end(left_ns).set(status="rejected", reason=reason)
-            registry = self.obs.metrics
-            registry.counter("frontend.rejected").inc()
-            registry.counter(f"frontend.rejected.{reason}").inc()
+                    self.obs.tracer.record(
+                        "admission", "request", left_ns, left_ns, None, span.row,
+                        admitted=False, reason=reason,
+                    )
+                span.end(left_ns, status="rejected", reason=reason)
+            counters = self.obs.metrics.counters
+            counters["frontend.rejected"].inc()
+            counters[f"frontend.rejected.{reason}"].inc()
         if self.on_settled is not None:
             self.on_settled(self, queued)
 
@@ -427,19 +422,12 @@ class ServiceFrontend:
         queued.add_counts(group)
         if self.obs.enabled:
             span = queued.trace
+            missed = queued.deadline_missed
             if span is not None:
-                span.child(
-                    "queue",
-                    category="request",
-                    start_ns=queued.arrival_ns,
-                    end_ns=queued.start_ns,
-                )
-                span.child(
-                    "service",
-                    category="request",
-                    start_ns=queued.start_ns,
-                    end_ns=queued.finish_ns,
-                ).set(
+                record = self.obs.tracer.record
+                record("queue", "request", queued.arrival_ns, start_ns, None, span.row)
+                record(
+                    "service", "request", start_ns, queued.finish_ns, None, span.row,
                     batch=batch_index,
                     ops_eliminated=queued.ops_eliminated,
                     shared_subchains=queued.shared_subchains,
@@ -447,16 +435,14 @@ class ServiceFrontend:
                     cache_hits=queued.cache_hits,
                     cache_misses=queued.cache_misses,
                 )
-                span.end(queued.finish_ns).set(
-                    status="completed", deadline_missed=queued.deadline_missed
-                )
+                span.end(queued.finish_ns, status="completed", deadline_missed=missed)
                 self._obs_maintenance(queued, group)
             registry = self.obs.metrics
-            registry.counter("frontend.completed").inc()
-            if queued.deadline_missed:
-                registry.counter("frontend.deadline_misses").inc()
-            registry.histogram("frontend.wait_ns").observe(queued.wait_ns)
-            registry.histogram("frontend.sojourn_ns").observe(queued.sojourn_ns)
+            registry.counters["frontend.completed"].inc()
+            if missed:
+                registry.counters["frontend.deadline_misses"].inc()
+            registry.histograms["frontend.wait_ns"].observe(queued.wait_ns)
+            registry.histograms["frontend.sojourn_ns"].observe(queued.sojourn_ns)
         if self.on_settled is not None:
             self.on_settled(self, queued)
 
@@ -743,13 +729,8 @@ class ServiceFrontend:
         if observe:
             # Instant marker on the batch row: what planning/optimization
             # did to this batch before it hit the lanes.
-            self.obs.tracer.span(
-                "plan",
-                category="planner",
-                start_ns=batch_start,
-                end_ns=batch_start,
-                track=(self.executor.batches_track(),),
-            ).set(
+            self.obs.tracer.record(
+                "plan", "planner", batch_start, batch_start, (self.executor.batches_track(),),
                 batch=batch_index,
                 requests=len(closed),
                 primitives=len(primitives),
@@ -788,16 +769,15 @@ class ServiceFrontend:
             batch.metrics.add_counts(group)
         if observe:
             registry = self.obs.metrics
-            registry.gauge("frontend.queue_depth").set(float(len(self._heap)))
-            registry.gauge("frontend.backlog_ns").set(self.backlog_ns)
+            registry.gauges["frontend.queue_depth"].set(float(len(self._heap)))
+            registry.gauges["frontend.backlog_ns"].set(self.backlog_ns)
+            counters = registry.counters
             if batch.metrics.cache_hits:
-                registry.counter("cache.hit").inc(batch.metrics.cache_hits)
+                counters["cache.hit"].inc(batch.metrics.cache_hits)
             if batch.metrics.cache_misses:
-                registry.counter("cache.miss").inc(batch.metrics.cache_misses)
+                counters["cache.miss"].inc(batch.metrics.cache_misses)
             if batch.metrics.cache_invalidations:
-                registry.counter("cache.invalidations").inc(
-                    batch.metrics.cache_invalidations
-                )
+                counters["cache.invalidations"].inc(batch.metrics.cache_invalidations)
         if not pipelined:
             self.clock_ns = batch_start + batch.metrics.latency_ns
         self.busy_ns += batch.metrics.busy_ns

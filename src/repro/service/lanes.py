@@ -34,7 +34,8 @@ input of the schedule race detector
 that no two requests overlapped on a lane, that causality held (no start
 before release, completions within the barrier bound), and that the
 busy/union/overlap accounting above reconciles with the placements that
-produced it.  Without that reader, :meth:`place` builds and keeps nothing.
+produced it (and, on an executor's log, consumes them batch by batch).
+Without that reader, :meth:`place` builds and keeps nothing.
 
 The schedule is deliberately policy-free: the executor decides lane
 membership (bank assignment) and request order (LPT), the frontend decides
@@ -106,9 +107,10 @@ class LaneSchedule:
         self.requests = 0
         #: Batches dispatched across the schedule's lifetime.
         self.batches = 0
-        #: Interval log of every placement, in placement order — the
-        #: schedule race detector's input (see module docstring); None
-        #: when the schedule was built without one.
+        #: Interval log of placements, in placement order — the schedule
+        #: race detector's input, less what its incremental check has
+        #: consumed (see module docstring); None when the schedule was
+        #: built without one.
         self.log: Optional[List[LanePlacement]] = [] if keep_log else None
         #: Batch windows opened via :meth:`open_batch` (stamps the log).
         self.batches_opened = 0

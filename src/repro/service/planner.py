@@ -79,6 +79,8 @@ class _PricedChain:
         canonical: What the batch plan optimizer derives from the shape
             alone (canonical order, dependency columns, plan total; set
             on first optimized lowering).  Structure only, like the chain.
+        certified: The full plan lint passed on the shape's first bind
+            (``sanitize=True``); later binds are checked as bindings.
     """
 
     chain: "CompiledChain"
@@ -86,6 +88,7 @@ class _PricedChain:
     latency_ns: float = 0.0
     serial: Optional[SerialCost] = None
     canonical: Optional["ConjunctionShape"] = None
+    certified: bool = False
 
 
 @dataclass
@@ -500,18 +503,18 @@ class BatchPlanner:
         chain = priced.chain
         steps, result_vector = chain.bind(index, shared)
         if self.executor.sanitize:
-            from repro.verify.plan_lint import lint_lowered_conjunction  # local: avoid cycle
+            from repro.verify import plan_lint  # local: avoid cycle
 
             # Certify the bound chain statically before any step
-            # executes: topology, widths, and cost-model agreement.
-            lint_lowered_conjunction(
-                request.predicates,
-                steps,
-                result_vector,
-                chain.plan(),
-                num_rows=index.num_rows,
-                row_size_bytes=chain.row_size_bytes,
-            )
+            # executes: the shape's topology, widths and cost-model
+            # agreement once per template, this request's wiring always.
+            if not priced.certified:
+                plan_lint.lint_lowered_conjunction(
+                    request.predicates, steps, result_vector, chain.plan(),
+                    num_rows=index.num_rows, row_size_bytes=chain.row_size_bytes,
+                )
+                priced.certified = True
+            plan_lint.lint_binding(chain, steps, result_vector, shared)
         offset = self.executor.stable_offset(index)
         first = len(primitives)
         for op, a, b, out in steps:

@@ -31,6 +31,7 @@ from repro.verify.plan_lint import (
     check_failover_reoffer,
     check_scatter_coverage,
     check_write_scatter,
+    lint_binding,
     lint_cache_consistency,
     lint_chain,
     lint_lowered_conjunction,
@@ -67,6 +68,7 @@ __all__ = [
     "check_scatter_coverage",
     "check_schedule",
     "check_write_scatter",
+    "lint_binding",
     "lint_cache_consistency",
     "lint_chain",
     "lint_lowered_conjunction",

@@ -24,15 +24,17 @@ re-placement) can be certified independently of what they compute:
   dropped, none applied twice (either would silently corrupt the gather
   AND).
 
-All checks raise typed :class:`~repro.verify.errors.PlanVerifyError`
-subclasses; a clean chain returns a :class:`ChainLintReport` summary.
+A planner certifies each template once, with the full lint, and each
+request's binding of it with :func:`lint_binding`.  All checks raise
+typed :class:`~repro.verify.errors.PlanVerifyError` subclasses; a clean
+chain returns a :class:`ChainLintReport` summary.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.ambit.bitvector import BulkBitVector
 from repro.database.bitmap_index import BitmapPlan
@@ -46,6 +48,9 @@ from repro.verify.errors import (
     WidthMismatchError,
     WritePlanError,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.api.plans import CompiledChain, SharedSources
 
 #: Bulk bitwise ops a lowered step may carry (the engine's op set).
 BULK_OPS = frozenset({"not", "and", "or", "nand", "nor", "xor", "xnor"})
@@ -259,6 +264,43 @@ def lint_lowered_conjunction(
             },
         )
     return report
+
+
+def lint_binding(
+    chain: "CompiledChain", steps: Sequence[ChainStep], result: BulkBitVector, sources: "SharedSources"
+) -> None:
+    """Certify one request's bind of a template the full lint certified on
+    its first bind: each step's op, every operand its slot's vector (a
+    source's from ``sources``, the batch's bound-source memo), every output
+    fresh, every width and padding the chain's, the result the last output.
+    A failing bind goes to the full lint first, so a defect it sees raises
+    its typed error; the rest raise DanglingOperandError."""
+    problem: Optional[str] = None
+    vectors = [sources[slot][1] for slot in chain.sources]
+    if len(steps) != len(chain.steps):
+        problem = f"{len(steps)} steps bound to a {len(chain.steps)}-step template"
+    else:
+        for index, (step, (op, a_slot, b_slot)) in enumerate(zip(steps, chain.steps)):
+            if step[0] != op or step[1] is not vectors[a_slot] or step[2] is not vectors[b_slot]:
+                problem = f"step {index} is not the template's {op!r} over its slots"
+                break
+            vectors.append(step[3])
+    if problem is None:
+        num_rows, row_size, sources_end = chain.num_rows, chain.row_size_bytes, len(chain.sources)
+        outputs = set(map(id, vectors[sources_end:]))
+        if len(outputs) != len(steps) or not outputs.isdisjoint(map(id, vectors[:sources_end])):
+            problem = "a step output is not a fresh vector"
+        elif result is not vectors[-1]:
+            problem = "the result is not the last step's output"
+        for vector in vectors:
+            if vector.num_bits != num_rows or vector.row_size_bytes != row_size:
+                problem = "a vector's width or row padding is not the chain's"
+                break
+    if problem is not None:
+        lint_lowered_conjunction(
+            chain.predicates, steps, result, chain.plan(), chain.num_rows, chain.row_size_bytes
+        )
+        raise DanglingOperandError(f"bind of {chain.predicates}: {problem}")
 
 
 @dataclass(frozen=True)
@@ -529,17 +571,17 @@ def check_scatter_coverage(
         ScatterCoverageError: A predicate is dropped, duplicated, invented,
             or a shard received an empty sub-conjunction.
     """
-    want = Counter((column, tuple(values)) for column, values in predicates)
-    got: Counter = Counter()
+    scattered: List[Predicate] = []
     for shard_id, sub_predicates in parts:
         if not sub_predicates:
             raise ScatterCoverageError(
                 f"shard {shard_id} received an empty sub-conjunction",
                 details={"shard": shard_id},
             )
-        for column, values in sub_predicates:
-            got[(column, tuple(values))] += 1
-    if got != want:
+        scattered.extend(sub_predicates)
+    if sorted(scattered) != sorted(predicates):
+        want = Counter((column, tuple(values)) for column, values in predicates)
+        got = Counter((column, tuple(values)) for column, values in scattered)
         missing = sorted(set(want) - set(got))
         extra = sorted(set(got) - set(want))
         duplicated = sorted(key for key in got if got[key] > want.get(key, 0))

@@ -21,15 +21,17 @@ deterministic timeline and certifies, per placement:
   within the ``pipeline=False`` barrier bound — the batch's release (or
   the previous horizon) plus its serial latency — so pipelining provably
   never *delays* work;
-* **Accounting conservation** — per-lane busy sums, the device-busy
-  interval union, the cross-batch overlap, and the request count recorded
-  by the schedule reconcile with the log that produced them.
+* **Accounting conservation** — per-lane busy sums and horizons (of every
+  lane recorded or replayed), the device-busy interval union, the
+  cross-batch overlap, and the request count recorded by the schedule
+  reconcile with the log that produced them.
 
 The checker is *incremental*: an executor constructed with
-``sanitize=True`` keeps one sanitizer per schedule and feeds it only the
-placements each new batch appended, so certifying every dispatch is
-O(batch), not O(history).  :func:`check_schedule` runs the same audit over
-a whole schedule in one shot (the standalone-report path used by
+``sanitize=True`` keeps one sanitizer per schedule, whose
+:meth:`~ScheduleSanitizer.check` consumes the placements each new batch
+appended, so certifying every dispatch is O(batch) in time and memory,
+not O(history).  :func:`check_schedule` runs the same audit over a whole
+schedule in one shot, leaving its log (the standalone-report path used by
 :mod:`repro.analysis.audit`).
 """
 
@@ -56,14 +58,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 LaneKey = Hashable
 
 
-def _tolerance(*values: float) -> float:
+def _tolerance(value: float) -> float:
     """Absolute comparison slack for accumulated virtual-time floats."""
-    scale = max((abs(v) for v in values), default=0.0)
-    return max(1e-6, 1e-9 * scale)
+    slack = 1e-9 * (-value if value < 0.0 else value)
+    return slack if slack > 1e-6 else 1e-6
 
 
 def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= _tolerance(a, b)
+    return a == b or abs(a - b) <= _tolerance(max(abs(a), abs(b)))
 
 
 class _IntervalUnion:
@@ -78,6 +80,14 @@ class _IntervalUnion:
         if finish <= start:
             return
         starts, ends = self._starts, self._ends
+        if not ends or start >= ends[-1]:  # in time order: nothing is re-covered
+            if ends and start == ends[-1]:
+                ends[-1] = finish
+            else:
+                starts.append(start)
+                ends.append(finish)
+            self.total += finish - start
+            return
         i = bisect.bisect_left(ends, start)
         j = bisect.bisect_right(starts, finish)
         covered = 0.0
@@ -156,11 +166,12 @@ class ScheduleSanitizer:
 
     def _replay(self, index: int, placed: LanePlacement) -> None:
         """Replay one placement and certify it against the log entry."""
-        if placed.latency_ns < 0.0:
+        start, finish = placed.start_ns, placed.finish_ns
+        latency, release = placed.latency_ns, placed.release_ns
+        if latency < 0.0:
             self._fail(
                 CausalityError(
-                    f"placement {index} carries negative latency "
-                    f"{placed.latency_ns}",
+                    f"placement {index} carries negative latency {latency}",
                     details={"placement": index},
                 )
             )
@@ -170,60 +181,64 @@ class ScheduleSanitizer:
             # and barrier drift.
             self._batch_index = placed.batch_index
             self._batch_prev_horizon = max(self._horizon.values(), default=0.0)
-            self._batch_release = placed.release_ns
+            self._batch_release = release
             self._batch_serial = 0.0
             self._batches_seen += 1
-        self._batch_release = max(self._batch_release, placed.release_ns)
-        self._batch_serial += placed.latency_ns
+        if release > self._batch_release:
+            self._batch_release = release
+        self._batch_serial += latency
 
-        # Hazard: starting before a lane it occupies has drained would
-        # overlap two requests on that bank.
+        # One pass over the lanes: the hazard (starting before a lane it
+        # occupies has drained would overlap two requests on that bank)
+        # and the deterministic replay's start (released, all lanes
+        # drained).
+        horizon = self._horizon
+        expected_start = release
         for key in placed.lanes:
-            lane_busy_until = self._horizon.get(key, 0.0)
-            if placed.start_ns < lane_busy_until - _tolerance(lane_busy_until):
+            busy_until = horizon.get(key, 0.0)
+            if start < busy_until and start < busy_until - _tolerance(busy_until):
                 self._fail(
                     LaneHazardError(
-                        f"placement {index} starts at {placed.start_ns} on lane "
-                        f"{key!r} while it is busy until {lane_busy_until}",
+                        f"placement {index} starts at {start} on lane "
+                        f"{key!r} while it is busy until {busy_until}",
                         details={
                             "placement": index,
                             "lane": key,
-                            "start_ns": placed.start_ns,
-                            "busy_until_ns": lane_busy_until,
+                            "start_ns": start,
+                            "busy_until_ns": busy_until,
                         },
                     )
                 )
+            if busy_until > expected_start:
+                expected_start = busy_until
 
         # Causality: release <= start, finish = start + latency, and the
-        # start equals the deterministic replay (released, all lanes
-        # drained) — any drift means schedule and log disagree.
-        if placed.start_ns < placed.release_ns - _tolerance(placed.release_ns):
+        # start equals the replay — any drift means schedule and log
+        # disagree.
+        if start < release and start < release - _tolerance(release):
             self._fail(
                 CausalityError(
-                    f"placement {index} starts at {placed.start_ns} before its "
-                    f"release at {placed.release_ns}",
+                    f"placement {index} starts at {start} before its "
+                    f"release at {release}",
                     details={"placement": index},
                 )
             )
-        if not _close(placed.finish_ns, placed.start_ns + placed.latency_ns):
+        if not _close(finish, start + latency):
             self._fail(
                 CausalityError(
-                    f"placement {index} finish {placed.finish_ns} != start "
-                    f"{placed.start_ns} + latency {placed.latency_ns}",
+                    f"placement {index} finish {finish} != start "
+                    f"{start} + latency {latency}",
                     details={"placement": index},
                 )
             )
-        expected_start = placed.release_ns
-        for key in placed.lanes:
-            expected_start = max(expected_start, self._horizon.get(key, 0.0))
-        if not _close(placed.start_ns, expected_start):
+        if not _close(start, expected_start):
             self._fail(
                 CausalityError(
-                    f"placement {index} starts at {placed.start_ns}, replay "
+                    f"placement {index} starts at {start}, replay "
                     f"expects {expected_start} (schedule drift)",
                     details={
                         "placement": index,
-                        "start_ns": placed.start_ns,
+                        "start_ns": start,
                         "expected_ns": expected_start,
                     },
                 )
@@ -233,16 +248,17 @@ class ScheduleSanitizer:
         # batch once every lane drained (or at its release, whichever is
         # later) and finished it within its serial latency — pipelining
         # may only move completions *earlier* than that.
-        barrier_start = max(self._batch_prev_horizon, self._batch_release)
+        prev_horizon = self._batch_prev_horizon
+        barrier_start = prev_horizon if prev_horizon > self._batch_release else self._batch_release
         bound = barrier_start + self._batch_serial
-        if placed.finish_ns > bound + _tolerance(bound):
+        if finish > bound and finish > bound + _tolerance(bound):
             self._fail(
                 CausalityError(
-                    f"placement {index} finishes at {placed.finish_ns}, past "
+                    f"placement {index} finishes at {finish}, past "
                     f"the batch-synchronous barrier bound {bound}",
                     details={
                         "placement": index,
-                        "finish_ns": placed.finish_ns,
+                        "finish_ns": finish,
                         "barrier_bound_ns": bound,
                     },
                 )
@@ -250,13 +266,15 @@ class ScheduleSanitizer:
 
         # Advance the replay timeline from the *recorded* values so a
         # collected (non-raising) violation does not cascade.
+        busy = self._busy
         for key in placed.lanes:
-            self._horizon[key] = max(self._horizon.get(key, 0.0), placed.finish_ns)
-            self._busy[key] = self._busy.get(key, 0.0) + placed.latency_ns
-        self._union.add(placed.start_ns, placed.finish_ns)
-        self._overlap += max(
-            0.0, min(placed.finish_ns, self._batch_prev_horizon) - placed.start_ns
-        )
+            drained = horizon.get(key, 0.0)
+            horizon[key] = finish if finish > drained else drained
+            busy[key] = busy.get(key, 0.0) + latency
+        self._union.add(start, finish)
+        early = (finish if finish < prev_horizon else prev_horizon) - start
+        if early > 0.0:
+            self._overlap += early
 
     def _reconcile(self, schedule: LaneSchedule) -> None:
         """Certify the schedule's aggregate accounting against the replay."""
@@ -287,6 +305,11 @@ class ScheduleSanitizer:
                         details={"lane": key, "recorded": horizon, "replayed": replayed},
                     )
                 )
+        # ...and the other way round: a lane that ran work stays on the books.
+        for key in self._horizon:
+            if key not in schedule.busy or key not in schedule.horizon:
+                message = f"lane {key!r} ran placements the schedule no longer records"
+                self._fail(AccountingError(message, details={"lane": key}))
         if not _close(schedule.busy_union_ns, self._union.total):
             self._fail(
                 AccountingError(
@@ -313,22 +336,29 @@ class ScheduleSanitizer:
                 )
             )
 
-    def check(self, schedule: LaneSchedule) -> ScheduleCheckReport:
-        """Audit the schedule's log entries not yet consumed, then the
-        aggregate accounting; returns the (cumulative) report.  A schedule
-        that kept no log is a ``ValueError``: reconciling it against zero
-        placements would read as corruption rather than the truth."""
+    def _audit(self, schedule: LaneSchedule) -> List[LanePlacement]:
+        """Replay the schedule's log, reconcile its accounting, and return
+        the log.  A schedule that kept no log is a ``ValueError``:
+        reconciling it against zero placements would read as corruption
+        rather than the truth."""
         log = schedule.log
         if log is None:
             raise ValueError(
                 "this schedule kept no interval log to audit: an executor logs "
                 "placements only under sanitize=True (LaneSchedule(keep_log=False))"
             )
-        while self._consumed < len(log):
-            placed = log[self._consumed]
+        for placed in log:
+            self._replay(self._consumed, placed)
             self._consumed += 1
-            self._replay(self._consumed - 1, placed)
         self._reconcile(schedule)
+        return log
+
+    def check(self, schedule: LaneSchedule) -> ScheduleCheckReport:
+        """Audit the placements logged since the last check, consuming them
+        from the log, and the aggregate accounting; returns the
+        (cumulative) report."""
+        log = self._audit(schedule)
+        del log[:]
         return self.report()
 
     def report(self) -> ScheduleCheckReport:
@@ -350,7 +380,8 @@ def check_schedule(
     """Audit one whole lane schedule in a single pass.
 
     Args:
-        schedule: The schedule to audit (its full interval log is replayed).
+        schedule: The schedule to audit (its full interval log is
+            replayed, and kept).
         raise_on_error: Raise the first violation (default), or collect
             every finding into the returned report's ``violations``.
 
@@ -361,4 +392,6 @@ def check_schedule(
         ScheduleVerifyError: A typed subclass naming the first violated
             invariant, when ``raise_on_error``.
     """
-    return ScheduleSanitizer(raise_on_error=raise_on_error).check(schedule)
+    sanitizer = ScheduleSanitizer(raise_on_error=raise_on_error)
+    sanitizer._audit(schedule)
+    return sanitizer.report()

@@ -17,7 +17,11 @@ it and start evicting, like the cell itself):
   nearly every request is a cache hit or a duplicate of its batch, so
   only the fixed per-request path is left;
 * ``svc_mixed_rw`` — 2 048 templates, 30 % scans and 20 % updates
-  through optimizer, cache and hybrid maintenance.
+  through optimizer, cache and hybrid maintenance;
+* ``cluster_faulted_audited`` — 256 templates and 50 % scans over four
+  shards at replication factor 2, with the sanitizer, span recording,
+  the elastic controller and one kill; a second budget caps what the two
+  checking planes add over the same stream served without them.
 
 A budget fails the day someone re-threads a per-request derivation
 (lowering a template per arrival, pricing admission per offer, sizing a
@@ -38,6 +42,7 @@ import numpy as np
 
 from repro.ambit.engine import AmbitConfig, AmbitEngine
 from repro.api import PimSession
+from repro.cluster import ElasticController, ShardRouter, kill_revive_schedule
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.bitweaving import BitWeavingColumn
 from repro.database.tables import ColumnTable
@@ -61,6 +66,8 @@ CELLS = {
         3000, 2048, 0.9, 4.5e5, 0.30, 0.20, 0.0, 0.0,
         dict(optimize=True, cache=True, maintenance="hybrid", max_backlog_ns=2.0e6),
     ),
+    # Served by _audited_cluster, over a 16 384-row index.
+    "audited_cluster": (500, 256, 0.9, 1.0e6, 0.50, 0.0, 0.10, 400.0, {}),
 }
 
 
@@ -94,14 +101,15 @@ def _stream(rng, table, index, count, templates, zipf_s, scan_frac, write_frac):
     weights = 1.0 / np.arange(1, templates + 1) ** zipf_s
     draws = rng.choice(templates, size=count, p=weights / weights.sum())
     kinds = rng.random(count)
+    rows = table.num_rows
     scans = [
-        BitWeavingColumn(rng.integers(0, 1 << SCAN_BITS, size=ROWS), SCAN_BITS)
+        BitWeavingColumn(rng.integers(0, 1 << SCAN_BITS, size=rows), SCAN_BITS)
         for _ in range(SCAN_COLUMNS if scan_frac else 0)
     ]
     requests = []
     for draw, kind in zip(draws, kinds):
         if kind < write_frac:
-            row_ids = rng.choice(ROWS, size=WRITE_ROWS, replace=False)
+            row_ids = rng.choice(rows, size=WRITE_ROWS, replace=False)
             values = rng.integers(0, CARDINALITIES["status"], size=WRITE_ROWS)
             requests.append(
                 UpdateRequest(
@@ -120,26 +128,47 @@ def _stream(rng, table, index, count, templates, zipf_s, scan_frac, write_frac):
     return requests
 
 
-def _check_budget(cell, budget):
-    """Serve the cell's stream under cProfile: at most ``budget`` Python
-    function calls per request."""
+def _paper_engine():
+    return AmbitEngine(DramDevice.ddr3(), AmbitConfig(banks_parallel=8))
+
+
+def _cell_stream(cell, rows=ROWS):
+    """The cell's table, index, requests, priorities and arrivals (seed 7)."""
     (count, templates, zipf_s, rate, scan_frac, write_frac,
      priority_frac, deadline_us, knobs) = CELLS[cell]
     rng = np.random.default_rng(7)
-    table = ColumnTable("orders", ROWS)
+    table = ColumnTable("orders", rows)
     for name, cardinality in CARDINALITIES.items():
-        table.add_column(name, rng.integers(0, cardinality, size=ROWS), cardinality=cardinality)
+        table.add_column(name, rng.integers(0, cardinality, size=rows), cardinality=cardinality)
     index = BitmapIndex(table, list(CARDINALITIES))
     requests = _stream(rng, table, index, count, templates, zipf_s, scan_frac, write_frac)
     urgent = rng.random(count) < priority_frac
     arrivals = np.cumsum(rng.exponential(1e9 / rate, size=count))
-    session = PimSession.over_service(
-        engine=AmbitEngine(DramDevice.ddr3(), AmbitConfig(banks_parallel=8)),
-        policy=BatchPolicy(max_batch=16),
-        max_queue_depth=4096,
-        **knobs,
-    )
+    return index, requests, urgent, arrivals
 
+
+def _check_budget(cell, budget):
+    """Serve the cell's stream under cProfile: at most ``budget`` Python
+    function calls per request."""
+    count, deadline_us, knobs = CELLS[cell][0], CELLS[cell][7], CELLS[cell][8]
+    index, requests, urgent, arrivals = _cell_stream(cell)
+    session = PimSession.over_service(
+        engine=_paper_engine(), policy=BatchPolicy(max_batch=16), max_queue_depth=4096, **knobs
+    )
+    calls_per_request, report, responses = _profiled(session, requests, urgent, arrivals, deadline_us)
+    assert report.completed == len(responses) == count
+    last = max(i for i, r in enumerate(requests) if isinstance(r, BitmapConjunctionRequest))
+    expected, _plan = index.evaluate_conjunction(requests[last].predicates)
+    if not CELLS[cell][5]:  # (a later write may have moved the index past the answer)
+        np.testing.assert_array_equal(responses[last].value, expected)
+    print(f"\nhost path [{cell}]: {calls_per_request:.1f} Python calls per request "
+          f"(budget {budget})")
+    assert calls_per_request <= budget
+
+
+def _profiled(session, requests, urgent, arrivals, deadline_us):
+    """Submit, drain, report and read back the stream under cProfile:
+    ``(calls per request, report, responses)``."""
     profile = cProfile.Profile()
     profile.enable()
     for request, at_ns, hurry in zip(requests, arrivals, urgent):
@@ -153,16 +182,31 @@ def _check_budget(cell, budget):
     report = session.report()
     responses = session.responses()
     profile.disable()
+    return pstats.Stats(profile).total_calls / len(requests), report, responses
 
-    assert report.completed == len(responses) == count
-    last = max(i for i, r in enumerate(requests) if isinstance(r, BitmapConjunctionRequest))
-    expected, _plan = index.evaluate_conjunction(requests[last].predicates)
-    if not write_frac:  # (a later write may have moved the index past the answer)
-        np.testing.assert_array_equal(responses[last].value, expected)
-    calls_per_request = pstats.Stats(profile).total_calls / count
-    print(f"\nhost path [{cell}]: {calls_per_request:.1f} Python calls per request "
-          f"(budget {budget})")
-    assert calls_per_request <= budget
+
+def _audited_cluster(checks):
+    """The audited cluster cell: calls per request and every outcome."""
+    index, requests, urgent, arrivals = _cell_stream("audited_cluster", rows=16384)
+    span = float(arrivals[-1])
+    session = PimSession.over_cluster(
+        num_shards=4,
+        router=ShardRouter(4, replication_factor=2),
+        engine_factory=_paper_engine,
+        faults=kill_revive_schedule([(1, 0.25 * span, 0.60 * span)]),
+        policy=BatchPolicy(max_batch=16, window_ns=20e3),
+        max_queue_depth=4096,
+        shed_low_priority=True,
+        sanitize=checks,
+        observe=checks,
+    )
+    ElasticController(session.backend)
+    calls_per_request, report, responses = _profiled(
+        session, requests, urgent, arrivals, CELLS["audited_cluster"][7]
+    )
+    assert report.completed == len(responses) == len(requests)
+    outcomes = [(r.finish_ns, r.value.tobytes()) for r in responses]
+    return calls_per_request, outcomes, session.backend.elastic_summary()
 
 
 def test_plain_conjunction_path_stays_within_its_call_budget():
@@ -175,6 +219,23 @@ def test_all_hit_optimizer_path_stays_within_its_call_budget():
 
 def test_mixed_read_write_path_stays_within_its_call_budget():
     _check_budget("mixed_rw", 740)  # ~722 (~797 when every write walked the cache)
+
+
+def test_audited_cluster_path_and_its_checks_stay_within_their_call_budgets():
+    """The sanitizer and the span recorder cost a bounded number of calls
+    per request over the same stream served without them, and change
+    nothing it decides."""
+    audited, outcomes, elastic = _audited_cluster(checks=True)
+    bare, bare_outcomes, bare_elastic = _audited_cluster(checks=False)
+    assert outcomes == bare_outcomes and elastic == bare_elastic
+    assert elastic["shard_failures"] == 1 and elastic["failovers"] > 0
+    print(f"\nhost path [audited cluster]: {audited:.1f} Python calls per request "
+          f"(budget 1300), checks add {audited - bare:.1f} (budget 380)")
+    # ~1 100 and +260 (~1 380 and +540 when every request was linted in
+    # full, every placement re-derived its tolerance, and every span was
+    # an object with its own child list).
+    assert audited <= 1300
+    assert audited - bare <= 380
 
 
 def test_interactive_cluster_requests_cost_the_same_at_any_stream_position():

@@ -21,6 +21,7 @@ the trace accessors on ``Future``/``Response``/``SessionReport``, the
 renderers.
 """
 
+import dataclasses
 import importlib.util
 import json
 import math
@@ -35,7 +36,13 @@ from repro.ambit.engine import AmbitConfig, AmbitEngine
 from repro.analysis import audit_cluster, audit_executor, render_lane_timeline, render_span_tree
 from repro.analysis.metrics import percentile, percentile_or, summarize_queue_records
 from repro.api import PimSession
-from repro.cluster import ClusterFrontend, ControllerPolicy, ElasticController, ShardRouter
+from repro.cluster import (
+    ClusterFrontend,
+    ControllerPolicy,
+    ElasticController,
+    ShardRouter,
+    kill_revive_schedule,
+)
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.bitweaving import BitWeavingColumn
 from repro.database.tables import ColumnTable
@@ -309,6 +316,11 @@ class TestBitExactness:
             if s.name == "request"
         ]
         assert parts and all(p.attrs.get("shard") is not None for p in parts)
+        # Children read back in adoption order: the part was opened before
+        # the scatter span, and adopted after it.
+        for root in roots:
+            if root.name == "cluster_request":
+                assert [child.name for child in root.children] == ["scatter", "request"]
 
 
 # ---------------------------------------------------------------------
@@ -401,10 +413,11 @@ def _owner_counts(backend, admitted_at_door) -> dict:
     return counts
 
 
-def _observed_run(tier: str, maintenance: str, plane: str, seed: int):
-    """Serve the seeded stream with the plane attached one way; returns
-    what the simulation decided: every record's outcome, and the
-    controller's decisions on the cluster tier."""
+def _observed_run(tier: str, maintenance: str, plane: str, seed: int, sanitize: bool = False):
+    """Serve the seeded stream with the plane attached one way and the
+    checks on or off; returns what the simulation decided: every record's
+    outcome, the controller's decisions on the cluster tier, the session's
+    report (less its ``obs`` snapshot) and the lane metrics."""
     observe = {"off": False, "own": True, "shared": Observer(), "late": False}[plane]
     if plane == "shared":
         _noisy_neighbours(observe)
@@ -413,13 +426,22 @@ def _observed_run(tier: str, maintenance: str, plane: str, seed: int):
         max_queue_depth=4,
         shed_low_priority=True,
         maintenance=maintenance,
+        sanitize=sanitize,
     )
+    events = _mixed_events(seed)
+    half = len(events) // 2
     controller = None
     if tier == "service":
         backend = ServiceFrontend(config, engine=_engine(), observe=observe)
     else:
         backend = ClusterFrontend(
-            2, config, router=ShardRouter(2), engine_factory=_engine, observe=observe
+            2,
+            config,
+            router=ShardRouter(2),
+            engine_factory=_engine,
+            observe=observe,
+            # Shard 1 dies mid-stream: failover runs under every plane.
+            faults=kill_revive_schedule([(1, events[half].arrival_ns, None)]),
         )
         controller = ElasticController(
             backend,
@@ -433,18 +455,20 @@ def _observed_run(tier: str, maintenance: str, plane: str, seed: int):
                 idle_windows=10**6,
             ),
         )
-    events = _mixed_events(seed)
-    half = len(events) // 2
+    session = PimSession(backend)
     admitted_at_door = []
-    offer = lambda event: admitted_at_door.append(event.offer_to(backend).admitted)  # noqa: E731
+
+    def offer(event):
+        future = session.submit(event.request, priority=event.priority, at_ns=event.arrival_ns)
+        admitted_at_door.append(future.record.admitted)
+
     replay(events[:half], offer)
     if plane == "late":
         before = _owner_counts(backend, admitted_at_door)
         PimSession(backend, observe=True)  # binds a fresh plane mid-stream
         assert backend.obs.enabled
     replay(events[half:], offer)
-    backend.drain()
-    backend.result()  # cluster: gather
+    session.drain()
     if plane == "late":
         # A display counts from the moment it is bound: every counter
         # equals its owner's state delta since then, whether or not the
@@ -465,7 +489,9 @@ def _observed_run(tier: str, maintenance: str, plane: str, seed: int):
         )
         for r in backend.records
     ]
-    return records, (controller.events if controller else None)
+    report = dataclasses.replace(session.report(), obs=None)
+    lanes = [shard.lane_metrics() for shard in getattr(backend, "shards", [backend])]
+    return records, (controller.events if controller else None), report, lanes
 
 
 class TestObservationIsInvisible:
@@ -474,14 +500,19 @@ class TestObservationIsInvisible:
         seed=st.integers(min_value=0, max_value=10_000),
         tier=st.sampled_from(["service", "cluster"]),
         maintenance=st.sampled_from(["eager", "lazy", "hybrid"]),
-        plane=st.sampled_from(["own", "shared", "late"]),
+        plane=st.sampled_from(["off", "own", "shared", "late"]),
+        sanitize=st.booleans(),
     )
-    def test_no_way_of_attaching_a_plane_changes_a_run(self, seed, tier, maintenance, plane):
+    def test_no_way_of_attaching_a_plane_changes_a_run(
+        self, seed, tier, maintenance, plane, sanitize
+    ):
         """Own plane, a plane shared with noisy neighbours, a plane bound
-        mid-stream: every record and every controller decision equals the
-        ``observe=False`` run's.  (Hybrid hotness and the elastic
-        controller used to read their inputs back out of the registry.)"""
-        assert _observed_run(tier, maintenance, plane, seed) == _observed_run(
+        mid-stream, the checks on or off: every record, every controller
+        decision, the session report and the lane metrics equal the
+        unchecked ``observe=False`` run's.  (Hybrid hotness and the
+        elastic controller used to read their inputs back out of the
+        registry.)"""
+        assert _observed_run(tier, maintenance, plane, seed, sanitize) == _observed_run(
             tier, maintenance, "off", seed
         )
 
@@ -495,8 +526,10 @@ class TestObservationIsInvisible:
         }
         assert served["hybrid"] != served["eager"] and served["hybrid"] != served["lazy"]
         outcomes = [_observed_run("cluster", "hybrid", "off", seed) for seed in (5, 6, 7)]
-        assert any(events for _, events in outcomes)
-        assert any(not admitted for records, _ in outcomes for admitted, *_ in records)
+        assert any(events for _, events, *_ in outcomes)
+        assert any(not admitted for records, *_ in outcomes for admitted, *_ in records)
+        # ...and the mid-stream kill migrates work off the dead shard.
+        assert any(report.details.failovers for *_, report, _ in outcomes)
 
 
 # ---------------------------------------------------------------------
@@ -520,7 +553,8 @@ class TestIntervalLogExistsForItsReader:
         plain, plain_result = self._run()
         audited, audited_result = self._run(sanitize=True)
         assert plain.executor.lanes.log is None
-        assert len(audited.executor.lanes.log) == audited.executor.lanes.requests == 20
+        # The online sanitizer drops each batch's placements once certified.
+        assert audited.executor.lanes.log == [] and audited.executor.lanes.requests == 20
         # Same schedule, same accounting: only the recording differs.
         assert plain.lane_metrics() == audited.lane_metrics()
         assert plain_result.metrics == audited_result.metrics

@@ -39,6 +39,7 @@ from repro.database.bitweaving import BitWeavingColumn
 from repro.database.tables import ColumnTable
 from repro.service import (
     ArrivalEvent,
+    BatchPolicy,
     BitmapConjunctionRequest,
     LaneSchedule,
     PipelineConfig,
@@ -377,6 +378,25 @@ class TestScheduleCheckKnownBad:
         with pytest.raises(LaneHazardError):
             sanitizer.check(lanes)
 
+    def test_lane_dropped_from_the_books_rejected(self):
+        """Reconciling walked only the lanes the schedule still records, so
+        a lane that ran work and then vanished from ``busy`` / ``horizon``
+        passed."""
+        lanes = LaneSchedule(["a", "b"])
+        lanes.open_batch()
+        lanes.place(["a"], 10.0)
+        lanes.place(["b"], 5.0)
+        del lanes.busy["b"]
+        del lanes.horizon["b"]
+        report = check_schedule(lanes, raise_on_error=False)
+        assert not report.ok
+        assert [(v.rule, v.details["lane"]) for v in report.violations] == [("accounting", "b")]
+        # A pre-created lane that never ran work stays legal at 0.0.
+        idle = LaneSchedule(["a", "b", "c"])
+        idle.open_batch()
+        idle.place(["a"], 10.0)
+        assert check_schedule(idle).ok
+
 
 # ----------------------------------------------------------------------
 # sanitize=True live on real workloads (service + cluster, both modes)
@@ -452,6 +472,99 @@ class TestSanitizeKnob:
         audit = audit_schedule(lanes, name="tampered")
         assert not audit.ok
         assert "violation" in render_audit([audit])
+
+
+# ----------------------------------------------------------------------
+# Certified templates: the full lint once per shape, the binding always
+# ----------------------------------------------------------------------
+# Tamperings of a bound PREDICATES chain — steps 0: or(r1, r2) -> o0,
+# 1: or(s0, s1) -> o1, 2: and(o0, o1) -> o2, 3: and(o2, t3) -> o3 —
+# returning (steps, result).
+def _alias_output_to_source(steps, result):
+    op, a, b, _out = steps[3]
+    source = steps[0][1]
+    return steps[:3] + [(op, a, b, source)], source
+
+
+def _swap_operands_across_slots(steps, result):
+    (op0, r1, r2, o0), (op2, _o0, o1, o2) = steps[0], steps[2]
+    return [(op0, o1, r2, o0), steps[1], (op2, o0, r1, o2), steps[3]], result
+
+
+def _one_row_too_narrow(steps, result):
+    op, a, b, out = steps[3]
+    narrow = BulkBitVector(out.num_bits - 1, out.row_size_bytes)
+    return steps[:3] + [(op, a, b, narrow)], narrow
+
+
+def _result_not_last(steps, result):
+    return steps, steps[2][3]
+
+
+class TestCertifiedTemplates:
+    @staticmethod
+    def _serve(index, count, monkeypatch, tamper=None):
+        """``count`` identical conjunctions through a sanitized planner,
+        one per batch; ``tamper`` rewrites the second request's bind."""
+        from repro.api.plans import CompiledChain
+
+        original, binds = CompiledChain.bind, []
+
+        def bind(chain, source, shared=None):
+            steps, result = original(chain, source, shared)
+            binds.append(chain)
+            if tamper is not None and len(binds) == 2:
+                steps, result = tamper(list(steps), result)
+            return steps, result
+
+        monkeypatch.setattr(CompiledChain, "bind", bind)
+        frontend = ServiceFrontend(
+            PipelineConfig(sanitize=True, policy=BatchPolicy(max_batch=1, window_ns=None))
+        )
+        events = [
+            ArrivalEvent(
+                arrival_ns=1e4 * i,
+                request=BitmapConjunctionRequest(index=index, predicates=PREDICATES),
+            )
+            for i in range(count)
+        ]
+        return frontend.run(events)
+
+    def test_the_full_lint_runs_once_per_template(self, index, monkeypatch):
+        import repro.verify.plan_lint as plan_lint
+
+        full = []
+        lint = plan_lint.lint_lowered_conjunction
+        monkeypatch.setattr(
+            plan_lint, "lint_lowered_conjunction", lambda *a, **k: full.append(1) or lint(*a, **k)
+        )
+        result = self._serve(index, 4, monkeypatch)
+        assert len(result.completed()) == 4 and len(full) == 1
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [_alias_output_to_source, _swap_operands_across_slots, _one_row_too_narrow, _result_not_last],
+    )
+    def test_a_bad_binding_raises_what_the_full_lint_raises(self, index, monkeypatch, tamper):
+        steps, result, plan = _lowered(index)
+        with pytest.raises(VerifyError) as full:
+            lint_lowered_conjunction(PREDICATES, *tamper(steps, result), plan, index.num_rows)
+        with pytest.raises(VerifyError) as cached:
+            self._serve(index, 2, monkeypatch, tamper)
+        assert type(cached.value) is type(full.value)
+
+    def test_the_binding_check_sees_what_the_full_lint_cannot(self, index, monkeypatch):
+        """Two predicates' sources swapped keep every count and topology
+        the full lint checks, and read the wrong bitmaps."""
+
+        def swap_sources(steps, result):
+            (op0, r1, r2, o0), (op1, s0, s1, o1) = steps[0], steps[1]
+            return [(op0, s0, r2, o0), (op1, r1, s1, o1)] + steps[2:], result
+
+        steps, result, plan = _lowered(index)
+        lint_lowered_conjunction(PREDICATES, *swap_sources(steps, result), plan, index.num_rows)
+        with pytest.raises(DanglingOperandError):
+            self._serve(index, 2, monkeypatch, swap_sources)
 
 
 # ----------------------------------------------------------------------
@@ -655,13 +768,18 @@ class TestInvariantLint:
         "    p99 = self.obs.metrics.histogram('frontend.wait_ns').quantile(99.0)\n"
         "    summary = registry.histogram('frontend.wait_ns').snapshot()\n"
         "    return obs.snapshot(), self.metrics.snapshot(), obs.metrics.snapshot()\n"
+        "def hoisted(self, registry):\n"
+        "    counters = registry.counters\n"
+        "    offered = counters['cluster.offered'].value\n"
+        "    return registry.histograms['w'].quantile(99.0), registry.gauges['g'].value\n"
     )
 
     def test_obs_readback_flags_decisions_reading_recordings(self):
         for path in ("src/repro/cluster/x.py", "src/repro/storage/x.py", "repro/api/x.py"):
             findings = lint_invariants.lint_source(self._OBS_READBACK, path)
             assert [(f.rule, f.line) for f in findings] == [
-                ("obs-readback", line) for line in (4, 9, 10, 15, 17, 18, 19, 20, 20, 20)
+                ("obs-readback", line)
+                for line in (4, 9, 10, 15, 17, 18, 19, 20, 20, 20, 23, 24, 24)
             ]
         # The plane reads itself; benchmarks, examples and tools print it.
         for path in ("src/repro/obs/metrics.py", "benchmarks/bench_x.py", "tools/x.py"):
@@ -680,6 +798,9 @@ class TestInvariantLint:
             "    registry = self.obs.metrics\n"
             "    registry.gauge('cluster.imbalance').set(health.imbalance)\n"
             "    registry.histogram('cluster.sojourn_ns').observe(1.0)\n"
+            "    counters = registry.counters\n"
+            "    counters['cluster.completed'].inc()\n"
+            "    registry.histograms['cluster.sojourn_ns'].observe(1.0)\n"
             "    return health\n"
             "def stats(self, record):\n"
             "    return self.cache.snapshot(), record.value, self.result_cache.snapshot()\n"

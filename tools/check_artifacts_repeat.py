@@ -13,7 +13,10 @@ every artifact against a first pass::
     python tools/check_artifacts_repeat.py --against .  # CI: the smoke steps
                                                         # already wrote pass one
 
-Exit status is 1 on the first differing (or missing) artifact, naming it.
+``--against`` also takes another tree's artifacts, which is how CI shows
+what a pull request does to them: it runs :func:`run_pass` of the base
+commit's copy of this file into a directory and compares.  Exit status is
+1 when any artifact differs (or is missing), naming every one.
 Stdlib-only, like the other tools.
 """
 
@@ -25,7 +28,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -73,18 +76,19 @@ def artifacts(directory: Path) -> Dict[str, Path]:
     }
 
 
-def first_difference(first: Path, second: Path) -> Optional[str]:
-    """The first artifact (by name) the two passes disagree on, as a
-    one-line description; None when every file repeats byte for byte."""
+def differences(first: Path, second: Path) -> List[str]:
+    """Every artifact (by name) the two passes disagree on, one line each;
+    empty when every file repeats byte for byte."""
     a, b = artifacts(first), artifacts(second)
     if not a and not b:
-        return f"no BENCH_*.json / TRACE_*.json under {first} or {second}"
+        return [f"no BENCH_*.json / TRACE_*.json under {first} or {second}"]
+    found = []
     for name in sorted(set(a) | set(b)):
         if name not in a or name not in b:
-            return f"{name}: only written by the {'first' if name in a else 'second'} pass"
-        if a[name].read_bytes() != b[name].read_bytes():
-            return f"{name}: {a[name]} and {b[name]} differ"
-    return None
+            found.append(f"{name}: only written by the {'first' if name in a else 'second'} pass")
+        elif a[name].read_bytes() != b[name].read_bytes():
+            found.append(f"{name}: {a[name]} and {b[name]} differ")
+    return found
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -101,9 +105,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             run_pass(first)
         second = Path(scratch) / "second"
         run_pass(second)
-        difference = first_difference(first, second)
-        if difference is not None:
+        found = differences(first, second)
+        for difference in found:
             print(f"check_artifacts_repeat: {difference}", file=sys.stderr)
+        if found:
             return 1
         print(f"check_artifacts_repeat: {len(artifacts(second))} artifacts repeat byte for byte")
     return 0

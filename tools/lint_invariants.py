@@ -50,9 +50,10 @@ Eleven rules, each guarding an invariant the simulator's design depends on
   argument.  ``BatchExecutor.__init__``, the leaf that consumes
   ``pipeline`` / ``sanitize`` / ``verify_*``, carries the only waivers.
 * ``obs-readback`` — under ``repro/`` outside ``repro/obs/``, a *read* of
-  a recording: ``.value`` on the result of a ``.counter(…)`` /
-  ``.gauge(…)`` call, ``.quantile(…)`` / ``.snapshot()`` on a
-  ``.histogram(…)`` result, or ``<x>.obs.snapshot()`` /
+  a recording: ``.value`` on a counter or gauge looked up by a
+  ``.counter(…)`` / ``.gauge(…)`` call or a ``counters[…]`` /
+  ``gauges[…]`` subscript, ``.quantile(…)`` / ``.snapshot()`` on a
+  histogram looked up either way, or ``<x>.obs.snapshot()`` /
   ``<x>.metrics.snapshot()`` (``ResultCache.snapshot()`` is the cache's
   own state, not a recording).  Simulation state decides, recordings
   describe: a decision that reads the plane back changes when the plane
@@ -213,6 +214,18 @@ def _called_method(node: ast.expr) -> str:
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
         return node.func.attr
     return ""
+
+
+#: A registry's instrument maps, by the instrument each one holds.
+_INSTRUMENT_MAPS = {"counters": "counter", "gauges": "gauge", "histograms": "histogram"}
+
+
+def _instrument(node: ast.expr) -> str:
+    """``counter`` / ``gauge`` / ``histogram`` when ``node`` looks up one —
+    a ``<x>.counter(...)`` call or a ``<…counters>[...]`` subscript."""
+    if isinstance(node, ast.Subscript):
+        return _INSTRUMENT_MAPS.get(_terminal_name(node.value), "")
+    return _called_method(node)
 
 
 def _is_plane_expr(node: ast.expr) -> bool:
@@ -444,7 +457,7 @@ class _ModuleLinter(ast.NodeVisitor):
             self._plane_finding(node, f"{name}(...)")
         if self._in_readback_scope and isinstance(node.func, ast.Attribute):
             method, receiver = node.func.attr, node.func.value
-            if method in ("quantile", "snapshot") and _called_method(receiver) == "histogram":
+            if method in ("quantile", "snapshot") and _instrument(receiver) == "histogram":
                 self._readback_finding(node, f".histogram(...).{method}()")
             elif method == "snapshot" and _terminal_name(receiver) in ("obs", "metrics"):
                 self._readback_finding(node, f"{_terminal_name(receiver)}.snapshot()")
@@ -456,9 +469,9 @@ class _ModuleLinter(ast.NodeVisitor):
             self._in_readback_scope
             and node.attr == "value"
             and isinstance(node.ctx, ast.Load)
-            and _called_method(node.value) in ("counter", "gauge")
+            and _instrument(node.value) in ("counter", "gauge")
         ):
-            self._readback_finding(node, f".{_called_method(node.value)}(...).value")
+            self._readback_finding(node, f"a {_instrument(node.value)}'s .value")
         self.generic_visit(node)
 
     def _readback_finding(self, node: ast.AST, what: str) -> None:
