@@ -150,8 +150,9 @@ class BitmapIndex:
         For each distinct old value the affected rows' bits are cleared;
         for each distinct new value they are set.  Planes for codes the
         index has never seen are created zero-filled first (dictionary
-        growth).  Returns the number of distinct planes touched — the op
-        count the maintenance policy charges.
+        growth).  Returns the distinct changed old values plus the
+        distinct changed new values (a plane both cleared and set counts
+        twice) — the op count the maintenance policy charges.
 
         The caller must pass the codes *before* the table mutation
         (``old_codes``); the column must not be dirty (incremental deltas
@@ -169,7 +170,6 @@ class BitmapIndex:
             )
         planes = self.bitmaps[column]
         packed_len = (self.num_rows + 7) // 8
-        touched = 0
         # Dictionary growth: materialize zero planes up to the (already
         # widened) cardinality so the incremental result is structurally
         # identical to a from-scratch rebuild, not just bit-equal on the
@@ -178,24 +178,28 @@ class BitmapIndex:
             if value not in planes:
                 planes[value] = np.zeros(packed_len, dtype=np.uint8)
         changed = old_codes != new_codes
-        if not np.any(changed):
+        if not changed.any():
             return 0
-        ids = row_ids[changed]
-        olds = old_codes[changed]
-        news = new_codes[changed]
-        for value in np.unique(olds):
-            sel = ids[olds == value]
-            plane = planes[int(value)] = planes[int(value)].copy()
-            np.bitwise_and.at(
-                plane, sel // 8, (~(np.uint8(1) << (sel % 8).astype(np.uint8))) & np.uint8(0xFF)
-            )
-            touched += 1
-        for value in np.unique(news):
-            sel = ids[news == value]
-            plane = planes[int(value)] = planes[int(value)].copy()
-            np.bitwise_or.at(plane, sel // 8, np.uint8(1) << (sel % 8).astype(np.uint8))
-            touched += 1
-        return touched
+        olds, news = old_codes[changed], new_codes[changed]
+        # One grouping pass: sort the (plane, byte) cells both sides land
+        # in, OR each cell's clear and set bits, then copy each touched
+        # plane once (rows are unique and old != new: no bit is both).
+        rows = np.concatenate([row_ids[changed]] * 2, dtype=np.int64)
+        cells = np.concatenate((olds, news)) * packed_len + (rows >> 3)
+        order = np.argsort(cells)
+        cells = cells[order]
+        bits = np.uint8(1) << (rows[order] & 7).astype(np.uint8)
+        set_bits = np.where(order >= olds.size, bits, np.uint8(0))
+        starts = np.flatnonzero(np.diff(cells, prepend=-1))
+        sets = np.bitwise_or.reduceat(set_bits, starts)
+        clears = np.bitwise_or.reduceat(bits ^ set_bits, starts)
+        values, offsets = np.divmod(cells[starts], packed_len)
+        bounds = np.flatnonzero(np.diff(values, prepend=-1)).tolist()
+        for lo, hi in zip(bounds, bounds[1:] + [values.size]):
+            at = offsets[lo:hi]
+            plane = planes[int(values[lo])] = planes[int(values[lo])].copy()
+            plane[at] = (plane[at] & ~clears[lo:hi]) | sets[lo:hi]
+        return len(set(olds.tolist())) + len(set(news.tolist()))
 
     def storage_bytes(self) -> int:
         """Total bytes of all bitmaps (the index's memory footprint)."""

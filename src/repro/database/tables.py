@@ -10,7 +10,7 @@ skew, which are the variables the query-latency experiment sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,6 +72,21 @@ class ColumnTable:
         number of rows appended.  Cardinalities widen when a new code
         exceeds the recorded cardinality (dictionary growth).
         """
+        arrays, count = self.checked_append(rows)
+        if not count:
+            return 0
+        for name, array in arrays.items():
+            self.columns[name] = np.concatenate([self.columns[name], array.astype(np.int64)])
+            if array.size:
+                self.cardinalities[name] = max(
+                    self.cardinalities[name], int(array.max()) + 1
+                )
+        self.num_rows += count
+        return count
+
+    def checked_append(self, rows: Mapping[str, Sequence[int]]) -> Tuple[Dict, int]:
+        """``(code arrays, row count)`` of an append, or the typed error
+        :meth:`append_rows` raises.  Run by it, and at ``offer``."""
         if set(rows) != set(self.columns):
             missing = set(self.columns) - set(rows)
             extra = set(rows) - set(self.columns)
@@ -93,17 +108,8 @@ class ColumnTable:
                 count = int(array.size)
             elif int(array.size) != count:
                 raise ValueError("append columns must have equal lengths")
-            arrays[name] = array.astype(np.int64)
-        if not count:
-            return 0
-        for name, array in arrays.items():
-            self.columns[name] = np.concatenate([self.columns[name], array])
-            if array.size:
-                self.cardinalities[name] = max(
-                    self.cardinalities[name], int(array.max()) + 1
-                )
-        self.num_rows += count
-        return count
+            arrays[name] = array
+        return arrays, count or 0
 
     def checked_row_ids(self, row_ids: Sequence[int], unique: bool = False) -> np.ndarray:
         """``row_ids`` as a one-dimensional integer array inside
@@ -118,9 +124,26 @@ class ColumnTable:
             raise TypeError("row_ids must be integers")
         if ids.min() < 0 or ids.max() >= self.num_rows:
             raise ValueError(f"row_ids must be in [0, {self.num_rows})")
-        if unique and np.unique(ids).size != ids.size:
-            raise ValueError("row_ids must be unique within one update")
+        if unique:
+            ordered = np.sort(ids)
+            if (ordered[1:] == ordered[:-1]).any():
+                raise ValueError("row_ids must be unique within one update")
         return ids
+
+    def checked_update(self, name: str, row_ids: Sequence[int], values: Sequence[int]) -> Tuple:
+        """``(column, ids, codes)`` of ``name[row_ids] = values``, or the
+        typed error :meth:`update_rows` raises.  Run by it, and at ``offer``."""
+        column = self.column(name)
+        ids = self.checked_row_ids(row_ids, unique=True)
+        codes = np.asarray(values)
+        if ids.shape != codes.shape:
+            raise ValueError("row_ids and values must be one-dimensional and equal-length")
+        if ids.size:
+            if not np.issubdtype(codes.dtype, np.integer):
+                raise TypeError("updated codes must be integers")
+            if codes.min() < 0:
+                raise ValueError("updated codes must be non-negative")
+        return column, ids, codes
 
     def update_rows(self, name: str, row_ids: Sequence[int], values: Sequence[int]) -> int:
         """Overwrite ``column[row_ids] = values``; returns rows updated.
@@ -129,17 +152,9 @@ class ColumnTable:
         index maintenance (clear old bit, set new bit) ambiguous — and in
         range.  Cardinality widens for new codes.
         """
-        column = self.column(name)
-        ids = self.checked_row_ids(row_ids, unique=True)
-        codes = np.asarray(values)
-        if ids.shape != codes.shape:
-            raise ValueError("row_ids and values must be one-dimensional and equal-length")
+        column, ids, codes = self.checked_update(name, row_ids, values)
         if ids.size == 0:
             return 0
-        if not np.issubdtype(codes.dtype, np.integer):
-            raise TypeError("updated codes must be integers")
-        if codes.min() < 0:
-            raise ValueError("updated codes must be non-negative")
         column[ids] = codes.astype(np.int64)
         self.cardinalities[name] = max(self.cardinalities[name], int(codes.max()) + 1)
         return int(ids.size)

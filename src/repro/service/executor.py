@@ -286,27 +286,28 @@ class BatchExecutor:
         another shard, or the bank ablation, re-prices) — and every call
         stamps a fresh :class:`OperationMetrics` from it (callers edit
         ``bytes_produced`` / ``notes`` in place).
+
+        It equals :func:`combine_serial` over one ``op_cost`` per step, bit
+        for bit on every interpreter (``sum`` over the same floats in the
+        same order), but prices each distinct op of the plan once.
         """
         banks_parallel = self.engine.config.banks_parallel
         price = request._scan_price
         if price is None or price[0]() is not self or price[1] != banks_parallel:
             expected, plan = request.scan_result()
             rows = max(1, -(-len(expected) // self.engine.device.geometry.row_size_bytes))
-            per_op = [
-                self.engine.op_cost(op, rows, (request.column.num_rows + 7) // 8)
-                for op in plan.sequence
-            ]
-            serial = combine_serial(f"ambit_scan_{request.kind}", per_op)
+            prices = {op: self.engine.op_cost(op, rows) for op in set(plan.sequence)}
+            steps = [prices[op] for op in plan.sequence]
             price = request._scan_price = (
                 weakref.ref(self),
                 banks_parallel,
                 (
-                    serial.name,
-                    serial.latency_ns,
-                    serial.energy_j,
-                    serial.bytes_moved_on_channel,
+                    f"ambit_scan_{request.kind}",
+                    sum([step.latency_ns for step in steps]),
+                    sum([step.energy_j for step in steps]),
+                    0,
                     len(expected),
-                    f"{plan.total_operations} bulk ops over {plan.planes_touched} planes",
+                    f"{len(steps)} bulk ops over {plan.planes_touched} planes",
                 ),
             )
         return OperationMetrics(*price[2])

@@ -100,8 +100,9 @@ SERVED_REQUEST_TYPES: Tuple[type, ...] = get_args(FrontendRequest) + _WRITE_TYPE
 
 def check_frontend_request(request: object) -> None:
     """Refuse a request a frontend's ``offer`` could not serve — an unknown
-    type (``TypeError``), a write whose row ids the table cannot take
-    (``ValueError``) — before anything is recorded or any clock moves.
+    type (``TypeError``), a write whose row ids or codes the table cannot
+    take (the mutator's own error) — before anything is recorded or any
+    clock moves.
 
     Both tiers expose it as ``check_request``: ``offer`` runs it beside
     :func:`~repro.service.requests.checked_arrival`, and a session runs it

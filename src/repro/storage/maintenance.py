@@ -9,7 +9,10 @@ keeps the bitmap planes consistent with the table:
   deletes change ``num_rows`` and recompute the column's planes.  Every
   maintained plane is charged as a bulk bitwise op pinned to the index's
   stable bank offset, plus a RowClone copy for the row traffic, so write
-  costs land on the same lanes reads contend for.
+  costs land on the same lanes reads contend for.  A charge carries no
+  operand data: the planes themselves are repaired on the host, and
+  every charged op runs over one shared zeroed operand of the index's
+  shape, which prices exactly like the planes it stands for.
 * **lazy** — mark the column dirty and defer: the first *read* through
   :meth:`BitmapIndex.bitmap` rebuilds it, and the planner charges the
   rebuild (one bulk op per plane + the column scan traffic) into the
@@ -25,7 +28,8 @@ keeps the bitmap planes consistent with the table:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,6 +56,7 @@ CODE_BYTES = 4
 STRATEGIES = ("eager", "lazy", "hybrid")
 
 
+@dataclass(slots=True, eq=False)
 class WriteOutcome:
     """What one lowered write did and what it is charged.
 
@@ -71,36 +76,14 @@ class WriteOutcome:
         bytes_moved: Row traffic charged through the RowClone copy.
     """
 
-    __slots__ = (
-        "request",
-        "rows_affected",
-        "primitives",
-        "strategies",
-        "planes_charged",
-        "invalidate_columns",
-        "invalidate_all",
-        "bytes_moved",
-    )
-
-    def __init__(
-        self,
-        request: WriteRequest,
-        rows_affected: int,
-        primitives: List[ServiceRequest],
-        strategies: Dict[str, str],
-        planes_charged: int,
-        invalidate_columns: Tuple[str, ...],
-        invalidate_all: bool,
-        bytes_moved: int,
-    ) -> None:
-        self.request = request
-        self.rows_affected = rows_affected
-        self.primitives = primitives
-        self.strategies = strategies
-        self.planes_charged = planes_charged
-        self.invalidate_columns = invalidate_columns
-        self.invalidate_all = invalidate_all
-        self.bytes_moved = bytes_moved
+    request: WriteRequest
+    rows_affected: int
+    primitives: List[ServiceRequest]
+    strategies: Dict[str, str]
+    planes_charged: int
+    invalidate_columns: Tuple[str, ...]
+    invalidate_all: bool
+    bytes_moved: int
 
 
 class MaintenancePolicy:
@@ -121,6 +104,8 @@ class MaintenancePolicy:
         # the same counts are published; nothing reads it back.
         self._reads: Dict[str, float] = {}
         self._obs = NULL_OBSERVER
+        # The zeroed operand every charged plane op runs over (see _plane_ops).
+        self._operand: Optional[BulkBitVector] = None
 
     # ------------------------------------------------------------------
     # Hotness
@@ -174,7 +159,7 @@ class MaintenancePolicy:
                 and request.column not in index.dirty_columns()
             ):
                 ids = np.asarray(request.row_ids)
-                old_codes = request.table.column(request.column)[ids].copy()
+                old_codes = request.table.column(request.column)[ids]  # copies
             rows_affected = apply_mutation(request)
             for column in affected:
                 if resolved[column] == "lazy":
@@ -187,7 +172,7 @@ class MaintenancePolicy:
                 ):
                     touched = index.apply_update(
                         column,
-                        np.asarray(request.row_ids),
+                        ids,
                         old_codes,
                         np.asarray(request.values).astype(np.int64),
                     )
@@ -234,26 +219,27 @@ class MaintenancePolicy:
         """
         cardinality = max(1, request.index.table.cardinalities.get(column, 1))
         if isinstance(request, UpdateRequest):
-            distinct = int(np.unique(np.asarray(request.values)).size) if len(request.values) else 0
-            return min(cardinality, 2 * distinct)
+            return min(cardinality, 2 * len(set(request.values)))
         return cardinality
 
     def _plane_ops(
         self, index: BitmapIndex, count: int, executor: "BatchExecutor", row_size: int
     ) -> List[ServiceRequest]:
         """One charged bulk op per maintained plane, pinned to the index's
-        stable bank offset — maintenance occupies the lanes reads use."""
+        stable bank offset — maintenance occupies the lanes reads use.
+        Each op ORs the policy's one zeroed operand of the index's shape
+        into itself: the charge is the shape, and nothing reads it."""
         from repro.service.requests import BulkOpRequest  # local: avoid cycle
 
-        ops: List[ServiceRequest] = []
         offset = executor.stable_offset(index)
+        operand = self._operand
         num_rows = max(1, index.num_rows)
-        for _ in range(count):
-            a = BulkBitVector(num_rows, row_size)
-            b = BulkBitVector(num_rows, row_size)
-            out = BulkBitVector(num_rows, row_size)
-            ops.append(BulkOpRequest(op="or", a=a, b=b, out=out, bank_offset=offset))
-        return ops
+        if operand is None or (operand.num_bits, operand.row_size_bytes) != (num_rows, row_size):
+            operand = self._operand = BulkBitVector(num_rows, row_size)
+        return [
+            BulkOpRequest(op="or", a=operand, b=operand, out=operand, bank_offset=offset)
+            for _ in range(count)
+        ]
 
     # ------------------------------------------------------------------
     # Lazy read-side repair

@@ -64,9 +64,10 @@ class AppendRequest:
 class UpdateRequest:
     """In-place overwrite of ``column[row_ids] = values``.
 
-    Row ids must be unique within one update (enforced by
-    :meth:`ColumnTable.update_rows`): a duplicated id would make the
-    incremental clear-old/set-new plane maintenance ambiguous.
+    Row ids must be unique within one update and values non-negative
+    integers (enforced by :meth:`ColumnTable.checked_update`): a
+    duplicated id would make the incremental clear-old/set-new plane
+    maintenance ambiguous.
     """
 
     table: ColumnTable
@@ -143,18 +144,22 @@ def charged_columns(request: WriteRequest) -> Tuple[str, ...]:
 
 
 def check_row_ids(request: WriteRequest) -> None:
-    """Refuse an update/delete whose row ids the table cannot take.
+    """Refuse a write whose row ids or codes the table cannot take, with
+    the typed error its mutator would raise.
 
     Called at ``offer``, before anything is recorded: lowering mutates the
-    table after the batch was popped, where a bad id would strand it.
-    Charge-only scatter parts were checked by the coordinator already.
+    table after the batch was popped, where a bad id or code would strand
+    it.  Charge-only scatter parts were checked by the coordinator already.
     """
     if not request.apply:
         return
+    table = request.table
     if isinstance(request, UpdateRequest):
-        request.table.checked_row_ids(request.row_ids, unique=True)
+        table.checked_update(request.column, request.row_ids, request.values)
     elif isinstance(request, DeleteRequest):
-        request.table.checked_row_ids(request.row_ids)
+        table.checked_row_ids(request.row_ids)
+    else:
+        table.checked_append(request.rows)
 
 
 def apply_mutation(request: WriteRequest) -> int:

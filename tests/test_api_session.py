@@ -941,6 +941,59 @@ class TestRequestBoundary:
         # A well-formed write over the same backend still goes through.
         assert session.update(table, index, "region", [3, 4], [1, 2]).result().value == 2
 
+    @pytest.mark.parametrize("tier", ["cluster", "service"])
+    def test_bad_write_values_are_refused_before_anything_moves(self, tier):
+        """A negative or fractional code used to pass ``submit`` (only the
+        row ids were checked) and raise from the table mutator inside
+        ``lower_batch``, after the batch was popped: the write and a
+        conjunction closed into the same batch stayed admitted with no
+        finish time.  The values get the mutators' typed errors at the
+        door."""
+        rng = np.random.default_rng(31)
+        index = _bitmap_index(rng)
+        table = index.table
+        predicates = [("region", (1, 2)), ("status", (0,))]
+        expected, _ = index.evaluate_conjunction(predicates)
+        codes = {name: column.copy() for name, column in table.columns.items()}
+        session = PimSession(self.BACKENDS[tier]())
+        backend = session.backend
+        shards = backend.shards if tier == "cluster" else [backend]
+        first = session.conjunction(index, predicates)
+        before = (
+            len(backend.records),
+            [shard.queue_depth for shard in shards],
+            [len(shard.records) for shard in shards],
+            backend.clock_ns,
+        )
+        with pytest.raises(ValueError, match="non-negative"):
+            session.update(table, index, "region", [3], [-1])
+        with pytest.raises(TypeError, match="integers"):
+            session.update(table, index, "region", [3, 4], [1.5, 2.0])
+        with pytest.raises(KeyError, match="no column"):
+            session.update(table, index, "nope", [3], [1])
+        whole = {name: [0] for name in table.columns}
+        with pytest.raises(ValueError, match="non-negative"):
+            session.append(table, index, {**whole, "region": [-1]})
+        with pytest.raises(TypeError, match="integers"):
+            session.append(table, index, {**whole, "region": [0.5]})
+        with pytest.raises(ValueError, match="equal lengths"):
+            session.append(table, index, {**whole, "region": [0, 1]})
+        with pytest.raises(ValueError, match="cover exactly"):
+            session.append(table, index, {"region": [0]})
+        assert before == (
+            len(backend.records),
+            [shard.queue_depth for shard in shards],
+            [len(shard.records) for shard in shards],
+            backend.clock_ns,
+        )
+        assert len(session.futures) == 1 and table.num_rows == 400
+        for name, column in table.columns.items():
+            assert np.array_equal(column, codes[name])
+        session.drain()
+        assert first.status == "completed"
+        assert np.array_equal(first.result().value, expected)
+        assert session.append(table, index, whole).result().value == 1
+
     @pytest.mark.parametrize("tier", sorted(BACKENDS))
     def test_unservable_request_type_is_refused_before_anything_moves(self, tier):
         """A request the backend cannot serve used to raise from the latency

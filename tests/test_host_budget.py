@@ -29,6 +29,9 @@ vector per primitive, keying a conjunction per request, walking the cache
 per write): the tree before conjunction shapes were compiled once per
 template spent ~680 calls per plain request, the one before shapes were
 keyed once per template ~230 per all-hit request and ~810 per mixed one.
+The mixed cell also caps :class:`BulkBitVector` constructions per
+request: a write's maintenance charge is shape-only, and the tree that
+gave every charged plane op three fresh 8 KiB operands built 12.8.
 A fourth budget is a *slope*: ``scan(...).result()`` per request over a
 two-shard cluster must cost the same at request 2 000 as at request 100 —
 the tree that settled records by walking every record ever offered spent
@@ -40,6 +43,7 @@ import pstats
 
 import numpy as np
 
+from repro.ambit.bitvector import BulkBitVector
 from repro.ambit.engine import AmbitConfig, AmbitEngine
 from repro.api import PimSession
 from repro.cluster import ElasticController, ShardRouter, kill_revive_schedule
@@ -147,15 +151,17 @@ def _cell_stream(cell, rows=ROWS):
     return index, requests, urgent, arrivals
 
 
-def _check_budget(cell, budget):
+def _check_budget(cell, budget, vectors_budget=None):
     """Serve the cell's stream under cProfile: at most ``budget`` Python
-    function calls per request."""
+    function calls per request (and, when given, at most
+    ``vectors_budget`` :class:`BulkBitVector` constructions per request)."""
     count, deadline_us, knobs = CELLS[cell][0], CELLS[cell][7], CELLS[cell][8]
     index, requests, urgent, arrivals = _cell_stream(cell)
     session = PimSession.over_service(
         engine=_paper_engine(), policy=BatchPolicy(max_batch=16), max_queue_depth=4096, **knobs
     )
-    calls_per_request, report, responses = _profiled(session, requests, urgent, arrivals, deadline_us)
+    stats, report, responses = _profiled(session, requests, urgent, arrivals, deadline_us)
+    calls_per_request = stats.total_calls / count
     assert report.completed == len(responses) == count
     last = max(i for i, r in enumerate(requests) if isinstance(r, BitmapConjunctionRequest))
     expected, _plan = index.evaluate_conjunction(requests[last].predicates)
@@ -164,11 +170,18 @@ def _check_budget(cell, budget):
     print(f"\nhost path [{cell}]: {calls_per_request:.1f} Python calls per request "
           f"(budget {budget})")
     assert calls_per_request <= budget
+    if vectors_budget is not None:
+        init = BulkBitVector.__init__.__code__
+        key = (init.co_filename, init.co_firstlineno, init.co_name)
+        vectors_per_request = stats.stats[key][1] / count
+        print(f"host path [{cell}]: {vectors_per_request:.2f} BulkBitVector constructions "
+              f"per request (budget {vectors_budget})")
+        assert vectors_per_request <= vectors_budget
 
 
 def _profiled(session, requests, urgent, arrivals, deadline_us):
     """Submit, drain, report and read back the stream under cProfile:
-    ``(calls per request, report, responses)``."""
+    ``(profile stats, report, responses)``."""
     profile = cProfile.Profile()
     profile.enable()
     for request, at_ns, hurry in zip(requests, arrivals, urgent):
@@ -182,7 +195,7 @@ def _profiled(session, requests, urgent, arrivals, deadline_us):
     report = session.report()
     responses = session.responses()
     profile.disable()
-    return pstats.Stats(profile).total_calls / len(requests), report, responses
+    return pstats.Stats(profile), report, responses
 
 
 def _audited_cluster(checks):
@@ -201,9 +214,10 @@ def _audited_cluster(checks):
         observe=checks,
     )
     ElasticController(session.backend)
-    calls_per_request, report, responses = _profiled(
+    stats, report, responses = _profiled(
         session, requests, urgent, arrivals, CELLS["audited_cluster"][7]
     )
+    calls_per_request = stats.total_calls / len(requests)
     assert report.completed == len(responses) == len(requests)
     outcomes = [(r.finish_ns, r.value.tobytes()) for r in responses]
     return calls_per_request, outcomes, session.backend.elastic_summary()
@@ -218,7 +232,10 @@ def test_all_hit_optimizer_path_stays_within_its_call_budget():
 
 
 def test_mixed_read_write_path_stays_within_its_call_budget():
-    _check_budget("mixed_rw", 740)  # ~722 (~797 when every write walked the cache)
+    # ~627 calls (~722 when every charged plane op had three fresh 8 KiB
+    # operands and every scan priced one metrics object per step; ~797
+    # when every write walked the cache) and ~3.7 vectors (12.8 then).
+    _check_budget("mixed_rw", 640, vectors_budget=4.5)
 
 
 def test_audited_cluster_path_and_its_checks_stay_within_their_call_budgets():

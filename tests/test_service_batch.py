@@ -25,7 +25,14 @@ from repro.dram.energy import DramEnergyParameters
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import DramTimingParameters
 from repro.rowclone.engine import CopyMode
-from repro.service import BatchExecutor, BulkOpRequest, CopyRequest, ScanRequest, VectorPool
+from repro.service import (
+    SCAN_KINDS,
+    BatchExecutor,
+    BulkOpRequest,
+    CopyRequest,
+    ScanRequest,
+    VectorPool,
+)
 
 
 def _device(banks: int = 4, rows_per_subarray: int = 32) -> DramDevice:
@@ -505,7 +512,8 @@ class TestScanPricedOnce:
         request = _scan(_random_column(np.random.default_rng(3), 6, 300), "between", 9, 40)
         modeled_ns = executor.modeled_latency_ns(request)
         priced = len(calls)
-        assert priced == len(request.scan_result()[1].sequence) > 0
+        # One op_cost per distinct op of the plan, not one per step.
+        assert priced == len(set(request.scan_result()[1].sequence)) > 0
         (result,) = executor.run([request]).results
         assert len(calls) == priced  # execution re-used admission's roll-up
         assert result.metrics.latency_ns == modeled_ns
@@ -543,6 +551,38 @@ class TestScanPricedOnce:
         calls = self._counting(other_engine)
         assert BatchExecutor(engine=other_engine).modeled_latency_ns(request) == wide
         assert calls  # priced there, not read off the first executor's roll-up
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(SCAN_KINDS),
+        constants=st.tuples(st.integers(0, 63), st.integers(0, 63)),
+        rows=st.integers(1, 700),
+        banks=st.sampled_from([1, 2, 3, 4]),
+    )
+    def test_roll_up_is_the_serial_combination_bit_for_bit(self, kind, constants, rows, banks):
+        """Over every scan kind, the priced roll-up equals
+        ``combine_serial`` over one ``op_cost`` per step — bit for bit —
+        and again after the bank ablation moves ``banks_parallel``."""
+        column = _random_column(np.random.default_rng(rows), 6, rows)
+        request = _scan(column, kind, *(sorted(constants) if kind == "between" else constants[:1]))
+        engine = _engine()
+        executor = BatchExecutor(engine=engine)
+        expected, plan = request.scan_result()
+        chunks = max(1, -(-len(expected) // engine.device.geometry.row_size_bytes))
+        for banks_parallel in (4, banks):
+            engine.config.banks_parallel = banks_parallel
+            priced = executor._scan_metrics(request)
+            reference = combine_serial(
+                f"ambit_scan_{kind}", [engine.op_cost(op, chunks) for op in plan.sequence]
+            )
+            # repr: the shortest string that round-trips, so equal reprs
+            # are equal bits (and an int 0 is not a float 0.0).
+            for field in ("name", "latency_ns", "energy_j", "bytes_moved_on_channel"):
+                assert repr(getattr(priced, field)) == repr(getattr(reference, field))
+            assert priced.bytes_produced == len(expected)
+            assert priced.notes == (
+                f"{plan.total_operations} bulk ops over {plan.planes_touched} planes"
+            )
 
 
 class TestBatchMetrics:

@@ -11,7 +11,7 @@ that certifies each lowered write's charge.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.ambit.engine import AmbitConfig, AmbitEngine
 from repro.api import PimSession
@@ -330,6 +330,54 @@ class TestPlaneOwnership:
         for value, plane in held.items():
             np.testing.assert_array_equal(plane, snapshot[value])
         assert not np.array_equal(index.bitmap("status", 2), snapshot[2])
+
+
+@st.composite
+def _column_update(draw):
+    """A column's codes plus one valid update of it: unique row ids of any
+    integer dtype, new codes that may equal the old ones or exceed the
+    cardinality."""
+    cardinality = draw(st.integers(1, 5))
+    rows = draw(st.integers(1, 150))
+    codes = draw(st.lists(st.integers(0, cardinality - 1), min_size=rows, max_size=rows))
+    ids = draw(st.lists(st.integers(0, rows - 1), unique=True, max_size=rows))
+    values = draw(
+        st.lists(st.integers(0, cardinality + 2), min_size=len(ids), max_size=len(ids))
+    )
+    dtype = draw(st.sampled_from(["int64", "int32", "uint64"]))
+    return cardinality, codes, np.array(ids, dtype=dtype), values
+
+
+class TestIncrementalUpdate:
+    """``BitmapIndex.apply_update`` is a from-scratch rebuild, done as a
+    delta: same planes, the charged plane count, and copy-on-write."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_column_update())
+    # Rows written with their own code (1, 5), codes cleared in one row
+    # and set in another (0, 1), a new code (4), several bits per byte.
+    @example(
+        case=(3, [0, 1, 2, 1, 0, 2, 1, 0, 2, 1], np.array([0, 1, 2, 3, 9, 5]), [1, 1, 4, 0, 2, 2])
+    )
+    def test_apply_update_equals_a_rebuild(self, case):
+        cardinality, codes, ids, values = case
+        table = ColumnTable("t", len(codes))
+        table.add_column("c", np.array(codes), cardinality=cardinality)
+        index = BitmapIndex(table, ["c"])
+        held = dict(index.bitmaps["c"])
+        snapshot = {value: plane.copy() for value, plane in held.items()}
+        new = np.array(values, dtype=np.int64)
+        old = table.column("c")[ids]
+        table.update_rows("c", ids, new)
+        touched = index.apply_update("c", ids, old, new)
+        fresh = BitmapIndex(table, ["c"])
+        assert index.bitmaps["c"].keys() == fresh.bitmaps["c"].keys()
+        for value, plane in fresh.bitmaps["c"].items():
+            np.testing.assert_array_equal(index.bitmaps["c"][value], plane)
+        changed = old != new
+        assert touched == len(set(old[changed].tolist())) + len(set(new[changed].tolist()))
+        for value, plane in held.items():
+            np.testing.assert_array_equal(plane, snapshot[value])
 
 
 class TestWriteCosts:
