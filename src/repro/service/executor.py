@@ -2,10 +2,11 @@
 
 :class:`BatchExecutor` is the third stage of the service pipeline
 (frontend → planner → executor).  It takes an already-shaped list of
-primitive requests — Ambit bulk bitwise operations, BitWeaving predicate
-scans, RowClone bulk copies — executes each one, and list-schedules the
-results onto the device's banks to obtain the batch makespan.  It holds no
-queue and applies no policy: admission lives in
+primitive requests — Ambit bulk bitwise operations (or a lowered chain
+of them, run and placed as one), BitWeaving predicate scans, RowClone bulk
+copies — executes each one, and list-schedules the results onto the
+device's banks to obtain the batch makespan.  It holds no queue and
+applies no policy: admission lives in
 :class:`~repro.service.frontend.ServiceFrontend`, batch shaping and
 lowering in :class:`~repro.service.planner.BatchPlanner`.
 
@@ -53,9 +54,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.ambit.bitvector import BulkBitVector
+from repro.ambit.bitvector import BulkBitVector, mask_padding_bytes
 from repro.ambit.engine import AmbitConfig, AmbitEngine
-from repro.analysis.metrics import BatchMetrics, OperationMetrics, combine_serial
+from repro.analysis.metrics import BatchMetrics, OperationMetrics
 from repro.database.bitweaving import BitWeavingColumn
 from repro.obs import NULL_OBSERVER, Observer
 from repro.rowclone.engine import RowCloneEngine
@@ -63,13 +64,18 @@ from repro.service.lanes import HOST_LANE, LaneSchedule
 from repro.service.pool import VectorPool
 from repro.service.requests import (
     BatchResult,
+    BoundChain,
     BulkOpRequest,
     CopyRequest,
+    Primitive,
     RequestResult,
     ScanRequest,
     ServiceRequest,
 )
 from repro.verify.schedule_check import ScheduleSanitizer, check_schedule
+
+#: A chain's ops, as the in-place ufuncs AmbitEngine.execute applies.
+_CHAIN_UFUNCS = {"or": np.bitwise_or, "and": np.bitwise_and}
 
 
 @dataclass
@@ -123,7 +129,7 @@ class BatchExecutor:
         self.fuse = fuse
         self.lpt = lpt
         self.pipeline = pipeline
-        #: Requests executed on the simulated banks across all runs.
+        #: Requests (a chain's steps each) run on the simulated banks.
         self.functional_executed = 0
         self._batches_run = 0
         # Weakly keyed: a dead owner must not pin its offset (or leak an
@@ -183,7 +189,7 @@ class BatchExecutor:
     # ------------------------------------------------------------------
     def run(
         self,
-        requests: List[ServiceRequest],
+        requests: List[Primitive],
         functional: bool = False,
         release_ns: Optional[float] = None,
     ) -> BatchResult:
@@ -205,17 +211,26 @@ class BatchExecutor:
                 caller dispatching each batch as soon as the executor
                 can accept work.
         """
-        for request in requests:
-            if not isinstance(request, (BulkOpRequest, ScanRequest, CopyRequest)):
+        has_deps = False
+        for position, request in enumerate(requests):
+            if not isinstance(request, (BoundChain, BulkOpRequest, ScanRequest, CopyRequest)):
                 raise TypeError(f"unknown request type {type(request).__name__}")
+            if type(request) is BulkOpRequest and request.after:
+                has_deps = True
+                for dep in request.after:  # refused before anything runs or any lane moves
+                    if not 0 <= dep < position:
+                        raise ValueError(
+                            f"after={dep} must reference an earlier primitive of "
+                            f"the same batch (this one is at {position})"
+                        )
         batch_index = self._batches_run
         self._batches_run += 1
         context = _BatchContext()
         results: List[RequestResult] = []
-        if functional:
-            self.functional_executed += len(requests)
         for request in requests:
-            if isinstance(request, BulkOpRequest):
+            if type(request) is BoundChain:
+                results.append(self._run_chain(request, functional))
+            elif isinstance(request, BulkOpRequest):
                 results.append(self._run_bulk_op(request, functional))
             elif isinstance(request, ScanRequest):
                 results.append(self._run_scan(request, context, functional))
@@ -232,15 +247,23 @@ class BatchExecutor:
             batch_row = tracer.record(
                 f"batch {batch_index}", "executor", release, None, (self.batches_track(),)
             )
-        makespan, device_busy, overlap = self._schedule(results, release, batch_row)
-        serial = combine_serial("batch_serial", (r.metrics for r in results))
+        makespan, device_busy, overlap = self._schedule(results, release, has_deps, batch_row)
+        # Per step, in plan order (float sums do not associate); a batch
+        # counts a chain's steps as requests.
+        steps = [
+            price
+            for r in results
+            for price in (r.request.prices if type(r.request) is BoundChain else (r.metrics,))
+        ]
+        if functional:
+            self.functional_executed += len(steps)
         metrics = BatchMetrics(
             name="service_batch",
-            requests=len(results),
+            requests=len(steps),
             latency_ns=makespan,
-            serial_latency_ns=serial.latency_ns,
-            energy_j=serial.energy_j,
-            bytes_produced=serial.bytes_produced,
+            serial_latency_ns=sum([step.latency_ns for step in steps]),
+            energy_j=sum([step.energy_j for step in steps]),
+            bytes_produced=sum([step.bytes_produced for step in steps]),
             device_busy_ns=device_busy if self.pipeline else None,
             cross_batch_overlap_ns=overlap,
             notes=f"{context.fused_ops} fused ops" if context.fused_ops else "",
@@ -249,7 +272,7 @@ class BatchExecutor:
             tracer.close(
                 batch_row, release + makespan,
                 batch=batch_index,
-                requests=len(results),
+                requests=len(steps),
                 fused_ops=context.fused_ops,
                 device_busy_ns=device_busy,
                 cross_batch_overlap_ns=overlap,
@@ -257,7 +280,7 @@ class BatchExecutor:
             registry = self.obs.metrics
             counters = registry.counters
             counters["executor.batches"].inc()
-            counters["executor.requests"].inc(float(len(results)))
+            counters["executor.requests"].inc(float(len(steps)))
             counters["executor.fused_ops"].inc(float(context.fused_ops))
             registry.histograms["executor.batch_makespan_ns"].observe(makespan)
         return BatchResult(results=results, metrics=metrics)
@@ -359,6 +382,29 @@ class BatchExecutor:
         self._release(out_staged, offset)
         bank_ids = self._request_banks(request, request.a.num_rows)
         return RequestResult(request=request, metrics=metrics, value=out, bank_ids=bank_ids)
+
+    def _run_chain(self, chain: BoundChain, functional: bool) -> RequestResult:
+        """Run a chain's steps back to back: one result, its metrics the
+        chain's roll-up.  A step is its in-place ufunc plus the padding
+        mask, or (functionally) staged like any host-only bulk op."""
+        offset = chain.bank_offset
+        value = chain.steps[-1][3]
+        # Every vector of a chain has one width: pad bits exist for all or none.
+        padded = value.num_bits != 8 * value.storage_bytes
+        for op, a, b, out in chain.steps:
+            if functional:
+                self._run_bulk_op_staged(BulkOpRequest(op, a, b, out, offset))
+            else:
+                data = out.data
+                _CHAIN_UFUNCS[op](a.data, b.data, out=data)
+                if padded:
+                    mask_padding_bytes(data, a.num_bits)
+        return RequestResult(
+            request=chain,
+            metrics=OperationMetrics(*chain.serial),
+            value=value,
+            bank_ids=self.span_banks(value.num_rows, offset),
+        )
 
     def _run_copy(self, request: CopyRequest) -> RequestResult:
         if request.fill:
@@ -635,6 +681,7 @@ class BatchExecutor:
         self,
         results: List[RequestResult],
         release_ns: float,
+        has_deps: bool,
         batch_row: int = -1,
     ) -> Tuple[float, float, float]:
         """Greedy per-bank lane schedule of one dispatched batch.
@@ -659,6 +706,9 @@ class BatchExecutor:
         its intervals), and the work that ran before the previous batch's
         completion horizon.
 
+        A chain is one run (one exec span per step), LPT-keyed on its step
+        latency — every step prices the same ``(or|and, rows)``.
+
         When any request carries ``after`` dependencies (the batch plan
         optimizer's cross-lane DAGs), the batch is placed in submission
         order instead of LPT and each request's release is lifted to its
@@ -668,9 +718,15 @@ class BatchExecutor:
         suffices; the lifted release is what the placement logs, keeping
         the schedule race detector's replay exact.
         """
-        has_deps = any(getattr(r.request, "after", ()) for r in results)
         if self.lpt and not has_deps:
-            order = sorted(results, key=lambda r: -r.metrics.latency_ns)
+            order = sorted(
+                results,
+                key=lambda r: -(
+                    r.request.latencies[0]
+                    if type(r.request) is BoundChain
+                    else r.metrics.latency_ns
+                ),
+            )
         else:
             order = results
         lanes = self.lanes
@@ -690,32 +746,40 @@ class BatchExecutor:
             release = release_ns
             if has_deps:
                 for dep in getattr(result.request, "after", ()):
-                    if not 0 <= dep < len(finishes):
-                        raise ValueError(
-                            f"after={dep} must reference an earlier primitive of "
-                            f"the same batch (placed so far: {len(finishes)})"
-                        )
                     release = max(release, finishes[dep])
             banks = result.bank_ids or [HOST_LANE]
-            start, finish = place(banks, result.metrics.latency_ns, release)
-            result.start_ns = start
+            request = result.request
+            if type(request) is BoundChain:
+                prices, latencies = request.prices, request.latencies
+            else:
+                prices, latencies = (result.metrics,), (result.metrics.latency_ns,)
+            start, end = place(banks, latencies, release)
+            result.start_ns, result.end_ns = start, end
+            track = None
             if batch_row >= 0:
-                # One exec span per placement, on every lane it occupies —
-                # the export replays these intervals to reproduce the
-                # lanes' busy union exactly.
                 key = tuple(banks)
                 track = tracks.get(key)
                 if track is None:
                     track = tracks[key] = tuple(self.lane_label(bank) for bank in banks)
-                record(
-                    result.metrics.name, "exec", start, finish, track, batch_row,
-                    latency_ns=result.metrics.latency_ns,
-                    release_ns=release,
-                    banks=len(banks),
-                )
-            finishes.append(finish)
-            overlap += max(0.0, min(finish, prev_horizon) - start)
-            finish_max = max(finish_max, finish)
+            # Walk the run step by step, as `place` laid it out.
+            for price in prices:
+                finish = start + price.latency_ns
+                if track is not None:
+                    # One exec span per step, on every lane it occupies —
+                    # the export replays these intervals to reproduce the
+                    # lanes' busy union exactly.
+                    record(
+                        price.name, "exec", start, finish, track, batch_row,
+                        latency_ns=price.latency_ns,
+                        release_ns=release,
+                        banks=len(banks),
+                    )
+                if start < prev_horizon:  # (else this step adds 0.0)
+                    overlap += min(finish, prev_horizon) - start
+                start = finish
+            finishes.append(end)
+            if end > finish_max:
+                finish_max = end
         if self.pipeline:
             lanes.cross_batch_overlap_ns += overlap
             lanes.batches += 1

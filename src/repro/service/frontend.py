@@ -83,6 +83,7 @@ from repro.service.lanes import HOST_LANE
 from repro.service.planner import BatchPlanner, LoweredGroup
 from repro.service.requests import (
     BatchResult,
+    BulkOpRequest,
     FrontendRequest,
     QueuedRequest,
     RequestEnvelope,
@@ -100,9 +101,10 @@ SERVED_REQUEST_TYPES: Tuple[type, ...] = get_args(FrontendRequest) + _WRITE_TYPE
 
 def check_frontend_request(request: object) -> None:
     """Refuse a request a frontend's ``offer`` could not serve — an unknown
-    type (``TypeError``), a write whose row ids or codes the table cannot
-    take (the mutator's own error) — before anything is recorded or any
-    clock moves.
+    type (``TypeError``; the planner's :class:`BoundChain` among them), a
+    write whose row ids or codes the table cannot take (the mutator's own
+    error), a bulk op with ``after`` dependencies (``ValueError``) —
+    before anything is recorded or any clock moves.
 
     Both tiers expose it as ``check_request``: ``offer`` runs it beside
     :func:`~repro.service.requests.checked_arrival`, and a session runs it
@@ -111,6 +113,8 @@ def check_frontend_request(request: object) -> None:
     check_request_type(request, SERVED_REQUEST_TYPES)
     if isinstance(request, _WRITE_TYPES):
         check_row_ids(request)
+    elif isinstance(request, BulkOpRequest) and request.after:
+        raise ValueError("after is a batch-local index only the batch plan optimizer sets")
 
 
 @dataclass
@@ -734,7 +738,7 @@ class ServiceFrontend:
                 "plan", "planner", batch_start, batch_start, (self.executor.batches_track(),),
                 batch=batch_index,
                 requests=len(closed),
-                primitives=len(primitives),
+                primitives=sum(len(getattr(p, "steps", (p,))) for p in primitives),
                 ops_eliminated=sum(g.ops_eliminated for g in groups),
                 shared_subchains=sum(g.shared_subchains for g in groups),
             )
@@ -763,9 +767,8 @@ class ServiceFrontend:
             for result in cone:
                 if result.start_ns < start:
                     start = result.start_ns
-                end = result.start_ns + result.metrics.latency_ns
-                if end > finish:
-                    finish = end
+                if result.end_ns > finish:
+                    finish = result.end_ns
             self._settle_completed(group, batch_index, start, finish, own)
             batch.metrics.add_counts(group)
         if observe:

@@ -11,7 +11,8 @@ that lane's horizon.  Within one dependency chain nothing moves — a
 request still occupies all of its banks for its full sequential latency,
 and requests contending for a bank serialize in dispatch order — so lane
 pipelining changes *when* work runs, never *what* it computes or what the
-hardware is charged.
+hardware is charged.  A lowered conjunction's chain is placed as one
+*run*: its steps occupy the same banks back to back, in chain order.
 
 Besides the horizons, the schedule keeps the accounting that makes the
 pipelining win measurable:
@@ -164,33 +165,41 @@ class LaneSchedule:
     def place(
         self,
         lanes: Sequence[LaneKey],
-        latency_ns: float,
+        latencies: Sequence[float],
         release_ns: float = 0.0,
     ) -> Tuple[float, float]:
-        """Place one request on its lanes; returns ``(start, finish)``.
+        """Place a run of steps on its lanes; returns the run's ``(start, end)``.
 
-        The request starts once it is released *and* every one of its
-        lanes has drained, then occupies all of them for ``latency_ns``.
+        The run starts once it is released *and* every one of its lanes
+        has drained; step ``k`` then occupies all of them from where step
+        ``k - 1`` finished, accounted as if placed on its own.  A lone
+        request is a run of one.
         """
-        horizon, busy = self.horizon, self.busy
+        if not latencies:
+            raise ValueError("a run needs at least one step")
+        horizon, busy, log = self.horizon, self.busy, self.log
         start = release_ns
         for key in lanes:
             drained = horizon.get(key, 0.0)
             if drained > start:
                 start = drained
-        finish = start + latency_ns
-        for key in lanes:
-            horizon[key] = finish
-            busy[key] = busy.get(key, 0.0) + latency_ns
-        self._add_interval(start, finish)
-        self.requests += 1
-        if self.log is not None:
-            self.log.append(
-                LanePlacement(
-                    tuple(lanes), latency_ns, release_ns, start, finish, self.batches_opened
+        end = start
+        for latency in latencies:
+            finish = end + latency
+            for key in lanes:
+                busy[key] = busy.get(key, 0.0) + latency
+            self._add_interval(end, finish)
+            self.requests += 1
+            if log is not None:
+                log.append(
+                    LanePlacement(
+                        tuple(lanes), latency, release_ns, end, finish, self.batches_opened
+                    )
                 )
-            )
-        return start, finish
+            end = finish
+        for key in lanes:
+            horizon[key] = end
+        return start, end
 
     def _add_interval(self, start: float, finish: float) -> float:
         """Fold ``[start, finish)`` into the busy union; returns the ns added."""

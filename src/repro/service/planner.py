@@ -11,10 +11,10 @@
 * **What the executor sees.**  :meth:`BatchPlanner.lower_batch` turns the
   queued envelopes into primitive requests the executor understands.
   Primitives pass through unchanged; high-level requests are *lowered* —
-  a :class:`~repro.service.requests.BitmapConjunctionRequest` becomes the
-  OR/AND chain of :class:`~repro.service.requests.BulkOpRequest` steps
-  its :class:`~repro.api.plans.CompiledChain` binds, pinned to one bank
-  offset so the data-dependent chain serializes on its banks.  The
+  a :class:`~repro.service.requests.BitmapConjunctionRequest` becomes one
+  :class:`~repro.service.requests.BoundChain` of the OR/AND steps its
+  :class:`~repro.api.plans.CompiledChain` binds, placed as one run on one
+  bank offset so the data-dependent chain serializes on its banks.  The
   chain's *shape* is compiled and priced once per template and interned
   on the planner; only the bind runs per request.
 
@@ -36,13 +36,14 @@ from repro.service.config import PipelineConfig
 from repro.service.executor import BatchExecutor
 from repro.service.requests import (
     BitmapConjunctionRequest,
+    BoundChain,
     BulkOpRequest,
     CopyRequest,
     FrontendRequest,
+    Primitive,
     QueuedRequest,
     RequestResult,
     ScanRequest,
-    ServiceRequest,
 )
 from repro.storage.maintenance import WriteOutcome
 from repro.storage.requests import is_write_request
@@ -56,9 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: not a knob: an entry is a few hundred bytes of structure and a miss only
 #: re-compiles, so no workload needs a different value.
 CHAIN_INTERN_CAPACITY = 512
-
-#: ``(latency_ns, energy_j, bytes_moved_on_channel, bytes_produced)``.
-SerialCost = Tuple[float, float, int, int]
 
 
 @dataclass(slots=True)
@@ -74,8 +72,8 @@ class _PricedChain:
         cost_key: ``banks_parallel`` the prices were computed under.
         latency_ns: Admission latency — the chain's sequential-execution
             time.
-        serial: Serial roll-up of the chain's steps (priced on first
-            lowering).
+        prices / latencies / serial: Each step's ``op_cost``, its latency,
+            and the steps' serial roll-up (priced on first lowering).
         canonical: What the batch plan optimizer derives from the shape
             alone (canonical order, dependency columns, plan total; set
             on first optimized lowering).  Structure only, like the chain.
@@ -86,7 +84,9 @@ class _PricedChain:
     chain: "CompiledChain"
     cost_key: Optional[int] = None
     latency_ns: float = 0.0
-    serial: Optional[SerialCost] = None
+    prices: Optional[Tuple[OperationMetrics, ...]] = None
+    latencies: Tuple[float, ...] = ()
+    serial: Tuple[Any, ...] = ()
     canonical: Optional["ConjunctionShape"] = None
     certified: bool = False
 
@@ -116,9 +116,6 @@ class LoweredGroup(PlanCounts):
             (strategy attribution, charged planes; None for reads).
         rebuild_columns: Lazily-maintained columns this read repaired
             (their rebuild charge rides in ``indices``).
-        chain_cost: Serial roll-up of the group's primitives, priced once
-            per conjunction shape — set only while ``indices`` is exactly
-            one compiled chain's steps (None: sum the results).
     """
 
     queued: QueuedRequest
@@ -130,7 +127,6 @@ class LoweredGroup(PlanCounts):
     host_join_ops: int = 0
     write_outcome: Optional[WriteOutcome] = None
     rebuild_columns: Tuple[str, ...] = ()
-    chain_cost: Optional[SerialCost] = None
 
 
 class BatchPlanner:
@@ -200,34 +196,35 @@ class BatchPlanner:
                 ops * engine.op_cost("or", chain.rows).latency_ns
                 + ands * engine.op_cost("and", chain.rows).latency_ns
             )
-            priced.serial = None
+            priced.prices = None
         return priced
 
     def _conjunction_latency_ns(self, request: BitmapConjunctionRequest) -> float:
         return self._priced_chain(request).latency_ns
 
-    def _serial_cost(self, priced: _PricedChain) -> SerialCost:
-        """Serial roll-up of a (freshly looked-up) chain's steps.
+    def _price_steps(self, priced: _PricedChain) -> None:
+        """Price a (freshly looked-up) chain's steps and their roll-up.
 
         Every execution path charges a step ``op_cost(op, rows, bytes)``,
-        so the roll-up is a property of the shape: the same sum over the
-        same sequence :meth:`group_metrics` would take over the executed
-        results, taken once per shape and cost key.
+        so the prices are a property of the shape: taken once per shape
+        and cost key, and the roll-up is the same sum over the same
+        sequence the executed steps would give.
         """
-        if priced.serial is None:
+        if priced.prices is None:
             chain = priced.chain
             engine = self.executor.engine
-            serial = combine_serial(
-                "bitmap_conjunction",
-                [engine.op_cost(op, chain.rows, chain.packed_bytes) for op, _a, _b in chain.steps],
-            )
+            ops = [op for op, _a, _b in chain.steps]
+            # One price object per distinct op: a shape is held per template.
+            cost = {
+                op: engine.op_cost(op, chain.rows, chain.packed_bytes) for op in dict.fromkeys(ops)
+            }
+            priced.prices = prices = tuple(cost[op] for op in ops)
+            priced.latencies = tuple(price.latency_ns for price in prices)
+            serial = combine_serial("bitmap_conjunction", prices)
             priced.serial = (
-                serial.latency_ns,
-                serial.energy_j,
-                serial.bytes_moved_on_channel,
-                serial.bytes_produced,
+                serial.name, serial.latency_ns, serial.energy_j, serial.bytes_moved_on_channel,
+                serial.bytes_produced, f"{len(prices)} lowered bulk ops",
             )
-        return priced.serial
 
     def modeled_banks(self, request: FrontendRequest) -> List:
         """Bank keys any frontend request is modeled to occupy.
@@ -337,7 +334,7 @@ class BatchPlanner:
     # ------------------------------------------------------------------
     def lower_batch(
         self, batch: List[QueuedRequest]
-    ) -> Tuple[List[ServiceRequest], List[LoweredGroup]]:
+    ) -> Tuple[List[Primitive], List[LoweredGroup]]:
         """Lower a closed batch into primitives plus result bookkeeping.
 
         With the optimizer enabled, every conjunction of the batch lowers
@@ -346,7 +343,7 @@ class BatchPlanner:
         :func:`repro.verify.plan_lint.lint_optimized_batch` before the
         executor sees a single step.
         """
-        primitives: List[ServiceRequest] = []
+        primitives: List[Primitive] = []
         groups: List[LoweredGroup] = []
         # Source operands bound so far, shared by the batch's chains and
         # dropped with this frame: no vector may outlive its batch.
@@ -403,7 +400,7 @@ class BatchPlanner:
         return self.optimizer.commit_fills()
 
     def _charge_rebuilds(
-        self, group: LoweredGroup, columns: List[str], primitives: List[ServiceRequest]
+        self, group: LoweredGroup, columns: List[str], primitives: List[Primitive]
     ) -> None:
         """Charge lazily-deferred column rebuilds into the reading group.
 
@@ -420,10 +417,9 @@ class BatchPlanner:
                 primitives.append(primitive)
                 group.indices.append(len(primitives) - 1)
         group.rebuild_columns = tuple(columns)
-        group.chain_cost = None  # no longer just the chain: sum the results
 
     def _lower_write(
-        self, queued: QueuedRequest, primitives: List[ServiceRequest]
+        self, queued: QueuedRequest, primitives: List[Primitive]
     ) -> LoweredGroup:
         """Lower one write: apply the mutation *now* (lowering runs in
         queue order, so reads lowered later in the batch see the post-
@@ -489,7 +485,7 @@ class BatchPlanner:
         )
 
     def _lower_conjunction(
-        self, queued: QueuedRequest, primitives: List[ServiceRequest], shared: "SharedSources"
+        self, queued: QueuedRequest, primitives: List[Primitive], shared: "SharedSources"
     ) -> LoweredGroup:
         request = queued.request
         index = request.index
@@ -516,21 +512,16 @@ class BatchPlanner:
                 priced.certified = True
             plan_lint.lint_binding(chain, steps, result_vector, shared)
         offset = self.executor.stable_offset(index)
-        first = len(primitives)
-        for op, a, b, out in steps:
-            primitives.append(BulkOpRequest(op, a, b, out, offset))
-        indices = list(range(first, len(primitives)))
         packed_bytes = chain.packed_bytes
-
-        def finalize(results: List[RequestResult]) -> Any:
-            # Read-only like every conjunction value (the optimizer's may
-            # be shared between responses; one contract for both paths).
-            value = result_vector.data[:packed_bytes].copy()
-            value.setflags(write=False)
-            return value
-
+        indices: List[int] = []
         zero_cost = None
-        if not indices:
+        if steps:
+            self._price_steps(priced)
+            indices.append(len(primitives))
+            primitives.append(
+                BoundChain(steps, offset, priced.prices, priced.latencies, priced.serial)
+            )
+        else:
             # Single-value single-predicate conjunction: the answer is the
             # bitmap itself; no bulk operations run and none are charged,
             # exactly as the plan-level cost model prices it.
@@ -539,15 +530,18 @@ class BatchPlanner:
                 latency_ns=0.0,
                 energy_j=0.0,
                 bytes_produced=packed_bytes,
-                notes=f"{len(chain.steps)} bulk ops (identity)",
+                notes="0 bulk ops (identity)",
             )
+
+        def finalize(results: List[RequestResult]) -> Any:
+            # Read-only like every conjunction value (the optimizer's may
+            # be shared between responses; one contract for both paths).
+            value = result_vector.data[:packed_bytes].copy()
+            value.setflags(write=False)
+            return value
+
         return LoweredGroup(
-            queued=queued,
-            indices=indices,
-            finalize=finalize,
-            zero_cost_metrics=zero_cost,
-            # A single step's metrics are its result's own (group_metrics).
-            chain_cost=self._serial_cost(priced) if len(indices) > 1 else None,
+            queued=queued, indices=indices, finalize=finalize, zero_cost_metrics=zero_cost
         )
 
     @staticmethod
@@ -557,16 +551,11 @@ class BatchPlanner:
             return group.zero_cost_metrics
         if len(results) == 1:
             return results[0].metrics
-        if group.chain_cost is not None:
-            latency_ns, energy_j, moved, produced = group.chain_cost
-            return OperationMetrics(
-                "bitmap_conjunction", latency_ns, energy_j, moved, produced,
-                f"{len(results)} lowered bulk ops",
-            )
         if group.write_outcome is not None:
             name = f"storage_{group.write_outcome.request.kind}"
         else:
             name = "bitmap_conjunction"
-        combined = combine_serial(name, (r.metrics for r in results))
-        combined.notes = f"{len(results)} lowered bulk ops"
+        steps = [price for r in results for price in r.step_prices]
+        combined = combine_serial(name, steps)
+        combined.notes = f"{len(steps)} lowered bulk ops"
         return combined

@@ -9,7 +9,8 @@ or *where* it runs.  The pipeline stages consume these types in order:
   in a :class:`QueuedRequest` envelope carrying its arrival time, priority
   and deadline;
 * the :class:`~repro.service.planner.BatchPlanner` *lowers* high-level
-  requests (:class:`BitmapConjunctionRequest`) into the primitive kinds;
+  requests into the primitive kinds — a :class:`BitmapConjunctionRequest`
+  into one planner-internal :class:`BoundChain`;
 * the :class:`~repro.service.executor.BatchExecutor` runs primitives and
   returns one :class:`RequestResult` per request plus batch aggregates.
 """
@@ -49,16 +50,17 @@ class BulkOpRequest:
     b: Optional[BulkBitVector] = None
     out: Optional[BulkBitVector] = None
     #: Optional bank-placement hint for host-only operands: requests with
-    #: the same hint contend for the same modeled banks (the planner pins
-    #: every lowered step of one conjunction to one hint so data-dependent
-    #: steps never overlap in the schedule).
+    #: the same hint contend for the same modeled banks (the optimizer pins
+    #: every step of one sub-chain to one hint so data-dependent steps
+    #: never overlap in the schedule).
     bank_offset: Optional[int] = None
     #: Batch-local indices of the primitives that produce this request's
     #: operands.  When any request of a batch carries dependencies the
     #: executor schedules in submission order and lifts each request's
     #: release to its producers' finish times, so optimizer-built DAGs
     #: (shared sub-chains consumed from other lanes) stay causally
-    #: ordered even when the operands live on different bank lanes.
+    #: ordered even when the operands live on different bank lanes.  Only
+    #: the optimizer sets it: a frontend refuses a request carrying one.
     after: Tuple[int, ...] = ()
 
 
@@ -121,6 +123,30 @@ class CopyRequest:
 ServiceRequest = Union[BulkOpRequest, ScanRequest, CopyRequest]
 
 
+@dataclass(slots=True)
+class BoundChain:
+    """A lowered conjunction's bound steps, run and placed as one primitive
+    (planner-internal: not a :data:`FrontendRequest`).  As one run on its
+    banks, no schedule can put a consumer step before its producers.
+
+    Attributes:
+        steps: The bound ``(op, a, b, out)`` steps, data-dependent in order.
+        bank_offset: The index's stable bank offset.
+        prices / latencies: Each step's ``op_cost`` and latency (per shape).
+        serial: :class:`OperationMetrics` fields of the chain's roll-up.
+    """
+
+    steps: List[Tuple[str, BulkBitVector, BulkBitVector, BulkBitVector]]
+    bank_offset: int
+    prices: Tuple[OperationMetrics, ...]
+    latencies: Tuple[float, ...]
+    serial: Tuple[Any, ...]
+
+
+#: What the executor runs: a primitive request or a lowered chain.
+Primitive = Union[ServiceRequest, BoundChain]
+
+
 def checked_non_negative(name: str, value: float) -> float:
     """``value`` as a float, refused unless finite and non-negative.
 
@@ -172,11 +198,10 @@ class BitmapConjunctionRequest:
 
     This is a *high-level* request: the executor does not understand it.
     The :class:`~repro.service.planner.BatchPlanner` lowers it — binding
-    the :class:`repro.api.plans.CompiledChain` of its predicates — into a
-    chain of primitive :class:`BulkOpRequest` steps (the OR of each
-    predicate's value bitmaps, then the AND across predicates), pinned to
-    one bank-offset hint so the data-dependent chain serializes on its
-    banks.
+    the :class:`repro.api.plans.CompiledChain` of its predicates — into
+    one :class:`BoundChain` (the OR of each predicate's value bitmaps,
+    then the AND across predicates), pinned to its index's bank offset and
+    placed as one run, so the data-dependent steps serialize on its banks.
 
     Construction is the API boundary: a predicate the index cannot answer
     raises here, not inside ``serve_batch`` after its batch was popped.
@@ -331,18 +356,28 @@ class RequestResult:
             placement keys for placed vectors, modeled slots otherwise;
             empty for host-only work, which rides the dedicated host
             lane).
+        end_ns: When the schedule finished the request's run (its last
+            step), on the same clock as ``start_ns``.
     """
 
-    request: ServiceRequest
+    request: Primitive
     metrics: OperationMetrics
     value: Optional[Union[BulkBitVector, np.ndarray]] = None
     start_ns: float = 0.0
     bank_ids: List = field(default_factory=list)
+    end_ns: float = 0.0
 
     @property
     def banks(self) -> int:
         """How many banks the request occupied."""
         return max(1, len(self.bank_ids))
+
+    @property
+    def step_prices(self) -> Tuple[OperationMetrics, ...]:
+        """What each step of the run was charged, in order: a chain's
+        prices, else the request's own metrics (a run of one)."""
+        request = self.request
+        return request.prices if type(request) is BoundChain else (self.metrics,)
 
 
 @dataclass

@@ -58,6 +58,7 @@ from repro.service import (
 )
 from repro.service.config import MERGE_NS_PER_OP
 from repro.service.planner import CHAIN_INTERN_CAPACITY
+from repro.service.requests import BoundChain
 from repro.optimizer import OptimizerConfig
 from repro.storage import MaintenancePolicy, UpdateRequest
 from repro.verify import VerifyError
@@ -622,10 +623,12 @@ class TestPlanIR:
 
     def test_priced_roll_up_is_the_sum_over_the_executed_steps(self):
         """A lowered chain's metrics are priced once per shape; they must
-        be what summing the batch's own results gives, bit for bit."""
+        be what summing its executed steps' charges gives, bit for bit —
+        each step priced as the engine charges that bound step."""
         index = _bitmap_index(np.random.default_rng(36), rows=1500)
         session = _service_session(policy=BatchPolicy(max_batch=4))
         frontend = session.backend
+        engine = frontend.executor.engine
         for predicates in (
             [("region", (1, 2, 3)), ("status", (0, 1)), ("tier", (2,))],
             [("region", (0, 7)), ("tier", (0, 1))],
@@ -634,18 +637,27 @@ class TestPlanIR:
         ):
             session.conjunction(index, predicates)
         batch = frontend.serve_batch()
-        cursor = 0
+        chains = iter(batch.results)
         for record in frontend.records:
             steps = sum(len(v) - 1 for _c, v in record.request.predicates) + (
                 len(record.request.predicates) - 1
             )
-            own = batch.results[cursor: cursor + steps]
-            cursor += steps
-            assert record.metrics.latency_ns == sum(r.metrics.latency_ns for r in own)
-            assert record.metrics.energy_j == sum(r.metrics.energy_j for r in own)
+            own = []
+            if steps:  # one chain primitive per conjunction that runs any op
+                result = next(chains)
+                chain = result.request
+                assert isinstance(chain, BoundChain) and len(chain.steps) == steps
+                own = [
+                    engine.op_cost(op, a.num_rows, a.num_bytes) for op, a, _b, _out in chain.steps
+                ]
+                assert [
+                    (p.name, p.latency_ns, p.energy_j, p.bytes_produced) for p in result.step_prices
+                ] == [(p.name, p.latency_ns, p.energy_j, p.bytes_produced) for p in own]
+            assert record.metrics.latency_ns == sum(p.latency_ns for p in own)
+            assert record.metrics.energy_j == sum(p.energy_j for p in own)
             if own:  # (an identity chain reports the bitmap it hands back)
-                assert record.metrics.bytes_produced == sum(r.metrics.bytes_produced for r in own)
-        assert cursor == len(batch.results)
+                assert record.metrics.bytes_produced == sum(p.bytes_produced for p in own)
+        assert next(chains, None) is None
 
     def test_two_sessions_in_one_process_do_the_same_work(self, monkeypatch):
         """No process-global warm state: a second, identical session
@@ -1034,6 +1046,44 @@ class TestRequestBoundary:
         assert (metrics.offered, metrics.admitted, metrics.rejected, metrics.completed) == (
             2, 2, 0, 2,
         )
+
+    @pytest.mark.parametrize("tier", ["cluster", "service"])
+    def test_dependencies_and_chains_are_planner_internal(self, tier):
+        """A client bulk op with ``after=(7,)`` used to be admitted (the
+        planner passes primitives through) and raise from the schedule
+        mid-placement, after its batch was popped: the batch's valid
+        requests stayed admitted with a NaN finish and the lanes had
+        advanced.  ``after`` is a batch-local index only the optimizer
+        sets, and a lowered chain is the planner's own primitive: both are
+        refused at the door."""
+        rng = np.random.default_rng(34)
+        session = PimSession(self.BACKENDS[tier]())
+        backend = session.backend
+        shards = backend.shards if tier == "cluster" else [backend]
+        vectors = [BulkBitVector(512, 64) for _ in range(3)]
+        for vector in vectors:
+            vector.data[:] = rng.integers(0, 256, size=vector.storage_bytes, dtype=np.uint8)
+        good = [
+            session.submit(BulkOpRequest("or", vectors[0], vectors[1], bank_offset=1), at_ns=0.0),
+            session.submit(BulkOpRequest("and", vectors[1], vectors[2], bank_offset=1), at_ns=0.0),
+        ]
+        before = (len(backend.records), [len(s.records) for s in shards], backend.clock_ns)
+        bad_op = BulkOpRequest("xor", vectors[0], vectors[2], bank_offset=1, after=(7,))
+        chain = BoundChain([("or", vectors[0], vectors[1], vectors[2])], 1, (), (), ())
+        with pytest.raises(ValueError, match="only the batch plan optimizer sets"):
+            session.submit(bad_op, at_ns=0.0)
+        with pytest.raises(ValueError, match="only the batch plan optimizer sets"):
+            backend.offer(bad_op, arrival_ns=0.0)
+        with pytest.raises(TypeError, match="unknown request type BoundChain"):
+            backend.offer(chain, arrival_ns=0.0)
+        assert before == (len(backend.records), [len(s.records) for s in shards], backend.clock_ns)
+        session.drain()
+        expected = (vectors[0].data | vectors[1].data, vectors[1].data & vectors[2].data)
+        for future, bits in zip(good, expected):
+            assert future.status == "completed"
+            assert np.array_equal(future.result().value.data, bits)
+        lanes = [shard.executor.lane_metrics() for shard in shards]
+        assert sum(metrics.requests for metrics in lanes) == len(backend.records)
 
     def test_validation_never_repairs_a_dirty_column(self):
         """The probe is side-effect free: building a request over a

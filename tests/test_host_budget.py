@@ -28,7 +28,8 @@ A budget fails the day someone re-threads a per-request derivation
 vector per primitive, keying a conjunction per request, walking the cache
 per write): the tree before conjunction shapes were compiled once per
 template spent ~680 calls per plain request, the one before shapes were
-keyed once per template ~230 per all-hit request and ~810 per mixed one.
+keyed once per template ~230 per all-hit request and ~810 per mixed one,
+and ~421 per plain request when every chain step was its own primitive.
 The mixed cell also caps :class:`BulkBitVector` constructions per
 request: a write's maintenance charge is shape-only, and the tree that
 gave every charged plane op three fresh 8 KiB operands built 12.8.
@@ -224,15 +225,15 @@ def _audited_cluster(checks):
 
 
 def test_plain_conjunction_path_stays_within_its_call_budget():
-    _check_budget("plain", 560)  # ~435
+    _check_budget("plain", 250)  # ~243
 
 
 def test_all_hit_optimizer_path_stays_within_its_call_budget():
-    _check_budget("all_hit", 190)  # ~181 (~223 when every request derived its keys)
+    _check_budget("all_hit", 190)  # ~171 (~223 when every request derived its keys)
 
 
 def test_mixed_read_write_path_stays_within_its_call_budget():
-    # ~627 calls (~722 when every charged plane op had three fresh 8 KiB
+    # ~587 calls (~722 when every charged plane op had three fresh 8 KiB
     # operands and every scan priced one metrics object per step; ~797
     # when every write walked the cache) and ~3.7 vectors (12.8 then).
     _check_budget("mixed_rw", 640, vectors_budget=4.5)
@@ -247,11 +248,12 @@ def test_audited_cluster_path_and_its_checks_stay_within_their_call_budgets():
     assert outcomes == bare_outcomes and elastic == bare_elastic
     assert elastic["shard_failures"] == 1 and elastic["failovers"] > 0
     print(f"\nhost path [audited cluster]: {audited:.1f} Python calls per request "
-          f"(budget 1300), checks add {audited - bare:.1f} (budget 380)")
-    # ~1 100 and +260 (~1 380 and +540 when every request was linted in
-    # full, every placement re-derived its tolerance, and every span was
-    # an object with its own child list).
-    assert audited <= 1300
+          f"(budget 990), checks add {audited - bare:.1f} (budget 380)")
+    # ~948 and +270 (~1 022 when every chain step was its own primitive;
+    # ~1 380 and +540 when every request was linted in full, every
+    # placement re-derived its tolerance, and every span was an object
+    # with its own child list).
+    assert audited <= 990
     assert audited - bare <= 380
 
 

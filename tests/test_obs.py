@@ -571,7 +571,7 @@ class TestIntervalLogExistsForItsReader:
                 audit()
         # A hand-built schedule still logs — and audits — by default.
         lanes = LaneSchedule(["a"])
-        lanes.place(["a"], 10.0)
+        lanes.place(["a"], (10.0,))
         assert len(lanes.log) == 1 and check_schedule(lanes).ok
         assert LaneSchedule(["a"], keep_log=False).log is None
 

@@ -17,10 +17,11 @@ load-bearing properties are:
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.ambit.bitvector import BulkBitVector
 from repro.ambit.engine import AmbitConfig, AmbitEngine
@@ -33,18 +34,24 @@ from repro.dram.device import DramDevice
 from repro.dram.energy import DramEnergyParameters
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import DramTimingParameters
+from repro.obs import Observer
 from repro.service import (
+    SCAN_KINDS,
     BatchExecutor,
+    BatchPlanner,
     BatchPolicy,
     BitmapConjunctionRequest,
     BulkOpRequest,
     HOST_LANE,
     LaneSchedule,
     PipelineConfig,
+    QueuedRequest,
     ScanRequest,
     ServiceFrontend,
 )
+from repro.service import executor as executor_module
 from repro.service.config import MERGE_NS_PER_OP
+from repro.service.requests import BoundChain
 
 
 def _device(banks: int = 4, rows_per_subarray: int = 32) -> DramDevice:
@@ -102,36 +109,36 @@ def _mixed_workload(rng, num_bits, rows, count):
 class TestLaneSchedule:
     def test_place_serializes_on_shared_lanes(self):
         lanes = LaneSchedule(["a", "b"])
-        assert lanes.place(["a"], 10.0) == (0.0, 10.0)
-        assert lanes.place(["b"], 4.0) == (0.0, 4.0)
+        assert lanes.place(["a"], (10.0,)) == (0.0, 10.0)
+        assert lanes.place(["b"], (4.0,)) == (0.0, 4.0)
         # Shares lane "a": queues behind its horizon.
-        assert lanes.place(["a", "b"], 5.0) == (10.0, 15.0)
+        assert lanes.place(["a", "b"], (5.0,)) == (10.0, 15.0)
         assert lanes.horizon_ns() == 15.0
         assert lanes.ready_ns() == 15.0  # both bank lanes busy until 15
 
     def test_release_floor_and_lazy_lanes(self):
         lanes = LaneSchedule(["a"])
-        start, finish = lanes.place(["a"], 3.0, release_ns=7.0)
+        start, finish = lanes.place(["a"], (3.0,), release_ns=7.0)
         assert (start, finish) == (7.0, 10.0)
         # Unknown lanes (the host lane) are created lazily and never
         # gate dispatch readiness.
-        lanes.place([HOST_LANE], 100.0, release_ns=0.0)
+        lanes.place([HOST_LANE], (100.0,), release_ns=0.0)
         assert lanes.lane_horizon_ns(HOST_LANE) == 100.0
         assert lanes.ready_ns() == 10.0
 
     def test_busy_union_merges_intervals(self):
         lanes = LaneSchedule(["a", "b", "c"])
-        lanes.place(["a"], 10.0)             # [0, 10)
-        lanes.place(["b"], 4.0, 2.0)         # [2, 6)  fully covered
-        lanes.place(["c"], 10.0, 8.0)        # [8, 18) partial overlap
+        lanes.place(["a"], (10.0,))             # [0, 10)
+        lanes.place(["b"], (4.0,), 2.0)         # [2, 6)  fully covered
+        lanes.place(["c"], (10.0,), 8.0)        # [8, 18) partial overlap
         assert lanes.busy_union_ns == pytest.approx(18.0)
-        lanes.place(["b"], 5.0, 30.0)        # disjoint [30, 35)
+        lanes.place(["b"], (5.0,), 30.0)        # disjoint [30, 35)
         assert lanes.busy_union_ns == pytest.approx(23.0)
 
     def test_metrics_snapshot(self):
         lanes = LaneSchedule(["a", "b"])
-        lanes.place(["a"], 10.0)
-        lanes.place([HOST_LANE], 5.0)
+        lanes.place(["a"], (10.0,))
+        lanes.place([HOST_LANE], (5.0,))
         metrics = lanes.metrics("unit")
         assert metrics.lanes == 3
         assert metrics.span_ns == pytest.approx(10.0)
@@ -141,6 +148,21 @@ class TestLaneSchedule:
         assert metrics.mean_bank_utilization == pytest.approx(0.5)
         assert metrics.bank_idle_fraction == pytest.approx(0.5)
         assert metrics.device_idle_fraction == pytest.approx(0.0)
+
+    def test_a_run_is_its_steps_placed_one_by_one(self):
+        """A run's steps go back to back on its lanes, accounted exactly as
+        placing each on its own (a run of one) — and nothing slips in."""
+        runs, singles = LaneSchedule(["a", "b"]), LaneSchedule(["a", "b"])
+        for lanes in (runs, singles):
+            lanes.open_batch()
+            lanes.place(["b"], (7.0,), release_ns=1.0)
+        assert runs.place(["a", "b"], (0.1, 0.2, 0.3), release_ns=2.0) == (8.0, 8.0 + 0.1 + 0.2 + 0.3)
+        for latency in (0.1, 0.2, 0.3):
+            singles.place(["a", "b"], (latency,), release_ns=2.0)
+        for attr in ("horizon", "busy", "busy_union_ns", "requests", "log"):
+            assert getattr(runs, attr) == getattr(singles, attr)
+        with pytest.raises(ValueError, match="at least one step"):
+            runs.place(["a"], ())
 
 
 class TestHostLane:
@@ -461,3 +483,182 @@ class TestDrainAndReuse:
         frontend = _frontend(pipeline=False)
         with pytest.raises(ValueError):
             frontend.lane_metrics()
+
+
+def _chain_indexes(rng):
+    """Two bitmap indexes of different widths: their chains price apart
+    (one row against three on two banks), so LPT interleaves them."""
+    indexes = []
+    for rows in (300, 1500):
+        table = ColumnTable(f"t{rows}", rows)
+        for column, cardinality in (("region", 6), ("status", 5), ("tier", 4)):
+            table.add_column(column, rng.integers(0, cardinality, size=rows), cardinality=cardinality)
+        indexes.append(BitmapIndex(table, ["region", "status", "tier"]))
+    return indexes
+
+
+_COLUMNS = ("region", "status", "tier")
+
+#: One batch item: a conjunction (index, (column, values) picks, seed), a
+#: scan (column, kind, constant) or a raw bulk op (op, bank offset, seed).
+_ITEM = st.one_of(
+    st.tuples(
+        st.just("chain"),
+        st.integers(0, 1),
+        st.lists(
+            st.tuples(st.integers(0, 2), st.integers(1, 4)),
+            min_size=1, max_size=3, unique_by=lambda pick: pick[0],
+        ),
+        st.integers(0, 2**16),
+    ),
+    st.tuples(st.just("scan"), st.integers(0, 1), st.sampled_from(SCAN_KINDS), st.integers(0, 63)),
+    st.tuples(
+        st.just("bulk"), st.sampled_from(["and", "or", "xor", "not"]),
+        st.sampled_from([None, 0, 1]), st.integers(0, 2**16),
+    ),
+)
+
+
+def _chain_engine() -> AmbitEngine:
+    return AmbitEngine(
+        _device(banks=2, rows_per_subarray=64),
+        AmbitConfig(banks_parallel=2, vectorized_functional=True),
+    )
+
+
+def _expand(primitives):
+    """The reference lowering: each chain as its per-step bulk ops (over
+    fresh outputs), plus which reference positions each primitive became."""
+    expanded, positions = [], []
+    for primitive in primitives:
+        first = len(expanded)
+        if isinstance(primitive, BoundChain):
+            fresh = {}
+            for op, a, b, out in primitive.steps:
+                fresh[id(out)] = BulkBitVector(out.num_bits, out.row_size_bytes)
+                expanded.append(
+                    BulkOpRequest(
+                        op, fresh.get(id(a), a), fresh.get(id(b), b), fresh[id(out)],
+                        primitive.bank_offset,
+                    )
+                )
+        else:
+            expanded.append(primitive)
+        positions.append(range(first, len(expanded)))
+    return expanded, positions
+
+
+def _spans(tracer):
+    return [
+        (s.name, s.category, s.start_ns, s.end_ns, s.track, s.attrs)
+        for root in tracer.roots for s in root.walk()
+    ]
+
+
+class TestChainRuns:
+    """A lowered conjunction is one primitive — its steps run back to back
+    and are placed as one run — and that is *only* a host-side change:
+    against a reference that runs each step as its own bulk op, every
+    value, group interval, placement, lane metric, batch roll-up and exec
+    span is bit-equal."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        batches=st.lists(st.lists(_ITEM, min_size=1, max_size=6), min_size=1, max_size=3),
+        pipeline=st.booleans(),
+        lpt=st.booleans(),
+        functional=st.booleans(),
+    )
+    # A 3-step chain whose total outweighs a wider index's one step on a
+    # shared bank: keyed on its total, LPT would place it first.
+    @example(
+        batches=[[("chain", 0, [(0, 4)], 1), ("chain", 1, [(0, 2)], 2)]],
+        pipeline=True, lpt=True, functional=False,
+    )
+    def test_a_chain_run_equals_its_steps_run_one_by_one(self, batches, pipeline, lpt, functional):
+        rng = np.random.default_rng(5)
+        indexes = _chain_indexes(rng)
+        columns = [_random_column(rng, 6, rows) for rows in (200, 900)]
+        subject, reference = (
+            BatchExecutor(engine=_chain_engine(), lpt=lpt, pipeline=pipeline, sanitize=True)
+            for _ in range(2)
+        )
+        logged = []
+        for executor in (subject, reference):
+            executor.bind_observer(Observer())
+            # Same offsets in both: the indexes first, then the columns.
+            for owner in (*indexes, *columns):
+                executor.stable_offset(owner)
+            check = executor.sanitizer.check
+            executor.sanitizer.check = lambda lanes, check=check: (
+                logged.extend(lanes.log) or check(lanes)
+            )
+        planner = BatchPlanner(subject, PipelineConfig())
+        real_check = executor_module.check_schedule
+
+        def barrier_check(lanes, *args, **kwargs):
+            logged.extend(lanes.log)
+            return real_check(lanes, *args, **kwargs)
+
+        with mock.patch.object(executor_module, "check_schedule", barrier_check):
+            for items in batches:
+                queued = []
+                for item in items:
+                    if item[0] == "chain":
+                        _, which, picks, seed = item
+                        draw = np.random.default_rng(seed)
+                        predicates = []
+                        for column, count in picks:
+                            cardinality = indexes[which].table.cardinalities[_COLUMNS[column]]
+                            values = draw.choice(cardinality, size=min(count, cardinality), replace=False)
+                            predicates.append((_COLUMNS[column], tuple(int(v) for v in values)))
+                        request = BitmapConjunctionRequest(index=indexes[which], predicates=tuple(predicates))
+                    elif item[0] == "scan":
+                        _, which, kind, constant = item
+                        constants = (constant, min(63, constant + 9)) if kind == "between" else (constant,)
+                        request = ScanRequest(column=columns[which], kind=kind, constants=constants)
+                    else:
+                        _, op, offset, seed = item
+                        a = BulkBitVector(512, 64).fill_random(seed=seed)
+                        b = None if op == "not" else BulkBitVector(512, 64).fill_random(seed=seed + 1)
+                        request = BulkOpRequest(op, a, b, bank_offset=offset)
+                    queued.append(QueuedRequest(request=request))
+                primitives, _groups = planner.lower_batch(queued)
+                expanded, positions = _expand(primitives)
+                ran = subject.run(primitives, functional=functional)
+                subject_log, logged[:] = list(logged), []
+                want = reference.run(expanded, functional=functional)
+                reference_log, logged[:] = list(logged), []
+
+                assert ran.metrics == want.metrics
+                assert subject_log == reference_log
+                for result, span in zip(ran.results, positions):
+                    steps = [want.results[i] for i in span]
+                    # The group interval serve_batch reads, on each side.
+                    assert result.start_ns == min(s.start_ns for s in steps)
+                    assert result.end_ns == max(s.start_ns + s.metrics.latency_ns for s in steps)
+                    assert [(p.latency_ns, p.energy_j) for p in result.step_prices] == [
+                        (s.metrics.latency_ns, s.metrics.energy_j) for s in steps
+                    ]
+                    assert result.bank_ids == steps[-1].bank_ids
+                    value, expected = result.value, steps[-1].value
+                    if isinstance(value, BulkBitVector):
+                        value, expected = value.data, expected.data
+                    np.testing.assert_array_equal(value, expected)
+        assert _spans(subject.obs.tracer) == _spans(reference.obs.tracer)
+        if pipeline:
+            assert subject.lane_metrics() == reference.lane_metrics()
+
+    def test_a_bad_dependency_is_refused_before_anything_runs(self):
+        """``after`` must name an earlier primitive of the batch; a batch
+        that breaks that is refused whole — no step runs, no lane moves."""
+        executor = BatchExecutor(engine=_engine(), sanitize=True)
+        ops = [
+            BulkOpRequest("not", BulkBitVector(512).fill_random(seed=s), bank_offset=0)
+            for s in range(2)
+        ]
+        ops.append(BulkOpRequest("not", ops[0].a, bank_offset=0, after=(7,)))
+        with pytest.raises(ValueError, match="after=7 must reference an earlier primitive"):
+            executor.run(ops)
+        assert executor.lanes.requests == 0 and executor.horizon_ns() == 0.0
+        assert executor.run(ops[:2]).metrics.requests == 2

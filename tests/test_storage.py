@@ -26,10 +26,10 @@ from repro.service import (
     BatchExecutor,
     BatchPolicy,
     BitmapConjunctionRequest,
-    BulkOpRequest,
     PipelineConfig,
     ServiceFrontend,
 )
+from repro.service.requests import BoundChain
 from repro.storage import (
     STRATEGIES,
     AppendRequest,
@@ -300,15 +300,19 @@ class TestPlaneOwnership:
         # Operand sharing follows plane identity: the two pre-write reads
         # ran over one set of source vectors, the two post-write reads
         # over another for the written column and the same for the other.
-        bulk = [r.request for r in batch.results if isinstance(r.request, BulkOpRequest)]
-        producer = {id(request.out): request for request in bulk}
+        # Each read is one chain primitive; its bound steps are inside it.
+        steps = [
+            step for r in batch.results if isinstance(r.request, BoundChain)
+            for step in r.request.steps
+        ]
+        producer = {id(out): (a, b) for _op, a, b, out in steps}
         joins = [
-            request for request in bulk
-            if request.op == "and" and {id(request.a), id(request.b)} <= set(producer)
+            (a, b) for op, a, b, _out in steps
+            if op == "and" and {id(a), id(b)} <= set(producer)
         ]
         assert len(joins) == 4  # the reads' AND steps, in lowering order
-        status = [(producer[id(join.a)].a, producer[id(join.a)].b) for join in joins]
-        region = [(producer[id(join.b)].a, producer[id(join.b)].b) for join in joins]
+        status = [producer[id(a)] for a, _b in joins]
+        region = [producer[id(b)] for _a, b in joins]
         assert status[0][0] is status[1][0] and status[2][0] is status[3][0]
         assert status[0][0] is not status[2][0] and status[0][1] is not status[2][1]
         assert all(pair[0] is region[0][0] and pair[1] is region[0][1] for pair in region)

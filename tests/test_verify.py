@@ -243,11 +243,11 @@ class TestScatterCoverage:
 def _honest_schedule() -> LaneSchedule:
     lanes = LaneSchedule(["a", "b"])
     lanes.open_batch()
-    lanes.place(["a"], 100.0, release_ns=0.0)
-    lanes.place(["b"], 60.0, release_ns=0.0)
-    lanes.place(["a", "b"], 40.0, release_ns=0.0)
+    lanes.place(["a"], (100.0,), release_ns=0.0)
+    lanes.place(["b"], (60.0,), release_ns=0.0)
+    lanes.place(["a", "b"], (40.0,), release_ns=0.0)
     lanes.open_batch()
-    lanes.place(["b"], 30.0, release_ns=50.0)
+    lanes.place(["b"], (30.0,), release_ns=50.0)
     return lanes
 
 
@@ -265,9 +265,9 @@ class TestScheduleCheckClean:
     def test_host_lane_and_multi_lane_requests_pass(self):
         lanes = LaneSchedule(["a", "b", "c"])
         lanes.open_batch()
-        lanes.place(["host"], 10.0)
-        lanes.place(["a", "b", "c"], 25.0)
-        lanes.place(["host"], 5.0)
+        lanes.place(["host"], (10.0,))
+        lanes.place(["a", "b", "c"], (25.0,))
+        lanes.place(["host"], (5.0,))
         assert check_schedule(lanes).ok
 
 
@@ -291,7 +291,7 @@ class TestScheduleCheckKnownBad:
     def test_start_before_release_rejected(self):
         lanes = LaneSchedule(["a"])
         lanes.open_batch()
-        lanes.place(["a"], 10.0, release_ns=100.0)
+        lanes.place(["a"], (10.0,), release_ns=100.0)
         _tamper(lanes, 0, release_ns=200.0)
         with pytest.raises(CausalityError):
             check_schedule(lanes)
@@ -299,7 +299,7 @@ class TestScheduleCheckKnownBad:
     def test_finish_latency_disagreement_rejected(self):
         lanes = LaneSchedule(["a"])
         lanes.open_batch()
-        lanes.place(["a"], 10.0)
+        lanes.place(["a"], (10.0,))
         _tamper(lanes, 0, finish_ns=25.0)
         with pytest.raises(CausalityError):
             check_schedule(lanes)
@@ -307,7 +307,7 @@ class TestScheduleCheckKnownBad:
     def test_negative_latency_rejected(self):
         lanes = LaneSchedule(["a"])
         lanes.open_batch()
-        lanes.place(["a"], 10.0)
+        lanes.place(["a"], (10.0,))
         _tamper(lanes, 0, latency_ns=-10.0)
         with pytest.raises(CausalityError):
             check_schedule(lanes)
@@ -365,10 +365,10 @@ class TestScheduleCheckKnownBad:
         lanes = LaneSchedule(["a"])
         sanitizer = ScheduleSanitizer()
         lanes.open_batch()
-        lanes.place(["a"], 10.0)
+        lanes.place(["a"], (10.0,))
         assert sanitizer.check(lanes).ok
         lanes.open_batch()
-        lanes.place(["a"], 10.0)
+        lanes.place(["a"], (10.0,))
         lanes.log.append(
             LanePlacement(
                 lanes=("a",), latency_ns=5.0, release_ns=0.0,
@@ -384,8 +384,8 @@ class TestScheduleCheckKnownBad:
         passed."""
         lanes = LaneSchedule(["a", "b"])
         lanes.open_batch()
-        lanes.place(["a"], 10.0)
-        lanes.place(["b"], 5.0)
+        lanes.place(["a"], (10.0,))
+        lanes.place(["b"], (5.0,))
         del lanes.busy["b"]
         del lanes.horizon["b"]
         report = check_schedule(lanes, raise_on_error=False)
@@ -394,7 +394,7 @@ class TestScheduleCheckKnownBad:
         # A pre-created lane that never ran work stays legal at 0.0.
         idle = LaneSchedule(["a", "b", "c"])
         idle.open_batch()
-        idle.place(["a"], 10.0)
+        idle.place(["a"], (10.0,))
         assert check_schedule(idle).ok
 
 
