@@ -21,10 +21,14 @@ may never change an answer.  After the stream drains, each mode's index
 must equal a from-scratch rebuild of its table (the rebuild-equivalence
 property, also pinned per-strategy in ``tests/test_storage.py``).
 
+The cache-on modes serve reads through the batch plan optimizer (a cache
+turns it on): sub-chains split across lanes, each predicate consulted and
+filled under its own key, so a write drops only the entries of the column
+it touched.
+
 The acceptance bar: cache-on modeled throughput (returned result bytes
-over completion makespan) is at least 1.5x cache-off under eager
-maintenance,
-write service costs are visible in the ledger (non-zero charged latency
+over completion makespan) is at least 2.0x cache-off under eager
+maintenance, write service costs are visible in the ledger (non-zero charged latency
 and energy for the update records), and the run emits
 ``BENCH_writes.json`` (schema in ``tools/validate_bench.py``).
 """
@@ -273,6 +277,6 @@ def test_result_cache_pays_for_itself_under_writes(benchmark, ddr3_ambit_system)
     assert payload["eager"]["cache_hits"] > 0
     assert payload["eager"]["cache_invalidations"] > 0
 
-    # Acceptance: >= 1.5x modeled throughput for cache-on over cache-off
+    # Acceptance: >= 2.0x modeled throughput for cache-on over cache-off
     # on this repetition-heavy mixed stream.
-    assert gain >= 1.5
+    assert gain >= 2.0

@@ -312,7 +312,7 @@ class QueueMetrics(PlanCounts):
             sequential execution; batching never changes it).
         batches: Number of batches the planner closed.
         host_merge_ns: Host time charged for result merges (the
-            optimizer's split-mode cross-predicate joins here; the gather
+            optimizer's cross-predicate joins here; the gather
             merge tree at the cluster tier).
 
     The inherited :class:`PlanCounts` sum over the completed requests.

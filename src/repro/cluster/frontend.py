@@ -102,7 +102,7 @@ class ClusterRecord(RequestEnvelope):
     the coordinator invalidated).  The
     gather-side AND-merges are host work, tallied in ``host_merge_ns``
     (and :attr:`ClusterMetrics.merge_ops`) rather than in ``metrics``;
-    shard-local host merges (the plan optimizer's split-mode joins) are
+    shard-local host merges (the plan optimizer's sub-chain joins) are
     already inside each part's finish.
 
     Attributes:

@@ -9,32 +9,32 @@ shared step DAG:
 
 * **Cross-request CSE** — every predicate sub-chain (``col IN values``)
   is keyed canonically (:mod:`repro.optimizer.canonical`: sorted value
-  multisets, commutative AND reordering, fused-NOT normalization); a
-  sub-chain another request of the batch already lowered is *consumed*
-  rather than re-emitted, and the consumer rides the producer's result
-  vector.  In unsplit mode the left-deep AND spine is CSE'd too (the
-  predicates are lowered in canonical order, so equal conjunction
-  prefixes share step for step — a fully duplicate request emits zero
-  device ops).
-* **Request-level CSE** — in split mode the first request of a
-  conjunction records its part nodes under the whole-conjunction
-  canonical key; every later identical request of the batch takes the
-  parts from that one entry and shares one host join, computed by
-  whichever of them is finalized first (the *modeled* host still merges
-  per request, so ``host_merge_ns`` is charged to each).  The entry
-  depends on the union of its columns, so an in-batch write drops it by
-  the same rule as a predicate entry.  What a conjunction derives from
-  its shape alone (:class:`~repro.optimizer.canonical.ConjunctionShape`)
-  is interned per template by the planner; per request only the source
-  id is stamped into the keys.
+  multisets, predicates in sorted key order); a sub-chain another request
+  of the batch already lowered is *consumed* rather than re-emitted, and
+  the consumer rides the producer's result vector.
+* **Request-level CSE** — the first request of a conjunction records its
+  part nodes under the whole-conjunction key; every later identical
+  request of the batch takes the parts from that one entry and shares
+  one host join, computed by whichever of them is finalized first (the
+  *modeled* host still merges per request, so ``host_merge_ns`` is
+  charged to each) — a fully duplicate request emits zero device ops.
+  The entry depends on the union of its columns, so an in-batch write
+  drops it by the same rule as a predicate entry.  What a conjunction
+  derives from its shape alone
+  (:class:`~repro.optimizer.canonical.ConjunctionShape`) is interned per
+  template by the planner; per request only the source id is stamped
+  into the keys.
 * **Sub-chain splitting** — a conjunction's predicate sub-chains are
-  mutually independent, so in split mode each lands on its own bank
-  offset, chosen cheapest-horizon-first from the executor's persistent
+  mutually independent, so each lands on its own bank offset, chosen
+  cheapest-horizon-first from the executor's persistent
   :class:`~repro.service.lanes.LaneSchedule`; the request overlaps with
   *itself* across lanes.  The cross-predicate AND then happens host-side
   in the group's finalize, charged as a pairwise merge tree
   (``ceil(log2(fan_in))`` levels of ``MERGE_NS_PER_OP``) — the identical
   model the cluster gather path charges.
+* **Cross-batch cache** — with a :class:`~repro.cache.ResultCache`, each
+  predicate sub-chain is consulted before it is emitted, and a finished
+  multi-value OR chain is filled once the batch has executed.
 * **Cost ledger** — every request's charged ops are its *owned* steps
   plus its host joins; the difference to the unoptimized plan total is
   recorded as ``ops_eliminated`` (and every shared sub-chain as
@@ -68,8 +68,8 @@ from repro.ambit.bitvector import BulkBitVector
 from repro.analysis.metrics import OperationMetrics
 from repro.api.plans import lower_predicate_steps, source_vector
 from repro.cache.result_cache import ResultCache
-from repro.optimizer.canonical import ConjunctionShape, Key, canonical_key
-from repro.service.config import MERGE_NS_PER_OP, OptimizerConfig
+from repro.optimizer.canonical import ConjunctionShape, Key
+from repro.service.config import MERGE_NS_PER_OP
 from repro.service.planner import LoweredGroup
 from repro.service.requests import (
     BitmapConjunctionRequest,
@@ -96,14 +96,12 @@ class _Node:
     """One materialized sub-chain result in the batch DAG.
 
     Attributes:
-        key: Canonical structural key (the CSE cache key).
         vector: The vector holding the sub-chain's result bitmap.
         cone: Batch-step indices of every step producing the result
             (sorted; empty when the vector is a source bitmap).
         producer: The step producing ``vector`` (None for a source).
     """
 
-    key: Key
     vector: BulkBitVector
     cone: Tuple[int, ...]
     producer: Optional[int]
@@ -112,15 +110,14 @@ class _Node:
 class _Answer:
     """One conjunction's final nodes and the packed value they join to.
 
-    Every lowered conjunction gets one; in split mode it doubles as the
-    batch's CSE entry for the *whole* conjunction — identical later
-    requests hold the same object, so the host join runs once however
-    many responses carry its result.
+    Every lowered conjunction gets one, and it doubles as the batch's CSE
+    entry for the *whole* conjunction — identical later requests hold the
+    same object, so the host join runs once however many responses carry
+    its result.
 
     Attributes:
-        parts: The nodes whose vectors AND to the result: one per
-            sub-chain when split across lanes, the single chain result
-            when unsplit.
+        parts: The nodes whose vectors AND to the result, one per
+            predicate sub-chain.
         cone: Sorted batch-step indices producing the parts.
         packed_bytes: Bytes of the packed result bitmap.
     """
@@ -157,24 +154,18 @@ class BatchOptimizer:
     a result vector only exists while its batch executes.
 
     Args:
-        config: Optimizer knobs (all passes on by default).
         result_cache: Cross-batch :class:`~repro.cache.ResultCache` to
             consult before emitting a sub-chain and to fill (epoch-guarded,
             after the batch executes) with finished result bitmaps.  None
-            keeps the optimizer batch-scoped, as in PR 7.
+            keeps the optimizer batch-scoped.
     """
 
-    def __init__(
-        self,
-        config: Optional[OptimizerConfig] = None,
-        result_cache: Optional[ResultCache] = None,
-    ) -> None:
-        self.config = config or OptimizerConfig()
+    def __init__(self, result_cache: Optional[ResultCache] = None) -> None:
         self.result_cache = result_cache
         self._executor: Any = None
         self._cache: Dict[Key, _Node] = {}
-        # Split mode: whole-conjunction key -> the answer every identical
-        # request of the batch shares.
+        # Whole-conjunction key -> the answer every identical request of
+        # the batch shares.
         self._answers: Dict[Key, _Answer] = {}
         # Dependency columns per CSE cache key: key -> (id(index), columns).
         # A write lowered mid-batch invalidates the overlapping entries
@@ -302,25 +293,22 @@ class BatchOptimizer:
 
         own: List[int] = []
         cache_hits = cache_misses = 0
-        # Request-level CSE (split mode): an identical request lowered
-        # earlier in this batch — and not overwritten since — already
-        # holds every part; ride them and its one host join.
-        split = self.config.split_subchains
-        answer = self._answers.get(whole) if split else None
+        # Request-level CSE: an identical request lowered earlier in this
+        # batch — and not overwritten since — already holds every part;
+        # ride them and its one host join.
+        answer = self._answers.get(whole)
         if answer is not None:
             shared = len(answer.parts)
         else:
-            finals, shared, cache_hits, cache_misses = self._lower_parts(
-                index, shape, pkeys, whole, primitives, own
+            parts, shared, cache_hits, cache_misses = self._lower_parts(
+                index, shape, pkeys, primitives, own
             )
-            answer = _Answer(finals, packed_bytes)
-            if split:
-                self._answers[whole] = answer
-                self._node_columns[whole] = (id(index), shape.prefix_columns[-1])
+            answer = self._answers[whole] = _Answer(parts, packed_bytes)
+            self._node_columns[whole] = (id(index), frozenset(shape.dep_columns))
 
-        # Split parts are joined host-side, charged as a pairwise merge
-        # tree to every request (the modeled host merges per request even
-        # when the simulator joins once); an unsplit chain has one final.
+        # The parts are joined host-side, charged as a pairwise merge tree
+        # to every request (the modeled host merges per request even when
+        # the simulator joins once).
         host_join_ops = len(answer.parts) - 1
         host_merge_ns = host_join_ops.bit_length() * MERGE_NS_PER_OP if host_join_ops else 0.0
         deps = answer.cone
@@ -382,19 +370,17 @@ class BatchOptimizer:
         index: Any,
         shape: ConjunctionShape,
         pkeys: Tuple[Key, ...],
-        whole: Key,
         primitives: List[ServiceRequest],
         own: List[int],
     ) -> Tuple[Tuple[_Node, ...], int, int, int]:
-        """Find or emit the nodes a conjunction's result joins from.
+        """Find or emit the nodes a conjunction's result joins from, one
+        per predicate sub-chain.
 
         Appends fresh steps to ``primitives`` (their indices to ``own``);
-        returns ``(final nodes, shared sub-chains, cache hits, cache
-        misses)`` — one node per sub-chain when split, else the chain's
-        single result.
+        returns ``(part nodes, shared sub-chains, cache hits, cache
+        misses)``.
         """
         executor = self._executor
-        split = self.config.split_subchains
         num_rows: int = index.num_rows
         row_size: int = executor.engine.device.geometry.row_size_bytes
         packed_bytes = shape.packed_bytes
@@ -405,18 +391,6 @@ class BatchOptimizer:
         # the same first-seen order as ever.
         base: int = executor.stable_offset(index)
         shared = cache_hits = cache_misses = 0
-        # Whole-conjunction consult first (unsplit mode): a repeated
-        # request across batches is then one host-memory read — zero
-        # device ops, no per-predicate reassembly.
-        consult_whole = self.result_cache is not None and not split and len(pkeys) > 1
-        if consult_whole:
-            full_node = self._cached_node(whole, index, num_rows, row_size)
-            if full_node is not None:
-                return (full_node,), 0, 1, 0
-            cache_misses += 1
-
-        # Canonical commutative reordering: lowering predicates in key
-        # order makes equal conjunctions build identical AND spines.
         parts: List[_Node] = []
         for pkey, (column, values), columns in zip(pkeys, shape.predicates, shape.columns):
             node = self._cache.get(pkey)
@@ -431,7 +405,7 @@ class BatchOptimizer:
                         cache_misses += 1
                     offset = self._choose_offset(executor, base, rows)
                     node = self._emit_predicate(
-                        pkey, index, column, values, row_size, rows, offset, primitives, own
+                        index, column, values, row_size, rows, offset, primitives, own
                     )
                     if node.producer is not None:
                         # A multi-value OR chain is worth re-serving from
@@ -443,25 +417,7 @@ class BatchOptimizer:
                 self._cache[pkey] = node
                 self._node_columns[pkey] = (index_id, columns)
             parts.append(node)
-        if split:
-            return tuple(parts), shared, cache_hits, cache_misses
-
-        # Left-deep AND spine over the canonically ordered parts, with
-        # equal prefixes CSE'd across requests.
-        acc = parts[0]
-        for part, merged in zip(parts[1:], shape.prefix_columns[1:]):
-            akey = canonical_key("and", (acc.key, part.key))
-            node = self._cache.get(akey)
-            if node is None:
-                node = self._emit_and(akey, acc, part, num_rows, row_size, base, primitives, own)
-                self._cache[akey] = node
-                self._node_columns[akey] = (index_id, merged)
-            else:
-                shared += 1
-            acc = node
-        if consult_whole:
-            self._record_fill(whole, index, shape.dep_columns, acc.vector, packed_bytes, num_rows)
-        return (acc,), shared, cache_hits, cache_misses
+        return tuple(parts), shared, cache_hits, cache_misses
 
     # ------------------------------------------------------------------
     # Cross-batch result cache (consult / fill)
@@ -482,9 +438,7 @@ class BatchOptimizer:
         data = cache.get(key, index, num_rows)
         if data is None:
             return None
-        return _Node(
-            key=key, vector=source_vector(data, num_rows, row_size), cone=(), producer=None
-        )
+        return _Node(vector=source_vector(data, num_rows, row_size), cone=(), producer=None)
 
     def _record_fill(
         self,
@@ -511,7 +465,6 @@ class BatchOptimizer:
     # ------------------------------------------------------------------
     def _emit_predicate(
         self,
-        pkey: Key,
         index: Any,
         column: str,
         values: Tuple[int, ...],
@@ -545,36 +498,7 @@ class BatchOptimizer:
             latency += self._executor.engine.op_cost(op, rows).latency_ns
         if latency:
             self._assigned[offset] = self._assigned.get(offset, 0.0) + latency
-        return _Node(key=pkey, vector=vector, cone=tuple(cone), producer=producer)
-
-    def _emit_and(
-        self,
-        akey: Key,
-        acc: _Node,
-        part: _Node,
-        num_rows: int,
-        row_size: int,
-        offset: int,
-        primitives: List[ServiceRequest],
-        own: List[int],
-    ) -> _Node:
-        """Emit one AND of two nodes at ``offset``; returns the new node."""
-        out = BulkBitVector(num_rows, row_size)
-        after = tuple(
-            sorted(p for p in (acc.producer, part.producer) if p is not None)
-        )
-        step_index = len(primitives)
-        primitives.append(
-            BulkOpRequest(
-                op="and", a=acc.vector, b=part.vector, out=out,
-                bank_offset=offset, after=after,
-            )
-        )
-        if self._executor.sanitize:
-            self._steps[step_index] = ("and", acc.vector, part.vector, out)
-        own.append(step_index)
-        cone = tuple(sorted({*acc.cone, *part.cone, step_index}))
-        return _Node(key=akey, vector=out, cone=cone, producer=step_index)
+        return _Node(vector=vector, cone=tuple(cone), producer=producer)
 
     # ------------------------------------------------------------------
     # Lane choice
@@ -586,10 +510,7 @@ class BatchOptimizer:
         at its index's stable offset; each is priced as its lanes' busy
         horizon (:meth:`LaneSchedule.lane_load_ns`; 0 for a barrier
         executor) plus the latency already assigned to it this batch.
-        Unsplit mode keeps the whole chain at the stable offset.
         """
-        if not self.config.split_subchains:
-            return base
         banks: int = executor.banks_available()
         span = min(MAX_SPLIT_LANES, banks)
         best = base % banks

@@ -25,7 +25,7 @@ from repro.service.requests import checked_non_negative
 from repro.storage.maintenance import MaintenancePolicy
 
 #: Host cost of AND-merging two 8 KiB partial bitmaps: one level of the
-#: cluster gather tree and of the optimizer's split-mode join tree (pairs
+#: cluster gather tree and of the optimizer's sub-chain join tree (pairs
 #: merge in parallel, so a G-way join costs ``ceil(log2(G))`` levels).  It
 #: prices one AND over a row-sized bitmap through host memory (read two
 #: operands, write one result at tens of GB/s).
@@ -67,22 +67,6 @@ class BatchPolicy:
 
 
 @dataclass(frozen=True)
-class OptimizerConfig:
-    """Knobs of the batch plan optimizer (:mod:`repro.optimizer`).
-
-    The optimizer always shares identical sub-chains across a batch's
-    requests (CSE); what is left to choose is how a conjunction lands.
-
-    Attributes:
-        split_subchains: Spread one conjunction's independent sub-chains
-            across bank lanes and join them host-side, instead of
-            pinning the whole chain to one bank offset.
-    """
-
-    split_subchains: bool = True
-
-
-@dataclass(frozen=True)
 class PipelineConfig:
     """How one serving pipeline (frontend → planner → executor) is built.
 
@@ -112,16 +96,17 @@ class PipelineConfig:
             chain, batch DAG and write, and (cluster) the scatter and
             failover certificates.  Any violation raises a typed
             :class:`~repro.verify.errors.VerifyError`.
-        optimizer: Batch plan optimizer (cross-request CSE, sub-chain
-            splitting), or None to lower every conjunction in isolation.
-            A cache with no optimizer turns on the *unsplit* one: consults
-            and fills ride its canonical-key pass, and unsplit lowering
-            keeps whole conjunctions cacheable under one key.
+        optimize: Lower each batch through the batch plan optimizer
+            (:mod:`repro.optimizer`: cross-request CSE, sub-chain
+            splitting) instead of every conjunction in isolation, which
+            serializes its whole chain on one bank offset.
         cache: Cross-batch result cache (:mod:`repro.cache`): ``True``
             gives each backend — each shard of a cluster — its own
             default :class:`~repro.cache.ResultCache`; an instance is
             shared by every backend built from this config (entries are
-            keyed by index view, so shards never collide).
+            keyed by index view, so shards never collide).  A cache turns
+            ``optimize`` on: consults and fills ride the optimizer's
+            per-predicate keys.
         maintenance: How writes keep the bitmap planes consistent
             (:mod:`repro.storage`): a strategy name (``"eager"``,
             ``"lazy"``, ``"hybrid"``) builds a fresh
@@ -138,41 +123,36 @@ class PipelineConfig:
     functional: bool = False
     pipeline: bool = True
     sanitize: bool = False
-    optimizer: Optional[OptimizerConfig] = None
+    optimize: bool = False
     cache: Union[bool, ResultCache] = False
     maintenance: Union[str, MaintenancePolicy] = "eager"
 
     def __post_init__(self) -> None:
+        # Every ``bool`` field is a switch: a truthy stand-in (``"no"``,
+        # ``0``, None) would flip it silently.
+        for f in fields(self):
+            if f.type == "bool" and not isinstance(getattr(self, f.name), bool):
+                raise TypeError(f"{f.name} must be a bool, not {getattr(self, f.name)!r}")
+        if not isinstance(self.cache, (bool, ResultCache)):
+            raise TypeError(f"cache must be a bool or a ResultCache, not {self.cache!r}")
         if not (isinstance(self.max_queue_depth, Integral) and self.max_queue_depth > 0):
             raise ValueError("max_queue_depth must be a positive integer")
         if self.max_backlog_ns is not None and not 0.0 <= self.max_backlog_ns < math.inf:
             raise ValueError("max_backlog_ns must be finite and non-negative (or None)")
-        if self.cache is not False and self.optimizer is None:
-            object.__setattr__(self, "optimizer", OptimizerConfig(split_subchains=False))
+        if self.cache is not False:
+            object.__setattr__(self, "optimize", True)
 
     @classmethod
     def from_knobs(cls, **knobs: Any) -> "PipelineConfig":
-        """Build a config from loose keyword spellings.
-
-        The one place they are interpreted: ``optimize=`` is the
-        ``optimizer`` field, where ``True`` means the default
-        :class:`OptimizerConfig` and ``False`` none; ``None`` for any knob
-        means its default.  Anything that is not a field is a
-        :class:`TypeError` naming the valid knobs.
-        """
+        """Build a config from loose keyword spellings: ``None`` for any
+        knob means its default, and anything that is not a field is a
+        :class:`TypeError` naming the valid knobs."""
         names = [f.name for f in fields(cls)]
-        if "optimize" in knobs:
-            if "optimizer" in knobs:
-                raise TypeError("pass optimize= or optimizer=, not both")
-            knobs["optimizer"] = knobs.pop("optimize")
         unknown = sorted(set(knobs) - set(names))
         if unknown:
             raise TypeError(
-                f"unknown pipeline knob(s) {', '.join(unknown)}; "
-                f"valid knobs: {', '.join(names)} (optimize= spells optimizer=)"
+                f"unknown pipeline knob(s) {', '.join(unknown)}; valid knobs: {', '.join(names)}"
             )
-        if isinstance(knobs.get("optimizer"), bool):
-            knobs["optimizer"] = OptimizerConfig() if knobs["optimizer"] else None
         return cls(**{name: value for name, value in knobs.items() if value is not None})
 
     def new_cache(self) -> Optional[ResultCache]:
@@ -190,4 +170,4 @@ class PipelineConfig:
         return MaintenancePolicy(strategy=self.maintenance)
 
 
-__all__ = ["BatchPolicy", "MERGE_NS_PER_OP", "OptimizerConfig", "PipelineConfig"]
+__all__ = ["BatchPolicy", "MERGE_NS_PER_OP", "PipelineConfig"]

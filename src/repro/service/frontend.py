@@ -755,7 +755,7 @@ class ServiceFrontend:
         for group in groups:
             # A request's service spans its own steps *plus* any shared
             # steps it consumes (CSE deps bound its finish but are only
-            # charged to their owner); split-mode host joins extend the
+            # charged to their owner); the optimizer's host joins extend the
             # finish by the merge tree.
             own = cone = [results[i] for i in group.indices]
             if group.dep_indices:

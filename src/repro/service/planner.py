@@ -20,7 +20,7 @@
 
 The executor orders the lowered batch longest-first (LPT) before bank
 assignment; the planner deliberately leaves intra-batch ordering to it.
-The knobs the planner reads (``policy``, ``optimizer``, ``cache``,
+The knobs the planner reads (``policy``, ``optimize``, ``cache``,
 ``maintenance``) are declared in :mod:`repro.service.config`.
 """
 
@@ -110,8 +110,8 @@ class LoweredGroup(PlanCounts):
             consumes (CSE'd sub-chains); they bound the group's finish
             time but are never charged to it.
         host_merge_ns: Host-side merge-tree cost added to the group's
-            finish time (split-mode cross-predicate join).
-        host_join_ops: Host AND ops the split-mode join performs.
+            finish time (the optimizer's cross-predicate join).
+        host_join_ops: Host AND ops that join performs.
         write_outcome: The maintenance outcome of a lowered write request
             (strategy attribution, charged planes; None for reads).
         rebuild_columns: Lazily-maintained columns this read repaired
@@ -136,7 +136,7 @@ class BatchPlanner:
         executor: The executor the plans target (its latency model drives
             LPT ordering, deadline urgency, and admission backlog).
         config: The pipeline's :class:`~repro.service.config.PipelineConfig`
-            (``policy``, ``optimizer``, ``cache``, ``maintenance`` are the
+            (``policy``, ``optimize``, ``cache``, ``maintenance`` are the
             knobs read here); the cache and the maintenance policy are
             materialized per planner.
     """
@@ -147,10 +147,10 @@ class BatchPlanner:
         self.maintenance = config.new_maintenance()
         self.result_cache = config.new_cache()
         self.optimizer: Optional["BatchOptimizer"] = None
-        if config.optimizer is not None:
+        if config.optimize:
             from repro.optimizer.passes import BatchOptimizer  # local: avoid cycle
 
-            self.optimizer = BatchOptimizer(config.optimizer, result_cache=self.result_cache)
+            self.optimizer = BatchOptimizer(result_cache=self.result_cache)
         # Interned conjunction shapes, least recently used first, keyed
         # (predicates, num_rows, row_size_bytes).  Per planner, like the
         # engine's op-cost table: no warm state crosses sessions.
@@ -231,12 +231,12 @@ class BatchPlanner:
 
         A lowered conjunction's whole chain is pinned to its index's stable
         offset, so the chain charges the same banks it will serialize on.
-        Under the optimizer's sub-chain splitting the chain fans out over
-        offsets chosen at lowering time, so conjunctions are unpinned
-        (empty list) — the frontend falls back to global backlog.
+        The optimizer fans a chain's sub-chains out over offsets chosen at
+        lowering time, so under it conjunctions are unpinned (empty list)
+        — the frontend falls back to global backlog.
         """
         if isinstance(request, BitmapConjunctionRequest):
-            if self.optimizer is not None and self.optimizer.config.split_subchains:
+            if self.optimizer is not None:
                 return []
             return self.executor.span_banks(
                 self._priced_chain(request).chain.rows,

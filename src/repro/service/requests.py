@@ -277,7 +277,7 @@ class RequestEnvelope(PlanCounts):
     value: Any = None
     metrics: Optional[OperationMetrics] = None
     #: Host-side merge cost charged into ``finish_ns``: the optimizer's
-    #: split-mode cross-lane joins on a queue entry, the gather merge tree
+    #: cross-lane sub-chain joins on a queue entry, the gather merge tree
     #: on a cluster record (0.0 when nothing was merged).
     host_merge_ns: float = 0.0
     #: Root :class:`repro.obs.Span` of this request's lifecycle — set by

@@ -322,11 +322,10 @@ class OptimizedRequestView:
             charged for).
         dep_indices: Batch-step indices of shared sub-chains this request
             consumes but another request owns.
-        part_vectors: The vectors the request's finalize reads — the
-            single chain result when unsplit, or one result per
-            sub-chain when split across lanes (host-joined).
+        part_vectors: The vectors the request's finalize reads and
+            host-joins, one result per predicate sub-chain.
         host_join_ops: Host-side AND merges the finalize performs
-            (``len(part_vectors) - 1`` when split, else 0).
+            (``len(part_vectors) - 1``).
         ops_eliminated: Device ops the optimizer removed for this request
             (``plan_total - len(own_indices) - host_join_ops``).
         shared_subchains: Sub-chains served from another request's output.

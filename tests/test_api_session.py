@@ -59,7 +59,6 @@ from repro.service import (
 from repro.service.config import MERGE_NS_PER_OP
 from repro.service.planner import CHAIN_INTERN_CAPACITY
 from repro.service.requests import BoundChain
-from repro.optimizer import OptimizerConfig
 from repro.storage import MaintenancePolicy, UpdateRequest
 from repro.verify import VerifyError
 
@@ -1148,7 +1147,7 @@ KNOB_VALUES = {
     "functional": True,
     "pipeline": False,
     "sanitize": True,
-    "optimizer": OptimizerConfig(split_subchains=False),
+    "optimize": True,
     "cache": ResultCache(),
     "maintenance": MaintenancePolicy("lazy"),
 }
@@ -1179,7 +1178,7 @@ class TestPipelineConfig:
             executor, planner = frontend.executor, frontend.planner
             assert (executor.pipeline, executor.sanitize) == (False, True)
             assert planner.policy is knobs["policy"]
-            assert planner.optimizer.config is knobs["optimizer"]
+            assert planner.optimizer is not None
             assert planner.maintenance is knobs["maintenance"]
             assert frontend.cache is planner.result_cache is knobs["cache"]
             assert (frontend.max_queue_depth, frontend.max_backlog_ns) == (7, 1e6)
@@ -1202,20 +1201,75 @@ class TestPipelineConfig:
         assert PipelineConfig.from_knobs(
             policy=None, optimize=False, cache=None, maintenance=None, max_backlog_ns=None
         ) == default
-        assert PipelineConfig.from_knobs(optimize=True).optimizer == OptimizerConfig()
-        explicit = OptimizerConfig(split_subchains=False)
-        assert PipelineConfig.from_knobs(optimize=explicit).optimizer is explicit
-        assert PipelineConfig.from_knobs(optimizer=explicit).optimizer is explicit
+        assert PipelineConfig.from_knobs(optimize=True).optimize is True
         assert PipelineConfig.from_knobs(maintenance="hybrid").maintenance == "hybrid"
-        with pytest.raises(TypeError, match="not both"):
-            PipelineConfig.from_knobs(optimize=True, optimizer=explicit)
+        # ``optimizer=`` is not a knob: the switch is the bool ``optimize``.
+        with pytest.raises(TypeError, match="unknown pipeline knob.*optimizer") as caught:
+            PipelineConfig.from_knobs(optimizer=True)
+        assert all(name in str(caught.value) for name in KNOB_NAMES)
 
-    def test_cache_without_optimizer_turns_on_the_unsplit_one(self):
-        assert PipelineConfig(cache=True).optimizer == OptimizerConfig(split_subchains=False)
-        assert PipelineConfig(cache=ResultCache()).optimizer.split_subchains is False
-        split = OptimizerConfig()
-        assert PipelineConfig(cache=True, optimizer=split).optimizer is split
-        assert PipelineConfig().optimizer is None
+    def test_cache_without_optimizer_turns_on_the_optimizer(self):
+        assert PipelineConfig(cache=True).optimize is True
+        assert PipelineConfig(cache=ResultCache()).optimize is True
+        assert PipelineConfig(cache=True, optimize=True).optimize is True
+        assert PipelineConfig().optimize is False
+        # ... the one optimizer: ``cache=True`` serves a stream record for
+        # record like ``cache=True, optimize=True`` (sub-chains split over
+        # lanes, per-predicate consults), across batches that hit.
+        index = _bitmap_index(np.random.default_rng(31))
+        templates = [
+            (("region", (1, 2, 3)), ("status", (0, 1)), ("tier", (0, 2))),
+            (("status", (1, 0)), ("region", (3, 1, 2))),
+            (("tier", (1,)), ("region", (5, 6))),
+        ]
+        requests = [
+            BitmapConjunctionRequest(index=index, predicates=templates[d])
+            for d in (0, 1, 0, 2, 1, 0, 2, 2, 0, 1)
+        ]
+        served = []
+        for knobs in ({"cache": True}, {"cache": True, "optimize": True}):
+            frontend = ServiceFrontend(
+                PipelineConfig(policy=BatchPolicy(max_batch=3), sanitize=True, **knobs),
+                engine=_engine(),
+            )
+            for request in requests:
+                frontend.offer(request)
+            frontend.drain()
+            served.append(frontend.result().completed())
+        implicit, explicit = served
+        assert len(implicit) == len(explicit) == len(requests)
+        assert sum(record.cache_hits for record in explicit) > 0
+        assert sum(record.host_merge_ns for record in explicit) > 0
+        for a, b in zip(implicit, explicit):
+            assert np.array_equal(a.value, b.value)
+            assert (a.start_ns, a.finish_ns, a.host_merge_ns) == (
+                b.start_ns, b.finish_ns, b.host_merge_ns
+            )
+            assert (a.cache_hits, a.cache_misses, a.ops_eliminated, a.shared_subchains) == (
+                b.cache_hits, b.cache_misses, b.ops_eliminated, b.shared_subchains
+            )
+            assert a.metrics == b.metrics
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"cache": None},
+            {"cache": 0},
+            {"cache": "no"},
+            {"pipeline": "no"},
+            {"optimize": 1},
+            {"shed_low_priority": None},
+            {"functional": "yes"},
+            {"sanitize": 0},
+        ],
+        ids=lambda bad: "{}={!r}".format(*next(iter(bad.items()))),
+    )
+    def test_switch_knobs_take_only_their_types(self, bad):
+        """``cache=None`` / ``cache=0`` used to turn the optimizer on with no
+        cache, ``cache="no"`` to build a cache and ``pipeline="no"`` to
+        pipeline: a truthy stand-in flipped the switch silently."""
+        with pytest.raises(TypeError, match=next(iter(bad))):
+            PipelineConfig(**bad)
 
     @pytest.mark.parametrize(
         "bad",

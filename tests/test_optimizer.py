@@ -6,8 +6,8 @@ the load-bearing properties are:
 
 * **bit-exactness** — optimized lowering computes the identical result
   bitmaps as per-request lowering and host evaluation, across seeded
-  repetition-heavy workloads, split and unsplit lowering, both
-  pipeline modes, and both the service and the cluster tier, all under
+  repetition-heavy workloads, both pipeline modes, and both the service
+  and the cluster tier, all under
   ``sanitize=True``;
 * **the cost ledger balances** — ``ops_eliminated`` is exactly the
   unoptimized plan total net of owned steps and host joins, per request
@@ -35,7 +35,7 @@ from repro.dram.device import DramDevice
 from repro.dram.energy import DramEnergyParameters
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import DramTimingParameters
-from repro.optimizer import BatchOptimizer, OptimizerConfig, canonical_key, predicate_key
+from repro.optimizer import BatchOptimizer, predicate_key
 from repro.optimizer import passes
 from repro.optimizer.canonical import ConjunctionShape, sort_token
 from repro.service import (
@@ -147,17 +147,6 @@ class TestCanonicalKeys:
             other, "region", (1,)
         )
 
-    def test_commutative_ops_sort_operands(self):
-        a = predicate_key(INDEX, "region", (1,))
-        b = predicate_key(INDEX, "status", (0,))
-        assert canonical_key("and", (a, b)) == canonical_key("and", (b, a))
-        assert canonical_key("or", (a, b)) == canonical_key("or", (b, a))
-
-    def test_fused_double_not_collapses(self):
-        a = predicate_key(INDEX, "region", (1,))
-        assert canonical_key("not", (canonical_key("not", (a,)),)) == a
-        assert canonical_key("not", (a,)) != a
-
 
 # ----------------------------------------------------------------------
 # Property: optimized lowering is bit-exact on the service tier
@@ -165,7 +154,7 @@ class TestCanonicalKeys:
     @pytest.mark.parametrize("template", range(len(TEMPLATES)))
     def test_an_interned_shape_keys_exactly_as_the_per_request_derivation(self, template):
         """``ConjunctionShape`` orders and keys once per template what
-        ``predicate_key`` / ``sort_token`` / ``canonical_key`` derive per
+        ``predicate_key`` / ``sort_token`` derive per
         request — for any source, though the shape itself names none."""
         predicates = TEMPLATES[template]
         shape = ConjunctionShape.of(predicates, ROWS, ROW_SIZE)
@@ -176,11 +165,10 @@ class TestCanonicalKeys:
             )
             parts, whole = shape.keys(index)
             assert list(parts) == keyed
-            assert whole == canonical_key("and", keyed)
+            assert whole == ("and", *keyed)
         assert [column for column, _values in shape.predicates] == [key[2] for key in keyed]
         assert shape.plan_total == sum(len(v) - 1 for _c, v in predicates) + len(predicates) - 1
         assert shape.columns == tuple(frozenset((key[2],)) for key in keyed)
-        assert shape.prefix_columns[-1] == frozenset(c for c, _v in predicates)
         assert shape.dep_columns == tuple(sorted({c for c, _v in predicates}))
         packed = (ROWS + 7) // 8
         assert (shape.packed_bytes, shape.rows) == (packed, -(-packed // ROW_SIZE))
@@ -191,13 +179,11 @@ class TestBitExactness:
     @given(
         draws=st.lists(st.integers(0, len(TEMPLATES) - 1), min_size=3, max_size=10),
         pipeline=st.booleans(),
-        split=st.booleans(),
     )
-    def test_service_tier_matches_unoptimized_and_host(self, draws, pipeline, split):
+    def test_service_tier_matches_unoptimized_and_host(self, draws, pipeline):
         requests = _requests(draws)
-        config = OptimizerConfig(split_subchains=split)
         _, base = _serve(requests, optimize=False, pipeline=pipeline)
-        _, opt = _serve(requests, optimize=config, pipeline=pipeline)
+        _, opt = _serve(requests, optimize=True, pipeline=pipeline)
         assert base.metrics.completed == opt.metrics.completed == len(draws)
         for b, o in zip(base.completed(), opt.completed()):
             expected, _ = INDEX.evaluate_conjunction(list(b.request.predicates))
@@ -244,22 +230,23 @@ class TestCseAccounting:
     def test_duplicate_requests_share_and_balance_the_ledger(self):
         # Two copies of the same conjunction (one value-permuted) plus a
         # distinct one, all in a single batch: the duplicates' chains run
-        # once, the copies are charged zero device ops.
+        # once, the copy is charged zero device ops — only the host joins
+        # of its parts, which the first pays as well.
         requests = _requests([0, 1, 2])
-        frontend, result = _serve(
-            requests, optimize=OptimizerConfig(split_subchains=False), max_batch=4
-        )
+        frontend, result = _serve(requests, optimize=True, max_batch=4)
         first, copy, other = result.completed()
         plan_total = sum(len(v) - 1 for _, v in TEMPLATES[0]) + len(TEMPLATES[0]) - 1
+        host_joins = len(TEMPLATES[0]) - 1
         assert first.ops_eliminated == 0
-        assert copy.ops_eliminated == plan_total
+        assert copy.ops_eliminated == plan_total - host_joins
+        assert copy.host_merge_ns == first.host_merge_ns > 0.0
         assert copy.shared_subchains > 0
-        assert result.metrics.ops_eliminated == plan_total
+        assert result.metrics.ops_eliminated == plan_total - host_joins
         assert result.metrics.shared_subchains == (
             copy.shared_subchains + other.shared_subchains
         )
         batch = frontend.batches[0]
-        assert batch.ops_eliminated == plan_total
+        assert batch.ops_eliminated == plan_total - host_joins
         assert batch.shared_subchains == result.metrics.shared_subchains
         # A fully shared request is attributed zero-cost metrics.
         assert copy.metrics.latency_ns == 0.0
@@ -267,7 +254,7 @@ class TestCseAccounting:
 
     def test_optimizer_lint_accepts_its_own_batches(self):
         executor = BatchExecutor(engine=_engine(), sanitize=True)
-        optimizer = BatchOptimizer(OptimizerConfig(split_subchains=False))
+        optimizer = BatchOptimizer()
         optimizer.open_batch(executor)
         primitives = []
         for request in _requests([0, 1, 2]):
@@ -316,12 +303,13 @@ class TestCseAccounting:
 # ----------------------------------------------------------------------
 class TestSubchainSplitting:
     def test_split_overlaps_one_request_with_itself(self):
-        # One wide conjunction, alone in its batch: unsplit it serializes
-        # its whole chain on one bank set; split, its three predicate
-        # sub-chains run on distinct lanes and host-join afterwards.
+        # One wide conjunction, alone in its batch: the plain path
+        # serializes its whole chain on one bank set; the optimizer runs
+        # its three predicate sub-chains on distinct lanes and host-joins
+        # them afterwards.
         request = _requests([2])[0]
-        _, serial = _serve([request], optimize=OptimizerConfig(split_subchains=False))
-        _, split = _serve([request], optimize=OptimizerConfig(split_subchains=True))
+        _, serial = _serve([request], optimize=False)
+        _, split = _serve([request], optimize=True)
         (serial_q,) = serial.completed()
         (split_q,) = split.completed()
         expected, _ = INDEX.evaluate_conjunction(list(request.predicates))
@@ -342,14 +330,11 @@ class TestSubchainSplitting:
             engine=_engine(),
         )
         assert frontend.planner.modeled_banks(_requests([0])[0]) == []
-        unsplit = ServiceFrontend(
-            PipelineConfig.from_knobs(
-                sanitize=True,
-                optimize=OptimizerConfig(split_subchains=False),
-            ),
+        plain = ServiceFrontend(
+            PipelineConfig.from_knobs(sanitize=True, optimize=False),
             engine=_engine(),
         )
-        assert unsplit.planner.modeled_banks(_requests([0])[0]) != []
+        assert plain.planner.modeled_banks(_requests([0])[0]) != []
 
     def test_max_split_lanes_bounds_the_fanout(self, monkeypatch):
         # One split lane degenerates to the stable offset: every emitted
