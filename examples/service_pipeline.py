@@ -11,9 +11,9 @@ pipeline has to earn its keep:
   rejects the overflow (backpressure a real deployment would propagate),
 * the **planner** closes batches by size/window/deadline urgency and
   lowers the conjunctions into primitive bulk-operation chains,
-* the **executor** overlaps each batch across the device's banks with LPT
-  ordering — the only speedup mechanism; per-request latency and energy
-  stay exactly sequential.
+* the **executor** overlaps each batch across the device's banks, placed
+  in submission order — the only speedup mechanism; per-request latency
+  and energy stay exactly sequential.
 
 A functional pass on a tiny device at the end re-runs a slice of the
 stream on the simulated banks, double-checking bit-exactness.

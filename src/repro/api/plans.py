@@ -15,9 +15,9 @@ nowhere else, split into the two halves of a request's life:
   chain's source planes from the live bitmap source, wraps them as
   read-only operand vectors and allocates a fresh output vector per step.
 
-:func:`lower_conjunction_steps` is ``bind(compile(...))`` in one call
-(:func:`lower_predicate_steps` the same for one predicate's OR sub-chain,
-the unit the batch plan optimizer shares and splits).  Binding is
+:func:`lower_conjunction_steps` is ``bind(compile(...))`` in one call.
+The batch plan optimizer's unit, one predicate's OR sub-chain, is a
+one-predicate shape the planner interns like any other.  Binding is
 duck-typed over the bitmap source (a full
 :class:`~repro.database.bitmap_index.BitmapIndex` or a shard view), so
 the single-device planner and every cluster shard run the identical code
@@ -211,26 +211,6 @@ def lower_conjunction_steps(
     chain = CompiledChain.compile(predicates, index.num_rows, row_size_bytes)
     steps, result = chain.bind(index)
     return steps, result, chain.plan()
-
-
-def lower_predicate_steps(
-    index: Any,
-    column: str,
-    values: Sequence[int],
-    row_size_bytes: int = 8192,
-) -> Tuple[List[LoweredStep], BulkBitVector]:
-    """Lower one predicate's OR chain: ``col IN values`` as bulk steps.
-
-    The independent sub-chain of one conjunction predicate — this is the
-    unit the batch plan optimizer shares across requests (CSE) and spreads
-    across bank lanes (sub-chain splitting): a one-predicate chain.
-
-    Returns:
-        (steps, result vector): ``len(values) - 1`` OR steps and the
-        vector holding the predicate's result bitmap.
-    """
-    chain = CompiledChain.compile(((column, values),), index.num_rows, row_size_bytes)
-    return chain.bind(index)
 
 
 def source_vector(packed: np.ndarray, num_rows: int, row_size_bytes: int) -> BulkBitVector:

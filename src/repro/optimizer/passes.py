@@ -42,10 +42,12 @@ shared step DAG:
   certified by :func:`repro.verify.plan_lint.lint_optimized_batch`
   before a single step executes.
 
-Emitted steps carry ``after`` dependencies (batch-local producer
-indices), so the executor's schedule keeps cross-lane consumers behind
-their producers' finish times — causality the schedule race detector
-then independently replays.
+Each emitted sub-chain is one :class:`~repro.service.requests.BoundChain`
+— the planner's interned one-predicate shape, bound and priced like a
+plain conjunction — so its steps run back to back and are placed as one
+run: no schedule can start a step before the step it reads.  A request
+riding another's sub-chain lists that chain in ``dep_indices``, which
+bounds its finish.
 
 The optimizer never changes *what* is computed: AND/OR are commutative
 and associative over bitmaps, sharing only reuses an identical result
@@ -66,17 +68,17 @@ import numpy as np
 
 from repro.ambit.bitvector import BulkBitVector
 from repro.analysis.metrics import OperationMetrics
-from repro.api.plans import lower_predicate_steps, source_vector
+from repro.api.plans import source_vector
 from repro.cache.result_cache import ResultCache
 from repro.optimizer.canonical import ConjunctionShape, Key
 from repro.service.config import MERGE_NS_PER_OP
 from repro.service.planner import LoweredGroup
 from repro.service.requests import (
     BitmapConjunctionRequest,
-    BulkOpRequest,
+    BoundChain,
+    Primitive,
     QueuedRequest,
     RequestResult,
-    ServiceRequest,
 )
 from repro.verify.plan_lint import (
     ChainStep,
@@ -97,9 +99,11 @@ class _Node:
 
     Attributes:
         vector: The vector holding the sub-chain's result bitmap.
-        cone: Batch-step indices of every step producing the result
-            (sorted; empty when the vector is a source bitmap).
-        producer: The step producing ``vector`` (None for a source).
+        cone: The producing chain's steps as the batch lint numbers them
+            (consecutively over the batch's chains, in emission order;
+            empty when the vector is a source bitmap).
+        producer: Batch index of the :class:`BoundChain` producing
+            ``vector`` (None for a source).
     """
 
     vector: BulkBitVector
@@ -118,15 +122,17 @@ class _Answer:
     Attributes:
         parts: The nodes whose vectors AND to the result, one per
             predicate sub-chain.
-        cone: Sorted batch-step indices producing the parts.
+        producers: Sorted batch indices of the chains producing the parts.
         packed_bytes: Bytes of the packed result bitmap.
     """
 
-    __slots__ = ("parts", "cone", "packed_bytes", "_joined")
+    __slots__ = ("parts", "producers", "packed_bytes", "_joined")
 
     def __init__(self, parts: Tuple[_Node, ...], packed_bytes: int) -> None:
         self.parts = parts
-        self.cone: Tuple[int, ...] = tuple(sorted({i for node in parts for i in node.cone}))
+        self.producers: Tuple[int, ...] = tuple(
+            sorted({node.producer for node in parts if node.producer is not None})
+        )
         self.packed_bytes = packed_bytes
         self._joined: Optional[np.ndarray] = None
 
@@ -162,6 +168,7 @@ class BatchOptimizer:
 
     def __init__(self, result_cache: Optional[ResultCache] = None) -> None:
         self.result_cache = result_cache
+        self._planner: Any = None
         self._executor: Any = None
         self._cache: Dict[Key, _Node] = {}
         # Whole-conjunction key -> the answer every identical request of
@@ -172,6 +179,9 @@ class BatchOptimizer:
         # (see invalidate_writes) so no later request of the same batch
         # rides a vector materialized from pre-write planes.
         self._node_columns: Dict[Key, Tuple[int, FrozenSet[str]]] = {}
+        # Steps emitted this batch: the ledger's op count and the lint's
+        # step numbering.
+        self._step_count = 0
         # What the batch lint replays; recorded under ``sanitize`` only.
         self._steps: Dict[int, ChainStep] = {}
         self._views: List[OptimizedRequestView] = []
@@ -184,12 +194,16 @@ class BatchOptimizer:
     # ------------------------------------------------------------------
     # Batch lifecycle
     # ------------------------------------------------------------------
-    def open_batch(self, executor: Any) -> None:
-        """Reset the batch-scoped state; subsequent lowerings share."""
-        self._executor = executor
+    def open_batch(self, planner: Any) -> None:
+        """Reset the batch-scoped state for ``planner``'s next batch;
+        subsequent lowerings share, and bind the planner's interned
+        shapes on its executor."""
+        self._planner = planner
+        self._executor = planner.executor
         self._cache = {}
         self._answers = {}
         self._node_columns = {}
+        self._step_count = 0
         self._steps = {}
         self._views = []
         self._assigned = {}
@@ -271,15 +285,15 @@ class BatchOptimizer:
     def lower_conjunction(
         self,
         queued: QueuedRequest,
-        primitives: List[ServiceRequest],
+        primitives: List[Primitive],
         shape: Optional[ConjunctionShape] = None,
     ) -> LoweredGroup:
         """Lower one conjunction into the open batch's shared DAG.
 
-        Appends the request's fresh steps to ``primitives`` and returns
-        the :class:`LoweredGroup` carrying its cost ledger and finalize.
-        ``shape`` is the request's interned :meth:`shape` (derived here
-        when the caller keeps none).
+        Appends the request's fresh sub-chains to ``primitives`` and
+        returns the :class:`LoweredGroup` carrying its cost ledger and
+        finalize.  ``shape`` is the request's interned :meth:`shape`
+        (derived here when the caller keeps none).
         """
         request = queued.request
         assert isinstance(request, BitmapConjunctionRequest)
@@ -292,6 +306,7 @@ class BatchOptimizer:
         pkeys, whole = shape.keys(index)
 
         own: List[int] = []
+        first_step = self._step_count
         cache_hits = cache_misses = 0
         # Request-level CSE: an identical request lowered earlier in this
         # batch — and not overwritten since — already holds every part;
@@ -311,20 +326,22 @@ class BatchOptimizer:
         # the simulator joins once).
         host_join_ops = len(answer.parts) - 1
         host_merge_ns = host_join_ops.bit_length() * MERGE_NS_PER_OP if host_join_ops else 0.0
-        deps = answer.cone
+        deps = answer.producers
         if own:
             mine = set(own)
             deps = tuple(i for i in deps if i not in mine)
-        ops_eliminated = plan_total - len(own) - host_join_ops
+        ops_eliminated = plan_total - (self._step_count - first_step) - host_join_ops
 
         if executor.sanitize:
+            own_steps = tuple(range(first_step, self._step_count))
+            cone = {i for node in answer.parts for i in node.cone}
             self._views.append(
                 OptimizedRequestView(
                     predicates=request.predicates,
                     num_rows=index.num_rows,
                     plan_total=plan_total,
-                    own_indices=tuple(own),
-                    dep_indices=deps,
+                    own_indices=own_steps,
+                    dep_indices=tuple(sorted(cone.difference(own_steps))),
                     part_vectors=tuple(node.vector for node in answer.parts),
                     host_join_ops=host_join_ops,
                     ops_eliminated=ops_eliminated,
@@ -370,15 +387,15 @@ class BatchOptimizer:
         index: Any,
         shape: ConjunctionShape,
         pkeys: Tuple[Key, ...],
-        primitives: List[ServiceRequest],
+        primitives: List[Primitive],
         own: List[int],
     ) -> Tuple[Tuple[_Node, ...], int, int, int]:
         """Find or emit the nodes a conjunction's result joins from, one
         per predicate sub-chain.
 
-        Appends fresh steps to ``primitives`` (their indices to ``own``);
-        returns ``(part nodes, shared sub-chains, cache hits, cache
-        misses)``.
+        Appends fresh sub-chains to ``primitives`` (their indices to
+        ``own``); returns ``(part nodes, shared sub-chains, cache hits,
+        cache misses)``.
         """
         executor = self._executor
         num_rows: int = index.num_rows
@@ -404,9 +421,7 @@ class BatchOptimizer:
                     if self.result_cache is not None:
                         cache_misses += 1
                     offset = self._choose_offset(executor, base, rows)
-                    node = self._emit_predicate(
-                        index, column, values, row_size, rows, offset, primitives, own
-                    )
+                    node = self._emit_predicate(index, column, values, offset, primitives, own)
                     if node.producer is not None:
                         # A multi-value OR chain is worth re-serving from
                         # host memory; a bare bitmap is already a zero-op
@@ -468,37 +483,37 @@ class BatchOptimizer:
         index: Any,
         column: str,
         values: Tuple[int, ...],
-        row_size: int,
-        rows: int,
         offset: int,
-        primitives: List[ServiceRequest],
+        primitives: List[Primitive],
         own: List[int],
     ) -> _Node:
-        """Emit one predicate's OR chain at ``offset``; returns its node.
+        """Emit one predicate's OR chain at ``offset`` as one
+        :class:`BoundChain`; returns its node (a source node, emitting
+        nothing, for a single value).
 
-        ``values`` arrive sorted (the canonical key's order) so identical
-        value multisets build identical chains.
+        The chain is the planner's interned one-predicate shape, bound
+        and priced like a plain conjunction's.  ``values`` arrive sorted
+        (the canonical key's order), so identical value multisets bind
+        one shape.
         """
-        steps, vector = lower_predicate_steps(index, column, values, row_size_bytes=row_size)
-        record = self._executor.sanitize
-        cone: List[int] = []
-        producer: Optional[int] = None
-        latency = 0.0
-        for op, a, b, out in steps:
-            after = (producer,) if producer is not None else ()
-            step_index = len(primitives)
-            primitives.append(
-                BulkOpRequest(op=op, a=a, b=b, out=out, bank_offset=offset, after=after)
-            )
-            if record:
-                self._steps[step_index] = (op, a, b, out)
-            own.append(step_index)
-            cone.append(step_index)
-            producer = step_index
-            latency += self._executor.engine.op_cost(op, rows).latency_ns
-        if latency:
-            self._assigned[offset] = self._assigned.get(offset, 0.0) + latency
-        return _Node(vector=vector, cone=tuple(cone), producer=producer)
+        planner = self._planner
+        priced = planner._priced_chain(((column, values),), index.num_rows)
+        steps, vector = priced.chain.bind(index)
+        if not steps:
+            return _Node(vector=vector, cone=(), producer=None)
+        planner._price_steps(priced)
+        producer = len(primitives)
+        primitives.append(
+            BoundChain(steps, offset, priced.prices, priced.latencies, priced.serial)
+        )
+        own.append(producer)
+        first = self._step_count
+        self._step_count += len(steps)
+        if self._executor.sanitize:
+            for number, step in enumerate(steps, first):
+                self._steps[number] = step
+        self._assigned[offset] = self._assigned.get(offset, 0.0) + sum(priced.latencies)
+        return _Node(vector=vector, cone=tuple(range(first, self._step_count)), producer=producer)
 
     # ------------------------------------------------------------------
     # Lane choice

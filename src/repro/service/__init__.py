@@ -7,8 +7,9 @@ BitWeaving predicate scans, RowClone copies, bitmap-index conjunctions):
   bounded priority queue with admission control, and per-request deadlines;
 * :class:`BatchPlanner` — closes batches by policy (size / time window /
   deadline urgency) and lowers high-level requests into primitives;
-* :class:`BatchExecutor` — pure execution with bank-level overlap (LPT
-  makespan scheduling), operation fusion, and allocation reuse.
+* :class:`BatchExecutor` — pure execution with bank-level overlap
+  (submission-order lane placement), operation fusion, and allocation
+  reuse.
 
 Callers that hand-build their own batches pass a request list straight to
 :meth:`BatchExecutor.run`.

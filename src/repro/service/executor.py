@@ -16,11 +16,11 @@ hardware is charged for:
 * **Bank-level overlap** — requests whose rows live in disjoint banks
   proceed concurrently (the DDR command bus has ample headroom for AAP
   sequences), so the batch finishes in the makespan of a per-bank schedule
-  rather than the sum of request latencies.  Requests are ordered longest
-  processing time first (LPT) before the greedy bank assignment, which
-  tightens the makespan over submission order.  This is the *only* way a
-  batch may be faster: per-request latency and total energy are identical
-  to sequential execution, which the property tests pin down.  With
+  rather than the sum of request latencies.  Requests are placed in
+  submission order: order within a bank only decides who waits.  This is
+  the *only* way a batch may be faster: per-request latency and total
+  energy are identical to sequential execution, which the property tests
+  pin down.  With
   ``pipeline`` (the default) the per-bank schedule is a *persistent*
   :class:`~repro.service.lanes.LaneSchedule` whose lane horizons carry
   across batches: a new batch's requests start on banks the previous
@@ -96,11 +96,6 @@ class BatchExecutor:
         fuse: Enable operation fusion (shared plane complements).  Fusion
             never changes results or charged costs; disabling it is only
             useful for A/B testing the planner.
-        lpt: Order requests longest-latency-first before the greedy bank
-            assignment (LPT list scheduling).  Ordering only moves start
-            times within the batch; per-request results, latencies, and
-            energies are unchanged.  Disabling falls back to submission
-            order, useful for A/B-testing the makespan.
         pipeline / sanitize: The
             :class:`~repro.service.config.PipelineConfig` knobs of the same
             names, documented there; this is the leaf that consumes them.
@@ -116,7 +111,6 @@ class BatchExecutor:
         self,
         engine: Optional[AmbitEngine] = None,
         fuse: bool = True,
-        lpt: bool = True,
         pipeline: bool = True,  # lint: allow[knob-drift]
         sanitize: bool = False,  # lint: allow[knob-drift]
     ) -> None:
@@ -127,7 +121,6 @@ class BatchExecutor:
         )
         self.pool = VectorPool(self.engine)
         self.fuse = fuse
-        self.lpt = lpt
         self.pipeline = pipeline
         #: Requests (a chain's steps each) run on the simulated banks.
         self.functional_executed = 0
@@ -211,18 +204,9 @@ class BatchExecutor:
                 caller dispatching each batch as soon as the executor
                 can accept work.
         """
-        has_deps = False
-        for position, request in enumerate(requests):
+        for request in requests:  # refused before anything runs or any lane moves
             if not isinstance(request, (BoundChain, BulkOpRequest, ScanRequest, CopyRequest)):
                 raise TypeError(f"unknown request type {type(request).__name__}")
-            if type(request) is BulkOpRequest and request.after:
-                has_deps = True
-                for dep in request.after:  # refused before anything runs or any lane moves
-                    if not 0 <= dep < position:
-                        raise ValueError(
-                            f"after={dep} must reference an earlier primitive of "
-                            f"the same batch (this one is at {position})"
-                        )
         batch_index = self._batches_run
         self._batches_run += 1
         context = _BatchContext()
@@ -247,7 +231,7 @@ class BatchExecutor:
             batch_row = tracer.record(
                 f"batch {batch_index}", "executor", release, None, (self.batches_track(),)
             )
-        makespan, device_busy, overlap = self._schedule(results, release, has_deps, batch_row)
+        makespan, device_busy, overlap = self._schedule(results, release, batch_row)
         # Per step, in plan order (float sums do not associate); a batch
         # counts a chain's steps as requests.
         steps = [
@@ -286,7 +270,7 @@ class BatchExecutor:
         return BatchResult(results=results, metrics=metrics)
 
     # ------------------------------------------------------------------
-    # Latency model (used by the planner for LPT and deadline urgency)
+    # Latency model (used by the planner for deadline urgency and backlog)
     # ------------------------------------------------------------------
     def modeled_latency_ns(self, request: ServiceRequest) -> float:
         """Sequential-execution latency the request will be charged."""
@@ -344,8 +328,9 @@ class BatchExecutor:
         out, metrics = self.engine.execute(
             request.op, request.a, request.b, out=request.out, functional=functional
         )
-        bank_ids = self._request_banks(request, request.a.num_rows)
-        return RequestResult(request=request, metrics=metrics, value=out, bank_ids=bank_ids)
+        return RequestResult(
+            request=request, metrics=metrics, value=out, bank_ids=self.modeled_banks(request)
+        )
 
     def _run_bulk_op_staged(self, request: BulkOpRequest) -> RequestResult:
         """Functional execution of a bulk op over host-only operands.
@@ -380,8 +365,9 @@ class BatchExecutor:
         if b is not None:
             self._release(b, offset)
         self._release(out_staged, offset)
-        bank_ids = self._request_banks(request, request.a.num_rows)
-        return RequestResult(request=request, metrics=metrics, value=out, bank_ids=bank_ids)
+        return RequestResult(
+            request=request, metrics=metrics, value=out, bank_ids=self.modeled_banks(request)
+        )
 
     def _run_chain(self, chain: BoundChain, functional: bool) -> RequestResult:
         """Run a chain's steps back to back: one result, its metrics the
@@ -639,7 +625,8 @@ class BatchExecutor:
         return span[:]
 
     def modeled_banks(self, request: ServiceRequest) -> List:
-        """Bank keys the request is modeled to occupy (empty = unpinned).
+        """Bank keys the request is modeled to occupy (empty = unpinned) —
+        for a bulk op, also the lanes its run is placed on.
 
         Drives the frontend's per-bank backlog admission: requests with a
         stable bank affinity — scans of a column, bulk ops over placed
@@ -666,36 +653,19 @@ class BatchExecutor:
             return []
         raise TypeError(f"unknown request type {type(request).__name__}")
 
-    def _request_banks(self, request: BulkOpRequest, rows: int) -> List:
-        vector = request.a
-        if vector.allocation is not None and vector.allocation.placements:
-            return sorted({p.bank_key for p in vector.allocation.placements})
-        if request.bank_offset is not None:
-            return self.span_banks(rows, request.bank_offset)
-        # Host-only operands with no bank hint never touch DRAM banks:
-        # the op runs (and serializes) on the dedicated host lane instead
-        # of being rotated onto — and falsely contending with — real banks.
-        return []
-
     def _schedule(
-        self,
-        results: List[RequestResult],
-        release_ns: float,
-        has_deps: bool,
-        batch_row: int = -1,
+        self, results: List[RequestResult], release_ns: float, batch_row: int = -1
     ) -> Tuple[float, float, float]:
         """Greedy per-bank lane schedule of one dispatched batch.
 
         Each request occupies its banks for its full sequential latency; a
         request starts once it is released and all of its banks are free.
         Requests on disjoint banks therefore overlap completely, while
-        requests contending for a bank serialize — exactly the paper's
-        bank-level parallelism and nothing more.  With ``lpt`` (the
-        default) requests are placed longest first, the classic LPT
-        heuristic, which tightens the makespan over submission order
-        without touching any result.  Requests that occupy no bank —
-        host-only bulk operations — go onto the dedicated host lane
-        rather than falsely contending with real bank-0 traffic.
+        requests contending for a bank serialize in submission order —
+        exactly the paper's bank-level parallelism and nothing more.
+        Host-only bulk operations occupy the dedicated host lane (their
+        ``bank_ids``) rather than falsely contending with real bank-0
+        traffic.
 
         In pipelined mode the batch lands on the executor's *persistent*
         lane timelines, so requests start behind whatever horizons earlier
@@ -706,29 +676,9 @@ class BatchExecutor:
         its intervals), and the work that ran before the previous batch's
         completion horizon.
 
-        A chain is one run (one exec span per step), LPT-keyed on its step
-        latency — every step prices the same ``(or|and, rows)``.
-
-        When any request carries ``after`` dependencies (the batch plan
-        optimizer's cross-lane DAGs), the batch is placed in submission
-        order instead of LPT and each request's release is lifted to its
-        producers' finish times, so a consumer on an idle lane cannot be
-        scheduled before the sub-chain output it reads exists.  Producers
-        always precede consumers in submission order, so one forward pass
-        suffices; the lifted release is what the placement logs, keeping
-        the schedule race detector's replay exact.
+        A chain is one run (one exec span per step): its steps go back to
+        back on its banks, so no step starts before the step it reads.
         """
-        if self.lpt and not has_deps:
-            order = sorted(
-                results,
-                key=lambda r: -(
-                    r.request.latencies[0]
-                    if type(r.request) is BoundChain
-                    else r.metrics.latency_ns
-                ),
-            )
-        else:
-            order = results
         lanes = self.lanes
         if not self.pipeline:
             lanes = LaneSchedule(self.active_bank_keys(), keep_log=self.sanitize)
@@ -737,23 +687,18 @@ class BatchExecutor:
         busy_before = lanes.busy_union_ns
         finish_max = release_ns
         overlap = 0.0
-        finishes: List[float] = []
         # Looked up per batch, not cached at construction: a tracer shims
         # `lanes.place` as an instance attribute after the executor exists.
         place = lanes.place
         record, tracks = self.obs.tracer.record, self._tracks
-        for result in order:
-            release = release_ns
-            if has_deps:
-                for dep in getattr(result.request, "after", ()):
-                    release = max(release, finishes[dep])
-            banks = result.bank_ids or [HOST_LANE]
+        for result in results:
+            banks = result.bank_ids
             request = result.request
             if type(request) is BoundChain:
                 prices, latencies = request.prices, request.latencies
             else:
                 prices, latencies = (result.metrics,), (result.metrics.latency_ns,)
-            start, end = place(banks, latencies, release)
+            start, end = place(banks, latencies, release_ns)
             result.start_ns, result.end_ns = start, end
             track = None
             if batch_row >= 0:
@@ -771,13 +716,12 @@ class BatchExecutor:
                     record(
                         price.name, "exec", start, finish, track, batch_row,
                         latency_ns=price.latency_ns,
-                        release_ns=release,
+                        release_ns=release_ns,
                         banks=len(banks),
                     )
                 if start < prev_horizon:  # (else this step adds 0.0)
                     overlap += min(finish, prev_horizon) - start
                 start = finish
-            finishes.append(end)
             if end > finish_max:
                 finish_max = end
         if self.pipeline:

@@ -83,7 +83,6 @@ from repro.service.lanes import HOST_LANE
 from repro.service.planner import BatchPlanner, LoweredGroup
 from repro.service.requests import (
     BatchResult,
-    BulkOpRequest,
     FrontendRequest,
     QueuedRequest,
     RequestEnvelope,
@@ -101,10 +100,9 @@ SERVED_REQUEST_TYPES: Tuple[type, ...] = get_args(FrontendRequest) + _WRITE_TYPE
 
 def check_frontend_request(request: object) -> None:
     """Refuse a request a frontend's ``offer`` could not serve — an unknown
-    type (``TypeError``; the planner's :class:`BoundChain` among them), a
+    type (``TypeError``; the planner's :class:`BoundChain` among them) or a
     write whose row ids or codes the table cannot take (the mutator's own
-    error), a bulk op with ``after`` dependencies (``ValueError``) —
-    before anything is recorded or any clock moves.
+    error) — before anything is recorded or any clock moves.
 
     Both tiers expose it as ``check_request``: ``offer`` runs it beside
     :func:`~repro.service.requests.checked_arrival`, and a session runs it
@@ -113,8 +111,6 @@ def check_frontend_request(request: object) -> None:
     check_request_type(request, SERVED_REQUEST_TYPES)
     if isinstance(request, _WRITE_TYPES):
         check_row_ids(request)
-    elif isinstance(request, BulkOpRequest) and request.after:
-        raise ValueError("after is a batch-local index only the batch plan optimizer sets")
 
 
 @dataclass

@@ -39,8 +39,8 @@ produced it (and, on an executor's log, consumes them batch by batch).
 Without that reader, :meth:`place` builds and keeps nothing.
 
 The schedule is deliberately policy-free: the executor decides lane
-membership (bank assignment) and request order (LPT), the frontend decides
-dispatch instants; :meth:`place` only advances the timelines.
+membership (bank assignment) and places in submission order, the frontend
+decides dispatch instants; :meth:`place` only advances the timelines.
 """
 
 from __future__ import annotations

@@ -18,8 +18,8 @@
   chain's *shape* is compiled and priced once per template and interned
   on the planner; only the bind runs per request.
 
-The executor orders the lowered batch longest-first (LPT) before bank
-assignment; the planner deliberately leaves intra-batch ordering to it.
+The executor places the lowered batch in submission order, so the order
+the planner lowers a batch in is the order each bank serves it.
 The knobs the planner reads (``policy``, ``optimize``, ``cache``,
 ``maintenance``) are declared in :mod:`repro.service.config`.
 """
@@ -134,7 +134,7 @@ class BatchPlanner:
 
     Args:
         executor: The executor the plans target (its latency model drives
-            LPT ordering, deadline urgency, and admission backlog).
+            deadline urgency and admission backlog).
         config: The pipeline's :class:`~repro.service.config.PipelineConfig`
             (``policy``, ``optimize``, ``cache``, ``maintenance`` are the
             knobs read here); the cache and the maintenance policy are
@@ -167,16 +167,15 @@ class BatchPlanner:
             return self.maintenance.modeled_write_ns(request, self.executor)
         return self.executor.modeled_latency_ns(request)
 
-    def _priced_chain(self, request: BitmapConjunctionRequest) -> _PricedChain:
-        """The request's interned shape (compiled on first sight; requests
-        with equal predicates over equal-sized sources share one), priced
-        for the engine as it is now."""
+    def _priced_chain(
+        self, predicates: Tuple[Tuple[str, Tuple[int, ...]], ...], num_rows: int
+    ) -> _PricedChain:
+        """The interned shape of ``predicates`` over a ``num_rows``-row
+        source (compiled on first sight; requests with equal predicates
+        over equal-sized sources share one, and so do the optimizer's
+        one-predicate sub-chains), priced for the engine as it is now."""
         engine = self.executor.engine
-        key = (
-            request.predicates,
-            request.index.num_rows,
-            engine.device.geometry.row_size_bytes,
-        )
+        key = (predicates, num_rows, engine.device.geometry.row_size_bytes)
         chains = self._chains
         priced = chains.get(key)
         if priced is None:
@@ -200,7 +199,7 @@ class BatchPlanner:
         return priced
 
     def _conjunction_latency_ns(self, request: BitmapConjunctionRequest) -> float:
-        return self._priced_chain(request).latency_ns
+        return self._priced_chain(request.predicates, request.index.num_rows).latency_ns
 
     def _price_steps(self, priced: _PricedChain) -> None:
         """Price a (freshly looked-up) chain's steps and their roll-up.
@@ -239,7 +238,7 @@ class BatchPlanner:
             if self.optimizer is not None:
                 return []
             return self.executor.span_banks(
-                self._priced_chain(request).chain.rows,
+                self._priced_chain(request.predicates, request.index.num_rows).chain.rows,
                 self.executor.stable_offset(request.index),
             )
         if is_write_request(request):
@@ -349,7 +348,7 @@ class BatchPlanner:
         # dropped with this frame: no vector may outlive its batch.
         shared: "SharedSources" = {}
         if self.optimizer is not None:
-            self.optimizer.open_batch(self.executor)
+            self.optimizer.open_batch(self)
         for queued in batch:
             request = queued.request
             if isinstance(request, BitmapConjunctionRequest):
@@ -360,7 +359,7 @@ class BatchPlanner:
                 self.maintenance.note_read(columns)
                 pending = self.maintenance.pending_rebuilds(request.index, columns)
                 if self.optimizer is not None:
-                    priced = self._priced_chain(request)
+                    priced = self._priced_chain(request.predicates, request.index.num_rows)
                     if priced.canonical is None:
                         priced.canonical = self.optimizer.shape(request)
                     group = self.optimizer.lower_conjunction(
@@ -495,7 +494,7 @@ class BatchPlanner:
         # was compiled at the device's row size — the executor charges
         # each step from the vectors' row-chunk count, so any other size
         # would diverge from the plan-level model (and the functional path).
-        priced = self._priced_chain(request)
+        priced = self._priced_chain(request.predicates, index.num_rows)
         chain = priced.chain
         steps, result_vector = chain.bind(index, shared)
         if self.executor.sanitize:

@@ -10,7 +10,8 @@ or *where* it runs.  The pipeline stages consume these types in order:
   and deadline;
 * the :class:`~repro.service.planner.BatchPlanner` *lowers* high-level
   requests into the primitive kinds — a :class:`BitmapConjunctionRequest`
-  into one planner-internal :class:`BoundChain`;
+  into one planner-internal :class:`BoundChain` (under the optimizer, one
+  per predicate sub-chain);
 * the :class:`~repro.service.executor.BatchExecutor` runs primitives and
   returns one :class:`RequestResult` per request plus batch aggregates.
 """
@@ -50,18 +51,9 @@ class BulkOpRequest:
     b: Optional[BulkBitVector] = None
     out: Optional[BulkBitVector] = None
     #: Optional bank-placement hint for host-only operands: requests with
-    #: the same hint contend for the same modeled banks (the optimizer pins
-    #: every step of one sub-chain to one hint so data-dependent steps
-    #: never overlap in the schedule).
+    #: the same hint contend for the same modeled banks.  A host-only op
+    #: without one runs on the host lane.
     bank_offset: Optional[int] = None
-    #: Batch-local indices of the primitives that produce this request's
-    #: operands.  When any request of a batch carries dependencies the
-    #: executor schedules in submission order and lifts each request's
-    #: release to its producers' finish times, so optimizer-built DAGs
-    #: (shared sub-chains consumed from other lanes) stay causally
-    #: ordered even when the operands live on different bank lanes.  Only
-    #: the optimizer sets it: a frontend refuses a request carrying one.
-    after: Tuple[int, ...] = ()
 
 
 @dataclass
@@ -125,13 +117,15 @@ ServiceRequest = Union[BulkOpRequest, ScanRequest, CopyRequest]
 
 @dataclass(slots=True)
 class BoundChain:
-    """A lowered conjunction's bound steps, run and placed as one primitive
-    (planner-internal: not a :data:`FrontendRequest`).  As one run on its
-    banks, no schedule can put a consumer step before its producers.
+    """A lowered conjunction's bound steps, or one of the optimizer's
+    predicate sub-chains, run and placed as one primitive (planner-internal:
+    not a :data:`FrontendRequest`).  As one run on its banks, no schedule
+    can put a consumer step before its producers.
 
     Attributes:
         steps: The bound ``(op, a, b, out)`` steps, data-dependent in order.
-        bank_offset: The index's stable bank offset.
+        bank_offset: The index's stable bank offset (the offset the
+            optimizer chose, for a sub-chain).
         prices / latencies: Each step's ``op_cost`` and latency (per shape).
         serial: :class:`OperationMetrics` fields of the chain's roll-up.
     """
@@ -352,10 +346,9 @@ class RequestResult:
         start_ns: When the schedule started the request, absolute against
             the batch's dispatch clock (``release_ns``; 0 for a directly
             executed batch).
-        bank_ids: Identities of the banks the request occupied (real
+        bank_ids: Identities of the lanes the request occupied (real
             placement keys for placed vectors, modeled slots otherwise;
-            empty for host-only work, which rides the dedicated host
-            lane).
+            ``[HOST_LANE]`` for host-only work).
         end_ns: When the schedule finished the request's run (its last
             step), on the same clock as ``start_ns``.
     """

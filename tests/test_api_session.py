@@ -555,10 +555,11 @@ class TestPlanIR:
         as_tuples = BitmapConjunctionRequest(index, (("region", (1, 2)), ("status", (0,))))
         planner = _service_session().backend.planner
         def interned(planner, source, predicates=as_tuples.predicates):
-            return planner._priced_chain(BitmapConjunctionRequest(source, predicates)).chain
+            request = BitmapConjunctionRequest(source, predicates)
+            return planner._priced_chain(request.predicates, source.num_rows).chain
 
-        chain = planner._priced_chain(as_lists).chain
-        assert planner._priced_chain(as_tuples).chain is chain
+        chain = planner._priced_chain(as_lists.predicates, index.num_rows).chain
+        assert planner._priced_chain(as_tuples.predicates, index.num_rows).chain is chain
         # Same predicates over a same-sized other source: the shape holds no index.
         assert interned(planner, _bitmap_index(np.random.default_rng(32))) is chain
         assert interned(planner, _bitmap_index(np.random.default_rng(33), rows=200)) is not chain
@@ -575,9 +576,8 @@ class TestPlanIR:
         planner = session.backend.planner
         for i in range(10 * CHAIN_INTERN_CAPACITY):
             digits = tuple((i >> (3 * k)) & 7 for k in range(5))  # distinct per i
-            planner._priced_chain(
-                BitmapConjunctionRequest(index, [("region", digits), ("status", (i % 4,))])
-            )
+            request = BitmapConjunctionRequest(index, [("region", digits), ("status", (i % 4,))])
+            planner._priced_chain(request.predicates, index.num_rows)
             assert len(planner._chains) <= CHAIN_INTERN_CAPACITY
         assert len(planner._chains) == CHAIN_INTERN_CAPACITY
         for i in range(64):  # and serve some, so priced entries are walked too
@@ -1048,13 +1048,9 @@ class TestRequestBoundary:
 
     @pytest.mark.parametrize("tier", ["cluster", "service"])
     def test_dependencies_and_chains_are_planner_internal(self, tier):
-        """A client bulk op with ``after=(7,)`` used to be admitted (the
-        planner passes primitives through) and raise from the schedule
-        mid-placement, after its batch was popped: the batch's valid
-        requests stayed admitted with a NaN finish and the lanes had
-        advanced.  ``after`` is a batch-local index only the optimizer
-        sets, and a lowered chain is the planner's own primitive: both are
-        refused at the door."""
+        """A lowered chain is the planner's own primitive: a client handing
+        one in is refused at the door, before anything is recorded or any
+        clock moves, and the requests around it are served."""
         rng = np.random.default_rng(34)
         session = PimSession(self.BACKENDS[tier]())
         backend = session.backend
@@ -1067,12 +1063,9 @@ class TestRequestBoundary:
             session.submit(BulkOpRequest("and", vectors[1], vectors[2], bank_offset=1), at_ns=0.0),
         ]
         before = (len(backend.records), [len(s.records) for s in shards], backend.clock_ns)
-        bad_op = BulkOpRequest("xor", vectors[0], vectors[2], bank_offset=1, after=(7,))
         chain = BoundChain([("or", vectors[0], vectors[1], vectors[2])], 1, (), (), ())
-        with pytest.raises(ValueError, match="only the batch plan optimizer sets"):
-            session.submit(bad_op, at_ns=0.0)
-        with pytest.raises(ValueError, match="only the batch plan optimizer sets"):
-            backend.offer(bad_op, arrival_ns=0.0)
+        with pytest.raises(TypeError, match="unknown request type BoundChain"):
+            session.submit(chain, at_ns=0.0)
         with pytest.raises(TypeError, match="unknown request type BoundChain"):
             backend.offer(chain, arrival_ns=0.0)
         assert before == (len(backend.records), [len(s.records) for s in shards], backend.clock_ns)

@@ -381,9 +381,11 @@ class TestSourceLiveness:
         assert [f.record.shared_subchains for f in futures] == [0, 0, 2, 2]
         assert futures[0].result().value is futures[2].result().value
         assert futures[1].result().value is futures[3].result().value
-        (priced,) = planner._chains.values()  # one shape for both indexes
-        assert priced.canonical is not None
-        seen, frontier, ids = set(), [priced], {id(index_a), id(index_b)}
+        # One conjunction shape for both indexes, beside the one-predicate
+        # shapes its sub-chains bind.
+        (priced,) = [p for p in planner._chains.values() if p.canonical is not None]
+        assert len(planner._chains) == 1 + len(self.PREDICATES)
+        seen, frontier, ids = set(), list(planner._chains.values()), {id(index_a), id(index_b)}
         while frontier:
             node = frontier.pop()
             if id(node) in seen or isinstance(node, type):
@@ -420,7 +422,7 @@ class TestSourceLiveness:
         table, _plain = _table_index(np.random.default_rng(5))
         index = WideIndex(table, list(CARDINALITIES))
         old_values = serve(index)
-        assert cache.fills > 0 and len(frontend.planner._chains) == 1
+        assert cache.fills > 0 and len(frontend.planner._chains) == 1 + len(self.PREDICATES)
         dead_id = id(index)
         table, _plain = _table_index(np.random.default_rng(6))  # different data
         del index
@@ -438,7 +440,7 @@ class TestSourceLiveness:
         for value in serve(index):
             np.testing.assert_array_equal(value, expected)
         assert not np.array_equal(old_values[0], expected)
-        assert cache.hits == hits_before and len(frontend.planner._chains) == 1
+        assert cache.hits == hits_before and len(frontend.planner._chains) == 1 + len(self.PREDICATES)
 
     @pytest.mark.parametrize("as_view", [False, True])
     def test_entries_and_epochs_die_with_their_source(self, as_view):

@@ -233,10 +233,11 @@ def test_all_hit_optimizer_path_stays_within_its_call_budget():
 
 
 def test_mixed_read_write_path_stays_within_its_call_budget():
-    # ~587 calls (~722 when every charged plane op had three fresh 8 KiB
+    # ~556 calls (~587 when every optimizer sub-chain step was its own
+    # primitive; ~722 when every charged plane op had three fresh 8 KiB
     # operands and every scan priced one metrics object per step; ~797
     # when every write walked the cache) and ~3.7 vectors (12.8 then).
-    _check_budget("mixed_rw", 640, vectors_budget=4.5)
+    _check_budget("mixed_rw", 580, vectors_budget=4.5)
 
 
 def test_audited_cluster_path_and_its_checks_stay_within_their_call_budgets():
@@ -249,7 +250,8 @@ def test_audited_cluster_path_and_its_checks_stay_within_their_call_budgets():
     assert elastic["shard_failures"] == 1 and elastic["failovers"] > 0
     print(f"\nhost path [audited cluster]: {audited:.1f} Python calls per request "
           f"(budget 990), checks add {audited - bare:.1f} (budget 380)")
-    # ~948 and +270 (~1 022 when every chain step was its own primitive;
+    # ~932 and +266 (~948 when every optimizer sub-chain step and ~1 022
+    # when every chain step was its own primitive;
     # ~1 380 and +540 when every request was linted in full, every
     # placement re-derived its tolerance, and every span was an object
     # with its own child list).

@@ -15,8 +15,9 @@ the load-bearing properties are:
 * **the DAG is certifiable** — the extended plan linter accepts every
   optimizer-built batch and rejects hand-built DAGs with dangling shared
   outputs, double-consumed steps, cycles, or drifted cost ledgers;
-* **dependency-aware scheduling** — lowered steps carrying ``after``
-  never start before their producers finish, even across lanes;
+* **sub-chains are runs** — every emitted predicate sub-chain is one
+  ``BoundChain``, and a request riding another's sub-chain finishes no
+  earlier than that chain's run;
 * **horizon urgency** — deadline closing priced off lane busy horizons
   dispatches an endangered request in time under deep pipelining.
 """
@@ -35,7 +36,7 @@ from repro.dram.device import DramDevice
 from repro.dram.energy import DramEnergyParameters
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import DramTimingParameters
-from repro.optimizer import BatchOptimizer, predicate_key
+from repro.optimizer import predicate_key
 from repro.optimizer import passes
 from repro.optimizer.canonical import ConjunctionShape, sort_token
 from repro.service import (
@@ -48,7 +49,8 @@ from repro.service import (
     ServiceFrontend,
 )
 from repro.service.config import MERGE_NS_PER_OP
-from repro.service.requests import QueuedRequest
+from repro.service.planner import BatchPlanner
+from repro.service.requests import BoundChain, QueuedRequest
 from repro.verify import (
     ChainCycleError,
     CostModelMismatchError,
@@ -125,6 +127,13 @@ def _serve(requests, optimize, pipeline=True, banks=4, max_batch=4, policy=None)
         frontend.offer(request)
     frontend.drain()
     return frontend, frontend.result()
+
+
+def _open_optimizer(executor):
+    """The optimizer of a planner over ``executor``, its batch opened."""
+    planner = BatchPlanner(executor, PipelineConfig(optimize=True))
+    planner.optimizer.open_batch(planner)
+    return planner.optimizer
 
 
 # ----------------------------------------------------------------------
@@ -253,17 +262,41 @@ class TestCseAccounting:
         assert copy.metrics.energy_j == 0.0
 
     def test_optimizer_lint_accepts_its_own_batches(self):
-        executor = BatchExecutor(engine=_engine(), sanitize=True)
-        optimizer = BatchOptimizer()
-        optimizer.open_batch(executor)
+        optimizer = _open_optimizer(BatchExecutor(engine=_engine(), sanitize=True))
         primitives = []
         for request in _requests([0, 1, 2]):
             optimizer.lower_conjunction(QueuedRequest(request=request), primitives)
         report = optimizer.lint_batch(row_size_bytes=ROW_SIZE)
         assert report.requests == 3
-        assert report.steps == len(primitives)
+        assert all(isinstance(p, BoundChain) for p in primitives)
+        assert report.steps == sum(len(p.steps) for p in primitives) > len(primitives)
         assert report.ops_eliminated > 0
         assert report.shared_steps > 0
+
+    def test_a_sharer_finishes_no_earlier_than_the_chain_it_reads(self):
+        # The second request rides the first's two-step region chain and
+        # runs a one-step chain of its own on an idle lane, which ends
+        # first: the shared chain's run still bounds its finish.
+        first, second = (
+            BitmapConjunctionRequest(index=INDEX, predicates=predicates)
+            for predicates in (
+                (("region", (3, 0, 5)), ("status", (1, 2))),
+                (("region", (0, 3, 5)), ("channel", (1, 2))),
+            )
+        )
+        frontend = ServiceFrontend(
+            PipelineConfig.from_knobs(
+                sanitize=True, policy=BatchPolicy(max_batch=2, window_ns=None), optimize=True
+            ),
+            engine=_engine(),
+        )
+        records = [frontend.offer(request) for request in (first, second)]
+        batch = frontend.serve_batch()
+        (shared,) = [r for r in batch.results if len(r.request.steps) == 2]
+        own = batch.results[-1]
+        assert own is not shared and own.end_ns < shared.end_ns
+        assert records[1].shared_subchains == 1
+        assert records[1].finish_ns >= shared.end_ns
 
     def test_sharing_never_crosses_batches(self):
         # Identical requests in *different* batches share nothing: the
@@ -340,9 +373,7 @@ class TestSubchainSplitting:
         # One split lane degenerates to the stable offset: every emitted
         # step lands on one bank set.
         monkeypatch.setattr(passes, "MAX_SPLIT_LANES", 1)
-        executor = BatchExecutor(engine=_engine(), sanitize=True)
-        optimizer = BatchOptimizer()
-        optimizer.open_batch(executor)
+        optimizer = _open_optimizer(BatchExecutor(engine=_engine(), sanitize=True))
         primitives = []
         optimizer.lower_conjunction(
             QueuedRequest(request=_requests([2])[0]), primitives
@@ -355,8 +386,7 @@ class TestSubchainSplitting:
         # spreads them over the MAX_SPLIT_LANES offsets that start at the
         # index's stable offset, and no further.
         executor = BatchExecutor(engine=_engine(banks=8), sanitize=True)
-        optimizer = BatchOptimizer()
-        optimizer.open_batch(executor)
+        optimizer = _open_optimizer(executor)
         primitives = []
         for request in _requests([2, 4, 3]):
             optimizer.lower_conjunction(QueuedRequest(request=request), primitives)
@@ -365,53 +395,6 @@ class TestSubchainSplitting:
         offsets = {p.bank_offset for p in primitives}
         assert offsets <= allowed
         assert len(offsets) == passes.MAX_SPLIT_LANES < 8
-
-
-# ----------------------------------------------------------------------
-# Dependency-aware executor scheduling
-# ----------------------------------------------------------------------
-class TestAfterDependencies:
-    def _bulk(self, rng, after=(), offset=0):
-        a = BulkBitVector(ROWS, ROW_SIZE)
-        b = BulkBitVector(ROWS, ROW_SIZE)
-        a.data[:] = rng.integers(0, 256, size=a.data.size, dtype=np.uint8)
-        b.data[:] = rng.integers(0, 256, size=b.data.size, dtype=np.uint8)
-        out = BulkBitVector(ROWS, ROW_SIZE)
-        return BulkOpRequest(op="or", a=a, b=b, out=out, bank_offset=offset, after=after)
-
-    def test_consumers_start_after_their_producers(self):
-        rng = np.random.default_rng(0)
-        executor = BatchExecutor(engine=_engine(), sanitize=True)
-        producer = self._bulk(rng, offset=0)
-        consumer = self._bulk(rng, after=(0,), offset=1)  # different lane
-        batch = executor.run([producer, consumer])
-        first, second = batch.results
-        assert second.start_ns >= first.start_ns + first.metrics.latency_ns - 1e-9
-
-    def test_forward_references_are_rejected(self):
-        rng = np.random.default_rng(0)
-        executor = BatchExecutor(engine=_engine(), sanitize=True)
-        with pytest.raises(ValueError, match="earlier primitive"):
-            executor.run([self._bulk(rng, after=(1,)), self._bulk(rng)])
-
-    def test_deps_disable_lpt_reordering(self):
-        rng = np.random.default_rng(0)
-        executor = BatchExecutor(engine=_engine(), sanitize=True)
-        # Without deps LPT would move the heavier second request first;
-        # with a dep present, submission order is preserved.
-        light = self._bulk(rng, offset=0)
-        heavy = BulkOpRequest(
-            op="or",
-            a=BulkBitVector(4 * ROWS, ROW_SIZE),
-            b=BulkBitVector(4 * ROWS, ROW_SIZE),
-            out=BulkBitVector(4 * ROWS, ROW_SIZE),
-            bank_offset=0,
-            after=(0,),
-        )
-        batch = executor.run([light, heavy])
-        first, second = batch.results
-        assert first.request is light
-        assert second.start_ns >= first.start_ns + first.metrics.latency_ns - 1e-9
 
 
 # ----------------------------------------------------------------------
@@ -572,8 +555,7 @@ class TestHorizonUrgency:
         # is busy until its latest viable start and dispatches it alone,
         # ahead of the heavier competitor: the deadline holds.  ("Now"-
         # priced urgency alone would sleep until deadline-minus-slack, by
-        # which time the competitor has joined the batch and is LPT'd
-        # ahead on the same lane.)
+        # which time the competitor has joined the batch.)
         record = self._run_race()
         assert record.completed
         assert not record.deadline_missed

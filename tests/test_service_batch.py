@@ -17,9 +17,11 @@ from hypothesis import given, settings, strategies as st
 from repro.ambit.bitvector import BulkBitVector
 from repro.ambit.engine import AmbitConfig, AmbitEngine
 from repro.analysis.metrics import BatchMetrics, combine_serial
+from repro.database.bitmap_index import BitmapIndex
 from repro.database.bitweaving import BitWeavingColumn
 from repro.api import PimSession
 from repro.database.queries import QueryEngine
+from repro.database.tables import ColumnTable
 from repro.dram.device import DramDevice
 from repro.dram.energy import DramEnergyParameters
 from repro.dram.geometry import DramGeometry
@@ -28,8 +30,12 @@ from repro.rowclone.engine import CopyMode
 from repro.service import (
     SCAN_KINDS,
     BatchExecutor,
+    BatchPlanner,
+    BitmapConjunctionRequest,
     BulkOpRequest,
     CopyRequest,
+    PipelineConfig,
+    QueuedRequest,
     ScanRequest,
     VectorPool,
 )
@@ -275,53 +281,34 @@ class TestBatchedBulkOps:
         assert [executor.stable_offset(o) for o in late] == [3, 0]
 
 
-class TestLptScheduling:
-    """LPT makespan fix: requests are placed longest-first onto their banks."""
+class TestPlacementOrder:
+    """A batch is placed in submission order: order within a bank only
+    decides who waits."""
 
-    @staticmethod
-    def _lpt_instance():
-        """Two short single-bank ops followed by a long two-bank op.
-
-        Submission order forces the two-bank NOT between the two XORs: it
-        waits for bank 0, then blocks bank 1, so the second XOR queues
-        behind it.  LPT places the two XORs (the long jobs) first, letting
-        them run concurrently with the NOT packed after — a strictly
-        smaller makespan.
-        """
-        row_bits = 8192 * 8  # one row chunk at the host-side default row size
-        a1 = BulkBitVector(row_bits).fill_random(seed=1)
-        b1 = BulkBitVector(row_bits).fill_random(seed=2)
-        a2 = BulkBitVector(row_bits).fill_random(seed=3)
-        b2 = BulkBitVector(row_bits).fill_random(seed=4)
-        wide = BulkBitVector(2 * row_bits).fill_random(seed=5)
-        return [
-            BulkOpRequest(op="xor", a=a1, b=b1, bank_offset=0),
-            BulkOpRequest(op="not", a=wide, bank_offset=0),
-            BulkOpRequest(op="xor", a=a2, b=b2, bank_offset=1),
-        ]
-
-    def test_lpt_makespan_not_worse_than_submission_order(self):
-        batches = {}
-        for lpt in (False, True):
-            executor = BatchExecutor(engine=_engine(banks=2), lpt=lpt)
-            batches[lpt] = executor.run(self._lpt_instance())
-        greedy, lpt = batches[False], batches[True]
-        assert lpt.metrics.latency_ns < greedy.metrics.latency_ns
-        # Ordering moves start times only: results and charged costs are
-        # bit-exact between the two schedules.
-        for a, b in zip(lpt.results, greedy.results):
-            assert np.array_equal(a.value.data, b.value.data)
-            assert a.metrics.latency_ns == pytest.approx(b.metrics.latency_ns)
-            assert a.metrics.energy_j == pytest.approx(b.metrics.energy_j)
-        assert lpt.metrics.energy_j == pytest.approx(greedy.metrics.energy_j)
-        assert lpt.metrics.serial_latency_ns == pytest.approx(
-            greedy.metrics.serial_latency_ns
+    def test_placement_is_submission_order(self):
+        """A short conjunction submitted ahead of a longer scan on the same
+        bank starts first (longest-first placement would run the scan
+        first and make the conjunction wait)."""
+        rng = np.random.default_rng(22)
+        executor = BatchExecutor(engine=_engine(banks=1))
+        table = ColumnTable("orders", 200)
+        table.add_column("region", rng.integers(0, 4, size=200), cardinality=4)
+        conjunction = BitmapConjunctionRequest(
+            index=BitmapIndex(table, ["region"]), predicates=(("region", (0, 1)),)
         )
+        scan = _scan(_random_column(rng, 6, 200), "between", 5, 50)
+        primitives, _groups = BatchPlanner(executor, PipelineConfig()).lower_batch(
+            [QueuedRequest(request=request) for request in (conjunction, scan)]
+        )
+        chain, later = executor.run(primitives).results
+        assert chain.bank_ids == later.bank_ids
+        assert chain.metrics.latency_ns < later.metrics.latency_ns
+        assert chain.start_ns == 0.0
+        assert later.start_ns >= chain.end_ns - 1e-9
 
-    def test_lpt_is_the_default_and_respects_bounds(self):
+    def test_makespan_respects_bounds(self):
         rng = np.random.default_rng(21)
         executor = BatchExecutor(engine=_engine(banks=4))
-        assert executor.lpt
         columns = [_random_column(rng, 6, 200) for _ in range(4)]
         requests = []
         for column in columns:

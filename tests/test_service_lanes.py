@@ -21,7 +21,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.ambit.bitvector import BulkBitVector
 from repro.ambit.engine import AmbitConfig, AmbitEngine
@@ -177,7 +177,7 @@ class TestHostLane:
         assert executor.modeled_banks(host_op) == [HOST_LANE]
         batch = executor.run([_scan(column), host_op])
         scan_result, op_result = batch.results
-        assert op_result.bank_ids == []
+        assert op_result.bank_ids == [HOST_LANE]
         # Disjoint lanes: the host op overlaps the scan completely
         # instead of serializing behind (or inflating) a bank's load.
         assert op_result.start_ns == pytest.approx(scan_result.start_ns)
@@ -487,7 +487,7 @@ class TestDrainAndReuse:
 
 def _chain_indexes(rng):
     """Two bitmap indexes of different widths: their chains price apart
-    (one row against three on two banks), so LPT interleaves them."""
+    (one row against three on two banks) and contend for a shared bank."""
     indexes = []
     for rows in (300, 1500):
         table = ColumnTable(f"t{rows}", rows)
@@ -556,31 +556,28 @@ def _spans(tracer):
 
 
 class TestChainRuns:
-    """A lowered conjunction is one primitive — its steps run back to back
-    and are placed as one run — and that is *only* a host-side change:
-    against a reference that runs each step as its own bulk op, every
-    value, group interval, placement, lane metric, batch roll-up and exec
-    span is bit-equal."""
+    """A lowered conjunction (or, under the optimizer, each predicate
+    sub-chain) is one primitive — its steps run back to back and are
+    placed as one run — and that is *only* a host-side change: against a
+    reference that runs each step as its own bulk op, every value, group
+    interval, placement, lane metric, batch roll-up and exec span is
+    bit-equal."""
 
     @settings(max_examples=40, deadline=None)
     @given(
         batches=st.lists(st.lists(_ITEM, min_size=1, max_size=6), min_size=1, max_size=3),
         pipeline=st.booleans(),
-        lpt=st.booleans(),
+        optimize=st.booleans(),
         functional=st.booleans(),
     )
-    # A 3-step chain whose total outweighs a wider index's one step on a
-    # shared bank: keyed on its total, LPT would place it first.
-    @example(
-        batches=[[("chain", 0, [(0, 4)], 1), ("chain", 1, [(0, 2)], 2)]],
-        pipeline=True, lpt=True, functional=False,
-    )
-    def test_a_chain_run_equals_its_steps_run_one_by_one(self, batches, pipeline, lpt, functional):
+    def test_a_chain_run_equals_its_steps_run_one_by_one(
+        self, batches, pipeline, optimize, functional
+    ):
         rng = np.random.default_rng(5)
         indexes = _chain_indexes(rng)
         columns = [_random_column(rng, 6, rows) for rows in (200, 900)]
         subject, reference = (
-            BatchExecutor(engine=_chain_engine(), lpt=lpt, pipeline=pipeline, sanitize=True)
+            BatchExecutor(engine=_chain_engine(), pipeline=pipeline, sanitize=True)
             for _ in range(2)
         )
         logged = []
@@ -593,7 +590,7 @@ class TestChainRuns:
             executor.sanitizer.check = lambda lanes, check=check: (
                 logged.extend(lanes.log) or check(lanes)
             )
-        planner = BatchPlanner(subject, PipelineConfig())
+        planner = BatchPlanner(subject, PipelineConfig(optimize=optimize))
         real_check = executor_module.check_schedule
 
         def barrier_check(lanes, *args, **kwargs):
@@ -648,17 +645,3 @@ class TestChainRuns:
         assert _spans(subject.obs.tracer) == _spans(reference.obs.tracer)
         if pipeline:
             assert subject.lane_metrics() == reference.lane_metrics()
-
-    def test_a_bad_dependency_is_refused_before_anything_runs(self):
-        """``after`` must name an earlier primitive of the batch; a batch
-        that breaks that is refused whole — no step runs, no lane moves."""
-        executor = BatchExecutor(engine=_engine(), sanitize=True)
-        ops = [
-            BulkOpRequest("not", BulkBitVector(512).fill_random(seed=s), bank_offset=0)
-            for s in range(2)
-        ]
-        ops.append(BulkOpRequest("not", ops[0].a, bank_offset=0, after=(7,)))
-        with pytest.raises(ValueError, match="after=7 must reference an earlier primitive"):
-            executor.run(ops)
-        assert executor.lanes.requests == 0 and executor.horizon_ns() == 0.0
-        assert executor.run(ops[:2]).metrics.requests == 2

@@ -288,7 +288,9 @@ class TestPlaneOwnership:
             for _ in range(2)
         ]
         planner = frontend.planner
-        assert len({id(planner._priced_chain(q.request).chain) for q in reads}) == 1
+        assert len({
+            id(planner._priced_chain(q.request.predicates, index.num_rows).chain) for q in reads
+        }) == 1
         rebuilds = index.rebuilds
         batch = frontend.serve_batch()
         assert len(frontend.batches) == 1 and frontend.queue_depth == 0
