@@ -273,6 +273,37 @@ class TestCseAccounting:
         assert report.ops_eliminated > 0
         assert report.shared_steps > 0
 
+    def test_each_predicate_sub_chain_is_one_interned_bound_chain(self):
+        # The wide template's region (three values) and status (two)
+        # predicates each emit one chain of their OR steps, bound from the
+        # planner's interned one-predicate shape; the single channel
+        # bitmap is a source and emits nothing.
+        executor = BatchExecutor(engine=_engine(), sanitize=True)
+        planner = BatchPlanner(executor, PipelineConfig(optimize=True))
+        optimizer = planner.optimizer
+        optimizer.open_batch(planner)
+        request = _requests([2])[0]
+        primitives = []
+        group = optimizer.lower_conjunction(QueuedRequest(request=request), primitives)
+        emitted = [(c, v) for c, v in optimizer.shape(request).predicates if len(v) > 1]
+        assert len(primitives) == len(emitted) == 2
+        assert group.indices == [0, 1]
+        for chain, predicate in zip(primitives, emitted):
+            assert isinstance(chain, BoundChain)
+            assert chain.prices is planner._priced_chain((predicate,), ROWS).prices
+            assert [step[0] for step in chain.steps] == ["or"] * (len(predicate[1]) - 1)
+        # The ledger counts steps, not chains: all five plan ops are paid
+        # for by three owned steps and two host joins.
+        assert (group.ops_eliminated, group.host_join_ops) == (0, 2)
+        report = optimizer.lint_batch(row_size_bytes=ROW_SIZE)
+        assert report.steps == sum(len(p.steps) for p in primitives) == 3
+        # A later batch binds the same interned shapes again.
+        optimizer.open_batch(planner)
+        again = []
+        optimizer.lower_conjunction(QueuedRequest(request=_requests([2])[0]), again)
+        assert len(again) == len(primitives)
+        assert all(a.prices is b.prices for a, b in zip(again, primitives))
+
     def test_a_sharer_finishes_no_earlier_than_the_chain_it_reads(self):
         # The second request rides the first's two-step region chain and
         # runs a one-step chain of its own on an idle lane, which ends

@@ -306,6 +306,35 @@ class TestPlacementOrder:
         assert chain.start_ns == 0.0
         assert later.start_ns >= chain.end_ns - 1e-9
 
+    @settings(max_examples=15, deadline=None)
+    @given(
+        picks=st.lists(
+            st.tuples(
+                st.integers(0, 2),
+                st.sampled_from(["less_than", "equal", "between"]),
+                st.integers(0, 63),
+            ),
+            min_size=2,
+            max_size=10,
+        )
+    )
+    def test_requests_sharing_a_bank_run_in_submission_order(self, picks):
+        """Whatever their lengths, two requests that share a bank run in the
+        order they were submitted; columns of one, two and three rows make
+        their spans overlap only in part."""
+        rng = np.random.default_rng(23)
+        columns = [_random_column(rng, 6, rows) for rows in (200, 600, 1200)]
+        executor = BatchExecutor(engine=_engine(banks=4))
+        requests = []
+        for which, kind, constant in picks:
+            constants = (constant, min(63, constant + 7)) if kind == "between" else (constant,)
+            requests.append(_scan(columns[which], kind, *constants))
+        results = executor.run(requests).results
+        for i, earlier in enumerate(results):
+            for later in results[i + 1 :]:
+                if set(earlier.bank_ids) & set(later.bank_ids):
+                    assert later.start_ns >= earlier.end_ns - 1e-9
+
     def test_makespan_respects_bounds(self):
         rng = np.random.default_rng(21)
         executor = BatchExecutor(engine=_engine(banks=4))

@@ -185,6 +185,29 @@ class TestHostLane:
             op_result.metrics.latency_ns
         )
 
+    @pytest.mark.parametrize("functional", [False, True])
+    def test_bank_ids_are_the_modeled_footprint(self, functional):
+        """One footprint rule: every primitive with a bank affinity runs on
+        exactly the lanes ``modeled_banks`` charges it to — a scan on its
+        column's span, a bulk op on its placement or hinted span, and a
+        host-only bulk op on the host lane."""
+        engine = _engine()
+        executor = BatchExecutor(engine=engine)
+        rng = np.random.default_rng(3)
+        placed = [engine.alloc_vector(600).fill_random(seed=s) for s in (1, 2)]
+        loose = [BulkBitVector(512).fill_random(seed=s) for s in (3, 4)]
+        requests = [
+            _scan(_random_column(rng), "between", 5, 40),
+            BulkOpRequest(op="xor", a=placed[0], b=placed[1]),
+            BulkOpRequest(op="or", a=loose[0], b=loose[1], bank_offset=2),
+            BulkOpRequest(op="not", a=loose[0]),
+        ]
+        batch = executor.run(requests, functional=functional)
+        footprints = [result.bank_ids for result in batch.results]
+        assert footprints == [executor.modeled_banks(request) for request in requests]
+        assert footprints[-1] == [HOST_LANE]
+        assert all(HOST_LANE not in banks for banks in footprints[:-1])
+
     def test_host_lane_serializes_host_work(self):
         executor = BatchExecutor(engine=_engine())
         ops = []
