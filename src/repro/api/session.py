@@ -162,10 +162,10 @@ class Response:
         status: ``"completed"`` or ``"rejected"``.
         value: The packed result bitmap (None when rejected, or for
             requests without a bitmap result).  A conjunction's is
-            **read-only** on the service and cluster tiers — identical
-            requests of one batch may share one array — so writing
-            through it raises ``ValueError``; ``np.array(value)`` is a
-            private, writable copy.
+            **read-only** on the service and cluster tiers — a repeated
+            question shares one array, across batches too, until a write
+            touches its columns — so writing through it raises
+            ``ValueError``; ``np.array(value)`` is a private, writable copy.
         matching_rows: COUNT(*) of the predicate (None when not a query).
         latency_ns: Scan service latency plus the host epilogue
             (popcount + materialization) — the end-to-end query latency.

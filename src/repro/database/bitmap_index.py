@@ -56,6 +56,7 @@ class BitmapIndex:
         self._dirty: Set[str] = set()
         #: Count of lazy column rebuilds performed (read-side repair).
         self.rebuilds = 0
+        self._generations: Dict[str, int] = {}
         for column in columns:
             self.rebuild_column(column)
 
@@ -79,6 +80,15 @@ class BitmapIndex:
             return self.bitmaps[column][value]
         except KeyError as exc:
             raise KeyError(f"no bitmap for {column!r} = {value}") from exc
+
+    def generation(self, columns: Iterable[str]) -> int:
+        """Write generation of ``columns``' planes: a sum of per-column
+        counters bumped wherever planes are rebound or dirtied.  Planes are
+        copy-on-write, so an unchanged generation means unchanged bits."""
+        return sum(map(self._generations.__getitem__, columns))
+
+    def _bump_generation(self, column: str) -> None:
+        self._generations[column] = self._generations.get(column, 0) + 1
 
     def check_predicates(self, predicates: Sequence[Tuple[str, Sequence[int]]]) -> None:
         """Raise the ``KeyError`` :meth:`bitmap` would for any
@@ -108,6 +118,7 @@ class BitmapIndex:
             if column not in self.bitmaps:
                 raise KeyError(f"column {column!r} is not indexed")
             self._dirty.add(column)
+            self._bump_generation(column)
 
     def dirty_columns(self) -> List[str]:
         """Indexed columns currently marked stale (sorted for determinism)."""
@@ -128,6 +139,7 @@ class BitmapIndex:
             bits = (codes == value).astype(np.uint8)
             column_bitmaps[value] = np.packbits(bits, bitorder="little")
         self.bitmaps[column] = column_bitmaps
+        self._bump_generation(column)
 
     def refresh_columns(self, columns: Iterable[str]) -> None:
         """Eagerly recompute planes for ``columns`` and clear their dirt."""
@@ -169,6 +181,7 @@ class BitmapIndex:
                 f"column {column!r} is dirty; rebuild before incremental maintenance"
             )
         planes = self.bitmaps[column]
+        self._bump_generation(column)
         packed_len = (self.num_rows + 7) // 8
         # Dictionary growth: materialize zero planes up to the (already
         # widened) cardinality so the incremental result is structurally

@@ -106,6 +106,10 @@ class BitmapIndexShardView:
         """
         return [c for c in self.index.dirty_columns() if c in self.columns]
 
+    def generation(self, columns: Iterable[str]) -> int:
+        """The parent index's write generation of ``columns``."""
+        return self.index.generation(columns)
+
     def bitmap(self, column: str, value: int) -> np.ndarray:
         """Packed bitmap of ``column = value`` for a shard-local column."""
         self._require_local(column)

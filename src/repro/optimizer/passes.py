@@ -55,8 +55,9 @@ vector, and splitting only moves sub-chains between lanes.  Property
 tests pin bit-exactness against unoptimized lowering on both tiers.
 
 Every conjunction's result value is **read-only**: a join shared by
-several responses cannot be written through one of them, and an unshared
-one behaves the same (``np.array(value)`` is a private, writable copy).
+several responses — of one batch, or of later ones while its planes are
+unchanged — cannot be written through one of them, and an unshared one
+behaves the same (``np.array(value)`` is a private, writable copy).
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from repro.api.plans import source_vector
 from repro.cache.result_cache import ResultCache
 from repro.optimizer.canonical import ConjunctionShape, Key
 from repro.service.config import MERGE_NS_PER_OP
-from repro.service.planner import LoweredGroup
+from repro.service.planner import LoweredGroup, _PricedChain
 from repro.service.requests import (
     BitmapConjunctionRequest,
     BoundChain,
@@ -117,23 +118,26 @@ class _Answer:
     Every lowered conjunction gets one, and it doubles as the batch's CSE
     entry for the *whole* conjunction — identical later requests hold the
     same object, so the host join runs once however many responses carry
-    its result.
+    its result (and not at all while ``share`` has a live answer).
 
     Attributes:
         parts: The nodes whose vectors AND to the result, one per
             predicate sub-chain.
         producers: Sorted batch indices of the chains producing the parts.
         packed_bytes: Bytes of the packed result bitmap.
+        share: The interned shape's answer getter, stamped at lowering
+            (:meth:`_PricedChain.stamp`).
     """
 
-    __slots__ = ("parts", "producers", "packed_bytes", "_joined")
+    __slots__ = ("parts", "producers", "packed_bytes", "share", "_joined")
 
-    def __init__(self, parts: Tuple[_Node, ...], packed_bytes: int) -> None:
+    def __init__(self, parts: Tuple[_Node, ...], packed_bytes: int, share: Any) -> None:
         self.parts = parts
         self.producers: Tuple[int, ...] = tuple(
             sorted({node.producer for node in parts if node.producer is not None})
         )
         self.packed_bytes = packed_bytes
+        self.share = share
         self._joined: Optional[np.ndarray] = None
 
     def value(self, _results: List[RequestResult]) -> np.ndarray:
@@ -144,11 +148,12 @@ class _Answer:
         """
         joined = self._joined
         if joined is None:
-            planes = [node.vector.data[: self.packed_bytes] for node in self.parts]
-            joined = planes[0].copy() if len(planes) == 1 else np.bitwise_and.reduce(planes)
-            joined.setflags(write=False)
-            self._joined = joined
+            joined = self._joined = self.share(self._join)
         return joined
+
+    def _join(self) -> np.ndarray:
+        planes = [node.vector.data[: self.packed_bytes] for node in self.parts]
+        return planes[0].copy() if len(planes) == 1 else np.bitwise_and.reduce(planes)
 
 
 class BatchOptimizer:
@@ -286,21 +291,24 @@ class BatchOptimizer:
         self,
         queued: QueuedRequest,
         primitives: List[Primitive],
-        shape: Optional[ConjunctionShape] = None,
+        priced: Optional[_PricedChain] = None,
     ) -> LoweredGroup:
         """Lower one conjunction into the open batch's shared DAG.
 
         Appends the request's fresh sub-chains to ``primitives`` and
         returns the :class:`LoweredGroup` carrying its cost ledger and
-        finalize.  ``shape`` is the request's interned :meth:`shape`
-        (derived here when the caller keeps none).
+        finalize.  ``priced`` is the request's interned planner entry
+        (looked up when not given); it keeps the request's :meth:`shape`.
         """
         request = queued.request
         assert isinstance(request, BitmapConjunctionRequest)
         executor = self._executor
         index = request.index
+        if priced is None:
+            priced = self._planner._priced_chain(request.predicates, index.num_rows)
+        shape = priced.canonical
         if shape is None:
-            shape = self.shape(request)
+            shape = priced.canonical = self.shape(request)
         plan_total = shape.plan_total
         packed_bytes = shape.packed_bytes
         pkeys, whole = shape.keys(index)
@@ -318,7 +326,8 @@ class BatchOptimizer:
             parts, shared, cache_hits, cache_misses = self._lower_parts(
                 index, shape, pkeys, primitives, own
             )
-            answer = self._answers[whole] = _Answer(parts, packed_bytes)
+            share = priced.stamp(index, shape.dep_columns, executor.sanitize)  # after repairs
+            answer = self._answers[whole] = _Answer(parts, packed_bytes, share)
             self._node_columns[whole] = (id(index), frozenset(shape.dep_columns))
 
         # The parts are joined host-side, charged as a pairwise merge tree

@@ -27,9 +27,12 @@ The knobs the planner reads (``policy``, ``optimize``, ``cache``,
 from __future__ import annotations
 
 import math
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.analysis.metrics import OperationMetrics, PlanCounts, combine_serial
 from repro.service.config import PipelineConfig
@@ -47,6 +50,7 @@ from repro.service.requests import (
 )
 from repro.storage.maintenance import WriteOutcome
 from repro.storage.requests import is_write_request
+from repro.verify.errors import SharedAnswerError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.plans import CompiledChain, SharedSources
@@ -79,6 +83,8 @@ class _PricedChain:
             on first optimized lowering).  Structure only, like the chain.
         certified: The full plan lint passed on the shape's first bind
             (``sanitize=True``); later binds are checked as bindings.
+        answer: ``(weakref(index), generation, weakref(value))`` of the
+            shape's last answer (:meth:`stamp`); it pins neither.
     """
 
     chain: "CompiledChain"
@@ -89,6 +95,30 @@ class _PricedChain:
     serial: Tuple[Any, ...] = ()
     canonical: Optional["ConjunctionShape"] = None
     certified: bool = False
+    answer: Optional[Tuple["weakref.ref[Any]", int, "weakref.ref[np.ndarray]"]] = None
+
+    def stamp(
+        self, index: Any, columns: Iterable[str], sanitize: bool
+    ) -> Callable[[Callable[[], np.ndarray]], np.ndarray]:
+        """Stamp ``index``'s generation over ``columns`` (at lowering, after
+        any repair); ``get(compute)`` then returns the last answer while it
+        lives over the same index and generation, else ``compute()`` frozen
+        (a reused answer is checked against it under ``sanitize``).  One
+        plain weakref per live object in CPython: ``is`` compares indexes."""
+        owner, generation = weakref.ref(index), index.generation(columns)
+
+        def get(compute: Callable[[], np.ndarray]) -> np.ndarray:
+            slot = self.answer
+            value = slot[2]() if slot and slot[0] is owner and slot[1] == generation else None
+            if value is None:
+                value = compute()
+                value.setflags(write=False)
+                self.answer = (owner, generation, weakref.ref(value))
+            elif sanitize and not np.array_equal(value, compute()):
+                raise SharedAnswerError(f"a stale shared answer to {self.chain.predicates}")
+            return value
+
+        return get
 
 
 @dataclass
@@ -360,11 +390,7 @@ class BatchPlanner:
                 pending = self.maintenance.pending_rebuilds(request.index, columns)
                 if self.optimizer is not None:
                     priced = self._priced_chain(request.predicates, request.index.num_rows)
-                    if priced.canonical is None:
-                        priced.canonical = self.optimizer.shape(request)
-                    group = self.optimizer.lower_conjunction(
-                        queued, primitives, priced.canonical
-                    )
+                    group = self.optimizer.lower_conjunction(queued, primitives, priced)
                 else:
                     group = self._lower_conjunction(queued, primitives, shared)
                 if pending:
@@ -497,6 +523,9 @@ class BatchPlanner:
         priced = self._priced_chain(request.predicates, index.num_rows)
         chain = priced.chain
         steps, result_vector = chain.bind(index, shared)
+        # Stamped after the bind repaired any dirty column, before a later
+        # write of the batch can move it.
+        share = priced.stamp(index, [c for c, _v in chain.predicates], self.executor.sanitize)
         if self.executor.sanitize:
             from repro.verify import plan_lint  # local: avoid cycle
 
@@ -533,11 +562,7 @@ class BatchPlanner:
             )
 
         def finalize(results: List[RequestResult]) -> Any:
-            # Read-only like every conjunction value (the optimizer's may
-            # be shared between responses; one contract for both paths).
-            value = result_vector.data[:packed_bytes].copy()
-            value.setflags(write=False)
-            return value
+            return share(lambda: result_vector.data[:packed_bytes].copy())
 
         return LoweredGroup(
             queued=queued, indices=indices, finalize=finalize, zero_cost_metrics=zero_cost

@@ -20,6 +20,7 @@ from repro.verify.errors import (
     PlanVerifyError,
     ScatterCoverageError,
     ScheduleVerifyError,
+    SharedAnswerError,
     VerifyError,
     WidthMismatchError,
     WritePlanError,
@@ -61,6 +62,7 @@ __all__ = [
     "ScheduleCheckReport",
     "ScheduleSanitizer",
     "ScheduleVerifyError",
+    "SharedAnswerError",
     "VerifyError",
     "WidthMismatchError",
     "WritePlanError",

@@ -91,6 +91,13 @@ class CacheConsistencyError(PlanVerifyError):
     rule = "cache-consistency"
 
 
+class SharedAnswerError(PlanVerifyError):
+    """An answer handed out again (its write generation unchanged) differs
+    from the result the current batch computed for the same question."""
+
+    rule = "shared-answer"
+
+
 class FailoverError(PlanVerifyError):
     """A failover re-offer targets the failed/draining shard itself or a
     shard that is not routable — migrated work would land right back on

@@ -590,7 +590,8 @@ class TestSameBatchWriteHazards:
         assert not np.array_equal(before, after)
         for record, expected in ((first, before), (second, before), (fourth, after), (fifth, after)):
             assert np.array_equal(record.value, expected)
-        # One answer per distinct question: duplicates carry the same array.
+        # One answer per distinct question per write generation:
+        # duplicates carry the same array...
         assert first.value is second.value
         assert fourth.value is fifth.value
         assert second.value is not fourth.value
@@ -600,6 +601,19 @@ class TestSameBatchWriteHazards:
         ]
         misses = 1 if cache else 0  # a lookup only happens with a cache
         assert ledger == [(0, 0, 0, 3 * misses), (2, 3, 0, 0), (1, 2, 0, misses), (2, 3, 0, 0)]
+        # ...and so does the same question in a later batch, until a write
+        # touches one of its columns.
+        sixth = read()
+        frontend.drain()
+        assert len(frontend.batches) == 2
+        assert sixth.value is fourth.value
+        frontend.offer(self._update_out_of_result(rng, table, index))
+        seventh = read()
+        frontend.drain()
+        assert seventh.value is not sixth.value
+        expected, _plan = index.evaluate_conjunction(predicates)
+        assert np.array_equal(seventh.value, expected)
+        assert np.array_equal(sixth.value, after)
 
     def test_stale_fills_are_bypassed_by_the_epoch_guard(self):
         """A fill planned before a same-batch write must not land."""

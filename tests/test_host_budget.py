@@ -33,6 +33,10 @@ and ~421 per plain request when every chain step was its own primitive.
 The mixed cell also caps :class:`BulkBitVector` constructions per
 request: a write's maintenance charge is shape-only, and the tree that
 gave every charged plane op three fresh 8 KiB operands built 12.8.
+The plain and all-hit cells also cap the distinct result arrays the
+responses hold: a repeated question shares its answer across batches
+until a write touches its columns, so twelve templates hold twelve
+arrays (600 and ~1 000 when every batch computed its own).
 A fourth budget is a *slope*: ``scan(...).result()`` per request over a
 two-shard cluster must cost the same at request 2 000 as at request 100 —
 the tree that settled records by walking every record ever offered spent
@@ -152,10 +156,11 @@ def _cell_stream(cell, rows=ROWS):
     return index, requests, urgent, arrivals
 
 
-def _check_budget(cell, budget, vectors_budget=None):
+def _check_budget(cell, budget, vectors_budget=None, values_budget=None):
     """Serve the cell's stream under cProfile: at most ``budget`` Python
     function calls per request (and, when given, at most
-    ``vectors_budget`` :class:`BulkBitVector` constructions per request)."""
+    ``vectors_budget`` :class:`BulkBitVector` constructions per request
+    and ``values_budget`` distinct conjunction value arrays held)."""
     count, deadline_us, knobs = CELLS[cell][0], CELLS[cell][7], CELLS[cell][8]
     index, requests, urgent, arrivals = _cell_stream(cell)
     session = PimSession.over_service(
@@ -178,6 +183,15 @@ def _check_budget(cell, budget, vectors_budget=None):
         print(f"host path [{cell}]: {vectors_per_request:.2f} BulkBitVector constructions "
               f"per request (budget {vectors_budget})")
         assert vectors_per_request <= vectors_budget
+    values = {
+        id(response.value)
+        for request, response in zip(requests, responses)
+        if isinstance(request, BitmapConjunctionRequest)
+    }
+    print(f"host path [{cell}]: {len(values)} distinct conjunction value arrays held "
+          f"(budget {values_budget})")
+    if values_budget is not None:
+        assert len(values) <= values_budget
 
 
 def _profiled(session, requests, urgent, arrivals, deadline_us):
@@ -225,11 +239,14 @@ def _audited_cluster(checks):
 
 
 def test_plain_conjunction_path_stays_within_its_call_budget():
-    _check_budget("plain", 250)  # ~243
+    # One value array per template (600 when every batch copied its own).
+    _check_budget("plain", 250, values_budget=12)  # ~238
 
 
 def test_all_hit_optimizer_path_stays_within_its_call_budget():
-    _check_budget("all_hit", 190)  # ~171 (~223 when every request derived its keys)
+    # ~166 calls (~223 when every request derived its keys); one value
+    # array per template (~1 000 when every batch joined its own).
+    _check_budget("all_hit", 190, values_budget=12)
 
 
 def test_mixed_read_write_path_stays_within_its_call_budget():

@@ -683,6 +683,7 @@ class TestInvariantLint:
             "import numpy as np\n"
             "def update(self, column, value, sel, packed_len):\n"
             "    planes = self.bitmaps[column]\n"
+            "    self._bump_generation(column)\n"
             "    planes[value] = np.zeros(packed_len, dtype=np.uint8)\n"  # new plane
             "    plane = planes[value] = planes[value].copy()\n"
             "    np.bitwise_or.at(plane, sel // 8, 1)\n"
@@ -700,6 +701,45 @@ class TestInvariantLint:
             "    planes[value][0] = 1  # lint: allow[plane-aliasing]\n"
         )
         assert lint_invariants.lint_source(source, "src/repro/storage/waived.py") == []
+
+    _PLANE_REBINDS = (
+        "import numpy as np\n"
+        "def rebuild(self, column, planes):\n"
+        "    self.bitmaps[column] = planes\n"
+        "def grow(self, column, value, packed_len):\n"
+        "    planes = self.bitmaps[column]\n"
+        "    planes[value] = np.zeros(packed_len, dtype=np.uint8)\n"
+        "    plane = planes[value] = planes[value].copy()\n"
+        "def bumped(self, column, planes):\n"
+        "    self.bitmaps[column] = planes\n"
+        "    self._bump_generation(column)\n"
+        "def fill(column_bitmaps, value, bits):\n"
+        "    column_bitmaps[value] = bits\n"  # a fresh dict, not an index's planes
+    )
+
+    def test_generation_bump_flags_plane_rebinds_without_a_bump(self):
+        findings = lint_invariants.lint_source(self._PLANE_REBINDS, "src/repro/database/bad.py")
+        assert [(f.rule, f.line) for f in findings] == [
+            ("generation-bump", line) for line in (3, 6, 7)
+        ]
+        # Only the index package owns generations.
+        for path in ("src/repro/storage/ok.py", "src/repro/cache/ok.py"):
+            assert lint_invariants.lint_source(self._PLANE_REBINDS, path) == []
+
+    def test_generation_bump_waiver(self):
+        source = (
+            "def rebuild(self, column, planes):\n"
+            "    self.bitmaps[column] = planes  # lint: allow[generation-bump]\n"
+        )
+        assert lint_invariants.lint_source(source, "src/repro/database/waived.py") == []
+
+    def test_generation_bump_is_clean_on_the_index_and_red_without_its_bumps(self):
+        source = (REPO_ROOT / "src" / "repro" / "database" / "bitmap_index.py").read_text()
+        path = "src/repro/database/bitmap_index.py"
+        assert lint_invariants.lint_source(source, path) == []
+        unbumped = source.replace("self._bump_generation(column)", "pass")
+        flagged = {f.message.split()[0] for f in lint_invariants.lint_source(unbumped, path)}
+        assert flagged == {"rebuild_column", "apply_update"}
 
     _KNOB_DRIFT = (
         "from dataclasses import dataclass\n"

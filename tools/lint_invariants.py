@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo invariant lint: an AST pass over ``src/repro`` run as a CI gate.
 
-Eleven rules, each guarding an invariant the simulator's design depends on
+Twelve rules, each guarding an invariant the simulator's design depends on
 (stdlib-only; no third-party linter required):
 
 * ``mutable-default`` — a dataclass field whose default is a mutable
@@ -39,6 +39,12 @@ Eleven rules, each guarding an invariant the simulator's design depends on
   source operands are zero-copy views of the planes, so planes are
   copy-on-write — an in-place edit would rewrite the operands of reads
   already lowered into the same batch.
+* ``generation-bump`` — inside ``repro/database/``, a function that
+  rebinds an index plane (``self.bitmaps[…] = …`` / ``planes[…] = …``)
+  without calling ``_bump_generation``.  A column's write generation
+  (``BitmapIndex.generation``) is what lets a planner hand a repeated
+  question the answer it computed before; planes that change under an
+  unchanged generation would hand out a stale answer.
 * ``knob-drift`` — inside ``repro/service/``, ``repro/cluster/`` and
   ``repro/api/``, an ``__init__`` parameter or dataclass field that
   re-declares a ``PipelineConfig`` knob (same name, and an annotation
@@ -111,6 +117,7 @@ RULES = (
     "obs-wall-clock",
     "cache-aliasing",
     "plane-aliasing",
+    "generation-bump",
     "knob-drift",
     "obs-readback",
     "terminal-write",
@@ -145,6 +152,11 @@ _SETTLE_METHODS = {
     "repro/cluster/frontend.py": {"_reject_record", "_gather"},
     "repro/api/backends.py": {"offer"},
 }
+
+#: generation-bump: the method that advances a column's write generation,
+#: and the containers whose item stores rebind a plane.
+_GENERATION_BUMP = "_bump_generation"
+_PLANE_MAPS = {"bitmaps", "planes"}
 
 #: Mutable literal node types a default must never be.
 _MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
@@ -313,6 +325,11 @@ class _ModuleLinter(ast.NodeVisitor):
             fragment in normalized for fragment in ("repro/database", "repro/storage")
         )
         self._plane_aliases: List[Set[str]] = []
+        # Index modules bump a column's generation wherever they rebind a
+        # plane: per function, the rebinding stores and whether it bumps.
+        self._in_generations = "repro/database" in normalized
+        self._rebinds: List[List[ast.AST]] = []
+        self._bumped: List[bool] = []
         # Service/cluster/api constructors may not re-declare a knob, and
         # nothing there walks the lifetime record list but the roll-up.
         self._in_history_scope = any(fragment in normalized for fragment in _KNOB_PACKAGES)
@@ -445,6 +462,8 @@ class _ModuleLinter(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         name = _decorator_name(node)
+        if self._bumped and _called_method(node) == _GENERATION_BUMP:
+            self._bumped[-1] = True
         if name.endswith((".now", ".utcnow")) and "datetime" in name:
             self._add(node, "wall-clock", f"call of {name}: wall-clock reads are unreproducible")
         if (
@@ -486,7 +505,17 @@ class _ModuleLinter(ast.NodeVisitor):
     def _visit_function(self, node: Union[ast.FunctionDef, ast.AsyncFunctionDef]) -> None:
         self._function_stack.append(node.name)
         self._plane_aliases.append(set())
+        self._rebinds.append([])
+        self._bumped.append(False)
         self.generic_visit(node)
+        stores, bumped = self._rebinds.pop(), self._bumped.pop()
+        for store in stores if self._in_generations and not bumped else ():
+            self._add(
+                store,
+                "generation-bump",
+                f"{node.name} rebinds an index plane without calling {_GENERATION_BUMP}: "
+                "a generation unchanged over changed planes hands out a stale answer",
+            )
         self._plane_aliases.pop()
         self._function_stack.pop()
 
@@ -599,9 +628,17 @@ class _ModuleLinter(ast.NodeVisitor):
         self.generic_visit(node)
 
     # -- frozen-mutation -----------------------------------------------
+    def _note_rebinds(self, node: ast.AST, targets: Sequence[ast.expr]) -> None:
+        if self._rebinds and any(
+            isinstance(target, ast.Subscript) and _terminal_name(target.value) in _PLANE_MAPS
+            for target in targets
+        ):
+            self._rebinds[-1].append(node)
+
     def visit_Assign(self, node: ast.Assign) -> None:
         self._check_self_assign(node, node.targets)
         self._check_plane_store(node, node.targets, node.value)
+        self._note_rebinds(node, node.targets)
         self._check_terminal_write(node, node.targets)
         self.generic_visit(node)
 
@@ -609,6 +646,7 @@ class _ModuleLinter(ast.NodeVisitor):
         if node.value is not None:
             self._check_self_assign(node, [node.target])
             self._check_plane_store(node, [node.target], node.value)
+            self._note_rebinds(node, [node.target])
             self._check_terminal_write(node, [node.target])
         self.generic_visit(node)
 
