@@ -513,7 +513,9 @@ class BatchOptimizer:
         planner._price_steps(priced)
         producer = len(primitives)
         primitives.append(
-            BoundChain(steps, offset, priced.prices, priced.latencies, priced.serial)
+            BoundChain(
+                steps, offset, priced.prices, priced.latencies, priced.serial, priced.chain.rows
+            )
         )
         own.append(producer)
         first = self._step_count

@@ -372,11 +372,13 @@ class BatchExecutor:
     def _run_chain(self, chain: BoundChain, functional: bool) -> RequestResult:
         """Run a chain's steps back to back: one result, its metrics the
         chain's roll-up.  A step is its in-place ufunc plus the padding
-        mask, or (functionally) staged like any host-only bulk op."""
+        mask, or (functionally) staged like any host-only bulk op.  A
+        priced-only chain (no steps) runs nothing and has no value; it is
+        charged and spans its banks all the same."""
         offset = chain.bank_offset
-        value = chain.steps[-1][3]
+        value = chain.steps[-1][3] if chain.steps else None
         # Every vector of a chain has one width: pad bits exist for all or none.
-        padded = value.num_bits != 8 * value.storage_bytes
+        padded = value is not None and value.num_bits != 8 * value.storage_bytes
         for op, a, b, out in chain.steps:
             if functional:
                 self._run_bulk_op_staged(BulkOpRequest(op, a, b, out, offset))
@@ -389,7 +391,7 @@ class BatchExecutor:
             request=chain,
             metrics=OperationMetrics(*chain.serial),
             value=value,
-            bank_ids=self.span_banks(value.num_rows, offset),
+            bank_ids=self.span_banks(chain.rows, offset),
         )
 
     def _run_copy(self, request: CopyRequest) -> RequestResult:

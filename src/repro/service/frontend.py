@@ -734,7 +734,7 @@ class ServiceFrontend:
                 "plan", "planner", batch_start, batch_start, (self.executor.batches_track(),),
                 batch=batch_index,
                 requests=len(closed),
-                primitives=sum(len(getattr(p, "steps", (p,))) for p in primitives),
+                primitives=sum(len(getattr(p, "prices", (p,))) for p in primitives),
                 ops_eliminated=sum(g.ops_eliminated for g in groups),
                 shared_subchains=sum(g.shared_subchains for g in groups),
             )

@@ -16,7 +16,8 @@
   :class:`~repro.api.plans.CompiledChain` binds, placed as one run on one
   bank offset so the data-dependent chain serializes on its banks.  The
   chain's *shape* is compiled and priced once per template and interned
-  on the planner; only the bind runs per request.
+  on the planner; only the bind runs per request, and none while the
+  shape holds an answer still current (a priced-only chain).
 
 The executor places the lowered batch in submission order, so the order
 the planner lowers a batch in is the order each bank serves it.
@@ -84,7 +85,9 @@ class _PricedChain:
         certified: The full plan lint passed on the shape's first bind
             (``sanitize=True``); later binds are checked as bindings.
         answer: ``(weakref(index), generation, weakref(value))`` of the
-            shape's last answer (:meth:`stamp`); it pins neither.
+            shape's last answer (:meth:`stamp`); it pins neither.  While
+            it is :meth:`current`, a plain lowering binds nothing: the
+            chain is charged priced-only and the answer handed out.
     """
 
     chain: "CompiledChain"
@@ -97,19 +100,28 @@ class _PricedChain:
     certified: bool = False
     answer: Optional[Tuple["weakref.ref[Any]", int, "weakref.ref[np.ndarray]"]] = None
 
+    def current(self, index: Any, columns: Iterable[str]) -> Optional[np.ndarray]:
+        """The last answer if it still lives over ``index`` at ``columns``'
+        generation now, else None.  A dirty lazily-maintained column has
+        bumped its generation already, so it never matches."""
+        return self._held(weakref.ref(index), index.generation(columns))
+
+    def _held(self, owner: "weakref.ref[Any]", generation: int) -> Optional[np.ndarray]:
+        # One plain weakref per live object in CPython: `is` compares indexes.
+        slot = self.answer
+        return slot[2]() if slot and slot[0] is owner and slot[1] == generation else None
+
     def stamp(
         self, index: Any, columns: Iterable[str], sanitize: bool
     ) -> Callable[[Callable[[], np.ndarray]], np.ndarray]:
         """Stamp ``index``'s generation over ``columns`` (at lowering, after
         any repair); ``get(compute)`` then returns the last answer while it
         lives over the same index and generation, else ``compute()`` frozen
-        (a reused answer is checked against it under ``sanitize``).  One
-        plain weakref per live object in CPython: ``is`` compares indexes."""
+        (a reused answer is checked against it under ``sanitize``)."""
         owner, generation = weakref.ref(index), index.generation(columns)
 
         def get(compute: Callable[[], np.ndarray]) -> np.ndarray:
-            slot = self.answer
-            value = slot[2]() if slot and slot[0] is owner and slot[1] == generation else None
+            value = self._held(owner, generation)
             if value is None:
                 value = compute()
                 value.setflags(write=False)
@@ -175,6 +187,7 @@ class BatchPlanner:
         self.executor = executor
         self.policy = config.policy
         self.maintenance = config.new_maintenance()
+        self.functional = config.functional
         self.result_cache = config.new_cache()
         self.optimizer: Optional["BatchOptimizer"] = None
         if config.optimize:
@@ -522,11 +535,26 @@ class BatchPlanner:
         # would diverge from the plan-level model (and the functional path).
         priced = self._priced_chain(request.predicates, index.num_rows)
         chain = priced.chain
+        columns = [c for c, _v in chain.predicates]
+        offset = self.executor.stable_offset(index)
+        sanitize = self.executor.sanitize
+        if chain.steps and not (sanitize or self.functional):
+            held = priced.current(index, columns)
+            if held is not None:
+                # A current answer binds nothing: the chain is charged and
+                # placed priced-only, and the group holds the answer.
+                self._price_steps(priced)
+                primitives.append(BoundChain(
+                    [], offset, priced.prices, priced.latencies, priced.serial, chain.rows
+                ))
+                return LoweredGroup(
+                    queued=queued, indices=[len(primitives) - 1], finalize=lambda _r: held
+                )
         steps, result_vector = chain.bind(index, shared)
         # Stamped after the bind repaired any dirty column, before a later
         # write of the batch can move it.
-        share = priced.stamp(index, [c for c, _v in chain.predicates], self.executor.sanitize)
-        if self.executor.sanitize:
+        share = priced.stamp(index, columns, sanitize)
+        if sanitize:
             from repro.verify import plan_lint  # local: avoid cycle
 
             # Certify the bound chain statically before any step
@@ -539,16 +567,15 @@ class BatchPlanner:
                 )
                 priced.certified = True
             plan_lint.lint_binding(chain, steps, result_vector, shared)
-        offset = self.executor.stable_offset(index)
         packed_bytes = chain.packed_bytes
         indices: List[int] = []
         zero_cost = None
         if steps:
             self._price_steps(priced)
             indices.append(len(primitives))
-            primitives.append(
-                BoundChain(steps, offset, priced.prices, priced.latencies, priced.serial)
-            )
+            primitives.append(BoundChain(
+                steps, offset, priced.prices, priced.latencies, priced.serial, chain.rows
+            ))
         else:
             # Single-value single-predicate conjunction: the answer is the
             # bitmap itself; no bulk operations run and none are charged,

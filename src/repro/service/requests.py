@@ -122,12 +122,18 @@ class BoundChain:
     not a :data:`FrontendRequest`).  As one run on its banks, no schedule
     can put a consumer step before its producers.
 
+    A chain whose answer is already current is *priced-only*: ``steps`` is
+    empty, and it is charged and placed exactly as its bound twin while
+    nothing runs.  Count a chain's steps with ``prices``, not ``steps``.
+
     Attributes:
-        steps: The bound ``(op, a, b, out)`` steps, data-dependent in order.
+        steps: The bound ``(op, a, b, out)`` steps, data-dependent in order
+            (empty for a priced-only chain).
         bank_offset: The index's stable bank offset (the offset the
             optimizer chose, for a sub-chain).
         prices / latencies: Each step's ``op_cost`` and latency (per shape).
         serial: :class:`OperationMetrics` fields of the chain's roll-up.
+        rows: Device rows each of the chain's vectors spans.
     """
 
     steps: List[Tuple[str, BulkBitVector, BulkBitVector, BulkBitVector]]
@@ -135,6 +141,7 @@ class BoundChain:
     prices: Tuple[OperationMetrics, ...]
     latencies: Tuple[float, ...]
     serial: Tuple[Any, ...]
+    rows: int
 
 
 #: What the executor runs: a primitive request or a lowered chain.

@@ -1063,7 +1063,7 @@ class TestRequestBoundary:
             session.submit(BulkOpRequest("and", vectors[1], vectors[2], bank_offset=1), at_ns=0.0),
         ]
         before = (len(backend.records), [len(s.records) for s in shards], backend.clock_ns)
-        chain = BoundChain([("or", vectors[0], vectors[1], vectors[2])], 1, (), (), ())
+        chain = BoundChain([("or", vectors[0], vectors[1], vectors[2])], 1, (), (), (), 1)
         with pytest.raises(TypeError, match="unknown request type BoundChain"):
             session.submit(chain, at_ns=0.0)
         with pytest.raises(TypeError, match="unknown request type BoundChain"):

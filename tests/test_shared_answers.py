@@ -14,11 +14,17 @@ repeated question returns the array it returned before.  These tests pin:
   caller dropped;
 * the sanitizer's certificate — a handed-out answer is compared with the
   batch's own result, and a forged slot generation is caught;
-* a property over random read/write interleavings across batches.
+* binding nothing for a current answer — a repeated plain question lowers
+  to a priced-only chain charged and placed exactly as its bound twin,
+  while a functional or sanitized batch, a write to one of its columns
+  and a dropped answer still bind;
+* a property over random read/write interleavings across batches, on both
+  tiers, against a sanitized arm that always binds.
 """
 
 import gc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,6 +39,7 @@ from repro.dram.energy import DramEnergyParameters
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import DramTimingParameters
 from repro.service import BatchPolicy, BitmapConjunctionRequest
+from repro.service.requests import BoundChain
 from repro.storage import AppendRequest, UpdateRequest
 from repro.verify import SharedAnswerError
 
@@ -65,17 +72,36 @@ def _table_index(seed: int = 7):
     return table, BitmapIndex(table, list(CARDINALITIES))
 
 
-def _frontend(optimize: bool, maintenance: str = "eager", sanitize: bool = True, cache=False):
-    session = PimSession.over_service(
-        engine=_engine(),
+def _session(
+    optimize: bool,
+    maintenance: str = "eager",
+    sanitize: bool = True,
+    cache=False,
+    functional: bool = False,
+    tier: str = "service",
+):
+    knobs = dict(
         optimize=optimize,
         cache=cache,
         maintenance=maintenance,
         sanitize=sanitize,
+        functional=functional,
         policy=BatchPolicy(max_batch=4, window_ns=None),
         max_queue_depth=256,
     )
-    return session.backend
+    if tier == "cluster":
+        return PimSession.over_cluster(num_shards=2, engine_factory=_engine, **knobs)
+    return PimSession.over_service(engine=_engine(), **knobs)
+
+
+def _frontend(
+    optimize: bool,
+    maintenance: str = "eager",
+    sanitize: bool = True,
+    cache=False,
+    functional: bool = False,
+):
+    return _session(optimize, maintenance, sanitize, cache, functional).backend
 
 
 def _serve(frontend, *requests):
@@ -274,6 +300,117 @@ def test_a_forged_slot_generation_is_caught_under_sanitize(optimize):
 
 
 # ----------------------------------------------------------------------
+# A current answer binds nothing
+# ----------------------------------------------------------------------
+def _ask_again(case, sanitize=False):
+    """Ask ``PREDICATES``, do ``case`` in between, and ask again in a later
+    batch on the plain path: what the second batch lowered and ran."""
+    table, index = _table_index()
+    frontend = _frontend(
+        False,
+        maintenance="lazy" if case == "lazy_update_then_read" else "eager",
+        sanitize=sanitize or case == "sanitize",
+        functional=case == "functional",
+    )
+    lowered, ran = [], []
+    lower, run = frontend.planner.lower_batch, frontend.executor.run
+
+    def lower_batch(batch):
+        primitives, groups = lower(batch)
+        lowered.append(primitives)
+        return primitives, groups
+
+    def run_batch(primitives, **kwargs):
+        ran.append(run(primitives, **kwargs))
+        return ran[-1]
+
+    frontend.planner.lower_batch, frontend.executor.run = lower_batch, run_batch
+    (first,) = _serve(frontend, _read(index))
+    if case in ("eager_update", "lazy_update_then_read"):
+        _serve(frontend, _update(table, index, "status"))
+    elif case == "unrelated_write":
+        _serve(frontend, _update(table, index, "tier"))
+    elif case == "dropped_answer":
+        first = None
+        frontend.records.clear()
+        gc.collect()
+    (second,) = _serve(frontend, _read(index))
+    return SimpleNamespace(
+        frontend=frontend, index=index, first=first, second=second,
+        primitives=lowered[-1], chain=lowered[-1][0], result=ran[-1].results[0],
+    )
+
+
+def _charged(asked):
+    """What the second question was charged, where, and what it got."""
+    record, result = asked.second, asked.result
+    return (record.start_ns, record.finish_ns, record.metrics, result.bank_ids,
+            record.value.tobytes())
+
+
+def test_a_current_answer_lowers_to_a_priced_only_chain_charged_as_its_bound_twin():
+    asked = _ask_again("repeat")
+    bound = _ask_again("repeat", sanitize=True)  # the sanitizer always binds
+    chain, twin = asked.chain, bound.chain
+    assert type(chain) is BoundChain and chain.steps == [] and asked.result.value is None
+    assert len(twin.steps) == len(chain.prices) == 4
+    assert (chain.prices, chain.latencies, chain.serial, chain.bank_offset, chain.rows) == (
+        twin.prices, twin.latencies, twin.serial, twin.bank_offset, twin.rows
+    )
+    assert _charged(asked) == _charged(bound)
+    assert asked.second.value is asked.first.value
+    np.testing.assert_array_equal(asked.second.value, _expected(asked.index))
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["functional", "sanitize", "lazy_update_then_read", "eager_update", "dropped_answer"],
+)
+def test_a_question_without_a_current_answer_still_binds(case):
+    asked = _ask_again(case)
+    bound = _ask_again(case, sanitize=True)
+    assert len(asked.chain.steps) == 4
+    assert _charged(asked) == _charged(bound)  # rebuild charge included
+    assert len(asked.primitives) == len(bound.primitives)
+    if case == "lazy_update_then_read":
+        assert len(asked.primitives) > 1  # the read paid for the repair
+    if case == "functional":
+        assert asked.frontend.executor.functional_executed == 2 * 4
+    np.testing.assert_array_equal(asked.second.value, _expected(asked.index))
+
+
+def test_a_write_to_an_unrelated_column_keeps_the_priced_only_chain():
+    asked = _ask_again("unrelated_write")
+    assert asked.chain.steps == []
+    assert asked.second.value is asked.first.value
+    np.testing.assert_array_equal(asked.second.value, _expected(asked.index))
+
+
+def test_an_answer_dropped_between_lowering_and_running_still_reaches_its_request():
+    """The lowered group holds a current answer strongly: every response
+    dropped and collected after lowering, the request still gets it."""
+    _table, index = _table_index()
+    frontend = _frontend(False, sanitize=False)
+    (first,) = _serve(frontend, _read(index))
+    answer, expected = weakref.ref(first.value), np.array(first.value)
+    run = frontend.executor.run
+
+    def run_batch(primitives, **kwargs):
+        nonlocal first
+        assert primitives[0].steps == []
+        first = None
+        frontend.records.clear()
+        gc.collect()
+        return run(primitives, **kwargs)
+
+    frontend.executor.run = run_batch
+    second = frontend.offer(_read(index))
+    frontend.drain()
+    assert first is None and second.value is answer()
+    np.testing.assert_array_equal(second.value, expected)
+
+
+# ----------------------------------------------------------------------
 # Random read/write interleavings across batches
 # ----------------------------------------------------------------------
 TEMPLATES = (
@@ -325,24 +462,42 @@ def _concrete(steps):
     return stream
 
 
-def _play(stream, optimize, maintenance, cache=False):
-    """Serve ``stream`` on a fresh table; each read's value, in order."""
+def _play(stream, optimize, maintenance, cache=False, sanitize=True, tier="service"):
+    """Serve ``stream`` on a fresh table: every op's record, in order, and
+    the session."""
     table, index = _table_index()
-    frontend = _frontend(optimize, maintenance=maintenance, cache=cache)
-    reads = []
+    session = _session(optimize, maintenance=maintenance, cache=cache, sanitize=sanitize, tier=tier)
+    futures = []
     for op in stream:
         if op[0] == "read":
-            reads.append(frontend.offer(_read(index, TEMPLATES[op[1]])))
+            futures.append(session.submit(_read(index, TEMPLATES[op[1]])))
         elif op[0] == "update":
-            frontend.offer(UpdateRequest(
+            futures.append(session.submit(UpdateRequest(
                 table=table, index=index, column=op[1], row_ids=op[2], values=op[3]
-            ))
+            )))
         elif op[0] == "append":
-            frontend.offer(AppendRequest(table=table, index=index, rows=op[1]))
+            futures.append(session.submit(AppendRequest(table=table, index=index, rows=op[1])))
         else:
-            frontend.drain()
-    frontend.drain()
-    return [record.value for record in reads]
+            session.drain()
+    session.drain()
+    return [future.record for future in futures], session
+
+
+def _read_values(stream, records):
+    ops = [op for op in stream if op[0] != "drain"]
+    return [record.value for op, record in zip(ops, records) if op[0] == "read"]
+
+
+def _outcomes(records, session):
+    """Each record's timestamps, metrics and value bytes; the session's
+    report and every executor's lane metrics."""
+    backend = session.backend
+    executors = [shard.executor for shard in getattr(backend, "shards", [backend])]
+    return (
+        [(r.start_ns, r.finish_ns, r.metrics, np.asarray(r.value).tobytes()) for r in records],
+        repr(session.report()),
+        [repr(executor.lane_metrics()) for executor in executors],
+    )
 
 
 def _oracle(stream):
@@ -366,15 +521,28 @@ def _oracle(stream):
     steps=_STEPS,
     maintenance=st.sampled_from(["eager", "lazy", "hybrid"]),
     arm=st.sampled_from([(True, False), (True, True), (False, False)]),
+    tier=st.sampled_from(["service", "cluster"]),
 )
-def test_shared_answers_are_right_and_never_span_a_write_to_their_columns(steps, maintenance, arm):
+def test_shared_answers_are_right_and_never_span_a_write_to_their_columns(
+    steps, maintenance, arm, tier
+):
     optimize, cache = arm
     stream = _concrete(steps)
-    served = _play(stream, optimize, maintenance, cache)
-    reference = _play(stream, optimize=False, maintenance=maintenance)
-    expected = _oracle(stream)
-    for value, same, truth in zip(served, reference, expected):
+    records, session = _play(stream, optimize, maintenance, cache, sanitize=False, tier=tier)
+    # The sanitizer binds every chain: a priced-only one is charged,
+    # placed and answered exactly as its bound twin.
+    checked = _play(stream, optimize, maintenance, cache, sanitize=True, tier=tier)
+    assert _outcomes(records, session) == _outcomes(*checked)
+    served = _read_values(stream, records)
+    reference = _read_values(stream, _play(stream, False, maintenance, tier=tier)[0])
+    for value, same in zip(served, reference):
         np.testing.assert_array_equal(value, same)
+    if tier == "cluster":
+        # A cluster write commits at its coordinator when offered, ahead
+        # of reads still queued on the shards: the stream-order oracle
+        # and write positions below describe the service tier alone.
+        return
+    for value, truth in zip(served, _oracle(stream)):
         np.testing.assert_array_equal(value, truth)
     # Positions of the reads in the stream, and the columns each write moves.
     reads = [(at, op[1]) for at, op in enumerate(stream) if op[0] == "read"]
