@@ -14,9 +14,7 @@ batch and fan their result bitmap out to every consumer (cross-request
 CSE), a single request's independent sub-chains spread over distinct
 bank lanes chosen from the executor's busy horizons (sub-chain
 splitting, joined by a host-side merge tree priced like the cluster
-gather).  Deadline urgency can be priced off those same horizons too, but
-only with a positive ``urgency_slack_ns``; this stream runs the default
-``0.0``, where that window is a single instant and never fires.
+gather).  Both modes close batches by the same size-only policy.
 
 This benchmark drives a skewed, repetition-heavy Poisson overload —
 ``NUM_REQUESTS`` conjunctions drawn Zipf-style from ``NUM_TEMPLATES``

@@ -14,9 +14,7 @@ hands each closed batch to the plan optimizer, which
 * spreads a single request's independent sub-chains over distinct bank
   lanes picked from the executor's busy horizons, joining them with a
   host-side merge tree priced like the cluster gather (sub-chain
-  splitting), and
-* prices deadline urgency off those same lane horizons instead of the
-  idealized "now".
+  splitting).
 
 The run serves the same Zipf-skewed stream twice — per-request planner
 vs optimizer — with ``sanitize=True`` (every optimized DAG certified by

@@ -100,7 +100,7 @@ def serve_stream() -> None:
     session = PimSession.over_service(
         engine=engine,
         name="two_class_stream",
-        policy=BatchPolicy(max_batch=48, window_ns=25_000.0, urgency_slack_ns=0.0),
+        policy=BatchPolicy(max_batch=48, window_ns=25_000.0),
         max_queue_depth=64,
     )
     events = build_workload(rng)

@@ -9,27 +9,31 @@ work.
 
 Consistency comes from two mechanisms:
 
-* **Write-driven invalidation** — every entry carries its column-level
-  dependency set; a write drops the entries whose dependencies it
-  touched (appends/deletes change ``num_rows`` and drop everything for
-  that index).  A reverse map from ``(source, column)`` to the keys
-  depending on it makes that O(entries dropped), not O(entries cached).
-* **Epoch guards** — the optimizer stamps each planned fill with the
-  dependency columns' *write epoch* at plan time; a fill whose epoch
+* **Write-driven invalidation** — every entry is one predicate's result
+  and depends on that predicate's column; a write drops the entries of
+  the columns it touched (appends/deletes change ``num_rows`` and drop
+  everything for that index).  A reverse map from ``(source, column)``
+  to the keys depending on it makes that O(entries dropped), not
+  O(entries cached).
+* **Generation guards** — the optimizer stamps each planned fill with
+  its column's write generation (:meth:`BitmapIndex.generation
+  <repro.database.bitmap_index.BitmapIndex.generation>`, read through
+  :meth:`ResultCache.write_epoch`) at plan time; a fill whose generation
   advanced by execution time (a write landed in the same batch) is
-  bypassed instead of poisoning the cache.
+  bypassed instead of poisoning the cache.  The index owns the write
+  clock; the cache keeps none of its own.
 
 Cached bytes are stored read-only and handed out as copies — the
 ``cache-aliasing`` lint rule bans returning the stored buffer itself
 (a consumer mutating it in place would corrupt every later hit).
 
-Entries, epochs and the canonical keys are scoped by ``id(index)``, and
-an ``id`` is only unique among *live* objects: a cache shared across
+Entries and the canonical keys are scoped by ``id(index)``, and an
+``id`` is only unique among *live* objects: a cache shared across
 sessions can outlive an index, and CPython hands the next same-sized
 allocation the dead one's address.  So the cache holds a weak reference
-to every bitmap source it has entries or epochs for — an entry answers
-only for the live object it was filled from, and everything scoped to a
-source is purged the moment the source is collected.
+to every bitmap source it has entries for — an entry answers only for
+the live object it was filled from, and a source's entries are purged
+the moment the source is collected.
 """
 
 from __future__ import annotations
@@ -48,16 +52,16 @@ Key = Tuple[Any, ...]
 
 
 class _Entry:
-    __slots__ = ("key", "index_id", "columns", "data", "num_rows")
+    __slots__ = ("key", "index_id", "column", "data", "num_rows")
 
     def __init__(
-        self, key: Key, index_id: int, columns: Tuple[str, ...], data: np.ndarray, num_rows: int
+        self, key: Key, index_id: int, column: str, data: np.ndarray, num_rows: int
     ) -> None:
         self.key = key
         #: ``id()`` of the source the entry was filled from — only ever
         #: compared for a source :meth:`ResultCache._owns` vouches for.
         self.index_id = index_id
-        self.columns = columns
+        self.column = column
         self.data = data
         self.num_rows = num_rows
 
@@ -83,12 +87,8 @@ class ResultCache:
         # column).  Dicts as insertion-ordered sets (deterministic walks).
         self._index_keys: Dict[int, Dict[Key, None]] = {}
         self._column_keys: Dict[Tuple[int, str], Dict[Key, None]] = {}
-        # Write epochs: bumped per invalidation; the optimizer's epoch
-        # guard compares plan-time and fill-time stamps through these.
-        self._index_epochs: Dict[int, int] = {}
-        self._column_epochs: Dict[Tuple[int, str], int] = {}
-        # id(source) -> weak reference to the source every entry and epoch
-        # under that id belongs to; its callback purges them on collection.
+        # id(source) -> weak reference to the source every entry under
+        # that id belongs to; its callback purges them on collection.
         self._owners: Dict[int, Callable[[], Optional[object]]] = {}
         # Owners the collector reported dead, awaiting :meth:`_reap`.
         self._collected: List["weakref.ReferenceType[object]"] = []
@@ -153,13 +153,10 @@ class ResultCache:
             self._purge(index_id)
 
     def _purge(self, index_id: int) -> None:
-        """Forget everything scoped to ``index_id``: owner, entries, epochs."""
+        """Forget everything scoped to ``index_id``: owner and entries."""
         self._owners.pop(index_id, None)
         for key in list(self._index_keys.get(index_id, ())):
             self._drop(key)
-        self._index_epochs.pop(index_id, None)
-        for epoch_key in [k for k in self._column_epochs if k[0] == index_id]:
-            del self._column_epochs[epoch_key]
 
     def entries_for(self, index: object) -> List[Key]:
         """Keys of the live entries depending on ``index`` (test surface)."""
@@ -167,8 +164,8 @@ class ResultCache:
             return []
         return list(self._index_keys.get(id(index), ()))
 
-    def live_for(self, index: object) -> List[Tuple[Key, Tuple[str, ...], int, int]]:
-        """Live entries of ``index`` as ``(key, columns, num_rows, nbytes)``.
+    def live_for(self, index: object) -> List[Tuple[Key, str, int, int]]:
+        """Live entries of ``index`` as ``(key, column, num_rows, nbytes)``.
 
         The cache-consistency lint (:func:`repro.verify.plan_lint
         .lint_cache_consistency`) reads this instead of the stored
@@ -177,7 +174,7 @@ class ResultCache:
         if not self._owns(index):
             return []
         entries = (self._entries[key] for key in self._index_keys.get(id(index), ()))
-        return [(e.key, e.columns, e.num_rows, e.data.nbytes) for e in entries]
+        return [(e.key, e.column, e.num_rows, e.data.nbytes) for e in entries]
 
     def snapshot(self) -> Dict[str, Any]:
         """Plain-dict accounting summary (reports and benchmarks)."""
@@ -193,22 +190,15 @@ class ResultCache:
         }
 
     # ------------------------------------------------------------------
-    # Epoch guard
+    # Generation guard
     # ------------------------------------------------------------------
-    def write_epoch(self, index: object, columns: Iterable[str]) -> int:
-        """Current write epoch of (index, dependency columns).
-
-        Monotonic: any invalidation touching the index or one of the
-        columns advances it, so equality between a plan-time and a
-        fill-time stamp proves no write landed in between.
-        """
-        if not self._owns(index):
-            return 0  # never written through this cache
-        index_id = id(index)
-        epoch = self._index_epochs.get(index_id, 0)
-        for column in columns:
-            epoch += self._column_epochs.get((index_id, column), 0)
-        return epoch
+    def write_epoch(self, index: Any, columns: Iterable[str]) -> int:
+        """The index's write generation of ``columns`` (a shard view
+        reads its parent's).  Monotonic: every write that rebinds or
+        dirties one of the columns' planes advances it, so equality
+        between a plan-time and a fill-time stamp proves no write landed
+        in between."""
+        return index.generation(columns)
 
     # ------------------------------------------------------------------
     # Lookup / fill
@@ -237,23 +227,21 @@ class ResultCache:
         self,
         key: Key,
         index: object,
-        columns: Iterable[str],
+        column: str,
         packed: np.ndarray,
         num_rows: int,
     ) -> None:
-        """Cache a finished result bitmap with its dependency columns."""
+        """Cache a finished predicate bitmap with the column it reads."""
         if self._collected:
             self._reap()
         data = np.asarray(packed, dtype=np.uint8).copy()
         data.setflags(write=False)
         self._drop(key)
         index_id = self._adopt(index)
-        entry = _Entry(key, index_id, tuple(columns), data, num_rows)
-        self._entries[key] = entry
+        self._entries[key] = _Entry(key, index_id, column, data, num_rows)
         self._bytes += data.nbytes
         self._index_keys.setdefault(index_id, {})[key] = None
-        for column in entry.columns:
-            self._column_keys.setdefault((index_id, column), {})[key] = None
+        self._column_keys.setdefault((index_id, column), {})[key] = None
         self.fills += 1
         while self._entries and (
             self._bytes > self.capacity_bytes or len(self._entries) > self.capacity_entries
@@ -274,8 +262,7 @@ class ResultCache:
         count and the reverse maps."""
         self._bytes -= entry.data.nbytes
         self._unlink(self._index_keys, entry.index_id, entry.key)
-        for column in entry.columns:
-            self._unlink(self._column_keys, (entry.index_id, column), entry.key)
+        self._unlink(self._column_keys, (entry.index_id, entry.column), entry.key)
 
     @staticmethod
     def _unlink(table: Dict[Any, Dict[Key, None]], bucket: Any, key: Key) -> None:
@@ -290,18 +277,13 @@ class ResultCache:
     # ------------------------------------------------------------------
     def invalidate_columns(self, index: object, columns: Iterable[str]) -> int:
         """Drop entries of ``index`` depending on any of ``columns``;
-        returns the number dropped.  Bumps the columns' write epochs."""
-        stale = set(columns)
-        if not stale:
-            return 0
-        index_id = self._adopt(index)
-        dropped: Dict[Key, None] = {}
-        for column in stale:
-            epoch_key = (index_id, column)
-            self._column_epochs[epoch_key] = self._column_epochs.get(epoch_key, 0) + 1
-            keys = self._column_keys.get(epoch_key)
-            if keys:
-                dropped.update(keys)
+        returns the number dropped."""
+        if not self._owns(index):
+            return 0  # no entries of this source
+        index_id = id(index)
+        dropped: List[Key] = []
+        for column in dict.fromkeys(columns):
+            dropped.extend(self._column_keys.get((index_id, column), ()))
         for key in dropped:
             self._drop(key)
         self.invalidations += len(dropped)
@@ -309,17 +291,17 @@ class ResultCache:
 
     def invalidate_index(self, index: object) -> int:
         """Drop every entry of ``index`` (row count changed); returns the
-        number dropped.  Bumps the index-level write epoch."""
-        index_id = self._adopt(index)
-        self._index_epochs[index_id] = self._index_epochs.get(index_id, 0) + 1
-        dropped = list(self._index_keys.get(index_id, ()))
+        number dropped."""
+        if not self._owns(index):
+            return 0  # no entries of this source
+        dropped = list(self._index_keys.get(id(index), ()))
         for key in dropped:
             self._drop(key)
         self.invalidations += len(dropped)
         return len(dropped)
 
     def clear(self) -> None:
-        """Drop everything (keeps lifetime accounting and epochs)."""
+        """Drop everything (keeps lifetime accounting)."""
         self.invalidations += len(self._entries)
         self._entries.clear()
         self._index_keys.clear()

@@ -17,8 +17,7 @@ throughput across banks:
   bit-exact with single-device execution);
 * :class:`FaultPlan` — deterministic virtual-clock fault injection:
   shard kills, revivals, drains, retirements, and joins at scheduled
-  instants or on predicate triggers, with replica failover of the
-  victim's queued work;
+  instants, with replica failover of the victim's queued work;
 * :class:`ElasticController` — the scale/re-placement loop over the
   cluster's own health (:meth:`ClusterFrontend.health`): re-replicates
   hot keys under imbalance, joins shards under sustained overload,
@@ -30,13 +29,7 @@ throughput across banks:
 """
 
 from repro.cluster.controller import ControllerPolicy, ElasticController, ScaleEvent
-from repro.cluster.faults import (
-    FaultEvent,
-    FaultLogEntry,
-    FaultPlan,
-    FaultTrigger,
-    kill_revive_schedule,
-)
+from repro.cluster.faults import FaultEvent, FaultLogEntry, FaultPlan, kill_revive_schedule
 from repro.cluster.frontend import ClusterFrontend, ClusterHealth, ClusterRecord, ClusterResult
 from repro.cluster.router import PlacementUnavailable, ShardRouter
 
@@ -50,7 +43,6 @@ __all__ = [
     "FaultEvent",
     "FaultLogEntry",
     "FaultPlan",
-    "FaultTrigger",
     "PlacementUnavailable",
     "ScaleEvent",
     "ShardRouter",

@@ -2,10 +2,9 @@
 
 A :class:`FaultPlan` is a *schedule* of shard lifecycle events — kills,
 revivals, drains, retirements, joins — pinned to absolute nanosecond
-timestamps on the cluster's virtual clock, plus optional
-predicate-triggered events evaluated as the clock advances.  The plan is
-pure data: it never advances time itself.  The cluster frontend owns the
-clock and asks the plan two questions while it advances:
+timestamps on the cluster's virtual clock.  The plan is pure data: it
+never advances time itself.  The cluster frontend owns the clock and
+asks the plan two questions while it advances:
 
 * :meth:`FaultPlan.next_fire_ns` — when is the next timed event due?
   The frontend advances its shards *to that instant* before firing, so a
@@ -14,12 +13,6 @@ clock and asks the plan two questions while it advances:
   the victim migrates at the kill instant.
 * :meth:`FaultPlan.fire_due` — apply every event due at or before
   ``now`` (in timestamp order; ties break in plan order).
-
-Predicate triggers (:class:`FaultTrigger`) are polled *after* the clock
-has moved (:meth:`FaultPlan.poll`): the predicate reads cluster state —
-backlogs, health, record counts — and fires its action at the current
-instant.  Triggers fire at clock-advance granularity, which is exactly
-the granularity at which cluster state changes.
 
 Everything here is deterministic: same plan + same arrival stream →
 same fault timeline, which is what makes the bit-exactness property in
@@ -31,16 +24,13 @@ host-randomness imports are banned by the ``obs-wall-clock`` rule in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.frontend import ClusterFrontend
 
 #: Shard lifecycle actions a fault event may apply.
 FAULT_ACTIONS = ("kill", "revive", "drain", "retire", "join")
-
-#: Predicate signature of a trigger: (cluster, now_ns) -> fire?
-FaultPredicate = Callable[["ClusterFrontend", float], bool]
 
 
 @dataclass(frozen=True)
@@ -69,39 +59,6 @@ class FaultEvent:
             raise ValueError(f"{self.action!r} needs a shard_id")
 
 
-@dataclass
-class FaultTrigger:
-    """A predicate-armed fault: fires when its condition first holds.
-
-    Attributes:
-        action: One of :data:`FAULT_ACTIONS`.
-        predicate: ``(cluster, now_ns) -> bool`` — read-only cluster
-            inspection; must not mutate state.
-        shard_id: Subject shard (ignored for ``"join"``).
-        once: Disarm after the first firing (default).  A repeating
-            trigger re-fires on every poll where the predicate holds —
-            the applied action is idempotent (killing a dead shard is a
-            no-op), so repeats are safe.
-        fired: Times the trigger has fired (bookkeeping).
-    """
-
-    action: str
-    predicate: FaultPredicate
-    shard_id: int = -1
-    once: bool = True
-    fired: int = 0
-
-    def __post_init__(self) -> None:
-        if self.action not in FAULT_ACTIONS:
-            raise ValueError(
-                f"unknown fault action {self.action!r} (one of {FAULT_ACTIONS})"
-            )
-
-    @property
-    def armed(self) -> bool:
-        return self.fired == 0 or not self.once
-
-
 @dataclass(frozen=True)
 class FaultLogEntry:
     """One applied fault, for post-run audit.
@@ -112,36 +69,28 @@ class FaultLogEntry:
         shard_id: The subject shard (the *new* shard id for a join).
         applied: False when the action was a no-op (e.g. killing an
             already-dead shard).
-        source: ``"event"`` or ``"trigger"``.
     """
 
     at_ns: float
     action: str
     shard_id: int
     applied: bool
-    source: str
 
 
 class FaultPlan:
-    """An ordered schedule of fault events plus predicate triggers.
+    """An ordered schedule of fault events.
 
     Args:
         events: Timed events, any order (sorted internally by
             ``(at_ns, insertion order)``).
-        triggers: Predicate-armed events polled as the clock advances.
     """
 
-    def __init__(
-        self,
-        events: Iterable[FaultEvent] = (),
-        triggers: Iterable[FaultTrigger] = (),
-    ) -> None:
+    def __init__(self, events: Iterable[FaultEvent] = ()) -> None:
         stamped = list(events)
         self._pending: List[Tuple[float, int, FaultEvent]] = sorted(
             ((event.at_ns, i, event) for i, event in enumerate(stamped)),
             key=lambda item: (item[0], item[1]),
         )
-        self.triggers: List[FaultTrigger] = list(triggers)
         #: Applied-action audit log, in firing order.
         self.log: List[FaultLogEntry] = []
 
@@ -164,33 +113,20 @@ class FaultPlan:
         fired = 0
         while self._pending and self._pending[0][0] <= now_ns:
             _, _, event = self._pending.pop(0)
-            self._apply(cluster, event.action, event.shard_id, event.at_ns, "event")
+            self._apply(cluster, event)
             fired += 1
         return fired
 
     def poll(self, cluster: "ClusterFrontend", now_ns: float) -> int:
-        """Evaluate armed triggers at ``now_ns``; returns how many fired."""
-        fired = 0
-        for trigger in self.triggers:
-            if not trigger.armed:
-                continue
-            if trigger.predicate(cluster, now_ns):
-                self._apply(cluster, trigger.action, trigger.shard_id, now_ns, "trigger")
-                trigger.fired += 1
-                fired += 1
-        return fired
+        """Always 0, and nothing calls it: kept only because the frozen
+        ``perf/tracing.py`` wraps it by name."""
+        return 0
 
     # ------------------------------------------------------------------
     # Action application
     # ------------------------------------------------------------------
-    def _apply(
-        self,
-        cluster: "ClusterFrontend",
-        action: str,
-        shard_id: int,
-        at_ns: float,
-        source: str,
-    ) -> None:
+    def _apply(self, cluster: "ClusterFrontend", event: FaultEvent) -> None:
+        action, shard_id, at_ns = event.action, event.shard_id, event.at_ns
         if action == "kill":
             applied = cluster.fail_shard(shard_id, at_ns=at_ns)
         elif action == "revive":
@@ -202,15 +138,7 @@ class FaultPlan:
         else:  # join
             shard_id = cluster.join_shard(at_ns=at_ns)
             applied = True
-        self.log.append(
-            FaultLogEntry(
-                at_ns=at_ns,
-                action=action,
-                shard_id=shard_id,
-                applied=bool(applied),
-                source=source,
-            )
-        )
+        self.log.append(FaultLogEntry(at_ns, action, shard_id, bool(applied)))
 
 
 def kill_revive_schedule(
@@ -235,6 +163,5 @@ __all__ = [
     "FaultEvent",
     "FaultLogEntry",
     "FaultPlan",
-    "FaultTrigger",
     "kill_revive_schedule",
 ]

@@ -500,8 +500,9 @@ class ClusterFrontend:
 
         Runs at the write's arrival instant, so every read lowered after
         it computes from (and caches) post-write planes, while fills
-        planned from pre-write planes are killed by the caches' epoch
-        guards — the coordinator bumps the epochs here.  The returned
+        planned from pre-write planes are killed by the caches' generation
+        guards — the coordinator's mutation advances the parent index's
+        write generation, which every shard view reads.  The returned
         primitives are discarded: maintenance *cost* is charged by the
         shard parts, on the devices that hold the columns.
         """
@@ -648,8 +649,6 @@ class ClusterFrontend:
         for shard in self.shards:
             shard.advance_to(until)
         self.clock_ns = max(self.clock_ns, until)
-        if self.faults is not None:
-            self.faults.poll(self, self.clock_ns)
 
     def drain(self) -> None:
         """Serve every shard until all queues are empty.
@@ -698,8 +697,6 @@ class ClusterFrontend:
         self.clock_ns = max(
             [self.clock_ns] + [s.clock_ns for s in self.shards]
         )
-        if self.faults is not None:
-            self.faults.poll(self, self.clock_ns)
 
     # ------------------------------------------------------------------
     # Faults and failover

@@ -166,9 +166,9 @@ class BatchOptimizer:
 
     Args:
         result_cache: Cross-batch :class:`~repro.cache.ResultCache` to
-            consult before emitting a sub-chain and to fill (epoch-guarded,
-            after the batch executes) with finished result bitmaps.  None
-            keeps the optimizer batch-scoped.
+            consult before emitting a sub-chain and to fill
+            (generation-guarded, after the batch executes) with finished
+            result bitmaps.  None keeps the optimizer batch-scoped.
     """
 
     def __init__(self, result_cache: Optional[ResultCache] = None) -> None:
@@ -191,9 +191,9 @@ class BatchOptimizer:
         self._steps: Dict[int, ChainStep] = {}
         self._views: List[OptimizedRequestView] = []
         self._assigned: Dict[int, float] = {}
-        # Pending cache fills of the open batch: (key, index, dep columns,
-        # result vector, packed bytes, plan-time write epoch, num_rows).
-        self._fills: List[Tuple[Key, Any, Tuple[str, ...], BulkBitVector, int, int, int]] = []
+        # Pending cache fills of the open batch: (key, index, column,
+        # result vector, packed bytes, plan-time write generation, num_rows).
+        self._fills: List[Tuple[Key, Any, str, BulkBitVector, int, int, int]] = []
         self._fill_keys: Set[Key] = set()
 
     # ------------------------------------------------------------------
@@ -219,22 +219,22 @@ class BatchOptimizer:
         """Park the executed batch's finished bitmaps in the result cache.
 
         Must run *after* the executor ran the batch — the recorded vectors
-        only hold result data post-execution.  Each fill is epoch-guarded:
-        if a write invalidated one of its dependency columns since plan
-        time (a same-batch write lowered after the read), the fill is
-        bypassed rather than caching a stale bitmap.  Returns the number
-        of entries written.
+        only hold result data post-execution.  Each fill is
+        generation-guarded: if a write touched its column since plan time
+        (a same-batch write lowered after the read), the fill is bypassed
+        rather than caching a stale bitmap.  Returns the number of entries
+        written.
         """
         cache = self.result_cache
         committed = 0
         if cache is None:
             self._fills = []
             return 0
-        for key, index, columns, vector, packed_bytes, epoch, num_rows in self._fills:
-            if cache.write_epoch(index, columns) != epoch:
+        for key, index, column, vector, packed_bytes, generation, num_rows in self._fills:
+            if cache.write_epoch(index, (column,)) != generation:
                 cache.bypasses += 1
                 continue
-            cache.put(key, index, columns, vector.data[:packed_bytes], num_rows)
+            cache.put(key, index, column, vector.data[:packed_bytes], num_rows)
             committed += 1
         self._fills = []
         return committed
@@ -248,7 +248,7 @@ class BatchOptimizer:
         """Drop batch-local CSE entries a write just made stale.
 
         The cross-batch :class:`ResultCache` is protected at two points
-        (invalidation at write lowering, epoch guards at fill commit),
+        (invalidation at write lowering, generation guards at fill commit),
         but the batch-scoped CSE table would otherwise still hand a
         request lowered *after* an in-batch write a result vector
         materialized from pre-write planes.  Called by the planner's
@@ -435,9 +435,7 @@ class BatchOptimizer:
                         # A multi-value OR chain is worth re-serving from
                         # host memory; a bare bitmap is already a zero-op
                         # source.
-                        self._record_fill(
-                            pkey, index, (column,), node.vector, packed_bytes, num_rows
-                        )
+                        self._record_fill(pkey, index, column, node.vector, packed_bytes, num_rows)
                 self._cache[pkey] = node
                 self._node_columns[pkey] = (index_id, columns)
             parts.append(node)
@@ -468,20 +466,20 @@ class BatchOptimizer:
         self,
         key: Key,
         index: Any,
-        columns: Tuple[str, ...],
+        column: str,
         vector: BulkBitVector,
         packed_bytes: int,
         num_rows: int,
     ) -> None:
         """Queue a finished sub-chain for the post-execution cache fill,
-        stamped with its dependency columns' plan-time write epoch."""
+        stamped with its column's plan-time write generation."""
         cache = self.result_cache
         if cache is None or key in self._fill_keys:
             return
         self._fill_keys.add(key)
         self._fills.append(
-            (key, index, columns, vector, packed_bytes,
-             cache.write_epoch(index, columns), num_rows)
+            (key, index, column, vector, packed_bytes,
+             cache.write_epoch(index, (column,)), num_rows)
         )
 
     # ------------------------------------------------------------------

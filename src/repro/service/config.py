@@ -7,6 +7,11 @@ from it, ``ClusterFrontend(num_shards, config, ...)`` every shard, and
 ``PimSession.over_service`` / ``over_cluster`` accept its fields as
 keywords through :meth:`PipelineConfig.from_knobs`.
 
+Construction validates every knob at the API boundary: a ``bool`` switch
+or a numeric knob handed the wrong type (``True`` for a batch size, a
+string for a window) is a :class:`TypeError` naming the field, and an
+out-of-range number a :class:`ValueError`.
+
 The config holds *values*, not live state: ``cache=True`` and a
 ``maintenance`` strategy name are materialized per backend, so one config
 reused for two backends shares neither a cache nor hotness counters
@@ -17,11 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Any, Optional, Union
 
 from repro.cache.result_cache import ResultCache
-from repro.service.requests import checked_non_negative
 from repro.storage.maintenance import MaintenancePolicy
 
 #: Host cost of AND-merging two 8 KiB partial bitmaps: one level of the
@@ -32,9 +36,21 @@ from repro.storage.maintenance import MaintenancePolicy
 MERGE_NS_PER_OP = 250.0
 
 
+def _check_real(name: str, value: Any) -> None:
+    """Refuse a ``bool`` or a non-number for a numeric knob: ``True``
+    would pass as 1 (a one-request batch, a 1 ns window) and a string
+    would die later in a bare comparison."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise TypeError(f"{name} must be a real number, not {value!r}")
+
+
 @dataclass
 class BatchPolicy:
     """When the planner closes the next batch.
+
+    Besides the two knobs, a queued request with a deadline closes the
+    batch at its last viable start: its deadline minus its modeled
+    service latency.
 
     Attributes:
         max_batch: Close as soon as this many requests are queued (also the
@@ -42,28 +58,19 @@ class BatchPolicy:
         window_ns: Close when the oldest queued request has waited this
             long, even if the batch is not full.  None disables the window
             (the frontend still closes on stream end).
-        urgency_slack_ns: Close when a queued request's deadline minus its
-            modeled service latency is within this slack of the current
-            time — the last moment service can start without missing it —
-            and, priced off the lanes' busy horizons, when a deadline is
-            still savable but about to be lost
-            (:meth:`~repro.service.planner.BatchPlanner.urgent_close`).
-            The horizon clause needs a positive slack: at ``0.0`` its
-            window is a single instant.  None disables urgency-driven
-            closing.
     """
 
     max_batch: int = 32
     window_ns: Optional[float] = None
-    urgency_slack_ns: Optional[float] = 0.0
 
     def __post_init__(self) -> None:
+        _check_real("max_batch", self.max_batch)
         if not (isinstance(self.max_batch, Integral) and self.max_batch > 0):
             raise ValueError("max_batch must be a positive integer")
-        if self.window_ns is not None and not self.window_ns >= 0:
-            raise ValueError("window_ns must be non-negative")
-        if self.urgency_slack_ns is not None:
-            checked_non_negative("urgency_slack_ns", self.urgency_slack_ns)
+        if self.window_ns is not None:
+            _check_real("window_ns", self.window_ns)
+            if not self.window_ns >= 0:
+                raise ValueError("window_ns must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -73,7 +80,8 @@ class PipelineConfig:
     On the cluster tier every knob applies per shard.
 
     Attributes:
-        policy: Batch-closing policy of the planner (size 32, urgency on).
+        policy: Batch-closing policy of the planner (size 32, no window;
+            deadlines close at their last viable start).
         max_queue_depth: Admission bound on queued (not yet serving)
             requests.
         max_backlog_ns: Admission bound on modeled bank occupancy: the
@@ -135,10 +143,13 @@ class PipelineConfig:
                 raise TypeError(f"{f.name} must be a bool, not {getattr(self, f.name)!r}")
         if not isinstance(self.cache, (bool, ResultCache)):
             raise TypeError(f"cache must be a bool or a ResultCache, not {self.cache!r}")
+        _check_real("max_queue_depth", self.max_queue_depth)
         if not (isinstance(self.max_queue_depth, Integral) and self.max_queue_depth > 0):
             raise ValueError("max_queue_depth must be a positive integer")
-        if self.max_backlog_ns is not None and not 0.0 <= self.max_backlog_ns < math.inf:
-            raise ValueError("max_backlog_ns must be finite and non-negative (or None)")
+        if self.max_backlog_ns is not None:
+            _check_real("max_backlog_ns", self.max_backlog_ns)
+            if not 0.0 <= self.max_backlog_ns < math.inf:
+                raise ValueError("max_backlog_ns must be finite and non-negative (or None)")
         if self.cache is not False:
             object.__setattr__(self, "optimize", True)
 

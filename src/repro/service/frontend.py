@@ -296,7 +296,6 @@ class ServiceFrontend:
         self.on_settled: Optional[Callable[["ServiceFrontend", QueuedRequest], None]] = None
         self._heap: List = []
         self._seq = 0
-        self._backlog_ns = 0.0
         self._bank_backlog: Dict = {key: 0.0 for key in self.executor.active_bank_keys()}
         self.bind_observer(resolve_observe(observe))
 
@@ -463,11 +462,6 @@ class ServiceFrontend:
         return max(self._bank_backlog.values(), default=0.0)
 
     @property
-    def mean_backlog_ns(self) -> float:
-        """Queued serial latency spread over the banks (the old scalar model)."""
-        return self._backlog_ns / self._banks()
-
-    @property
     def completion_ns(self) -> float:
         """When everything dispatched so far finishes: the clock, extended
         by any in-flight lane horizon a pipelined executor still carries."""
@@ -519,9 +513,7 @@ class ServiceFrontend:
         return hottest + share
 
     def _charge(self, queued: QueuedRequest, sign: float) -> None:
-        amount = sign * queued.modeled_ns
-        self._charge_onto(self._bank_backlog, queued, amount)
-        self._backlog_ns += amount
+        self._charge_onto(self._bank_backlog, queued, sign * queued.modeled_ns)
 
     def _charge_onto(self, backlog: Dict, queued: QueuedRequest, amount: float) -> None:
         """Add ``amount`` of ``queued``'s load to a backlog vector: onto its
@@ -537,7 +529,6 @@ class ServiceFrontend:
 
     def _reset_backlog(self) -> None:
         """Absorb float drift once the queue is empty."""
-        self._backlog_ns = 0.0
         for key in self._bank_backlog:
             self._bank_backlog[key] = 0.0
 
@@ -688,7 +679,7 @@ class ServiceFrontend:
             return self.executor.lane_horizon_ns(HOST_LANE)
         return self.executor.ready_ns()
 
-    def serve_batch(self, urgent: bool = False) -> Optional[BatchResult]:
+    def serve_batch(self) -> Optional[BatchResult]:
         """Close and execute one batch from the queue (None when empty).
 
         The batch is dispatched at the current clock (lifted, under
@@ -700,18 +691,11 @@ class ServiceFrontend:
         Lowered groups report the start of their first primitive and the
         finish of their last (plus any host-side merge the optimizer's
         sub-chain split charges).
-
-        Args:
-            urgent: Skip the pipelined dispatch gate: a horizon-priced
-                deadline close (:meth:`BatchPlanner.urgent_close`) must
-                reach its lane *now*, not after a full extra batch has
-                drained — the lane schedule still serializes the actual
-                placements.
         """
         if not self._heap:
             return None
         pipelined = self.executor.pipeline
-        if pipelined and not urgent:
+        if pipelined:
             # Dispatch gate: wait (on the virtual clock) until a lane is free.
             self.clock_ns = max(self.clock_ns, self._dispatch_ready_ns())
         size = min(self.planner.policy.max_batch, len(self._heap))
@@ -743,8 +727,8 @@ class ServiceFrontend:
         )
         # Park the batch's finished bitmaps in the result cache.  This
         # must happen *after* the run (the fill buffers are the lowered
-        # chains' output vectors) and rides the optimizer's epoch guard:
-        # a fill whose dependency columns took a write since plan time is
+        # chains' output vectors) and rides the optimizer's generation
+        # guard: a fill whose column took a write since plan time is
         # bypassed instead of caching a stale bitmap.
         self.planner.commit_cache_fills()
         results = batch.results
@@ -812,23 +796,18 @@ class ServiceFrontend:
         while self._heap and self.clock_ns < until_ns:
             queued = self.queued()  # the heap only changes when a batch is served
             if self.planner.should_close(queued, self.clock_ns):
-                # An urgent (horizon-priced deadline) close bypasses the
-                # dispatch gate: waiting for a free lane is exactly what
-                # would miss the deadline.  The lane schedule still
-                # serializes the placements themselves.
-                urgent = self.planner.urgent_close(queued, self.clock_ns)
                 ready = self._dispatch_ready_ns()
-                if ready > self.clock_ns and not urgent:
+                if ready > self.clock_ns:
                     # Every lane the next batch would use is busy: the
                     # next dispatch instant is when the first one drains.
                     if ready >= until_ns:
                         break
                     self.clock_ns = ready
                     continue
-                self.serve_batch(urgent=urgent)
+                self.serve_batch()
                 continue
             # Sleep until the policy's next closing instant (window expiry /
-            # the last moment an urgent deadline can still start on time).
+            # the last moment a queued deadline can still start on time).
             wake = self.planner.next_close_ns(queued, self.clock_ns)
             if wake >= until_ns:
                 break

@@ -294,81 +294,36 @@ class BatchPlanner:
     def should_close(self, queued: List[QueuedRequest], now_ns: float) -> bool:
         """Does the policy call for closing a batch right now?
 
-        The timed clauses (window expiry, deadline urgency) are read off
-        :meth:`next_close_ns` itself, so the instant the frontend wakes
-        at is, by construction, an instant this says close.
+        The timed clauses (window expiry, a deadline's last viable start)
+        are read off :meth:`next_close_ns` itself, so the instant the
+        frontend wakes at is, by construction, an instant this says close.
         """
         if not queued:
             return False
         if len(queued) >= self.policy.max_batch:
             return True
-        if self.next_close_ns(queued, now_ns) <= now_ns:
-            return True
-        return self.urgent_close(queued, now_ns)
+        return self.next_close_ns(queued, now_ns) <= now_ns
 
     def urgent_close(self, queued: List[QueuedRequest], now_ns: float) -> bool:
-        """Is some queued deadline at risk *given the lanes' horizons*?
-
-        Prices the latest viable service start against where the
-        request's banks are actually busy until, not against "now": under
-        deep pipelining a request's service cannot start before its
-        modeled banks drain, so a deadline that looks comfortable from the
-        current clock may already be at risk.  True exactly when a
-        deadline is still savable but will be missed unless the batch
-        closes and dispatches immediately (the banks' pressure has entered
-        the ``urgency_slack_ns`` window below the latest viable start) —
-        so it never degenerates into closing every batch early under
-        overload.  The window needs a positive slack: at the default
-        ``0.0`` it is a single instant.  The frontend treats such a close
-        as *urgent* — it bypasses the pipelined dispatch gate so the
-        endangered request reaches its lane without queueing behind a
-        whole extra batch.
-
-        A request's pressure is the earliest instant the lanes could
-        start serving it: the latest busy horizon over its modeled banks
-        (its service cannot start before its pinned banks drain), or the
-        executor's global ready instant when it is unpinned — one value
-        for the whole queue, read once.  Never before "now"; always "now"
-        for a barrier executor, whose lanes carry no state across batches.
-        """
-        if self.policy.urgency_slack_ns is None:
-            return False
-        slack = self.policy.urgency_slack_ns
-        executor = self.executor
-        ready_ns: Optional[float] = None
-        for q in queued:
-            if q.deadline_ns is None:
-                continue
-            latest_start = q.deadline_ns - q.modeled_ns
-            banks = q.modeled_banks
-            if banks:
-                pressure = max(executor.lane_horizon_ns(key) for key in banks)
-            else:
-                if ready_ns is None:
-                    ready_ns = executor.ready_ns()
-                pressure = ready_ns
-            if latest_start - slack <= max(now_ns, pressure) <= latest_start:
-                return True
+        """Always False, and nothing calls it: kept only because the frozen
+        ``perf/tracing.py`` wraps it by name."""
         return False
 
     def next_close_ns(self, queued: List[QueuedRequest], now_ns: float) -> float:
         """Earliest future instant the policy will close a batch (inf if
-        only size or stream end can close it).  The frontend's virtual
-        clock wakes here when no arrival comes sooner."""
+        only size or stream end can close it): the window's expiry, or a
+        queued deadline's last viable start (deadline minus modeled
+        service latency).  The frontend's virtual clock wakes here when
+        no arrival comes sooner."""
         next_close = math.inf
         if not queued:
             return next_close
         if self.policy.window_ns is not None:
             oldest = min(q.arrival_ns for q in queued)
             next_close = min(next_close, oldest + self.policy.window_ns)
-        if self.policy.urgency_slack_ns is not None:
-            for q in queued:
-                if q.deadline_ns is None:
-                    continue
-                next_close = min(
-                    next_close,
-                    q.deadline_ns - q.modeled_ns - self.policy.urgency_slack_ns,
-                )
+        for q in queued:
+            if q.deadline_ns is not None:
+                next_close = min(next_close, q.deadline_ns - q.modeled_ns)
         return next_close
 
     # ------------------------------------------------------------------

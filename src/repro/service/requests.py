@@ -151,10 +151,9 @@ Primitive = Union[ServiceRequest, BoundChain]
 def checked_non_negative(name: str, value: float) -> float:
     """``value`` as a float, refused unless finite and non-negative.
 
-    The one check behind every time a caller hands in (arrival stamps,
-    ``urgency_slack_ns``): NaN passes any
-    ``< 0`` guard and then poisons every clock it is added to, stranding
-    requests in no terminal state.
+    The check behind every arrival stamp a caller hands in: NaN passes
+    any ``< 0`` guard and then poisons every clock it is added to,
+    stranding requests in no terminal state.
     """
     value = float(value)
     if not 0.0 <= value < math.inf:

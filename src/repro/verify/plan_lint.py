@@ -753,12 +753,11 @@ def lint_cache_consistency(cache, index) -> None:
     dirty = set(index.dirty_columns()) if hasattr(index, "dirty_columns") else set()
     num_rows = index.num_rows
     packed = (num_rows + 7) // 8
-    for key, columns, entry_rows, nbytes in cache.live_for(index):
-        stale = sorted(dirty.intersection(columns))
-        if stale:
+    for key, column, entry_rows, nbytes in cache.live_for(index):
+        if column in dirty:
             raise CacheConsistencyError(
-                f"live cache entry {key!r} depends on dirty columns {stale}",
-                details={"key": repr(key), "columns": stale},
+                f"live cache entry {key!r} depends on dirty column {column!r}",
+                details={"key": repr(key), "column": column},
             )
         if entry_rows != num_rows:
             raise CacheConsistencyError(

@@ -1284,14 +1284,37 @@ class TestPipelineConfig:
             PimSession.over_cluster(num_shards=2, engine_factory=_engine, **bad)
 
     @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: BatchPolicy(max_batch=True), "max_batch"),
+            (lambda: BatchPolicy(window_ns=True), "window_ns"),
+            (lambda: BatchPolicy(window_ns="5"), "window_ns"),
+            (lambda: BatchPolicy(max_batch="32"), "max_batch"),
+            (lambda: PipelineConfig(max_queue_depth=True), "max_queue_depth"),
+            (lambda: PipelineConfig(max_backlog_ns=True), "max_backlog_ns"),
+            (lambda: PipelineConfig(max_backlog_ns="1e6"), "max_backlog_ns"),
+        ],
+        ids=[
+            "batch-True", "window-True", "window-str", "batch-str",
+            "depth-True", "backlog-True", "backlog-str",
+        ],
+    )
+    def test_numeric_knobs_refuse_bools_and_non_numbers(self, build, field):
+        """``max_batch=True`` used to batch one request, ``window_ns=True``
+        to open a 1 ns window and ``max_backlog_ns=True`` to bound
+        occupancy at 1 ns; ``window_ns="5"`` died with a bare
+        ``'>=' not supported``."""
+        with pytest.raises(TypeError, match=field):
+            build()
+
+    @pytest.mark.parametrize(
         "build",
         [
-            lambda: BatchPolicy(urgency_slack_ns=float("nan")),
             lambda: BatchPolicy(window_ns=float("nan")),
             lambda: BatchPolicy(max_batch=2.5),
             lambda: PipelineConfig(max_queue_depth=2.5),
         ],
-        ids=["slack-nan", "window-nan", "batch-2.5", "depth-2.5"],
+        ids=["window-nan", "batch-2.5", "depth-2.5"],
     )
     def test_nan_and_fractional_knobs_fail_at_construction(self, build):
         """NaN passes any ``< 0.0`` guard and then stamps NaN clocks: a
@@ -1302,13 +1325,12 @@ class TestPipelineConfig:
 
     @pytest.mark.parametrize(
         "knobs",
-        [{"urgency_slack_ns": -1.0}, {"window_ns": -1.0}, {"max_batch": 0}],
+        [{"window_ns": -1.0}, {"max_batch": 0}],
         ids=lambda knobs: "{}={}".format(*next(iter(knobs.items()))),
     )
     def test_out_of_range_policy_fails_at_construction(self, knobs):
-        """A negative window would close every batch on arrival, a negative
-        slack would wake after a deadline's last viable start, and a zero
-        cap would close empty batches."""
+        """A negative window would close every batch on arrival, and a
+        zero cap would close empty batches."""
         with pytest.raises(ValueError):
             BatchPolicy(**knobs)
 

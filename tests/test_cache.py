@@ -4,9 +4,9 @@ The load-bearing acceptance property: a cache-on frontend is bit-exact
 with a cache-off frontend on any mixed read/write stream — on the
 single-device service tier and the sharded cluster tier, both under
 ``sanitize=True``.  Around it: the ResultCache unit surface (LRU
-eviction, copy-out alias safety, column-level invalidation, write
-epochs), the same-batch write hazard regressions (the optimizer's
-batch-local CSE table and the epoch-guarded fills), end-to-end
+eviction, copy-out alias safety, column-level invalidation), the
+same-batch write hazard regressions (the optimizer's batch-local CSE
+table and the fills guarded by the index's write generation), end-to-end
 accounting through ``Response.details`` and ``SessionReport``, and the
 ``cache.*`` observability counters.
 """
@@ -143,7 +143,7 @@ class TestResultCacheUnit:
     def test_hits_return_copies_never_the_stored_buffer(self):
         cache = ResultCache()
         index = object()
-        cache.put(("k",), index, ("status",), np.arange(8, dtype=np.uint8), 64)
+        cache.put(("k",), index, "status", np.arange(8, dtype=np.uint8), 64)
         first = cache.get(("k",), index, 64)
         first[:] = 0  # a consumer scribbling on its hit...
         second = cache.get(("k",), index, 64)
@@ -154,7 +154,7 @@ class TestResultCacheUnit:
         cache = ResultCache(capacity_entries=2)
         index = object()
         for i in range(3):
-            cache.put((i,), index, ("c",), np.zeros(4, dtype=np.uint8), 32)
+            cache.put((i,), index, "c", np.zeros(4, dtype=np.uint8), 32)
         assert cache.live_entries == 2
         assert cache.evictions == 1
         assert cache.get((0,), index, 32) is None  # oldest went first
@@ -162,9 +162,9 @@ class TestResultCacheUnit:
     def test_invalidation_drops_only_dependent_entries(self):
         cache = ResultCache()
         index = object()
-        cache.put(("a",), index, ("status",), np.zeros(4, dtype=np.uint8), 32)
-        cache.put(("b",), index, ("region",), np.zeros(4, dtype=np.uint8), 32)
-        cache.put(("c",), index, ("region", "status"), np.zeros(4, dtype=np.uint8), 32)
+        cache.put(("a",), index, "status", np.zeros(4, dtype=np.uint8), 32)
+        cache.put(("b",), index, "region", np.zeros(4, dtype=np.uint8), 32)
+        cache.put(("c",), index, "status", np.zeros(4, dtype=np.uint8), 32)
         assert cache.invalidate_columns(index, ["status"]) == 2
         assert cache.entries_for(index) == [("b",)]
         assert cache.invalidations == 2
@@ -172,61 +172,41 @@ class TestResultCacheUnit:
     def test_invalidate_index_drops_everything_for_that_index(self):
         cache = ResultCache()
         index, other = object(), object()
-        cache.put(("a",), index, ("status",), np.zeros(4, dtype=np.uint8), 32)
-        cache.put(("b",), other, ("status",), np.zeros(4, dtype=np.uint8), 32)
+        cache.put(("a",), index, "status", np.zeros(4, dtype=np.uint8), 32)
+        cache.put(("b",), other, "status", np.zeros(4, dtype=np.uint8), 32)
         assert cache.invalidate_index(index) == 1
         assert cache.entries_for(other) == [("b",)]
-
-    def test_write_epochs_advance_on_invalidation(self):
-        cache = ResultCache()
-        index = object()
-        before = cache.write_epoch(index, ["status"])
-        cache.invalidate_columns(index, ["status"])
-        assert cache.write_epoch(index, ["status"]) > before
-        untouched = cache.write_epoch(index, ["region"])
-        cache.invalidate_index(index)  # appends/deletes bump index-wide
-        assert cache.write_epoch(index, ["region"]) > untouched
 
     def test_row_count_mismatch_is_dropped_defensively(self):
         cache = ResultCache()
         index = object()
-        cache.put(("k",), index, ("c",), np.zeros(4, dtype=np.uint8), 32)
+        cache.put(("k",), index, "c", np.zeros(4, dtype=np.uint8), 32)
         assert cache.get(("k",), index, 40) is None
         assert cache.live_entries == 0
 
 
     @settings(max_examples=25, deadline=None)
     @given(
-        entries=st.lists(
-            st.tuples(st.integers(0, 1), st.sets(st.sampled_from("abcd"), min_size=1)),
-            max_size=12,
-        ),
+        entries=st.lists(st.tuples(st.integers(0, 1), st.sampled_from("abcd")), max_size=12),
         owner=st.integers(0, 1),
         written=st.sets(st.sampled_from("abcde")),
     )
     def test_invalidate_columns_drops_exactly_the_dependents(self, entries, owner, written):
         """The reference rule, spelled out: an entry goes iff it belongs
-        to the written index and depends on a written column; exactly the
-        written columns' epochs (of that index only) advance."""
+        to the written index and its column was written."""
         cache = ResultCache()
         indexes = (object(), object())
-        for i, (which, columns) in enumerate(entries):
-            cache.put((i,), indexes[which], sorted(columns), np.zeros(4, dtype=np.uint8), 32)
+        for i, (which, column) in enumerate(entries):
+            cache.put((i,), indexes[which], column, np.zeros(4, dtype=np.uint8), 32)
         expected = [
-            (i,) for i, (which, columns) in enumerate(entries)
-            if which == owner and columns & written
+            (i,) for i, (which, column) in enumerate(entries)
+            if which == owner and column in written
         ]
         survivors = [(i,) for i in range(len(entries)) if (i,) not in expected]
-        epochs = {
-            (which, c): cache.write_epoch(indexes[which], [c]) for which in (0, 1) for c in "abcde"
-        }
         assert cache.invalidate_columns(indexes[owner], written) == len(expected)
         assert cache.invalidations == len(expected)
         live = cache.entries_for(indexes[0]) + cache.entries_for(indexes[1])
         assert sorted(live) == survivors
-        for (which, c), before in epochs.items():
-            bumped = which == owner and c in written
-            assert cache.write_epoch(indexes[which], [c]) == before + bumped
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -243,8 +223,8 @@ class TestResultCacheUnit:
     def test_reverse_maps_track_the_entries_through_every_mutation(self, ops):
         """Invalidation walks ``(source, column) -> keys`` instead of
         every entry, so those maps must equal a scan of the entries after
-        any mix of fills, replacements (also across sources and column
-        sets), LRU evictions, defensive drops, invalidations and clears —
+        any mix of fills, replacements (also across sources and columns),
+        LRU evictions, defensive drops, invalidations and clears —
         with the byte count and the counters exact."""
         cache = ResultCache(capacity_entries=4)
         indexes = (object(), object())
@@ -253,9 +233,10 @@ class TestResultCacheUnit:
         for op, which, k, columns in ops:
             key, index = (k,), indexes[which]
             if op == "put":
+                column = min(columns)
                 model.pop(key, None)
-                model[key] = (which, columns)
-                cache.put(key, index, sorted(columns), np.zeros(4, dtype=np.uint8), 32)
+                model[key] = (which, {column})
+                cache.put(key, index, column, np.zeros(4, dtype=np.uint8), 32)
                 while len(model) > 4:
                     del model[next(iter(model))]
                     evictions += 1
@@ -281,8 +262,7 @@ class TestResultCacheUnit:
             by_index, by_column = {}, {}
             for key, entry in cache._entries.items():
                 by_index.setdefault(entry.index_id, set()).add(key)
-                for column in entry.columns:
-                    by_column.setdefault((entry.index_id, column), set()).add(key)
+                by_column.setdefault((entry.index_id, entry.column), set()).add(key)
             assert {i: set(keys) for i, keys in cache._index_keys.items()} == by_index
             assert {c: set(keys) for c, keys in cache._column_keys.items()} == by_column
             assert list(cache._entries) == list(model)
@@ -295,7 +275,7 @@ class TestResultCacheUnit:
 
 
 class TestSourceLiveness:
-    """``id(index)`` scopes entries, epochs and canonical keys, and an id
+    """``id(index)`` scopes entries and canonical keys, and an id
     is unique only among live objects: a shared cache must never let a
     dead index's state answer for a new one at the recycled address."""
 
@@ -443,22 +423,19 @@ class TestSourceLiveness:
         assert cache.hits == hits_before and len(frontend.planner._chains) == 1 + len(self.PREDICATES)
 
     @pytest.mark.parametrize("as_view", [False, True])
-    def test_entries_and_epochs_die_with_their_source(self, as_view):
+    def test_entries_die_with_their_source(self, as_view):
         cache = ResultCache()
         _table, index = _table_index(np.random.default_rng(2))
         source = index.shard_view(["region", "status"]) if as_view else index
-        cache.put(("k",), source, ("status",), np.zeros(4, dtype=np.uint8), 32)
-        cache.invalidate_columns(source, ["region"])
-        cache.invalidate_index(source)  # drops the entry, bumps the index epoch
-        cache.put(("k",), source, ("status",), np.zeros(4, dtype=np.uint8), 32)
+        cache.put(("k",), source, "status", np.zeros(4, dtype=np.uint8), 32)
+        assert cache.invalidate_index(source) == 1
+        cache.put(("k",), source, "status", np.zeros(4, dtype=np.uint8), 32)
         other = object()
-        cache.put(("o",), other, ("status",), np.zeros(4, dtype=np.uint8), 32)
-        assert cache.write_epoch(source, ["region"]) == 2
+        cache.put(("o",), other, "status", np.zeros(4, dtype=np.uint8), 32)
         del source, index, _table
         gc.collect()
         assert cache.live_entries == 1 and cache.live_bytes == 4
         assert cache.entries_for(other) == [("o",)]
-        assert not cache._index_epochs and not cache._column_epochs
         assert list(cache._owners) == [id(other)]
 
 
@@ -615,23 +592,39 @@ class TestSameBatchWriteHazards:
         assert np.array_equal(seventh.value, expected)
         assert np.array_equal(sixth.value, after)
 
-    def test_stale_fills_are_bypassed_by_the_epoch_guard(self):
-        """A fill planned before a same-batch write must not land."""
+    @pytest.mark.parametrize(
+        "maintenance, through_view", [("eager", False), ("lazy", False), ("eager", True)]
+    )
+    def test_stale_fills_are_bypassed_by_the_generation_guard(self, maintenance, through_view):
+        """A fill planned before a same-batch write to its column must not
+        land.  The guard reads the index's write generation, so it holds
+        whether the write rebinds the planes (eager) or only dirties them
+        (lazy), and for a read through a shard view of the written index."""
         rng = np.random.default_rng(29)
         table, index = _table_index(rng)
-        frontend = _frontend(cache=True, policy=BatchPolicy(max_batch=2, window_ns=None))
-        frontend.offer(self._read(index))
+        source = index.shard_view(["status", "region"]) if through_view else index
+        frontend = _frontend(
+            cache=True, maintenance=maintenance, policy=BatchPolicy(max_batch=2, window_ns=None)
+        )
+        first = frontend.offer(self._read(source))
         frontend.offer(self._update_out_of_result(rng, table, index))
         frontend.drain()
         cache = frontend.cache
-        assert cache.bypasses > 0
-        lint_cache_consistency(cache, index)  # nothing stale survived
+        # Both predicates planned a fill; only the written column's is dropped.
+        assert (cache.fills, cache.bypasses) == (1, 1)
+        assert [column for _key, column, _rows, _nbytes in cache.live_for(source)] == ["region"]
+        lint_cache_consistency(cache, source)  # nothing stale survived
+        again = frontend.offer(self._read(source))
+        frontend.drain()
+        expected, _plan = index.evaluate_conjunction(self.PREDICATES)
+        assert np.array_equal(again.value, expected)
+        assert not np.array_equal(first.value, expected)
 
     def test_cache_consistency_lint_catches_planted_staleness(self):
         rng = np.random.default_rng(31)
         _table, index = _table_index(rng)
         cache = ResultCache()
-        cache.put(("k",), index, ("status",), np.zeros((index.num_rows + 7) // 8, dtype=np.uint8), index.num_rows)
+        cache.put(("k",), index, "status", np.zeros((index.num_rows + 7) // 8, dtype=np.uint8), index.num_rows)
         lint_cache_consistency(cache, index)  # clean entry certifies
         index.mark_dirty(["status"])  # a write the cache never heard about
         with pytest.raises(CacheConsistencyError):

@@ -5,7 +5,7 @@ replication factor >= 2 (and no more than rf-1 concurrently-dead
 shards), the cluster's results are bit-exact with a healthy fixed-pool
 run, and no request is lost or double-executed — every offered request
 terminates exactly once, as completed or as a typed rejection.  Around
-it: the FaultPlan schedule/trigger semantics, degraded-mode typed
+it: the FaultPlan schedule semantics, degraded-mode typed
 outcomes (ShardUnavailable), drain/retire conservation, the
 ElasticController's three actuators (decided from the cluster's own
 health, never read back off the obs plane), the deadline-aware retry budget,
@@ -27,7 +27,6 @@ from repro.cluster import (
     ElasticController,
     FaultEvent,
     FaultPlan,
-    FaultTrigger,
     PlacementUnavailable,
     ShardRouter,
     kill_revive_schedule,
@@ -113,18 +112,6 @@ class TestFaultPlan:
             FaultEvent(at_ns=0.0, action="kill")  # kill needs a victim
         FaultEvent(at_ns=0.0, action="join")  # join does not
 
-    def test_trigger_validation_and_arming(self):
-        with pytest.raises(ValueError):
-            FaultTrigger(action="explode", predicate=lambda c, t: True, shard_id=0)
-        trigger = FaultTrigger(action="kill", predicate=lambda c, t: True, shard_id=0)
-        assert trigger.armed
-        trigger.fired = 1
-        assert not trigger.armed
-        repeating = FaultTrigger(
-            action="kill", predicate=lambda c, t: True, shard_id=0, once=False, fired=3
-        )
-        assert repeating.armed
-
     def test_schedule_orders_by_time_then_insertion(self):
         plan = FaultPlan(
             events=[
@@ -163,28 +150,10 @@ class TestFaultPlan:
         assert plan2.log[0].applied is False
         assert plan.fire_due(cluster, 250.0) == 1
         assert cluster.router.is_alive(1)
-        assert [(e.action, e.applied, e.source) for e in plan.log] == [
-            ("kill", True, "event"),
-            ("revive", True, "event"),
+        assert [(e.action, e.applied) for e in plan.log] == [
+            ("kill", True),
+            ("revive", True),
         ]
-
-    def test_trigger_fires_on_cluster_state(self):
-        cluster = _cluster(2, router=ShardRouter(2, replication_factor=2))
-        plan = FaultPlan(
-            triggers=[
-                FaultTrigger(
-                    action="kill",
-                    predicate=lambda c, now: now >= 300.0,
-                    shard_id=0,
-                )
-            ]
-        )
-        cluster.faults = plan
-        assert plan.poll(cluster, 100.0) == 0
-        assert plan.poll(cluster, 300.0) == 1
-        assert not cluster.router.is_alive(0)
-        assert plan.poll(cluster, 400.0) == 0  # once=True disarms
-        assert plan.log[0].source == "trigger"
 
 
 class TestFailoverBitExactness:

@@ -1,5 +1,5 @@
 """Tests for the batch plan optimizer (cross-request CSE, sub-chain
-splitting, horizon-priced urgency).
+splitting).
 
 The optimizer rewrites closed batches between planner and executor, so
 the load-bearing properties are:
@@ -17,9 +17,7 @@ the load-bearing properties are:
   outputs, double-consumed steps, cycles, or drifted cost ledgers;
 * **sub-chains are runs** — every emitted predicate sub-chain is one
   ``BoundChain``, and a request riding another's sub-chain finishes no
-  earlier than that chain's run;
-* **horizon urgency** — deadline closing priced off lane busy horizons
-  dispatches an endangered request in time under deep pipelining.
+  earlier than that chain's run.
 """
 
 import numpy as np
@@ -44,7 +42,6 @@ from repro.service import (
     BatchExecutor,
     BatchPolicy,
     BitmapConjunctionRequest,
-    BulkOpRequest,
     PipelineConfig,
     ServiceFrontend,
 )
@@ -531,62 +528,3 @@ class TestOptimizedBatchLint:
         wrong = _view(part_vectors=(out,), host_join_ops=1)
         with pytest.raises(CostModelMismatchError, match="host"):
             lint_optimized_batch(steps, [wrong], row_size_bytes=ROW_SIZE)
-
-
-# ----------------------------------------------------------------------
-# Horizon-priced urgency
-# ----------------------------------------------------------------------
-class TestHorizonUrgency:
-    def _arena(self):
-        policy = BatchPolicy(max_batch=8, window_ns=None)
-        frontend = ServiceFrontend(
-            PipelineConfig(policy=policy, max_queue_depth=100, sanitize=True),
-            engine=_engine(),
-        )
-        executor = frontend.executor
-        # Preload bank 0's lanes: an in-flight chunk occupies them until H.
-        heavy = BulkOpRequest(
-            op="or",
-            a=BulkBitVector(8 * ROW_SIZE * 8, ROW_SIZE),
-            b=BulkBitVector(8 * ROW_SIZE * 8, ROW_SIZE),
-            out=BulkBitVector(8 * ROW_SIZE * 8, ROW_SIZE),
-            bank_offset=0,
-        )
-        executor.run([heavy])
-        horizon = executor.ready_ns()
-        assert horizon > 0.0
-        policy.urgency_slack_ns = horizon / 4.0
-        return frontend, horizon
-
-    def _run_race(self):
-        frontend, horizon = self._arena()
-        rng = np.random.default_rng(1)
-
-        def bulk(rows, offset):
-            a = BulkBitVector(rows, ROW_SIZE)
-            b = BulkBitVector(rows, ROW_SIZE)
-            out = BulkBitVector(rows, ROW_SIZE)
-            return BulkOpRequest(op="or", a=a, b=b, out=out, bank_offset=offset)
-
-        urgent = bulk(ROWS, 0)
-        modeled = frontend.planner.modeled_latency_ns(urgent)
-        # The deadline is exactly savable: service must start the moment
-        # the preloaded lane drains (latest viable start == the horizon).
-        deadline = horizon + modeled
-        competitor = bulk(ROWS * 8, 0)
-        events = [
-            ArrivalEvent(request=urgent, arrival_ns=0.0, deadline_ns=deadline),
-            ArrivalEvent(request=competitor, arrival_ns=horizon / 8.0),
-        ]
-        result = frontend.run(events, name="urgency")
-        return result.records[0]
-
-    def test_horizon_urgency_saves_the_deadline(self):
-        # Horizon-priced closing sees that the endangered request's lane
-        # is busy until its latest viable start and dispatches it alone,
-        # ahead of the heavier competitor: the deadline holds.  ("Now"-
-        # priced urgency alone would sleep until deadline-minus-slack, by
-        # which time the competitor has joined the batch.)
-        record = self._run_race()
-        assert record.completed
-        assert not record.deadline_missed

@@ -119,7 +119,6 @@ class TestPerBankBacklog:
         # One request per bank fits, exactly as (total/banks) admitted.
         assert len(admitted) == 4
         assert frontend.backlog_ns <= per_request_ns * (1 + 1e-9)
-        assert frontend.mean_backlog_ns <= frontend.backlog_ns
 
     def test_backlog_vector_accounting_drains(self):
         rng = np.random.default_rng(3)
@@ -296,8 +295,9 @@ class TestRetryClient:
         frontend = ServiceFrontend(
             PipelineConfig(
                 max_queue_depth=1,
-                # Huge window: the queue never drains during the retry horizon.
-                policy=BatchPolicy(max_batch=64, window_ns=1e12, urgency_slack_ns=None),
+                # Huge window and requests without a deadline: the queue
+                # never drains during the retry horizon.
+                policy=BatchPolicy(max_batch=64, window_ns=1e12),
             ),
             engine=_engine(),
         )

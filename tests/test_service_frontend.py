@@ -210,7 +210,7 @@ class TestDeadlines:
 
     def test_urgent_deadline_closes_batch_early(self):
         rng = np.random.default_rng(8)
-        policy = BatchPolicy(max_batch=64, window_ns=None, urgency_slack_ns=0.0)
+        policy = BatchPolicy(max_batch=64, window_ns=None)
         frontend = _frontend(policy=policy)
         column = _random_column(rng, 6, 200)
         request = _scan(column)
@@ -222,9 +222,9 @@ class TestDeadlines:
             deadlines_ns=[latency * 1.5, None],
         )
         result = frontend.run(events)
-        # Without urgency the batch would wait for the second arrival (the
-        # batch is far from full and no window is set); urgency must close
-        # it in time to make the deadline.
+        # Without the deadline clause the batch would wait for the second
+        # arrival (the batch is far from full and no window is set); the
+        # deadline must close it in time to make the deadline.
         assert result.metrics.deadline_misses == 0
         assert result.metrics.batches == 2
 
@@ -292,11 +292,9 @@ class TestDeadlines:
 
     def test_a_lone_deadline_closes_at_its_last_viable_start(self):
         """With no window, only the deadline clause can close the batch:
-        the frontend wakes at ``deadline - modeled - slack`` and serves."""
-        slack = 1_000.0
+        the frontend wakes at ``deadline - modeled`` and serves."""
         session = PimSession.over_service(
-            engine=_engine(),
-            policy=BatchPolicy(max_batch=16, window_ns=None, urgency_slack_ns=slack),
+            engine=_engine(), policy=BatchPolicy(max_batch=16, window_ns=None)
         )
         column = _random_column(np.random.default_rng(13), 6, 200)
         arrival = 259_354.014
@@ -306,7 +304,7 @@ class TestDeadlines:
         record = future.record
         assert record.completed
         assert not record.deadline_missed
-        assert record.start_ns == deadline - record.modeled_ns - slack
+        assert record.start_ns == deadline - record.modeled_ns
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -320,13 +318,12 @@ class TestDeadlines:
             max_size=6,
         ),
         window=st.one_of(st.none(), st.floats(0.0, 1e6)),
-        slack=st.one_of(st.none(), st.floats(0.0, 1e5)),
         now_after=st.floats(0.0, 1e6),
     )
-    def test_policy_never_wakes_without_closing(self, queue, window, slack, now_after):
+    def test_policy_never_wakes_without_closing(self, queue, window, now_after):
         """Wherever ``next_close_ns`` schedules the next wake-up,
         ``should_close`` agrees that the batch closes there."""
-        policy = BatchPolicy(max_batch=64, window_ns=window, urgency_slack_ns=slack)
+        policy = BatchPolicy(max_batch=64, window_ns=window)
         planner = BatchPlanner(BatchExecutor(engine=_engine()), PipelineConfig(policy=policy))
         # The closing clauses read only an envelope's timing.
         queued = [

@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -971,6 +972,64 @@ class TestInvariantLint:
         )
         findings = lint_invariants.lint_source(tampered, str(path))
         assert [f.rule for f in findings] == ["history-walk"]
+
+    # A stub as the harness needs it, one that grew a body, and callers.
+    _HARNESS_STUBS = (
+        "class FaultPlan:\n"
+        "    def poll(self, cluster, now_ns):\n"
+        "        \"\"\"Kept for the tracer.\"\"\"\n"
+        "        return 0\n"
+        "class BatchPlanner:\n"
+        "    def urgent_close(self, queued, now_ns):\n"
+        "        \"\"\"Kept for the tracer.\"\"\"\n"
+        "        return any(q.deadline_ns for q in queued)\n"
+        "class ClusterFrontend:\n"
+        "    def gather(self):\n"
+        "        \"\"\"Kept for the tracer.\"\"\"\n"
+        "def advance(cluster, planner, record, now):\n"
+        "    cluster.faults.poll(cluster, now)\n"
+        "    planner.urgent_close(queued=[], now_ns=now)\n"
+        "    cluster.gather()\n"
+        "    record.poll()\n"
+    )
+
+    def test_harness_stub_flags_a_body_or_a_caller(self):
+        for path in ("src/repro/cluster/x.py", "benchmarks/bench_x.py", "examples/x.py"):
+            findings = lint_invariants.lint_source(self._HARNESS_STUBS, path)
+            assert [(f.rule, f.line) for f in findings] == [
+                ("harness-stub", line) for line in (6, 13, 14, 15)
+            ]
+        # Tests and tools may drive a stub; only the body rule applies there.
+        for path in ("tests/test_x.py", "tools/x.py"):
+            findings = lint_invariants.lint_source(self._HARNESS_STUBS, path)
+            assert [(f.rule, f.line) for f in findings] == [("harness-stub", 6)]
+        stubbed = self._HARNESS_STUBS.replace(
+            "        return any(q.deadline_ns for q in queued)\n", "        return False\n"
+        )
+        findings = lint_invariants.lint_source(stubbed, "tests/test_x.py")
+        assert findings == []
+
+    def test_harness_stubs_in_the_tree_are_clean_and_caught_when_they_grow(self):
+        """Every listed stub exists, is a stub and has no caller in the
+        committed tree; giving one a body or calling it is a finding."""
+        sources = {
+            path: path.read_text() for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+        }
+        for cls, method, arity in lint_invariants.HARNESS_STUBS:
+            (path,) = [p for p, text in sources.items() if f"class {cls}" in text]
+            source = sources[path]
+            assert lint_invariants.lint_source(source, str(path)) == []
+            signature = re.search(rf"    def {method}\(self[^)]*\)[^:]*:\n", source)
+            assert signature is not None, f"{cls}.{method} is gone"
+            grown = source.replace(
+                signature.group(0), signature.group(0) + "        self.calls = 1\n"
+            )
+            findings = lint_invariants.lint_source(grown, str(path))
+            assert [f.rule for f in findings] == ["harness-stub"]
+            args = ", ".join(["None"] * arity)
+            called = source + f"\n\ndef _caller(x):\n    return x.{method}({args})\n"
+            findings = lint_invariants.lint_source(called, str(path))
+            assert [f.rule for f in findings] == ["harness-stub"]
 
     def test_waiver_suppresses(self):
         source = (

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo invariant lint: an AST pass over ``src/repro`` run as a CI gate.
 
-Twelve rules, each guarding an invariant the simulator's design depends on
+Thirteen rules, each guarding an invariant the simulator's design depends on
 (stdlib-only; no third-party linter required):
 
 * ``mutable-default`` — a dataclass field whose default is a mutable
@@ -88,6 +88,15 @@ Twelve rules, each guarding an invariant the simulator's design depends on
   next ``drain()``) and quadratic under ``submit(...).result()`` per
   request.  An outcome is acted on at the settle door that produces it
   (``ServiceFrontend.on_settled`` → ``ClusterFrontend._part_settled``).
+* ``harness-stub`` — one of the methods kept only because the frozen
+  ``perf/tracing.py`` wraps them by name (:data:`HARNESS_STUBS`:
+  ``ClusterFrontend.gather``, ``BatchPlanner.urgent_close``,
+  ``FaultPlan.poll``) gaining a body beyond a docstring and a constant
+  return, or gaining a caller under ``repro/``, ``benchmarks/`` or
+  ``examples/`` (a call of the stub's name with the stub's arity, so an
+  unrelated ``record.poll()`` passes).  The stubs do nothing so that the
+  harness change that frees their names can delete all three in one
+  sweep; a body or a caller would make that deletion a behaviour change.
 
 A finding is suppressed by a ``# lint: allow[<rule>]`` comment on its
 line.  Run locally with::
@@ -122,6 +131,7 @@ RULES = (
     "obs-readback",
     "terminal-write",
     "history-walk",
+    "harness-stub",
 )
 
 _WAIVER_RE = re.compile(r"#\s*lint:\s*allow\[([a-z-]+)\]")
@@ -157,6 +167,17 @@ _SETTLE_METHODS = {
 #: and the containers whose item stores rebind a plane.
 _GENERATION_BUMP = "_bump_generation"
 _PLANE_MAPS = {"bitmaps", "planes"}
+
+#: harness-stub: ``(class, method, arity)`` of every method kept only
+#: because ``perf/tracing.py`` wraps it by name; the arity (arguments
+#: after ``self``) tells a call of the stub from an unrelated same-named
+#: method.  Calls count as callers under these trees.
+HARNESS_STUBS = (
+    ("ClusterFrontend", "gather", 0),
+    ("BatchPlanner", "urgent_close", 2),
+    ("FaultPlan", "poll", 2),
+)
+_STUB_CALLER_RE = re.compile(r"(^|/)(repro|benchmarks|examples)/")
 
 #: Mutable literal node types a default must never be.
 _MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
@@ -250,6 +271,20 @@ def _is_plane_expr(node: ast.expr) -> bool:
     return isinstance(base, ast.Subscript) and _terminal_name(base.value) == "bitmaps"
 
 
+def _is_stub_body(body: List[ast.stmt]) -> bool:
+    """A docstring, then nothing or one ``return <constant>``."""
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if not body:
+        return True
+    last = body[0]
+    return (
+        len(body) == 1
+        and isinstance(last, ast.Return)
+        and (last.value is None or isinstance(last.value, ast.Constant))
+    )
+
+
 def _is_field_call(node: ast.expr) -> bool:
     return isinstance(node, ast.Call) and _decorator_name(node) in (
         "field",
@@ -333,6 +368,11 @@ class _ModuleLinter(ast.NodeVisitor):
         # Service/cluster/api constructors may not re-declare a knob, and
         # nothing there walks the lifetime record list but the roll-up.
         self._in_history_scope = any(fragment in normalized for fragment in _KNOB_PACKAGES)
+        # Under the simulator, benchmarks and examples nothing may call a
+        # harness stub: method name -> the stub's arity.
+        self._stub_calls: Dict[str, int] = {}
+        if _STUB_CALLER_RE.search(normalized):
+            self._stub_calls = {method: arity for _cls, method, arity in HARNESS_STUBS}
         self._in_knob_scope = self._in_history_scope and not normalized.endswith(_CONFIG_MODULE)
         # Everything in the simulator but the plane itself may only write
         # recordings, never read them back.
@@ -360,11 +400,27 @@ class _ModuleLinter(ast.NodeVisitor):
             self._check_dataclass_defaults(node)
         if self._in_knob_scope:
             self._check_knob_drift(node, is_dataclass=decorator is not None)
+        self._check_harness_stubs(node)
         self._frozen_stack.append(decorator is not None and _is_frozen(decorator))
         self._dataclass_stack.append(decorator is not None)
         self.generic_visit(node)
         self._dataclass_stack.pop()
         self._frozen_stack.pop()
+
+    def _check_harness_stubs(self, node: ast.ClassDef) -> None:
+        stubs = {method for cls, method, _arity in HARNESS_STUBS if cls == node.name}
+        for statement in node.body:
+            if (
+                isinstance(statement, ast.FunctionDef)
+                and statement.name in stubs
+                and not _is_stub_body(statement.body)
+            ):
+                self._add(
+                    statement,
+                    "harness-stub",
+                    f"{node.name}.{statement.name} is kept only for perf/tracing.py: "
+                    "it may hold a docstring and a constant return, nothing else",
+                )
 
     def _check_knob_drift(self, node: ast.ClassDef, is_dataclass: bool) -> None:
         knobs = _repo_knobs()
@@ -461,6 +517,14 @@ class _ModuleLinter(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
+        method = _called_method(node)
+        if self._stub_calls.get(method) == len(node.args) + len(node.keywords):
+            self._add(
+                node,
+                "harness-stub",
+                f"call of {method}(): the method is a stub kept only for "
+                "perf/tracing.py, and nothing may depend on it",
+            )
         name = _decorator_name(node)
         if self._bumped and _called_method(node) == _GENERATION_BUMP:
             self._bumped[-1] = True
