@@ -221,9 +221,9 @@ def source_vector(packed: np.ndarray, num_rows: int, row_size_bytes: int) -> Bul
     the index never mutates a plane in place
     (:meth:`BitmapIndex.apply_update` is copy-on-write), so the vector
     keeps the bits it was lowered over even when a write lands later in
-    the same batch — or the private copy a result-cache hit hands out.
-    A shorter bitmap has no whole-row storage to alias and is zero-padded
-    into a fresh one.
+    the same batch — or a result-cache hit, which the cache stores
+    read-only and never writes.  A shorter bitmap has no whole-row
+    storage to alias and is zero-padded into a fresh one.
     """
     storage_bytes = -(-packed.size // row_size_bytes) * row_size_bytes
     if packed.size != storage_bytes:

@@ -192,8 +192,8 @@ class BatchOptimizer:
         self._views: List[OptimizedRequestView] = []
         self._assigned: Dict[int, float] = {}
         # Pending cache fills of the open batch: (key, index, column,
-        # result vector, packed bytes, plan-time write generation, num_rows).
-        self._fills: List[Tuple[Key, Any, str, BulkBitVector, int, int, int]] = []
+        # result vector, packed bytes, plan-time write generation).
+        self._fills: List[Tuple[Key, Any, str, BulkBitVector, int, int]] = []
         self._fill_keys: Set[Key] = set()
 
     # ------------------------------------------------------------------
@@ -215,29 +215,19 @@ class BatchOptimizer:
         self._fills = []
         self._fill_keys = set()
 
-    def commit_fills(self) -> int:
+    def commit_fills(self) -> None:
         """Park the executed batch's finished bitmaps in the result cache.
 
         Must run *after* the executor ran the batch — the recorded vectors
-        only hold result data post-execution.  Each fill is
-        generation-guarded: if a write touched its column since plan time
-        (a same-batch write lowered after the read), the fill is bypassed
-        rather than caching a stale bitmap.  Returns the number of entries
-        written.
+        only hold result data post-execution.  Each fill carries its
+        column's plan-time write generation, so the cache bypasses one a
+        same-batch write (lowered after the read) has made stale.
         """
         cache = self.result_cache
-        committed = 0
-        if cache is None:
-            self._fills = []
-            return 0
-        for key, index, column, vector, packed_bytes, generation, num_rows in self._fills:
-            if cache.write_epoch(index, (column,)) != generation:
-                cache.bypasses += 1
-                continue
-            cache.put(key, index, column, vector.data[:packed_bytes], num_rows)
-            committed += 1
+        if cache is not None:
+            for key, index, column, vector, packed_bytes, generation in self._fills:
+                cache.put(key, index, column, vector.data[:packed_bytes], generation)
         self._fills = []
-        return committed
 
     def invalidate_writes(
         self,
@@ -435,7 +425,7 @@ class BatchOptimizer:
                         # A multi-value OR chain is worth re-serving from
                         # host memory; a bare bitmap is already a zero-op
                         # source.
-                        self._record_fill(pkey, index, column, node.vector, packed_bytes, num_rows)
+                        self._record_fill(pkey, index, column, node.vector, packed_bytes)
                 self._cache[pkey] = node
                 self._node_columns[pkey] = (index_id, columns)
             parts.append(node)
@@ -449,15 +439,15 @@ class BatchOptimizer:
     ) -> Optional[_Node]:
         """A source node preloaded from the result cache, or None.
 
-        The cache hands out a private copy, which the node's vector
-        adopts as its (read-only) storage, so the node is an ordinary
-        *source* to the batch DAG: produced by no step, shareable by
-        CSE, lint-clean under the cone-closure check.
+        The cache hands out its stored read-only bitmap, which the node's
+        vector wraps as its storage, so the node is an ordinary *source*
+        to the batch DAG: produced by no step, shareable by CSE,
+        lint-clean under the cone-closure check.
         """
         cache = self.result_cache
         if cache is None:
             return None
-        data = cache.get(key, index, num_rows)
+        data = cache.get(key, index)
         if data is None:
             return None
         return _Node(vector=source_vector(data, num_rows, row_size), cone=(), producer=None)
@@ -469,7 +459,6 @@ class BatchOptimizer:
         column: str,
         vector: BulkBitVector,
         packed_bytes: int,
-        num_rows: int,
     ) -> None:
         """Queue a finished sub-chain for the post-execution cache fill,
         stamped with its column's plan-time write generation."""
@@ -478,8 +467,7 @@ class BatchOptimizer:
             return
         self._fill_keys.add(key)
         self._fills.append(
-            (key, index, column, vector, packed_bytes,
-             cache.write_epoch(index, (column,)), num_rows)
+            (key, index, column, vector, packed_bytes, cache.write_epoch(index, (column,)))
         )
 
     # ------------------------------------------------------------------

@@ -383,14 +383,13 @@ class BatchPlanner:
             )
         return primitives, groups
 
-    def commit_cache_fills(self) -> int:
+    def commit_cache_fills(self) -> None:
         """Park the executed batch's finished bitmaps in the result cache
         (no-op without one).  The frontend calls this *after* the
         executor ran the batch — the step vectors hold result data only
         post-execution."""
-        if self.optimizer is None:
-            return 0
-        return self.optimizer.commit_fills()
+        if self.optimizer is not None:
+            self.optimizer.commit_fills()
 
     def _charge_rebuilds(
         self, group: LoweredGroup, columns: List[str], primitives: List[Primitive]

@@ -738,10 +738,11 @@ def lint_cache_consistency(cache, index) -> None:
     """Certify every live cache entry of ``index`` against the index.
 
     Run by the planner after a write's invalidation (and directly by
-    tests): surviving entries must not depend on a dirty column, must
-    record the index's current row count, and must store exactly the
-    packed byte length that row count implies — any of these failing
-    means a stale bitmap could be served as a hit.
+    tests): a surviving entry must have been filled at its column's
+    current write generation — every write that dirties or rebinds a
+    column's planes, or changes the row count, advances it — and store
+    exactly the packed byte length of the index's rows.  Either failing
+    means a stale bitmap survived the write's eager drop.
 
     Args:
         cache: The :class:`~repro.cache.ResultCache` to certify.
@@ -750,24 +751,18 @@ def lint_cache_consistency(cache, index) -> None:
     Raises:
         CacheConsistencyError: A live entry violates an invariant.
     """
-    dirty = set(index.dirty_columns()) if hasattr(index, "dirty_columns") else set()
-    num_rows = index.num_rows
-    packed = (num_rows + 7) // 8
-    for key, column, entry_rows, nbytes in cache.live_for(index):
-        if column in dirty:
+    packed = (index.num_rows + 7) // 8
+    for key, column, generation, nbytes in cache.live_for(index):
+        current = index.generation((column,))
+        if generation != current:
             raise CacheConsistencyError(
-                f"live cache entry {key!r} depends on dirty column {column!r}",
-                details={"key": repr(key), "column": column},
+                f"live cache entry {key!r} was filled at generation {generation} of "
+                f"column {column!r}, which is now at {current}",
+                details={"key": repr(key), "column": column, "entry": generation, "index": current},
             )
-        if entry_rows != num_rows:
-            raise CacheConsistencyError(
-                f"live cache entry {key!r} records {entry_rows} rows but the "
-                f"index has {num_rows}",
-                details={"key": repr(key), "entry": entry_rows, "index": num_rows},
-            )
-        if nbytes != (entry_rows + 7) // 8 or nbytes != packed:
+        if nbytes != packed:
             raise CacheConsistencyError(
                 f"live cache entry {key!r} stores {nbytes} bytes, expected "
-                f"{packed} packed bytes for {num_rows} rows",
+                f"{packed} packed bytes for {index.num_rows} rows",
                 details={"key": repr(key), "nbytes": nbytes, "expected": packed},
             )

@@ -4,7 +4,7 @@ The load-bearing acceptance property: a cache-on frontend is bit-exact
 with a cache-off frontend on any mixed read/write stream — on the
 single-device service tier and the sharded cluster tier, both under
 ``sanitize=True``.  Around it: the ResultCache unit surface (LRU
-eviction, copy-out alias safety, column-level invalidation), the
+eviction, read-only hits, column-level invalidation), the
 same-batch write hazard regressions (the optimizer's batch-local CSE
 table and the fills guarded by the index's write generation), end-to-end
 accounting through ``Response.details`` and ``SessionReport``, and the
@@ -123,12 +123,42 @@ def _replay(rng_seed: int, build):
     return frontend
 
 
+def _unit_indexes(count: int = 2):
+    """Small real bitmap sources: weakly referenceable, with a generation."""
+    return tuple(_table_index(np.random.default_rng(seed), rows=32)[1] for seed in range(count))
+
+
+def _put(cache, key, index, column, packed=None):
+    """Fill ``key`` at ``column``'s current write generation."""
+    if packed is None:
+        packed = np.zeros(4, dtype=np.uint8)
+    cache.put(key, index, column, packed, index.generation((column,)))
+
+
+def _keys(cache, index):
+    return [key for key, _column, _generation, _nbytes in cache.live_for(index)]
+
+
 class TestResultCacheUnit:
     def test_capacities_validate(self):
         with pytest.raises(ValueError):
             ResultCache(capacity_bytes=0)
         with pytest.raises(ValueError):
             ResultCache(capacity_entries=0)
+        with pytest.raises(ValueError):
+            ResultCache(capacity_bytes=-1)
+        # NaN used to switch the byte bound off, True to mean 1 and 2.5
+        # to pass as is.
+        for knobs in (
+            dict(capacity_bytes=float("nan")),
+            dict(capacity_bytes=1024.0),
+            dict(capacity_entries=True),
+            dict(capacity_entries=2.5),
+            dict(capacity_entries="8"),
+        ):
+            with pytest.raises(TypeError):
+                ResultCache(**knobs)
+        assert ResultCache(capacity_bytes=np.int64(64), capacity_entries=2).capacity_bytes == 64
 
     def test_resolve_normalizes(self):
         def resolve_cache(cache):
@@ -140,64 +170,75 @@ class TestResultCacheUnit:
         cache = ResultCache()
         assert resolve_cache(cache) is cache
 
-    def test_hits_return_copies_never_the_stored_buffer(self):
+    def test_a_hit_is_the_stored_read_only_array(self):
         cache = ResultCache()
-        index = object()
-        cache.put(("k",), index, "status", np.arange(8, dtype=np.uint8), 64)
-        first = cache.get(("k",), index, 64)
-        first[:] = 0  # a consumer scribbling on its hit...
-        second = cache.get(("k",), index, 64)
-        assert np.array_equal(second, np.arange(8, dtype=np.uint8))  # ...harms nobody
-        assert cache.hits == 2
+        (index,) = _unit_indexes(1)
+        packed = np.arange(8, dtype=np.uint8)
+        _put(cache, ("k",), index, "status", packed)
+        first = cache.get(("k",), index)
+        assert first is cache.get(("k",), index)  # no copy per hit...
+        assert np.shares_memory(first, packed)  # ...nor per fill
+        with pytest.raises(ValueError):
+            first[:] = 0  # a consumer scribbling on its hit is refused
+        assert np.array_equal(cache.get(("k",), index), np.arange(8, dtype=np.uint8))
+        assert cache.hits == 3
 
     def test_lru_eviction_counts(self):
         cache = ResultCache(capacity_entries=2)
-        index = object()
+        (index,) = _unit_indexes(1)
         for i in range(3):
-            cache.put((i,), index, "c", np.zeros(4, dtype=np.uint8), 32)
+            _put(cache, (i,), index, "status")
         assert cache.live_entries == 2
         assert cache.evictions == 1
-        assert cache.get((0,), index, 32) is None  # oldest went first
+        assert cache.get((0,), index) is None  # oldest went first
 
     def test_invalidation_drops_only_dependent_entries(self):
         cache = ResultCache()
-        index = object()
-        cache.put(("a",), index, "status", np.zeros(4, dtype=np.uint8), 32)
-        cache.put(("b",), index, "region", np.zeros(4, dtype=np.uint8), 32)
-        cache.put(("c",), index, "status", np.zeros(4, dtype=np.uint8), 32)
+        (index,) = _unit_indexes(1)
+        _put(cache, ("a",), index, "status")
+        _put(cache, ("b",), index, "region")
+        _put(cache, ("c",), index, "status")
         assert cache.invalidate_columns(index, ["status"]) == 2
-        assert cache.entries_for(index) == [("b",)]
+        assert _keys(cache, index) == [("b",)]
         assert cache.invalidations == 2
 
     def test_invalidate_index_drops_everything_for_that_index(self):
         cache = ResultCache()
-        index, other = object(), object()
-        cache.put(("a",), index, "status", np.zeros(4, dtype=np.uint8), 32)
-        cache.put(("b",), other, "status", np.zeros(4, dtype=np.uint8), 32)
-        assert cache.invalidate_index(index) == 1
-        assert cache.entries_for(other) == [("b",)]
+        index, other = _unit_indexes()
+        _put(cache, ("a",), index, "status")
+        _put(cache, ("a2",), index, "region")
+        _put(cache, ("b",), other, "status")
+        assert cache.invalidate_index(index) == 2
+        assert _keys(cache, other) == [("b",)]
 
-    def test_row_count_mismatch_is_dropped_defensively(self):
+    @pytest.mark.parametrize("as_view", [False, True])
+    def test_a_generation_bump_makes_get_miss(self, as_view):
         cache = ResultCache()
-        index = object()
-        cache.put(("k",), index, "c", np.zeros(4, dtype=np.uint8), 32)
-        assert cache.get(("k",), index, 40) is None
-        assert cache.live_entries == 0
-
+        (index,) = _unit_indexes(1)
+        source = index.shard_view(["region", "status"]) if as_view else index
+        _put(cache, ("s",), source, "status")
+        _put(cache, ("r",), source, "region")
+        assert cache.get(("s",), source) is not None
+        index.mark_dirty(["status"])  # a write the cache never heard about
+        assert cache.get(("s",), source) is None
+        assert cache.get(("r",), source) is not None  # other columns stay current
+        assert (cache.hits, cache.misses) == (2, 1)
 
     @settings(max_examples=25, deadline=None)
     @given(
-        entries=st.lists(st.tuples(st.integers(0, 1), st.sampled_from("abcd")), max_size=12),
+        entries=st.lists(
+            st.tuples(st.integers(0, 1), st.sampled_from(list(CARDINALITIES))), max_size=12
+        ),
         owner=st.integers(0, 1),
-        written=st.sets(st.sampled_from("abcde")),
+        written=st.sets(st.sampled_from([*CARDINALITIES, "unindexed"])),
     )
     def test_invalidate_columns_drops_exactly_the_dependents(self, entries, owner, written):
         """The reference rule, spelled out: an entry goes iff it belongs
         to the written index and its column was written."""
         cache = ResultCache()
-        indexes = (object(), object())
+        indexes = _unit_indexes()
         for i, (which, column) in enumerate(entries):
-            cache.put((i,), indexes[which], column, np.zeros(4, dtype=np.uint8), 32)
+            _put(cache, (i,), indexes[which], column)
         expected = [
             (i,) for i, (which, column) in enumerate(entries)
             if which == owner and column in written
@@ -205,7 +246,7 @@ class TestResultCacheUnit:
         survivors = [(i,) for i in range(len(entries)) if (i,) not in expected]
         assert cache.invalidate_columns(indexes[owner], written) == len(expected)
         assert cache.invalidations == len(expected)
-        live = cache.entries_for(indexes[0]) + cache.entries_for(indexes[1])
+        live = _keys(cache, indexes[0]) + _keys(cache, indexes[1])
         assert sorted(live) == survivors
 
     @settings(max_examples=40, deadline=None)
@@ -215,19 +256,19 @@ class TestResultCacheUnit:
                 st.sampled_from(["put", "put", "put", "get", "columns", "index", "clear"]),
                 st.integers(0, 1),  # which index
                 st.integers(0, 5),  # which key (re-put replaces)
-                st.sets(st.sampled_from("abc"), min_size=1),
+                st.sets(st.sampled_from(list(CARDINALITIES)), min_size=1),
             ),
             max_size=30,
         )
     )
-    def test_reverse_maps_track_the_entries_through_every_mutation(self, ops):
-        """Invalidation walks ``(source, column) -> keys`` instead of
-        every entry, so those maps must equal a scan of the entries after
-        any mix of fills, replacements (also across sources and columns),
-        LRU evictions, defensive drops, invalidations and clears —
-        with the byte count and the counters exact."""
+    def test_buckets_track_the_entries_through_every_mutation(self, ops):
+        """Invalidation walks ``(source id, column) -> keys`` buckets
+        instead of every entry, so the buckets must equal a scan of the
+        entries after any mix of fills, replacements (also across sources
+        and columns), LRU evictions, invalidations and clears — with the
+        byte count and the counters exact."""
         cache = ResultCache(capacity_entries=4)
-        indexes = (object(), object())
+        indexes = _unit_indexes()
         model = {}  # key -> (which, columns), in LRU order
         evictions = invalidations = 0
         for op, which, k, columns in ops:
@@ -236,13 +277,13 @@ class TestResultCacheUnit:
                 column = min(columns)
                 model.pop(key, None)
                 model[key] = (which, {column})
-                cache.put(key, index, column, np.zeros(4, dtype=np.uint8), 32)
+                _put(cache, key, index, column)
                 while len(model) > 4:
                     del model[next(iter(model))]
                     evictions += 1
             elif op == "get":
                 hit = key in model and model[key][0] == which
-                assert (cache.get(key, index, 32) is not None) == hit
+                assert (cache.get(key, index) is not None) == hit
                 if hit:
                     model[key] = model.pop(key)
             else:
@@ -259,17 +300,15 @@ class TestResultCacheUnit:
                 invalidations += len(stale)
                 for key in stale:
                     del model[key]
-            by_index, by_column = {}, {}
+            by_bucket = {}
             for key, entry in cache._entries.items():
-                by_index.setdefault(entry.index_id, set()).add(key)
-                by_column.setdefault((entry.index_id, entry.column), set()).add(key)
-            assert {i: set(keys) for i, keys in cache._index_keys.items()} == by_index
-            assert {c: set(keys) for c, keys in cache._column_keys.items()} == by_column
+                by_bucket.setdefault(entry.bucket, set()).add(key)
+            assert {b: set(keys) for b, keys in cache._buckets.items()} == by_bucket
             assert list(cache._entries) == list(model)
             assert cache.live_bytes == 4 * len(model)
             assert (cache.evictions, cache.invalidations) == (evictions, invalidations)
             for which, index in enumerate(indexes):
-                assert sorted(cache.entries_for(index)) == sorted(
+                assert sorted(_keys(cache, index)) == sorted(
                     key for key, (owner, _deps) in model.items() if owner == which
                 )
 
@@ -315,7 +354,7 @@ class TestSourceLiveness:
         index = WideIndex(table, list(CARDINALITIES))
         session = self._session(cache)
         session.conjunction(index, self.PREDICATES).result()
-        assert cache.fills > 0 and cache.entries_for(index)
+        assert cache.fills > 0 and cache.live_for(index)
         dead_id = id(index)
         table, _plain = _table_index(np.random.default_rng(2))  # different data
         del session, index
@@ -421,22 +460,6 @@ class TestSourceLiveness:
             np.testing.assert_array_equal(value, expected)
         assert not np.array_equal(old_values[0], expected)
         assert cache.hits == hits_before and len(frontend.planner._chains) == 1 + len(self.PREDICATES)
-
-    @pytest.mark.parametrize("as_view", [False, True])
-    def test_entries_die_with_their_source(self, as_view):
-        cache = ResultCache()
-        _table, index = _table_index(np.random.default_rng(2))
-        source = index.shard_view(["region", "status"]) if as_view else index
-        cache.put(("k",), source, "status", np.zeros(4, dtype=np.uint8), 32)
-        assert cache.invalidate_index(source) == 1
-        cache.put(("k",), source, "status", np.zeros(4, dtype=np.uint8), 32)
-        other = object()
-        cache.put(("o",), other, "status", np.zeros(4, dtype=np.uint8), 32)
-        del source, index, _table
-        gc.collect()
-        assert cache.live_entries == 1 and cache.live_bytes == 4
-        assert cache.entries_for(other) == [("o",)]
-        assert list(cache._owners) == [id(other)]
 
 
 class TestBitExactness:
@@ -624,7 +647,7 @@ class TestSameBatchWriteHazards:
         rng = np.random.default_rng(31)
         _table, index = _table_index(rng)
         cache = ResultCache()
-        cache.put(("k",), index, "status", np.zeros((index.num_rows + 7) // 8, dtype=np.uint8), index.num_rows)
+        _put(cache, ("k",), index, "status", np.zeros((index.num_rows + 7) // 8, dtype=np.uint8))
         lint_cache_consistency(cache, index)  # clean entry certifies
         index.mark_dirty(["status"])  # a write the cache never heard about
         with pytest.raises(CacheConsistencyError):

@@ -248,17 +248,20 @@ def test_plain_conjunction_path_stays_within_its_call_budget():
 
 
 def test_all_hit_optimizer_path_stays_within_its_call_budget():
-    # ~166 calls (~223 when every request derived its keys); one value
-    # array per template (~1 000 when every batch joined its own).
-    _check_budget("all_hit", 190, values_budget=12)
+    # ~155 calls (~158 when the cache copied every hit and fill; ~223 when
+    # every request derived its keys); one value array per template
+    # (~1 000 when every batch joined its own).
+    _check_budget("all_hit", 170, values_budget=12)
 
 
 def test_mixed_read_write_path_stays_within_its_call_budget():
-    # ~556 calls (~587 when every optimizer sub-chain step was its own
-    # primitive; ~722 when every charged plane op had three fresh 8 KiB
-    # operands and every scan priced one metrics object per step; ~797
-    # when every write walked the cache) and ~3.7 vectors (12.8 then).
-    _check_budget("mixed_rw", 580, vectors_budget=4.5)
+    # ~547 calls (~554 when the cache kept its own liveness table and
+    # copied every hit and fill; ~587 when every optimizer sub-chain step
+    # was its own primitive; ~722 when every charged plane op had three
+    # fresh 8 KiB operands and every scan priced one metrics object per
+    # step; ~797 when every write walked the cache) and ~3.7 vectors
+    # (12.8 then).
+    _check_budget("mixed_rw", 570, vectors_budget=4.5)
 
 
 def test_audited_cluster_path_and_its_checks_stay_within_their_call_budgets():

@@ -703,6 +703,34 @@ class TestInvariantLint:
         )
         assert lint_invariants.lint_source(source, "src/repro/storage/waived.py") == []
 
+    _CACHE_RETURNS = (
+        "class Cache:\n"
+        "    def get(self, key):\n"
+        "        return self._entries[key].data\n"
+        "    def peek(self, key):\n"
+        "        return self._entries[key]\n"
+        "    def get_copy(self, key):\n"
+        "        return self._entries[key].data.copy()\n"
+        "    def _raw(self, key):\n"
+        "        return self._entries[key].data\n"
+    )
+
+    def test_cache_aliasing_flags_stored_buffer_returns(self):
+        findings = lint_invariants.lint_source(self._CACHE_RETURNS, "src/repro/cache/bad.py")
+        assert [(f.rule, f.line) for f in findings] == [
+            ("cache-aliasing", 3), ("cache-aliasing", 5)
+        ]
+        # Only the cache package hands stored buffers to consumers.
+        assert lint_invariants.lint_source(self._CACHE_RETURNS, "src/repro/storage/ok.py") == []
+
+    def test_cache_aliasing_waiver_is_the_result_caches_only_one(self):
+        path = "src/repro/cache/result_cache.py"
+        source = (REPO_ROOT / path).read_text()
+        assert lint_invariants.lint_source(source, path) == []
+        unwaived = source.replace("  # lint: allow[cache-aliasing]", "")
+        assert unwaived != source
+        assert [f.rule for f in lint_invariants.lint_source(unwaived, path)] == ["cache-aliasing"]
+
     _PLANE_REBINDS = (
         "import numpy as np\n"
         "def rebuild(self, column, planes):\n"

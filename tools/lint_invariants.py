@@ -28,9 +28,10 @@ Thirteen rules, each guarding an invariant the simulator's design depends on
 * ``cache-aliasing`` — a public method of ``repro.cache`` returning a
   stored buffer (``return something.data`` or ``return something[...]``)
   instead of a copy.  The result cache hands bitmaps to consumers that
-  may mutate them in place; an aliased return would corrupt every later
-  hit of that entry.  ``.copy()`` calls (and any other call result)
-  pass.
+  may mutate them in place; an aliased writable return would corrupt
+  every later hit of that entry.  ``.copy()`` calls (and any other call
+  result) pass.  ``ResultCache.get`` carries the only waiver: its entries
+  are stored read-only, so a write through a hit raises instead.
 * ``plane-aliasing`` — inside ``repro/database/`` and ``repro/storage/``,
   an in-place write through a name bound to an index plane
   (``…bitmaps[…][…]`` / ``planes[…]``) without an intervening
