@@ -508,7 +508,7 @@ class ClusterFrontend:
         """
         coordinator = dataclasses.replace(request, columns=None, apply=True)
         outcome = self.maintenance.lower_write(
-            coordinator, self.shards[record.shard_ids[0]].executor
+            coordinator, self.shards[record.shard_ids[0]].planner
         )
         record.rows_affected = outcome.rows_affected
         views = self._views_for(request.index)

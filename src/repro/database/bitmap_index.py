@@ -194,24 +194,23 @@ class BitmapIndex:
         if not changed.any():
             return 0
         olds, news = old_codes[changed], new_codes[changed]
-        # One grouping pass: sort the (plane, byte) cells both sides land
-        # in, OR each cell's clear and set bits, then copy each touched
-        # plane once (rows are unique and old != new: no bit is both).
         rows = np.concatenate([row_ids[changed]] * 2, dtype=np.int64)
-        cells = np.concatenate((olds, news)) * packed_len + (rows >> 3)
-        order = np.argsort(cells)
-        cells = cells[order]
-        bits = np.uint8(1) << (rows[order] & 7).astype(np.uint8)
-        set_bits = np.where(order >= olds.size, bits, np.uint8(0))
-        starts = np.flatnonzero(np.diff(cells, prepend=-1))
-        sets = np.bitwise_or.reduceat(set_bits, starts)
-        clears = np.bitwise_or.reduceat(bits ^ set_bits, starts)
-        values, offsets = np.divmod(cells[starts], packed_len)
-        bounds = np.flatnonzero(np.diff(values, prepend=-1)).tolist()
-        for lo, hi in zip(bounds, bounds[1:] + [values.size]):
-            at = offsets[lo:hi]
-            plane = planes[int(values[lo])] = planes[int(values[lo])].copy()
-            plane[at] = (plane[at] & ~clears[lo:hi]) | sets[lo:hi]
+        codes = np.concatenate((olds, news), dtype=np.int64)
+        # The touched planes' clear masks, then their set masks, OR-ed in
+        # one pass; each touched plane is then rebound once (rows are
+        # unique and old != new: no plane has a bit both cleared and set).
+        values = np.flatnonzero(np.bincount(codes))
+        slot = np.zeros(values[-1] + 1, dtype=np.intp)
+        slot[values] = np.arange(values.size)
+        cells = slot[codes]
+        cells[olds.size:] += values.size
+        cells *= packed_len
+        cells += rows >> 3
+        masks = np.zeros((2 * values.size, packed_len), dtype=np.uint8)
+        np.bitwise_or.at(masks.reshape(-1), cells, np.left_shift(1, rows & 7).astype(np.uint8))
+        for i, value in enumerate(values.tolist()):
+            plane = planes[value] = planes[value] | masks[values.size + i]
+            plane &= ~masks[i]
         return len(set(olds.tolist())) + len(set(news.tolist()))
 
     def storage_bytes(self) -> int:

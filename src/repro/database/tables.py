@@ -111,30 +111,39 @@ class ColumnTable:
             arrays[name] = array
         return arrays, count or 0
 
-    def checked_row_ids(self, row_ids: Sequence[int], unique: bool = False) -> np.ndarray:
-        """``row_ids`` as a one-dimensional integer array inside
-        ``[0, num_rows)`` (duplicate-free when ``unique``), or a typed
-        error.  Run by the mutators, and by the frontends at ``offer``."""
+    def row_id_array(self, row_ids: Sequence[int], unique: bool = False) -> Tuple[np.ndarray, int]:
+        """``(ids, max id)`` of ``row_ids`` (a read-only int64 copy; max -1
+        when empty), or a typed error — all but the bound (:meth:`check_bound`)."""
         ids = np.asarray(row_ids)
         if ids.ndim != 1:
             raise ValueError("row_ids must be one-dimensional")
-        if ids.size == 0:
-            return ids
-        if not np.issubdtype(ids.dtype, np.integer):
-            raise TypeError("row_ids must be integers")
-        if ids.min() < 0 or ids.max() >= self.num_rows:
-            raise ValueError(f"row_ids must be in [0, {self.num_rows})")
+        top = -1
+        if ids.size:
+            if not np.issubdtype(ids.dtype, np.integer):
+                raise TypeError("row_ids must be integers")
+            if ids.min() < 0:
+                raise ValueError(f"row_ids must be in [0, {self.num_rows})")
+            top = int(ids.max())
+        ids = ids.astype(np.int64)
         if unique:
             ordered = np.sort(ids)
             if (ordered[1:] == ordered[:-1]).any():
                 raise ValueError("row_ids must be unique within one update")
-        return ids
+        ids.setflags(write=False)
+        return ids, top
 
-    def checked_update(self, name: str, row_ids: Sequence[int], values: Sequence[int]) -> Tuple:
-        """``(column, ids, codes)`` of ``name[row_ids] = values``, or the
-        typed error :meth:`update_rows` raises.  Run by it, and at ``offer``."""
-        column = self.column(name)
-        ids = self.checked_row_ids(row_ids, unique=True)
+    def check_bound(self, top: int) -> None:
+        """Refuse a largest row id past the table's end (O(1))."""
+        if top >= self.num_rows:
+            raise ValueError(f"row_ids must be in [0, {self.num_rows})")
+
+    def update_arrays(
+        self, name: str, row_ids: Sequence[int], values: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray, int]:
+        """``(ids, codes, max id)`` of ``name[row_ids] = values`` (read-only
+        int64), or :meth:`update_rows`' typed error — all but the bound."""
+        self.column(name)
+        ids, top = self.row_id_array(row_ids, unique=True)
         codes = np.asarray(values)
         if ids.shape != codes.shape:
             raise ValueError("row_ids and values must be one-dimensional and equal-length")
@@ -143,7 +152,9 @@ class ColumnTable:
                 raise TypeError("updated codes must be integers")
             if codes.min() < 0:
                 raise ValueError("updated codes must be non-negative")
-        return column, ids, codes
+        codes = codes.astype(np.int64)
+        codes.setflags(write=False)
+        return ids, codes, top
 
     def update_rows(self, name: str, row_ids: Sequence[int], values: Sequence[int]) -> int:
         """Overwrite ``column[row_ids] = values``; returns rows updated.
@@ -152,17 +163,27 @@ class ColumnTable:
         index maintenance (clear old bit, set new bit) ambiguous — and in
         range.  Cardinality widens for new codes.
         """
-        column, ids, codes = self.checked_update(name, row_ids, values)
+        return self.overwrite(name, *self.update_arrays(name, row_ids, values))
+
+    def overwrite(self, name: str, ids: np.ndarray, codes: np.ndarray, top: int) -> int:
+        """:meth:`update_rows` over checked :meth:`update_arrays`."""
+        column = self.column(name)
+        self.check_bound(top)
         if ids.size == 0:
             return 0
-        column[ids] = codes.astype(np.int64)
+        column[ids] = codes
         self.cardinalities[name] = max(self.cardinalities[name], int(codes.max()) + 1)
         return int(ids.size)
 
     def delete_rows(self, row_ids: Sequence[int]) -> int:
         """Physically delete rows; later rows renumber down (simulation
         semantics — there is no tombstone layer).  Returns rows deleted."""
-        ids = np.unique(self.checked_row_ids(row_ids))
+        return self.remove(*self.row_id_array(row_ids))
+
+    def remove(self, ids: np.ndarray, top: int) -> int:
+        """:meth:`delete_rows` over checked :meth:`row_id_array`."""
+        self.check_bound(top)
+        ids = np.unique(ids)
         if ids.size == 0:
             return 0
         for name in self.columns:

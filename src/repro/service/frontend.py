@@ -733,6 +733,9 @@ class ServiceFrontend:
         self.planner.commit_cache_fills()
         results = batch.results
         for group in groups:
+            if group.refusal:
+                self._settle_rejected(group.queued, group.refusal, left_ns=batch_start)
+                continue
             # A request's service spans its own steps *plus* any shared
             # steps it consumes (CSE deps bound its finish but are only
             # charged to their owner); the optimizer's host joins extend the

@@ -30,8 +30,8 @@ from __future__ import annotations
 import math
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Tuple
+from dataclasses import astuple, dataclass, field, replace
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from repro.service.requests import (
     ScanRequest,
 )
 from repro.storage.maintenance import WriteOutcome
-from repro.storage.requests import is_write_request
+from repro.storage.requests import is_write_request, rows_in_range
 from repro.verify.errors import SharedAnswerError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -158,6 +158,8 @@ class LoweredGroup(PlanCounts):
             (strategy attribution, charged planes; None for reads).
         rebuild_columns: Lazily-maintained columns this read repaired
             (their rebuild charge rides in ``indices``).
+        refusal: Why lowering refused the request instead (``""`` when
+            lowered): the frontend settles it rejected with this reason.
     """
 
     queued: QueuedRequest
@@ -169,6 +171,7 @@ class LoweredGroup(PlanCounts):
     host_join_ops: int = 0
     write_outcome: Optional[WriteOutcome] = None
     rebuild_columns: Tuple[str, ...] = ()
+    refusal: str = ""
 
 
 class BatchPlanner:
@@ -198,6 +201,9 @@ class BatchPlanner:
         # (predicates, num_rows, row_size_bytes).  Per planner, like the
         # engine's op-cost table: no warm state crosses sessions.
         self._chains: "OrderedDict[Tuple[Any, int, int], _PricedChain]" = OrderedDict()
+        # Maintenance charges' prices (see priced_charge): per planner, as
+        # one maintenance policy serves every shard of a cluster.
+        self._charges: Dict[Tuple[int, int, int, int], Tuple[Any, ...]] = {}
 
     # ------------------------------------------------------------------
     # Latency model (includes high-level requests)
@@ -267,6 +273,23 @@ class BatchPlanner:
                 serial.name, serial.latency_ns, serial.energy_j, serial.bytes_moved_on_channel,
                 serial.bytes_produced, f"{len(prices)} lowered bulk ops",
             )
+
+    def priced_charge(
+        self, planes: int, rows: int, packed_bytes: int
+    ) -> Tuple[Tuple[OperationMetrics, ...], Tuple[float, ...], Tuple[Any, ...]]:
+        """``(prices, latencies, serial)`` of a maintenance charge: one
+        ``or`` over ``rows`` row chunks per plane, interned per shape and
+        cost key (oldest dropped past the chains' capacity)."""
+        engine = self.executor.engine
+        key = (planes, rows, packed_bytes, engine.config.banks_parallel)
+        charge = self._charges.get(key)
+        if charge is None:
+            prices = (engine.op_cost("or", rows, packed_bytes),) * planes
+            serial = astuple(combine_serial("storage_maintenance", prices))
+            charge = self._charges[key] = (prices, (prices[0].latency_ns,) * planes, serial)
+            if len(self._charges) > CHAIN_INTERN_CAPACITY:
+                del self._charges[next(iter(self._charges))]
+        return charge
 
     def modeled_banks(self, request: FrontendRequest) -> List:
         """Bank keys any frontend request is modeled to occupy.
@@ -404,7 +427,7 @@ class BatchPlanner:
         """
         for column in columns:
             for primitive in self.maintenance.rebuild_charge(
-                group.queued.request.index, column, self.executor
+                group.queued.request.index, column, self
             ):
                 primitives.append(primitive)
                 group.indices.append(len(primitives) - 1)
@@ -416,9 +439,15 @@ class BatchPlanner:
         """Lower one write: apply the mutation *now* (lowering runs in
         queue order, so reads lowered later in the batch see the post-
         write planes — sequential consistency within a batch), invalidate
-        the result cache, and emit the maintenance charge."""
+        the result cache, and emit the maintenance charge.  A write whose
+        row ids a delete lowered since ``offer`` left past the table's end
+        is refused instead, touching nothing."""
         request = queued.request
-        outcome = self.maintenance.lower_write(request, self.executor)
+        if not rows_in_range(request):
+            return LoweredGroup(
+                queued=queued, indices=[], finalize=lambda _r: None, refusal="stale_row_ids"
+            )
+        outcome = self.maintenance.lower_write(request, self)
         invalidated = 0
         if self.result_cache is not None:
             if outcome.invalidate_all:
@@ -444,7 +473,7 @@ class BatchPlanner:
 
             # Certify the maintenance charge against the declared outcome,
             # then (cache on) that no stale entry survived the invalidation.
-            lint_write_plan(outcome)
+            lint_write_plan(outcome, self.executor)
             if self.result_cache is not None:
                 lint_cache_consistency(self.result_cache, request.index)
         indices: List[int] = []
@@ -554,13 +583,16 @@ class BatchPlanner:
         """Sequential-execution cost attributed to one lowered group."""
         if not group.indices:
             return group.zero_cost_metrics
-        if len(results) == 1:
+        if len(results) == 1 and group.write_outcome is None:
             return results[0].metrics
+        steps = [price for r in results for price in r.step_prices]
+        if len(steps) == 1:
+            # A write of one step (one plane op, or only its row traffic).
+            return replace(steps[0])
         if group.write_outcome is not None:
             name = f"storage_{group.write_outcome.request.kind}"
         else:
             name = "bitmap_conjunction"
-        steps = [price for r in results for price in r.step_prices]
         combined = combine_serial(name, steps)
         combined.notes = f"{len(steps)} lowered bulk ops"
         return combined

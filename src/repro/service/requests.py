@@ -124,7 +124,9 @@ class BoundChain:
 
     A chain whose answer is already current is *priced-only*: ``steps`` is
     empty, and it is charged and placed exactly as its bound twin while
-    nothing runs.  Count a chain's steps with ``prices``, not ``steps``.
+    nothing runs.  So is every plane-maintenance charge (a write's, a lazy
+    rebuild's): N ``or`` prices, placed as N back-to-back one-op requests
+    would be.  Count a chain's steps with ``prices``, not ``steps``.
 
     Attributes:
         steps: The bound ``(op, a, b, out)`` steps, data-dependent in order

@@ -7,16 +7,17 @@ keeps the bitmap planes consistent with the table:
   genuine incremental repair (clear the old value's bits, set the new
   value's bits — one bulk op per distinct plane touched); appends and
   deletes change ``num_rows`` and recompute the column's planes.  Every
-  maintained plane is charged as a bulk bitwise op pinned to the index's
-  stable bank offset, plus a RowClone copy for the row traffic, so write
-  costs land on the same lanes reads contend for.  A charge carries no
-  operand data: the planes themselves are repaired on the host, and
-  every charged op runs over one shared zeroed operand of the index's
-  shape, which prices exactly like the planes it stands for.
+  maintained plane is charged one ``or`` over the index's row chunks,
+  plus a RowClone copy for the row traffic, so write costs land on the
+  same lanes reads contend for.  The planes themselves are repaired on
+  the host, so the charge is their shape alone: one priced-only
+  :class:`~repro.service.requests.BoundChain` of N steps (prices interned
+  on the planner), placed as one run on the index's stable bank offset —
+  exactly as N back-to-back one-op requests would be.
 * **lazy** — mark the column dirty and defer: the first *read* through
   :meth:`BitmapIndex.bitmap` rebuilds it, and the planner charges the
-  rebuild (one bulk op per plane + the column scan traffic) into the
-  reading request's batch.
+  rebuild (one such run over every plane + the column scan traffic)
+  into the reading request's batch.
 * **hybrid** — eager for hot columns, lazy for cold.  Hotness is the
   policy's own state: a per-column count of the reads its planner
   lowered (:meth:`MaintenancePolicy.note_read`).  A recording plane gets a
@@ -27,13 +28,9 @@ keeps the bitmap planes consistent with the table:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
 
-import numpy as np
-
-from repro.ambit.bitvector import BulkBitVector
 from repro.database.bitmap_index import BitmapIndex
 from repro.obs import NULL_OBSERVER, Observer
 from repro.storage.requests import (
@@ -47,7 +44,8 @@ if TYPE_CHECKING:  # annotation-only: keeps the import graph acyclic
     # (repro.service imports this module through the planner, so the
     # runtime imports of its request types are function-local below)
     from repro.service.executor import BatchExecutor
-    from repro.service.requests import ServiceRequest
+    from repro.service.planner import BatchPlanner
+    from repro.service.requests import Primitive
 
 #: Bytes per dictionary code in the row-traffic model (matches
 #: :meth:`ColumnTable.column_bytes`).
@@ -64,9 +62,9 @@ class WriteOutcome:
         request: The write request (or cluster scatter part).
         rows_affected: Rows the functional mutation touched (the write's
             result value; an estimate on non-applying scatter parts).
-        primitives: Charged maintenance primitives — bulk ops over the
-            maintained planes plus the row-traffic copy — executed in the
-            write's batch on the index's lanes.
+        primitives: Charged maintenance primitives — the priced-only run
+            over the maintained planes plus the row-traffic copy — placed
+            in the write's batch on the index's lanes.
         strategies: Charged column → resolved strategy (``"eager"`` /
             ``"lazy"``).
         planes_charged: Total planes the eager maintenance is charged for.
@@ -78,7 +76,7 @@ class WriteOutcome:
 
     request: WriteRequest
     rows_affected: int
-    primitives: List[ServiceRequest]
+    primitives: List["Primitive"]
     strategies: Dict[str, str]
     planes_charged: int
     invalidate_columns: Tuple[str, ...]
@@ -104,8 +102,6 @@ class MaintenancePolicy:
         # the same counts are published; nothing reads it back.
         self._reads: Dict[str, float] = {}
         self._obs = NULL_OBSERVER
-        # The zeroed operand every charged plane op runs over (see _plane_ops).
-        self._operand: Optional[BulkBitVector] = None
 
     # ------------------------------------------------------------------
     # Hotness
@@ -141,11 +137,10 @@ class MaintenancePolicy:
     # ------------------------------------------------------------------
     # Write lowering (planner entry point)
     # ------------------------------------------------------------------
-    def lower_write(self, request: WriteRequest, executor: "BatchExecutor") -> WriteOutcome:
+    def lower_write(self, request: WriteRequest, planner: "BatchPlanner") -> WriteOutcome:
         """Apply the functional mutation (on applying parts), maintain the
         planes per strategy, and build the charged primitives."""
         index = request.index
-        row_size = executor.engine.device.geometry.row_size_bytes
         charged = charged_columns(request)
         strategies = {column: self.column_strategy(column) for column in charged}
         planes_by_column: Dict[str, int] = {}
@@ -158,24 +153,16 @@ class MaintenancePolicy:
                 and resolved.get(request.column) == "eager"
                 and request.column not in index.dirty_columns()
             ):
-                ids = np.asarray(request.row_ids)
+                ids, codes, top = request.checked_rows()
+                request.table.check_bound(top)
                 old_codes = request.table.column(request.column)[ids]  # copies
             rows_affected = apply_mutation(request)
             for column in affected:
                 if resolved[column] == "lazy":
                     index.mark_dirty([column])
                     continue
-                if (
-                    isinstance(request, UpdateRequest)
-                    and column == request.column
-                    and old_codes is not None
-                ):
-                    touched = index.apply_update(
-                        column,
-                        ids,
-                        old_codes,
-                        np.asarray(request.values).astype(np.int64),
-                    )
+                if old_codes is not None and column == request.column:
+                    touched = index.apply_update(column, ids, old_codes, codes)
                 else:
                     # Appends/deletes change num_rows; a previously-dirty
                     # column falls back to a full refresh too.
@@ -184,16 +171,14 @@ class MaintenancePolicy:
                 planes_by_column[column] = touched
         else:
             rows_affected = request.num_rows_written()
-        primitives: List[ServiceRequest] = []
-        planes_charged = 0
+        planes_charged, eager = 0, False
         for column in charged:
-            if strategies[column] != "eager":
-                continue
-            ops = planes_by_column.get(column)
-            if ops is None:
-                ops = self.estimate_planes(request, column)
-            planes_charged += ops
-            primitives.extend(self._plane_ops(index, ops, executor, row_size))
+            if strategies[column] == "eager":
+                planes = planes_by_column.get(column)
+                if planes is None:
+                    planes = self.estimate_planes(request, column)
+                planes_charged, eager = planes_charged + planes, True
+        primitives = self._plane_ops(index, planes_charged, planner) if eager else []
         bytes_moved = rows_affected * CODE_BYTES * max(1, len(charged))
         if bytes_moved > 0:
             from repro.service.requests import CopyRequest  # local: avoid cycle
@@ -223,23 +208,23 @@ class MaintenancePolicy:
         return cardinality
 
     def _plane_ops(
-        self, index: BitmapIndex, count: int, executor: "BatchExecutor", row_size: int
-    ) -> List[ServiceRequest]:
-        """One charged bulk op per maintained plane, pinned to the index's
-        stable bank offset — maintenance occupies the lanes reads use.
-        Each op ORs the policy's one zeroed operand of the index's shape
-        into itself: the charge is the shape, and nothing reads it."""
-        from repro.service.requests import BulkOpRequest  # local: avoid cycle
+        self, index: BitmapIndex, count: int, planner: "BatchPlanner"
+    ) -> List["Primitive"]:
+        """The charge of ``count`` maintained planes: one priced-only
+        :class:`~repro.service.requests.BoundChain` of ``count`` ``or``
+        steps over the index's row chunks, placed as one run on its stable
+        bank offset — maintenance occupies the lanes reads use.  Nothing
+        runs: the planes are repaired on the host, and the charge is their
+        shape (prices interned on the planner).  No op, no primitive."""
+        from repro.service.requests import BoundChain  # local: avoid cycle
 
-        offset = executor.stable_offset(index)
-        operand = self._operand
-        num_rows = max(1, index.num_rows)
-        if operand is None or (operand.num_bits, operand.row_size_bytes) != (num_rows, row_size):
-            operand = self._operand = BulkBitVector(num_rows, row_size)
-        return [
-            BulkOpRequest(op="or", a=operand, b=operand, out=operand, bank_offset=offset)
-            for _ in range(count)
-        ]
+        executor = planner.executor
+        offset = executor.stable_offset(index)  # pinned even when no plane changed
+        if not count:
+            return []
+        rows = self._row_chunks(index, executor.engine.device.geometry.row_size_bytes)
+        prices = planner.priced_charge(count, rows, self._packed_bytes(index))
+        return [BoundChain([], offset, *prices, rows)]
 
     # ------------------------------------------------------------------
     # Lazy read-side repair
@@ -261,15 +246,14 @@ class MaintenancePolicy:
         return seen
 
     def rebuild_charge(
-        self, index: BitmapIndex, column: str, executor: "BatchExecutor"
-    ) -> List[ServiceRequest]:
-        """Charged primitives of one lazy column rebuild: one bulk op per
-        plane plus the column-scan row traffic."""
+        self, index: BitmapIndex, column: str, planner: "BatchPlanner"
+    ) -> List["Primitive"]:
+        """Charged primitives of one lazy column rebuild: one op per plane
+        (one priced-only run) plus the column-scan row traffic."""
         from repro.service.requests import CopyRequest  # local: avoid cycle
 
-        row_size = executor.engine.device.geometry.row_size_bytes
         cardinality = max(1, index.table.cardinalities.get(column, 1))
-        primitives = self._plane_ops(index, cardinality, executor, row_size)
+        primitives = self._plane_ops(index, cardinality, planner)
         primitives.append(CopyRequest(num_bytes=max(1, index.num_rows * CODE_BYTES)))
         return primitives
 
@@ -307,9 +291,13 @@ class MaintenancePolicy:
         return []
 
     @staticmethod
-    def _row_chunks(index: BitmapIndex, row_size: int) -> int:
-        packed = (index.num_rows + 7) // 8
-        return max(1, math.ceil(packed / row_size))
+    def _packed_bytes(index: BitmapIndex) -> int:
+        """Bytes one of the index's planes packs into (at least one)."""
+        return (max(1, index.num_rows) + 7) // 8
+
+    @classmethod
+    def _row_chunks(cls, index: BitmapIndex, row_size: int) -> int:
+        return -(-cls._packed_bytes(index) // row_size)
 
 
 __all__ = [

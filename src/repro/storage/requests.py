@@ -5,8 +5,13 @@ same frontend queue, planner, and executor as reads: the frontend admits
 them against modeled maintenance cost, the planner applies the functional
 mutation *at lowering time* (so queue order within a batch is sequential
 consistency — a read lowered after a write sees the post-write planes),
-and the maintenance charge executes as ordinary primitive requests on the
-lanes the index's planes occupy.
+and the maintenance charge — one priced-only run over the maintained
+planes plus a RowClone copy — is placed on the lanes the index's planes
+occupy.
+
+Row ids and codes are checked once per binding (``checked_rows``);
+``offer``, lowering and the mutator recheck only the table bound, and a
+write a delete made stale since ``offer`` is refused (:func:`rows_in_range`).
 
 Two fields exist purely for the cluster tier's scatter path:
 
@@ -22,7 +27,7 @@ Two fields exist purely for the cluster tier's scatter path:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -65,7 +70,7 @@ class UpdateRequest:
     """In-place overwrite of ``column[row_ids] = values``.
 
     Row ids must be unique within one update and values non-negative
-    integers (enforced by :meth:`ColumnTable.checked_update`): a
+    integers (enforced by :meth:`ColumnTable.update_arrays`): a
     duplicated id would make the incremental clear-old/set-new plane
     maintenance ambiguous.
     """
@@ -78,6 +83,8 @@ class UpdateRequest:
     columns: Optional[Tuple[str, ...]] = None
     apply: bool = True
     kind: str = field(default="update", init=False)
+    #: ``(row_ids, values, ids, codes, max id)`` of the last check.
+    _rows: Optional[Tuple[Any, ...]] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.row_ids) != len(self.values):
@@ -88,6 +95,15 @@ class UpdateRequest:
     def num_rows_written(self) -> int:
         """Rows this update overwrites."""
         return len(self.row_ids)
+
+    def checked_rows(self) -> Tuple[np.ndarray, np.ndarray, int]:
+        """:meth:`ColumnTable.update_arrays`, once per ``row_ids`` /
+        ``values`` binding (reassigning either checks afresh)."""
+        rows = self._rows
+        if rows is None or rows[0] is not self.row_ids or rows[1] is not self.values:
+            checked = self.table.update_arrays(self.column, self.row_ids, self.values)
+            rows = self._rows = (self.row_ids, self.values, *checked)
+        return rows[2:]
 
     def affected_columns(self) -> Tuple[str, ...]:
         """The updated column, when it is indexed (else no planes change)."""
@@ -106,6 +122,8 @@ class DeleteRequest:
     columns: Optional[Tuple[str, ...]] = None
     apply: bool = True
     kind: str = field(default="delete", init=False)
+    #: ``(row_ids, ids, max id)`` of the last check.
+    _rows: Optional[Tuple[Any, ...]] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.columns is not None:
@@ -114,6 +132,13 @@ class DeleteRequest:
     def num_rows_written(self) -> int:
         """Rows this delete removes (before de-duplication)."""
         return len(self.row_ids)
+
+    def checked_rows(self) -> Tuple[np.ndarray, int]:
+        """:meth:`ColumnTable.row_id_array`, once per ``row_ids`` binding."""
+        rows = self._rows
+        if rows is None or rows[0] is not self.row_ids:
+            rows = self._rows = (self.row_ids, *self.table.row_id_array(self.row_ids))
+        return rows[1:]
 
     def affected_columns(self) -> Tuple[str, ...]:
         """All indexed columns: a delete renumbers every row below it."""
@@ -153,13 +178,18 @@ def check_row_ids(request: WriteRequest) -> None:
     """
     if not request.apply:
         return
-    table = request.table
-    if isinstance(request, UpdateRequest):
-        table.checked_update(request.column, request.row_ids, request.values)
-    elif isinstance(request, DeleteRequest):
-        table.checked_row_ids(request.row_ids)
+    if isinstance(request, AppendRequest):
+        request.table.checked_append(request.rows)
     else:
-        table.checked_append(request.rows)
+        request.table.check_bound(request.checked_rows()[-1])
+
+
+def rows_in_range(request: WriteRequest) -> bool:
+    """Whether a write's row ids still fit its table (O(1) once checked):
+    a delete lowered since ``offer`` can leave them past its end."""
+    if not request.apply or isinstance(request, AppendRequest):
+        return True
+    return request.checked_rows()[-1] < request.table.num_rows
 
 
 def apply_mutation(request: WriteRequest) -> int:
@@ -169,13 +199,15 @@ def apply_mutation(request: WriteRequest) -> int:
     :class:`~repro.storage.maintenance.MaintenancePolicy`'s job, which
     must capture pre-mutation state (old codes) first for updates.
     """
+    table = request.table
     if isinstance(request, AppendRequest):
-        return request.table.append_rows(request.rows)
+        return table.append_rows(request.rows)
     if isinstance(request, UpdateRequest):
-        return request.table.update_rows(
-            request.column, np.asarray(request.row_ids), np.asarray(request.values)
-        )
-    return request.table.delete_rows(np.asarray(request.row_ids))
+        rows = table.overwrite(request.column, *request.checked_rows())
+    else:
+        rows = table.remove(*request.checked_rows())
+    request._rows = None  # spent: a served write must not pin its arrays
+    return rows
 
 
 __all__ = [
@@ -188,4 +220,5 @@ __all__ = [
     "charged_columns",
     "check_row_ids",
     "is_write_request",
+    "rows_in_range",
 ]

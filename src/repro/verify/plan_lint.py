@@ -669,19 +669,23 @@ def check_failover_reoffer(
             )
 
 
-def lint_write_plan(outcome) -> None:
+def lint_write_plan(outcome, executor) -> None:
     """Certify one lowered write's charge against its declared outcome.
 
     ``outcome`` is the :class:`~repro.storage.maintenance.WriteOutcome`
     the planner got back from
-    :meth:`~repro.storage.maintenance.MaintenancePolicy.lower_write`; the
-    checks pin the ledger the write path reports against the primitives
-    it actually charges:
+    :meth:`~repro.storage.maintenance.MaintenancePolicy.lower_write`, for
+    ``executor``'s lanes; the checks pin the ledger the write path reports
+    against the primitives it actually charges:
 
     * the charged columns are a subset of the index's indexed columns;
     * every resolved strategy is ``"eager"`` or ``"lazy"``;
-    * the number of charged bulk ops equals the declared
-      ``planes_charged`` (and is zero when every column went lazy);
+    * the charged plane ops (the steps of the priced-only runs) number the
+      declared ``planes_charged`` (and none when every column went lazy);
+    * each run runs nothing, sits on ``executor.stable_offset(index)``,
+      spans the index's row chunks, and prices every step as
+      ``op_cost("or", rows, packed bytes)`` — what a bulk op over one of
+      the index's planes is charged;
     * the row-traffic copy is present exactly when ``bytes_moved`` is
       positive, and for exactly that many bytes;
     * appends/deletes declare index-wide invalidation, updates do not.
@@ -689,10 +693,11 @@ def lint_write_plan(outcome) -> None:
     Raises:
         WritePlanError: Any of the invariants fails.
     """
-    from repro.service.requests import BulkOpRequest, CopyRequest  # local: avoid cycle
+    from repro.service.requests import BoundChain, CopyRequest  # local: avoid cycle
 
     request = outcome.request
-    indexed = set(request.index.indexed_columns())
+    index = request.index
+    indexed = set(index.indexed_columns())
     stray = sorted(set(outcome.strategies) - indexed)
     if stray:
         raise WritePlanError(
@@ -705,7 +710,8 @@ def lint_write_plan(outcome) -> None:
             f"write resolved unknown strategies {bad}",
             details={"strategies": bad},
         )
-    plane_ops = sum(1 for p in outcome.primitives if isinstance(p, BulkOpRequest))
+    runs = [p for p in outcome.primitives if type(p) is BoundChain]
+    plane_ops = sum(len(run.prices) for run in runs)
     if plane_ops != outcome.planes_charged:
         raise WritePlanError(
             f"write charges {plane_ops} plane ops but declares "
@@ -717,6 +723,22 @@ def lint_write_plan(outcome) -> None:
             f"lazy-only write still charges {plane_ops} plane ops",
             details={"charged": plane_ops},
         )
+    packed = (max(1, index.num_rows) + 7) // 8
+    rows = -(-packed // executor.engine.device.geometry.row_size_bytes)
+    for run in runs:
+        offset, price = executor.stable_offset(index), executor.engine.op_cost("or", rows, packed)
+        if run.steps or (run.bank_offset, run.rows) != (offset, rows):
+            raise WritePlanError(
+                f"plane charge runs {len(run.steps)} steps over {run.rows} rows at offset "
+                f"{run.bank_offset} (expected none over {rows} rows at offset {offset})",
+                details={"offset": run.bank_offset, "rows": run.rows},
+            )
+        steps = len(run.prices)
+        if run.prices != (price,) * steps or run.latencies != (price.latency_ns,) * steps:
+            raise WritePlanError(
+                f"plane charge is not priced as {price.name} over {rows} rows",
+                details={"expected": price},
+            )
     copies = [p for p in outcome.primitives if isinstance(p, CopyRequest)]
     copy_bytes = sum(p.num_bytes for p in copies)
     if (outcome.bytes_moved > 0) != bool(copies) or copy_bytes != outcome.bytes_moved:

@@ -255,13 +255,14 @@ def test_all_hit_optimizer_path_stays_within_its_call_budget():
 
 
 def test_mixed_read_write_path_stays_within_its_call_budget():
-    # ~547 calls (~554 when the cache kept its own liveness table and
-    # copied every hit and fill; ~587 when every optimizer sub-chain step
-    # was its own primitive; ~722 when every charged plane op had three
-    # fresh 8 KiB operands and every scan priced one metrics object per
-    # step; ~797 when every write walked the cache) and ~3.7 vectors
-    # (12.8 then).
-    _check_budget("mixed_rw", 570, vectors_budget=4.5)
+    # ~440 calls (~547 when every charged plane op was its own executed
+    # bulk op and a write's row ids were checked three times; ~554 when
+    # the cache kept its own liveness table and copied every hit and
+    # fill; ~587 when every optimizer sub-chain step was its own
+    # primitive; ~722 when every charged plane op had three fresh 8 KiB
+    # operands and every scan priced one metrics object per step; ~797
+    # when every write walked the cache) and ~3.7 vectors (12.8 then).
+    _check_budget("mixed_rw", 461, vectors_budget=4.5)
 
 
 def test_audited_cluster_path_and_its_checks_stay_within_their_call_budgets():

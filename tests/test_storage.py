@@ -9,12 +9,16 @@ in the ledger, the unique-row-id precondition, and the write-plan lint
 that certifies each lowered write's charge.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.ambit.bitvector import BulkBitVector
 from repro.ambit.engine import AmbitConfig, AmbitEngine
-from repro.api import PimSession
+from repro.cluster import ClusterFrontend
+from repro.api import PimSession, RequestRejected
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.tables import ColumnTable
 from repro.dram.device import DramDevice
@@ -29,7 +33,9 @@ from repro.service import (
     PipelineConfig,
     ServiceFrontend,
 )
-from repro.service.requests import BoundChain
+from repro.service.lanes import LaneSchedule
+from repro.service.planner import BatchPlanner
+from repro.service.requests import BoundChain, BulkOpRequest
 from repro.storage import (
     STRATEGIES,
     AppendRequest,
@@ -38,6 +44,7 @@ from repro.storage import (
     UpdateRequest,
     apply_mutation,
     charged_columns,
+    check_row_ids,
     is_write_request,
 )
 from repro.verify import WritePlanError
@@ -73,6 +80,10 @@ def _table_index(rng, rows: int = 240):
             name, rng.integers(0, cardinality, size=rows), cardinality=cardinality
         )
     return table, BitmapIndex(table, list(CARDINALITIES))
+
+
+def _planner() -> BatchPlanner:
+    return BatchPlanner(BatchExecutor(engine=_engine()), PipelineConfig())
 
 
 def _frontend(maintenance, **kwargs) -> ServiceFrontend:
@@ -534,7 +545,7 @@ class TestWritePlanLint:
     def test_real_outcomes_certify(self):
         rng = np.random.default_rng(6)
         table, index = _table_index(rng)
-        executor = BatchExecutor(engine=_engine())
+        planner = _planner()
         policy = MaintenancePolicy("eager")
         for request in (
             UpdateRequest(
@@ -545,20 +556,316 @@ class TestWritePlanLint:
             ),
             DeleteRequest(table=table, index=index, row_ids=[1]),
         ):
-            outcome = policy.lower_write(request, executor)
-            lint_write_plan(outcome)  # must not raise
+            outcome = policy.lower_write(request, planner)
+            lint_write_plan(outcome, planner.executor)  # must not raise
             assert outcome.invalidate_all == (request.kind in ("append", "delete"))
 
     def test_misdeclared_charge_is_caught(self):
         rng = np.random.default_rng(7)
         table, index = _table_index(rng)
-        executor = BatchExecutor(engine=_engine())
+        planner = _planner()
         outcome = MaintenancePolicy("eager").lower_write(
             UpdateRequest(
                 table=table, index=index, column="tier", row_ids=[0], values=[2]
             ),
-            executor,
+            planner,
         )
         outcome.planes_charged += 1  # ledger no longer matches the primitives
         with pytest.raises(WritePlanError):
-            lint_write_plan(outcome)
+            lint_write_plan(outcome, planner.executor)
+
+    @staticmethod
+    def _outcome_with_run(changes):
+        """A real eager update's outcome, its plane-charge run edited by
+        ``changes(run, planner)``."""
+        table, index = _table_index(np.random.default_rng(8), rows=1200)
+        planner = _planner()
+        outcome = MaintenancePolicy("eager").lower_write(
+            UpdateRequest(table=table, index=index, column="tier", row_ids=[0, 5], values=[2, 1]),
+            planner,
+        )
+        run = outcome.primitives[0]
+        assert type(run) is BoundChain and not run.steps and outcome.planes_charged
+        lint_write_plan(outcome, planner.executor)  # the unedited run certifies
+        outcome.primitives[0] = dataclasses.replace(run, **changes(run, planner))
+        return outcome, planner.executor
+
+    def test_run_off_the_index_offset_is_caught(self):
+        outcome, executor = self._outcome_with_run(
+            lambda run, _planner: {"bank_offset": run.bank_offset + 1}
+        )
+        with pytest.raises(WritePlanError, match="offset"):
+            lint_write_plan(outcome, executor)
+
+    def test_run_over_the_wrong_rows_is_caught(self):
+        outcome, executor = self._outcome_with_run(lambda run, _planner: {"rows": run.rows + 1})
+        with pytest.raises(WritePlanError, match="rows"):
+            lint_write_plan(outcome, executor)
+
+    def test_run_priced_as_another_op_is_caught(self):
+        def and_priced(run, planner):
+            price = planner.executor.engine.op_cost("and", run.rows, run.prices[0].bytes_produced)
+            steps = len(run.prices)
+            return {"prices": (price,) * steps, "latencies": (price.latency_ns,) * steps}
+
+        outcome, executor = self._outcome_with_run(and_priced)
+        with pytest.raises(WritePlanError, match="priced"):
+            lint_write_plan(outcome, executor)
+
+
+def _unfold_charges(planner: BatchPlanner) -> None:
+    """Make ``planner`` emit every maintenance charge the way it was once
+    charged: one executed ``or`` bulk op per plane, over a zeroed operand
+    of the index's shape, pinned to the run's bank offset — N one-step
+    runs where the folded charge places one run of N."""
+    lower = planner.lower_batch
+    row_size = planner.executor.engine.device.geometry.row_size_bytes
+
+    def unfolded(batch):
+        primitives, groups = lower(batch)
+        out, spans = [], []
+        for primitive in primitives:
+            start = len(out)
+            if type(primitive) is BoundChain and primitive.serial[0] == "storage_maintenance":
+                zero = BulkBitVector(8 * primitive.prices[0].bytes_produced, row_size)
+                out.extend(
+                    BulkOpRequest("or", zero, zero, zero, bank_offset=primitive.bank_offset)
+                    for _ in primitive.prices
+                )
+            else:
+                out.append(primitive)
+            spans.append(range(start, len(out)))
+        for group in groups:
+            group.indices = [i for j in group.indices for i in spans[j]]
+            group.dep_indices = [i for j in group.dep_indices for i in spans[j]]
+        return out, groups
+
+    planner.lower_batch = unfolded
+
+
+def _charge_stream(rng, table, index):
+    """Reads and writes (updates, appends, deletes) over ``index``; every
+    row id stays valid however the batches close."""
+    stream = []
+    for i in range(28):
+        if i % 4 in (0, 2):
+            stream.append(_random_read(rng, index))
+        elif i % 4 == 1:
+            column = str(rng.choice(list(CARDINALITIES)))
+            row_ids = rng.choice(1000, size=int(rng.integers(1, 6)), replace=False)
+            values = rng.integers(0, CARDINALITIES[column], size=row_ids.size)
+            stream.append(UpdateRequest(
+                table=table, index=index, column=column,
+                row_ids=tuple(int(r) for r in row_ids), values=tuple(int(v) for v in values),
+            ))
+        elif i % 8 == 3:
+            rows = {name: [int(rng.integers(card))] for name, card in CARDINALITIES.items()}
+            stream.append(AppendRequest(table=table, index=index, rows=rows))
+        else:
+            row_ids = (int(rng.integers(1000)),)
+            stream.append(DeleteRequest(table=table, index=index, row_ids=row_ids))
+    return stream
+
+
+def _serve_charges(tier, maintenance, banks, folded, **knobs):
+    """Serve :func:`_charge_stream` with the charges folded (as lowered) or
+    unfolded; returns the backend, its service frontends and how many
+    charge runs and lazy rebuilds the lowering emitted."""
+    table, index = _table_index(np.random.default_rng(41), rows=1200)
+    policy = BatchPolicy(max_batch=4, window_ns=None)
+    config = PipelineConfig(policy=policy, maintenance=maintenance, max_queue_depth=256, **knobs)
+    if tier == "cluster":
+        backend = ClusterFrontend(2, config, engine_factory=lambda: _engine(banks))
+        shards = backend.shards
+    else:
+        backend = ServiceFrontend(config, engine=_engine(banks))
+        shards = [backend]
+    seen = {"runs": 0, "rebuilds": 0}
+    for shard in shards:
+        # A hand-built schedule keeps its whole interval log.
+        shard.executor.lanes = LaneSchedule(shard.executor.active_bank_keys())
+        lower = shard.planner.lower_batch
+
+        def counted(batch, lower=lower):
+            primitives, groups = lower(batch)
+            seen["runs"] += sum(
+                type(p) is BoundChain and p.serial[0] == "storage_maintenance" for p in primitives
+            )
+            seen["rebuilds"] += sum(len(group.rebuild_columns) for group in groups)
+            return primitives, groups
+
+        shard.planner.lower_batch = counted
+        if not folded:
+            _unfold_charges(shard.planner)
+    for t, request in enumerate(_charge_stream(np.random.default_rng(43), table, index)):
+        backend.offer(request, arrival_ns=40.0 * t)
+    backend.drain()
+    return backend, shards, seen
+
+
+def _charged(record):
+    """What a record was charged: name, latency, energy, bytes."""
+    metrics = record.metrics
+    if metrics is None:
+        return None
+    return (metrics.name, metrics.latency_ns, metrics.energy_j, metrics.bytes_produced)
+
+
+class TestFoldedChargePlacesLikeItsOps:
+    """A maintenance charge is one priced-only run of N ``or`` steps; it
+    must place, cost and roll up exactly as N executed one-op requests at
+    the same bank offset did."""
+
+    CASES = [
+        ("service", "eager", {}),
+        ("service", "hybrid", {"optimize": True, "cache": True}),
+        ("service", "lazy", {}),
+        ("cluster", "eager", {}),
+    ]
+
+    @pytest.mark.parametrize("banks", [1, 2, 8])
+    @pytest.mark.parametrize("tier,maintenance,knobs", CASES)
+    def test_folded_charge_equals_per_op_placement(self, tier, maintenance, knobs, banks):
+        folded, folded_shards, seen = _serve_charges(tier, maintenance, banks, True, **knobs)
+        ops, ops_shards, _ = _serve_charges(tier, maintenance, banks, False, **knobs)
+        assert seen["runs"] > 0
+        assert (seen["rebuilds"] > 0) == (maintenance != "eager")
+        for mine, theirs in zip(folded_shards, ops_shards):
+            # One LanePlacement per step, at the same instants on the same lanes.
+            assert mine.executor.lanes.log == theirs.executor.lanes.log
+            assert mine.batches == theirs.batches
+            for a, b in zip(mine.records, theirs.records, strict=True):
+                assert (a.start_ns, a.finish_ns, _charged(a)) == (
+                    b.start_ns, b.finish_ns, _charged(b)
+                )
+        for a, b in zip(folded.records, ops.records, strict=True):
+            assert (a.finish_ns, _charged(a)) == (b.finish_ns, _charged(b))
+            assert np.array_equal(a.value, b.value)
+
+
+def _small_table_index(rows: int = 64):
+    table = ColumnTable("t", rows)
+    table.add_column("c", np.arange(rows) % 4, cardinality=4)
+    return table, BitmapIndex(table, ["c"])
+
+
+class TestStaleRowIds:
+    """Row ids valid at ``offer`` can be left past the table's end by a
+    delete lowered before them; that write alone is refused at lowering,
+    and everything else in its batch completes."""
+
+    @pytest.mark.parametrize("max_batch", [1, 4])  # a later batch, the same batch
+    @pytest.mark.parametrize("second", ["update", "delete"])
+    def test_stale_write_is_refused_and_its_batch_completes(self, second, max_batch):
+        table, index = _small_table_index()
+        frontend = ServiceFrontend(
+            PipelineConfig(policy=BatchPolicy(max_batch=max_batch, window_ns=None))
+        )
+        delete = DeleteRequest(table=table, index=index, row_ids=(0, 1, 2, 3))
+        delete = frontend.offer(delete, arrival_ns=0)
+        if second == "update":
+            stale = UpdateRequest(table=table, index=index, column="c", row_ids=(63,), values=(1,))
+        else:
+            stale = DeleteRequest(table=table, index=index, row_ids=(62,))
+        stale = frontend.offer(stale, arrival_ns=1)
+        read = frontend.offer(
+            BitmapConjunctionRequest(index=index, predicates=(("c", (1, 2)),)), arrival_ns=2
+        )
+        frontend.drain()
+        assert delete.completed and delete.value == 4 and table.num_rows == 60
+        assert not stale.admitted and stale.rejected_reason == "stale_row_ids"
+        assert not stale.completed and stale.metrics is None
+        expected, _ = index.evaluate_conjunction([("c", (1, 2))])
+        assert read.completed and np.array_equal(read.value, expected)
+        fresh = BitmapIndex(table, ["c"])
+        for value in range(4):
+            assert np.array_equal(index.bitmap("c", value), fresh.bitmap("c", value))
+
+    def test_session_future_raises_the_typed_rejection(self):
+        table, index = _small_table_index()
+        session = PimSession.over_service(policy=BatchPolicy(max_batch=4, window_ns=None))
+        delete = session.delete(table, index, (0, 1, 2, 3), at_ns=0)
+        update = session.update(table, index, "c", (63,), (1,), at_ns=1)
+        session.drain()
+        assert delete.result().value == 4
+        with pytest.raises(RequestRejected) as refused:
+            update.result()
+        assert refused.value.reason == "stale_row_ids"
+
+
+class TestRowIdsCheckedOnce:
+    """A write's row ids and codes are shape-checked once per binding, and
+    the check still refuses bad input wherever it enters."""
+
+    def test_offer_lowering_and_mutator_share_one_check(self):
+        table, index = _small_table_index()
+        checks = []
+        update_arrays = table.update_arrays
+        table.update_arrays = lambda *args: checks.append(args) or update_arrays(*args)
+        frontend = _frontend("eager")
+        request = UpdateRequest(table=table, index=index, column="c", row_ids=[5, 9], values=[3, 0])
+        frontend.offer(request)
+        assert len(checks) == 1
+        frontend.drain()
+        assert len(checks) == 1 and table.column("c")[[5, 9]].tolist() == [3, 0]
+
+    def test_bad_write_still_fails_at_offer(self):
+        table, index = _small_table_index()
+        frontend = _frontend("eager")
+        def update(row_ids, values):
+            return UpdateRequest(
+                table=table, index=index, column="c", row_ids=row_ids, values=values
+            )
+
+        with pytest.raises(ValueError, match="row_ids must be in"):
+            frontend.offer(update([64], [1]))
+        with pytest.raises(ValueError, match="unique"):
+            frontend.offer(update([3, 3], [1, 2]))
+        with pytest.raises(TypeError, match="integers"):
+            frontend.offer(DeleteRequest(table=table, index=index, row_ids=[0.5]))
+        assert frontend.records == [] and table.num_rows == 64
+
+    def test_reassigned_rows_are_checked_afresh(self):
+        table, index = _small_table_index()
+        frontend = _frontend("eager")
+        ids = np.array([1, 2])
+        update = UpdateRequest(table=table, index=index, column="c", row_ids=ids, values=[0, 1])
+        check_row_ids(update)
+        stored, codes, top = update.checked_rows()
+        assert (stored.dtype, codes.dtype, top) == (np.int64, np.int64, 2)
+        assert not stored.flags.writeable and not codes.flags.writeable
+        assert ids.flags.writeable  # the caller's array is copied, not frozen
+        update.row_ids = [64, 1]
+        with pytest.raises(ValueError, match="row_ids must be in"):
+            frontend.offer(update)
+        update.row_ids = [2, 2]
+        with pytest.raises(ValueError, match="unique"):
+            check_row_ids(update)
+        update.row_ids = [2, 3]
+        update.values = [1, -1]
+        with pytest.raises(ValueError, match="non-negative"):
+            check_row_ids(update)
+        delete = DeleteRequest(table=table, index=index, row_ids=[0])
+        check_row_ids(delete)
+        delete.row_ids = [-1]
+        with pytest.raises(ValueError, match="row_ids must be in"):
+            check_row_ids(delete)
+        assert frontend.records == []
+
+    def test_table_mutators_keep_their_own_guard(self):
+        table, _index = _small_table_index()
+        codes = table.column("c").copy()
+        with pytest.raises(ValueError, match="row_ids must be in"):
+            table.update_rows("c", [64], [1])
+        with pytest.raises(ValueError, match="unique"):
+            table.update_rows("c", [3, 3], [1, 2])
+        with pytest.raises(ValueError, match="non-negative"):
+            table.update_rows("c", [3], [-1])
+        with pytest.raises(KeyError, match="no column"):
+            table.update_rows("nope", [3], [1])
+        with pytest.raises(ValueError, match="row_ids must be in"):
+            table.delete_rows([64])
+        with pytest.raises(ValueError, match="row_ids must be in"):
+            table.overwrite("c", *table.update_arrays("c", [0, 70], [1, 1]))
+        assert table.num_rows == 64 and np.array_equal(table.column("c"), codes)
+        assert table.update_rows("c", [3], [0]) == 1 and table.delete_rows([0, 0]) == 1
