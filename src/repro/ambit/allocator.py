@@ -56,10 +56,6 @@ class RowAllocation:
         """Number of row chunks in the allocation."""
         return len(self.placements)
 
-    def banks_used(self) -> int:
-        """Number of distinct banks the allocation touches."""
-        return len({p.bank_key for p in self.placements})
-
     def aligned_with(self, other: "RowAllocation") -> bool:
         """True when chunk ``i`` of both allocations shares (bank, subarray)."""
         if self.num_rows != other.num_rows:
@@ -106,14 +102,6 @@ class RowAllocator:
         bank_key = self._bank_keys[shifted % self.banks_total]
         subarray = (shifted // self.banks_total) % self.subarrays_per_bank
         return bank_key, subarray
-
-    def data_rows_per_slot(self) -> int:
-        """Data rows available in each (bank, subarray) slot."""
-        return self.layout.data_rows
-
-    def capacity_rows(self) -> int:
-        """Total data rows the allocator can hand out."""
-        return self.banks_total * self.subarrays_per_bank * self.layout.data_rows
 
     def allocated_rows(self) -> int:
         """Rows already handed out (freed rows excluded)."""

@@ -112,24 +112,6 @@ class BulkBitVector:
         start = row_index * self.row_size_bytes
         self._data[start : start + self.row_size_bytes] = values
 
-    def get_bit(self, index: int) -> int:
-        """Return bit ``index`` (LSB-first within each byte)."""
-        self._check_bit(index)
-        return (int(self._data[index >> 3]) >> (index & 7)) & 1
-
-    def set_bit(self, index: int, value: int) -> None:
-        """Set bit ``index`` to 0 or 1."""
-        self._check_bit(index)
-        if value not in (0, 1):
-            raise ValueError("bit value must be 0 or 1")
-        byte = int(self._data[index >> 3])
-        mask = 1 << (index & 7)
-        self._data[index >> 3] = (byte | mask) if value else (byte & ~mask)
-
-    def _check_bit(self, index: int) -> None:
-        if not 0 <= index < self.num_bits:
-            raise IndexError(f"bit {index} out of range [0, {self.num_bits})")
-
     def count_ones(self) -> int:
         """Population count over the logical bits (padding excluded)."""
         full_bytes = self.num_bits // 8
@@ -159,16 +141,6 @@ class BulkBitVector:
             raise ValueError("value must be 0 or 1")
         self._data[:] = 0xFF if value else 0x00
         self._mask_padding()
-        return self
-
-    def load_bits(self, bits: np.ndarray) -> "BulkBitVector":
-        """Load from a boolean/0-1 array of exactly ``num_bits`` entries."""
-        bits = np.asarray(bits).astype(np.uint8).ravel()
-        if bits.size != self.num_bits:
-            raise ValueError(f"expected {self.num_bits} bits, got {bits.size}")
-        packed = np.packbits(bits, bitorder="little")
-        self._data[:] = 0
-        self._data[: packed.size] = packed
         return self
 
     def to_bits(self) -> np.ndarray:

@@ -18,7 +18,6 @@ of view they are simply fixed row indices at the top of each subarray.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
 
 
 @dataclass(frozen=True)
@@ -85,20 +84,3 @@ class AmbitSubarrayLayout:
     def c1_row(self) -> int:
         """Local row index of the all-ones control row."""
         return self.rows_per_subarray - self.NUM_C_ROWS + 1
-
-    def all_reserved_rows(self) -> List[int]:
-        """Every local row index reserved for the B- and C-groups."""
-        rows = [self.t_row(i) for i in range(self.NUM_T_ROWS)]
-        for i in range(self.NUM_DCC_ROWS):
-            rows.append(self.dcc_row(i))
-            rows.append(self.dcc_bar_row(i))
-        rows.extend([self.c0_row, self.c1_row])
-        return sorted(rows)
-
-    def data_row_range(self) -> Tuple[int, int]:
-        """Half-open range ``[start, stop)`` of local data-row indices."""
-        return (0, self.data_rows)
-
-    def is_data_row(self, local_row: int) -> bool:
-        """True when ``local_row`` belongs to the D-group."""
-        return 0 <= local_row < self.data_rows

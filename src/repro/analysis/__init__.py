@@ -5,14 +5,6 @@ the same shape the paper does: a small table of named rows with a ratio
 column (speedup, energy reduction) and a geometric-mean summary row.
 """
 
-from repro.analysis.audit import (
-    ScheduleAudit,
-    audit_cluster,
-    audit_executor,
-    audit_schedule,
-    render_audit,
-    schedule_audit_report,
-)
 from repro.analysis.metrics import (
     BatchMetrics,
     ClusterMetrics,
@@ -21,10 +13,8 @@ from repro.analysis.metrics import (
     QueueMetrics,
     arithmetic_mean,
     geometric_mean,
-    percentile,
     percentile_or,
     ratio,
-    reduction_percent,
 )
 from repro.analysis.tables import ResultTable
 from repro.analysis.timeline import render_lane_timeline, render_span_tree
@@ -36,18 +26,10 @@ __all__ = [
     "OperationMetrics",
     "QueueMetrics",
     "ResultTable",
-    "ScheduleAudit",
     "arithmetic_mean",
-    "audit_cluster",
-    "audit_executor",
-    "audit_schedule",
     "geometric_mean",
-    "percentile",
     "percentile_or",
     "ratio",
-    "reduction_percent",
-    "render_audit",
     "render_lane_timeline",
     "render_span_tree",
-    "schedule_audit_report",
 ]

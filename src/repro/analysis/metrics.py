@@ -48,13 +48,6 @@ class OperationMetrics:
         """
         return self.throughput_bytes_per_s / 8 / 1e9
 
-    @property
-    def energy_per_byte_j(self) -> float:
-        """Energy per produced byte (0 when nothing was produced)."""
-        if self.bytes_produced <= 0:
-            return 0.0
-        return self.energy_j / self.bytes_produced
-
     def speedup_over(self, baseline: "OperationMetrics") -> float:
         """Latency ratio ``baseline / self`` (>1 means this one is faster)."""
         if self.latency_ns <= 0:
@@ -252,13 +245,6 @@ class LaneMetrics:
             busy for key, busy in self.per_lane_busy_ns.items()
             if key != self.host_lane_key
         ]
-
-    @property
-    def per_lane_utilization(self) -> Dict:
-        """Busy fraction of the span, per lane (host lane included)."""
-        if self.span_ns <= 0.0:
-            return {key: 0.0 for key in self.per_lane_busy_ns}
-        return {key: busy / self.span_ns for key, busy in self.per_lane_busy_ns.items()}
 
     @property
     def mean_bank_utilization(self) -> float:
@@ -557,23 +543,6 @@ def ratio(baseline: float, improved: float) -> float:
     return baseline / improved
 
 
-def reduction_percent(baseline: float, improved: float) -> float:
-    """Percentage reduction from ``baseline`` to ``improved`` (0–100)."""
-    if baseline <= 0:
-        raise ValueError("baseline must be positive")
-    return (baseline - improved) / baseline * 100.0
-
-
-def harmonic_mean(values: Iterable[float]) -> float:
-    """Harmonic mean of positive values."""
-    values = list(values)
-    if not values:
-        raise ValueError("harmonic_mean of empty sequence")
-    if any(v <= 0 for v in values):
-        raise ValueError("harmonic_mean requires strictly positive values")
-    return len(values) / sum(1.0 / v for v in values)
-
-
 def _sorted_percentile(data: Sequence[float], q: float, default: float) -> float:
     """Linear-interpolated percentile ``q`` of already-sorted ``data``
     (``default`` when it is empty)."""
@@ -592,13 +561,7 @@ def _sorted_percentile(data: Sequence[float], q: float, default: float) -> float
     return data[low] * (1 - fraction) + data[high] * fraction
 
 
-def percentile(values: Iterable[float], q: float) -> Optional[float]:
-    """Linear-interpolated percentile ``q`` (0–100) of ``values``."""
-    data = sorted(values)
-    return _sorted_percentile(data, q, 0.0) if data else None
-
-
 def percentile_or(values: Iterable[float], q: float, default: float = 0.0) -> float:
-    """:func:`percentile` with an explicit no-samples default (a bare
-    ``percentile(xs, q) or default`` would also replace a legitimate 0.0)."""
+    """Linear-interpolated percentile ``q`` (0–100) of ``values``, or
+    ``default`` when there are none."""
     return _sorted_percentile(sorted(values), q, default)

@@ -44,10 +44,6 @@ class ResultTable:
             raise KeyError(f"no column named {name!r}") from exc
         return [row[index] for row in self.rows]
 
-    def as_dicts(self) -> List[Dict[str, Cell]]:
-        """Return the rows as a list of column-name → cell dictionaries."""
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
     def _format_cell(self, cell: Cell) -> str:
         if isinstance(cell, bool):
             return str(cell)

@@ -85,23 +85,6 @@ class ConsumerWorkload:
         """Phases that always stay on the host."""
         return [p for p in self.phases if not p.is_target_function]
 
-    @property
-    def total_dram_bytes(self) -> float:
-        """Total DRAM traffic of the workload."""
-        return sum(p.dram_bytes for p in self.phases)
-
-    @property
-    def total_instructions(self) -> float:
-        """Total host instructions of the workload."""
-        return sum(p.host_instructions for p in self.phases)
-
-    def target_dram_fraction(self) -> float:
-        """Fraction of DRAM traffic attributable to the target functions."""
-        total = self.total_dram_bytes
-        if total == 0:
-            return 0.0
-        return sum(p.dram_bytes for p in self.target_functions) / total
-
 
 # ----------------------------------------------------------------------
 # Workload presets

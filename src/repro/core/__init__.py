@@ -12,13 +12,10 @@ This package is the stack's answer to those needs:
 * :mod:`repro.core.offload` — a data-movement-aware offload decision engine
   that chooses between host and PIM execution for a described kernel,
 * :mod:`repro.core.coherence` — a LazyPIM-style coherence cost model that
-  estimates the overhead of keeping host caches coherent with PIM updates,
-* :mod:`repro.core.kernels` — convenience kernels built on the public API
-  (bitmap intersection, checkpoint copy, zeroing freshly allocated memory).
+  estimates the overhead of keeping host caches coherent with PIM updates.
 """
 
 from repro.core.coherence import CoherenceModel, CoherencePolicy
-from repro.core.kernels import bitmap_intersection, bulk_checkpoint, zero_initialize
 from repro.core.offload import ExecutionTarget, KernelDescriptor, OffloadDecision, OffloadPlanner
 from repro.core.system import OperationRecord, PIMSystem
 
@@ -31,7 +28,4 @@ __all__ = [
     "OffloadPlanner",
     "OperationRecord",
     "PIMSystem",
-    "bitmap_intersection",
-    "bulk_checkpoint",
-    "zero_initialize",
 ]

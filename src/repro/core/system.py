@@ -86,17 +86,11 @@ class PIMSystem:
     # ------------------------------------------------------------------
     # Bulk bitwise operations
     # ------------------------------------------------------------------
-    def _bulk_bitwise(
-        self, op: str, a: BulkBitVector, b: Optional[BulkBitVector] = None
-    ) -> BulkBitVector:
+    def _bulk_bitwise(self, op: str, a: BulkBitVector, b: BulkBitVector) -> BulkBitVector:
         result, pim_metrics = self.ambit.execute(op, a, b, functional=self.functional)
         host_metrics = self.cpu.bulk_bitwise(op, a.num_bytes)
         self.history.append(OperationRecord(pim=pim_metrics, host_baseline=host_metrics))
         return result
-
-    def bulk_not(self, a: BulkBitVector) -> BulkBitVector:
-        """``result = NOT a`` executed in DRAM."""
-        return self._bulk_bitwise("not", a)
 
     def bulk_and(self, a: BulkBitVector, b: BulkBitVector) -> BulkBitVector:
         """``result = a AND b`` executed in DRAM."""
@@ -106,21 +100,9 @@ class PIMSystem:
         """``result = a OR b`` executed in DRAM."""
         return self._bulk_bitwise("or", a, b)
 
-    def bulk_nand(self, a: BulkBitVector, b: BulkBitVector) -> BulkBitVector:
-        """``result = NOT (a AND b)`` executed in DRAM."""
-        return self._bulk_bitwise("nand", a, b)
-
-    def bulk_nor(self, a: BulkBitVector, b: BulkBitVector) -> BulkBitVector:
-        """``result = NOT (a OR b)`` executed in DRAM."""
-        return self._bulk_bitwise("nor", a, b)
-
     def bulk_xor(self, a: BulkBitVector, b: BulkBitVector) -> BulkBitVector:
         """``result = a XOR b`` executed in DRAM."""
         return self._bulk_bitwise("xor", a, b)
-
-    def bulk_xnor(self, a: BulkBitVector, b: BulkBitVector) -> BulkBitVector:
-        """``result = NOT (a XOR b)`` executed in DRAM."""
-        return self._bulk_bitwise("xnor", a, b)
 
     # ------------------------------------------------------------------
     # Bulk data movement
@@ -173,7 +155,3 @@ class PIMSystem:
                 record.energy_reduction,
             )
         return table
-
-    def reset_history(self) -> None:
-        """Clear the operation log."""
-        self.history.clear()

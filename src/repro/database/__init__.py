@@ -21,7 +21,7 @@ from repro.database.tables import ColumnTable, generate_sales_table
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.bitweaving import BitWeavingColumn
 from repro.database.queries import QueryEngine, QueryResult, ScanBackend
-from repro.database.sharding import BitmapIndexShardView, TableShardView
+from repro.database.sharding import BitmapIndexShardView
 
 __all__ = [
     "BitWeavingColumn",
@@ -31,6 +31,5 @@ __all__ = [
     "QueryEngine",
     "QueryResult",
     "ScanBackend",
-    "TableShardView",
     "generate_sales_table",
 ]

@@ -31,40 +31,6 @@ from repro.database.bitmap_index import BitmapIndex, BitmapPlan
 from repro.database.tables import ColumnTable
 
 
-class TableShardView:
-    """Column-subset view of a :class:`ColumnTable` (no data copied).
-
-    Attributes:
-        table: The parent table.
-        columns: Names of the columns placed on this shard.
-    """
-
-    def __init__(self, table: ColumnTable, columns: Iterable[str]) -> None:
-        self.table = table
-        self.columns = list(columns)
-        missing = [c for c in self.columns if c not in table.columns]
-        if missing:
-            raise KeyError(f"columns {missing!r} not in table {table.name!r}")
-
-    @property
-    def num_rows(self) -> int:
-        """Rows of the parent table (column sharding never splits rows)."""
-        return self.table.num_rows
-
-    def column(self, name: str) -> np.ndarray:
-        """The codes of a shard-local column."""
-        self._require_local(name)
-        return self.table.column(name)
-
-    def storage_bytes(self, code_bytes: int = 4) -> int:
-        """Bytes this shard's column slice occupies on its device."""
-        return sum(self.table.column_bytes(name, code_bytes) for name in self.columns)
-
-    def _require_local(self, name: str) -> None:
-        if name not in self.columns:
-            raise KeyError(f"column {name!r} is not placed on this shard")
-
-
 class BitmapIndexShardView:
     """Column-subset view of a :class:`BitmapIndex` (bitmaps shared).
 

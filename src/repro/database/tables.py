@@ -57,10 +57,6 @@ class ColumnTable:
         cardinality = self.cardinalities[name]
         return max(1, int(np.ceil(np.log2(max(2, cardinality)))))
 
-    def column_bytes(self, name: str, code_bytes: int = 4) -> int:
-        """Size of the column stored as plain fixed-width codes."""
-        return self.num_rows * code_bytes
-
     # ------------------------------------------------------------------
     # Mutation (the write path; index maintenance lives in repro.storage)
     # ------------------------------------------------------------------

@@ -33,10 +33,6 @@ class DramCoordinate:
     row: int
     column: int  # in units of cache lines within the row
 
-    def as_tuple(self) -> tuple:
-        """Return (channel, rank, bank, row, column)."""
-        return (self.channel, self.rank, self.bank, self.row, self.column)
-
 
 class AddressMapper:
     """Maps linear physical addresses to :class:`DramCoordinate` and back.

@@ -10,11 +10,11 @@ Two usage modes are supported:
 
 * *Functional requests* — :meth:`MemoryController.submit` /
   :meth:`MemoryController.drain` move real bytes through the banks and
-  return per-request latencies (used by tests and small examples).
-* *Analytical accounting* — :meth:`MemoryController.stream_time_ns` and
-  :meth:`MemoryController.random_access_time_ns` estimate the time and
-  energy of bulk access patterns without materializing every request (used
-  by the benchmark harnesses where vectors are tens of MiB).
+  return per-request latencies (behind :meth:`DramDevice.read_bytes`).
+* *Analytical accounting* —
+  :meth:`MemoryController.peak_bandwidth_bytes_per_s`, the channel
+  bandwidth the host baselines are priced against without materializing
+  every request (the benchmark harnesses' vectors are tens of MiB).
 """
 
 from __future__ import annotations
@@ -83,12 +83,6 @@ class ControllerStats:
     precharges: int = 0
     busy_time_ns: float = 0.0
     energy: EnergyBreakdown = field(default_factory=EnergyBreakdown)
-
-    @property
-    def row_hit_rate(self) -> float:
-        """Fraction of accesses that hit an open row."""
-        total = self.row_hits + self.row_misses + self.row_closed
-        return self.row_hits / total if total else 0.0
 
 
 class MemoryController:
@@ -241,59 +235,3 @@ class MemoryController:
             self.geometry.channel_width_bits
         )
         return per_channel * self.geometry.channels
-
-    def stream_time_ns(self, num_bytes: int, efficiency: float = 0.85) -> float:
-        """Time to stream ``num_bytes`` over the channels at ``efficiency``.
-
-        ``efficiency`` captures the fraction of peak bandwidth that a real
-        streaming access achieves after refresh, bus turnarounds, and
-        row-miss gaps (0.7–0.9 is typical for well-mapped streams).
-        """
-        if num_bytes < 0:
-            raise ValueError("num_bytes must be non-negative")
-        if not 0 < efficiency <= 1.0:
-            raise ValueError("efficiency must be in (0, 1]")
-        bandwidth = self.peak_bandwidth_bytes_per_s() * efficiency
-        return num_bytes / bandwidth * 1e9
-
-    def stream_energy(self, num_bytes: int, *, is_write: bool = False) -> EnergyBreakdown:
-        """Energy of streaming ``num_bytes`` (row activations amortized)."""
-        if num_bytes < 0:
-            raise ValueError("num_bytes must be non-negative")
-        energy = self.energy_params
-        rows = max(1, (num_bytes + self.geometry.row_size_bytes - 1) // self.geometry.row_size_bytes)
-        bursts = (num_bytes + CACHE_LINE_BYTES - 1) // CACHE_LINE_BYTES
-        breakdown = EnergyBreakdown()
-        breakdown.activation_j = rows * energy.activation_energy_j
-        if is_write:
-            breakdown.write_j = bursts * energy.write_burst_energy_j
-        else:
-            breakdown.read_j = bursts * energy.read_burst_energy_j
-        breakdown.io_j = num_bytes * energy.io_energy_per_byte_j
-        return breakdown
-
-    def random_access_time_ns(self, num_accesses: int, bytes_per_access: int = 64) -> float:
-        """Time for ``num_accesses`` independent random accesses.
-
-        Random accesses are row misses with probability close to one; the
-        system overlaps them across banks, so throughput is limited by the
-        per-bank row-cycle time multiplied across all banks (or by channel
-        bandwidth, whichever binds first).
-        """
-        if num_accesses < 0:
-            raise ValueError("num_accesses must be non-negative")
-        t_rc_s = self.timing.t_rc_ns * 1e-9
-        bank_limited_rate = self.geometry.banks_total / t_rc_s
-        channel_limited_rate = self.peak_bandwidth_bytes_per_s() / bytes_per_access
-        rate = min(bank_limited_rate, channel_limited_rate)
-        return num_accesses / rate * 1e9
-
-    def random_access_energy(self, num_accesses: int, bytes_per_access: int = 64) -> EnergyBreakdown:
-        """Energy for ``num_accesses`` random accesses (one activation each)."""
-        energy = self.energy_params
-        breakdown = EnergyBreakdown()
-        breakdown.activation_j = num_accesses * energy.activation_energy_j
-        bursts_per_access = (bytes_per_access + CACHE_LINE_BYTES - 1) // CACHE_LINE_BYTES
-        breakdown.read_j = num_accesses * bursts_per_access * energy.read_burst_energy_j
-        breakdown.io_j = num_accesses * bytes_per_access * energy.io_energy_per_byte_j
-        return breakdown

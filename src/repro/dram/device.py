@@ -2,9 +2,8 @@
 
 :class:`DramDevice` is the object the rest of the stack builds on.  The
 RowClone and Ambit engines reach into its banks to perform row-level
-operations; the host baselines use its analytical streaming/random access
-accounting; the functional read/write path is used by tests and examples
-that need real data to move end to end.
+operations; the host baselines use its peak channel bandwidth; the
+functional read path moves real data through the channel.
 """
 
 from __future__ import annotations
@@ -68,15 +67,6 @@ class DramDevice:
         )
 
     @classmethod
-    def ddr4(cls) -> "DramDevice":
-        """Dual-channel DDR4-2400 system (the Skylake baseline configuration)."""
-        return cls(
-            DramGeometry.ddr4_dimm(),
-            DramTimingParameters.ddr4_2400(),
-            DramEnergyParameters.ddr4_2400(),
-        )
-
-    @classmethod
     def hmc_vault(cls) -> "DramDevice":
         """The DRAM of a single HMC-like vault (used by the stacked model)."""
         return cls(
@@ -108,37 +98,6 @@ class DramDevice:
     # ------------------------------------------------------------------
     # Functional bulk access through the channel
     # ------------------------------------------------------------------
-    def write_bytes(self, address: int, data: np.ndarray) -> DeviceAccessResult:
-        """Write ``data`` starting at ``address`` through the memory channel.
-
-        Data is split into 64 B cache-line requests; returns functional
-        latency and energy for the whole transfer.
-        """
-        payload = np.asarray(data, dtype=np.uint8)
-        if address % CACHE_LINE_BYTES != 0:
-            raise ValueError("bulk writes must be cache-line aligned")
-        if payload.size % CACHE_LINE_BYTES != 0:
-            padded = np.zeros(
-                ((payload.size + CACHE_LINE_BYTES - 1) // CACHE_LINE_BYTES) * CACHE_LINE_BYTES,
-                dtype=np.uint8,
-            )
-            padded[: payload.size] = payload
-            payload = padded
-        start_time = self.controller.now_ns
-        start_energy = self.controller.stats.energy.total_j
-        for offset in range(0, payload.size, CACHE_LINE_BYTES):
-            self.controller.submit(
-                Request(
-                    kind=RequestKind.WRITE,
-                    address=address + offset,
-                    data=payload[offset : offset + CACHE_LINE_BYTES],
-                )
-            )
-        self.controller.drain()
-        elapsed = self.controller.now_ns - start_time
-        spent = self.controller.stats.energy.total_j - start_energy
-        return DeviceAccessResult(latency_ns=elapsed, energy=EnergyBreakdown(io_j=spent))
-
     def read_bytes(self, address: int, length: int) -> DeviceAccessResult:
         """Read ``length`` bytes starting at ``address`` through the channel."""
         if address % CACHE_LINE_BYTES != 0:
@@ -164,24 +123,8 @@ class DramDevice:
         )
 
     # ------------------------------------------------------------------
-    # Analytical accounting shortcuts (delegate to the controller)
+    # Analytical accounting (delegates to the controller)
     # ------------------------------------------------------------------
     def peak_bandwidth_bytes_per_s(self) -> float:
         """Aggregate peak channel bandwidth."""
         return self.controller.peak_bandwidth_bytes_per_s()
-
-    def stream_time_ns(self, num_bytes: int, efficiency: float = 0.85) -> float:
-        """Time to stream ``num_bytes`` through the channels."""
-        return self.controller.stream_time_ns(num_bytes, efficiency)
-
-    def stream_energy(self, num_bytes: int, *, is_write: bool = False) -> EnergyBreakdown:
-        """Energy to stream ``num_bytes`` through the channels."""
-        return self.controller.stream_energy(num_bytes, is_write=is_write)
-
-    def random_access_time_ns(self, num_accesses: int, bytes_per_access: int = 64) -> float:
-        """Time for random cache-line-granularity accesses."""
-        return self.controller.random_access_time_ns(num_accesses, bytes_per_access)
-
-    def random_access_energy(self, num_accesses: int, bytes_per_access: int = 64) -> EnergyBreakdown:
-        """Energy for random cache-line-granularity accesses."""
-        return self.controller.random_access_energy(num_accesses, bytes_per_access)

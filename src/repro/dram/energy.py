@@ -144,22 +144,9 @@ class DramEnergyParameters:
         """Off-chip I/O and termination energy for one byte on the channel."""
         return self.io_pj_per_bit * 8 * 1e-12
 
-    @property
-    def refresh_energy_j(self) -> float:
-        """Energy of one refresh command (all banks), rank level."""
-        delta_ma = max(self.idd5_ma - self.idd3n_ma, 0.0)
-        # Refresh occupies roughly tRFC; use 260 ns as the DDR3 4 Gb figure.
-        per_device_j = delta_ma * 1e-3 * self.vdd * 260e-9
-        return per_device_j * self.devices_per_rank
-
     # ------------------------------------------------------------------
     # Derived per-byte costs
     # ------------------------------------------------------------------
-    @property
-    def activation_energy_per_byte_j(self) -> float:
-        """Activation energy amortized over every byte of the open row."""
-        return self.activation_energy_j / self.row_size_bytes
-
     def channel_transfer_energy_j(self, num_bytes: int, *, is_write: bool = False) -> float:
         """Energy to move ``num_bytes`` over the channel in 64 B bursts.
 
@@ -201,25 +188,6 @@ class DramEnergyParameters:
     def ddr3_1600(cls) -> "DramEnergyParameters":
         """Typical DDR3-1600 x8 datasheet values (the Ambit/RowClone config)."""
         return cls()
-
-    @classmethod
-    def ddr4_2400(cls) -> "DramEnergyParameters":
-        """Typical DDR4-2400 x8 values (lower voltage, similar currents)."""
-        return cls(
-            name="DDR4-2400-x8",
-            vdd=1.2,
-            idd0_ma=58.0,
-            idd2n_ma=34.0,
-            idd3n_ma=44.0,
-            idd4r_ma=150.0,
-            idd4w_ma=130.0,
-            idd5_ma=190.0,
-            devices_per_rank=8,
-            io_pj_per_bit=7.0,
-            t_rc_ns=46.16,
-            t_burst_ns=3.33,
-            row_size_bytes=8192,
-        )
 
     @classmethod
     def hmc_internal(cls) -> "DramEnergyParameters":

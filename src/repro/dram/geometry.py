@@ -77,16 +77,6 @@ class DramGeometry:
         """Capacity of the whole memory system in bytes."""
         return self.banks_total * self.bank_capacity_bytes
 
-    @property
-    def row_size_bits(self) -> int:
-        """Bits per row — the width of one bulk in-DRAM operation."""
-        return self.row_size_bytes * 8
-
-    @property
-    def cache_lines_per_row(self) -> int:
-        """Number of 64 B cache lines that fit in one row."""
-        return self.row_size_bytes // 64
-
     def describe(self) -> str:
         """Human-readable one-line summary of the organization."""
         gib = self.total_capacity_bytes / (1 << 30)
@@ -106,19 +96,6 @@ class DramGeometry:
             channels=2,
             ranks_per_channel=1,
             banks_per_rank=8,
-            subarrays_per_bank=64,
-            rows_per_subarray=512,
-            row_size_bytes=8192,
-            channel_width_bits=64,
-        )
-
-    @classmethod
-    def ddr4_dimm(cls) -> "DramGeometry":
-        """A dual-channel DDR4-style configuration (16 GiB, 16 banks/rank)."""
-        return cls(
-            channels=2,
-            ranks_per_channel=1,
-            banks_per_rank=16,
             subarrays_per_bank=64,
             rows_per_subarray=512,
             row_size_bytes=8192,

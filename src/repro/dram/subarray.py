@@ -12,7 +12,7 @@ devices cheap to instantiate.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -87,10 +87,6 @@ class Subarray:
     def allocated_rows(self) -> int:
         """Number of rows that have actually been written (backing storage)."""
         return len(self._storage)
-
-    def iter_written_rows(self) -> Iterator[int]:
-        """Iterate over the indices of rows with backing storage."""
-        return iter(sorted(self._storage))
 
     # ------------------------------------------------------------------
     # Sense-amplifier behaviour

@@ -105,10 +105,6 @@ class DramTimingParameters:
     # ------------------------------------------------------------------
     # In-DRAM operation primitives (RowClone / Ambit)
     # ------------------------------------------------------------------
-    @property
-    def ap_ns(self) -> float:
-        """Duration of an ACTIVATE followed by a PRECHARGE (one row cycle)."""
-        return self.t_rc_ns
 
     @property
     def aap_ns(self) -> float:
@@ -143,25 +139,6 @@ class DramTimingParameters:
     def ddr3_1600(cls) -> "DramTimingParameters":
         """DDR3-1600 (PC3-12800), the configuration used by Ambit/RowClone."""
         return cls()
-
-    @classmethod
-    def ddr4_2400(cls) -> "DramTimingParameters":
-        """DDR4-2400, the speed bin of the Skylake baseline system."""
-        return cls(
-            name="DDR4-2400",
-            tck_ns=0.833,
-            data_rate_mtps=2400.0,
-            t_rcd_ns=14.16,
-            t_ras_ns=32.0,
-            t_rp_ns=14.16,
-            t_cas_ns=14.16,
-            t_wr_ns=15.0,
-            t_rrd_ns=4.9,
-            t_faw_ns=21.0,
-            t_refi_ns=7800.0,
-            t_rfc_ns=350.0,
-            burst_length=8,
-        )
 
     @classmethod
     def hmc_internal(cls) -> "DramTimingParameters":

@@ -47,21 +47,6 @@ class WorkProfile:
     vertex_state_bytes: int = 8
     ops_per_edge: int = 4
 
-    @property
-    def iterations(self) -> int:
-        """Number of iterations executed."""
-        return len(self.traversed_edges)
-
-    @property
-    def total_edges_traversed(self) -> int:
-        """Total edges traversed over the whole run."""
-        return int(sum(self.traversed_edges))
-
-    @property
-    def total_active_vertices(self) -> int:
-        """Total vertex activations over the whole run."""
-        return int(sum(self.active_vertices))
-
     def record(self, active: int, edges: int) -> None:
         """Append one iteration's work."""
         self.active_vertices.append(int(active))

@@ -124,39 +124,15 @@ class CsrGraph:
             return degrees
         return degrees[vertex]
 
-    def in_degree(self) -> np.ndarray:
-        """In-degree array (computed on demand)."""
-        return np.bincount(self.indices, minlength=self.num_vertices)
-
     def neighbors(self, vertex: int) -> np.ndarray:
         """Destination vertices of ``vertex``'s out-edges."""
         if not 0 <= vertex < self.num_vertices:
             raise IndexError(f"vertex {vertex} out of range")
         return self.indices[self.indptr[vertex] : self.indptr[vertex + 1]]
 
-    def edge_weights(self, vertex: int) -> np.ndarray:
-        """Weights of ``vertex``'s out-edges."""
-        if not 0 <= vertex < self.num_vertices:
-            raise IndexError(f"vertex {vertex} out of range")
-        return self.weights[self.indptr[vertex] : self.indptr[vertex + 1]]
-
     def edge_sources(self) -> np.ndarray:
         """Per-edge source-vertex array (expanded from indptr)."""
         return np.repeat(np.arange(self.num_vertices, dtype=np.int64), np.diff(self.indptr))
-
-    def reverse(self) -> "CsrGraph":
-        """Return the graph with every edge direction flipped."""
-        sources = self.edge_sources()
-        return CsrGraph.from_arrays(self.num_vertices, self.indices, sources, self.weights)
-
-    def memory_footprint_bytes(self, bytes_per_vertex: int = 16, bytes_per_edge: int = 8) -> int:
-        """Approximate in-memory size of the graph plus per-vertex state.
-
-        Used by the performance models to size data movement: CSR offsets
-        and per-vertex algorithm state (rank, level, component id) cost
-        ``bytes_per_vertex``; each adjacency entry costs ``bytes_per_edge``.
-        """
-        return self.num_vertices * bytes_per_vertex + self.num_edges * bytes_per_edge
 
     def describe(self) -> str:
         """One-line summary used in benchmark output."""

@@ -66,8 +66,6 @@ class CpuParameters:
             read/RFO/write-back stream sustains (bus turnarounds, refresh,
             imperfect prefetch).  Measured values for bulk bitwise loops on
             desktop parts are 0.6–0.75 of peak.
-        random_access_bytes_used: Useful bytes per 64 B line for irregular
-            access patterns (graph workloads use 8–16 of the 64).
     """
 
     name: str = "skylake-4core"
@@ -76,25 +74,11 @@ class CpuParameters:
     simd_width_bytes: int = 32
     ipc_simd: float = 2.0
     streaming_efficiency: float = 0.70
-    random_access_bytes_used: int = 16
 
     @classmethod
     def skylake(cls) -> "CpuParameters":
         """The 4-core Skylake configuration used as the Ambit baseline."""
         return cls()
-
-    @classmethod
-    def server_32core(cls) -> "CpuParameters":
-        """A 32-core out-of-order server, the Tesseract baseline host."""
-        return cls(
-            name="server-32core",
-            cores=32,
-            frequency_ghz=2.6,
-            simd_width_bytes=32,
-            ipc_simd=2.0,
-            streaming_efficiency=0.75,
-            random_access_bytes_used=16,
-        )
 
 
 class HostCpu:
@@ -197,44 +181,5 @@ class HostCpu:
             energy_j=energy,
             bytes_moved_on_channel=int(traffic),
             bytes_produced=num_bytes,
-            notes=self.parameters.name,
-        )
-
-    # ------------------------------------------------------------------
-    # Irregular (pointer-chasing / graph) access patterns
-    # ------------------------------------------------------------------
-    def random_access_workload(
-        self,
-        num_accesses: int,
-        compute_ops_per_access: int = 4,
-        bytes_per_access: int = 64,
-    ) -> OperationMetrics:
-        """Latency/energy of a workload dominated by random memory accesses.
-
-        Used as the conventional-system cost model for graph analytics: each
-        edge traversal touches a cache line essentially at random, uses only
-        ``random_access_bytes_used`` bytes of it, and performs a handful of
-        ALU operations.
-        """
-        if num_accesses < 0:
-            raise ValueError("num_accesses must be non-negative")
-        memory_time_ns = self.dram.random_access_time_ns(num_accesses, bytes_per_access)
-        p = self.parameters
-        compute_time_ns = (
-            num_accesses * compute_ops_per_access / (p.cores * p.frequency_ghz * 1e9 * 2.0)
-        ) * 1e9
-        latency_ns = max(memory_time_ns, compute_time_ns)
-        traffic = num_accesses * bytes_per_access
-        energy = (
-            self.energy_model.data_movement_energy_j(traffic)
-            + self.energy_model.compute_energy_j(scalar_ops=num_accesses * compute_ops_per_access)
-            + self.energy_model.static_power_w * latency_ns * 1e-9
-        )
-        return OperationMetrics(
-            name="cpu_random_access",
-            latency_ns=latency_ns,
-            energy_j=energy,
-            bytes_moved_on_channel=traffic,
-            bytes_produced=num_accesses * p.random_access_bytes_used,
             notes=self.parameters.name,
         )

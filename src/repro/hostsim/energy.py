@@ -87,22 +87,3 @@ class HostEnergyModel:
     def desktop(cls) -> "HostEnergyModel":
         """Skylake-class desktop parameters (the Ambit baseline system)."""
         return cls()
-
-    @classmethod
-    def mobile(cls) -> "HostEnergyModel":
-        """Mobile-SoC parameters (the consumer-workload study's systems).
-
-        Mobile SoCs have smaller caches and a lower-power memory interface
-        (LPDDR), but also far lower-power cores, so data movement is a
-        *larger* fraction of total energy than on desktops.
-        """
-        return cls(
-            core_op_energy_j=0.8e-12,
-            simd_op_energy_j=4.0e-12,
-            l1_access_energy_j=3.0e-12,
-            l2_access_energy_j=1.5e-11,
-            llc_access_energy_j=4.0e-11,
-            interconnect_energy_per_byte_j=2.5e-12,
-            dram_energy_per_byte_j=1.2e-10,
-            static_power_w=0.25,
-        )

@@ -112,13 +112,6 @@ class Span:
         for child in self.children:
             yield from child.walk()
 
-    def find(self, name: str) -> Optional["Span"]:
-        """First span named ``name`` in this subtree, or None."""
-        for span in self.walk():
-            if span.name == name:
-                return span
-        return None
-
     def __repr__(self) -> str:
         end = "open" if self.end_ns is None else f"{self.end_ns:.0f}"
         return f"Span({self.name!r}, {self.category!r}, [{self.start_ns:.0f}, {end}] ns)"

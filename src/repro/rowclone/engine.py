@@ -1,26 +1,18 @@
-"""The RowClone engine: functional row copies plus bulk-operation accounting.
+"""The RowClone engine: latency and energy of bulk in-DRAM copies.
 
-Two usage styles are provided, mirroring the rest of the stack:
-
-* Row-level functional operations (:meth:`RowCloneEngine.copy_row`,
-  :meth:`RowCloneEngine.fill_row`) actually move bytes inside the simulated
-  device and are used by tests and by Ambit (whose every step is an AAP).
-* Bulk analytical operations (:meth:`RowCloneEngine.bulk_copy`,
-  :meth:`RowCloneEngine.bulk_fill`) account the latency and energy of
-  copying/initializing arbitrarily large regions without materializing the
-  rows, and are what the E8 benchmark uses.
+:meth:`RowCloneEngine.bulk_copy` and :meth:`RowCloneEngine.bulk_fill`
+account the latency and energy of copying/initializing arbitrarily large
+regions row by row without materializing the rows.  The E8 benchmark,
+:class:`~repro.core.system.PIMSystem` and the serving stack's
+``CopyRequest`` price copies with them.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import Optional
 
 from repro.analysis.metrics import OperationMetrics
-from repro.dram.bank import Bank
 from repro.dram.device import DramDevice
 
 
@@ -51,96 +43,6 @@ class RowCloneEngine:
     def __init__(self, device: Optional[DramDevice] = None, banks_parallel: Optional[int] = None) -> None:
         self.device = device or DramDevice.ddr3()
         self.banks_parallel = banks_parallel or self.device.geometry.banks_total
-
-    # ------------------------------------------------------------------
-    # Row-level functional operations
-    # ------------------------------------------------------------------
-    def classify_copy(self, bank: Bank, source_row: int, dest_row: int,
-                      same_bank: bool = True) -> CopyMode:
-        """Determine which RowClone mode a row-to-row copy can use."""
-        if not same_bank:
-            return CopyMode.PSM
-        if bank.same_subarray(source_row, dest_row):
-            return CopyMode.FPM
-        return CopyMode.INTER_SUBARRAY
-
-    def copy_row(self, bank: Bank, source_row: int, dest_row: int) -> OperationMetrics:
-        """Copy one row to another row of the same bank, functionally.
-
-        Uses FPM when both rows share a subarray and the LISA fallback
-        otherwise.  Returns the latency/energy of the copy.
-        """
-        mode = self.classify_copy(bank, source_row, dest_row)
-        timing = self.device.timing
-        energy = self.device.energy_params
-        if mode is CopyMode.FPM:
-            bank.aap(source_row, dest_row)
-            latency_ns = timing.aap_ns
-            energy_j = energy.aap_energy_j
-        else:
-            # LISA-style: move through intermediate row buffers.  Functionally
-            # the data still ends up at the destination.
-            data = bank.read_row(source_row)
-            bank.write_row(dest_row, data)
-            latency_ns = timing.aap_ns * INTER_SUBARRAY_AAP_FACTOR
-            energy_j = energy.aap_energy_j * INTER_SUBARRAY_AAP_FACTOR
-        return OperationMetrics(
-            name=f"rowclone_{mode.value}_row",
-            latency_ns=latency_ns,
-            energy_j=energy_j,
-            bytes_moved_on_channel=0,
-            bytes_produced=self.device.geometry.row_size_bytes,
-            notes=mode.value,
-        )
-
-    def copy_row_psm(
-        self,
-        source_bank: Bank,
-        source_row: int,
-        dest_bank: Bank,
-        dest_row: int,
-    ) -> OperationMetrics:
-        """Copy a row between two banks through the chip-internal bus.
-
-        The transfer proceeds cache line by cache line through the global
-        I/O structure of the chip, so it costs one read burst plus one write
-        burst per 64 B, but never leaves the DRAM module (no off-chip I/O
-        energy, no cache pollution).
-        """
-        data = source_bank.read_row(source_row)
-        dest_bank.write_row(dest_row, data)
-        geometry = self.device.geometry
-        timing = self.device.timing
-        energy = self.device.energy_params
-        lines = geometry.row_size_bytes // 64
-        latency_ns = (
-            2 * timing.t_rc_ns  # open both rows
-            + lines * 2 * timing.burst_time_ns  # read burst + write burst each line
-        )
-        energy_j = (
-            2 * energy.activation_energy_j
-            + lines * (energy.read_burst_energy_j + energy.write_burst_energy_j)
-        )
-        return OperationMetrics(
-            name="rowclone_psm_row",
-            latency_ns=latency_ns,
-            energy_j=energy_j,
-            bytes_moved_on_channel=0,
-            bytes_produced=geometry.row_size_bytes,
-            notes="psm",
-        )
-
-    def fill_row(self, bank: Bank, zero_row: int, dest_row: int,
-                 pattern: int = 0) -> OperationMetrics:
-        """Initialize ``dest_row`` by cloning a reserved pattern row.
-
-        The reserved row is written once (here, if it does not already hold
-        the pattern) and then cloned with a single AAP per destination row.
-        """
-        expected = np.full(self.device.geometry.row_size_bytes, pattern, dtype=np.uint8)
-        if not np.array_equal(bank.read_row(zero_row), expected):
-            bank.write_row(zero_row, expected)
-        return self.copy_row(bank, zero_row, dest_row)
 
     # ------------------------------------------------------------------
     # Bulk analytical operations

@@ -83,10 +83,12 @@ from repro.service.lanes import HOST_LANE
 from repro.service.planner import BatchPlanner, LoweredGroup
 from repro.service.requests import (
     BatchResult,
+    CopyRequest,
     FrontendRequest,
     QueuedRequest,
     RequestEnvelope,
     RequestResult,
+    check_copy_request,
     check_request_type,
     checked_arrival,
 )
@@ -100,16 +102,20 @@ SERVED_REQUEST_TYPES: Tuple[type, ...] = get_args(FrontendRequest) + _WRITE_TYPE
 
 def check_frontend_request(request: object) -> None:
     """Refuse a request a frontend's ``offer`` could not serve — an unknown
-    type (``TypeError``; the planner's :class:`BoundChain` among them) or a
-    write whose row ids or codes the table cannot take (the mutator's own
-    error) — before anything is recorded or any clock moves.
+    type (``TypeError``; the planner's :class:`BoundChain` among them), a
+    copy whose size or mode RowClone cannot price
+    (:func:`~repro.service.requests.check_copy_request`), or a write whose
+    row ids or codes the table cannot take (the mutator's own error) —
+    before anything is recorded or any clock moves.
 
     Both tiers expose it as ``check_request``: ``offer`` runs it beside
     :func:`~repro.service.requests.checked_arrival`, and a session runs it
     before its pre-arrival advance.
     """
     check_request_type(request, SERVED_REQUEST_TYPES)
-    if isinstance(request, _WRITE_TYPES):
+    if isinstance(request, CopyRequest):
+        check_copy_request(request)
+    elif isinstance(request, _WRITE_TYPES):
         check_row_ids(request)
 
 
@@ -466,10 +472,6 @@ class ServiceFrontend:
         """When everything dispatched so far finishes: the clock, extended
         by any in-flight lane horizon a pipelined executor still carries."""
         return max(self.clock_ns, self.executor.horizon_ns())
-
-    def bank_backlog(self) -> Dict:
-        """Copy of the per-lane backlog vector (lane key -> queued ns)."""
-        return dict(self._bank_backlog)
 
     def lane_metrics(self, name: str = "lanes") -> LaneMetrics:
         """Per-lane utilization snapshot of the executor's timelines."""

@@ -83,8 +83,3 @@ class VectorPool:
                     self.engine.allocator.free(vector.allocation)
         self._idle.clear()
         self._idle_count = 0
-
-    @property
-    def idle_vectors(self) -> int:
-        """Vectors currently cached and idle."""
-        return self._idle_count

@@ -19,6 +19,7 @@ or *where* it runs.  The pipeline stages consume these types in order:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple, Union
 
@@ -109,6 +110,19 @@ class CopyRequest:
     num_bytes: int
     mode: CopyMode = CopyMode.FPM
     fill: bool = False
+
+
+def check_copy_request(request: CopyRequest) -> None:
+    """Refuse a copy RowClone cannot price: ``num_bytes`` must be a
+    non-negative integer (a bool is not one) and ``mode`` a
+    :class:`CopyMode`.  ``num_bytes=0`` is a valid, one-row copy."""
+    num_bytes = request.num_bytes
+    if isinstance(num_bytes, bool) or not isinstance(num_bytes, numbers.Integral):
+        raise TypeError(f"CopyRequest.num_bytes must be an int, not {num_bytes!r}")
+    if num_bytes < 0:
+        raise ValueError(f"CopyRequest.num_bytes must be non-negative, got {num_bytes}")
+    if not isinstance(request.mode, CopyMode):
+        raise TypeError(f"CopyRequest.mode must be a CopyMode, not {request.mode!r}")
 
 
 #: Primitive request kinds the executor runs directly.

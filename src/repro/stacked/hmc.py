@@ -62,11 +62,6 @@ class HmcParameters:
         """Total DRAM banks across all vaults."""
         return self.num_vaults * self.vault.banks
 
-    @property
-    def bandwidth_amplification(self) -> float:
-        """Ratio of internal to external bandwidth — the PIM opportunity."""
-        return self.internal_bandwidth_bytes_per_s / self.external_bandwidth_bytes_per_s
-
 
 class HmcStack:
     """One stacked-memory device with its vaults.
@@ -87,49 +82,6 @@ class HmcStack:
             Vault(i, self.parameters.vault, with_functional_dram)
             for i in range(self.parameters.num_vaults)
         ]
-
-    # ------------------------------------------------------------------
-    # Bandwidth / latency views
-    # ------------------------------------------------------------------
-    def internal_stream_time_ns(self, num_bytes: int) -> float:
-        """Time to stream ``num_bytes`` using every vault's TSV bus."""
-        if num_bytes < 0:
-            raise ValueError("num_bytes must be non-negative")
-        return num_bytes / self.parameters.internal_bandwidth_bytes_per_s * 1e9
-
-    def external_stream_time_ns(self, num_bytes: int) -> float:
-        """Time to stream ``num_bytes`` over the links to the host."""
-        if num_bytes < 0:
-            raise ValueError("num_bytes must be non-negative")
-        return num_bytes / self.parameters.external_bandwidth_bytes_per_s * 1e9
-
-    def external_transfer_energy_j(self, num_bytes: int) -> float:
-        """Energy of moving ``num_bytes`` between the stack and the host.
-
-        The data still has to be read from (or written to) the DRAM layers
-        and cross the TSVs before it reaches the SerDes links, so the
-        external cost is the internal cost plus the link energy.
-        """
-        if num_bytes < 0:
-            raise ValueError("num_bytes must be non-negative")
-        link_j = num_bytes * 8 * self.parameters.external_link_energy_pj_per_bit * 1e-12
-        return self.internal_transfer_energy_j(num_bytes) + link_j
-
-    def internal_transfer_energy_j(self, num_bytes: int) -> float:
-        """Array + TSV energy of moving ``num_bytes`` inside the stack."""
-        if num_bytes < 0:
-            raise ValueError("num_bytes must be non-negative")
-        if not self.vaults:
-            return 0.0
-        return self.vaults[0].transfer_energy_j(num_bytes)
-
-    def vault_for_address(self, address: int) -> Vault:
-        """Map an address to its vault (addresses interleave across vaults
-        at 256 B granularity, per the HMC specification's default)."""
-        if address < 0 or address >= self.parameters.capacity_bytes:
-            raise ValueError("address outside the stack's capacity")
-        block = address // 256
-        return self.vaults[block % len(self.vaults)]
 
 
 class StackedMemorySystem:
@@ -167,27 +119,6 @@ class StackedMemorySystem:
         return sum(len(stack.vaults) for stack in self.stacks)
 
     @property
-    def total_internal_bandwidth_bytes_per_s(self) -> float:
-        """Aggregate TSV bandwidth across every vault of every cube."""
-        return sum(
-            stack.parameters.internal_bandwidth_bytes_per_s for stack in self.stacks
-        )
-
-    @property
     def capacity_bytes(self) -> int:
         """Total capacity across all cubes."""
         return sum(stack.parameters.capacity_bytes for stack in self.stacks)
-
-    def all_vaults(self) -> List[Vault]:
-        """Flat list of every vault (cube-major order)."""
-        vaults: List[Vault] = []
-        for stack in self.stacks:
-            vaults.extend(stack.vaults)
-        return vaults
-
-    def vault_location(self, flat_index: int) -> tuple:
-        """Return (cube index, vault index within the cube)."""
-        if flat_index < 0 or flat_index >= self.num_vaults:
-            raise IndexError("vault index out of range")
-        per_stack = len(self.stacks[0].vaults)
-        return flat_index // per_stack, flat_index % per_stack

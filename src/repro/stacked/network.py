@@ -138,16 +138,3 @@ class StackNetwork:
     def total_time_ns(self) -> float:
         """Serialization time on the binding interconnect level."""
         return max(self.intra_cube_time_ns(), self.inter_cube_time_ns())
-
-    def total_energy_j(self) -> float:
-        """Energy of all registered traffic."""
-        p = self.parameters
-        intra = self.intra_cube_bytes * 8 * p.intra_cube_energy_pj_per_bit * 1e-12
-        inter = (
-            self.inter_cube_bytes
-            * self.average_inter_cube_hops
-            * 8
-            * p.inter_cube_energy_pj_per_bit
-            * 1e-12
-        )
-        return intra + inter

@@ -75,32 +75,6 @@ class Vault:
                 DramTimingParameters.hmc_internal(),
                 DramEnergyParameters.hmc_internal(),
             )
-        # Accounting of traffic served by this vault.
-        self.bytes_read = 0
-        self.bytes_written = 0
-
-    # ------------------------------------------------------------------
-    # Analytical access accounting
-    # ------------------------------------------------------------------
-    def record_access(self, num_bytes: int, is_write: bool = False) -> None:
-        """Record ``num_bytes`` of local traffic served by the vault."""
-        if num_bytes < 0:
-            raise ValueError("num_bytes must be non-negative")
-        if is_write:
-            self.bytes_written += num_bytes
-        else:
-            self.bytes_read += num_bytes
-
-    @property
-    def bytes_total(self) -> int:
-        """Total traffic recorded on this vault."""
-        return self.bytes_read + self.bytes_written
-
-    def transfer_time_ns(self, num_bytes: int) -> float:
-        """Time to move ``num_bytes`` over the vault's TSV bus."""
-        if num_bytes < 0:
-            raise ValueError("num_bytes must be non-negative")
-        return num_bytes / self.parameters.tsv_bandwidth_bytes_per_s * 1e9
 
     def transfer_energy_j(self, num_bytes: int) -> float:
         """Energy to move ``num_bytes`` across the TSVs (plus array access).

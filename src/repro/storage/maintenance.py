@@ -47,8 +47,7 @@ if TYPE_CHECKING:  # annotation-only: keeps the import graph acyclic
     from repro.service.planner import BatchPlanner
     from repro.service.requests import Primitive
 
-#: Bytes per dictionary code in the row-traffic model (matches
-#: :meth:`ColumnTable.column_bytes`).
+#: Bytes per dictionary code in the row-traffic model.
 CODE_BYTES = 4
 
 STRATEGIES = ("eager", "lazy", "hybrid")

@@ -31,8 +31,9 @@ The checker is *incremental*: an executor constructed with
 :meth:`~ScheduleSanitizer.check` consumes the placements each new batch
 appended, so certifying every dispatch is O(batch) in time and memory,
 not O(history).  :func:`check_schedule` runs the same audit over a whole
-schedule in one shot, leaving its log (the standalone-report path used by
-:mod:`repro.analysis.audit`).
+schedule in one shot and leaves its log in place; with
+``raise_on_error=False`` it collects the violations into its report
+instead of raising the first.
 """
 
 from __future__ import annotations

@@ -6,6 +6,12 @@ from repro.ambit.allocator import RowAllocator
 from repro.ambit.rowgroups import AmbitSubarrayLayout
 
 
+def _capacity(allocator: RowAllocator) -> int:
+    """Data rows the allocator can hand out: every (bank, subarray) slot's
+    D-group."""
+    return allocator.banks_total * allocator.subarrays_per_bank * allocator.layout.data_rows
+
+
 class TestAllocation:
     def test_chunks_round_robin_across_banks(self, small_device):
         allocator = RowAllocator(small_device)
@@ -13,7 +19,7 @@ class TestAllocation:
         banks = [p.bank_key for p in allocation.placements]
         assert banks[0] != banks[1]
         assert banks[0] == banks[2]
-        assert allocation.banks_used() == 2
+        assert len({p.bank_key for p in allocation.placements}) == 2
 
     def test_allocations_are_subarray_aligned(self, small_device):
         allocator = RowAllocator(small_device)
@@ -27,7 +33,7 @@ class TestAllocation:
         layout = allocator.layout
         allocation = allocator.allocate(8)
         for placement in allocation.placements:
-            assert layout.is_data_row(placement.local_row)
+            assert 0 <= placement.local_row < layout.data_rows
 
     def test_bank_row_combines_subarray_and_local_row(self, small_device):
         allocator = RowAllocator(small_device)
@@ -38,7 +44,7 @@ class TestAllocation:
 
     def test_capacity_and_exhaustion(self, small_device):
         allocator = RowAllocator(small_device)
-        capacity = allocator.capacity_rows()
+        capacity = _capacity(allocator)
         assert capacity == (
             small_device.geometry.banks_total
             * small_device.geometry.subarrays_per_bank
@@ -59,7 +65,7 @@ class TestAllocation:
         """Regression: a MemoryError mid-allocation must not leak the rows
         placed before the failure."""
         allocator = RowAllocator(small_device)
-        capacity = allocator.capacity_rows()
+        capacity = _capacity(allocator)
         everything = allocator.allocate(capacity)
         allocator.free(everything)
         assert allocator.allocated_rows() == 0

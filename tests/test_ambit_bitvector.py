@@ -26,30 +26,12 @@ class TestSizing:
 
 
 class TestBitAccess:
-    def test_set_get_bit(self):
-        vector = BulkBitVector(20)
-        vector.set_bit(0, 1)
-        vector.set_bit(13, 1)
-        assert vector.get_bit(0) == 1
-        assert vector.get_bit(1) == 0
-        assert vector.get_bit(13) == 1
-        vector.set_bit(13, 0)
-        assert vector.get_bit(13) == 0
-
-    def test_bit_bounds_checked(self):
-        vector = BulkBitVector(20)
-        with pytest.raises(IndexError):
-            vector.get_bit(20)
-        with pytest.raises(IndexError):
-            vector.set_bit(-1, 1)
-        with pytest.raises(ValueError):
-            vector.set_bit(0, 2)
-
     def test_count_ones(self):
         vector = BulkBitVector(20)
-        for index in (0, 5, 13, 19):
-            vector.set_bit(index, 1)
+        # Bits 0, 5, 13 and 19, LSB-first within each byte.
+        vector.data[:3] = [0b0010_0001, 0b0010_0000, 0b0000_1000]
         assert vector.count_ones() == 4
+        assert np.flatnonzero(vector.to_bits()).tolist() == [0, 5, 13, 19]
 
     def test_count_ones_ignores_padding(self):
         vector = BulkBitVector(10)
@@ -80,14 +62,11 @@ class TestLoading:
         with pytest.raises(ValueError):
             BulkBitVector(8).fill_random(density=1.5)
 
-    def test_load_and_unload_bits_roundtrip(self):
-        bits = np.random.default_rng(0).integers(0, 2, 1000)
-        vector = BulkBitVector(1000).load_bits(bits)
-        assert np.array_equal(vector.to_bits(), bits)
-
-    def test_load_bits_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            BulkBitVector(10).load_bits(np.zeros(11))
+    def test_to_bits_unpacks_the_logical_bits(self):
+        vector = BulkBitVector(1000).fill_random(seed=0)
+        bits = vector.to_bits()
+        assert bits.size == 1000
+        assert np.array_equal(np.packbits(bits, bitorder="little"), vector.data[: vector.num_bytes])
 
     def test_row_bytes_roundtrip(self):
         vector = BulkBitVector(8 * 64, row_size_bytes=16)
@@ -130,7 +109,7 @@ class TestAdoptedStorage:
         assert vector.data is backing
         assert vector.storage_bytes == 128
         backing[0] = 0xFF
-        assert vector.get_bit(7) == 1
+        assert vector.to_bits()[7] == 1
 
     def test_wrong_size_or_dtype_rejected(self):
         with pytest.raises(ValueError):

@@ -12,25 +12,15 @@ class TestLayout:
         assert layout.reserved_rows == 10
         assert layout.data_rows == 502
 
-    def test_all_reserved_rows_are_distinct_and_in_range(self):
-        layout = AmbitSubarrayLayout(512)
-        reserved = layout.all_reserved_rows()
+    @pytest.mark.parametrize("rows", [64, 512])
+    def test_all_reserved_rows_are_distinct_and_in_range(self, rows):
+        layout = AmbitSubarrayLayout(rows)
+        reserved = [layout.t_row(i) for i in range(4)]
+        reserved += [row for i in range(2) for row in (layout.dcc_row(i), layout.dcc_bar_row(i))]
+        reserved += [layout.c0_row, layout.c1_row]
         assert len(reserved) == len(set(reserved)) == layout.reserved_rows
-        assert all(layout.data_rows <= row < 512 for row in reserved)
-
-    def test_data_rows_do_not_overlap_reserved(self):
-        layout = AmbitSubarrayLayout(64)
-        reserved = set(layout.all_reserved_rows())
-        start, stop = layout.data_row_range()
-        assert start == 0
-        assert all(row not in reserved for row in range(start, stop))
-
-    def test_is_data_row(self):
-        layout = AmbitSubarrayLayout(64)
-        assert layout.is_data_row(0)
-        assert layout.is_data_row(layout.data_rows - 1)
-        assert not layout.is_data_row(layout.data_rows)
-        assert not layout.is_data_row(63)
+        # Above the D-group, so rows [0, data_rows) are all data rows.
+        assert all(layout.data_rows <= row < rows for row in reserved)
 
     def test_t_row_indices(self):
         layout = AmbitSubarrayLayout(64)

@@ -8,10 +8,8 @@ from repro.analysis.metrics import (
     OperationMetrics,
     arithmetic_mean,
     geometric_mean,
-    harmonic_mean,
-    percentile,
+    percentile_or,
     ratio,
-    reduction_percent,
 )
 from repro.analysis.tables import ResultTable
 
@@ -25,10 +23,6 @@ class TestOperationMetrics:
     def test_zero_latency_throughput_is_zero(self):
         metrics = OperationMetrics("op", latency_ns=0.0, energy_j=0.0, bytes_produced=100)
         assert metrics.throughput_bytes_per_s == 0.0
-
-    def test_energy_per_byte(self):
-        metrics = OperationMetrics("op", latency_ns=1.0, energy_j=2e-6, bytes_produced=1000)
-        assert metrics.energy_per_byte_j == pytest.approx(2e-9)
 
     def test_speedup_and_energy_reduction(self):
         fast = OperationMetrics("fast", latency_ns=10.0, energy_j=1.0)
@@ -58,26 +52,20 @@ class TestSummaryStatistics:
         with pytest.raises(ValueError):
             arithmetic_mean([])
 
-    def test_harmonic_mean(self):
-        assert harmonic_mean([1.0, 1.0]) == pytest.approx(1.0)
-        assert harmonic_mean([2.0, 6.0]) == pytest.approx(3.0)
-
-    def test_ratio_and_reduction(self):
+    def test_ratio(self):
         assert ratio(10.0, 2.0) == pytest.approx(5.0)
-        assert reduction_percent(10.0, 2.0) == pytest.approx(80.0)
         with pytest.raises(ValueError):
             ratio(1.0, 0.0)
-        with pytest.raises(ValueError):
-            reduction_percent(0.0, 1.0)
 
     def test_percentile(self):
         values = [1.0, 2.0, 3.0, 4.0]
-        assert percentile(values, 0) == pytest.approx(1.0)
-        assert percentile(values, 100) == pytest.approx(4.0)
-        assert percentile(values, 50) == pytest.approx(2.5)
-        assert percentile([], 50) is None
+        assert percentile_or(values, 0) == pytest.approx(1.0)
+        assert percentile_or(values, 100) == pytest.approx(4.0)
+        assert percentile_or(values, 50) == pytest.approx(2.5)
+        assert percentile_or([], 50) == 0.0
+        assert percentile_or([], 50, default=-1.0) == -1.0
         with pytest.raises(ValueError):
-            percentile(values, 150)
+            percentile_or(values, 150)
 
     def test_geometric_mean_matches_log_definition(self):
         values = [3.0, 7.0, 11.0, 13.0]
@@ -107,11 +95,6 @@ class TestResultTable:
         assert table.column("value") == [1, 2]
         with pytest.raises(KeyError):
             table.column("missing")
-
-    def test_as_dicts(self):
-        table = ResultTable("Demo", ["name", "value"])
-        table.add_row("x", 1)
-        assert table.as_dicts() == [{"name": "x", "value": 1}]
 
     def test_float_formatting(self):
         table = ResultTable("Demo", ["v"], float_format="{:.1f}")

@@ -44,6 +44,7 @@ from repro.dram.device import DramDevice
 from repro.dram.energy import DramEnergyParameters
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import DramTimingParameters
+from repro.rowclone.engine import CopyMode
 from repro.service import (
     BatchPolicy,
     BitmapConjunctionRequest,
@@ -1076,6 +1077,72 @@ class TestRequestBoundary:
             assert np.array_equal(future.result().value.data, bits)
         lanes = [shard.executor.lane_metrics() for shard in shards]
         assert sum(metrics.requests for metrics in lanes) == len(backend.records)
+
+    @pytest.mark.parametrize(
+        "copy, error",
+        [
+            pytest.param(CopyRequest(num_bytes=-5), ValueError, id="bytes=-5"),
+            pytest.param(CopyRequest(num_bytes="8"), TypeError, id="bytes=str"),
+            pytest.param(CopyRequest(num_bytes=2.5), TypeError, id="bytes=float"),
+            pytest.param(CopyRequest(num_bytes=True), TypeError, id="bytes=bool"),
+            pytest.param(CopyRequest(num_bytes=8, mode="fpm"), TypeError, id="mode=str"),
+            pytest.param(CopyRequest(num_bytes=None), TypeError, id="bytes=None"),
+            pytest.param(CopyRequest(num_bytes=np.float64(8.0)), TypeError, id="bytes=float64"),
+            pytest.param(CopyRequest(num_bytes=8, mode=None), TypeError, id="mode=None"),
+            pytest.param(CopyRequest(num_bytes=8, mode=0), TypeError, id="mode=int"),
+        ],
+    )
+    @pytest.mark.parametrize("tier", ["cluster", "service"])
+    def test_bad_copy_is_refused_before_anything_is_recorded(self, tier, copy, error):
+        """A copy RowClone cannot price is refused at the door with a typed
+        error, before an envelope is recorded or the clock moves: raising
+        inside ``offer`` would strand an admitted envelope in no terminal
+        state.  A zero-byte copy (``add_replica`` can offer one) is served."""
+        session = PimSession(self.BACKENDS[tier]())
+        backend = session.backend
+        shards = backend.shards if tier == "cluster" else [backend]
+        before = (len(backend.records), [len(s.records) for s in shards], backend.clock_ns)
+        with pytest.raises(error, match="CopyRequest"):
+            session.submit(copy, at_ns=100.0)
+        with pytest.raises(error, match="CopyRequest"):
+            backend.offer(copy, arrival_ns=100.0)
+        assert before == (len(backend.records), [len(s.records) for s in shards], backend.clock_ns)
+        zero = session.submit(CopyRequest(num_bytes=np.int64(0)), at_ns=100.0)
+        session.drain()
+        assert zero.status == "completed"
+
+    @pytest.mark.parametrize(
+        "copy",
+        [
+            pytest.param(CopyRequest(num_bytes=8192), id="fpm"),
+            pytest.param(CopyRequest(num_bytes=8192, mode=CopyMode.INTER_SUBARRAY), id="lisa"),
+            pytest.param(CopyRequest(num_bytes=8192, mode=CopyMode.PSM), id="psm"),
+            pytest.param(CopyRequest(num_bytes=8192, fill=True), id="fill"),
+            pytest.param(CopyRequest(num_bytes=0), id="bytes=0"),
+            pytest.param(CopyRequest(num_bytes=np.int64(8192)), id="bytes=int64"),
+        ],
+    )
+    @pytest.mark.parametrize("tier", ["cluster", "service"])
+    def test_good_copy_is_served_at_its_rowclone_price(self, tier, copy):
+        """The door refuses only what RowClone cannot price: every mode, a
+        fill, a zero-byte copy and a NumPy integer size are admitted and
+        charged exactly the engine's ``bulk_copy`` / ``bulk_fill`` cost."""
+        session = PimSession(self.BACKENDS[tier]())
+        backend = session.backend
+        future = session.submit(copy, at_ns=100.0)
+        session.drain()
+        response = future.result()
+        assert (response.status, response.kind, response.value) == ("completed", "request", None)
+        shards = backend.shards if tier == "cluster" else [backend]
+        rowclone = shards[0].executor.rowclone
+        if copy.fill:
+            expected = rowclone.bulk_fill(copy.num_bytes)
+        else:
+            expected = rowclone.bulk_copy(copy.num_bytes, copy.mode)
+        assert response.latency_ns == expected.latency_ns
+        assert response.energy_j == expected.energy_j
+        assert response.finish_ns - response.start_ns == pytest.approx(expected.latency_ns)
+        assert backend.result().metrics.completed == 1
 
     def test_validation_never_repairs_a_dirty_column(self):
         """The probe is side-effect free: building a request over a

@@ -19,7 +19,7 @@ from repro.ambit.engine import AmbitConfig, AmbitEngine
 from repro.api import PimSession, lower_conjunction_steps
 from repro.cluster import ClusterFrontend, ShardRouter
 from repro.database.bitmap_index import BitmapIndex
-from repro.database.sharding import BitmapIndexShardView, TableShardView
+from repro.database.sharding import BitmapIndexShardView
 from repro.database.bitweaving import BitWeavingColumn
 from repro.database.tables import ColumnTable
 from repro.dram.device import DramDevice
@@ -203,18 +203,6 @@ class TestShardViews:
         got, view_plan = view.evaluate_conjunction(predicates)
         assert np.array_equal(got, expected)
         assert view_plan.total_operations == plan.total_operations
-
-    def test_table_view(self):
-        table = ColumnTable("t", 10)
-        table.add_column("a", np.arange(10), cardinality=10)
-        table.add_column("b", np.zeros(10, dtype=int), cardinality=1)
-        view = TableShardView(table, ["a"])
-        assert view.num_rows == 10
-        assert np.array_equal(view.column("a"), table.column("a"))
-        with pytest.raises(KeyError):
-            view.column("b")
-        with pytest.raises(KeyError):
-            TableShardView(table, ["c"])
 
 
 class TestClusterBitExactness:

@@ -1,14 +1,14 @@
-"""Tests for repro.core.system and repro.core.kernels."""
+"""Tests for repro.core.system."""
 
 import numpy as np
 import pytest
 
-from repro.core.kernels import bitmap_intersection, bulk_checkpoint, zero_initialize
 from repro.core.system import PIMSystem
 from repro.dram.device import DramDevice
 from repro.dram.energy import DramEnergyParameters
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import DramTimingParameters
+from repro.rowclone.engine import CopyMode
 
 
 @pytest.fixture
@@ -38,18 +38,6 @@ class TestBulkBitwiseApi:
             functional_system.bulk_xor(a, b).data[:88], a.expected_xor(b)
         )
 
-    def test_derived_ops(self, functional_system):
-        a = functional_system.alloc_bitvector(256).fill_random(seed=3)
-        b = functional_system.alloc_bitvector(256).fill_random(seed=4)
-        nand = functional_system.bulk_nand(a, b)
-        assert np.array_equal(nand.data[:32], np.bitwise_not(a.expected_and(b)))
-        nor = functional_system.bulk_nor(a, b)
-        assert np.array_equal(nor.data[:32], np.bitwise_not(a.expected_or(b)))
-        xnor = functional_system.bulk_xnor(a, b)
-        assert np.array_equal(xnor.data[:32], np.bitwise_not(a.expected_xor(b)))
-        inverted = functional_system.bulk_not(a)
-        assert np.array_equal(inverted.data[:32], a.expected_not())
-
     def test_history_records_speedups(self, analytical_system):
         a = analytical_system.alloc_bitvector(1 << 22)
         b = analytical_system.alloc_bitvector(1 << 22)
@@ -59,18 +47,25 @@ class TestBulkBitwiseApi:
         assert record.energy_reduction > 1.0
         assert "faster" in analytical_system.last_operation_report()
 
-    def test_history_table_and_reset(self, analytical_system):
+    def test_history_table(self, analytical_system):
+        with pytest.raises(RuntimeError):
+            analytical_system.last_operation()
         a = analytical_system.alloc_bitvector(1 << 20)
         b = analytical_system.alloc_bitvector(1 << 20)
         analytical_system.bulk_or(a, b)
         analytical_system.bulk_xor(a, b)
         table = analytical_system.history_table()
         assert len(table.rows) == 2
-        analytical_system.reset_history()
-        assert not analytical_system.history
-        with pytest.raises(RuntimeError):
-            analytical_system.last_operation()
 
+
+    @pytest.mark.parametrize("op", ["and", "or", "xor"])
+    def test_each_op_is_compared_with_the_same_host_op(self, analytical_system, op):
+        a = analytical_system.alloc_bitvector(1 << 20)
+        b = analytical_system.alloc_bitvector(1 << 20)
+        getattr(analytical_system, f"bulk_{op}")(a, b)
+        record = analytical_system.last_operation()
+        assert record.pim == analytical_system.ambit.execute(op, a, b)[1]
+        assert record.host_baseline == analytical_system.cpu.bulk_bitwise(op, a.num_bytes)
 
 class TestDataMovementApi:
     def test_copy_and_fill_record_history(self, analytical_system):
@@ -81,35 +76,11 @@ class TestDataMovementApi:
         assert len(analytical_system.history) == 2
         assert all(record.speedup > 1 for record in analytical_system.history)
 
-
-class TestKernels:
-    def test_bitmap_intersection(self, analytical_system):
-        vectors = [
-            analytical_system.alloc_bitvector(1 << 20).fill_random(seed=i) for i in range(3)
-        ]
-        result, metrics = bitmap_intersection(analytical_system, vectors)
-        assert len(metrics) == 2
-        expected = vectors[0].data & vectors[1].data & vectors[2].data
-        assert np.array_equal(result.data, expected)
-
-    def test_bitmap_intersection_validation(self, analytical_system):
-        single = [analytical_system.alloc_bitvector(64)]
-        with pytest.raises(ValueError):
-            bitmap_intersection(analytical_system, single)
-        mismatched = [
-            analytical_system.alloc_bitvector(64),
-            analytical_system.alloc_bitvector(128),
-        ]
-        with pytest.raises(ValueError):
-            bitmap_intersection(analytical_system, mismatched)
-
-    def test_zero_initialize_and_checkpoint(self, analytical_system):
-        zero_metrics = zero_initialize(analytical_system, 4 << 20)
-        assert zero_metrics.name == "rowclone_bulk_fill"
-        fpm = bulk_checkpoint(analytical_system, 4 << 20, intra_subarray=True)
-        psm = bulk_checkpoint(analytical_system, 4 << 20, intra_subarray=False)
-        assert fpm.latency_ns < psm.latency_ns
-        with pytest.raises(ValueError):
-            zero_initialize(analytical_system, 0)
-        with pytest.raises(ValueError):
-            bulk_checkpoint(analytical_system, -1)
+    @pytest.mark.parametrize("mode", list(CopyMode))
+    def test_each_copy_mode_is_priced_by_rowclone_against_a_cpu_copy(self, analytical_system, mode):
+        size = 8 << 20
+        metrics = analytical_system.copy(size, mode)
+        record = analytical_system.last_operation()
+        assert record.pim is metrics
+        assert metrics == analytical_system.rowclone.bulk_copy(size, mode)
+        assert record.host_baseline == analytical_system.cpu.bulk_copy(size)

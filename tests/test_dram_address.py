@@ -82,7 +82,3 @@ class TestValidation:
         assert coordinate.channel < geometry.channels
         assert coordinate.bank < geometry.banks_per_rank
         assert coordinate.row < geometry.rows_per_bank
-
-    def test_as_tuple(self):
-        coordinate = DramCoordinate(1, 0, 2, 3, 4)
-        assert coordinate.as_tuple() == (1, 0, 2, 3, 4)

@@ -69,56 +69,73 @@ class TestFunctionalPath:
         assert controller.stats.energy.total_j > 0
         assert controller.stats.reads == 8
 
-    def test_row_hit_rate(self, controller):
+    def test_every_access_is_classified(self, controller):
         for i in range(8):
             controller.submit(Request(RequestKind.READ, address=i * 64))
         controller.drain()
-        assert 0.0 <= controller.stats.row_hit_rate <= 1.0
+        stats = controller.stats
+        assert stats.row_hits + stats.row_misses + stats.row_closed == stats.reads == 8
 
+
+
+def _two_rows_of_one_bank(controller: MemoryController):
+    """Addresses of two different rows that share the bank of address 0."""
+    home = controller.mapper.decode(0)
+    for address in range(64, controller.mapper.capacity_bytes, 64):
+        other = controller.mapper.decode(address)
+        if other.bank == home.bank and other.rank == home.rank and other.row != home.row:
+            return 0, address
+    raise AssertionError("geometry has a single row per bank")
+
+
+class TestRowBuffer:
+    def test_first_access_finds_the_bank_closed(self, controller):
+        read = Request(RequestKind.READ, address=0)
+        controller.submit(read)
+        controller.drain()
+        stats = controller.stats
+        assert (stats.row_closed, stats.row_hits, stats.row_misses) == (1, 0, 0)
+        assert (stats.activations, stats.precharges) == (1, 0)
+        assert stats.energy.activation_j == pytest.approx(controller.energy_params.activation_energy_j)
+        assert read.latency_ns == pytest.approx(controller.timing.row_empty_read_latency_ns)
+
+    def test_a_row_conflict_precharges_and_reopens(self, controller):
+        first, conflict = _two_rows_of_one_bank(controller)
+        for address in (first, conflict):
+            controller.submit(Request(RequestKind.READ, address=address))
+            controller.drain()
+        stats = controller.stats
+        assert (stats.row_closed, stats.row_misses, stats.row_hits) == (1, 1, 0)
+        assert (stats.activations, stats.precharges) == (2, 1)
+        coordinate = controller.mapper.decode(conflict)
+        assert controller.bank_for(coordinate).open_row == coordinate.row
+
+    def test_fr_fcfs_serves_a_younger_row_hit_before_an_older_conflict(self, controller):
+        first, conflict = _two_rows_of_one_bank(controller)
+        opener = Request(RequestKind.READ, address=first)
+        controller.submit(opener)
+        controller.drain()
+        older = Request(RequestKind.READ, address=conflict)
+        younger = Request(RequestKind.READ, address=first)
+        controller.submit(older)
+        controller.submit(younger)
+        assert controller.drain() == [younger, older]
+        assert younger.row_hit is True and older.row_hit is False
+
+    def test_a_write_swaps_cas_for_write_recovery(self, small_geometry):
+        reader, writer = MemoryController(small_geometry), MemoryController(small_geometry)
+        read = Request(RequestKind.READ, address=0)
+        write = Request(RequestKind.WRITE, address=0, data=np.ones(64, dtype=np.uint8))
+        reader.submit(read)
+        writer.submit(write)
+        reader.drain()
+        writer.drain()
+        timing = reader.timing
+        assert write.latency_ns - read.latency_ns == pytest.approx(timing.t_wr_ns - timing.t_cas_ns)
+        assert writer.stats.energy.write_j == pytest.approx(writer.energy_params.write_burst_energy_j)
+        assert writer.stats.energy.read_j == 0
 
 class TestAnalyticalPath:
     def test_peak_bandwidth(self):
         controller = MemoryController(DramGeometry.ddr3_dimm())
         assert controller.peak_bandwidth_bytes_per_s() == pytest.approx(25.6e9)
-
-    def test_stream_time_scales_linearly(self, controller):
-        t1 = controller.stream_time_ns(1 << 20)
-        t2 = controller.stream_time_ns(2 << 20)
-        assert t2 == pytest.approx(2 * t1)
-
-    def test_stream_time_efficiency_bounds(self, controller):
-        with pytest.raises(ValueError):
-            controller.stream_time_ns(1024, efficiency=0.0)
-        with pytest.raises(ValueError):
-            controller.stream_time_ns(1024, efficiency=1.5)
-        with pytest.raises(ValueError):
-            controller.stream_time_ns(-1)
-
-    def test_stream_energy_components(self, controller):
-        energy = controller.stream_energy(1 << 20)
-        assert energy.activation_j > 0
-        assert energy.read_j > 0
-        assert energy.io_j > 0
-        write_energy = controller.stream_energy(1 << 20, is_write=True)
-        assert write_energy.write_j > 0
-        assert write_energy.read_j == 0
-
-    def test_random_access_slower_than_streaming(self):
-        controller = MemoryController(DramGeometry.ddr3_dimm())
-        num_bytes = 1 << 24
-        stream = controller.stream_time_ns(num_bytes)
-        random = controller.random_access_time_ns(num_bytes // 64)
-        assert random > stream
-
-    def test_random_access_energy_has_activation_per_access(self):
-        controller = MemoryController(DramGeometry.ddr3_dimm())
-        energy = controller.random_access_energy(1000)
-        assert energy.activation_j == pytest.approx(
-            1000 * controller.energy_params.activation_energy_j
-        )
-
-    def test_negative_counts_rejected(self, controller):
-        with pytest.raises(ValueError):
-            controller.random_access_time_ns(-1)
-        with pytest.raises(ValueError):
-            controller.stream_energy(-5)

@@ -27,12 +27,6 @@ class TestDramGeometryDerived:
             == geometry.banks_total * geometry.bank_capacity_bytes
         )
 
-    def test_row_size_bits(self):
-        assert DramGeometry(row_size_bytes=8192).row_size_bits == 65536
-
-    def test_cache_lines_per_row(self):
-        assert DramGeometry(row_size_bytes=8192).cache_lines_per_row == 128
-
     def test_describe_mentions_channels_and_rows(self):
         text = DramGeometry.ddr3_dimm().describe()
         assert "2 ch" in text
@@ -69,9 +63,6 @@ class TestDramGeometryValidation:
 class TestDramGeometryPresets:
     def test_ddr3_preset_is_4gib(self):
         assert DramGeometry.ddr3_dimm().total_capacity_bytes == 4 << 30
-
-    def test_ddr4_preset_has_16_banks_per_rank(self):
-        assert DramGeometry.ddr4_dimm().banks_per_rank == 16
 
     def test_hmc_vault_rows_are_smaller_than_ddr_rows(self):
         assert (

@@ -47,16 +47,8 @@ class TestPimPrimitives:
         timing = DramTimingParameters.ddr3_1600()
         assert timing.tra_ns == pytest.approx(timing.aap_ns)
 
-    def test_ap_is_row_cycle(self):
-        timing = DramTimingParameters.ddr3_1600()
-        assert timing.ap_ns == pytest.approx(timing.t_rc_ns)
-
 
 class TestPresetsAndValidation:
-    def test_ddr4_is_faster_than_ddr3_on_the_channel(self):
-        ddr3 = DramTimingParameters.ddr3_1600()
-        ddr4 = DramTimingParameters.ddr4_2400()
-        assert ddr4.channel_bandwidth_bytes_per_s() > ddr3.channel_bandwidth_bytes_per_s()
 
     def test_hmc_internal_preset_has_short_bursts(self):
         assert DramTimingParameters.hmc_internal().burst_length == 4

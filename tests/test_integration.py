@@ -22,7 +22,6 @@ from repro.graph.generators import erdos_renyi, rmat
 from repro.graph.partition import partition_graph
 from repro.hostsim.cpu import HostCpu
 from repro.hostsim.gpu import HostGpu
-from repro.rowclone.engine import RowCloneEngine
 from repro.stacked.hmc import HmcParameters, StackedMemorySystem
 from repro.tesseract.baseline import ConventionalGraphSystem
 from repro.tesseract.runtime import TesseractSystem
@@ -57,14 +56,13 @@ class TestAmbitEndToEnd:
 
     def test_rowclone_feeds_ambit_control_rows(self, small_device):
         """RowClone and Ambit share the same AAP substrate: initializing a
-        control row with RowClone and then using it in a TRA produces the
-        expected AND."""
+        row with RowClone's FPM copy (one AAP) and then running a TRA-based
+        AND in the same device produces the expected AND."""
         engine = AmbitEngine(small_device, AmbitConfig(banks_parallel=2))
-        rowclone = RowCloneEngine(small_device)
         bank = small_device.bank_at(0, 0, 0)
         zeros = np.zeros(64, dtype=np.uint8)
         bank.write_row(0, zeros)
-        rowclone.copy_row(bank, 0, 1)
+        bank.aap(0, 1)
         assert np.array_equal(bank.read_row(1), zeros)
         a = engine.alloc_vector(256).fill_random(seed=1)
         b = engine.alloc_vector(256).fill_random(seed=2)

@@ -33,8 +33,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ambit.engine import AmbitConfig, AmbitEngine
-from repro.analysis import audit_cluster, audit_executor, render_lane_timeline, render_span_tree
-from repro.analysis.metrics import percentile, percentile_or, summarize_queue_records
+from repro.analysis import render_lane_timeline, render_span_tree
+from repro.analysis.metrics import percentile_or, summarize_queue_records
 from repro.api import PimSession
 from repro.cluster import (
     ClusterFrontend,
@@ -196,10 +196,6 @@ class TestStreamingHistogram:
 
 
 class TestPercentileOr:
-    def test_percentile_returns_none_on_empty(self):
-        assert percentile([], 50.0) is None
-        assert percentile([4.0], 50.0) == 4.0
-
     def test_percentile_or_defaults_explicitly(self):
         assert percentile_or([], 50.0) == 0.0
         assert percentile_or([], 50.0, default=-1.0) == -1.0
@@ -558,17 +554,17 @@ class TestIntervalLogExistsForItsReader:
         # Same schedule, same accounting: only the recording differs.
         assert plain.lane_metrics() == audited.lane_metrics()
         assert plain_result.metrics == audited_result.metrics
-        assert audit_executor(audited.executor).report.placements == 20
+        assert audited.executor.sanitizer.report().placements == 20
 
     def test_auditing_a_logless_schedule_says_why(self):
         plain, _ = self._run()
-        for audit in (
-            lambda: check_schedule(plain.executor.lanes),
-            lambda: audit_executor(plain.executor),
-            lambda: audit_cluster(ClusterFrontend(2, engine_factory=_engine)),
+        assert plain.executor.sanitizer is None
+        for lanes in (
+            plain.executor.lanes,
+            ClusterFrontend(2, engine_factory=_engine).shards[0].executor.lanes,
         ):
             with pytest.raises(ValueError, match="sanitize=True"):
-                audit()
+                check_schedule(lanes)
         # A hand-built schedule still logs — and audits — by default.
         lanes = LaneSchedule(["a"])
         lanes.place(["a"], (10.0,))
@@ -658,7 +654,8 @@ class TestRecordedSpans:
         assert names == ["request", "admission", "queue", "service"]
         assert record.trace.end_ns == record.finish_ns
         assert record.trace.attrs["status"] == "completed"
-        service = record.trace.find("service")
+        service = record.trace.children[-1]
+        assert service.name == "service"
         assert service.start_ns == record.start_ns
         assert service.end_ns == record.finish_ns
 
@@ -674,7 +671,7 @@ class TestRecordedSpans:
         span = rejected[0].trace
         assert span.attrs["status"] == "rejected"
         assert span.attrs["reason"]
-        admission = span.find("admission")
+        admission = next(child for child in span.walk() if child.name == "admission")
         assert admission.attrs["admitted"] is False
 
     def test_executor_lanes_become_tracks(self):

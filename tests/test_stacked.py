@@ -9,24 +9,16 @@ from repro.stacked.vault import Vault, VaultParameters
 
 
 class TestVault:
-    def test_transfer_time_and_energy(self):
+    def test_transfer_energy(self):
         vault = Vault(0)
-        assert vault.transfer_time_ns(16_000_000_000) == pytest.approx(1e9)
         assert vault.transfer_energy_j(1000) > 0
-        with pytest.raises(ValueError):
-            vault.transfer_time_ns(-1)
         with pytest.raises(ValueError):
             vault.transfer_energy_j(-1)
 
-    def test_access_recording(self):
-        vault = Vault(3)
-        vault.record_access(100)
-        vault.record_access(50, is_write=True)
-        assert vault.bytes_read == 100
-        assert vault.bytes_written == 50
-        assert vault.bytes_total == 150
-        with pytest.raises(ValueError):
-            vault.record_access(-1)
+    def test_transfer_energy_is_linear_in_bytes(self):
+        vault = Vault(0)
+        assert vault.transfer_energy_j(0) == 0
+        assert vault.transfer_energy_j(4096) == pytest.approx(4 * vault.transfer_energy_j(1024))
 
     def test_functional_dram_is_optional(self):
         assert Vault(0).dram is None
@@ -77,7 +69,6 @@ class TestStackNetwork:
         assert network.intra_cube_bytes == 100 * 32
         assert network.inter_cube_bytes == 100 * 32
         assert network.inter_cube_time_ns() > network.intra_cube_time_ns()
-        assert network.total_energy_j() > 0
 
     def test_reset(self):
         network = StackNetwork()
@@ -100,54 +91,24 @@ class TestStackNetwork:
 
 
 class TestHmcStack:
-    def test_bandwidth_amplification(self):
+    def test_internal_bandwidth(self):
         params = HmcParameters.hmc2()
         assert params.internal_bandwidth_bytes_per_s == pytest.approx(512e9)
-        assert params.bandwidth_amplification == pytest.approx(1.6)
+        assert len(HmcStack(params).vaults) == params.num_vaults
 
-    def test_internal_stream_faster_than_external(self):
-        stack = HmcStack()
-        size = 1 << 30
-        assert stack.internal_stream_time_ns(size) < stack.external_stream_time_ns(size)
 
-    def test_transfer_energy_internal_cheaper_than_external(self):
-        stack = HmcStack()
-        size = 1 << 20
-        assert stack.internal_transfer_energy_j(size) < stack.external_transfer_energy_j(size)
-
-    def test_vault_for_address_interleaves(self):
-        stack = HmcStack()
-        first = stack.vault_for_address(0)
-        second = stack.vault_for_address(256)
-        assert first.index != second.index
-        with pytest.raises(ValueError):
-            stack.vault_for_address(stack.parameters.capacity_bytes)
-
-    def test_negative_sizes_rejected(self):
-        stack = HmcStack()
-        with pytest.raises(ValueError):
-            stack.internal_stream_time_ns(-1)
-        with pytest.raises(ValueError):
-            stack.external_transfer_energy_j(-1)
-
+    def test_internal_bandwidth_exceeds_the_external_links(self):
+        """The PIM opportunity: the vaults' TSVs together outrun the links
+        to the host (HMC 2.0: 512 GB/s against 320 GB/s)."""
+        params = HmcParameters.hmc2()
+        ratio = params.internal_bandwidth_bytes_per_s / params.external_bandwidth_bytes_per_s
+        assert ratio == pytest.approx(1.6)
 
 class TestStackedMemorySystem:
     def test_vault_counts(self):
         system = StackedMemorySystem(num_stacks=4)
         assert system.num_stacks == 4
         assert system.num_vaults == 4 * 32
-        assert len(system.all_vaults()) == system.num_vaults
-
-    def test_total_internal_bandwidth(self):
-        system = StackedMemorySystem(num_stacks=16)
-        assert system.total_internal_bandwidth_bytes_per_s == pytest.approx(16 * 512e9)
-
-    def test_vault_location(self):
-        system = StackedMemorySystem(num_stacks=2)
-        assert system.vault_location(0) == (0, 0)
-        assert system.vault_location(33) == (1, 1)
-        with pytest.raises(IndexError):
-            system.vault_location(64)
 
     def test_invalid_stack_count(self):
         with pytest.raises(ValueError):

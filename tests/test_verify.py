@@ -27,12 +27,12 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
 
 from repro.ambit.bitvector import BulkBitVector
-from repro.analysis import audit_cluster, audit_executor, render_audit
 from repro.api.plans import lower_conjunction_steps
 from repro.cluster import ClusterFrontend, ShardRouter
 from repro.database.bitmap_index import BitmapIndex, BitmapPlan
@@ -450,29 +450,29 @@ class TestSanitizeKnob:
                 expected, _ = index.evaluate_conjunction(list(record.request.predicates))
                 assert np.array_equal(record.value, expected)
 
-    def test_audit_report_over_sanitized_run(self, table, index):
+    def test_sanitizer_report_over_sanitized_run(self, table, index):
         frontend = ServiceFrontend(PipelineConfig(pipeline=True, sanitize=True))
         executor = frontend.executor
         frontend.run(_workload(table, index))
-        audit = audit_executor(executor)
-        assert audit.ok and audit.report.placements == executor.lanes.requests
-        rendered = render_audit([audit])
-        assert "ok" in rendered and "executor" in rendered
+        report = executor.sanitizer.report()
+        assert report.ok and report.placements == executor.lanes.requests
+        assert report.batches == len(frontend.batches)
 
-    def test_audit_report_over_cluster(self, table, index):
+    def test_sanitizer_report_per_shard(self, table, index):
         cluster = ClusterFrontend(num_shards=2, config=PipelineConfig(sanitize=True))
         cluster.run(_workload(table, index))
-        audits = audit_cluster(cluster)
-        assert len(audits) == 2 and all(a.ok for a in audits)
+        reports = [shard.executor.sanitizer.report() for shard in cluster.shards]
+        assert len(reports) == 2 and all(report.ok for report in reports)
+        assert sum(report.placements for report in reports) == sum(
+            shard.executor.lanes.requests for shard in cluster.shards
+        )
 
-    def test_audit_collects_violations_without_raising(self):
+    def test_check_schedule_collects_violations_without_raising(self):
         lanes = _honest_schedule()
         lanes.busy_union_ns += 11.0
-        from repro.analysis import audit_schedule
-
-        audit = audit_schedule(lanes, name="tampered")
-        assert not audit.ok
-        assert "violation" in render_audit([audit])
+        report = check_schedule(lanes, raise_on_error=False)
+        assert not report.ok
+        assert report.violations
 
 
 # ----------------------------------------------------------------------
@@ -1092,6 +1092,198 @@ class TestInvariantLint:
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    # -- the reach report (--reach) ------------------------------------
+    @staticmethod
+    def _reach_tree(tmp_path: Path) -> Path:
+        """A repo with one model module, a bench and a serving package."""
+        package = tmp_path / "src" / "repro"
+        (package / "api").mkdir(parents=True)
+        (tmp_path / "benchmarks").mkdir()
+        (package / "__init__.py").write_text("")
+        (package / "api" / "__init__.py").write_text(
+            "from repro.model import Exported\n__all__ = ['Exported']\n"
+        )
+        (package / "model.py").write_text(
+            "DEFAULT = 4\n"
+            "def planted():\n    return only_from_dead()\n"
+            "def only_from_dead():\n    return 1\n"
+            "def from_bench():\n    return DEFAULT\n"
+            "class Exported:\n"
+            "    def __init__(self):\n        self.size = sized()\n"
+            "    def unused_method(self):\n        return 0\n"
+            "def sized():\n    return 2\n"
+        )
+        (tmp_path / "benchmarks" / "bench_model.py").write_text(
+            "from repro.model import from_bench, planted\nfrom_bench()\n"
+        )
+        return tmp_path
+
+    def test_reach_lists_a_planted_unreached_definition(self, tmp_path, capsys):
+        repo = self._reach_tree(tmp_path)
+        entries, stale = lint_invariants.reach_report(repo, keep={})
+        listed = {entry.qualname for entry in entries}
+        # An import is not a use: the bench imports `planted` but never calls it.
+        assert "repro.model.planted" in listed
+        assert "repro.model.Exported.unused_method" in listed
+        assert stale == []
+        assert lint_invariants.reach_main(repo, keep={}) == 1
+        assert "NO KEEP REASON" in capsys.readouterr().out
+
+    def test_reach_follows_bench_calls_and_serving_exports(self, tmp_path):
+        repo = self._reach_tree(tmp_path)
+        entries, _ = lint_invariants.reach_report(repo, keep={})
+        listed = {entry.qualname for entry in entries}
+        assert "repro.model.from_bench" not in listed
+        # Exported by a serving package's __all__: the class and what its
+        # dunder methods call are reached.
+        assert "repro.model.Exported" not in listed
+        assert "repro.model.sized" not in listed
+
+    def test_reach_only_from_a_dead_definition_is_unreached(self, tmp_path):
+        repo = self._reach_tree(tmp_path)
+        entries, _ = lint_invariants.reach_report(repo, keep={})
+        assert "repro.model.only_from_dead" in {entry.qualname for entry in entries}
+
+    def test_reach_keep_reasons_and_stale_entries(self, tmp_path):
+        repo = self._reach_tree(tmp_path)
+        keep = {
+            "repro.model.planted": "kept",
+            "repro.model.only_from_dead": "kept",
+            "repro.model.Exported.unused_method": "kept",
+        }
+        entries, stale = lint_invariants.reach_report(repo, keep=keep)
+        assert all(entry.reason == "kept" for entry in entries) and stale == []
+        assert lint_invariants.reach_main(repo, keep=keep) == 0
+        # Reached now, or gone: both are stale and fail the report.
+        for name in ("repro.model.from_bench", "repro.model.vanished"):
+            _, stale = lint_invariants.reach_report(repo, keep={**keep, name: "kept"})
+            assert stale == [name]
+            assert lint_invariants.reach_main(repo, keep={**keep, name: "kept"}) == 1
+
+    @staticmethod
+    def _unreached(tmp_path: Path, files: dict, keep: Optional[dict] = None) -> set:
+        """Write ``files`` (repo-relative path -> source) under an empty
+        ``src/repro`` package and return the unreached names the report lists."""
+        (tmp_path / "src" / "repro").mkdir(parents=True)
+        (tmp_path / "src" / "repro" / "__init__.py").write_text("")
+        for relative, source in files.items():
+            path = tmp_path / relative
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(source)
+        entries, _ = lint_invariants.reach_report(tmp_path, keep={} if keep is None else keep)
+        return {entry.qualname for entry in entries}
+
+    _MODEL = "def used():\n    return 1\ndef unused():\n    return 2\n"
+
+    @pytest.mark.parametrize("tree", lint_invariants.REACH_ROOT_TREES)
+    def test_reach_roots_every_script_tree(self, tmp_path, tree):
+        listed = self._unreached(
+            tmp_path,
+            {
+                "src/repro/model.py": self._MODEL,
+                f"{tree}/nested/script.py": "from repro.model import used\nused()\n",
+            },
+        )
+        assert listed == {"repro.model.unused"}
+
+    @pytest.mark.parametrize("package", lint_invariants.SERVING_PACKAGES)
+    def test_reach_roots_each_serving_packages_exports(self, tmp_path, package):
+        listed = self._unreached(
+            tmp_path,
+            {
+                "src/repro/model.py": self._MODEL,
+                f"src/repro/{package}/__init__.py":
+                    "from repro.model import used\n__all__ = ['used']\n",
+            },
+        )
+        assert listed == {"repro.model.unused"}
+
+    def test_a_model_tiers_reexport_is_not_a_use(self, tmp_path):
+        listed = self._unreached(
+            tmp_path,
+            {
+                "src/repro/model.py": self._MODEL,
+                "src/repro/dram/__init__.py":
+                    "from repro.model import used\n__all__ = ['used']\n",
+            },
+        )
+        assert listed == {"repro.model.used", "repro.model.unused"}
+
+    def test_a_src_modules_top_level_statements_are_roots(self, tmp_path):
+        listed = self._unreached(
+            tmp_path,
+            {"src/repro/model.py": self._MODEL + "TABLE = {'one': used}\n"},
+        )
+        assert listed == {"repro.model.unused"}
+
+    def test_an_identifier_string_is_a_use(self, tmp_path):
+        """``getattr(obj, "name")`` and name tables reach by string."""
+        listed = self._unreached(
+            tmp_path,
+            {
+                "src/repro/model.py": "class Box:\n    def used(self):\n        return 1\n",
+                "tools/probe.py": "from repro.model import Box\ngetattr(Box(), 'used')()\n",
+            },
+        )
+        assert listed == set()
+
+    def test_an_annotation_is_not_a_use(self, tmp_path):
+        listed = self._unreached(
+            tmp_path,
+            {
+                "src/repro/model.py": "class Hint:\n    pass\ndef used(x: Hint) -> Hint:\n    return x\n",
+                "tools/probe.py": "from repro.model import used\nused(None)\n",
+            },
+        )
+        assert listed == {"repro.model.Hint"}
+
+    def test_private_definitions_are_not_listed(self, tmp_path):
+        listed = self._unreached(
+            tmp_path,
+            {
+                "src/repro/model.py":
+                    "def _helper():\n    return 1\n"
+                    "class _Hidden:\n    def method(self):\n        return 2\n"
+                    "class Shown:\n    def _private(self):\n        return 3\n",
+            },
+        )
+        assert listed == {"repro.model.Shown"}
+
+    def test_a_dead_classs_methods_stay_dead_when_their_name_is_used(self, tmp_path):
+        """A method is reached only through a live class: a live caller of
+        another object's ``run`` does not revive a dead class's ``run``."""
+        listed = self._unreached(
+            tmp_path,
+            {
+                "src/repro/model.py":
+                    "class Dead:\n    def run(self):\n        return 1\n"
+                    "class Live:\n    def run(self):\n        return 2\n",
+                "tools/probe.py": "from repro.model import Live\nLive().run()\n",
+            },
+        )
+        assert listed == {"repro.model.Dead", "repro.model.Dead.run"}
+
+    def test_a_classs_keep_entry_covers_its_unreached_methods(self, tmp_path):
+        (tmp_path / "src" / "repro").mkdir(parents=True)
+        (tmp_path / "src" / "repro" / "__init__.py").write_text("")
+        (tmp_path / "src" / "repro" / "model.py").write_text(
+            "class Kept:\n    def first(self):\n        return 1\n"
+            "    def second(self):\n        return 2\n"
+        )
+        entries, stale = lint_invariants.reach_report(tmp_path, keep={"repro.model.Kept": "why"})
+        assert {(entry.qualname, entry.reason) for entry in entries} == {
+            ("repro.model.Kept", "why"),
+            ("repro.model.Kept.first", "why"),
+            ("repro.model.Kept.second", "why"),
+        }
+        assert stale == []
+        assert lint_invariants.reach_main(tmp_path, keep={"repro.model.Kept": "why"}) == 0
+
+    def test_committed_tree_reach_is_explained(self, capsys):
+        assert lint_invariants.main(["--reach"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:-1] and all(" — keep: " in line for line in lines[:-1])
 
 
 # ----------------------------------------------------------------------

@@ -104,8 +104,25 @@ line.  Run locally with::
 
     python tools/lint_invariants.py            # lints src/repro
     python tools/lint_invariants.py path ...   # lints specific files/trees
+    python tools/lint_invariants.py --reach    # the reachability report
 
 Exit status is 1 when any finding survives, so CI can gate on it.
+
+``--reach`` is a report, not a rule: it lists every public function, class
+and method under ``src/repro`` that nothing reaches from the entry points
+— every module under ``benchmarks/``, ``examples/``, ``perf/`` and
+``tools/``, the module-level statements of every ``src/repro`` module, and
+the ``__all__`` of the serving packages (:data:`SERVING_PACKAGES`).  Reach
+spreads by name (loaded names, attribute names, identifier-shaped strings)
+through the bodies of reached definitions until nothing changes; imports,
+annotations and the model tiers' ``__all__`` re-exports are not uses.
+Each line carries its :data:`REACH_KEEP` reason; the report exits 1 on a
+definition with no reason and on a keep entry that is stale (reached now,
+or gone).  Matching is by bare name, so a definition that shares its name
+with a reached one (``DramDevice.read_bytes`` with ``Path.read_bytes``)
+counts as reached, and the report can miss dead code; a definition reached
+only by reflection (``SessionReport`` delegating every ``QueueMetrics``
+property) is listed, and takes a keep entry saying so.
 """
 
 from __future__ import annotations
@@ -114,7 +131,7 @@ import ast
 import functools
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
@@ -801,7 +818,263 @@ def collect_findings(paths: Iterable[Path]) -> List[Finding]:
     return findings
 
 
+# ----------------------------------------------------------------------
+# Reachability report (``--reach``)
+# ----------------------------------------------------------------------
+#: Trees whose every module is an entry point of the reach scan.
+REACH_ROOT_TREES = ("benchmarks", "examples", "perf", "tools")
+
+#: Serving packages whose ``__all__`` is the public surface: each name
+#: they export is reached.  The model tiers' re-exports are not uses.
+SERVING_PACKAGES = ("api", "service", "cluster", "cache", "optimizer", "storage", "obs", "verify")
+
+_REFERENCE = "reference implementation the tests compare against"
+_GUARD = "guard on input from outside"
+_BUILDER = "input builder that tests beyond its own unit tests use"
+_COHERENCE = "waits on the E7 coherence row: earn it or go"
+_DELEGATED = "serving surface: SessionReport delegates every QueueMetrics property by reflection"
+
+#: Unreached public definitions kept on purpose, by dotted name, with the
+#: reason.  A class's entry covers its unreached methods.
+REACH_KEEP: Dict[str, str] = {
+    "repro.database.bitweaving.BitWeavingColumn.reference_scan": _REFERENCE,
+    "repro.ambit.bitvector.BulkBitVector.expected_and": _REFERENCE,
+    "repro.ambit.bitvector.BulkBitVector.expected_or": _REFERENCE,
+    "repro.ambit.bitvector.BulkBitVector.expected_xor": _REFERENCE,
+    "repro.ambit.bitvector.BulkBitVector.expected_not": _REFERENCE,
+    "repro.database.queries.QueryEngine.execute_scan": _REFERENCE,
+    "repro.database.queries.QueryResult": _REFERENCE,
+    "repro.database.queries.ScanBackend": _REFERENCE,
+    "repro.database.tables.ColumnTable.update_rows": _GUARD,
+    "repro.database.tables.ColumnTable.delete_rows": _GUARD,
+    "repro.graph.graph.CsrGraph.from_edges": _BUILDER,
+    "repro.graph.generators.regular_grid": _BUILDER,
+    "repro.ambit.bitvector.BulkBitVector.to_bits": _BUILDER,
+    "repro.analysis.metrics.percentile_or": _BUILDER,
+    "repro.core.coherence.CoherenceModel": _COHERENCE,
+    "repro.core.coherence.CoherencePolicy": _COHERENCE,
+    "repro.core.coherence.CoherenceOverhead": _COHERENCE,
+    "repro.analysis.metrics.QueueMetrics.deadline_miss_rate": _DELEGATED,
+}
+
+_IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+
+@dataclass
+class _Definition:
+    """One function, class or method under ``src/repro``."""
+
+    qualname: str
+    name: str
+    path: str
+    line: int
+    lines: int
+    node: Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef]
+    owner: Optional["_Definition"] = None
+    members: List["_Definition"] = field(default_factory=list)
+
+    @property
+    def public(self) -> bool:
+        owner_public = self.owner is None or not self.owner.name.startswith("_")
+        return owner_public and not self.name.startswith("_")
+
+
+def _uses(nodes: Iterable[ast.AST]) -> Set[str]:
+    """Names a piece of code uses: loaded names, attribute names and
+    identifier-shaped string constants (``getattr(obj, "name")``, tracer
+    tables).  Imports and annotations are not uses."""
+    used: Set[str] = set()
+    stack = list(nodes)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if _IDENTIFIER_RE.match(node.value):
+                used.add(node.value)
+        for field_name, value in ast.iter_fields(node):
+            if field_name in ("annotation", "returns"):
+                continue
+            children = value if isinstance(value, list) else [value]
+            stack.extend(child for child in children if isinstance(child, ast.AST))
+    return used
+
+
+def _is_all_assign(statement: ast.stmt) -> bool:
+    return isinstance(statement, ast.Assign) and any(
+        isinstance(target, ast.Name) and target.id == "__all__" for target in statement.targets
+    )
+
+
+def _exports(tree: ast.Module) -> Set[str]:
+    """The names a module's ``__all__`` lists."""
+    return {
+        element.value
+        for statement in tree.body
+        if isinstance(statement, ast.Assign) and _is_all_assign(statement)
+        and isinstance(statement.value, (ast.List, ast.Tuple))
+        for element in statement.value.elts
+        if isinstance(element, ast.Constant) and isinstance(element.value, str)
+    }
+
+
+def _definitions(tree: ast.Module, path: str, module: str) -> List[_Definition]:
+    found: List[_Definition] = []
+
+    def add(node: ast.AST, prefix: str, owner: Optional[_Definition]) -> None:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            return
+        start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        definition = _Definition(
+            f"{prefix}.{node.name}",
+            node.name,
+            path,
+            node.lineno,
+            (node.end_lineno or node.lineno) - start + 1,
+            node,
+            owner,
+        )
+        found.append(definition)
+        if owner is not None:
+            owner.members.append(definition)
+        if isinstance(node, ast.ClassDef):
+            for child in node.body:
+                add(child, definition.qualname, definition)
+
+    for statement in tree.body:
+        add(statement, module, None)
+    return found
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _body_uses(definition: _Definition) -> Set[str]:
+    """What reaching ``definition`` reaches.  A class reaches its bases,
+    decorators and class-level statements; its members are definitions
+    of their own."""
+    node = definition.node
+    if not isinstance(node, ast.ClassDef):
+        return _uses([node])
+    members = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return _uses(
+        [*node.bases, *node.keywords, *node.decorator_list]
+        + [child for child in node.body if not isinstance(child, members)]
+    )
+
+
+@dataclass(frozen=True)
+class ReachEntry:
+    """One unreached public definition and its keep reason ('' if none)."""
+
+    path: str
+    line: int
+    qualname: str
+    lines: int
+    reason: str
+
+    def __str__(self) -> str:
+        why = f"keep: {self.reason}" if self.reason else "NO KEEP REASON"
+        return f"{self.path}:{self.line}: {self.qualname} ({self.lines} lines) — {why}"
+
+
+def reach_report(
+    repo: Path, keep: Optional[Dict[str, str]] = None
+) -> Tuple[List[ReachEntry], List[str]]:
+    """Unreached public definitions under ``repo/src/repro``, and the keep
+    entries that are stale (reached now, or gone).
+
+    Reach starts from every module under :data:`REACH_ROOT_TREES`, the
+    module-level statements of every ``src/repro`` module and the
+    ``__all__`` of :data:`SERVING_PACKAGES`, and spreads through the
+    bodies of reached definitions by name until nothing changes."""
+    keep = REACH_KEEP if keep is None else keep
+    src = repo / "src"
+    reached: Set[str] = set()
+    by_name: Dict[str, List[_Definition]] = {}
+    definitions: List[_Definition] = []
+    for file in sorted((src / "repro").rglob("*.py")):
+        relative = file.relative_to(src).with_suffix("")
+        parts = relative.parts[:-1] if relative.name == "__init__" else relative.parts
+        tree = ast.parse(file.read_text(), filename=str(file))
+        module_definitions = _definitions(tree, str(file.relative_to(repo)), ".".join(parts))
+        definitions.extend(module_definitions)
+        for definition in module_definitions:
+            by_name.setdefault(definition.name, []).append(definition)
+        top_level = [
+            statement
+            for statement in tree.body
+            if not isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not _is_all_assign(statement)
+        ]
+        reached |= _uses(top_level)
+        if relative.name == "__init__" and parts[1:] and parts[1] in SERVING_PACKAGES:
+            reached |= _exports(tree)
+    for tree_name in REACH_ROOT_TREES:
+        for file in sorted((repo / tree_name).rglob("*.py")):
+            reached |= _uses([ast.parse(file.read_text(), filename=str(file))])
+
+    live: Set[int] = set()
+    pending = list(reached)
+
+    def enliven(definition: _Definition) -> None:
+        """Mark ``definition`` live and queue what it uses; a live class's
+        dunder methods are live, its other members once their name is."""
+        live.add(id(definition))
+        for used in _body_uses(definition) - reached:
+            reached.add(used)
+            pending.append(used)
+        for member in definition.members:
+            if id(member) not in live and (_is_dunder(member.name) or member.name in reached):
+                enliven(member)
+
+    while pending:
+        for definition in by_name.get(pending.pop(), []):
+            owner_live = definition.owner is None or id(definition.owner) in live
+            if owner_live and id(definition) not in live:
+                enliven(definition)
+
+    entries: List[ReachEntry] = []
+    for definition in definitions:
+        if id(definition) in live or not definition.public:
+            continue
+        reason = keep.get(definition.qualname, "")
+        if not reason and definition.owner is not None:
+            reason = keep.get(definition.owner.qualname, "")
+        entries.append(
+            ReachEntry(
+                definition.path, definition.line, definition.qualname, definition.lines, reason
+            )
+        )
+    unreached = {entry.qualname for entry in entries}
+    stale = sorted(name for name in keep if name not in unreached)
+    return entries, stale
+
+
+def reach_main(repo: Path, keep: Optional[Dict[str, str]] = None) -> int:
+    """Print the reach report; 1 when an entry has no keep reason or a
+    keep entry is stale."""
+    entries, stale = reach_report(repo, keep)
+    for entry in entries:
+        print(entry)
+    for name in stale:
+        print(f"stale keep entry: {name} (reached now, or gone)")
+    missing = sum(1 for entry in entries if not entry.reason)
+    print(
+        f"lint_invariants --reach: {len(entries)} unreached public definitions, "
+        f"{missing} without a keep reason, {len(stale)} stale keep entries"
+    )
+    return 1 if missing or stale else 0
+
+
 def main(argv: Sequence[str]) -> int:
+    if list(argv) == ["--reach"]:
+        return reach_main(Path(__file__).resolve().parent.parent)
     targets = [Path(arg) for arg in argv] or [Path("src/repro")]
     missing = [t for t in targets if not t.exists()]
     if missing:
