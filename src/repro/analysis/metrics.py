@@ -61,7 +61,7 @@ class OperationMetrics:
         return baseline.energy_j / self.energy_j
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class PlanCounts:
     """What the plan optimizer and the result cache did for a unit of work.
 

@@ -127,7 +127,7 @@ class HostBackend:
         arrival_ns: Optional[float] = None,
     ) -> QueuedRequest:
         """Serve one request immediately (FIFO single server, no rejection)."""
-        arrival = checked_arrival(self.clock_ns, arrival_ns, deadline_ns)
+        arrival = checked_arrival(self.clock_ns, arrival_ns, deadline_ns, priority)
         self.check_request(request)
         self.clock_ns = max(self.clock_ns, arrival)
         queued = QueuedRequest(

@@ -116,7 +116,7 @@ def _rejection(reason: str) -> RequestRejected:
 # ----------------------------------------------------------------------
 # Tier-specific response details
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(slots=True)
 class ServiceDetails(PlanCounts):
     """Service-tier extras: which batch served the request, what the
     admission model charged for it, and (the inherited
@@ -128,7 +128,7 @@ class ServiceDetails(PlanCounts):
     modeled_banks: Tuple = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class ClusterDetails(PlanCounts):
     """Cluster-tier extras: where the request ran, what the gather cost,
     and (the inherited :class:`~repro.analysis.metrics.PlanCounts`) how
@@ -148,7 +148,7 @@ class HostDetails:
 ResponseDetails = Union[ServiceDetails, ClusterDetails, HostDetails]
 
 
-@dataclass
+@dataclass(slots=True)
 class Response:
     """The unified outcome of one session request, identical across tiers.
 
@@ -170,10 +170,9 @@ class Response:
         latency_ns: Scan service latency plus the host epilogue
             (popcount + materialization) — the end-to-end query latency.
         energy_j: Scan plus epilogue energy.
-        breakdown: Latency components (``scan_ns`` / ``epilogue_ns``).
+        scan_ns / epilogue_ns: The two parts of ``latency_ns``.
         arrival_ns / start_ns / finish_ns: Queueing timestamps on the
             backend's virtual clock (NaN when rejected).
-        wait_ns / sojourn_ns: Arrival-to-start / arrival-to-finish.
         deadline_missed: True when service finished past the deadline.
         rejected_reason: Why admission refused it ("" when completed).
         details: Tier-specific extras (typed by backend tier).
@@ -188,12 +187,11 @@ class Response:
     matching_rows: Optional[int] = None
     latency_ns: float = 0.0
     energy_j: float = 0.0
-    breakdown: Dict[str, float] = field(default_factory=dict)
+    scan_ns: float = 0.0
+    epilogue_ns: float = 0.0
     arrival_ns: float = math.nan
     start_ns: float = math.nan
     finish_ns: float = math.nan
-    wait_ns: float = math.nan
-    sojourn_ns: float = math.nan
     deadline_missed: bool = False
     rejected_reason: str = ""
     details: ResponseDetails = field(default_factory=HostDetails)
@@ -203,6 +201,24 @@ class Response:
     def completed(self) -> bool:
         """True when the request finished service."""
         return self.status == "completed"
+
+    @property
+    def breakdown(self) -> Dict[str, float]:
+        """Latency components (``scan_ns`` / ``epilogue_ns``; empty when
+        rejected), built on each access."""
+        if not self.completed:
+            return {}
+        return {"scan_ns": self.scan_ns, "epilogue_ns": self.epilogue_ns}
+
+    @property
+    def wait_ns(self) -> float:
+        """Arrival to service start (NaN when rejected)."""
+        return self.start_ns - self.arrival_ns
+
+    @property
+    def sojourn_ns(self) -> float:
+        """Arrival to completion (NaN when rejected)."""
+        return self.finish_ns - self.arrival_ns
 
 
 class Future:
@@ -218,6 +234,8 @@ class Future:
             :class:`~repro.service.requests.RequestEnvelope`; the
             cluster tier's adds the scatter parts).
     """
+
+    __slots__ = ("_session", "request", "record", "kind", "_response")
 
     def __init__(
         self, session: "PimSession", request: Any, record: Any, kind: str
@@ -780,7 +798,7 @@ class PimSession:
         # Validated before the clock advances: a rejected stamp — or a
         # request the backend says it cannot serve — must leave the
         # backend untouched.
-        arrival = checked_arrival(self.backend.clock_ns, at_ns, deadline_ns)
+        arrival = checked_arrival(self.backend.clock_ns, at_ns, deadline_ns, priority)
         if self._check_request is not None:
             self._check_request(request)
         # Serve whatever the policy closes before this arrival, so
@@ -848,12 +866,11 @@ class PimSession:
             matching_rows=matching,
             latency_ns=scan.latency_ns + epilogue_ns,
             energy_j=scan.energy_j + epilogue_j,
-            breakdown={"scan_ns": scan.latency_ns, "epilogue_ns": epilogue_ns},
+            scan_ns=scan.latency_ns,
+            epilogue_ns=epilogue_ns,
             arrival_ns=record.arrival_ns,
             start_ns=record.start_ns,
             finish_ns=record.finish_ns,
-            wait_ns=record.wait_ns,
-            sojourn_ns=record.sojourn_ns,
             deadline_missed=record.deadline_missed,
             details=self._details_for(record),
             trace=record.trace,

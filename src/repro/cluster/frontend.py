@@ -86,7 +86,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 FAILURE_REASONS = frozenset({"shard_failed", "shard_unavailable", "shard_retired"})
 
 
-@dataclass
+@dataclass(slots=True)
 class ClusterRecord(RequestEnvelope):
     """Envelope of one cluster-level request across its shard parts.
 
@@ -386,7 +386,7 @@ class ClusterFrontend:
         else goes to the least-loaded shard.  A scatter is all-or-nothing:
         one refused part withdraws the rest.
         """
-        arrival = checked_arrival(self.clock_ns, arrival_ns, deadline_ns)
+        arrival = checked_arrival(self.clock_ns, arrival_ns, deadline_ns, priority)
         self.check_request(request)
         self.clock_ns = max(self.clock_ns, arrival)
         record = ClusterRecord(

@@ -195,6 +195,9 @@ class BatchOptimizer:
         # result vector, packed bytes, plan-time write generation).
         self._fills: List[Tuple[Key, Any, str, BulkBitVector, int, int]] = []
         self._fill_keys: Set[Key] = set()
+        # One zero-cost metrics object per (plan ops, why, packed bytes),
+        # shared read-only by every request of that shape that runs nothing.
+        self._zero_costs: Dict[Tuple[int, str, int], OperationMetrics] = {}
 
     # ------------------------------------------------------------------
     # Batch lifecycle
@@ -360,13 +363,16 @@ class BatchOptimizer:
                 what = "cached"
             else:
                 what = "identity"
-            zero_cost = OperationMetrics(
-                name="bitmap_conjunction",
-                latency_ns=0.0,
-                energy_j=0.0,
-                bytes_produced=packed_bytes,
-                notes=f"{plan_total} bulk ops ({what})",
-            )
+            key = (plan_total, what, packed_bytes)
+            zero_cost = self._zero_costs.get(key)
+            if zero_cost is None:
+                zero_cost = self._zero_costs[key] = OperationMetrics(
+                    name="bitmap_conjunction",
+                    latency_ns=0.0,
+                    energy_j=0.0,
+                    bytes_produced=packed_bytes,
+                    notes=f"{plan_total} bulk ops ({what})",
+                )
         return LoweredGroup(
             queued=queued,
             indices=own,

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -131,7 +131,7 @@ class BatchExecutor:
         self._next_offset = 0
         self._bank_keys = [key for key, _ in self.engine.device.iter_banks()]
         # (rows, offset, banks_available) -> bank keys; see span_banks.
-        self._spans: Dict[Tuple[int, int, int], List] = {}
+        self._spans: Dict[Tuple[int, int, int], Tuple] = {}
         self.sanitize = sanitize
         #: Persistent per-bank lane timelines (only advanced in pipelined
         #: mode; a barrier run schedules on a fresh throwaway timeline).
@@ -604,7 +604,7 @@ class BatchExecutor:
         """Keys of the banks the executor schedules onto, in rotation order."""
         return list(self._bank_keys[: self.banks_available()])
 
-    def span_banks(self, rows: int, offset: int) -> List:
+    def span_banks(self, rows: int, offset: int) -> Tuple:
         """Bank keys a ``rows``-chunk request occupies from ``offset``
         (any non-negative offset; it wraps around the active banks).
 
@@ -614,19 +614,20 @@ class BatchExecutor:
         derived once per ``(rows, offset, banks_available)`` — keyed on
         the live bank count, which the bank ablation sweeps; rows and
         offset are reduced to the active banks first, so the memo is
-        bounded by the device — and every call hands out its own list.
+        bounded by the device — and every call hands out that one tuple,
+        which every envelope and result holding the span shares.
         """
         available = self.banks_available()
         key = (min(rows, available), offset % available, available)
         span = self._spans.get(key)
         if span is None:
             width, first, _ = key
-            span = self._spans[key] = [
+            span = self._spans[key] = tuple(
                 self._bank_keys[(first + i) % available] for i in range(width)
-            ]
-        return span[:]
+            )
+        return span
 
-    def modeled_banks(self, request: ServiceRequest) -> List:
+    def modeled_banks(self, request: ServiceRequest) -> Sequence:
         """Bank keys the request is modeled to occupy (empty = unpinned) —
         for a bulk op, also the lanes its run is placed on.
 
@@ -636,9 +637,10 @@ class BatchExecutor:
         exactly the banks execution will contend for.  A host-only bulk
         op (no placement, no bank hint) never touches a bank: it is
         charged to the dedicated host lane, the same lane the schedule
-        will serialize it on.  An empty list means the request has no
+        will serialize it on.  An empty span means the request has no
         affinity (it will be rotated onto whichever banks come next), so
-        the frontend spreads its backlog evenly.
+        the frontend spreads its backlog evenly.  A span is the shared
+        tuple :meth:`span_banks` hands out.
         """
         if isinstance(request, BulkOpRequest):
             vector = request.a
@@ -652,7 +654,7 @@ class BatchExecutor:
             rows = max(1, -(-len(expected) // self.engine.device.geometry.row_size_bytes))
             return self.span_banks(rows, self.stable_offset(request.column))
         if isinstance(request, CopyRequest):
-            return []
+            return ()
         raise TypeError(f"unknown request type {type(request).__name__}")
 
     def _schedule(

@@ -137,7 +137,10 @@ class ArrivalEvent:
 
     def offer_to(self, backend) -> RequestEnvelope:
         """Let ``backend`` serve whatever its policy closes before this
-        arrival, then offer the request against the live queue."""
+        arrival, then offer the request against the live queue.  A stamp
+        or request ``offer`` would refuse is refused before the advance."""
+        checked_arrival(backend.clock_ns, self.arrival_ns, self.deadline_ns, self.priority)
+        backend.check_request(self.request)
         backend.advance_to(self.arrival_ns)
         return backend.offer(
             self.request,
@@ -605,7 +608,7 @@ class ServiceFrontend:
         current queue; a rejected envelope has ``admitted=False`` and a
         ``rejected_reason`` and will never be served.
         """
-        arrival = checked_arrival(self.clock_ns, arrival_ns, deadline_ns)
+        arrival = checked_arrival(self.clock_ns, arrival_ns, deadline_ns, priority)
         self.check_request(request)
         self.clock_ns = max(self.clock_ns, arrival)
         queued = QueuedRequest(

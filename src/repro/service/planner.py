@@ -31,7 +31,7 @@ import math
 import weakref
 from collections import OrderedDict
 from dataclasses import astuple, dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -204,6 +204,9 @@ class BatchPlanner:
         # Maintenance charges' prices (see priced_charge): per planner, as
         # one maintenance policy serves every shard of a cluster.
         self._charges: Dict[Tuple[int, int, int, int], Tuple[Any, ...]] = {}
+        # Zero-cost metrics by (name, bytes produced, notes): every request
+        # that runs nothing shares its shape's one object (read-only).
+        self._zero_costs: Dict[Tuple[str, int, str], OperationMetrics] = {}
 
     # ------------------------------------------------------------------
     # Latency model (includes high-level requests)
@@ -291,18 +294,18 @@ class BatchPlanner:
                 del self._charges[next(iter(self._charges))]
         return charge
 
-    def modeled_banks(self, request: FrontendRequest) -> List:
+    def modeled_banks(self, request: FrontendRequest) -> Sequence:
         """Bank keys any frontend request is modeled to occupy.
 
         A lowered conjunction's whole chain is pinned to its index's stable
         offset, so the chain charges the same banks it will serialize on.
         The optimizer fans a chain's sub-chains out over offsets chosen at
-        lowering time, so under it conjunctions are unpinned (empty list)
+        lowering time, so under it conjunctions are unpinned (empty span)
         — the frontend falls back to global backlog.
         """
         if isinstance(request, BitmapConjunctionRequest):
             if self.optimizer is not None:
-                return []
+                return ()
             return self.executor.span_banks(
                 self._priced_chain(request.predicates, request.index.num_rows).chain.rows,
                 self.executor.stable_offset(request.index),
@@ -489,13 +492,7 @@ class BatchPlanner:
         if not indices:
             # Pure-lazy write of zero rows (or all maintenance deferred
             # and no traffic): nothing runs now, nothing is charged now.
-            zero_cost = OperationMetrics(
-                name=f"storage_{request.kind}",
-                latency_ns=0.0,
-                energy_j=0.0,
-                bytes_produced=0,
-                notes="deferred maintenance",
-            )
+            zero_cost = self._zero_cost(f"storage_{request.kind}", 0, "deferred maintenance")
         return LoweredGroup(
             queued=queued,
             indices=indices,
@@ -563,13 +560,7 @@ class BatchPlanner:
             # Single-value single-predicate conjunction: the answer is the
             # bitmap itself; no bulk operations run and none are charged,
             # exactly as the plan-level cost model prices it.
-            zero_cost = OperationMetrics(
-                name="bitmap_conjunction",
-                latency_ns=0.0,
-                energy_j=0.0,
-                bytes_produced=packed_bytes,
-                notes="0 bulk ops (identity)",
-            )
+            zero_cost = self._zero_cost("bitmap_conjunction", packed_bytes, "0 bulk ops (identity)")
 
         def finalize(results: List[RequestResult]) -> Any:
             return share(lambda: result_vector.data[:packed_bytes].copy())
@@ -577,6 +568,16 @@ class BatchPlanner:
         return LoweredGroup(
             queued=queued, indices=indices, finalize=finalize, zero_cost_metrics=zero_cost
         )
+
+    def _zero_cost(self, name: str, bytes_produced: int, notes: str) -> OperationMetrics:
+        """The one shared metrics object of a request that runs nothing."""
+        key = (name, bytes_produced, notes)
+        metrics = self._zero_costs.get(key)
+        if metrics is None:
+            metrics = self._zero_costs[key] = OperationMetrics(
+                name=name, latency_ns=0.0, energy_j=0.0, bytes_produced=bytes_produced, notes=notes
+            )
+        return metrics
 
     @staticmethod
     def group_metrics(group: LoweredGroup, results: List[RequestResult]) -> OperationMetrics:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -30,6 +30,12 @@ from repro.analysis.metrics import BatchMetrics, OperationMetrics, PlanCounts
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.bitweaving import BitWeavingColumn, ScanPlan
 from repro.rowclone.engine import CopyMode
+
+def _is_int(value: object) -> bool:
+    """An integer that is not a bool (NumPy's integer scalars included).
+    Callers test ``type(value) is int`` first: the ABC check costs calls."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral)
+
 
 #: Predicate kinds a ScanRequest understands (dispatched to
 #: :meth:`BitWeavingColumn.scan`).
@@ -81,6 +87,9 @@ class ScanRequest:
     )
 
     def __post_init__(self) -> None:
+        # Construction is the API boundary: a constant the column cannot
+        # compare against is refused here, not by the evaluation that
+        # admission prices after the envelope was recorded.
         if self.kind not in SCAN_KINDS:
             raise ValueError(f"unknown scan kind {self.kind!r}")
         expected = 2 if self.kind == "between" else 1
@@ -88,6 +97,14 @@ class ScanRequest:
             raise ValueError(
                 f"{self.kind} takes {expected} constant(s), got {len(self.constants)}"
             )
+        bits = self.column.num_bits
+        for constant in self.constants:
+            if type(constant) is not int and not _is_int(constant):
+                raise TypeError(f"scan constants must be ints, not {constant!r}")
+            if not 0 <= constant < 1 << bits:
+                raise ValueError(f"constant {constant} does not fit in {bits} bits")
+        if expected == 2 and self.constants[0] > self.constants[1]:
+            raise ValueError("low must be <= high")
 
     def scan_result(self) -> Tuple[np.ndarray, ScanPlan]:
         """(packed expected bits, plan) — evaluated once and cached so the
@@ -117,7 +134,7 @@ def check_copy_request(request: CopyRequest) -> None:
     non-negative integer (a bool is not one) and ``mode`` a
     :class:`CopyMode`.  ``num_bytes=0`` is a valid, one-row copy."""
     num_bytes = request.num_bytes
-    if isinstance(num_bytes, bool) or not isinstance(num_bytes, numbers.Integral):
+    if not _is_int(num_bytes):
         raise TypeError(f"CopyRequest.num_bytes must be an int, not {num_bytes!r}")
     if num_bytes < 0:
         raise ValueError(f"CopyRequest.num_bytes must be non-negative, got {num_bytes}")
@@ -178,7 +195,10 @@ def checked_non_negative(name: str, value: float) -> float:
 
 
 def checked_arrival(
-    clock_ns: float, arrival_ns: Optional[float], deadline_ns: Optional[float]
+    clock_ns: float,
+    arrival_ns: Optional[float],
+    deadline_ns: Optional[float],
+    priority: int = 0,
 ) -> float:
     """The arrival instant of one offer: ``arrival_ns``, or the backend's
     ``clock_ns`` when the offer is unstamped.
@@ -186,8 +206,13 @@ def checked_arrival(
     Every backend's ``offer`` resolves its arrival here, before it appends
     a record or moves its clock: a NaN or infinite arrival would poison
     the clock and every percentile of the window, a negative one predates
-    the clock's origin, and a NaN deadline can never be missed.
+    the clock's origin, and a NaN deadline can never be missed.  The
+    offer's ``priority`` must be an ``int`` (a bool, a float or NaN is
+    refused): the queue orders on it, and would raise only after the
+    envelope was recorded.
     """
+    if type(priority) is not int and not _is_int(priority):
+        raise TypeError(f"priority must be an int, not {priority!r}")
     arrival = checked_non_negative("arrival time", clock_ns if arrival_ns is None else arrival_ns)
     if deadline_ns is not None and math.isnan(deadline_ns):
         raise ValueError("deadline_ns must not be NaN")
@@ -248,7 +273,7 @@ class BitmapConjunctionRequest:
 FrontendRequest = Union[ServiceRequest, BitmapConjunctionRequest]
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestEnvelope(PlanCounts):
     """What every tier's per-request envelope carries.
 
@@ -328,7 +353,7 @@ class RequestEnvelope(PlanCounts):
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class QueuedRequest(RequestEnvelope):
     """Envelope of one request inside the frontend's admission queue.
 
@@ -341,8 +366,8 @@ class QueuedRequest(RequestEnvelope):
     modeled_ns: float = 0.0
     #: Bank keys the request is modeled to occupy (filled at admission;
     #: empty = unpinned, spread evenly).  Drives the frontend's per-bank
-    #: backlog vector.
-    modeled_banks: List = field(default_factory=list)
+    #: backlog vector.  Shared with the executor's span memo: read-only.
+    modeled_banks: Sequence = ()
     batch_index: int = -1
     #: The :class:`~repro.cluster.frontend.ClusterRecord` this envelope is
     #: a live part of: set by the cluster when it takes the part, cleared
@@ -369,8 +394,8 @@ class RequestResult:
             the batch's dispatch clock (``release_ns``; 0 for a directly
             executed batch).
         bank_ids: Identities of the lanes the request occupied (real
-            placement keys for placed vectors, modeled slots otherwise;
-            ``[HOST_LANE]`` for host-only work).
+            placement keys for placed vectors, the executor's shared span
+            tuple for modeled slots; ``[HOST_LANE]`` for host-only work).
         end_ns: When the schedule finished the request's run (its last
             step), on the same clock as ``start_ns``.
     """
@@ -379,7 +404,7 @@ class RequestResult:
     metrics: OperationMetrics
     value: Optional[Union[BulkBitVector, np.ndarray]] = None
     start_ns: float = 0.0
-    bank_ids: List = field(default_factory=list)
+    bank_ids: Sequence = ()
     end_ns: float = 0.0
 
     @property

@@ -29,7 +29,7 @@ keeps the bitmap planes consistent with the table:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple
 
 from repro.database.bitmap_index import BitmapIndex
 from repro.obs import NULL_OBSERVER, Observer
@@ -278,16 +278,14 @@ class MaintenancePolicy:
 
     def modeled_write_banks(
         self, request: WriteRequest, executor: "BatchExecutor"
-    ) -> List[object]:
+    ) -> Sequence[object]:
         """Bank keys the write's maintenance occupies (empty = unpinned)."""
         charged = charged_columns(request)
         if any(self.column_strategy(column) == "eager" for column in charged):
             row_size = executor.engine.device.geometry.row_size_bytes
             rows = self._row_chunks(request.index, row_size)
-            return list(
-                executor.span_banks(rows, executor.stable_offset(request.index))
-            )
-        return []
+            return executor.span_banks(rows, executor.stable_offset(request.index))
+        return ()
 
     @staticmethod
     def _packed_bytes(index: BitmapIndex) -> int:

@@ -42,11 +42,16 @@ arrays (600 and ~1 000 when every batch computed its own).
 A fourth budget is a *slope*: ``scan(...).result()`` per request over a
 two-shard cluster must cost the same at request 2 000 as at request 100 —
 the tree that settled records by walking every record ever offered spent
-7× more by then.  Run with ``-s`` to see the measured numbers.
+7× more by then.  A fifth caps the *memory* a served request keeps:
+bytes retained per all-hit request once the stream is drained and read
+back, as a slope under :mod:`tracemalloc`.  Run with ``-s`` to see the
+measured numbers.
 """
 
 import cProfile
+import gc
 import pstats
+import tracemalloc
 
 import numpy as np
 
@@ -308,3 +313,104 @@ def test_interactive_cluster_requests_cost_the_same_at_any_stream_position():
           f"100-200, {late:.1f} at 1900-2000")
     assert session.report().completed == 2000
     assert abs(late / early - 1.0) <= 0.10
+
+
+def _retained_bytes_per_request():
+    """Bytes each of the all-hit cell's requests 1 201-2 400 leaves
+    allocated once drained and read back: one session, traced memory at
+    request 1 200 and at 2 400, so the session's fixed state and whatever
+    the first requests warm up cancel.  The requests themselves are the
+    caller's (built before tracing starts)."""
+    deadline_us, knobs = CELLS["all_hit"][7], CELLS["all_hit"][8]
+    _, requests, urgent, arrivals = _cell_stream("all_hit")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        session = PimSession.over_service(
+            engine=_paper_engine(), policy=BatchPolicy(max_batch=16), max_queue_depth=4096, **knobs
+        )
+        traced = []
+        for half in (slice(0, 1200), slice(1200, 2400)):
+            for request, at_ns, hurry in zip(requests[half], arrivals[half], urgent[half]):
+                session.submit(
+                    request,
+                    priority=1 if hurry else 0,
+                    deadline_ns=float(at_ns) + deadline_us * 1e3 if hurry else None,
+                    at_ns=float(at_ns),
+                )
+            responses = session.responses()
+            assert all(response.completed for response in responses)
+            del responses
+            gc.collect()
+            traced.append(tracemalloc.get_traced_memory()[0])
+        return (traced[1] - traced[0]) / 1200
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_served_request_retains_at_most_900_bytes():
+    """What each drained, read-back request keeps — its envelope, future,
+    response and their fields — as a slope over requests 1 200-2 400.
+    ~740 B on CPython 3.11; 1 394 B when the envelope, future, response and
+    details each carried a ``__dict__``, the response a ``breakdown`` dict
+    and its own wait and sojourn floats, and every zero-cost request a
+    fresh metrics object."""
+    slope = _retained_bytes_per_request()
+    print(f"\nretention [all_hit]: {slope:.0f} bytes per served request (budget 900)")
+    assert slope <= 900
+
+
+def _futures_of(tier):
+    """Futures of a small optimized stream, drained and read back, on one
+    tier: scans, repeated conjunctions and a write."""
+    rng = np.random.default_rng(11)
+    table = ColumnTable("orders", 512)
+    for name, cardinality in CARDINALITIES.items():
+        table.add_column(name, rng.integers(0, cardinality, size=512), cardinality=cardinality)
+    index = BitmapIndex(table, list(CARDINALITIES))
+    column = BitWeavingColumn(rng.integers(0, 1 << SCAN_BITS, size=512), SCAN_BITS)
+    knobs = dict(optimize=True, cache=True)
+    session = (
+        PimSession.over_cluster(num_shards=2, **knobs)
+        if tier == "cluster"
+        else PimSession.over_service(**knobs)
+    )
+    predicates = [("region", (1, 2)), ("status", (0, 3))]
+    futures = [session.conjunction(index, predicates, at_ns=10.0 * i) for i in range(4)]
+    futures.append(session.scan(column, "less_than", 100, at_ns=50.0))
+    for _ in range(2):  # one batch each, after the cache was filled
+        session.drain()
+        futures.append(session.conjunction(index, predicates))
+    futures.append(session.update(table, index, "status", [5, 6], [1, 2]))
+    for future in futures:
+        future.result()
+    return futures
+
+
+def test_nothing_a_future_holds_carries_a_dict():
+    """The per-request objects are slotted: the future, its envelope (and,
+    on the cluster tier, the record's shard parts), its response and the
+    response's details."""
+    for tier in ("service", "cluster"):
+        for future in _futures_of(tier):
+            record, response = future.record, future.result()
+            held = [future, record, record.metrics, response, response.details]
+            held.extend(getattr(record, "parts", ()))
+            held.extend(getattr(record, "migrated_parts", ()))
+            for obj in held:
+                assert not hasattr(obj, "__dict__"), (tier, type(obj).__name__)
+
+
+def test_zero_cost_conjunctions_of_one_shape_share_one_metrics_object():
+    """A conjunction that runs nothing — a duplicate of its batch, or a
+    cache hit in a later one — is charged its shape's one shared, zero
+    metrics object, not a fresh one per request."""
+    futures = _futures_of("service")
+    first, duplicates, later = futures[0], futures[1:4], futures[5:7]
+    assert first.metrics.latency_ns > 0
+    shared = duplicates[0].metrics
+    assert shared.latency_ns == 0.0 and shared.energy_j == 0.0
+    assert all(future.metrics is shared for future in duplicates)
+    cached = later[0].metrics
+    assert cached.latency_ns == 0.0 and later[1].metrics is cached
+    assert cached.notes.endswith("(cached)") and shared.notes.endswith("(shared)")

@@ -390,7 +390,7 @@ class TestSubchainSplitting:
             PipelineConfig.from_knobs(sanitize=True, optimize=True),
             engine=_engine(),
         )
-        assert frontend.planner.modeled_banks(_requests([0])[0]) == []
+        assert len(frontend.planner.modeled_banks(_requests([0])[0])) == 0
         plain = ServiceFrontend(
             PipelineConfig.from_knobs(sanitize=True, optimize=False),
             engine=_engine(),
