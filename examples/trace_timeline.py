@@ -15,7 +15,10 @@ virtual clock, so the traced run is bit-exact with an untraced one:
 * the **metrics snapshot** — counters and streaming-histogram
   percentiles from the same run;
 * a ``TRACE_timeline.json`` Perfetto export: load it at
-  https://ui.perfetto.dev (or chrome://tracing) for the zoomable view.
+  https://ui.perfetto.dev (or chrome://tracing) for the zoomable view;
+* a ``TRACE_cluster_timeline.json`` export of a small two-shard run that
+  loses a shard mid-stream: scatter, per-shard parts (failed-over ones
+  marked), and gather-merge under each cluster request.
 
 Run with::
 
@@ -26,11 +29,15 @@ import numpy as np
 
 from repro.ambit.engine import AmbitConfig, AmbitEngine
 from repro.analysis import render_lane_timeline, render_span_tree
+from repro.cluster import ClusterFrontend, ShardRouter, kill_revive_schedule
+from repro.database.bitmap_index import BitmapIndex
+from repro.database.tables import ColumnTable
 from repro.dram.device import DramDevice
 from repro.database.bitweaving import BitWeavingColumn
 from repro.obs import write_trace
 from repro.service import (
     BatchPolicy,
+    BitmapConjunctionRequest,
     PipelineConfig,
     ScanRequest,
     ServiceFrontend,
@@ -63,6 +70,41 @@ def build_requests(rng):
                 )
             )
     return requests
+
+
+def cluster_timeline(rng) -> str:
+    """Scatter conjunctions over two shards, kill shard 1 half-way, and
+    write the cluster's trace; returns a one-line summary."""
+    cardinalities = {"region": 6, "status": 4, "tier": 3}
+    table = ColumnTable("orders", 2048)
+    for name, cardinality in cardinalities.items():
+        table.add_column(name, rng.integers(0, cardinality, size=2048), cardinality=cardinality)
+    index = BitmapIndex(table, list(cardinalities))
+    requests = [
+        BitmapConjunctionRequest(
+            index=index,
+            predicates=tuple(
+                (column, (int(rng.integers(cardinalities[column])),))
+                for column in ("status", "tier", "region")[: 1 + i % 3]
+            ),
+        )
+        for i in range(NUM_SCANS)
+    ]
+    events = poisson_schedule(requests, rate_per_s=ARRIVAL_RATE_PER_S, seed=19)
+    cluster = ClusterFrontend(
+        2,
+        PipelineConfig(policy=BatchPolicy(max_batch=4, window_ns=4000.0), max_queue_depth=QUEUE_DEPTH),
+        router=ShardRouter(2, replication_factor=2, hot_columns=("status", "tier")),
+        engine_factory=lambda: AmbitEngine(DramDevice.ddr3(), AmbitConfig(banks_parallel=BANKS)),
+        observe=True,
+        faults=kill_revive_schedule([(1, events[len(events) // 2].arrival_ns, None)]),
+    )
+    result = cluster.run(events)
+    path = write_trace("TRACE_cluster_timeline.json", cluster.obs.tracer, metrics=cluster.obs.metrics)
+    return (
+        f"cluster: {result.metrics.completed} completed, {result.metrics.rejected} refused or "
+        f"lost, {cluster.elastic.failovers} parts failed over; trace written to {path}"
+    )
 
 
 def main() -> None:
@@ -104,6 +146,7 @@ def main() -> None:
         f"(queue depth {QUEUE_DEPTH}); full trace written to {path} — "
         "load it at https://ui.perfetto.dev"
     )
+    print(cluster_timeline(rng))
 
 
 if __name__ == "__main__":

@@ -279,6 +279,11 @@ class Future:
         None unless the backend records with ``observe=True``."""
         return self.record.trace
 
+    @property
+    def session(self) -> "PimSession":
+        """The session that submitted the request."""
+        return self._session
+
     def result(self) -> Response:
         """The unified response; drains the backend when still queued.
 
@@ -808,9 +813,9 @@ class PimSession:
         record = self.backend.offer(
             request, priority=priority, deadline_ns=deadline_ns, arrival_ns=arrival
         )
-        if self.obs.enabled and record.trace is not None:
-            record.trace.set(submitted=kind, session=self.name)
         future = Future(self, request, record, kind)
+        if record.trace is not None:
+            record.trace.note = future  # its span derives `submitted` and `session`
         self.futures.append(future)
         return future
 

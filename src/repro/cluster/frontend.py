@@ -56,7 +56,7 @@ from repro.cluster.faults import FaultPlan
 from repro.cluster.router import PlacementUnavailable, ShardRouter
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.sharding import BitmapIndexShardView
-from repro.obs import Observer, resolve_observe
+from repro.obs import DerivedSpan, Observer, resolve_observe
 from repro.service.config import MERGE_NS_PER_OP, PipelineConfig
 from repro.service.frontend import (
     ArrivalEvent,
@@ -133,6 +133,70 @@ class ClusterRecord(RequestEnvelope):
     def merge_ops(self) -> int:
         """Host-side bitwise merges gathering this request's parts takes."""
         return max(0, len(self.parts) - 1)
+
+
+class ClusterSpan(DerivedSpan):
+    """A cluster record's root span, derived from the record when the trace
+    is read: ``scatter``, the parts' request spans in adoption order
+    (failed-over parts last), then ``gather_merge`` once a scattered
+    conjunction was merged.
+
+    ``facts`` is ``(left_ns, status)`` once the record was refused or lost
+    after its scatter; ``note`` the future of the session that submitted
+    it.  ``adopted`` stays None until a failover re-homes a part: until
+    then the adoption list is the record's own ``shard_ids`` / ``parts``,
+    which the failover splices.
+    """
+
+    __slots__ = ("adopted",)
+
+    def __init__(self, tracer, record: ClusterRecord) -> None:
+        super().__init__(tracer, record)
+        self.adopted: Optional[List[Tuple[int, QueuedRequest, bool]]] = None
+
+    def failover(self, shard_id: int, part: QueuedRequest) -> None:
+        """Adopt a part a failover re-offered to ``shard_id``."""
+        if self.adopted is None:
+            record = self.source
+            self.adopted = [(shard, p, False) for shard, p in zip(record.shard_ids, record.parts)]
+        self.adopted.append((shard_id, part, True))
+        self.touch()
+
+    def derive(self):
+        record = self.source
+        arrival = record.arrival_ns
+        door = not record.admitted and self.facts is None
+        adopted = self.adopted
+        if adopted is None:
+            adopted = [(shard, part, False) for shard, part in zip(record.shard_ids, record.parts)]
+        scattered = [shard for shard, _, failover in adopted if not failover]
+        scatter = dict(fanout=len(scattered), shard_ids=",".join(map(str, scattered)), admitted=not door)
+        children: List[Any] = [("scatter", "cluster", arrival, arrival, scatter)]
+        for shard, part, failover in adopted:
+            if part.trace is not None and part.trace.tracer is self.tracer:
+                part.trace.note = (shard, failover, door)
+                children.append(part.trace)
+        end, outcome = None, {}
+        if record.completed:
+            end = record.finish_ns
+            if record.host_merge_ns > 0.0:
+                parts = len(record.parts)
+                merge = dict(parts=parts, tree_levels=(parts - 1).bit_length())
+                children.append(("gather_merge", "cluster", end - record.host_merge_ns, end, merge))
+            outcome = dict(status="completed", deadline_missed=record.deadline_missed)
+        elif not record.admitted:
+            end, status = (arrival, "rejected") if door else self.facts
+            outcome = dict(status=status, reason=record.rejected_reason)
+        attrs: Dict[str, Any] = dict(
+            kind=type(record.request).__name__, seq=record.seq, priority=record.priority
+        )
+        if door:  # refused inside the offer: before the caller's attributes
+            attrs.update(outcome)
+        if self.note is not None:
+            attrs.update(submitted=self.note.kind, session=self.note.session.name)
+        if not door:
+            attrs.update(outcome)
+        return "cluster_request", "cluster", arrival, end, attrs, children
 
 
 @dataclass(frozen=True)
@@ -265,29 +329,12 @@ class ClusterFrontend:
             shard.bind_observer(obs)
 
     def _obs_offered(self, record: ClusterRecord) -> None:
-        """Open the cluster record's root span at arrival."""
-        record.trace = self.obs.tracer.span(
-            "cluster_request", "cluster", record.arrival_ns,
-            kind=type(record.request).__name__,
-            seq=record.seq,
-            priority=record.priority,
-        )
+        """Register the cluster record's root span at arrival."""
+        record.trace = ClusterSpan(self.obs.tracer, record)
         self.obs.metrics.counters["cluster.offered"].inc()
 
     def _obs_scattered(self, record: ClusterRecord) -> None:
-        """Record the scatter outcome and adopt the part spans."""
-        span = record.trace
-        tracer = self.obs.tracer
-        tracer.record(
-            "scatter", "cluster", record.arrival_ns, record.arrival_ns, None, span.row,
-            fanout=record.fanout,
-            shard_ids=",".join(map(str, record.shard_ids)),
-            admitted=record.admitted,
-        )
-        for shard_id, part in zip(record.shard_ids, record.parts):
-            if part.trace is not None:
-                part.trace.set(shard=shard_id)
-                tracer.adopt(part.trace, span)
+        """Count the scatter outcome."""
         counters = self.obs.metrics.counters
         counters["cluster.fanout"].inc(float(record.fanout))
         if record.admitted:
@@ -308,17 +355,8 @@ class ClusterFrontend:
             if counters is not None:
                 counters[f"cluster.key_reads.{label}"].inc()
 
-    def _obs_gathered(self, record: ClusterRecord, tree_depth: int) -> None:
-        """Close the record's root (gather-merge child first) and count it."""
-        span = record.trace
-        if span is not None:
-            if record.host_merge_ns > 0.0:
-                merge_start = record.finish_ns - record.host_merge_ns
-                self.obs.tracer.record(
-                    "gather_merge", "cluster", merge_start, record.finish_ns, None, span.row,
-                    parts=len(record.parts), tree_levels=tree_depth,
-                )
-            span.end(record.finish_ns, status="completed", deadline_missed=record.deadline_missed)
+    def _obs_gathered(self, record: ClusterRecord) -> None:
+        """Count the gathered record."""
         registry = self.obs.metrics
         registry.counters["cluster.completed"].inc()
         registry.counters["cluster.merge_ops"].inc(float(record.merge_ops))
@@ -597,13 +635,12 @@ class ClusterFrontend:
             sibling.parent = None
             if sibling.admitted and not sibling.completed:
                 self.shards[shard].cancel(sibling, reason=part_reason)
+        if record.trace is not None:
+            record.trace.touch(None if left_ns is None else (left_ns, status))
         if not self.obs.enabled:
             return
         if left_ns is None:
             self._obs_scattered(record)
-            left_ns = record.arrival_ns
-        if record.trace is not None:
-            record.trace.end(left_ns, status=status, reason=reason)
         self.obs.metrics.counters["cluster.rejected"].inc()
 
     # ------------------------------------------------------------------
@@ -871,8 +908,7 @@ class ClusterFrontend:
             new_ids.append(shard_id)
             new_parts.append(new_part)
             if record.trace is not None and new_part.trace is not None:
-                new_part.trace.set(shard=shard_id, failover=True)
-                self.obs.tracer.adopt(new_part.trace, record.trace)
+                record.trace.failover(shard_id, new_part)
         record.shard_ids[k : k + 1] = new_ids
         record.parts[k : k + 1] = new_parts
         record.migrated_parts.append(part)
@@ -1005,7 +1041,6 @@ class ClusterFrontend:
         for part in parts:
             part.parent = None
             record.add_counts(part)
-        tree_depth = 0
         if is_write_request(record.request):
             # A write's parts carry charge-only estimates; the gather
             # value is the coordinator's authoritative rows-affected
@@ -1043,8 +1078,10 @@ class ClusterFrontend:
                 f"({tree_depth} levels)"
             )
             record.metrics = merged
+        if record.trace is not None:
+            record.trace.touch()
         if self.obs.enabled:
-            self._obs_gathered(record, tree_depth)
+            self._obs_gathered(record)
 
     def gather(self) -> None:
         """Does nothing: a record is gathered the instant its last part

@@ -18,7 +18,7 @@ operations on the CPU or on Ambit is attributed by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -57,6 +57,7 @@ class BitmapIndex:
         #: Count of lazy column rebuilds performed (read-side repair).
         self.rebuilds = 0
         self._generations: Dict[str, int] = {}
+        self._no_rows: Optional[np.ndarray] = None
         for column in columns:
             self.rebuild_column(column)
 
@@ -73,13 +74,22 @@ class BitmapIndex:
         """Packed bitmap of ``column = value``.
 
         The single read accessor: a lazily-maintained column is rebuilt
-        here, on first read after a write marked it dirty.
+        here, on first read after a write marked it dirty.  A code at or
+        past the column's cardinality is one no row holds *yet* (a queued
+        write may add it): it reads as one shared, read-only, all-zero
+        plane of the current packed length, never stored in ``bitmaps``.
         """
         self._ensure_clean(column)
         try:
             return self.bitmaps[column][value]
         except KeyError as exc:
-            raise KeyError(f"no bitmap for {column!r} = {value}") from exc
+            if column not in self.bitmaps or value < 0:
+                raise KeyError(f"no bitmap for {column!r} = {value}") from exc
+        packed = (self.num_rows + 7) // 8
+        if self._no_rows is None or self._no_rows.size != packed:
+            self._no_rows = np.zeros(packed, dtype=np.uint8)
+            self._no_rows.setflags(write=False)
+        return self._no_rows
 
     def generation(self, columns: Iterable[str]) -> int:
         """Write generation of ``columns``' planes: a sum of per-column
@@ -91,22 +101,14 @@ class BitmapIndex:
         self._generations[column] = self._generations.get(column, 0) + 1
 
     def check_predicates(self, predicates: Sequence[Tuple[str, Sequence[int]]]) -> None:
-        """Raise the ``KeyError`` :meth:`bitmap` would for any
-        ``(column, value)`` of ``predicates``, without reading a plane.
-
-        The side-effect-free probe request validation uses: a column's
-        planes cover ``range(cardinality)``, so a dirty column is judged
-        by the table's cardinality and never repaired here — repair (and
-        its lazy-maintenance charge) stays with the first real read.
-        """
-        cardinalities = self.table.cardinalities
-        for column, values in predicates:
+        """Raise ``KeyError`` for a predicate on a column this index does
+        not cover, without reading a plane (a dirty column is never
+        repaired here: repair and its lazy-maintenance charge stay with the
+        first real read).  Any non-negative code has a plane (see
+        :meth:`bitmap`): request validation refuses the rest."""
+        for column, _ in predicates:
             if column not in self.bitmaps:
                 raise KeyError(f"column {column!r} is not indexed")
-            cardinality = cardinalities[column]
-            for value in values:
-                if not 0 <= value < cardinality:
-                    raise KeyError(f"no bitmap for {column!r} = {value}")
 
     # ------------------------------------------------------------------
     # Maintenance (the write path; policy lives in repro.storage)

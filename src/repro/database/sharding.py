@@ -101,7 +101,7 @@ class BitmapIndexShardView:
 
     def check_predicates(self, predicates: Sequence[Tuple[str, Sequence[int]]]) -> None:
         """Raise ``KeyError`` unless every predicate column is placed here
-        and every value has a plane (see :meth:`BitmapIndex.check_predicates`)."""
+        and indexed (see :meth:`BitmapIndex.check_predicates`)."""
         self._require_all_local(predicates)
         self.index.check_predicates(predicates)
 

@@ -26,7 +26,7 @@ from typing import Any, Dict, Optional, Union
 
 from repro.obs.export import build_trace, trace_events, write_trace
 from repro.obs.metrics import Counter, Gauge, MetricsRegistry, StreamingHistogram
-from repro.obs.trace import NULL_SPAN, NULL_TRACER, Span, Tracer
+from repro.obs.trace import NULL_SPAN, NULL_TRACER, DerivedSpan, Span, Tracer
 
 
 class Observer:
@@ -63,6 +63,7 @@ def resolve_observe(observe: Union[bool, Observer]) -> Observer:
 
 __all__ = [
     "Counter",
+    "DerivedSpan",
     "Gauge",
     "MetricsRegistry",
     "NULL_OBSERVER",

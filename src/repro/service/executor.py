@@ -680,8 +680,9 @@ class BatchExecutor:
         its intervals), and the work that ran before the previous batch's
         completion horizon.
 
-        A chain is one run (one exec span per step): its steps go back to
-        back on its banks, so no step starts before the step it reads.
+        A chain is one run (read back as one exec span per step): its steps
+        go back to back on its banks, so no step starts before the step it
+        reads.
         """
         lanes = self.lanes
         if not self.pipeline:
@@ -694,7 +695,7 @@ class BatchExecutor:
         # Looked up per batch, not cached at construction: a tracer shims
         # `lanes.place` as an instance attribute after the executor exists.
         place = lanes.place
-        record, tracks = self.obs.tracer.record, self._tracks
+        record_run, tracks = self.obs.tracer.record_run, self._tracks
         for result in results:
             banks = result.bank_ids
             request = result.request
@@ -704,25 +705,18 @@ class BatchExecutor:
                 prices, latencies = (result.metrics,), (result.metrics.latency_ns,)
             start, end = place(banks, latencies, release_ns)
             result.start_ns, result.end_ns = start, end
-            track = None
             if batch_row >= 0:
                 key = tuple(banks)
                 track = tracks.get(key)
                 if track is None:
                     track = tracks[key] = tuple(self.lane_label(bank) for bank in banks)
+                # One exec span per step, on every lane it occupies, read
+                # back from this one entry — the export replays them to
+                # reproduce the lanes' busy union exactly.
+                record_run(batch_row, track, start, prices, release_ns, len(banks))
             # Walk the run step by step, as `place` laid it out.
             for price in prices:
                 finish = start + price.latency_ns
-                if track is not None:
-                    # One exec span per step, on every lane it occupies —
-                    # the export replays these intervals to reproduce the
-                    # lanes' busy union exactly.
-                    record(
-                        price.name, "exec", start, finish, track, batch_row,
-                        latency_ns=price.latency_ns,
-                        release_ns=release_ns,
-                        banks=len(banks),
-                    )
                 if start < prev_horizon:  # (else this step adds 0.0)
                     overlap += min(finish, prev_horizon) - start
                 start = finish

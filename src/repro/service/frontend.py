@@ -76,7 +76,7 @@ from repro.analysis.metrics import (
     summarize_queue_records,
 )
 from repro.ambit.engine import AmbitEngine
-from repro.obs import Observer, resolve_observe
+from repro.obs import DerivedSpan, Observer, resolve_observe
 from repro.service.config import PipelineConfig
 from repro.service.executor import BatchExecutor
 from repro.service.lanes import HOST_LANE
@@ -251,6 +251,72 @@ class PipelineResult:
         return [r for r in self.records if not r.admitted]
 
 
+class RequestSpan(DerivedSpan):
+    """A request's root span, derived from its envelope when the trace is
+    read: ``admission``, then ``queue``, ``service`` and (for a write or a
+    read that paid for rebuilds) ``maintenance`` once it completed.
+
+    ``facts`` is what the envelope does not hold: ``(left_ns,)`` when it
+    was refused after admission (shed, cancelled, made stale), or the
+    ``maintenance`` attributes as pairs.  ``note`` is the future of the
+    session that submitted it, or ``(shard, failover, refused at the
+    scatter)`` once a cluster adopted it as a part.
+    """
+
+    __slots__ = ()
+
+    def derive(self):
+        queued = self.source
+        arrival = queued.arrival_ns
+        attrs: Dict[str, Any] = dict(
+            kind=type(queued.request).__name__, seq=queued.seq, priority=queued.priority
+        )
+        if queued.deadline_ns is not None:
+            attrs.update(deadline_ns=queued.deadline_ns, deadline_slack_ns=queued.deadline_ns - arrival)
+        door = not queued.admitted and self.facts is None
+        if door:
+            admission = dict(admitted=False, reason=queued.rejected_reason)
+        else:
+            admission = dict(
+                admitted=True, modeled_ns=queued.modeled_ns, modeled_banks=len(queued.modeled_banks)
+            )
+        children: List[Any] = [("admission", "request", arrival, arrival, admission)]
+        end, outcome = None, {}
+        if not queued.admitted:
+            end = arrival if door else self.facts[0]
+            outcome = dict(status="rejected", reason=queued.rejected_reason)
+        elif queued.completed:
+            start, end = queued.start_ns, queued.finish_ns
+            children.append(("queue", "request", arrival, start, {}))
+            service = dict(
+                batch=queued.batch_index,
+                ops_eliminated=queued.ops_eliminated,
+                shared_subchains=queued.shared_subchains,
+                host_merge_ns=queued.host_merge_ns,
+                cache_hits=queued.cache_hits,
+                cache_misses=queued.cache_misses,
+            )
+            children.append(("service", "request", start, end, service))
+            if self.facts is not None:
+                children.append(("maintenance", "storage", start, end, dict(self.facts)))
+            outcome = dict(status="completed", deadline_missed=queued.deadline_missed)
+        # Attributes in the order they became known: an outcome reached
+        # inside the offer precedes what the caller added after it.
+        note = self.note
+        early = door or (type(note) is tuple and note[2])
+        if early:
+            attrs.update(outcome)
+        if type(note) is tuple:
+            attrs["shard"] = note[0]
+            if note[1]:
+                attrs["failover"] = True
+        elif note is not None:
+            attrs.update(submitted=note.kind, session=note.session.name)
+        if not early:
+            attrs.update(outcome)
+        return "request", "request", arrival, end, attrs, children
+
+
 class ServiceFrontend:
     """Admission-controlled request frontend over the batch pipeline.
 
@@ -322,71 +388,45 @@ class ServiceFrontend:
         self.planner.maintenance.bind_observer(obs)
 
     def _obs_offered(self, queued: QueuedRequest) -> None:
-        """Open the request's root span at arrival."""
-        span = self.obs.tracer.span(
-            "request", "request", queued.arrival_ns,
-            kind=type(queued.request).__name__,
-            seq=queued.seq,
-            priority=queued.priority,
-        )
-        if queued.deadline_ns is not None:
-            span.set(
-                deadline_ns=queued.deadline_ns,
-                deadline_slack_ns=queued.deadline_ns - queued.arrival_ns,
-            )
-        queued.trace = span
+        """Register the request's root span at arrival."""
+        queued.trace = RequestSpan(self.obs.tracer, queued)
         self.obs.metrics.counters["frontend.offered"].inc()
 
     def _obs_admitted(self, queued: QueuedRequest) -> None:
-        """Record the admission decision and refresh the queue gauges."""
-        arrival = queued.arrival_ns
-        self.obs.tracer.record(
-            "admission", "request", arrival, arrival, None, queued.trace.row,
-            admitted=True,
-            modeled_ns=queued.modeled_ns,
-            modeled_banks=len(queued.modeled_banks),
-        )
+        """Count the admission and refresh the queue gauges."""
         registry = self.obs.metrics
         registry.counters["frontend.admitted"].inc()
         registry.gauges["frontend.queue_depth"].set(float(len(self._heap)))
         registry.gauges["frontend.backlog_ns"].set(self.backlog_ns)
 
-    def _obs_maintenance(self, queued: QueuedRequest, group: LoweredGroup) -> None:
-        """Attach a ``maintenance`` child span for index-maintenance work.
-
-        Write requests get one carrying the policy's strategy decisions
-        (per-column eager/lazy split, planes charged, invalidations);
-        read requests that paid for deferred rebuilds get one naming the
-        columns rebuilt into their service window.
-        """
+    def _obs_maintenance(self, queued: QueuedRequest, group: LoweredGroup) -> Optional[Tuple]:
+        """The ``maintenance`` child's attributes, as ``(key, value)`` pairs
+        for the request's span: a write's strategy decisions (per-column
+        eager/lazy split, planes charged, invalidations), or the columns a
+        read's service window rebuilt; None for neither."""
         outcome = group.write_outcome
         strategy = self.planner.maintenance.strategy
         if outcome is not None:
-            attrs = dict(
-                kind=outcome.request.kind,
-                strategy=strategy,
-                columns=",".join(
-                    f"{col}={strat}" for col, strat in sorted(outcome.strategies.items())
-                ),
-                rows_affected=outcome.rows_affected,
-                planes_charged=outcome.planes_charged,
-                cache_invalidations=queued.cache_invalidations,
+            columns = ",".join(f"{col}={strat}" for col, strat in sorted(outcome.strategies.items()))
+            return (
+                ("kind", outcome.request.kind),
+                ("strategy", strategy),
+                ("columns", columns),
+                ("rows_affected", outcome.rows_affected),
+                ("planes_charged", outcome.planes_charged),
+                ("cache_invalidations", queued.cache_invalidations),
             )
-        elif group.rebuild_columns:
-            attrs = dict(kind="rebuild", strategy=strategy, columns=",".join(group.rebuild_columns))
-        else:
-            return
-        self.obs.tracer.record(
-            "maintenance", "storage", queued.start_ns, queued.finish_ns, None, queued.trace.row, **attrs
-        )
+        if group.rebuild_columns:
+            return (("kind", "rebuild"), ("strategy", strategy), ("columns", ",".join(group.rebuild_columns)))
+        return None
 
     # ------------------------------------------------------------------
     # Settling: the one door per outcome through which an envelope becomes
     # terminal — where the outcome is stamped, the counts are taken, the
-    # recording is published and ``on_settled`` is told.  Counters and
+    # request's span is touched and ``on_settled`` is told.  Counters and
     # histograms count every transition that happens while the plane
-    # records; span children need a root opened at arrival (a plane bound
-    # mid-stream has none for the requests already queued).
+    # records; a span exists only for a request registered at arrival (a
+    # plane bound mid-stream has none for the requests already queued).
     # ------------------------------------------------------------------
     def _settle_rejected(
         self, queued: QueuedRequest, reason: str, left_ns: Optional[float] = None
@@ -395,16 +435,9 @@ class ServiceFrontend:
         admitted), or at ``left_ns`` when it leaves the queue it was in."""
         queued.admitted = False
         queued.rejected_reason = reason
+        if queued.trace is not None:
+            queued.trace.touch(None if left_ns is None else (left_ns,))
         if self.obs.enabled:
-            span = queued.trace
-            if span is not None:
-                if left_ns is None:
-                    left_ns = queued.arrival_ns
-                    self.obs.tracer.record(
-                        "admission", "request", left_ns, left_ns, None, span.row,
-                        admitted=False, reason=reason,
-                    )
-                span.end(left_ns, status="rejected", reason=reason)
             counters = self.obs.metrics.counters
             counters["frontend.rejected"].inc()
             counters[f"frontend.rejected.{reason}"].inc()
@@ -429,26 +462,12 @@ class ServiceFrontend:
         queued.metrics = self.planner.group_metrics(group, own)
         queued.value = group.finalize(own)
         queued.add_counts(group)
+        if queued.trace is not None:
+            queued.trace.touch(self._obs_maintenance(queued, group))
         if self.obs.enabled:
-            span = queued.trace
-            missed = queued.deadline_missed
-            if span is not None:
-                record = self.obs.tracer.record
-                record("queue", "request", queued.arrival_ns, start_ns, None, span.row)
-                record(
-                    "service", "request", start_ns, queued.finish_ns, None, span.row,
-                    batch=batch_index,
-                    ops_eliminated=queued.ops_eliminated,
-                    shared_subchains=queued.shared_subchains,
-                    host_merge_ns=queued.host_merge_ns,
-                    cache_hits=queued.cache_hits,
-                    cache_misses=queued.cache_misses,
-                )
-                span.end(queued.finish_ns, status="completed", deadline_missed=missed)
-                self._obs_maintenance(queued, group)
             registry = self.obs.metrics
             registry.counters["frontend.completed"].inc()
-            if missed:
+            if queued.deadline_missed:
                 registry.counters["frontend.deadline_misses"].inc()
             registry.histograms["frontend.wait_ns"].observe(queued.wait_ns)
             registry.histograms["frontend.sojourn_ns"].observe(queued.sojourn_ns)

@@ -245,7 +245,12 @@ class BitmapConjunctionRequest:
     placed as one run, so the data-dependent steps serialize on its banks.
 
     Construction is the API boundary: a predicate the index cannot answer
-    raises here, not inside ``serve_batch`` after its batch was popped.
+    raises here, not inside ``serve_batch`` after its batch was popped — a
+    column the index does not cover (``KeyError``), a value that is not a
+    non-bool ``int`` (``TypeError``) or a negative one (``ValueError``).
+    A code at or past the column's cardinality is a value no row holds
+    yet: it matches nothing until a write adds it.  Predicates that are
+    already a tuple of ``(str, non-empty tuple)`` pairs are kept as given.
 
     Attributes:
         index: The bitmap source holding the per-value bitmaps (a
@@ -257,15 +262,29 @@ class BitmapConjunctionRequest:
     predicates: Tuple[Tuple[str, Tuple[int, ...]], ...]
 
     def __post_init__(self) -> None:
-        if not self.predicates:
+        predicates = self.predicates
+        if not predicates:
             raise ValueError("predicates must not be empty")
-        normalized = []
-        for column, values in self.predicates:
-            values = tuple(values)
+        # Rebuilt only when the caller's object is not already normalized.
+        normalized: Optional[list] = None if type(predicates) is tuple else []
+        for k, pair in enumerate(predicates):
+            column, values = pair
+            if normalized is None and not (
+                type(pair) is tuple and type(column) is str and type(values) is tuple
+            ):
+                normalized = list(predicates[:k])
+            values = values if type(values) is tuple else tuple(values)
             if not values:
                 raise ValueError(f"predicate on {column!r} has no values")
-            normalized.append((column, values))
-        self.predicates = tuple(normalized)
+            for value in values:
+                if type(value) is not int and not _is_int(value):
+                    raise TypeError(f"predicate value on {column!r} must be an int, not {value!r}")
+                if value < 0:
+                    raise ValueError(f"predicate value on {column!r} must not be negative: {value}")
+            if normalized is not None:
+                normalized.append((column, values))
+        if normalized is not None:
+            self.predicates = tuple(normalized)
         self.index.check_predicates(self.predicates)
 
 

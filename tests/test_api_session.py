@@ -439,8 +439,9 @@ class TestPlanIR:
             BitmapConjunctionRequest(index=index, predicates=(("region", ()),))
         with pytest.raises(KeyError):  # unindexed column
             BitmapConjunctionRequest(index=index, predicates=(("nope", (0,)),))
-        with pytest.raises(KeyError):  # value with no bitmap
-            BitmapConjunctionRequest(index=index, predicates=(("region", (0, 10**6)),))
+        # A code past the cardinality is one no row holds yet: no refusal.
+        absent = BitmapConjunctionRequest(index=index, predicates=(("region", (10**6,)),))
+        assert BitmapIndex.count(index.evaluate_conjunction(absent.predicates)[0], 400) == 0
         with pytest.raises(KeyError):  # indexed, but not placed on this shard
             BitmapConjunctionRequest(
                 index=index.shard_view(["region"]), predicates=(("status", (0,)),)
@@ -899,16 +900,17 @@ class TestRequestBoundary:
         records = len(session.backend.records)
         with pytest.raises(KeyError):
             session.conjunction(index, [("region", (1,)), ("nope", (0,))])
-        with pytest.raises(KeyError):
-            session.submit(
-                BitmapConjunctionRequest(index=index, predicates=(("region", (99,)),))
-            )
         with pytest.raises(ValueError):
             session.update(index.table, index, "region", row_ids=(0, 1), values=(1,))
         assert len(session.backend.records) == records
         assert len(session.futures) == 1
         expected, _ = index.evaluate_conjunction([("region", (1, 2)), ("status", (0,))])
         assert np.array_equal(good.result().value, expected)
+        # A code past the cardinality is a value no row holds yet: served, empty.
+        absent = session.submit(
+            BitmapConjunctionRequest(index=index, predicates=(("region", (99,)),))
+        )
+        assert absent.result().matching_rows == 0
 
     @pytest.mark.parametrize("tier", ["cluster", "service"])
     def test_bad_row_ids_are_refused_before_anything_moves(self, tier):
@@ -1115,6 +1117,90 @@ class TestRequestBoundary:
             assert grown.result().matching_rows == int(
                 ((table.column("status") == 7) & (table.column("region") == 11)).sum()
             )
+
+    @pytest.mark.parametrize("tier", ["host", "service"])
+    def test_a_code_a_queued_write_adds_is_a_value_no_row_holds_yet(self, tier):
+        """A conjunction on a code past the column's cardinality used to
+        raise ``KeyError`` at construction, though a write queued ahead of
+        it adds the code: in submission order the value exists.  It is
+        built, answers 0 rows when lowered before the write and 1 after
+        it.  (The host tier serves no writes: its write is the table's.)"""
+        index = _bitmap_index(np.random.default_rng(39))
+        table = index.table
+        session = PimSession(self.BACKENDS[tier]())
+        assert table.cardinalities["status"] == 4
+        before = session.conjunction(index, [("status", [7])])
+        if tier == "host":
+            assert before.result().matching_rows == 0
+            table.update_rows("status", [3], [7])
+            index.refresh_columns(["status"])
+        else:
+            session.update(table, index, "status", [3], [7])
+        after = session.conjunction(index, [("status", [7])])
+        session.drain()
+        assert (before.result().matching_rows, after.result().matching_rows) == (0, 1)
+        assert 7 in index.bitmaps["status"] and table.cardinalities["status"] == 8
+
+    def test_an_absent_code_reads_as_one_shared_empty_plane(self):
+        index = _bitmap_index(np.random.default_rng(40))
+        view = index.shard_view(["status"])
+        plane = index.bitmap("status", 4)
+        assert plane is index.bitmap("status", 99) is view.bitmap("status", 5)
+        assert plane.size == (index.num_rows + 7) // 8 and not plane.any()
+        assert not plane.flags.writeable and 4 not in index.bitmaps["status"]
+        for column, value in (("status", -1), ("nope", 0)):
+            with pytest.raises(KeyError):
+                index.bitmap(column, value)
+
+    @pytest.mark.parametrize("tier", sorted(BACKENDS))
+    def test_a_malformed_predicate_value_is_refused_before_anything_moves(self, tier):
+        """A bool predicate value used to be served as the code 0 or 1, and
+        a float as the code it equals.  A value that is not a non-bool int
+        is a ``TypeError``, a negative one a ``ValueError``, both at
+        construction: nothing is recorded and no clock moves."""
+        index = _bitmap_index(np.random.default_rng(41))
+        session = PimSession(self.BACKENDS[tier]())
+        backend = session.backend
+        shards = backend.shards if tier == "cluster" else [backend]
+        first = session.conjunction(index, [("region", (1,))], at_ns=50.0)
+
+        def state():
+            return (
+                len(backend.records),
+                [len(shard.records) for shard in shards],
+                backend.clock_ns,
+                len(session.futures),
+            )
+
+        before = state()
+        for value in (True, False, 1.0, np.float64(2.0), 2.5, "1", None):
+            with pytest.raises(TypeError, match="must be an int"):
+                session.conjunction(index, [("region", (1, value))], at_ns=500.0)
+        for value in (-1, np.int64(-2)):
+            with pytest.raises(ValueError, match="must not be negative"):
+                session.conjunction(index, [("status", (value,))], at_ns=500.0)
+        assert state() == before
+        second = session.conjunction(index, [("region", (np.int64(2), 3))], at_ns=600.0)
+        session.drain()
+        for future, values in ((first, (1,)), (second, (2, 3))):
+            expected, _ = index.evaluate_conjunction([("region", values)])
+            assert np.array_equal(future.result().value, expected)
+
+    def test_normalized_predicates_are_kept_as_given(self):
+        """A tuple of ``(str, non-empty tuple)`` pairs is the request's own
+        ``predicates``; anything looser is rebuilt into one."""
+        index = _bitmap_index(np.random.default_rng(42))
+        given = (("region", (1, 2)), ("status", (0,)))
+        assert BitmapConjunctionRequest(index=index, predicates=given).predicates is given
+        for loose in (
+            [("region", (1, 2)), ("status", (0,))],
+            (["region", (1, 2)], ("status", (0,))),
+            (("region", (1, 2)), ("status", [0])),
+            (("region", (1, 2)), ("status", (v for v in (0,)))),
+        ):
+            built = BitmapConjunctionRequest(index=index, predicates=loose).predicates
+            assert built == given and built is not loose
+            assert all(type(pair) is tuple and type(pair[1]) is tuple for pair in built)
 
     @pytest.mark.parametrize("tier", sorted(BACKENDS))
     def test_unservable_request_type_is_refused_before_anything_moves(self, tier):

@@ -360,6 +360,56 @@ def test_a_served_request_retains_at_most_900_bytes():
     assert slope <= 900
 
 
+def _cluster_retained_bytes_per_request(observe):
+    """Bytes each of the audited cluster cell's requests 251-500 leaves
+    allocated once drained (a slope under :mod:`tracemalloc`, as above),
+    served with or without the recording plane."""
+    _, requests, urgent, arrivals = _cell_stream("audited_cluster", rows=16384)
+    deadline_us, span = CELLS["audited_cluster"][7], float(arrivals[-1])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        session = PimSession.over_cluster(
+            num_shards=4,
+            router=ShardRouter(4, replication_factor=2),
+            engine_factory=_paper_engine,
+            faults=kill_revive_schedule([(1, 0.25 * span, 0.60 * span)]),
+            policy=BatchPolicy(max_batch=16, window_ns=20e3),
+            max_queue_depth=4096,
+            shed_low_priority=True,
+            observe=observe,
+        )
+        ElasticController(session.backend)
+        traced = []
+        for half in (slice(0, 250), slice(250, 500)):
+            for request, at_ns, hurry in zip(requests[half], arrivals[half], urgent[half]):
+                session.submit(
+                    request,
+                    priority=1 if hurry else 0,
+                    deadline_ns=float(at_ns) + deadline_us * 1e3 if hurry else None,
+                    at_ns=float(at_ns),
+                )
+            session.drain()
+            gc.collect()
+            traced.append(tracemalloc.get_traced_memory()[0])
+        return (traced[1] - traced[0]) / 250
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_recording_plane_retains_at_most_1_kb_per_cluster_request():
+    """What ``observe=True`` keeps per audited cluster request beyond the
+    same stream served without it: one registered entry per request, part
+    and placed run, with the rows derived only when the trace is read.
+    ~4.5 KB when every lifecycle row, exec step and their attribute dicts
+    were recorded as they happened."""
+    recorded = _cluster_retained_bytes_per_request(observe=True)
+    bare = _cluster_retained_bytes_per_request(observe=False)
+    print(f"\nretention [audited cluster]: the plane keeps {recorded - bare:.0f} bytes per "
+          f"request ({recorded:.0f} with it, {bare:.0f} without; budget 1 024)")
+    assert recorded - bare <= 1024
+
+
 def _futures_of(tier):
     """Futures of a small optimized stream, drained and read back, on one
     tier: scans, repeated conjunctions and a write."""

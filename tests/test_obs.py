@@ -60,6 +60,7 @@ from repro.obs import (
     Tracer,
     build_trace,
     resolve_observe,
+    trace_events,
     write_trace,
 )
 from repro.service import (
@@ -610,39 +611,6 @@ class TestIntervalLogExistsForItsReader:
 # ---------------------------------------------------------------------
 # The recorded span trees and metrics
 # ---------------------------------------------------------------------
-class TestAdopt:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        script=st.lists(
-            st.one_of(st.none(), st.tuples(st.integers(0, 30), st.integers(0, 30))),
-            max_size=40,
-        )
-    )
-    def test_roots_match_the_forward_scan_reference(self, script):
-        """``adopt`` finds its span from the tail of ``roots``; whatever
-        the interleaving of opens and adopts (re-adopting an adopted
-        span included), ``roots`` ends up exactly as the front-to-back
-        scan left it."""
-        tracer = Tracer()
-        opened, reference = [], []
-        for step in script:
-            if step is None or not opened:
-                opened.append(tracer.span(f"s{len(opened)}"))
-                reference.append(opened[-1])
-                continue
-            child, parent = (opened[i % len(opened)] for i in step)
-            if child is parent:
-                continue
-            tracer.adopt(child, parent)
-            for position, root in enumerate(reference):
-                if root is child:
-                    del reference[position]
-                    break
-            assert child.parent is parent and parent.children[-1] is child
-        assert len(tracer.roots) == len(reference)
-        assert all(a is b for a, b in zip(tracer.roots, reference))
-
-
 class TestRecordedSpans:
     def test_completed_request_tree_shape(self):
         frontend, result = _run_service(observe=True)
@@ -730,6 +698,287 @@ class TestRecordedSpans:
         session.drain()
         assert future.trace is None
         assert session.report().obs is None
+
+
+# ---------------------------------------------------------------------
+# The derived trace is pinned: every exported byte of two small streams
+# ---------------------------------------------------------------------
+def _pinned_events(seed: int, count: int, gap, writes: bool):
+    """Conjunctions of one to three predicates (and, with ``writes``, an
+    update every fourth request) over a fresh 160-row table, two
+    priority classes, and a tight deadline on every third request."""
+    rng = np.random.default_rng(seed)
+    rows = 160
+    table = ColumnTable("t", rows)
+    for name, cardinality in _CARDINALITIES.items():
+        table.add_column(name, rng.integers(0, cardinality, size=rows), cardinality=cardinality)
+    index = BitmapIndex(table, list(_CARDINALITIES))
+    events, at_ns = [], 0.0
+    for i in range(count):
+        at_ns += float(rng.integers(*gap))
+        if writes and i % 4 == 3:
+            column = ("status", "region")[(i // 4) % 2]
+            request = UpdateRequest(
+                table=table,
+                index=index,
+                column=column,
+                row_ids=[int(r) for r in rng.choice(rows, size=3, replace=False)],
+                values=[int(v) for v in rng.integers(0, _CARDINALITIES[column], size=3)],
+            )
+        else:
+            request = BitmapConjunctionRequest(
+                index=index,
+                predicates=tuple(
+                    (c, tuple(sorted({int(v) for v in rng.integers(0, _CARDINALITIES[c], size=2)})))
+                    for c in ("status", "region", "tier")[: 1 + i % 3]
+                ),
+            )
+        deadline = at_ns + 900.0 if i % 3 == 0 else None
+        events.append((at_ns, request, i % 2, deadline))
+    return events
+
+
+def _submit_all(session, events, reads=()) -> None:
+    """Submit the stream and drain; export the plane's trace (and so
+    derive it) after each submission numbered in ``reads``."""
+    for i, (at_ns, request, priority, deadline) in enumerate(events):
+        session.submit(request, priority=priority, deadline_ns=deadline, at_ns=at_ns)
+        if i in reads:
+            trace_events(session.obs.tracer)
+    session.drain()
+
+
+def _pinned_service_trace(reads=()) -> Tracer:
+    """Eager, lazy and hybrid writes into one plane, through a session:
+    door rejections, shedding, deadlines and lazy rebuilds."""
+    plane = Observer()
+    for maintenance in ("eager", "lazy", "hybrid"):
+        config = PipelineConfig(
+            policy=BatchPolicy(max_batch=3, window_ns=400.0),
+            max_queue_depth=3,
+            shed_low_priority=True,
+            maintenance=maintenance,
+        )
+        frontend = ServiceFrontend(config, engine=_engine(), observe=plane)
+        _submit_all(PimSession(frontend), _pinned_events(21, 40, (20, 300), writes=True), reads)
+    return plane.tracer
+
+
+def _pinned_cluster_trace(reads=()) -> Tracer:
+    """Two shards, two hot columns at replication factor 2, shard 0 killed
+    mid-stream: scatters, gathers, failovers, a part with no surviving
+    placement, and all-or-nothing refusals that cancel queued siblings."""
+    plane = Observer()
+    events = _pinned_events(22, 48, (10, 160), writes=False)
+    cluster = ClusterFrontend(
+        2,
+        PipelineConfig(
+            policy=BatchPolicy(max_batch=3, window_ns=400.0),
+            max_queue_depth=2,
+            shed_low_priority=True,
+        ),
+        router=ShardRouter(2, replication_factor=2, hot_columns=("status", "tier")),
+        engine_factory=_engine,
+        observe=plane,
+        faults=kill_revive_schedule([(0, events[len(events) // 2][0], None)]),
+    )
+    _submit_all(PimSession(cluster), events, reads)
+    return plane.tracer
+
+
+def _trace_digest(tracer: Tracer) -> str:
+    import hashlib
+
+    return hashlib.sha256(json.dumps(trace_events(tracer), sort_keys=True).encode()).hexdigest()
+
+
+def _walked(span: Span) -> list:
+    """Everything a subtree shows, attributes in their order."""
+    return [
+        (s.name, s.category, s.start_ns, s.end_ns, s.track, list(s.attrs.items()))
+        for s in span.walk()
+    ]
+
+
+def _first_root(tracer: Tracer, wanted) -> Span:
+    return next(root for root in tracer.roots if wanted(root))
+
+
+class TestDerivedTraceIsPinned:
+    """The trace is derived from the envelopes when it is read; these
+    digests and walks were taken from the recorder that copied every
+    row as it happened, so the derivation reproduces it byte for byte."""
+
+    SERVICE_SHA256 = "7615340bf578f4b739cab319444aa7445fa41214ee3f93883cb47d24fcf1f6d9"
+    CLUSTER_SHA256 = "a4e6aa72f4b56d3989bc47ecb9f6242524542003024074b88c655fa1488dfd21"
+
+    def test_service_trace_bytes(self):
+        assert _trace_digest(_pinned_service_trace()) == self.SERVICE_SHA256
+
+    def test_cluster_trace_bytes(self):
+        assert _trace_digest(_pinned_cluster_trace()) == self.CLUSTER_SHA256
+
+    @settings(max_examples=12, deadline=None)
+    @given(reads=st.sets(st.integers(0, 47), max_size=5), cluster=st.booleans())
+    def test_reading_mid_stream_changes_no_byte(self, reads, cluster):
+        """A read derives what is registered so far; requests that settle,
+        and parts a failover adopts, after it derive again at the next
+        read — children appended in order, attributes in order — so the
+        final trace is the same whenever, and however often, it was read."""
+        if cluster:
+            assert _trace_digest(_pinned_cluster_trace(reads)) == self.CLUSTER_SHA256
+        else:
+            assert _trace_digest(_pinned_service_trace(reads)) == self.SERVICE_SHA256
+
+    def test_one_root_of_each_kind_walks_as_recorded(self):
+        service = _pinned_service_trace()
+        cluster = _pinned_cluster_trace()
+        names = lambda root: [s.name for s in root.children]  # noqa: E731
+        roots = {
+            "write": _first_root(service, lambda r: "maintenance" in names(r)),
+            "refused": _first_root(service, lambda r: r.attrs.get("reason") == "queue_full"),
+            "shed": _first_root(service, lambda r: r.attrs.get("reason") == "shed"),
+            "batch": _first_root(service, lambda r: r.category == "executor"),
+            "plan": _first_root(service, lambda r: r.name == "plan"),
+            "gathered": _first_root(cluster, lambda r: "gather_merge" in names(r)),
+            "failover": _first_root(
+                cluster, lambda r: any(s.attrs.get("failover") for s in r.children)
+            ),
+            "failed": _first_root(cluster, lambda r: r.attrs.get("status") == "failed"),
+            "cancelled": _first_root(
+                cluster, lambda r: any(s.attrs.get("reason") == "cancelled" for s in r.children)
+            ),
+        }
+        walked = {kind: _walked(root) for kind, root in roots.items()}
+        assert walked == PINNED_WALKS
+
+
+#: ``_walked`` of one root of each kind, as the eager recorder left them.
+PINNED_WALKS = {
+    'write': [('request', 'request', 474.0, 4736.0, None,
+                [('kind', 'UpdateRequest'), ('seq', 3), ('priority', 1), ('deadline_ns', 1374.0),
+                 ('deadline_slack_ns', 900.0), ('submitted', 'update'), ('session', 'session'),
+                 ('status', 'completed'), ('deadline_missed', True)]),
+               ('admission', 'request', 474.0, 474.0, None,
+                [('admitted', True), ('modeled_ns', 1423.75), ('modeled_banks', 1)]),
+               ('queue', 'request', 474.0, 474.0, None, []),
+               ('service', 'request', 474.0, 4736.0, None,
+                [('batch', 1), ('ops_eliminated', 0), ('shared_subchains', 0),
+                 ('host_merge_ns', 0.0), ('cache_hits', 0), ('cache_misses', 0)]),
+               ('maintenance', 'storage', 474.0, 4736.0, None,
+                [('kind', 'update'), ('strategy', 'eager'), ('columns', 'status=eager'),
+                 ('rows_affected', 3), ('planes_charged', 4), ('cache_invalidations', 0)])],
+     'refused': [('request', 'request', 1349.0, 1349.0, None,
+                  [('kind', 'BitmapConjunctionRequest'), ('seq', 10), ('priority', 0),
+                   ('status', 'rejected'), ('reason', 'queue_full'), ('submitted', 'conjunction'),
+                   ('session', 'session')]),
+                 ('admission', 'request', 1349.0, 1349.0, None,
+                  [('admitted', False), ('reason', 'queue_full')])],
+     'shed': [('request', 'request', 952.0, 1481.0, None,
+               [('kind', 'BitmapConjunctionRequest'), ('seq', 6), ('priority', 0),
+                ('deadline_ns', 1852.0), ('deadline_slack_ns', 900.0), ('submitted', 'conjunction'),
+                ('session', 'session'), ('status', 'rejected'), ('reason', 'shed')]),
+              ('admission', 'request', 952.0, 952.0, None,
+               [('admitted', True), ('modeled_ns', 335.0), ('modeled_banks', 1)])],
+     'batch': [('batch 0', 'executor', 381.0, 3396.0, ('batches',),
+                [('batch', 0), ('requests', 9), ('fused_ops', 0), ('device_busy_ns', 3015.0),
+                 ('cross_batch_overlap_ns', 0.0)]),
+               ('ambit_or', 'exec', 381.0, 716.0, ('(0, 0, 0)',),
+                [('latency_ns', 335.0), ('release_ns', 381.0), ('banks', 1)]),
+               ('ambit_or', 'exec', 716.0, 1051.0, ('(0, 0, 0)',),
+                [('latency_ns', 335.0), ('release_ns', 381.0), ('banks', 1)]),
+               ('ambit_and', 'exec', 1051.0, 1386.0, ('(0, 0, 0)',),
+                [('latency_ns', 335.0), ('release_ns', 381.0), ('banks', 1)]),
+               ('ambit_or', 'exec', 1386.0, 1721.0, ('(0, 0, 0)',),
+                [('latency_ns', 335.0), ('release_ns', 381.0), ('banks', 1)]),
+               ('ambit_or', 'exec', 1721.0, 2056.0, ('(0, 0, 0)',),
+                [('latency_ns', 335.0), ('release_ns', 381.0), ('banks', 1)]),
+               ('ambit_or', 'exec', 2056.0, 2391.0, ('(0, 0, 0)',),
+                [('latency_ns', 335.0), ('release_ns', 381.0), ('banks', 1)]),
+               ('ambit_or', 'exec', 2391.0, 2726.0, ('(0, 0, 0)',),
+                [('latency_ns', 335.0), ('release_ns', 381.0), ('banks', 1)]),
+               ('ambit_and', 'exec', 2726.0, 3061.0, ('(0, 0, 0)',),
+                [('latency_ns', 335.0), ('release_ns', 381.0), ('banks', 1)]),
+               ('ambit_and', 'exec', 3061.0, 3396.0, ('(0, 0, 0)',),
+                [('latency_ns', 335.0), ('release_ns', 381.0), ('banks', 1)])],
+     'plan': [('plan', 'planner', 381.0, 381.0, ('batches',),
+               [('batch', 0), ('requests', 3), ('primitives', 9), ('ops_eliminated', 0),
+                ('shared_subchains', 0)])],
+     'gathered': [('cluster_request', 'cluster', 438.0, 2109.0, None,
+                   [('kind', 'BitmapConjunctionRequest'), ('seq', 5), ('priority', 1),
+                    ('submitted', 'conjunction'), ('session', 'session'), ('status', 'completed'),
+                    ('deadline_missed', False)]),
+                  ('scatter', 'cluster', 438.0, 438.0, None,
+                   [('fanout', 2), ('shard_ids', '0,1'), ('admitted', True)]),
+                  ('request', 'request', 438.0, 1859.0, None,
+                   [('kind', 'BitmapConjunctionRequest'), ('seq', 4), ('priority', 1), ('shard', 0),
+                    ('status', 'completed'), ('deadline_missed', False)]),
+                  ('admission', 'request', 438.0, 438.0, None,
+                   [('admitted', True), ('modeled_ns', 335.0), ('modeled_banks', 1)]),
+                  ('queue', 'request', 438.0, 1524.0, None, []),
+                  ('service', 'request', 1524.0, 1859.0, None,
+                   [('batch', 0), ('ops_eliminated', 0), ('shared_subchains', 0),
+                    ('host_merge_ns', 0.0), ('cache_hits', 0), ('cache_misses', 0)]),
+                  ('request', 'request', 438.0, 1677.0, None,
+                   [('kind', 'BitmapConjunctionRequest'), ('seq', 1), ('priority', 1), ('shard', 1),
+                    ('status', 'completed'), ('deadline_missed', False)]),
+                  ('admission', 'request', 438.0, 438.0, None,
+                   [('admitted', True), ('modeled_ns', 670.0), ('modeled_banks', 1)]),
+                  ('queue', 'request', 438.0, 1007.0, None, []),
+                  ('service', 'request', 1007.0, 1677.0, None,
+                   [('batch', 0), ('ops_eliminated', 0), ('shared_subchains', 0),
+                    ('host_merge_ns', 0.0), ('cache_hits', 0), ('cache_misses', 0)]),
+                  ('gather_merge', 'cluster', 1859.0, 2109.0, None,
+                   [('parts', 2), ('tree_levels', 1)])],
+     'failover': [('cluster_request', 'cluster', 2236.0, 3136.0, None,
+                   [('kind', 'BitmapConjunctionRequest'), ('seq', 21), ('priority', 1),
+                    ('submitted', 'conjunction'), ('session', 'session'), ('status', 'completed'),
+                    ('deadline_missed', False)]),
+                  ('scatter', 'cluster', 2236.0, 2236.0, None,
+                   [('fanout', 1), ('shard_ids', '0'), ('admitted', True)]),
+                  ('request', 'request', 2236.0, 2421.0, None,
+                   [('kind', 'BitmapConjunctionRequest'), ('seq', 17), ('priority', 1),
+                    ('deadline_ns', 3136.0), ('deadline_slack_ns', 900.0), ('shard', 0),
+                    ('status', 'rejected'), ('reason', 'shard_failed')]),
+                  ('admission', 'request', 2236.0, 2236.0, None,
+                   [('admitted', True), ('modeled_ns', 335.0), ('modeled_banks', 1)]),
+                  ('request', 'request', 2472.0, 3136.0, None,
+                   [('kind', 'BitmapConjunctionRequest'), ('seq', 11), ('priority', 1),
+                    ('deadline_ns', 3136.0), ('deadline_slack_ns', 664.0), ('shard', 1),
+                    ('failover', True), ('status', 'completed'), ('deadline_missed', False)]),
+                  ('admission', 'request', 2472.0, 2472.0, None,
+                   [('admitted', True), ('modeled_ns', 335.0), ('modeled_banks', 1)]),
+                  ('queue', 'request', 2472.0, 2801.0, None, []),
+                  ('service', 'request', 2801.0, 3136.0, None,
+                   [('batch', 4), ('ops_eliminated', 0), ('shared_subchains', 0),
+                    ('host_merge_ns', 0.0), ('cache_hits', 0), ('cache_misses', 0)])],
+     'failed': [('cluster_request', 'cluster', 2421.0, 2472.0, None,
+                 [('kind', 'BitmapConjunctionRequest'), ('seq', 23), ('priority', 1),
+                  ('submitted', 'conjunction'), ('session', 'session'), ('status', 'failed'),
+                  ('reason', 'shard_unavailable')]),
+                ('scatter', 'cluster', 2421.0, 2421.0, None,
+                 [('fanout', 1), ('shard_ids', '0'), ('admitted', True)]),
+                ('request', 'request', 2421.0, 2421.0, None,
+                 [('kind', 'BitmapConjunctionRequest'), ('seq', 19), ('priority', 1), ('shard', 0),
+                  ('status', 'rejected'), ('reason', 'shard_failed')]),
+                ('admission', 'request', 2421.0, 2421.0, None,
+                 [('admitted', True), ('modeled_ns', 1005.0), ('modeled_banks', 1)])],
+     'cancelled': [('cluster_request', 'cluster', 1035.0, 1035.0, None,
+                    [('kind', 'BitmapConjunctionRequest'), ('seq', 11), ('priority', 1),
+                     ('status', 'rejected'), ('reason', 'queue_full'), ('submitted', 'conjunction'),
+                     ('session', 'session')]),
+                   ('scatter', 'cluster', 1035.0, 1035.0, None,
+                    [('fanout', 2), ('shard_ids', '0,1'), ('admitted', False)]),
+                   ('request', 'request', 1035.0, 1035.0, None,
+                    [('kind', 'BitmapConjunctionRequest'), ('seq', 8), ('priority', 1),
+                     ('status', 'rejected'), ('reason', 'cancelled'), ('shard', 0)]),
+                   ('admission', 'request', 1035.0, 1035.0, None,
+                    [('admitted', True), ('modeled_ns', 0.0), ('modeled_banks', 1)]),
+                   ('request', 'request', 1035.0, 1035.0, None,
+                    [('kind', 'BitmapConjunctionRequest'), ('seq', 5), ('priority', 1),
+                     ('status', 'rejected'), ('reason', 'queue_full'), ('shard', 1)]),
+                   ('admission', 'request', 1035.0, 1035.0, None,
+                    [('admitted', False), ('reason', 'queue_full')])]}
 
 
 # ---------------------------------------------------------------------

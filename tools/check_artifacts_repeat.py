@@ -62,7 +62,8 @@ def run_pass(directory: Path) -> None:
             "-q", "--benchmark-disable-gc", "-p", "no:cacheprovider",
         ]
         subprocess.run(command, cwd=ROOT, env=env, check=True, stdout=subprocess.DEVNULL)
-    # The example writes TRACE_timeline.json into its working directory.
+    # The example writes TRACE_timeline.json and TRACE_cluster_timeline.json
+    # into its working directory.
     subprocess.run(
         [sys.executable, str(ROOT / "examples" / "trace_timeline.py")],
         cwd=directory, env=env, check=True, stdout=subprocess.DEVNULL,
