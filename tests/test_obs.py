@@ -326,9 +326,12 @@ class TestBitExactness:
 _CARDINALITIES = {"region": 6, "status": 4, "tier": 3}
 
 
-def _mixed_events(seed: int, count: int = 24):
+def _mixed_events(seed: int, count: int = 24, gap=(40, 400), writes: bool = True, slack_ns=None):
     """A mixed read/write stream over its own fresh table (the writes
-    mutate it, so every run builds the stream again from the seed)."""
+    mutate it, so every run builds the stream again from the seed): an
+    update every fourth request unless ``writes`` is off, conjunctions of
+    one to three predicates otherwise, arrivals ``gap`` ns apart, and —
+    with ``slack_ns`` — a deadline that far past every third arrival."""
     rng = np.random.default_rng(seed)
     rows = 160
     table = ColumnTable("t", rows)
@@ -337,8 +340,8 @@ def _mixed_events(seed: int, count: int = 24):
     index = BitmapIndex(table, list(_CARDINALITIES))
     events, at_ns = [], 0.0
     for i in range(count):
-        at_ns += float(rng.integers(40, 400))
-        if i % 4 == 3:
+        at_ns += float(rng.integers(*gap))
+        if writes and i % 4 == 3:
             column = ("status", "region")[(i // 4) % 2]
             request = UpdateRequest(
                 table=table,
@@ -355,8 +358,9 @@ def _mixed_events(seed: int, count: int = 24):
                     for c in ("status", "region", "tier")[: 1 + i % 3]
                 ),
             )
+        deadline = at_ns + slack_ns if slack_ns is not None and i % 3 == 0 else None
         # Two priority classes, so a full queue sheds as well as refuses.
-        events.append(ArrivalEvent(arrival_ns=at_ns, request=request, priority=i % 2))
+        events.append(ArrivalEvent(request, at_ns, priority=i % 2, deadline_ns=deadline))
     return events
 
 
@@ -703,46 +707,13 @@ class TestRecordedSpans:
 # ---------------------------------------------------------------------
 # The derived trace is pinned: every exported byte of two small streams
 # ---------------------------------------------------------------------
-def _pinned_events(seed: int, count: int, gap, writes: bool):
-    """Conjunctions of one to three predicates (and, with ``writes``, an
-    update every fourth request) over a fresh 160-row table, two
-    priority classes, and a tight deadline on every third request."""
-    rng = np.random.default_rng(seed)
-    rows = 160
-    table = ColumnTable("t", rows)
-    for name, cardinality in _CARDINALITIES.items():
-        table.add_column(name, rng.integers(0, cardinality, size=rows), cardinality=cardinality)
-    index = BitmapIndex(table, list(_CARDINALITIES))
-    events, at_ns = [], 0.0
-    for i in range(count):
-        at_ns += float(rng.integers(*gap))
-        if writes and i % 4 == 3:
-            column = ("status", "region")[(i // 4) % 2]
-            request = UpdateRequest(
-                table=table,
-                index=index,
-                column=column,
-                row_ids=[int(r) for r in rng.choice(rows, size=3, replace=False)],
-                values=[int(v) for v in rng.integers(0, _CARDINALITIES[column], size=3)],
-            )
-        else:
-            request = BitmapConjunctionRequest(
-                index=index,
-                predicates=tuple(
-                    (c, tuple(sorted({int(v) for v in rng.integers(0, _CARDINALITIES[c], size=2)})))
-                    for c in ("status", "region", "tier")[: 1 + i % 3]
-                ),
-            )
-        deadline = at_ns + 900.0 if i % 3 == 0 else None
-        events.append((at_ns, request, i % 2, deadline))
-    return events
-
-
 def _submit_all(session, events, reads=()) -> None:
     """Submit the stream and drain; export the plane's trace (and so
     derive it) after each submission numbered in ``reads``."""
-    for i, (at_ns, request, priority, deadline) in enumerate(events):
-        session.submit(request, priority=priority, deadline_ns=deadline, at_ns=at_ns)
+    for i, event in enumerate(events):
+        session.submit(
+            event.request, priority=event.priority, deadline_ns=event.deadline_ns, at_ns=event.arrival_ns
+        )
         if i in reads:
             trace_events(session.obs.tracer)
     session.drain()
@@ -760,7 +731,7 @@ def _pinned_service_trace(reads=()) -> Tracer:
             maintenance=maintenance,
         )
         frontend = ServiceFrontend(config, engine=_engine(), observe=plane)
-        _submit_all(PimSession(frontend), _pinned_events(21, 40, (20, 300), writes=True), reads)
+        _submit_all(PimSession(frontend), _mixed_events(21, 40, (20, 300), slack_ns=900.0), reads)
     return plane.tracer
 
 
@@ -769,7 +740,7 @@ def _pinned_cluster_trace(reads=()) -> Tracer:
     mid-stream: scatters, gathers, failovers, a part with no surviving
     placement, and all-or-nothing refusals that cancel queued siblings."""
     plane = Observer()
-    events = _pinned_events(22, 48, (10, 160), writes=False)
+    events = _mixed_events(22, 48, (10, 160), writes=False, slack_ns=900.0)
     cluster = ClusterFrontend(
         2,
         PipelineConfig(
@@ -780,7 +751,7 @@ def _pinned_cluster_trace(reads=()) -> Tracer:
         router=ShardRouter(2, replication_factor=2, hot_columns=("status", "tier")),
         engine_factory=_engine,
         observe=plane,
-        faults=kill_revive_schedule([(0, events[len(events) // 2][0], None)]),
+        faults=kill_revive_schedule([(0, events[len(events) // 2].arrival_ns, None)]),
     )
     _submit_all(PimSession(cluster), events, reads)
     return plane.tracer
