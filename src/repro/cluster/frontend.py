@@ -190,12 +190,7 @@ class ClusterSpan(DerivedSpan):
         attrs: Dict[str, Any] = dict(
             kind=type(record.request).__name__, seq=record.seq, priority=record.priority
         )
-        if door:  # refused inside the offer: before the caller's attributes
-            attrs.update(outcome)
-        if self.note is not None:
-            attrs.update(submitted=self.note.kind, session=self.note.session.name)
-        if not door:
-            attrs.update(outcome)
+        attrs = self._ordered(attrs, outcome, door)
         return "cluster_request", "cluster", arrival, end, attrs, children
 
 

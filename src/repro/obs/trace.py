@@ -174,6 +174,25 @@ class DerivedSpan(Span):
         appended, so a re-derivation adds what is new."""
         raise NotImplementedError
 
+    def _ordered(self, attrs: Dict[str, Any], outcome: Dict[str, Any], early: bool) -> Dict[str, Any]:
+        """``attrs`` plus ``outcome`` and what ``note`` adds, in the order
+        they became known: an outcome reached inside the offer (``early``)
+        precedes the note, a later one follows it.  A tuple note is an
+        adopted part's ``(shard, failover, refused at the scatter)``; any
+        other is the submitting session's future."""
+        if early:
+            attrs.update(outcome)
+        note = self.note
+        if type(note) is tuple:
+            attrs["shard"] = note[0]
+            if note[1]:
+                attrs["failover"] = True
+        elif note is not None:
+            attrs.update(submitted=note.kind, session=note.session.name)
+        if not early:
+            attrs.update(outcome)
+        return attrs
+
 
 class _NullSpan(Span):
     """The shared inert span a disabled tracer hands out.

@@ -300,21 +300,9 @@ class RequestSpan(DerivedSpan):
             if self.facts is not None:
                 children.append(("maintenance", "storage", start, end, dict(self.facts)))
             outcome = dict(status="completed", deadline_missed=queued.deadline_missed)
-        # Attributes in the order they became known: an outcome reached
-        # inside the offer precedes what the caller added after it.
-        note = self.note
-        early = door or (type(note) is tuple and note[2])
-        if early:
-            attrs.update(outcome)
-        if type(note) is tuple:
-            attrs["shard"] = note[0]
-            if note[1]:
-                attrs["failover"] = True
-        elif note is not None:
-            attrs.update(submitted=note.kind, session=note.session.name)
-        if not early:
-            attrs.update(outcome)
-        return "request", "request", arrival, end, attrs, children
+        # Refused inside the offer: at this door, or (a part) at the scatter.
+        early = door or (type(self.note) is tuple and self.note[2])
+        return "request", "request", arrival, end, self._ordered(attrs, outcome, early), children
 
 
 class ServiceFrontend:

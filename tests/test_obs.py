@@ -43,6 +43,7 @@ from repro.cluster import (
     ShardRouter,
     kill_revive_schedule,
 )
+from repro.cluster.frontend import ClusterRecord, ClusterSpan
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.bitweaving import BitWeavingColumn
 from repro.database.tables import ColumnTable
@@ -72,8 +73,9 @@ from repro.service import (
     ServiceFrontend,
     poisson_schedule,
 )
-from repro.service.frontend import ArrivalEvent, replay
+from repro.service.frontend import ArrivalEvent, RequestSpan, replay
 from repro.service.lanes import LaneSchedule
+from repro.service.requests import QueuedRequest
 from repro.storage import UpdateRequest, is_write_request
 from repro.verify import check_schedule
 
@@ -610,6 +612,80 @@ class TestIntervalLogExistsForItsReader:
             executor.run(requests)
             assert (executor.lanes.log is not None) == sanitize
             assert executor.lanes.requests == 6
+
+
+class TestAdopt:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        script=st.lists(
+            st.one_of(
+                st.just(("request",)),
+                st.tuples(st.just("record"), st.integers(0, 3)),
+                st.tuples(st.just("failover"), st.integers(0, 30), st.integers(0, 30), st.integers(1, 2)),
+                st.tuples(st.just("touch"), st.integers(0, 60)),
+                st.just(("read",)),
+            ),
+            max_size=40,
+        )
+    )
+    def test_roots_match_the_forward_scan_reference(self, script):
+        """A cluster record's span adopts its parts at the scatter and each
+        failover's re-offered parts after them.  Whatever the interleaving
+        of requests, records, failovers, re-derivations and reads,
+        ``roots`` is the unadopted spans in creation order and a record's
+        children are ``scatter`` then its parts in adoption order, exactly
+        as the front-to-back scan of the script left them."""
+        tracer = Tracer()
+        spans, roots, records = [], [], []
+
+        def register(span):
+            spans.append(span)
+            return span
+
+        def offered():
+            queued = QueuedRequest(request=None, seq=len(spans))
+            queued.trace = register(RequestSpan(tracer, queued))
+            return queued
+
+        def check():
+            assert len(tracer.roots) == len(roots)
+            assert all(a is b for a, b in zip(tracer.roots, roots))
+            for record, adopted in records:
+                children = record.trace.children
+                assert [c.name for c in children[:1]] == ["scatter"]
+                assert len(children) == 1 + len(adopted)
+                assert all(c is p.trace for c, p in zip(children[1:], adopted))
+                assert all(p.trace.parent is record.trace for p in adopted)
+
+        for step in script:
+            if step[0] == "request":
+                roots.append(offered().trace)
+            elif step[0] == "record":
+                record = ClusterRecord(request=None, seq=len(spans))
+                record.trace = register(ClusterSpan(tracer, record))
+                roots.append(record.trace)
+                for shard in range(step[1]):  # the scatter
+                    record.shard_ids.append(shard)
+                    record.parts.append(offered())
+                records.append((record, list(record.parts)))
+            elif step[0] == "failover":
+                scattered = [entry for entry in records if entry[0].parts]
+                if not scattered:
+                    continue
+                record, adopted = scattered[step[1] % len(scattered)]
+                k = step[2] % len(record.parts)
+                new_parts = []
+                for shard in range(step[3]):
+                    new_parts.append(offered())
+                    record.trace.failover(shard, new_parts[-1])
+                record.shard_ids[k : k + 1] = range(step[3])
+                record.parts[k : k + 1] = new_parts
+                adopted.extend(new_parts)
+            elif step[0] == "touch" and spans:
+                spans[step[1] % len(spans)].touch()
+            elif step[0] == "read":
+                check()
+        check()
 
 
 # ---------------------------------------------------------------------
