@@ -39,9 +39,12 @@ workload across tiers is pinned by ``tests/test_api_session.py``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+import weakref
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.analysis.metrics import (
     ClusterMetrics,
@@ -148,12 +151,52 @@ class HostDetails:
 ResponseDetails = Union[ServiceDetails, ClusterDetails, HostDetails]
 
 
-@dataclass(slots=True)
+def _host_details(record: Any) -> ResponseDetails:
+    return HostDetails()
+
+
+def _service_details(record: Any) -> ResponseDetails:
+    details = ServiceDetails(
+        batch_index=record.batch_index,
+        modeled_ns=record.modeled_ns,
+        modeled_banks=tuple(record.modeled_banks),
+    )
+    details.add_counts(record)
+    return details
+
+
+def _cluster_details(record: Any) -> ResponseDetails:
+    details = ClusterDetails(
+        shard_ids=tuple(record.shard_ids),
+        fanout=record.fanout,
+        host_merge_ns=record.host_merge_ns,
+        failovers=record.failovers,
+    )
+    details.add_counts(record)
+    return details
+
+
+#: How each tier's envelope is read into a response's ``details``.
+_DETAILS: Dict[str, Callable[[Any], ResponseDetails]] = {
+    "host": _host_details,
+    "service": _service_details,
+    "cluster": _cluster_details,
+}
+
+_NO_EPILOGUE = (0.0, 0.0)
+
+#: Shared answers a session remembers the row count of (:meth:`PimSession._count`).
+COUNTS_HELD = 256
+
+
 class Response:
     """The unified outcome of one session request, identical across tiers.
 
     The per-request fields live here, the per-stream roll-up in
-    :class:`SessionReport`.
+    :class:`SessionReport`.  A response stores only what nothing else
+    holds — its kind, status, row count and the host epilogue's shared
+    ``(latency, energy)`` price — and reads the rest off the backend's
+    envelope, which it keeps alive; ``details`` is built on each access.
 
     Attributes:
         kind: What was asked (``"scan"``, ``"range_count"``,
@@ -172,7 +215,7 @@ class Response:
         energy_j: Scan plus epilogue energy.
         scan_ns / epilogue_ns: The two parts of ``latency_ns``.
         arrival_ns / start_ns / finish_ns: Queueing timestamps on the
-            backend's virtual clock (NaN when rejected).
+            backend's virtual clock (start and finish NaN when rejected).
         deadline_missed: True when service finished past the deadline.
         rejected_reason: Why admission refused it ("" when completed).
         details: Tier-specific extras (typed by backend tier).
@@ -181,26 +224,95 @@ class Response:
             (``observe=True``); None otherwise.
     """
 
-    kind: str
-    status: str
-    value: Any = None
-    matching_rows: Optional[int] = None
-    latency_ns: float = 0.0
-    energy_j: float = 0.0
-    scan_ns: float = 0.0
-    epilogue_ns: float = 0.0
-    arrival_ns: float = math.nan
-    start_ns: float = math.nan
-    finish_ns: float = math.nan
-    deadline_missed: bool = False
-    rejected_reason: str = ""
-    details: ResponseDetails = field(default_factory=HostDetails)
-    trace: Any = field(default=None, repr=False, compare=False)
+    __slots__ = ("kind", "status", "matching_rows", "_epilogue", "_record", "_details_of")
+
+    def __init__(
+        self,
+        kind: str,
+        status: str,
+        matching_rows: Optional[int] = None,
+        epilogue: Tuple[float, float] = _NO_EPILOGUE,
+        record: Any = None,
+        details_of: Callable[[Any], ResponseDetails] = _host_details,
+    ) -> None:
+        self.kind = kind
+        self.status = status
+        self.matching_rows = matching_rows
+        self._epilogue = epilogue
+        self._record = record  # the envelope; None for a standalone response
+        self._details_of = details_of
 
     @property
     def completed(self) -> bool:
         """True when the request finished service."""
         return self.status == "completed"
+
+    @property
+    def _served(self) -> Any:
+        """The envelope when it completed, else None."""
+        return self._record if self.status == "completed" else None
+
+    @property
+    def value(self) -> Any:
+        served = self._served
+        return None if served is None else served.value
+
+    @value.setter
+    def value(self, value: Any) -> None:
+        # A view: replacing a completed response's value replaces its
+        # envelope's (how a check plants a corrupted answer).
+        if self._served is None:
+            raise AttributeError("only a completed response has a value to replace")
+        self._served.value = value
+
+    @property
+    def scan_ns(self) -> float:
+        served = self._served
+        return 0.0 if served is None else served.metrics.latency_ns
+
+    @property
+    def epilogue_ns(self) -> float:
+        return self._epilogue[0]
+
+    @property
+    def latency_ns(self) -> float:
+        return self.scan_ns + self._epilogue[0]
+
+    @property
+    def energy_j(self) -> float:
+        served = self._served
+        return (0.0 if served is None else served.metrics.energy_j) + self._epilogue[1]
+
+    @property
+    def arrival_ns(self) -> float:
+        return math.nan if self._record is None else self._record.arrival_ns
+
+    @property
+    def start_ns(self) -> float:
+        served = self._served
+        return math.nan if served is None else served.start_ns
+
+    @property
+    def finish_ns(self) -> float:
+        served = self._served
+        return math.nan if served is None else served.finish_ns
+
+    @property
+    def deadline_missed(self) -> bool:
+        served = self._served
+        return False if served is None else served.deadline_missed
+
+    @property
+    def rejected_reason(self) -> str:
+        return "" if self._record is None else self._record.rejected_reason
+
+    @property
+    def trace(self) -> Any:
+        return None if self._record is None else self._record.trace
+
+    @property
+    def details(self) -> ResponseDetails:
+        return self._details_of(self._record)
 
     @property
     def breakdown(self) -> Dict[str, float]:
@@ -313,14 +425,8 @@ class Future:
         try:
             return self.result()
         except RequestRejected:
-            return Response(
-                kind=self.kind,
-                status="rejected",
-                rejected_reason=self.record.rejected_reason,
-                arrival_ns=self.record.arrival_ns,
-                details=self._session._details_for(self.record),
-                trace=self.trace,
-            )
+            details_of = self._session._details_of
+            return Response(self.kind, "rejected", record=self.record, details_of=details_of)
 
 
 @lru_cache(maxsize=None)
@@ -423,6 +529,9 @@ class PimSession:
         # a stream of few templates prices each of its pairs once.  At
         # most one small entry per response the session already holds.
         self._epilogues: Dict[Tuple[int, int], Tuple[float, float]] = {}
+        # id(answer) -> (weak ref to it, num_rows, COUNT(*)); see _count.
+        self._counts: Dict[int, Tuple[Any, int, int]] = {}
+        self._details_of = _DETAILS[self.tier]
         # Window snapshot: report() covers only this session's traffic.
         self._clock0 = backend.clock_ns
         if self.tier == "cluster":
@@ -582,7 +691,8 @@ class PimSession:
         at_ns: Optional[float] = None,
     ) -> Future:
         """Submit a physical row deletion; the response value is rows
-        removed (rows after them renumber down)."""
+        removed (rows after them renumber down).  Row ids must be unique
+        within one delete."""
         request = DeleteRequest(table=table, index=index, row_ids=tuple(row_ids))
         return self._submit(request, "delete", priority, deadline_ns, at_ns)
 
@@ -819,33 +929,27 @@ class PimSession:
         self.futures.append(future)
         return future
 
-    def _details_for(self, record) -> ResponseDetails:
-        if self.tier == "host":
-            return HostDetails()
-        details: Union[ServiceDetails, ClusterDetails]
-        if self.tier == "cluster":
-            details = ClusterDetails(
-                shard_ids=tuple(record.shard_ids),
-                fanout=record.fanout,
-                host_merge_ns=record.host_merge_ns,
-                failovers=record.failovers,
-            )
-        else:
-            details = ServiceDetails(
-                batch_index=record.batch_index,
-                modeled_ns=record.modeled_ns,
-                modeled_banks=tuple(record.modeled_banks),
-            )
-        details.add_counts(record)
-        return details
+    def _count(self, value: np.ndarray, num_rows: int) -> int:
+        """``BitmapIndex.count(value, num_rows)``, counted once per shared
+        answer: a read-only array that owns its bytes is looked up by
+        identity.  The entry holds the array weakly — a dead answer's
+        recycled ``id`` never matches — and at most
+        :data:`COUNTS_HELD` are kept, the oldest dropped first."""
+        if value.flags.writeable or value.base is not None:
+            return BitmapIndex.count(value, num_rows)
+        counts = self._counts
+        held = counts.get(id(value))
+        if held is not None and held[0]() is value and held[1] == num_rows:
+            return held[2]
+        if held is None and len(counts) >= COUNTS_HELD:
+            del counts[next(iter(counts))]
+        count = BitmapIndex.count(value, num_rows)
+        counts[id(value)] = (weakref.ref(value), num_rows, count)
+        return count
 
     def _build_response(self, future: Future) -> Response:
         record = future.record
-        scan = record.metrics
         value = record.value
-        matching: Optional[int] = None
-        epilogue_ns = 0.0
-        epilogue_j = 0.0
         # Only a query's value is a result bitmap with rows to count (a
         # write's is rows affected, a raw primitive's an operand vector).
         request = future.request
@@ -854,29 +958,11 @@ class PimSession:
             num_rows = request.column.num_rows
         elif isinstance(request, BitmapConjunctionRequest):
             num_rows = request.index.num_rows
-        if num_rows is not None and value is not None:
-            matching = BitmapIndex.count(value, num_rows)
-            priced = self._epilogues.get((num_rows, matching))
-            if priced is None:
-                epilogue = self._coster.epilogue_cost(num_rows, matching)
-                priced = self._epilogues[num_rows, matching] = (
-                    epilogue.latency_ns,
-                    epilogue.energy_j,
-                )
-            epilogue_ns, epilogue_j = priced
-        return Response(
-            kind=future.kind,
-            status="completed",
-            value=value,
-            matching_rows=matching,
-            latency_ns=scan.latency_ns + epilogue_ns,
-            energy_j=scan.energy_j + epilogue_j,
-            scan_ns=scan.latency_ns,
-            epilogue_ns=epilogue_ns,
-            arrival_ns=record.arrival_ns,
-            start_ns=record.start_ns,
-            finish_ns=record.finish_ns,
-            deadline_missed=record.deadline_missed,
-            details=self._details_for(record),
-            trace=record.trace,
-        )
+        if num_rows is None or value is None:
+            return Response(future.kind, "completed", record=record, details_of=self._details_of)
+        matching = self._count(value, num_rows)
+        priced = self._epilogues.get((num_rows, matching))
+        if priced is None:
+            epilogue = self._coster.epilogue_cost(num_rows, matching)
+            priced = self._epilogues[num_rows, matching] = (epilogue.latency_ns, epilogue.energy_j)
+        return Response(future.kind, "completed", matching, priced, record, self._details_of)

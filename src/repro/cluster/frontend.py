@@ -57,7 +57,7 @@ from repro.cluster.router import PlacementUnavailable, ShardRouter
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.sharding import BitmapIndexShardView
 from repro.obs import DerivedSpan, Observer, resolve_observe
-from repro.service.config import MERGE_NS_PER_OP, PipelineConfig
+from repro.service.config import MERGE_TREE_NS, PipelineConfig
 from repro.service.frontend import (
     ArrivalEvent,
     PipelineResult,
@@ -418,6 +418,13 @@ class ClusterFrontend:
         conjunctions scatter into shard-local sub-conjunctions; everything
         else goes to the least-loaded shard.  A scatter is all-or-nothing:
         one refused part withdraws the rest.
+
+        A write commits its table and index mutation here, at its offer
+        (:meth:`_commit_write`), not when its batch is lowered as on the
+        service tier.  So the tiers order reads and writes differently: a
+        read submitted before a write, and still queued when the write is
+        offered, answers over the written rows here and over the old rows
+        on a service frontend.
         """
         arrival = checked_arrival(self.clock_ns, arrival_ns, deadline_ns, priority)
         self.check_request(request)
@@ -1065,7 +1072,7 @@ class ClusterFrontend:
             record.value = np.bitwise_and.reduce([p.value for p in parts])
             record.value.setflags(write=False)  # like the shard partials it merges
             tree_depth = (len(parts) - 1).bit_length()
-            record.host_merge_ns = tree_depth * MERGE_NS_PER_OP
+            record.host_merge_ns = MERGE_TREE_NS[tree_depth]
             record.finish_ns += record.host_merge_ns
             merged = combine_serial("cluster_gather", (p.metrics for p in parts))
             merged.notes = (

@@ -124,7 +124,7 @@ class ColumnTable:
         if unique:
             ordered = np.sort(ids)
             if (ordered[1:] == ordered[:-1]).any():
-                raise ValueError("row_ids must be unique within one update")
+                raise ValueError("row_ids must be unique within one write")
         ids.setflags(write=False)
         return ids, top
 

@@ -72,7 +72,7 @@ from repro.analysis.metrics import OperationMetrics
 from repro.api.plans import source_vector
 from repro.cache.result_cache import ResultCache
 from repro.optimizer.canonical import ConjunctionShape, Key
-from repro.service.config import MERGE_NS_PER_OP
+from repro.service.config import MERGE_TREE_NS
 from repro.service.planner import LoweredGroup, _PricedChain
 from repro.service.requests import (
     BitmapConjunctionRequest,
@@ -327,7 +327,7 @@ class BatchOptimizer:
         # to every request (the modeled host merges per request even when
         # the simulator joins once).
         host_join_ops = len(answer.parts) - 1
-        host_merge_ns = host_join_ops.bit_length() * MERGE_NS_PER_OP if host_join_ops else 0.0
+        host_merge_ns = MERGE_TREE_NS[host_join_ops.bit_length()]
         deps = answer.producers
         if own:
             mine = set(own)

@@ -35,6 +35,10 @@ from repro.storage.maintenance import MaintenancePolicy
 #: operands, write one result at tens of GB/s).
 MERGE_NS_PER_OP = 250.0
 
+#: A merge tree's host time by its depth: one float per depth, shared by
+#: every envelope charged one.
+MERGE_TREE_NS = tuple(depth * MERGE_NS_PER_OP for depth in range(64))
+
 
 def _check_real(name: str, value: Any) -> None:
     """Refuse a ``bool`` or a non-number for a numeric knob: ``True``
@@ -181,4 +185,4 @@ class PipelineConfig:
         return MaintenancePolicy(strategy=self.maintenance)
 
 
-__all__ = ["BatchPolicy", "MERGE_NS_PER_OP", "PipelineConfig"]
+__all__ = ["BatchPolicy", "MERGE_NS_PER_OP", "MERGE_TREE_NS", "PipelineConfig"]

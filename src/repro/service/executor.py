@@ -704,7 +704,8 @@ class BatchExecutor:
             else:
                 prices, latencies = (result.metrics,), (result.metrics.latency_ns,)
             start, end = place(banks, latencies, release_ns)
-            result.start_ns, result.end_ns = start, end
+            # A result's placement, not an envelope's outcome.
+            result.start_ns, result.end_ns = start, end  # lint: allow[terminal-write]
             if batch_row >= 0:
                 key = tuple(banks)
                 track = tracks.get(key)

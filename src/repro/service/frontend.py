@@ -119,7 +119,7 @@ def check_frontend_request(request: object) -> None:
         check_row_ids(request)
 
 
-@dataclass
+@dataclass(slots=True)
 class ArrivalEvent:
     """One request arriving at a point of virtual time.
 

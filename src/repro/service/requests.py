@@ -63,7 +63,7 @@ class BulkOpRequest:
     bank_offset: Optional[int] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ScanRequest:
     """One BitWeaving predicate scan over a vertical column.
 
@@ -114,7 +114,7 @@ class ScanRequest:
         return self._scan_cache
 
 
-@dataclass
+@dataclass(slots=True)
 class CopyRequest:
     """One RowClone bulk copy/initialization.
 
@@ -210,6 +210,14 @@ def checked_arrival(
     offer's ``priority`` must be an ``int`` (a bool, a float or NaN is
     refused): the queue orders on it, and would raise only after the
     envelope was recorded.
+
+    Two stamps are legal on purpose.  An arrival earlier than
+    ``clock_ns``: a barrier executor's clock overshoots the arrivals it
+    serves (a batch ends past the next stamp), so a stream replayed at its
+    own stamps lands behind it; the request queues at the live clock and
+    its wait and sojourn count from its stamp.  A deadline before its
+    arrival: the request is admitted and, once served, reported missed
+    (``deadline_missed``).
     """
     if type(priority) is not int and not _is_int(priority):
         raise TypeError(f"priority must be an int, not {priority!r}")
@@ -233,7 +241,7 @@ def check_request_type(
         raise TypeError(f"{refusal} {type(request).__name__}")
 
 
-@dataclass
+@dataclass(slots=True)
 class BitmapConjunctionRequest:
     """One bitmap-index conjunction: ``AND`` of per-column ``IN`` predicates.
 

@@ -35,7 +35,7 @@ from repro.database.bitmap_index import BitmapIndex
 from repro.database.tables import ColumnTable
 
 
-@dataclass
+@dataclass(slots=True)
 class AppendRequest:
     """Append rows (per-column code sequences covering every column)."""
 
@@ -65,7 +65,7 @@ class AppendRequest:
         return tuple(self.index.indexed_columns())
 
 
-@dataclass
+@dataclass(slots=True)
 class UpdateRequest:
     """In-place overwrite of ``column[row_ids] = values``.
 
@@ -112,9 +112,14 @@ class UpdateRequest:
         return ()
 
 
-@dataclass
+@dataclass(slots=True)
 class DeleteRequest:
-    """Physical row deletion; later rows renumber down (no tombstones)."""
+    """Physical row deletion; later rows renumber down (no tombstones).
+
+    Row ids must be unique within one delete, as within one update: a
+    repeated id would be priced as rows of maintenance traffic it never
+    removes.
+    """
 
     table: ColumnTable
     index: BitmapIndex
@@ -130,14 +135,16 @@ class DeleteRequest:
             object.__setattr__(self, "columns", tuple(self.columns))
 
     def num_rows_written(self) -> int:
-        """Rows this delete removes (before de-duplication)."""
+        """Rows this delete removes."""
         return len(self.row_ids)
 
     def checked_rows(self) -> Tuple[np.ndarray, int]:
-        """:meth:`ColumnTable.row_id_array`, once per ``row_ids`` binding."""
+        """:meth:`ColumnTable.row_id_array` (unique ids), once per
+        ``row_ids`` binding."""
         rows = self._rows
         if rows is None or rows[0] is not self.row_ids:
-            rows = self._rows = (self.row_ids, *self.table.row_id_array(self.row_ids))
+            checked = self.table.row_id_array(self.row_ids, unique=True)
+            rows = self._rows = (self.row_ids, *checked)
         return rows[1:]
 
     def affected_columns(self) -> Tuple[str, ...]:

@@ -25,6 +25,7 @@ from repro.analysis.metrics import ClusterMetrics, PlanCounts, QueueMetrics
 from repro.api import (
     Backend,
     ClusterDetails,
+    Future,
     HostBackend,
     HostDetails,
     PimSession,
@@ -61,7 +62,8 @@ from repro.service.config import MERGE_NS_PER_OP
 from repro.service.frontend import ArrivalEvent
 from repro.service.planner import CHAIN_INTERN_CAPACITY
 from repro.service.requests import BoundChain
-from repro.storage import MaintenancePolicy, UpdateRequest
+from repro.storage import DeleteRequest, MaintenancePolicy, UpdateRequest
+from repro.storage.requests import check_row_ids
 from repro.verify import VerifyError
 
 
@@ -412,6 +414,26 @@ class TestRetention:
         assert leaked == []
         # What the roll-ups still answer: the session's busy time.
         assert session.report().busy_ns == pytest.approx(frontend.busy_ns)
+
+    @pytest.mark.parametrize("tier", ["service", "cluster", "host"])
+    def test_a_response_refers_to_its_envelope_not_back_to_its_future(self, tier):
+        """A response is a view of its envelope.  It holds the envelope and
+        the tier's details builder, never the future that caches it or the
+        session that lists that future, so it closes no reference cycle
+        only the collector could free."""
+        sessions = {
+            "service": _service_session,
+            "cluster": lambda: _cluster_session(2),
+            "host": PimSession.over_host,
+        }
+        session = sessions[tier]()
+        index = _bitmap_index(np.random.default_rng(6))
+        future = session.conjunction(index, [("region", (1, 2)), ("status", (0,))])
+        response = future.result()
+        held = gc.get_referents(response)
+        assert future.record in held
+        assert not any(isinstance(obj, (Future, PimSession)) for obj in held)
+        assert future.response() is response
 
     def test_retained_objects_per_request_are_flat(self):
         # Slopes, so the session's fixed objects cancel: each of requests
@@ -843,6 +865,35 @@ class TestTimeValidation:
         assert good.result().completed
         assert np.isfinite(session.report().sojourn_p99_ns)
 
+    @pytest.mark.parametrize("tier", ["cluster", "service"])
+    def test_an_arrival_behind_the_clock_is_served_from_its_stamp(self, tier):
+        """Legal on purpose (``checked_arrival``): a barrier executor's
+        clock overshoots the stamps it serves.  The request queues at the
+        live clock, which never moves back, and waits from its stamp."""
+        session = PimSession(self.BACKENDS[tier]())
+        index = _bitmap_index(np.random.default_rng(25))
+        session.conjunction(index, [("region", (1, 2))], at_ns=5000.0)
+        session.drain()
+        clock = session.clock_ns
+        assert clock > 5000.0
+        response = session.conjunction(index, [("status", (1,))], at_ns=10.0).result()
+        assert response.completed and response.arrival_ns == 10.0
+        assert response.start_ns >= clock and session.clock_ns >= clock
+        assert response.wait_ns == response.start_ns - 10.0
+
+    @pytest.mark.parametrize("tier", ["cluster", "service"])
+    def test_a_deadline_before_its_arrival_is_admitted_and_reported_missed(self, tier):
+        """Legal on purpose (``checked_arrival``): admitted, served, and
+        counted as a miss in the response and the report."""
+        session = PimSession(self.BACKENDS[tier]())
+        index = _bitmap_index(np.random.default_rng(27))
+        predicates = [("region", (1, 2)), ("status", (0,))]
+        response = session.conjunction(index, predicates, at_ns=1000.0, deadline_ns=500.0).result()
+        expected, _ = index.evaluate_conjunction(predicates)
+        assert response.completed and response.deadline_missed
+        assert np.array_equal(response.value, expected)
+        assert session.report().deadline_misses == 1
+
     @pytest.mark.parametrize("window_ns", [-1.0, float("nan")])
     def test_batch_policy_rejects_a_negative_window(self, window_ns):
         with pytest.raises(ValueError):
@@ -958,6 +1009,52 @@ class TestRequestBoundary:
             assert np.array_equal(future.result().value, expected)
         # A well-formed write over the same backend still goes through.
         assert session.update(table, index, "region", [3, 4], [1, 2]).result().value == 2
+
+    @pytest.mark.parametrize("tier", ["cluster", "service"])
+    def test_duplicate_row_ids_in_a_delete_are_refused_before_anything_moves(self, tier):
+        """``delete(t, idx, [1, 1, 2])`` used to complete with value 2 while
+        admission priced three rows of maintenance traffic; a delete's row
+        ids are unique, as an update's are, and it is a typed error at
+        ``submit``."""
+        index = _bitmap_index(np.random.default_rng(33))
+        table = index.table
+        predicates = [("region", (1, 2)), ("status", (0,))]
+        expected, _ = index.evaluate_conjunction(predicates)
+        session = PimSession(self.BACKENDS[tier]())
+        backend = session.backend
+        shards = backend.shards if tier == "cluster" else [backend]
+        first = session.conjunction(index, predicates)
+
+        def state():
+            return (
+                len(backend.records),
+                [shard.queue_depth for shard in shards],
+                [len(shard.records) for shard in shards],
+                backend.clock_ns,
+                table.num_rows,
+            )
+
+        before = state()
+        with pytest.raises(ValueError, match="unique within one write"):
+            session.delete(table, index, [1, 1, 2])
+        assert state() == before
+        assert len(session.futures) == 1
+        assert np.array_equal(first.result().value, expected)
+        assert session.delete(table, index, [1, 2]).result().value == 2
+        assert table.num_rows == 398
+
+    def test_a_delete_request_refuses_duplicate_row_ids_itself(self):
+        """The check each tier's door runs (``check_row_ids``), on the
+        request alone: no backend, and the table untouched."""
+        index = _bitmap_index(np.random.default_rng(34))
+        table = index.table
+        codes = {name: column.copy() for name, column in table.columns.items()}
+        request = DeleteRequest(table=table, index=index, row_ids=(1, 1, 2))
+        with pytest.raises(ValueError, match="unique within one write"):
+            check_row_ids(request)
+        assert table.num_rows == 400
+        for name, column in table.columns.items():
+            assert np.array_equal(column, codes[name])
 
     @pytest.mark.parametrize("tier", ["cluster", "service"])
     def test_bad_write_values_are_refused_before_anything_moves(self, tier):

@@ -63,8 +63,9 @@ from repro.database.bitmap_index import BitmapIndex
 from repro.database.bitweaving import BitWeavingColumn
 from repro.database.tables import ColumnTable
 from repro.dram.device import DramDevice
-from repro.service import BatchPolicy, BitmapConjunctionRequest, ScanRequest
-from repro.storage import UpdateRequest
+from repro.service import BatchPolicy, BitmapConjunctionRequest, CopyRequest, ScanRequest
+from repro.service.frontend import ArrivalEvent
+from repro.storage import AppendRequest, DeleteRequest, UpdateRequest
 
 ROWS = 65536
 CARDINALITIES = {"region": 16, "status": 8, "channel": 8}
@@ -348,16 +349,18 @@ def _retained_bytes_per_request():
         tracemalloc.stop()
 
 
-def test_a_served_request_retains_at_most_900_bytes():
-    """What each drained, read-back request keeps — its envelope, future,
-    response and their fields — as a slope over requests 1 200-2 400.
-    ~740 B on CPython 3.11; 1 394 B when the envelope, future, response and
-    details each carried a ``__dict__``, the response a ``breakdown`` dict
-    and its own wait and sojourn floats, and every zero-cost request a
-    fresh metrics object."""
+def test_a_served_request_retains_at_most_560_bytes():
+    """What each drained, read-back request keeps — its envelope, future
+    and response — as a slope over requests 1 200-2 400.  ~473 B on
+    CPython 3.11; ~748 B when the response copied its envelope's times and
+    prices, built its details eagerly and counted its answer afresh, and
+    the optimizer charged each request its own host-merge float; 1 394 B
+    when the envelope, future, response and details each carried a
+    ``__dict__``, the response a ``breakdown`` dict and its own wait and
+    sojourn floats, and every zero-cost request a fresh metrics object."""
     slope = _retained_bytes_per_request()
-    print(f"\nretention [all_hit]: {slope:.0f} bytes per served request (budget 900)")
-    assert slope <= 900
+    print(f"\nretention [all_hit]: {slope:.0f} bytes per served request (budget 560)")
+    assert slope <= 560
 
 
 def _cluster_retained_bytes_per_request(observe):
@@ -438,17 +441,32 @@ def _futures_of(tier):
 
 
 def test_nothing_a_future_holds_carries_a_dict():
-    """The per-request objects are slotted: the future, its envelope (and,
-    on the cluster tier, the record's shard parts), its response and the
-    response's details."""
+    """The per-request objects are slotted: the future, its request, its
+    envelope (and, on the cluster tier, the record's shard parts), its
+    response and the response's details — and the arrival event and every
+    request dataclass a stream is built of."""
     for tier in ("service", "cluster"):
         for future in _futures_of(tier):
             record, response = future.record, future.result()
-            held = [future, record, record.metrics, response, response.details]
+            held = [future, future.request, record, record.metrics, response, response.details]
             held.extend(getattr(record, "parts", ()))
             held.extend(getattr(record, "migrated_parts", ()))
             for obj in held:
                 assert not hasattr(obj, "__dict__"), (tier, type(obj).__name__)
+    index, requests, _, _ = _cell_stream("mixed_rw")
+    table = index.table
+    built = [
+        ArrivalEvent(requests[0], 0.0),
+        CopyRequest(num_bytes=64),
+        AppendRequest(table=table, index=index, rows={name: [0] for name in CARDINALITIES}),
+        DeleteRequest(table=table, index=index, row_ids=(0,)),
+        *requests,  # conjunctions, scans and updates
+    ]
+    assert {type(obj) for obj in built} >= {
+        BitmapConjunctionRequest, ScanRequest, UpdateRequest,
+    }
+    for obj in built:
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
 
 
 def test_zero_cost_conjunctions_of_one_shape_share_one_metrics_object():

@@ -562,3 +562,87 @@ def test_shared_answers_are_right_and_never_span_a_write_to_their_columns(
                 assert not any(
                     written[at] & columns for at in range(at_i + 1, at_j) if at in written
                 )
+
+
+class TestOneCountPerAnswer:
+    """A session counts a shared answer once: a read-only array that owns
+    its bytes is looked up by identity, held weakly, in a bounded table.
+    The lookup must never hand out the count of a different, dead or
+    rewritten array."""
+
+    @staticmethod
+    def _bits(seed: int, read_only: bool) -> np.ndarray:
+        bits = np.random.default_rng(seed).integers(0, 256, size=64, dtype=np.uint8)
+        bits.setflags(write=not read_only)
+        return bits
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        script=st.lists(
+            st.tuples(
+                st.sampled_from(["new", "drop", "write", "reread"]),
+                st.booleans(),
+                st.integers(0, 10**6),
+            ),
+            max_size=40,
+        )
+    )
+    def test_a_count_is_never_stale(self, script):
+        """Arrays are made (each counted over its own row count), dropped
+        (so a new one may take a dead one's ``id``) and, when writable,
+        rewritten; every live array is counted after each step against a
+        fresh popcount."""
+        session = PimSession.over_host()
+        live = []
+        for op, read_only, n in script:
+            if op == "new":
+                live.append((self._bits(n, read_only), 512 - n % 9))
+            elif op == "drop" and live:
+                del live[n % len(live)]
+            elif op == "write" and live:
+                bits = live[n % len(live)][0]
+                if bits.flags.writeable:
+                    bits[n % bits.size] ^= 1 << (n % 8)
+            for bits, num_rows in live:
+                assert session._count(bits, num_rows) == BitmapIndex.count(bits, num_rows)
+
+    def test_a_recycled_id_is_not_served_the_dead_answers_count(self):
+        """Deterministically, whatever the allocator does: the entry a
+        dead answer left is moved under a new answer's ``id``."""
+        session = PimSession.over_host()
+        dead = self._bits(1, read_only=True)
+        assert session._count(dead, 512) == BitmapIndex.count(dead, 512)
+        entry = session._counts.pop(id(dead))
+        del dead
+        fresh = np.zeros(64, dtype=np.uint8)
+        fresh.setflags(write=False)
+        session._counts[id(fresh)] = entry
+        assert session._count(fresh, 512) == 0
+
+    def test_one_answer_shares_one_count_and_the_table_is_bounded(self):
+        from repro.api.session import COUNTS_HELD
+
+        session = PimSession.over_host()
+        answer = self._bits(2, read_only=True)
+        first = session._count(answer, 512)
+        assert first > 256 and session._count(answer, 512) is first
+        # The count is of the answer's first `num_rows` bits.
+        assert session._count(answer, 300) == BitmapIndex.count(answer, 300) < first
+        # Writable arrays and views are counted every time, never held.
+        for bits in (self._bits(3, read_only=False), answer[:32]):
+            session._count(bits, 256)
+            assert id(bits) not in session._counts
+        held = [self._bits(seed, read_only=True) for seed in range(COUNTS_HELD + 40)]
+        for bits in held:
+            session._count(bits, 512)
+        assert len(session._counts) == COUNTS_HELD
+        assert id(held[-1]) in session._counts and id(answer) not in session._counts
+
+    def test_the_responses_of_one_answer_share_its_count(self):
+        index = _table_index()[1]
+        session = _session(optimize=True, cache=True)
+        futures = [session.conjunction(index, PREDICATES, at_ns=10.0 * i) for i in range(6)]
+        responses = [future.result() for future in futures]
+        assert all(r.value is responses[0].value for r in responses)
+        assert all(r.matching_rows is responses[0].matching_rows for r in responses)
+        assert responses[0].matching_rows == BitmapIndex.count(_expected(index), ROWS)

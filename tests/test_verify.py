@@ -900,7 +900,7 @@ class TestInvariantLint:
         "    if len(self._heap) >= self.max_queue_depth:\n"
         "        queued.admitted = False\n"
         "        queued.rejected_reason = 'queue_full'\n"
-        "    queued.start_ns = self.clock_ns\n"  # not terminal on its own
+        "    queued.start_ns = self.clock_ns\n"  # an outcome field a response reads
         "def _gather(self, record, parts):\n"
         "    record.finish_ns: float = max(p.finish_ns for p in parts)\n"
         "    record.finish_ns += record.host_merge_ns\n"
@@ -911,11 +911,11 @@ class TestInvariantLint:
 
     def test_terminal_write_flags_inline_settling(self):
         flagged = {
-            "src/repro/service/x.py": (3, 4, 7, 8, 9, 11),
-            "src/repro/optimizer/x.py": (3, 4, 7, 8, 9, 11),
+            "src/repro/service/x.py": (3, 4, 5, 7, 8, 9, 11),
+            "src/repro/optimizer/x.py": (3, 4, 5, 7, 8, 9, 11),
             # Each tier's own doors are allow-listed in its own module only.
-            "src/repro/service/frontend.py": (3, 4, 7, 8, 9),
-            "src/repro/cluster/frontend.py": (3, 4, 11),
+            "src/repro/service/frontend.py": (3, 4, 5, 7, 8, 9),
+            "src/repro/cluster/frontend.py": (3, 4, 5, 11),
             "src/repro/api/backends.py": (7, 8, 9, 11),
         }
         for path, lines in flagged.items():
@@ -931,7 +931,22 @@ class TestInvariantLint:
             "    queued.admitted = False  # lint: allow[terminal-write]\n",
         )
         findings = lint_invariants.lint_source(waived, "src/repro/service/frontend.py")
-        assert [f.line for f in findings] == [4, 7, 8, 9]
+        assert [f.line for f in findings] == [4, 5, 7, 8, 9]
+
+    @pytest.mark.parametrize("attr", ["start_ns", "batch_index", "host_merge_ns"])
+    def test_terminal_write_covers_the_fields_a_response_reads(self, attr):
+        """A response reads these off its envelope instead of copying
+        them, so they are stamped once, at the settle door, like the
+        terminal three."""
+        planted = (
+            "def serve_batch(self, queued, value):\n"
+            f"    queued.{attr} = value\n"
+            "def _settle_completed(self, queued, value):\n"
+            f"    queued.{attr} = value\n"
+        )
+        findings = lint_invariants.lint_source(planted, "src/repro/service/frontend.py")
+        assert [(f.rule, f.line) for f in findings] == [("terminal-write", 2)]
+        assert f".{attr}" in findings[0].message
 
     def test_terminal_write_allow_list_names_real_methods(self):
         """Every allow-listed settle method exists in its module and does

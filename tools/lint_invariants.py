@@ -70,14 +70,18 @@ Thirteen rules, each guarding an invariant the simulator's design depends on
   ``SessionReport.obs`` — a report, not a decision — carries the only
   waiver.
 * ``terminal-write`` — under ``repro/``, an assignment to ``.admitted``,
-  ``.rejected_reason`` or ``.finish_ns`` outside the tiers' settle methods
+  ``.rejected_reason``, ``.finish_ns``, ``.start_ns``, ``.batch_index`` or
+  ``.host_merge_ns`` outside the tiers' settle methods
   (``ServiceFrontend._settle_rejected`` / ``_settle_completed``,
   ``ClusterFrontend._reject_record`` / ``_gather``, ``HostBackend.offer``).
-  Those three attributes make a request envelope terminal, and the settle
+  The first three make a request envelope terminal, and the settle
   method is also where its counts are taken and its recording published:
   an inline ``record.admitted = False`` is a rejection no counter, span
   or roll-up hears about — the way ``frontend.completed`` and
-  ``cluster.rejected`` once drifted from the state they describe.
+  ``cluster.rejected`` once drifted from the state they describe.  The
+  other three are outcome fields a session's response reads off its
+  envelope instead of copying: stamped once, at the door, they read the
+  same whenever the response is read.
 * ``history-walk`` — inside ``repro/service/``, ``repro/cluster/`` and
   ``repro/api/``, a ``for`` loop or comprehension over ``self.records``
   outside a method named ``result`` (the lifetime roll-up) and the result
@@ -173,8 +177,11 @@ _REPRO_RE = re.compile(r"(^|/)repro/")
 _OBS_PACKAGE = "repro/obs/"
 
 #: terminal-write: the attributes that make a request envelope terminal,
-#: and the settle methods (per module) that alone may assign them.
-_TERMINAL_ATTRS = {"admitted", "rejected_reason", "finish_ns"}
+#: the outcome fields a response reads off it, and the settle methods
+#: (per module) that alone may assign them.
+_TERMINAL_ATTRS = {
+    "admitted", "rejected_reason", "finish_ns", "start_ns", "batch_index", "host_merge_ns"
+}
 _SETTLE_METHODS = {
     "repro/service/frontend.py": {"_settle_rejected", "_settle_completed"},
     "repro/cluster/frontend.py": {"_reject_record", "_gather"},
