@@ -45,6 +45,7 @@ per-shard knobs are declared; the constructor takes only the topology.
 from __future__ import annotations
 
 import dataclasses
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -65,6 +66,7 @@ from repro.service.frontend import (
     check_frontend_request,
     replay,
 )
+from repro.service.planner import CHAIN_INTERN_CAPACITY, AnswerSlot
 from repro.service.requests import (
     BitmapConjunctionRequest,
     CopyRequest,
@@ -105,6 +107,11 @@ class ClusterRecord(RequestEnvelope):
     shard-local host merges (the plan optimizer's sub-chain joins) are
     already inside each part's finish.
 
+    A gathered conjunction answer is shared and read-only: records asking
+    the same predicates over the same index at one write generation carry
+    the one array (copy it before writing).  Once merged, the parts drop
+    their partial bitmaps; a single part's value is the record's answer.
+
     Attributes:
         shard_ids: Shards the request was routed/scattered to.
         parts: Per-shard sub-request envelopes, aligned with shard_ids.
@@ -123,6 +130,9 @@ class ClusterRecord(RequestEnvelope):
     #: (the live replacements sit in :attr:`parts`); audit trail for the
     #: conservation property — nothing is dropped, only re-homed.
     migrated_parts: List[QueuedRequest] = field(default_factory=list)
+    #: The index's write generation over a conjunction's columns when it
+    #: was offered, before any part lowered (None for other requests).
+    generation: Optional[int] = None
 
     @property
     def fanout(self) -> int:
@@ -284,6 +294,9 @@ class ClusterFrontend:
         # the router's placement epoch (live re-placement, joins, and
         # retires must re-partition the shard views).
         self._index_views: Dict[int, Tuple[BitmapIndex, int, Dict[int, BitmapIndexShardView]]] = {}
+        # The gathered answer of each scattered conjunction shape, least
+        # recently used first (see _gather).
+        self._answers: "OrderedDict[Tuple[Any, ...], AnswerSlot]" = OrderedDict()
         #: The fault schedule driven by :meth:`advance_to`/:meth:`drain`
         #: (None runs the healthy fixed-pool behaviour untouched).
         self.faults = faults
@@ -457,6 +470,8 @@ class ClusterFrontend:
             return record
         if self.controller is not None or self.obs.enabled:
             self._count_key_reads(request)
+        if isinstance(request, BitmapConjunctionRequest):
+            record.generation = request.index.generation(c for c, _ in request.predicates)
 
         for shard_id, sub_request in plan:
             part = self.shards[shard_id].offer(
@@ -551,6 +566,10 @@ class ClusterFrontend:
             coordinator, self.shards[record.shard_ids[0]].planner
         )
         record.rows_affected = outcome.rows_affected
+        if self.config.sanitize:
+            from repro.verify.plan_lint import lint_index_partition  # local: avoid cycle
+
+            lint_index_partition(request.index, outcome.invalidate_columns)
         views = self._views_for(request.index)
         dropped = 0
         for shard_id, shard in enumerate(self.shards):
@@ -1069,8 +1088,7 @@ class ClusterFrontend:
             # `MERGE_NS_PER_OP` on the record's completion time — a gathered
             # result is not ready until the host has actually merged it, but
             # independent pairs never serialize behind each other.
-            record.value = np.bitwise_and.reduce([p.value for p in parts])
-            record.value.setflags(write=False)  # like the shard partials it merges
+            record.value = self._merged(record)
             tree_depth = (len(parts) - 1).bit_length()
             record.host_merge_ns = MERGE_TREE_NS[tree_depth]
             record.finish_ns += record.host_merge_ns
@@ -1084,6 +1102,37 @@ class ClusterFrontend:
             record.trace.touch()
         if self.obs.enabled:
             self._obs_gathered(record)
+
+    def _merged(self, record: ClusterRecord) -> np.ndarray:
+        """A scattered conjunction's answer, read-only: the AND of its parts'
+        partials, which the parts then drop.  While its columns' generation
+        is still ``record.generation`` (stamped at offer, before any part
+        lowered), every partial was lowered at it, so the answer is the
+        shape's at that generation: held in the shape's :class:`AnswerSlot`
+        and handed out again without merging (merged and compared under
+        ``sanitize``).  A record that straddled a write keeps its own merge."""
+        parts, request = record.parts, record.request
+        index, columns = request.index, [column for column, _ in request.predicates]
+
+        def merge() -> np.ndarray:
+            return np.bitwise_and.reduce([p.value for p in parts])
+
+        if index.generation(columns) == record.generation:
+            answers, key = self._answers, request.predicates
+            slot = answers.get(key)
+            if slot is None:
+                slot = answers[key] = AnswerSlot()
+                if len(answers) > CHAIN_INTERN_CAPACITY:
+                    answers.popitem(last=False)
+            else:
+                answers.move_to_end(key)
+            value = slot.stamp(index, columns, self.config.sanitize)(merge)
+        else:
+            value = merge()
+            value.setflags(write=False)  # like the shard partials it merges
+        for part in parts:
+            part.value = None
+        return value
 
     def gather(self) -> None:
         """Does nothing: a record is gathered the instant its last part

@@ -126,7 +126,7 @@ class _Answer:
         producers: Sorted batch indices of the chains producing the parts.
         packed_bytes: Bytes of the packed result bitmap.
         share: The interned shape's answer getter, stamped at lowering
-            (:meth:`_PricedChain.stamp`).
+            (:meth:`~repro.service.planner.AnswerSlot.stamp`).
     """
 
     __slots__ = ("parts", "producers", "packed_bytes", "share", "_joined")

@@ -65,40 +65,21 @@ CHAIN_INTERN_CAPACITY = 512
 
 
 @dataclass(slots=True)
-class _PricedChain:
-    """One interned conjunction shape plus what the engine charges for it.
+class AnswerSlot:
+    """One held answer: "this question over this index at this generation".
 
-    The prices depend only on the shape and on the engine's cost key
-    (``config.banks_parallel``, what ``op_cost`` itself is keyed on), so
-    they are computed once per shape and re-computed when the key moves.
+    The one mechanism both users share: each interned conjunction shape
+    of a planner (:class:`_PricedChain`) and each scattered shape of a
+    cluster coordinator's gather table hold their last answer here.
 
     Attributes:
-        chain: The interned shape.
-        cost_key: ``banks_parallel`` the prices were computed under.
-        latency_ns: Admission latency — the chain's sequential-execution
-            time.
-        prices / latencies / serial: Each step's ``op_cost``, its latency,
-            and the steps' serial roll-up (priced on first lowering).
-        canonical: What the batch plan optimizer derives from the shape
-            alone (canonical order, dependency columns, plan total; set
-            on first optimized lowering).  Structure only, like the chain.
-        certified: The full plan lint passed on the shape's first bind
-            (``sanitize=True``); later binds are checked as bindings.
         answer: ``(weakref(index), generation, weakref(value))`` of the
-            shape's last answer (:meth:`stamp`); it pins neither.  While
-            it is :meth:`current`, a plain lowering binds nothing: the
-            chain is charged priced-only and the answer handed out.
+            last answer (:meth:`stamp`); it pins neither.
     """
 
-    chain: "CompiledChain"
-    cost_key: Optional[int] = None
-    latency_ns: float = 0.0
-    prices: Optional[Tuple[OperationMetrics, ...]] = None
-    latencies: Tuple[float, ...] = ()
-    serial: Tuple[Any, ...] = ()
-    canonical: Optional["ConjunctionShape"] = None
-    certified: bool = False
-    answer: Optional[Tuple["weakref.ref[Any]", int, "weakref.ref[np.ndarray]"]] = None
+    answer: Optional[Tuple["weakref.ref[Any]", int, "weakref.ref[np.ndarray]"]] = field(
+        default=None, kw_only=True
+    )
 
     def current(self, index: Any, columns: Iterable[str]) -> Optional[np.ndarray]:
         """The last answer if it still lives over ``index`` at ``columns``'
@@ -114,10 +95,11 @@ class _PricedChain:
     def stamp(
         self, index: Any, columns: Iterable[str], sanitize: bool
     ) -> Callable[[Callable[[], np.ndarray]], np.ndarray]:
-        """Stamp ``index``'s generation over ``columns`` (at lowering, after
-        any repair); ``get(compute)`` then returns the last answer while it
-        lives over the same index and generation, else ``compute()`` frozen
-        (a reused answer is checked against it under ``sanitize``)."""
+        """Stamp ``index``'s generation over ``columns`` (when the operands
+        are read, after any repair); ``get(compute)`` then returns the last
+        answer while it lives over the same index and generation, else
+        ``compute()`` frozen (a reused answer is checked against it under
+        ``sanitize``)."""
         owner, generation = weakref.ref(index), index.generation(columns)
 
         def get(compute: Callable[[], np.ndarray]) -> np.ndarray:
@@ -127,10 +109,45 @@ class _PricedChain:
                 value.setflags(write=False)
                 self.answer = (owner, generation, weakref.ref(value))
             elif sanitize and not np.array_equal(value, compute()):
-                raise SharedAnswerError(f"a stale shared answer to {self.chain.predicates}")
+                raise SharedAnswerError(f"a stale shared answer at write generation {generation}")
             return value
 
         return get
+
+
+@dataclass(slots=True)
+class _PricedChain(AnswerSlot):
+    """One interned conjunction shape plus what the engine charges for it.
+
+    The prices depend only on the shape and on the engine's cost key
+    (``config.banks_parallel``, what ``op_cost`` itself is keyed on), so
+    they are computed once per shape and re-computed when the key moves.
+    The inherited :class:`AnswerSlot` holds the shape's last answer
+    (stamped at lowering): while it is current, a plain lowering binds
+    nothing — the chain is charged priced-only and the answer handed out.
+
+    Attributes:
+        chain: The interned shape.
+        cost_key: ``banks_parallel`` the prices were computed under.
+        latency_ns: Admission latency — the chain's sequential-execution
+            time.
+        prices / latencies / serial: Each step's ``op_cost``, its latency,
+            and the steps' serial roll-up (priced on first lowering).
+        canonical: What the batch plan optimizer derives from the shape
+            alone (canonical order, dependency columns, plan total; set
+            on first optimized lowering).  Structure only, like the chain.
+        certified: The full plan lint passed on the shape's first bind
+            (``sanitize=True``); later binds are checked as bindings.
+    """
+
+    chain: "CompiledChain"
+    cost_key: Optional[int] = None
+    latency_ns: float = 0.0
+    prices: Optional[Tuple[OperationMetrics, ...]] = None
+    latencies: Tuple[float, ...] = ()
+    serial: Tuple[Any, ...] = ()
+    canonical: Optional["ConjunctionShape"] = None
+    certified: bool = False
 
 
 @dataclass
@@ -471,12 +488,15 @@ class BatchPlanner:
         if self.executor.sanitize:
             from repro.verify.plan_lint import (  # local: avoid cycle
                 lint_cache_consistency,
+                lint_index_partition,
                 lint_write_plan,
             )
 
             # Certify the maintenance charge against the declared outcome,
+            # that the written planes still partition the table's rows,
             # then (cache on) that no stale entry survived the invalidation.
             lint_write_plan(outcome, self.executor)
+            lint_index_partition(request.index, outcome.invalidate_columns)
             if self.result_cache is not None:
                 lint_cache_consistency(self.result_cache, request.index)
         indices: List[int] = []

@@ -16,6 +16,7 @@ from repro.verify.errors import (
     CostModelMismatchError,
     DanglingOperandError,
     FailoverError,
+    IndexPartitionError,
     LaneHazardError,
     PlanVerifyError,
     ScatterCoverageError,
@@ -35,6 +36,7 @@ from repro.verify.plan_lint import (
     lint_binding,
     lint_cache_consistency,
     lint_chain,
+    lint_index_partition,
     lint_lowered_conjunction,
     lint_optimized_batch,
     lint_write_plan,
@@ -54,6 +56,7 @@ __all__ = [
     "CostModelMismatchError",
     "DanglingOperandError",
     "FailoverError",
+    "IndexPartitionError",
     "LaneHazardError",
     "OptimizedBatchReport",
     "OptimizedRequestView",
@@ -73,6 +76,7 @@ __all__ = [
     "lint_binding",
     "lint_cache_consistency",
     "lint_chain",
+    "lint_index_partition",
     "lint_lowered_conjunction",
     "lint_optimized_batch",
     "lint_write_plan",

@@ -91,6 +91,14 @@ class CacheConsistencyError(PlanVerifyError):
     rule = "cache-consistency"
 
 
+class IndexPartitionError(PlanVerifyError):
+    """A written column's value planes no longer partition the table's
+    rows: two planes share a row, a row is in none, or a plane differs
+    from the rows the table holds that code in."""
+
+    rule = "index-partition"
+
+
 class SharedAnswerError(PlanVerifyError):
     """An answer handed out again (its write generation unchanged) differs
     from the result the current batch computed for the same question."""

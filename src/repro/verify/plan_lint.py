@@ -34,7 +34,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.ambit.bitvector import BulkBitVector
 from repro.database.bitmap_index import BitmapPlan
@@ -44,6 +46,7 @@ from repro.verify.errors import (
     CostModelMismatchError,
     DanglingOperandError,
     FailoverError,
+    IndexPartitionError,
     ScatterCoverageError,
     WidthMismatchError,
     WritePlanError,
@@ -787,4 +790,44 @@ def lint_cache_consistency(cache, index) -> None:
                 f"live cache entry {key!r} stores {nbytes} bytes, expected "
                 f"{packed} packed bytes for {index.num_rows} rows",
                 details={"key": repr(key), "nbytes": nbytes, "expected": packed},
+            )
+
+
+def lint_index_partition(index, columns: Iterable[str]) -> None:
+    """Certify that each clean written column's value planes partition the
+    table's rows: pairwise disjoint, covering exactly ``num_rows`` rows,
+    each equal to the packed ``table.column == value``.  Run after a
+    write's mutation under ``sanitize`` (by the planner beside
+    :func:`lint_cache_consistency`, and by the cluster coordinator's
+    commit).  A dirty, lazily-deferred column is skipped: its next read
+    rebuilds it from the table.
+
+    Raises:
+        IndexPartitionError: A plane is mis-sized, shares rows with a lower
+            code's, or differs from the table; or the planes miss a row.
+    """
+    dirty = set(index.dirty_columns())
+    for column in columns:
+        if column in dirty:
+            continue
+        codes = index.table.column(column)
+        seen = np.zeros((index.num_rows + 7) // 8, dtype=np.uint8)
+        for value, plane in index.bitmaps[column].items():
+            if plane.shape != seen.shape:
+                problem = f"holds {plane.size} bytes, not {seen.size}"
+            elif (seen & plane).any():
+                problem = "shares rows with a lower code's plane"
+            elif not np.array_equal(plane, np.packbits(codes == value, bitorder="little")):
+                problem = "differs from the table's rows of that code"
+            else:
+                seen |= plane
+                continue
+            raise IndexPartitionError(
+                f"plane {column!r} = {value} {problem}", details={"column": column, "value": value}
+            )
+        covered = int(np.bitwise_count(seen).sum())
+        if covered != index.num_rows:
+            raise IndexPartitionError(
+                f"the planes of {column!r} cover {covered} of {index.num_rows} rows",
+                details={"column": column, "covered": covered},
             )

@@ -85,6 +85,8 @@ CELLS = {
     ),
     # Served by _audited_cluster, over a 16 384-row index.
     "audited_cluster": (500, 256, 0.9, 1.0e6, 0.50, 0.0, 0.10, 400.0, {}),
+    # The same cluster, conjunctions only: every one asks 2-3 columns.
+    "scattered": (500, 256, 0.9, 1.0e6, 0.0, 0.0, 0.10, 400.0, {}),
 }
 
 
@@ -281,7 +283,10 @@ def test_audited_cluster_path_and_its_checks_stay_within_their_call_budgets():
     assert elastic["shard_failures"] == 1 and elastic["failovers"] > 0
     print(f"\nhost path [audited cluster]: {audited:.1f} Python calls per request "
           f"(budget 990), checks add {audited - bare:.1f} (budget 380)")
-    # ~932 and +266 (~948 when every optimizer sub-chain step and ~1 022
+    # ~873 and +207 (~865 and +222 before a gathered answer was shared
+    # and the parts dropped their partials: the bare arm now binds again
+    # a shard part whose partial died with its record's gather;
+    # ~948 when every optimizer sub-chain step and ~1 022
     # when every chain step was its own primitive;
     # ~1 380 and +540 when every request was linted in full, every
     # placement re-derived its tolerance, and every span was an object
@@ -363,12 +368,12 @@ def test_a_served_request_retains_at_most_560_bytes():
     assert slope <= 560
 
 
-def _cluster_retained_bytes_per_request(observe):
-    """Bytes each of the audited cluster cell's requests 251-500 leaves
-    allocated once drained (a slope under :mod:`tracemalloc`, as above),
-    served with or without the recording plane."""
-    _, requests, urgent, arrivals = _cell_stream("audited_cluster", rows=16384)
-    deadline_us, span = CELLS["audited_cluster"][7], float(arrivals[-1])
+def _cluster_retained_bytes_per_request(observe, cell="audited_cluster"):
+    """Bytes each of a cluster cell's requests 251-500 leaves allocated
+    once drained (a slope under :mod:`tracemalloc`, as above), served with
+    or without the recording plane."""
+    _, requests, urgent, arrivals = _cell_stream(cell, rows=16384)
+    deadline_us, span = CELLS[cell][7], float(arrivals[-1])
     gc.collect()
     tracemalloc.start()
     try:
@@ -411,6 +416,60 @@ def test_the_recording_plane_retains_at_most_1_kb_per_cluster_request():
     print(f"\nretention [audited cluster]: the plane keeps {recorded - bare:.0f} bytes per "
           f"request ({recorded:.0f} with it, {bare:.0f} without; budget 1 024)")
     assert recorded - bare <= 1024
+
+
+def test_a_scattered_conjunction_retains_at_most_4_5_kb():
+    """What each conjunction of the audited cluster (conjunctions only, no
+    recording plane) keeps once drained: its record, the shard parts, the
+    interned shapes it adds and its share of the answers (16 384 rows: a
+    2 KB bitmap each).  ~3.8 KB on CPython 3.11; ~7.7 KB when every gather
+    merged a fresh answer and each part kept its partial bitmap."""
+    slope = _cluster_retained_bytes_per_request(observe=False, cell="scattered")
+    print(f"\nretention [scattered]: {slope:.0f} bytes per conjunction (budget 4 608)")
+    assert slope <= 4608
+
+
+def _scattered_session():
+    """A 2-shard cluster with ``region`` and ``channel`` on shard 0 and
+    ``status`` on shard 1, and an index over 512 rows."""
+    rng = np.random.default_rng(13)
+    table = ColumnTable("orders", 512)
+    for name, cardinality in CARDINALITIES.items():
+        table.add_column(name, rng.integers(0, cardinality, size=512), cardinality=cardinality)
+    session = PimSession.over_cluster(num_shards=2)
+    session.backend.router.set_replicas("region", [0])
+    session.backend.router.set_replicas("status", [1])
+    session.backend.router.set_replicas("channel", [0])
+    return session, BitmapIndex(table, list(CARDINALITIES))
+
+
+def test_identical_scattered_conjunctions_at_one_generation_share_one_answer():
+    """Four in one batch and one in a later batch: five records, one
+    read-only array."""
+    session, index = _scattered_session()
+    predicates = [("region", (1, 2)), ("status", (0, 3))]
+    futures = [session.conjunction(index, predicates, at_ns=10.0 * i) for i in range(4)]
+    session.drain()
+    futures.append(session.conjunction(index, predicates))
+    records = [future.record for future in futures]
+    session.drain()
+    assert all(len(record.parts) == 2 and record.completed for record in records)
+    answer = records[0].value
+    assert all(record.value is answer for record in records)
+    assert not answer.flags.writeable
+    np.testing.assert_array_equal(answer, index.evaluate_conjunction(predicates)[0])
+
+
+def test_a_gathered_records_parts_hold_no_partial():
+    """The merge is the last reader of a part's partial bitmap; a record of
+    one part keeps that part's value, which is its answer."""
+    session, index = _scattered_session()
+    scattered = session.conjunction(index, [("region", (1, 2)), ("status", (0, 3))]).record
+    single = session.conjunction(index, [("region", (1, 2)), ("channel", (0,))]).record
+    session.drain()
+    assert len(scattered.parts) == 2 and scattered.value is not None
+    assert all(part.completed and part.value is None for part in scattered.parts)
+    assert single.parts[0].value is single.value is not None
 
 
 def _futures_of(tier):

@@ -19,8 +19,14 @@ repeated question returns the array it returned before.  These tests pin:
   while a functional or sanitized batch, a write to one of its columns
   and a dropped answer still bind;
 * a property over random read/write interleavings across batches, on both
-  tiers, against a sanitized arm that always binds.
+  tiers, against a sanitized arm that always binds;
+* the cluster's gathered answer — shared per shape only while no write
+  moved its columns since the record was offered (a gather that straddles
+  a write keeps its own merge), checked by the sanitizer over streams with
+  writes, a shard kill and re-placements.
 """
+
+import hashlib
 
 import gc
 import weakref
@@ -38,7 +44,8 @@ from repro.dram.device import DramDevice
 from repro.dram.energy import DramEnergyParameters
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import DramTimingParameters
-from repro.service import BatchPolicy, BitmapConjunctionRequest
+from repro.cluster import ClusterFrontend, ShardRouter
+from repro.service import BatchPolicy, BitmapConjunctionRequest, PipelineConfig
 from repro.service.requests import BoundChain
 from repro.storage import AppendRequest, UpdateRequest
 from repro.verify import SharedAnswerError
@@ -562,6 +569,134 @@ def test_shared_answers_are_right_and_never_span_a_write_to_their_columns(
                 assert not any(
                     written[at] & columns for at in range(at_i + 1, at_j) if at in written
                 )
+
+
+# ----------------------------------------------------------------------
+# The cluster's gathered answer
+# ----------------------------------------------------------------------
+def _cluster(sanitize: bool) -> ClusterFrontend:
+    config = PipelineConfig(
+        sanitize=sanitize, policy=BatchPolicy(max_batch=4, window_ns=None), max_queue_depth=256
+    )
+    return ClusterFrontend(2, config, engine_factory=_engine)
+
+
+@pytest.mark.parametrize("sanitize", [False, True])
+def test_a_gather_that_straddles_a_write_is_never_handed_out_again(sanitize):
+    """Part A is lowered over ``status``, a write to ``status`` commits (a
+    cluster commits a write at its offer), part B is lowered over
+    ``region``, and the record gathers the old ``status`` AND ``region``.
+    That merge is no answer at the new generation: the records asked after
+    the write get their own current merge, and share it with each other."""
+    table, index = _table_index()
+    cluster = _cluster(sanitize)
+    cluster.router.set_replicas("status", [0])
+    cluster.router.set_replicas("region", [1])
+    predicates = (("status", (0, 1)), ("region", (0, 1)))
+    before = _expected(index, predicates)
+    straddler = cluster.offer(_read(index, predicates))
+    assert straddler.shard_ids == [0, 1]
+    cluster.shards[0].serve_batch()  # part A lowers over the old status planes
+    # Five rows the answer holds, moved out of it by the write.
+    rows = [int(r) for r in np.flatnonzero(np.unpackbits(before, bitorder="little"))[:5]]
+    assert rows
+    cluster.offer(UpdateRequest(table=table, index=index, column="status",
+                                row_ids=rows, values=[2] * len(rows)))
+    cluster.drain()  # part B lowers over region; the gather
+    after = _expected(index, predicates)
+    np.testing.assert_array_equal(straddler.value, before)
+    assert not np.array_equal(before, after)
+    later = [cluster.offer(_read(index, predicates)) for _ in range(2)]
+    cluster.drain()
+    for record in later:
+        np.testing.assert_array_equal(record.value, after)
+    assert later[1].value is later[0].value
+
+
+def _cluster_session(sanitize: bool) -> PimSession:
+    return PimSession.over_cluster(
+        num_shards=3,
+        router=ShardRouter(3, replication_factor=2),
+        engine_factory=_engine,
+        sanitize=sanitize,
+        policy=BatchPolicy(max_batch=4, window_ns=None),
+        max_queue_depth=256,
+    )
+
+
+#: Scattered questions (two or three columns each) the cluster streams repeat.
+SCATTERED = (
+    PREDICATES,
+    (("region", (1, 4)), ("tier", (0, 2))),
+    (("status", (2,)), ("tier", (1,)), ("region", (0, 5))),
+)
+
+# One step asks a question, lets one shard lower ahead of the others, maybe
+# writes, kills a shard or re-places a column, and asks again: a gather
+# that straddles a write needs exactly that.
+_CLUSTER_STEPS = st.lists(
+    st.tuples(
+        st.integers(0, len(SCATTERED) - 1),
+        st.integers(1, 2),
+        st.one_of(st.none(), st.integers(0, 2)),
+        st.one_of(
+            st.none(),
+            st.tuples(st.just("update"), st.sampled_from(sorted(CARDINALITIES)),
+                      st.integers(0, 2**16)),
+            st.tuples(st.just("kill"), st.integers(0, 2)),
+            st.tuples(st.just("replace"), st.sampled_from(sorted(CARDINALITIES)),
+                      st.integers(0, 2)),
+        ),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _play_cluster(steps, sanitize: bool) -> str:
+    """Serve ``steps`` on a fresh table and 3-shard cluster; a digest of
+    every response (status, reason, times, value bytes, details)."""
+    table, index = _table_index()
+    session = _cluster_session(sanitize)
+    cluster = session.backend
+    for template, repeats, ahead, event, drain in steps:
+        for _ in range(repeats):
+            session.submit(_read(index, SCATTERED[template]))
+        if ahead is not None:
+            cluster.shards[ahead].serve_batch()
+        if event is not None and event[0] == "update":
+            rng = np.random.default_rng(event[2])
+            rows = rng.choice(ROWS, size=8, replace=False)
+            codes = rng.integers(0, CARDINALITIES[event[1]], size=8)
+            session.submit(UpdateRequest(table=table, index=index, column=event[1],
+                                         row_ids=[int(r) for r in rows],
+                                         values=[int(c) for c in codes]))
+        elif event is not None and event[0] == "kill":
+            cluster.fail_shard(event[1])
+        elif event is not None:
+            cluster.add_replica(event[1], event[2])
+        for _ in range(repeats):
+            session.submit(_read(index, SCATTERED[template]))
+        if drain:
+            session.drain()
+    digest = hashlib.sha256()
+    for response in session.responses():
+        value = np.asarray(response.value)
+        digest.update(repr((
+            response.status, response.rejected_reason, response.finish_ns,
+            value.dtype.str, value.tobytes(), response.details,
+        )).encode())
+    return digest.hexdigest()
+
+
+@settings(max_examples=30, deadline=None)
+@given(steps=_CLUSTER_STEPS)
+def test_gathered_answers_hold_under_writes_a_kill_and_re_placement(steps):
+    """The sanitizer merges afresh behind every held gather answer and
+    raises :class:`SharedAnswerError` on a difference; the unchecked run
+    answers every request identically."""
+    assert _play_cluster(steps, sanitize=False) == _play_cluster(steps, sanitize=True)
 
 
 class TestOneCountPerAnswer:

@@ -47,8 +47,8 @@ from repro.storage import (
     check_row_ids,
     is_write_request,
 )
-from repro.verify import WritePlanError
-from repro.verify.plan_lint import lint_write_plan
+from repro.verify import IndexPartitionError, WritePlanError
+from repro.verify.plan_lint import lint_index_partition, lint_write_plan
 
 CARDINALITIES = {"region": 6, "status": 4, "tier": 3}
 
@@ -612,6 +612,96 @@ class TestWritePlanLint:
         with pytest.raises(WritePlanError, match="priced"):
             lint_write_plan(outcome, executor)
 
+
+
+def _flip(index: BitmapIndex, column: str, value: int, row: int) -> None:
+    """Flip one row's bit of one plane (rebound: planes are copy-on-write)."""
+    plane = index.bitmaps[column][value].copy()
+    plane[row // 8] ^= 1 << (row % 8)
+    index.bitmaps[column][value] = plane
+
+
+class TestIndexPartitionLint:
+    """After a write, each clean written column's planes partition the
+    table's rows: pairwise disjoint, covering every row, each equal to the
+    rows holding its code."""
+
+    def test_a_built_index_certifies(self):
+        _table, index = _table_index(np.random.default_rng(3))
+        lint_index_partition(index, list(CARDINALITIES))
+
+    @pytest.mark.parametrize(
+        "plant, message",
+        [
+            ("another_codes_row", "shares rows"),  # a row set in two planes
+            ("own_row_cleared", "differs from the table"),
+            ("plane_dropped", "cover [0-9]+ of 240 rows"),  # code 0's rows are in none
+        ],
+    )
+    def test_a_planted_defect_raises(self, plant, message):
+        table, index = _table_index(np.random.default_rng(4))
+        codes = table.column("status")
+        if plant == "another_codes_row":
+            row = int(np.flatnonzero(codes == 0)[0])
+            _flip(index, "status", 3, row)
+        elif plant == "own_row_cleared":
+            row = int(np.flatnonzero(codes == 2)[0])
+            _flip(index, "status", 2, row)
+        else:
+            del index.bitmaps["status"][0]
+        lint_index_partition(index, ["region", "tier"])  # the other columns still certify
+        with pytest.raises(IndexPartitionError, match=message) as caught:
+            lint_index_partition(index, ["status"])
+        assert caught.value.rule == "index-partition"
+
+    def test_a_dirty_column_is_skipped(self):
+        table, index = _table_index(np.random.default_rng(5))
+        _flip(index, "tier", 1, int(np.flatnonzero(table.column("tier") == 1)[0]))
+        index.mark_dirty(["tier"])  # lazily deferred: rebuilt from the table on its next read
+        lint_index_partition(index, list(CARDINALITIES))
+
+    @pytest.mark.parametrize("tier", ["service", "cluster"])
+    def test_a_sanitized_write_over_a_corrupt_column_raises(self, tier):
+        table, index = _table_index(np.random.default_rng(6))
+        _flip(index, "status", 1, int(np.flatnonzero(table.column("status") == 0)[0]))
+        update = UpdateRequest(table=table, index=index, column="status", row_ids=[0], values=[3])
+        with pytest.raises(IndexPartitionError):
+            if tier == "service":
+                frontend = _frontend("eager")
+                frontend.offer(update)
+                frontend.drain()
+            else:  # the coordinator commits, and checks, at the offer
+                ClusterFrontend(2, PipelineConfig(sanitize=True)).offer(update)
+
+    @pytest.mark.parametrize("tier", ["service", "cluster"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_a_write_heavy_sanitized_stream_stays_silent(self, tier, strategy, monkeypatch):
+        checked = []
+
+        def counted(index, columns):
+            checked.append(tuple(columns))
+            lint_index_partition(index, columns)
+
+        monkeypatch.setattr("repro.verify.plan_lint.lint_index_partition", counted)
+        rng = np.random.default_rng(12)
+        table, index = _table_index(rng, rows=160)
+        if tier == "service":
+            frontend = _frontend(strategy)
+        else:
+            frontend = ClusterFrontend(
+                2, PipelineConfig(sanitize=True, maintenance=strategy, max_queue_depth=256)
+            )
+        for step in range(40):
+            if rng.random() < 0.7:
+                frontend.offer(_random_write(rng, table, index))
+            else:
+                frontend.offer(_random_read(rng, index))
+            if step % 3 == 2:
+                frontend.drain()
+        frontend.drain()
+        assert len(checked) >= 20  # every applied write was certified
+        lint_index_partition(index, list(CARDINALITIES))
+        _assert_rebuild_equivalent(index, table)
 
 def _unfold_charges(planner: BatchPlanner) -> None:
     """Make ``planner`` emit every maintenance charge the way it was once
