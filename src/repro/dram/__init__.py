@@ -1,7 +1,10 @@
 """DRAM substrate: geometry, timing, energy, and a functional device model.
 
 This subpackage models a conventional DDRx main-memory system at the level
-of detail the paper's arguments rely on:
+of detail the paper's arguments rely on: bytes crossing the channel for the
+processor-centric baselines, and row-level primitives inside a bank for
+RowClone and Ambit.  There is no memory controller; nothing the paper
+prices needs one.
 
 * :mod:`repro.dram.geometry` — physical organization (channels, ranks,
   banks, subarrays, rows, columns),
@@ -11,36 +14,23 @@ of detail the paper's arguments rely on:
 * :mod:`repro.dram.energy` — IDD-based current/energy model with per-command
   and per-bit energies (DDR3-1600 and HMC presets),
 * :mod:`repro.dram.bank` / :mod:`repro.dram.subarray` — functional row
-  storage plus per-bank state machines,
-* :mod:`repro.dram.address` — address mapping between linear physical
-  addresses and (channel, rank, bank, row, column) coordinates,
-* :mod:`repro.dram.controller` — a memory controller with an FR-FCFS
-  scheduler for the functional read path and the channels' peak
-  bandwidth the host baselines are priced against,
-* :mod:`repro.dram.device` — the composed :class:`DramDevice`.
+  storage and the AAP / TRA primitives,
+* :mod:`repro.dram.device` — the composed :class:`DramDevice`: its banks
+  in (channel, rank, bank) order and its peak channel bandwidth.
 """
 
-from repro.dram.address import AddressMapper, DramCoordinate
-from repro.dram.bank import Bank, BankState
-from repro.dram.controller import MemoryController, Request, RequestKind
+from repro.dram.bank import Bank
 from repro.dram.device import DramDevice
-from repro.dram.energy import DramEnergyParameters, EnergyBreakdown
+from repro.dram.energy import DramEnergyParameters
 from repro.dram.geometry import DramGeometry
 from repro.dram.subarray import Subarray
 from repro.dram.timing import DramTimingParameters
 
 __all__ = [
-    "AddressMapper",
     "Bank",
-    "BankState",
-    "DramCoordinate",
     "DramDevice",
     "DramEnergyParameters",
     "DramGeometry",
     "DramTimingParameters",
-    "EnergyBreakdown",
-    "MemoryController",
-    "Request",
-    "RequestKind",
     "Subarray",
 ]

@@ -1,32 +1,22 @@
-"""Per-bank state machine and functional storage.
+"""Functional storage and row-level primitives of one DRAM bank.
 
-A bank groups multiple subarrays, has a single global row decoder and a
-global sense-amplifier interface to the chip's I/O, and can have at most one
-row open at a time.  The bank tracks which row is open so the controller's
-latency accounting distinguishes row hits, row misses, and closed-bank
-accesses — the distinction the paper's data-movement-cost arguments (random
-vs. streaming access) build on.
+A bank groups multiple subarrays behind a single global row decoder.  The
+PIM engines drive it through whole-row reads and writes and the two in-DRAM
+primitives, AAP (RowClone, Ambit) and TRA (Ambit), each of which opens and
+closes its rows itself; nothing leaves a row open between commands.
 """
 
 from __future__ import annotations
 
-import enum
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.dram.subarray import Subarray
 
 
-class BankState(enum.Enum):
-    """Bank-level state: either all rows closed or exactly one row open."""
-
-    PRECHARGED = "precharged"
-    ACTIVE = "active"
-
-
 class Bank:
-    """One DRAM bank: several subarrays plus bank-level open-row state.
+    """One DRAM bank: several subarrays plus row-command counters.
 
     Args:
         subarrays: Number of subarrays in the bank.
@@ -50,13 +40,10 @@ class Bank:
         self.subarrays: List[Subarray] = [
             Subarray(rows_per_subarray, row_size_bytes, index=i) for i in range(subarrays)
         ]
-        self.state = BankState.PRECHARGED
-        self._open_row: Optional[int] = None
-        # Counters used by the controller's statistics.
+        # Row commands issued, including those the Ambit engine's
+        # analytical path counts without touching the rows.
         self.activations = 0
         self.precharges = 0
-        self.row_hits = 0
-        self.row_misses = 0
 
     # ------------------------------------------------------------------
     # Address helpers
@@ -76,57 +63,6 @@ class Bank:
     def same_subarray(self, row_a: int, row_b: int) -> bool:
         """True when the two bank-level rows live in the same subarray."""
         return row_a // self.rows_per_subarray == row_b // self.rows_per_subarray
-
-    @property
-    def open_row(self) -> Optional[int]:
-        """Bank-level index of the open row, or None when precharged."""
-        return self._open_row
-
-    # ------------------------------------------------------------------
-    # Conventional commands
-    # ------------------------------------------------------------------
-    def activate(self, row: int) -> None:
-        """Open ``row`` (the bank must be precharged)."""
-        if self.state is BankState.ACTIVE:
-            raise RuntimeError(
-                f"bank {self.index}: ACT issued while row {self._open_row} is open"
-            )
-        subarray, local_row = self.locate(row)
-        subarray.activate(local_row)
-        self._open_row = row
-        self.state = BankState.ACTIVE
-        self.activations += 1
-
-    def precharge(self) -> None:
-        """Close the open row (no-op if already precharged)."""
-        if self.state is BankState.ACTIVE:
-            subarray, _ = self.locate(self._open_row)  # type: ignore[arg-type]
-            subarray.precharge()
-            self.precharges += 1
-        self._open_row = None
-        self.state = BankState.PRECHARGED
-
-    def read(self, row: int, column: int, length: int = 64) -> np.ndarray:
-        """Read ``length`` bytes at ``column`` (byte offset) from ``row``.
-
-        The row must already be open; the controller is responsible for
-        issuing the activation.
-        """
-        self._require_open(row)
-        subarray, local_row = self.locate(row)
-        return subarray.read_row_slice(local_row, column, length)
-
-    def write(self, row: int, column: int, data: np.ndarray) -> None:
-        """Write ``data`` at byte offset ``column`` into the open ``row``."""
-        self._require_open(row)
-        subarray, local_row = self.locate(row)
-        subarray.write_row_slice(local_row, column, data)
-
-    def _require_open(self, row: int) -> None:
-        if self.state is not BankState.ACTIVE or self._open_row != row:
-            raise RuntimeError(
-                f"bank {self.index}: access to row {row} but open row is {self._open_row}"
-            )
 
     # ------------------------------------------------------------------
     # Whole-row access (used by the PIM engines and tests)
@@ -154,8 +90,6 @@ class Bank:
             raise ValueError(
                 "AAP requires source and destination rows in the same subarray"
             )
-        if self.state is BankState.ACTIVE:
-            raise RuntimeError("AAP issued while a row is open; precharge first")
         subarray, local_source = self.locate(source_row)
         _, local_dest = self.locate(dest_row)
         subarray.activate(local_source)
@@ -172,8 +106,6 @@ class Bank:
         """
         if not (self.same_subarray(row_a, row_b) and self.same_subarray(row_a, row_c)):
             raise ValueError("TRA requires all three rows in the same subarray")
-        if self.state is BankState.ACTIVE:
-            raise RuntimeError("TRA issued while a row is open; precharge first")
         subarray, local_a = self.locate(row_a)
         _, local_b = self.locate(row_b)
         _, local_c = self.locate(row_c)

@@ -1,43 +1,27 @@
-"""The composed DRAM device: geometry + timing + energy + controller.
+"""The composed DRAM device: geometry + timing + energy + banks.
 
 :class:`DramDevice` is the object the rest of the stack builds on.  The
 RowClone and Ambit engines reach into its banks to perform row-level
-operations; the host baselines use its peak channel bandwidth; the
-functional read path moves real data through the channel.
+operations; the host baselines use its peak channel bandwidth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
-import numpy as np
-
-from repro.dram.address import CACHE_LINE_BYTES, DramCoordinate
 from repro.dram.bank import Bank
-from repro.dram.controller import MemoryController, Request, RequestKind
-from repro.dram.energy import DramEnergyParameters, EnergyBreakdown
+from repro.dram.energy import DramEnergyParameters
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import DramTimingParameters
 
 
-@dataclass
-class DeviceAccessResult:
-    """Outcome of a functional bulk read or write on the device."""
-
-    latency_ns: float
-    energy: EnergyBreakdown
-    data: Optional[np.ndarray] = None
-
-
 class DramDevice:
-    """A complete DRAM memory system with functional and analytical access.
+    """A complete DRAM memory system: its banks and its channel bandwidth.
 
     Args:
         geometry: Physical organization (defaults to a dual-channel DDR3 DIMM).
         timing: Speed-bin timings (defaults to DDR3-1600).
         energy: Energy parameters (defaults to DDR3-1600 x8 devices).
-        mapping_policy: Address mapping policy.
     """
 
     def __init__(
@@ -45,14 +29,23 @@ class DramDevice:
         geometry: Optional[DramGeometry] = None,
         timing: Optional[DramTimingParameters] = None,
         energy: Optional[DramEnergyParameters] = None,
-        mapping_policy: str = "row_interleaved",
     ) -> None:
-        self.geometry = geometry or DramGeometry.ddr3_dimm()
+        self.geometry = g = geometry or DramGeometry.ddr3_dimm()
         self.timing = timing or DramTimingParameters.ddr3_1600()
         self.energy_params = energy or DramEnergyParameters.ddr3_1600()
-        self.controller = MemoryController(
-            self.geometry, self.timing, self.energy_params, mapping_policy
-        )
+        # Channel, then rank, then bank: the allocator and the executor
+        # take their placement order from this dict's order.
+        self.banks: Dict[Tuple[int, int, int], Bank] = {
+            (channel, rank, bank): Bank(
+                subarrays=g.subarrays_per_bank,
+                rows_per_subarray=g.rows_per_subarray,
+                row_size_bytes=g.row_size_bytes,
+                index=bank,
+            )
+            for channel in range(g.channels)
+            for rank in range(g.ranks_per_channel)
+            for bank in range(g.banks_per_rank)
+        }
 
     # ------------------------------------------------------------------
     # Convenience constructors
@@ -76,55 +69,24 @@ class DramDevice:
         )
 
     # ------------------------------------------------------------------
-    # Capacity / addressing helpers
+    # Capacity and banks
     # ------------------------------------------------------------------
     @property
     def capacity_bytes(self) -> int:
         """Total device capacity."""
         return self.geometry.total_capacity_bytes
 
-    def decode(self, address: int) -> DramCoordinate:
-        """Decode a byte address into (channel, rank, bank, row, column)."""
-        return self.controller.mapper.decode(address)
-
     def bank_at(self, channel: int, rank: int, bank: int) -> Bank:
         """Return a bank object by its coordinates."""
-        return self.controller.banks[(channel, rank, bank)]
+        return self.banks[(channel, rank, bank)]
 
-    def iter_banks(self):
+    def iter_banks(self) -> Iterator[Tuple[Tuple[int, int, int], Bank]]:
         """Iterate over ((channel, rank, bank), Bank) pairs."""
-        return iter(self.controller.banks.items())
+        return iter(self.banks.items())
 
-    # ------------------------------------------------------------------
-    # Functional bulk access through the channel
-    # ------------------------------------------------------------------
-    def read_bytes(self, address: int, length: int) -> DeviceAccessResult:
-        """Read ``length`` bytes starting at ``address`` through the channel."""
-        if address % CACHE_LINE_BYTES != 0:
-            raise ValueError("bulk reads must be cache-line aligned")
-        if length < 0:
-            raise ValueError("length must be non-negative")
-        start_time = self.controller.now_ns
-        start_energy = self.controller.stats.energy.total_j
-        padded_length = ((length + CACHE_LINE_BYTES - 1) // CACHE_LINE_BYTES) * CACHE_LINE_BYTES
-        requests = []
-        for offset in range(0, padded_length, CACHE_LINE_BYTES):
-            request = Request(kind=RequestKind.READ, address=address + offset)
-            self.controller.submit(request)
-            requests.append(request)
-        self.controller.drain()
-        data = np.concatenate([r.result for r in requests]) if requests else np.zeros(0, dtype=np.uint8)
-        elapsed = self.controller.now_ns - start_time
-        spent = self.controller.stats.energy.total_j - start_energy
-        return DeviceAccessResult(
-            latency_ns=elapsed,
-            energy=EnergyBreakdown(io_j=spent),
-            data=data[:length],
-        )
-
-    # ------------------------------------------------------------------
-    # Analytical accounting (delegates to the controller)
-    # ------------------------------------------------------------------
     def peak_bandwidth_bytes_per_s(self) -> float:
-        """Aggregate peak channel bandwidth."""
-        return self.controller.peak_bandwidth_bytes_per_s()
+        """Aggregate peak channel bandwidth of the system."""
+        per_channel = self.timing.channel_bandwidth_bytes_per_s(
+            self.geometry.channel_width_bits
+        )
+        return per_channel * self.geometry.channels

@@ -20,56 +20,9 @@ ratio between these two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-
-@dataclass
-class EnergyBreakdown:
-    """Accumulator for energy spent in different parts of the memory system.
-
-    All values are in joules.
-    """
-
-    activation_j: float = 0.0
-    read_j: float = 0.0
-    write_j: float = 0.0
-    io_j: float = 0.0
-    refresh_j: float = 0.0
-    background_j: float = 0.0
-
-    @property
-    def total_j(self) -> float:
-        """Total energy across all components."""
-        return (
-            self.activation_j
-            + self.read_j
-            + self.write_j
-            + self.io_j
-            + self.refresh_j
-            + self.background_j
-        )
-
-    def add(self, other: "EnergyBreakdown") -> "EnergyBreakdown":
-        """Return a new breakdown that is the element-wise sum of two."""
-        return EnergyBreakdown(
-            activation_j=self.activation_j + other.activation_j,
-            read_j=self.read_j + other.read_j,
-            write_j=self.write_j + other.write_j,
-            io_j=self.io_j + other.io_j,
-            refresh_j=self.refresh_j + other.refresh_j,
-            background_j=self.background_j + other.background_j,
-        )
-
-    def scaled(self, factor: float) -> "EnergyBreakdown":
-        """Return a new breakdown with every component multiplied by ``factor``."""
-        return EnergyBreakdown(
-            activation_j=self.activation_j * factor,
-            read_j=self.read_j * factor,
-            write_j=self.write_j * factor,
-            io_j=self.io_j * factor,
-            refresh_j=self.refresh_j * factor,
-            background_j=self.background_j * factor,
-        )
+from repro.dram.geometry import check_positive_fields
 
 
 @dataclass(frozen=True)
@@ -109,6 +62,9 @@ class DramEnergyParameters:
     t_rc_ns: float = 48.75
     t_burst_ns: float = 5.0
     row_size_bytes: int = 8192
+
+    def __post_init__(self) -> None:
+        check_positive_fields(self)
 
     # ------------------------------------------------------------------
     # Per-command energies (rank level)

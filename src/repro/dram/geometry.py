@@ -10,7 +10,31 @@ arguments revolve around:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+
+_NUMERIC_FIELD_TYPES = {"int": (int,), "float": (int, float)}
+
+
+def check_positive_fields(owner: object) -> None:
+    """Refuse any ``int`` or ``float`` field of a dataclass that is not positive.
+
+    An ``int`` field takes an ``int``, a ``float`` field an ``int`` or a
+    ``float`` (read off the field's annotation, which this package's
+    modules keep as a string).  A bool, a non-finite or a non-positive
+    value raises ``ValueError``; any other type raises ``TypeError``.
+    """
+    for spec in fields(owner):
+        types = _NUMERIC_FIELD_TYPES.get(spec.type)
+        if types is None:
+            continue
+        value = getattr(owner, spec.name)
+        if isinstance(value, bool):
+            raise ValueError(f"{spec.name} must be a number, got {value!r}")
+        if not isinstance(value, types):
+            raise TypeError(f"{spec.name} must be {spec.type}, got {type(value).__name__}")
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{spec.name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -39,18 +63,7 @@ class DramGeometry:
     channel_width_bits: int = 64
 
     def __post_init__(self) -> None:
-        for name in (
-            "channels",
-            "ranks_per_channel",
-            "banks_per_rank",
-            "subarrays_per_bank",
-            "rows_per_subarray",
-            "row_size_bytes",
-            "channel_width_bits",
-        ):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value <= 0:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        check_positive_fields(self)
         if self.row_size_bytes % 64 != 0:
             raise ValueError("row_size_bytes must be a multiple of the 64 B cache line")
 
@@ -91,7 +104,7 @@ class DramGeometry:
     # ------------------------------------------------------------------
     @classmethod
     def ddr3_dimm(cls) -> "DramGeometry":
-        """A dual-channel DDR3-style configuration (8 GiB)."""
+        """A dual-channel DDR3-style configuration (4 GiB)."""
         return cls(
             channels=2,
             ranks_per_channel=1,

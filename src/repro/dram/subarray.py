@@ -36,7 +36,6 @@ class Subarray:
         # Contents of the sense amplifiers (the "row buffer") after the most
         # recent activation, or None when the subarray is precharged.
         self._row_buffer: Optional[np.ndarray] = None
-        self._open_row: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Storage access
@@ -63,26 +62,6 @@ class Subarray:
             )
         self._storage[row] = array.copy()
 
-    def write_row_slice(self, row: int, offset: int, data: np.ndarray) -> None:
-        """Overwrite part of ``row`` starting at byte ``offset``."""
-        self._check_row(row)
-        array = np.asarray(data, dtype=np.uint8)
-        if offset < 0 or offset + array.size > self.row_size_bytes:
-            raise ValueError("slice does not fit in the row")
-        current = self._storage.get(row)
-        if current is None:
-            current = np.zeros(self.row_size_bytes, dtype=np.uint8)
-        current = current.copy()
-        current[offset : offset + array.size] = array
-        self._storage[row] = current
-
-    def read_row_slice(self, row: int, offset: int, length: int) -> np.ndarray:
-        """Return ``length`` bytes of ``row`` starting at ``offset``."""
-        self._check_row(row)
-        if offset < 0 or length < 0 or offset + length > self.row_size_bytes:
-            raise ValueError("slice does not fit in the row")
-        return self.read_row(row)[offset : offset + length]
-
     @property
     def allocated_rows(self) -> int:
         """Number of rows that have actually been written (backing storage)."""
@@ -91,16 +70,10 @@ class Subarray:
     # ------------------------------------------------------------------
     # Sense-amplifier behaviour
     # ------------------------------------------------------------------
-    @property
-    def open_row(self) -> Optional[int]:
-        """Row currently latched in the sense amplifiers, or None if closed."""
-        return self._open_row
-
     def activate(self, row: int) -> np.ndarray:
         """Latch ``row`` into the sense amplifiers and return its contents."""
         self._check_row(row)
         self._row_buffer = self.read_row(row)
-        self._open_row = row
         return self._row_buffer.copy()
 
     def activate_onto_open_buffer(self, row: int) -> None:
@@ -115,7 +88,6 @@ class Subarray:
         if self._row_buffer is None:
             raise RuntimeError("AAP second activation with no latched row buffer")
         self.write_row(row, self._row_buffer)
-        self._open_row = row
 
     def triple_activate(self, row_a: int, row_b: int, row_c: int) -> np.ndarray:
         """Simultaneously activate three rows; charge sharing computes majority.
@@ -134,10 +106,8 @@ class Subarray:
         for row in (row_a, row_b, row_c):
             self.write_row(row, majority)
         self._row_buffer = majority.copy()
-        self._open_row = row_a
         return majority.copy()
 
     def precharge(self) -> None:
         """Close the subarray (invalidate the sense-amplifier contents)."""
         self._row_buffer = None
-        self._open_row = None

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.dram.geometry import check_positive_fields
+
 
 @dataclass(frozen=True)
 class DramTimingParameters:
@@ -21,7 +23,6 @@ class DramTimingParameters:
 
     Attributes:
         name: Human-readable speed-bin name.
-        tck_ns: Clock period of the data bus clock (ns).
         data_rate_mtps: Data transfers per second, in MT/s (DDR: 2 per clock).
         t_rcd_ns: ACT-to-column-command delay.
         t_ras_ns: ACT-to-PRE minimum row-open time.
@@ -36,7 +37,6 @@ class DramTimingParameters:
     """
 
     name: str = "DDR3-1600"
-    tck_ns: float = 1.25
     data_rate_mtps: float = 1600.0
     t_rcd_ns: float = 13.75
     t_ras_ns: float = 35.0
@@ -50,29 +50,16 @@ class DramTimingParameters:
     burst_length: int = 8
 
     def __post_init__(self) -> None:
-        numeric_fields = (
-            "tck_ns",
-            "data_rate_mtps",
-            "t_rcd_ns",
-            "t_ras_ns",
-            "t_rp_ns",
-            "t_cas_ns",
-            "t_wr_ns",
-            "t_rrd_ns",
-            "t_faw_ns",
-            "t_refi_ns",
-            "t_rfc_ns",
-        )
-        for field_name in numeric_fields:
-            value = getattr(self, field_name)
-            if value <= 0:
-                raise ValueError(f"{field_name} must be positive, got {value!r}")
-        if self.burst_length <= 0:
-            raise ValueError("burst_length must be positive")
+        check_positive_fields(self)
 
     # ------------------------------------------------------------------
     # Derived latencies
     # ------------------------------------------------------------------
+    @property
+    def tck_ns(self) -> float:
+        """Period of the data bus clock: DDR moves two transfers per clock."""
+        return 2000.0 / self.data_rate_mtps
+
     @property
     def t_rc_ns(self) -> float:
         """Row cycle time: minimum time between activations of one bank."""
@@ -80,23 +67,8 @@ class DramTimingParameters:
 
     @property
     def burst_time_ns(self) -> float:
-        """Time to transfer one burst (BL transfers at the data rate)."""
-        return self.burst_length / (self.data_rate_mtps * 1e6) * 1e9
-
-    @property
-    def row_miss_read_latency_ns(self) -> float:
-        """Latency of a read that must close one row and open another."""
-        return self.t_rp_ns + self.t_rcd_ns + self.t_cas_ns + self.burst_time_ns
-
-    @property
-    def row_hit_read_latency_ns(self) -> float:
-        """Latency of a read that hits the currently open row."""
-        return self.t_cas_ns + self.burst_time_ns
-
-    @property
-    def row_empty_read_latency_ns(self) -> float:
-        """Latency of a read into a precharged (closed) bank."""
-        return self.t_rcd_ns + self.t_cas_ns + self.burst_time_ns
+        """Time to transfer one burst: BL transfers, two per bus clock."""
+        return self.burst_length / 2 * self.tck_ns
 
     def channel_bandwidth_bytes_per_s(self, channel_width_bits: int = 64) -> float:
         """Peak bandwidth of one channel of the given width."""
@@ -150,7 +122,6 @@ class DramTimingParameters:
         """
         return cls(
             name="HMC-internal",
-            tck_ns=0.8,
             data_rate_mtps=2500.0,
             t_rcd_ns=13.75,
             t_ras_ns=33.0,

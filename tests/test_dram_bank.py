@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dram.bank import Bank, BankState
+from repro.dram.bank import Bank
 
 
 @pytest.fixture
@@ -29,58 +29,16 @@ class TestAddressing:
         assert not bank.same_subarray(7, 8)
 
 
-class TestConventionalCommands:
-    def test_activate_read_write_precharge_cycle(self, bank):
-        data = np.arange(64, dtype=np.uint8)
-        bank.write_row(3, data)
-        bank.activate(3)
-        assert bank.state is BankState.ACTIVE
-        assert np.array_equal(bank.read(3, 0, 64), data)
-        bank.write(3, 0, np.full(64, 9, dtype=np.uint8))
-        bank.precharge()
-        assert bank.state is BankState.PRECHARGED
-        assert np.all(bank.read_row(3) == 9)
-
-    def test_activate_while_active_rejected(self, bank):
-        bank.activate(0)
-        with pytest.raises(RuntimeError):
-            bank.activate(1)
-
-    def test_access_without_matching_open_row_rejected(self, bank):
-        bank.activate(0)
-        with pytest.raises(RuntimeError):
-            bank.read(1, 0)
-
-    def test_precharge_idempotent(self, bank):
-        bank.precharge()
-        bank.precharge()
-        assert bank.state is BankState.PRECHARGED
-
-    def test_counters(self, bank):
-        bank.activate(0)
-        bank.precharge()
-        bank.activate(1)
-        bank.precharge()
-        assert bank.activations == 2
-        assert bank.precharges == 2
-
-
 class TestPimPrimitives:
     def test_aap_copies_row(self, bank):
         source = np.random.default_rng(0).integers(0, 256, 64).astype(np.uint8)
         bank.write_row(2, source)
         bank.aap(2, 5)
         assert np.array_equal(bank.read_row(5), source)
-        assert bank.state is BankState.PRECHARGED
 
     def test_aap_across_subarrays_rejected(self, bank):
         with pytest.raises(ValueError):
             bank.aap(2, 10)
-
-    def test_aap_with_open_row_rejected(self, bank):
-        bank.activate(0)
-        with pytest.raises(RuntimeError):
-            bank.aap(1, 2)
 
     def test_tra_computes_majority_and_restores(self, bank):
         a = np.full(64, 0b1100, dtype=np.uint8)
@@ -104,3 +62,9 @@ class TestPimPrimitives:
         before = bank.activations
         bank.triple_row_activate(0, 1, 2)
         assert bank.activations == before + 1
+
+    def test_counters(self, bank):
+        bank.aap(0, 1)
+        bank.triple_row_activate(0, 1, 2)
+        assert bank.activations == 3
+        assert bank.precharges == 2

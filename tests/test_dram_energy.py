@@ -2,34 +2,7 @@
 
 import pytest
 
-from repro.dram.energy import DramEnergyParameters, EnergyBreakdown
-
-
-class TestEnergyBreakdown:
-    def test_total_sums_all_components(self):
-        breakdown = EnergyBreakdown(
-            activation_j=1.0, read_j=2.0, write_j=3.0, io_j=4.0, refresh_j=5.0, background_j=6.0
-        )
-        assert breakdown.total_j == pytest.approx(21.0)
-
-    def test_add_is_elementwise(self):
-        a = EnergyBreakdown(activation_j=1.0, read_j=2.0)
-        b = EnergyBreakdown(activation_j=0.5, io_j=1.5)
-        combined = a.add(b)
-        assert combined.activation_j == pytest.approx(1.5)
-        assert combined.read_j == pytest.approx(2.0)
-        assert combined.io_j == pytest.approx(1.5)
-        # Original objects are untouched.
-        assert a.activation_j == pytest.approx(1.0)
-
-    def test_scaled(self):
-        breakdown = EnergyBreakdown(activation_j=2.0, read_j=4.0)
-        scaled = breakdown.scaled(0.5)
-        assert scaled.activation_j == pytest.approx(1.0)
-        assert scaled.read_j == pytest.approx(2.0)
-
-    def test_default_is_zero(self):
-        assert EnergyBreakdown().total_j == 0.0
+from repro.dram.energy import DramEnergyParameters
 
 
 class TestDramEnergyParameters:

@@ -37,17 +37,6 @@ class TestStorage:
         with pytest.raises(IndexError):
             subarray.write_row(-1, np.zeros(32, dtype=np.uint8))
 
-    def test_slice_write_and_read(self, subarray):
-        subarray.write_row_slice(2, 8, np.full(4, 0xAB, dtype=np.uint8))
-        assert np.all(subarray.read_row_slice(2, 8, 4) == 0xAB)
-        assert np.all(subarray.read_row_slice(2, 0, 8) == 0)
-
-    def test_slice_out_of_bounds_rejected(self, subarray):
-        with pytest.raises(ValueError):
-            subarray.write_row_slice(2, 30, np.zeros(4, dtype=np.uint8))
-        with pytest.raises(ValueError):
-            subarray.read_row_slice(2, 30, 4)
-
     def test_allocated_rows_counts_only_written(self, subarray):
         assert subarray.allocated_rows == 0
         subarray.write_row(1, np.zeros(32, dtype=np.uint8))
@@ -61,12 +50,12 @@ class TestSenseAmplifiers:
         subarray.write_row(4, data)
         latched = subarray.activate(4)
         assert np.array_equal(latched, data)
-        assert subarray.open_row == 4
 
     def test_precharge_clears_open_row(self, subarray):
         subarray.activate(4)
         subarray.precharge()
-        assert subarray.open_row is None
+        with pytest.raises(RuntimeError):
+            subarray.activate_onto_open_buffer(5)
 
     def test_aap_second_activation_copies_buffer(self, subarray):
         source = np.arange(32, dtype=np.uint8)

@@ -1,9 +1,9 @@
 """Property-based tests (hypothesis) for the core data structures.
 
 These cover the invariants the rest of the stack silently relies on:
-bit-exact behaviour of the in-DRAM operations, address-mapping bijectivity,
-BitWeaving scan correctness for arbitrary codes and constants, and the
-monotonicity of the analytical cost models.
+bit-exact behaviour of the in-DRAM operations, BitWeaving scan
+correctness for arbitrary codes and constants, and the monotonicity of
+the analytical cost models.
 """
 
 import numpy as np
@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ambit.bitvector import BulkBitVector, mask_padding_bytes
 from repro.ambit.engine import AmbitConfig, AmbitEngine
-from repro.dram.address import CACHE_LINE_BYTES, AddressMapper
 from repro.dram.device import DramDevice
 from repro.dram.energy import DramEnergyParameters
 from repro.dram.geometry import DramGeometry
@@ -81,28 +80,6 @@ class TestAmbitFunctionalProperties:
     def test_count_ones_matches_unpacked_bits(self, num_bits, density, seed):
         vector = BulkBitVector(num_bits).fill_random(seed=seed, density=density)
         assert vector.count_ones() == int(vector.to_bits().sum())
-
-
-class TestAddressMappingProperties:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        line=st.integers(0, 10**6),
-        policy=st.sampled_from(["row_interleaved", "bank_interleaved"]),
-    )
-    def test_encode_decode_roundtrip(self, line, policy):
-        geometry = DramGeometry(
-            channels=2,
-            ranks_per_channel=1,
-            banks_per_rank=4,
-            subarrays_per_bank=4,
-            rows_per_subarray=64,
-            row_size_bytes=1024,
-        )
-        mapper = AddressMapper(geometry, policy)
-        address = (line * CACHE_LINE_BYTES) % geometry.total_capacity_bytes
-        address -= address % CACHE_LINE_BYTES
-        coordinate = mapper.decode(address)
-        assert mapper.encode(coordinate) == address
 
 
 class TestBitWeavingProperties:

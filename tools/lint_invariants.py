@@ -122,11 +122,18 @@ through the bodies of reached definitions until nothing changes; imports,
 annotations and the model tiers' ``__all__`` re-exports are not uses.
 Each line carries its :data:`REACH_KEEP` reason; the report exits 1 on a
 definition with no reason and on a keep entry that is stale (reached now,
-or gone).  Matching is by bare name, so a definition that shares its name
-with a reached one (``DramDevice.read_bytes`` with ``Path.read_bytes``)
-counts as reached, and the report can miss dead code; a definition reached
-only by reflection (``SessionReport`` delegating every ``QueueMetrics``
-property) is listed, and takes a keep entry saying so.
+or gone).  Matching is by bare name: a method called through a receiver
+the tool does not resolve (``session.submit(...)``, ``frontend.drain()``,
+``a[name].read_bytes()``) reaches every definition of that name, so a dead
+method that shares its name with a live one counts as reached, and the
+report can miss dead code.  A resolver for ``self.m`` through the class's
+bases and for ``x.m`` where ``x`` is assigned from ``C(...)`` was
+prototyped against a tree that still held a dead DRAM memory-controller
+path (~360 lines, reached only through those three calls): it listed one
+more definition, of 3 lines, because no local rule resolves those
+receivers.  It is not built.  A definition reached only by
+reflection (``SessionReport`` delegating every ``QueueMetrics`` property)
+is listed, and takes a keep entry saying so.
 """
 
 from __future__ import annotations
