@@ -7,7 +7,8 @@ to the *same* sense amplifiers.
 
 Row contents are stored as NumPy ``uint8`` arrays and allocated lazily:
 untouched rows cost no host memory, which keeps multi-gigabyte simulated
-devices cheap to instantiate.
+devices cheap to instantiate.  A stored row is read-only (a write rebinds
+it), so activations latch, copy and read rows without copying them.
 """
 
 from __future__ import annotations
@@ -44,13 +45,18 @@ class Subarray:
         if not 0 <= row < self.rows:
             raise IndexError(f"row {row} out of range [0, {self.rows})")
 
-    def read_row(self, row: int) -> np.ndarray:
-        """Return a copy of the contents of ``row`` (zeros if never written)."""
+    def _stored(self, row: int) -> np.ndarray:
+        """The read-only contents of ``row`` itself (zeros if never written)."""
         self._check_row(row)
         data = self._storage.get(row)
         if data is None:
-            return np.zeros(self.row_size_bytes, dtype=np.uint8)
-        return data.copy()
+            data = np.zeros(self.row_size_bytes, dtype=np.uint8)
+            data.flags.writeable = False
+        return data
+
+    def read_row(self, row: int) -> np.ndarray:
+        """Return a copy of the contents of ``row`` (zeros if never written)."""
+        return self._stored(row).copy()
 
     def write_row(self, row: int, data: np.ndarray) -> None:
         """Overwrite ``row`` with ``data`` (must be exactly one row long)."""
@@ -60,7 +66,9 @@ class Subarray:
             raise ValueError(
                 f"row data must have shape ({self.row_size_bytes},), got {array.shape}"
             )
-        self._storage[row] = array.copy()
+        stored = array.copy()
+        stored.flags.writeable = False
+        self._storage[row] = stored
 
     @property
     def allocated_rows(self) -> int:
@@ -71,10 +79,10 @@ class Subarray:
     # Sense-amplifier behaviour
     # ------------------------------------------------------------------
     def activate(self, row: int) -> np.ndarray:
-        """Latch ``row`` into the sense amplifiers and return its contents."""
-        self._check_row(row)
-        self._row_buffer = self.read_row(row)
-        return self._row_buffer.copy()
+        """Latch ``row`` into the sense amplifiers and return its contents
+        (read-only: the latched row itself)."""
+        self._row_buffer = self._stored(row)
+        return self._row_buffer
 
     def activate_onto_open_buffer(self, row: int) -> None:
         """Second activation of an AAP: copy the latched data into ``row``.
@@ -87,7 +95,7 @@ class Subarray:
         self._check_row(row)
         if self._row_buffer is None:
             raise RuntimeError("AAP second activation with no latched row buffer")
-        self.write_row(row, self._row_buffer)
+        self._storage[row] = self._row_buffer
 
     def triple_activate(self, row_a: int, row_b: int, row_c: int) -> np.ndarray:
         """Simultaneously activate three rows; charge sharing computes majority.
@@ -96,16 +104,16 @@ class Subarray:
         all three activated rows (this is why Ambit operates on designated
         copy rows rather than the original data).
         """
+        a, b, c = self._stored(row_a), self._stored(row_b), self._stored(row_c)
+        # Bitwise majority, (a & b) | ((a | b) & c): one array, one temporary.
+        majority, either = a & b, a | b
+        either &= c
+        majority |= either
+        del either
+        majority.flags.writeable = False
         for row in (row_a, row_b, row_c):
-            self._check_row(row)
-        a = self.read_row(row_a)
-        b = self.read_row(row_b)
-        c = self.read_row(row_c)
-        # Bitwise majority of three values: (a & b) | (a & c) | (b & c).
-        majority = (a & b) | (a & c) | (b & c)
-        for row in (row_a, row_b, row_c):
-            self.write_row(row, majority)
-        self._row_buffer = majority.copy()
+            self._storage[row] = majority
+        self._row_buffer = majority
         return majority.copy()
 
     def precharge(self) -> None:

@@ -60,7 +60,7 @@ class ConjunctionShape:
         predicates: ``(column, sorted values)`` per predicate, in
             canonical-key order (the order the optimizer lowers them in).
         columns: Dependency-column set of each predicate's sub-chain.
-        dep_columns: The whole conjunction's dependency columns, sorted.
+        dep_columns: The whole conjunction's dependency columns.
         plan_total: Bulk ops the unoptimized plan charges.
         packed_bytes: Bytes of one packed result bitmap.
         rows: Device rows one vector spans (the ``op_cost`` row count).
@@ -68,7 +68,7 @@ class ConjunctionShape:
 
     predicates: Tuple[Tuple[str, Tuple[int, ...]], ...]
     columns: Tuple[FrozenSet[str], ...]
-    dep_columns: Tuple[str, ...]
+    dep_columns: FrozenSet[str]
     plan_total: int
     packed_bytes: int
     rows: int
@@ -91,7 +91,7 @@ class ConjunctionShape:
         return cls(
             predicates=tuple(ordered),
             columns=tuple(frozenset((column,)) for column, _values in ordered),
-            dep_columns=tuple(sorted({column for column, _values in ordered})),
+            dep_columns=frozenset(column for column, _values in ordered),
             plan_total=sum(len(values) - 1 for _c, values in ordered) + len(ordered) - 1,
             packed_bytes=packed_bytes,
             rows=max(1, -(-packed_bytes // row_size_bytes)),
@@ -102,5 +102,5 @@ class ConjunctionShape:
         over ``index`` — equal to :func:`predicate_key` per predicate, and
         ``("and", *predicate keys)`` for the whole."""
         index_id = id(index)
-        parts = tuple(("in", index_id, column, values) for column, values in self.predicates)
+        parts = tuple([("in", index_id, column, values) for column, values in self.predicates])
         return parts, ("and", *parts)

@@ -63,7 +63,7 @@ behaves the same (``np.array(value)`` is a private, writable copy).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -94,22 +94,34 @@ from repro.verify.plan_lint import (
 MAX_SPLIT_LANES = 4
 
 
-@dataclass
+@dataclass(slots=True)
 class _Node:
     """One materialized sub-chain result in the batch DAG.
 
     Attributes:
-        vector: The vector holding the sub-chain's result bitmap.
+        bits: The packed bitmap the host join reads: a vector's storage,
+            or a result-cache hit's stored read-only array.
+        source: The vector holding ``bits``, or (a cache hit)
+            ``(num_rows, row_size_bytes)`` to build one over them.
         cone: The producing chain's steps as the batch lint numbers them
             (consecutively over the batch's chains, in emission order;
-            empty when the vector is a source bitmap).
+            empty for a source).
         producer: Batch index of the :class:`BoundChain` producing
-            ``vector`` (None for a source).
+            ``bits`` (None for a source).
     """
 
-    vector: BulkBitVector
-    cone: Tuple[int, ...]
-    producer: Optional[int]
+    bits: np.ndarray
+    source: Union[BulkBitVector, Tuple[int, int]]
+    cone: Tuple[int, ...] = ()
+    producer: Optional[int] = None
+
+    @property
+    def vector(self) -> BulkBitVector:
+        """The vector holding the result; a cache hit's is built on first
+        ask (only the sanitizer's batch lint asks)."""
+        if isinstance(self.source, tuple):
+            self.source = source_vector(self.bits, *self.source)
+        return self.source
 
 
 class _Answer:
@@ -152,7 +164,7 @@ class _Answer:
         return joined
 
     def _join(self) -> np.ndarray:
-        planes = [node.vector.data[: self.packed_bytes] for node in self.parts]
+        planes = [node.bits[: self.packed_bytes] for node in self.parts]
         return planes[0].copy() if len(planes) == 1 else np.bitwise_and.reduce(planes)
 
 
@@ -192,8 +204,8 @@ class BatchOptimizer:
         self._views: List[OptimizedRequestView] = []
         self._assigned: Dict[int, float] = {}
         # Pending cache fills of the open batch: (key, index, column,
-        # result vector, packed bytes, plan-time write generation).
-        self._fills: List[Tuple[Key, Any, str, BulkBitVector, int, int]] = []
+        # result storage, packed bytes, plan-time write generation).
+        self._fills: List[Tuple[Key, Any, str, np.ndarray, int, int]] = []
         self._fill_keys: Set[Key] = set()
         # One zero-cost metrics object per (plan ops, why, packed bytes),
         # shared read-only by every request of that shape that runs nothing.
@@ -228,8 +240,8 @@ class BatchOptimizer:
         """
         cache = self.result_cache
         if cache is not None:
-            for key, index, column, vector, packed_bytes, generation in self._fills:
-                cache.put(key, index, column, vector.data[:packed_bytes], generation)
+            for key, index, column, bits, packed_bytes, generation in self._fills:
+                cache.put(key, index, column, bits[:packed_bytes], generation)
         self._fills = []
 
     def invalidate_writes(
@@ -321,7 +333,7 @@ class BatchOptimizer:
             )
             share = priced.stamp(index, shape.dep_columns, executor.sanitize)  # after repairs
             answer = self._answers[whole] = _Answer(parts, packed_bytes, share)
-            self._node_columns[whole] = (id(index), frozenset(shape.dep_columns))
+            self._node_columns[whole] = (id(index), shape.dep_columns)
 
         # The parts are joined host-side, charged as a pairwise merge tree
         # to every request (the modeled host merges per request even when
@@ -431,7 +443,7 @@ class BatchOptimizer:
                         # A multi-value OR chain is worth re-serving from
                         # host memory; a bare bitmap is already a zero-op
                         # source.
-                        self._record_fill(pkey, index, column, node.vector, packed_bytes)
+                        self._record_fill(pkey, index, column, node.bits, packed_bytes)
                 self._cache[pkey] = node
                 self._node_columns[pkey] = (index_id, columns)
             parts.append(node)
@@ -445,8 +457,9 @@ class BatchOptimizer:
     ) -> Optional[_Node]:
         """A source node preloaded from the result cache, or None.
 
-        The cache hands out its stored read-only bitmap, which the node's
-        vector wraps as its storage, so the node is an ordinary *source*
+        The cache hands out its stored read-only bitmap, which the node
+        holds as is (the host join reads it; a vector wrapping it is built
+        only if the batch lint asks), so the node is an ordinary *source*
         to the batch DAG: produced by no step, shareable by CSE,
         lint-clean under the cone-closure check.
         """
@@ -456,14 +469,14 @@ class BatchOptimizer:
         data = cache.get(key, index)
         if data is None:
             return None
-        return _Node(vector=source_vector(data, num_rows, row_size), cone=(), producer=None)
+        return _Node(data, (num_rows, row_size))
 
     def _record_fill(
         self,
         key: Key,
         index: Any,
         column: str,
-        vector: BulkBitVector,
+        bits: np.ndarray,
         packed_bytes: int,
     ) -> None:
         """Queue a finished sub-chain for the post-execution cache fill,
@@ -473,7 +486,7 @@ class BatchOptimizer:
             return
         self._fill_keys.add(key)
         self._fills.append(
-            (key, index, column, vector, packed_bytes, cache.write_epoch(index, (column,)))
+            (key, index, column, bits, packed_bytes, cache.write_epoch(index, (column,)))
         )
 
     # ------------------------------------------------------------------
@@ -501,7 +514,7 @@ class BatchOptimizer:
         priced = planner._priced_chain(((column, values),), index.num_rows)
         steps, vector = priced.chain.bind(index)
         if not steps:
-            return _Node(vector=vector, cone=(), producer=None)
+            return _Node(vector.data, vector)
         planner._price_steps(priced)
         producer = len(primitives)
         primitives.append(
@@ -516,7 +529,7 @@ class BatchOptimizer:
             for number, step in enumerate(steps, first):
                 self._steps[number] = step
         self._assigned[offset] = self._assigned.get(offset, 0.0) + sum(priced.latencies)
-        return _Node(vector=vector, cone=tuple(range(first, self._step_count)), producer=producer)
+        return _Node(vector.data, vector, tuple(range(first, self._step_count)), producer)
 
     # ------------------------------------------------------------------
     # Lane choice

@@ -48,9 +48,10 @@ def _check_real(name: str, value: Any) -> None:
         raise TypeError(f"{name} must be a real number, not {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BatchPolicy:
-    """When the planner closes the next batch.
+    """When the planner closes the next batch (fixed once built: a frontend
+    keeps its queue's close instant under it).
 
     Besides the two knobs, a queued request with a deadline closes the
     batch at its last viable start: its deadline minus its modeled

@@ -22,6 +22,13 @@ requests are counted and returned to the caller with a reason; a real
 deployment would translate this into backpressure (see
 :class:`~repro.service.client.RetryClient` for a retrying client model).
 
+**How the backlog vector is kept.**  Unpinned shares (``modeled_ns /
+banks``, on admit and on pop) wait in an ordered list that is added to
+every bank lane, in order, just before the vector is read or a pinned
+charge lands: the same float additions in the same order, so exact.  An
+emptied queue drops the list (the vector resets), and a list of
+:data:`PENDING_SHARES` is applied at once.
+
 **Load shedding.**  With ``shed_low_priority`` enabled, a request that
 would be refused makes room by evicting queued work of *strictly lower*
 priority (youngest of the lowest class first) — but only when shedding
@@ -31,7 +38,10 @@ actually lets the candidate fit.  Shed requests are marked
 
 **Queue order.**  Higher ``priority`` first, then earliest deadline, then
 FIFO — so latency-critical classes overtake bulk work without starving it
-(the batch window bounds the wait of everything admitted).
+(the batch window bounds the wait of everything admitted).  The next
+close instant (``BatchPlanner.next_close_ns``) is kept: lowered at each
+admission, recomputed when requests leave; as rounding is monotonic,
+``min(arrival) + window`` is the least ``arrival + window`` bit for bit.
 
 **Virtual time.**  The frontend simulates in nanoseconds, consistent with
 the rest of the stack: arrivals happen at their timestamps, and requests
@@ -98,6 +108,10 @@ from repro.storage.requests import WriteRequest, check_row_ids
 #: request unions themselves, so a new kind is declared in one place.
 _WRITE_TYPES: Tuple[type, ...] = get_args(WriteRequest)
 SERVED_REQUEST_TYPES: Tuple[type, ...] = get_args(FrontendRequest) + _WRITE_TYPES
+
+#: Most unpinned shares a frontend holds back unapplied.  A constant, not
+#: a knob: applying early changes no number.
+PENDING_SHARES = 64
 
 
 def check_frontend_request(request: object) -> None:
@@ -360,6 +374,10 @@ class ServiceFrontend:
         self._heap: List = []
         self._seq = 0
         self._bank_backlog: Dict = {key: 0.0 for key in self.executor.active_bank_keys()}
+        # Unpinned shares not yet added to the bank lanes, in charge order.
+        self._pending: List[float] = []
+        # The planner's next close instant for the queue as it stands.
+        self._close_ns = math.inf
         self.bind_observer(resolve_observe(observe))
 
     # ------------------------------------------------------------------
@@ -475,6 +493,7 @@ class ServiceFrontend:
     @property
     def backlog_ns(self) -> float:
         """Modeled queued occupancy of the hottest lane (the admission-binding value)."""
+        self._apply_pending()
         return max(self._bank_backlog.values(), default=0.0)
 
     @property
@@ -524,8 +543,30 @@ class ServiceFrontend:
         )
         return hottest + share
 
-    def _charge(self, queued: QueuedRequest, sign: float) -> None:
-        self._charge_onto(self._bank_backlog, queued, sign * queued.modeled_ns)
+    def _charge(self, queued: QueuedRequest, sign: float, banks: int = 0) -> None:
+        """Charge (``sign`` 1) or release (-1) ``queued``'s load: onto its
+        lanes, or pending for every bank lane (``banks``: :meth:`_banks`)."""
+        pending = self._pending
+        if queued.modeled_banks:
+            if pending:
+                self._apply_pending()
+            self._charge_onto(self._bank_backlog, queued, sign * queued.modeled_ns)
+        else:
+            pending.append(sign * queued.modeled_ns / (banks or self._banks()))
+            if len(pending) >= PENDING_SHARES:
+                self._apply_pending()
+
+    def _apply_pending(self) -> None:
+        """Add the pending shares to every bank lane, in charge order."""
+        pending = self._pending
+        if pending:
+            backlog = self._bank_backlog
+            for key, value in backlog.items():
+                if key != HOST_LANE:
+                    for share in pending:
+                        value += share
+                    backlog[key] = value
+            pending.clear()
 
     def _charge_onto(self, backlog: Dict, queued: QueuedRequest, amount: float) -> None:
         """Add ``amount`` of ``queued``'s load to a backlog vector: onto its
@@ -539,10 +580,19 @@ class ServiceFrontend:
                 if key != HOST_LANE:
                     backlog[key] += share
 
-    def _reset_backlog(self) -> None:
-        """Absorb float drift once the queue is empty."""
+    def _release(self, left: Sequence[QueuedRequest]) -> None:
+        """Release requests that ``left`` the queue and recompute its close
+        instant; an emptied queue resets the vector (and float drift)."""
+        if self._heap:
+            banks = self._banks()
+            for queued in left:
+                self._charge(queued, -1.0, banks)
+            self._close_ns = self.planner.next_close_ns(self.queued(), self.clock_ns)
+            return
+        self._pending.clear()
         for key in self._bank_backlog:
             self._bank_backlog[key] = 0.0
+        self._close_ns = math.inf
 
     # ------------------------------------------------------------------
     # Priority-class load shedding
@@ -556,9 +606,7 @@ class ServiceFrontend:
     def _remove_queued(self, queued: QueuedRequest, reason: str) -> None:
         self._heap = [entry for entry in self._heap if entry[1] is not queued]
         heapq.heapify(self._heap)
-        self._charge(queued, -1.0)
-        if not self._heap:
-            self._reset_backlog()
+        self._release((queued,))
         # The request leaves the system at the shed/cancel instant, not
         # at its arrival.
         self._settle_rejected(queued, reason, left_ns=self.clock_ns)
@@ -649,6 +697,7 @@ class ServiceFrontend:
         queued.modeled_ns = self.planner.modeled_latency_ns(request)
         queued.modeled_banks = self.planner.modeled_banks(request)
         if self.max_backlog_ns is not None:
+            self._apply_pending()
             extra: Optional[List[QueuedRequest]] = []
             if self.shed_low_priority:
                 extra = self._plan_occupancy_shed(queued, pre_evicted=victims)
@@ -662,6 +711,11 @@ class ServiceFrontend:
             self._remove_queued(victim, "shed")
             self.shed_requests += 1
         heapq.heappush(self._heap, (queued.sort_key(), queued))
+        window_ns = self.planner.policy.window_ns
+        if window_ns is not None:
+            self._close_ns = min(self._close_ns, arrival + window_ns)
+        if deadline_ns is not None:
+            self._close_ns = min(self._close_ns, deadline_ns - queued.modeled_ns)
         self._charge(queued, 1.0)
         if observe:
             self._obs_admitted(queued)
@@ -711,13 +765,8 @@ class ServiceFrontend:
             # Dispatch gate: wait (on the virtual clock) until a lane is free.
             self.clock_ns = max(self.clock_ns, self._dispatch_ready_ns())
         size = min(self.planner.policy.max_batch, len(self._heap))
-        closed: List[QueuedRequest] = []
-        for _ in range(size):
-            _, queued = heapq.heappop(self._heap)
-            self._charge(queued, -1.0)
-            closed.append(queued)
-        if not self._heap:
-            self._reset_backlog()
+        closed = [heapq.heappop(self._heap)[1] for _ in range(size)]
+        self._release(closed)
 
         primitives, groups = self.planner.lower_batch(closed)
         batch_start = self.clock_ns
@@ -808,9 +857,10 @@ class ServiceFrontend:
         :meth:`offer` does that at arrival.  Shared by :meth:`run`, the
         cluster frontend, and the retry client.
         """
+        max_batch = self.planner.policy.max_batch
         while self._heap and self.clock_ns < until_ns:
-            queued = self.queued()  # the heap only changes when a batch is served
-            if self.planner.should_close(queued, self.clock_ns):
+            # BatchPlanner.should_close, on the kept close instant.
+            if len(self._heap) >= max_batch or self._close_ns <= self.clock_ns:
                 ready = self._dispatch_ready_ns()
                 if ready > self.clock_ns:
                     # Every lane the next batch would use is busy: the
@@ -823,7 +873,7 @@ class ServiceFrontend:
                 continue
             # Sleep until the policy's next closing instant (window expiry /
             # the last moment a queued deadline can still start on time).
-            wake = self.planner.next_close_ns(queued, self.clock_ns)
+            wake = self._close_ns
             if wake >= until_ns:
                 break
             self.clock_ns = wake

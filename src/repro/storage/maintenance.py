@@ -237,12 +237,10 @@ class MaintenancePolicy:
         the bitmaps, which repairs the dirt as a side effect, so the
         charge has to be decided first.
         """
-        dirty = set(index.dirty_columns())
-        seen = []
-        for column in columns:
-            if column in dirty and column not in seen:
-                seen.append(column)
-        return seen
+        dirty = index.dirty_columns()
+        if not dirty:
+            return []
+        return [column for column in dict.fromkeys(columns) if column in dirty]
 
     def rebuild_charge(
         self, index: BitmapIndex, column: str, planner: "BatchPlanner"

@@ -1,5 +1,7 @@
 """Tests for repro.dram.bank."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -68,3 +70,54 @@ class TestPimPrimitives:
         bank.triple_row_activate(0, 1, 2)
         assert bank.activations == 3
         assert bank.precharges == 2
+
+
+class TestRowCopies:
+    """A primitive moves rows inside the bank; the host model should not
+    copy them more than its result needs.  Measured with ``tracemalloc``
+    on 8 KiB rows (the paper's DDR3 row), from a bank whose rows are all
+    written: ~2 rows live at a TRA's peak (its majority and the caller's
+    copy) and none at an AAP's; ~9.1 and ~2.02 when every read copied its
+    row, the majority built five temporaries and the destination of an
+    AAP took a copy of a copy of the source."""
+
+    ROW = 8192
+
+    @pytest.fixture
+    def written(self):
+        bank = Bank(subarrays=1, rows_per_subarray=8, row_size_bytes=self.ROW)
+        rng = np.random.default_rng(3)
+        for row in range(8):
+            bank.write_row(row, rng.integers(0, 256, self.ROW).astype(np.uint8))
+        return bank
+
+    def _peak_rows(self, primitive):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            result = primitive()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del result
+        return (peak - base) / self.ROW
+
+    def test_a_tra_holds_at_most_four_rows(self, written):
+        a, b, c = (written.read_row(row) for row in (0, 1, 2))
+        rows = self._peak_rows(lambda: written.triple_row_activate(0, 1, 2))
+        assert rows <= 4, rows
+        majority = (a & b) | (a & c) | (b & c)
+        for row in (0, 1, 2):
+            np.testing.assert_array_equal(written.read_row(row), majority)
+
+    def test_an_aap_holds_at_most_one_row(self, written):
+        source = written.read_row(3)
+        rows = self._peak_rows(lambda: written.aap(3, 4))
+        assert rows <= 1, rows
+        np.testing.assert_array_equal(written.read_row(4), source)
+
+    def test_a_tra_result_is_the_callers_own(self, written):
+        result = written.triple_row_activate(0, 1, 2)
+        result[:] = 0  # a private copy: the rows keep the majority
+        assert written.read_row(0).any()

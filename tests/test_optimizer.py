@@ -175,7 +175,7 @@ class TestCanonicalKeys:
         assert [column for column, _values in shape.predicates] == [key[2] for key in keyed]
         assert shape.plan_total == sum(len(v) - 1 for _c, v in predicates) + len(predicates) - 1
         assert shape.columns == tuple(frozenset((key[2],)) for key in keyed)
-        assert shape.dep_columns == tuple(sorted({c for c, _v in predicates}))
+        assert shape.dep_columns == frozenset(c for c, _v in predicates)
         packed = (ROWS + 7) // 8
         assert (shape.packed_bytes, shape.rows) == (packed, -(-packed // ROW_SIZE))
 
