@@ -67,3 +67,14 @@ def emit_json(name: str, payload: dict) -> str:
         handle.write("\n")
     print(f"\nwrote {path}")
     return path
+
+
+def serve(backend, events, name: str):
+    """Drive an arrival stream through a session over ``backend`` and drain
+    it: the session's report and every envelope, in event order."""
+    from repro.api import PimSession
+
+    session = PimSession(backend, name=name)
+    futures = session.submit_stream(events)
+    session.drain()
+    return session.report(), [future.record for future in futures]

@@ -35,7 +35,7 @@ from repro.service import (
     poisson_schedule,
 )
 
-from _bench_utils import emit, emit_json
+from _bench_utils import emit, emit_json, serve
 
 NUM_SHARDS = 4
 REPLICATION = 2
@@ -121,8 +121,7 @@ def _expected_value(request, index):
     return expected
 
 
-def _mode_stats(result):
-    metrics = result.metrics
+def _mode_stats(metrics):
     makespan_s = metrics.makespan_ns * 1e-9
     return {
         "offered": metrics.offered,
@@ -138,28 +137,27 @@ def _run_experiment():
     requests, index = _build_requests()
     events = lambda: poisson_schedule(requests, rate_per_s=ARRIVAL_RATE_PER_S, seed=19)
 
-    healthy = _build_cluster()
-    healthy_result = healthy.run(events())
+    healthy = serve(_build_cluster(), events(), name="cluster")
 
     # Pin the fault window to the healthy run's observed span so the kill
     # lands mid-burst regardless of machine-independent model drift.
-    span = healthy_result.metrics.makespan_ns
+    span = healthy[0].makespan_ns
     kill_ns = KILL_FRACTION * span
     revive_ns = REVIVE_FRACTION * span
     plan = kill_revive_schedule([(1, kill_ns, revive_ns)])
     faulted = _build_cluster(faults=plan)
-    faulted_result = faulted.run(events())
-
-    return requests, index, healthy_result, faulted, faulted_result, plan, kill_ns
+    faulted_run = serve(faulted, events(), name="cluster")
+    return requests, index, healthy, faulted, faulted_run, plan, kill_ns
 
 
 @pytest.mark.benchmark(group="elastic")
 def test_failover_loses_nothing_under_overload(benchmark):
-    requests, index, healthy_result, faulted, faulted_result, plan, kill_ns = (
+    requests, index, healthy_run, faulted, faulted_run, plan, kill_ns = (
         benchmark(_run_experiment)
     )
-    healthy = _mode_stats(healthy_result)
-    faulted_stats = _mode_stats(faulted_result)
+    (healthy_report, healthy_records), (faulted_report, faulted_records) = healthy_run, faulted_run
+    healthy = _mode_stats(healthy_report.details)
+    faulted_stats = _mode_stats(faulted_report.details)
     summary = faulted.elastic_summary()
 
     kill_log = [e for e in plan.log if e.action == "kill"]
@@ -213,19 +211,19 @@ def test_failover_loses_nothing_under_overload(benchmark):
     )
 
     # Acceptance: the fault was real, and nothing was lost to it.
-    assert faulted_result.metrics.shard_failures == 1
-    assert faulted_result.metrics.shard_revivals == 1
+    assert faulted_report.shard_failures == 1
+    assert faulted_report.shard_revivals == 1
     assert summary["failovers"] > 0, "the kill must land mid-burst"
     assert lost == 0
     assert faulted_stats["completed"] + faulted_stats["rejected"] == NUM_REQUESTS
-    assert faulted_result.metrics.failover_failures == 0
+    assert faulted_report.failover_failures == 0
 
     # With rf=2 and one dead shard, every request completes bit-exact
     # with the healthy run (admission may differ under overload only for
     # rejected requests — none here must be rejected for capacity either
     # way, since the queue depth covers the burst).
-    healthy_by_seq = {r.seq: r for r in healthy_result.completed()}
-    for record in faulted_result.completed():
+    healthy_by_seq = {r.seq: r for r in healthy_records if r.completed}
+    for record in (r for r in faulted_records if r.completed):
         expected = _expected_value(record.request, index)
         assert np.array_equal(record.value, expected)
         twin = healthy_by_seq.get(record.seq)

@@ -48,7 +48,7 @@ from repro.service import (
     poisson_schedule,
 )
 
-from _bench_utils import emit, emit_json, emit_trace
+from _bench_utils import emit, emit_json, emit_trace, serve
 
 BANKS = 8
 NUM_ROWS = 65536                # one 8 KiB DRAM row per bitmap
@@ -107,11 +107,11 @@ def _run_mode(system, requests, optimize: bool):
     # property test); its TRACE_optimizer.json ships with the bench JSON.
     frontend = ServiceFrontend(config, engine=ambit, observe=optimize)
     events = poisson_schedule(requests, rate_per_s=ARRIVAL_RATE_PER_S, seed=11)
-    result = frontend.run(events, name="optimized" if optimize else "baseline")
-    metrics = result.metrics
-    completed_bytes = sum(r.metrics.bytes_produced for r in result.completed())
-    throughput = completed_bytes / (metrics.makespan_ns * 1e-9)
-    return frontend, result, throughput
+    report, records = serve(frontend, events, name="optimized" if optimize else "baseline")
+    completed = [record for record in records if record.completed]
+    completed_bytes = sum(r.metrics.bytes_produced for r in completed)
+    throughput = completed_bytes / (report.makespan_ns * 1e-9)
+    return frontend, report.details, completed, throughput
 
 
 def _run_experiment(system):
@@ -141,8 +141,7 @@ def test_plan_optimizer_beats_per_request_lowering(benchmark, ddr3_ambit_system)
     )
     payload = {"duplication_rate": duplication_rate}
     for optimize in (False, True):
-        _, result, throughput = outcomes[optimize]
-        metrics = result.metrics
+        _, metrics, _, throughput = outcomes[optimize]
         mode = "optimized" if optimize else "baseline"
         table.add_row(
             mode,
@@ -177,8 +176,8 @@ def test_plan_optimizer_beats_per_request_lowering(benchmark, ddr3_ambit_system)
 
     # Both modes served the identical workload (nothing rejected), so the
     # comparison is purely plan-vs-plan ...
-    baseline_metrics = outcomes[False][1].metrics
-    optimized_metrics = outcomes[True][1].metrics
+    baseline_metrics = outcomes[False][1]
+    optimized_metrics = outcomes[True][1]
     assert baseline_metrics.rejected == optimized_metrics.rejected == 0
     assert baseline_metrics.completed == optimized_metrics.completed == NUM_REQUESTS
 
@@ -190,7 +189,7 @@ def test_plan_optimizer_beats_per_request_lowering(benchmark, ddr3_ambit_system)
     assert optimized_metrics.energy_j <= baseline_metrics.energy_j * (1 + 1e-9)
 
     # ... and results stay bit-exact with host evaluation.
-    for request, record in list(zip(requests, outcomes[True][1].completed()))[:16]:
+    for request, record in list(zip(requests, outcomes[True][2]))[:16]:
         expected, _ = index.evaluate_conjunction(list(request.predicates))
         assert np.array_equal(record.value, expected)
 

@@ -38,7 +38,7 @@ from repro.service import (
     poisson_schedule,
 )
 
-from _bench_utils import emit, emit_json, emit_trace
+from _bench_utils import emit, emit_json, emit_trace, serve
 
 BANKS = 8
 ROWS_PER_COLUMN = 65536         # one 8 KiB DRAM row per bit plane
@@ -88,11 +88,11 @@ def _run_mode(system, scans, pipeline: bool):
     frontend = ServiceFrontend(config, engine=ambit, observe=pipeline)
     requests = [ScanRequest(column=c, kind=k, constants=cs) for c, k, cs in scans]
     events = poisson_schedule(requests, rate_per_s=ARRIVAL_RATE_PER_S, seed=11)
-    result = frontend.run(events, name="pipelined" if pipeline else "barrier")
-    metrics = result.metrics
-    completed_bytes = sum(r.metrics.bytes_produced for r in result.completed())
-    throughput = completed_bytes / (metrics.makespan_ns * 1e-9)
-    return frontend, result, throughput
+    report, records = serve(frontend, events, name="pipelined" if pipeline else "barrier")
+    completed = [record for record in records if record.completed]
+    completed_bytes = sum(r.metrics.bytes_produced for r in completed)
+    throughput = completed_bytes / (report.makespan_ns * 1e-9)
+    return frontend, report.details, completed, throughput
 
 
 def _run_experiment(system):
@@ -119,8 +119,7 @@ def test_lane_pipelining_beats_the_barrier(benchmark, ddr3_ambit_system):
     )
     payload = {}
     for pipeline in (False, True):
-        frontend, result, throughput = outcomes[pipeline]
-        metrics = result.metrics
+        frontend, metrics, _, throughput = outcomes[pipeline]
         mode = "pipelined" if pipeline else "barrier"
         # Mean per-bank idle over the run, comparable across modes: every
         # scan here occupies exactly one bank for its serial latency, so
@@ -160,8 +159,8 @@ def test_lane_pipelining_beats_the_barrier(benchmark, ddr3_ambit_system):
 
     # Both modes served the identical workload (nothing rejected), so the
     # comparison is purely schedule-vs-schedule ...
-    barrier_metrics = outcomes[False][1].metrics
-    pipelined_metrics = outcomes[True][1].metrics
+    barrier_metrics = outcomes[False][1]
+    pipelined_metrics = outcomes[True][1]
     assert barrier_metrics.rejected == pipelined_metrics.rejected == 0
     assert barrier_metrics.completed == pipelined_metrics.completed == NUM_SCANS
 
@@ -169,7 +168,7 @@ def test_lane_pipelining_beats_the_barrier(benchmark, ddr3_ambit_system):
     # work), and results stay bit-exact with sequential execution.
     assert pipelined_metrics.energy_j == pytest.approx(barrier_metrics.energy_j)
     for (column, kind, constants), record in list(
-        zip(scans, outcomes[True][1].completed())
+        zip(scans, outcomes[True][2])
     )[:16]:
         expected, _ = column.scan(kind, *constants)
         assert np.array_equal(record.value, expected)
@@ -177,6 +176,6 @@ def test_lane_pipelining_beats_the_barrier(benchmark, ddr3_ambit_system):
     # Acceptance: >= 1.3x modeled throughput from cross-batch pipelining,
     # with every request completing no later than under the barrier.
     assert gain >= 1.3
-    for fast, slow in zip(outcomes[True][1].records, outcomes[False][1].records):
+    for fast, slow in zip(outcomes[True][2], outcomes[False][2], strict=True):
         assert fast.finish_ns <= slow.finish_ns * (1 + 1e-9)
     assert pipelined_metrics.sojourn_p99_ns <= barrier_metrics.sojourn_p99_ns * (1 + 1e-9)

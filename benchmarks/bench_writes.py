@@ -50,7 +50,7 @@ from repro.service import (
 )
 from repro.storage.requests import UpdateRequest, is_write_request
 
-from _bench_utils import emit, emit_json
+from _bench_utils import emit, emit_json, serve
 
 BANKS = 8
 NUM_ROWS = 65536                # one 8 KiB DRAM row per bitmap
@@ -139,9 +139,9 @@ def _run_mode(system, mode: str):
     )
     frontend = ServiceFrontend(config, engine=ambit)
     events = poisson_schedule(requests, rate_per_s=ARRIVAL_RATE_PER_S, seed=11)
-    result = frontend.run(events, name=mode)
-    metrics = result.metrics
-    completed = result.completed()
+    report, records = serve(frontend, events, name=mode)
+    metrics = report.details
+    completed = [record for record in records if record.completed]
     # Useful bytes: the response bitmaps the reads actually return.  The
     # read set is identical across modes, so the gain is purely the
     # makespan ratio — per-op traffic accounting (which CSE legitimately
@@ -157,7 +157,7 @@ def _run_mode(system, mode: str):
         "index": index,
         "requests": requests,
         "duplication_rate": duplication_rate,
-        "result": result,
+        "completed": completed,
         "metrics": metrics,
         "throughput": throughput,
     }
@@ -190,9 +190,7 @@ def test_result_cache_pays_for_itself_under_writes(benchmark, ddr3_ambit_system)
     for mode in MODES:
         out = outcomes[mode]
         metrics = out["metrics"]
-        writes = [
-            r for r in out["result"].completed() if is_write_request(r.request)
-        ]
+        writes = [r for r in out["completed"] if is_write_request(r.request)]
         write_latency_ns = sum(r.metrics.latency_ns for r in writes)
         write_energy_j = sum(r.metrics.energy_j for r in writes)
         cache = out["frontend"].cache
@@ -246,9 +244,9 @@ def test_result_cache_pays_for_itself_under_writes(benchmark, ddr3_ambit_system)
     # ... and answers are bit-exact across all four modes, position by
     # position: cache hits, invalidation, and deferred rebuilds never
     # change a result; updates report identical rows affected.
-    reference = outcomes["eager_nocache"]["result"].completed()
+    reference = outcomes["eager_nocache"]["completed"]
     for mode in MODES[1:]:
-        for ref, record in zip(reference, outcomes[mode]["result"].completed()):
+        for ref, record in zip(reference, outcomes[mode]["completed"]):
             if is_write_request(ref.request):
                 assert record.value == ref.value
             else:

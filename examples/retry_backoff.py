@@ -75,11 +75,11 @@ def main() -> None:
     )
 
     # One-shot client: rejections are lost.
-    one_shot = build_frontend().run(build_events(), name="one_shot")
-    table.add_row(
-        "one-shot", one_shot.metrics.completed, 0,
-        one_shot.metrics.rejected, one_shot.metrics.offered,
-    )
+    session = PimSession(build_frontend(), name="one_shot")
+    session.submit_stream(build_events())
+    session.drain()
+    one_shot = session.report()
+    table.add_row("one-shot", one_shot.completed, 0, one_shot.rejected, one_shot.offered)
 
     # Retrying client: the same burst drains through the bounded queue.
     policy = BackoffPolicy(base_ns=10_000.0, multiplier=2.0, max_attempts=6, jitter=0.25)
@@ -91,9 +91,9 @@ def main() -> None:
         outcome.gave_up, outcome.total_attempts,
     )
 
-    # The same client drives a sharded cluster unchanged — here wrapped in
-    # a PimSession (the client speaks the shared Backend protocol either
-    # way, so passing the session or its backend is equivalent).
+    # The same client drives a sharded cluster unchanged — here through a
+    # PimSession it is handed (over a bare backend it opens its own, as
+    # above), whose futures then hold every attempt.
     session = PimSession.over_cluster(
         num_shards=2,
         engine_factory=lambda: AmbitEngine(DramDevice.ddr3(), AmbitConfig(banks_parallel=8)),

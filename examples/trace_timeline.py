@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.ambit.engine import AmbitConfig, AmbitEngine
 from repro.analysis import render_lane_timeline, render_span_tree
+from repro.api import PimSession
 from repro.cluster import ClusterFrontend, ShardRouter, kill_revive_schedule
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.tables import ColumnTable
@@ -99,10 +100,13 @@ def cluster_timeline(rng) -> str:
         observe=True,
         faults=kill_revive_schedule([(1, events[len(events) // 2].arrival_ns, None)]),
     )
-    result = cluster.run(events)
+    session = PimSession(cluster)
+    session.submit_stream(events)
+    session.drain()
+    report = session.report()
     path = write_trace("TRACE_cluster_timeline.json", cluster.obs.tracer, metrics=cluster.obs.metrics)
     return (
-        f"cluster: {result.metrics.completed} completed, {result.metrics.rejected} refused or "
+        f"cluster: {report.completed} completed, {report.rejected} refused or "
         f"lost, {cluster.elastic.failovers} parts failed over; trace written to {path}"
     )
 
@@ -117,12 +121,14 @@ def main() -> None:
     events = poisson_schedule(
         build_requests(rng), rate_per_s=ARRIVAL_RATE_PER_S, seed=17
     )
-    result = frontend.run(events, name="traced_overload")
-    metrics = result.metrics
+    session = PimSession(frontend, name="traced_overload")
+    futures = session.submit_stream(events)
+    session.drain()
+    metrics = session.report()
 
     print(render_lane_timeline(frontend.obs.tracer))
 
-    completed = result.completed()
+    completed = [future.record for future in futures if future.record.completed]
     slowest = max(completed, key=lambda r: r.finish_ns - r.arrival_ns)
     print(
         f"\nslowest completed request "

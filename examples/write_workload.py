@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.ambit.engine import AmbitConfig, AmbitEngine
 from repro.analysis.tables import ResultTable
+from repro.api import PimSession
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.tables import ColumnTable
 from repro.dram.device import DramDevice
@@ -76,12 +77,12 @@ def strategy_comparison() -> None:
     for strategy in ("eager", "lazy", "hybrid"):
         rng = np.random.default_rng(5)
         table, index = build_table()
-        frontend = build_frontend(strategy, cache=True)
+        session = PimSession(build_frontend(strategy, cache=True))
         for _ in range(24):
-            frontend.offer(BitmapConjunctionRequest(index=index, predicates=HOT_PREDICATES))
+            session.submit(BitmapConjunctionRequest(index=index, predicates=HOT_PREDICATES))
             if rng.random() < 0.33:
                 row_ids = rng.choice(ROWS, size=64, replace=False)
-                frontend.offer(
+                session.submit(
                     UpdateRequest(
                         table=table, index=index, column="status",
                         row_ids=[int(r) for r in row_ids],
@@ -91,11 +92,11 @@ def strategy_comparison() -> None:
             if rng.random() < 0.25:
                 # A read over the written column: lazy pays its deferred
                 # rebuild here, visible in the rebuilds column.
-                frontend.offer(
+                session.submit(
                     BitmapConjunctionRequest(index=index, predicates=STATUS_PREDICATES)
                 )
-            frontend.drain()
-        records = frontend.result().completed()
+            session.drain()
+        records = [f.record for f in session.futures if f.record.completed]
         write_ns = sum(
             r.metrics.latency_ns for r in records if r.request.__class__ is UpdateRequest
         )
@@ -107,7 +108,7 @@ def strategy_comparison() -> None:
             write_ns / 1e3,
             read_ns / 1e3,
             index.rebuilds,
-            frontend.result().metrics.cache_hits,
+            session.report().cache_hits,
         )
     print(table_out.render())
     print()

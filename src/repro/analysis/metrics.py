@@ -118,7 +118,8 @@ class ElasticCounts:
         replications: Keys given an extra replica live (re-placement).
         copied_bytes / copy_ns: Bytes and modeled device time of the
             replication copies — charged to the destination shards'
-            lanes, so elasticity shows up in ``busy_ns`` too.
+            lanes, where they delay requests; no session's ``busy_ns``
+            counts them (they are no session's traffic).
     """
 
     shard_failures: int = 0
@@ -288,9 +289,9 @@ class QueueMetrics(PlanCounts):
         deadline_misses: Completed requests that finished past their deadline.
         wait_p50_ns / wait_p99_ns: Wait-time percentiles.
         sojourn_p50_ns / sojourn_p99_ns: Sojourn-time percentiles.
-        makespan_ns: Virtual-clock end of the last served batch, measured
-            from the start of the observation window (the clock starts at
-            0, so idle time before the first arrival is included).
+        makespan_ns: From the start of the observation window to the last
+            completion, host merges included (idle time before the first
+            arrival counts).
         busy_ns: Time the executor spent serving batches.
         serial_latency_ns: Latency of serving the completed requests one at
             a time (the no-overlap baseline).
@@ -392,29 +393,6 @@ def summarize_envelopes(records: Iterable) -> Tuple[Dict, List]:
     ), completed
 
 
-def summarize_queue_records(
-    name: str,
-    records: Sequence,
-    makespan_ns: float,
-    busy_ns: float,
-    batches: int,
-) -> QueueMetrics:
-    """Queueing summary over a window of request envelopes.
-
-    Used by :meth:`ServiceFrontend.result` over the frontend's lifetime,
-    by :meth:`PimSession.report` over just one session's records, and by
-    the host backend — so a shared or reused backend never folds earlier
-    traffic into a later report.
-    """
-    return QueueMetrics(
-        name=name,
-        makespan_ns=makespan_ns,
-        busy_ns=busy_ns,
-        batches=batches,
-        **summarize_envelopes(records)[0],
-    )
-
-
 @dataclass
 class ClusterMetrics(QueueMetrics, ElasticCounts):
     """Roll-up of serving a request stream across a sharded cluster.
@@ -424,7 +402,9 @@ class ClusterMetrics(QueueMetrics, ElasticCounts):
     *cluster-level* request, however many shards it fanned out to) supply
     the counts and percentiles: a conjunction scattered over three shards
     is one offered/completed request here, while each shard's
-    ``per_shard`` entry counts its local sub-request.  Wait runs to the
+    ``per_shard`` entry counts its local sub-request (the records' live
+    parts: the cancelled original of a part a failover re-homed is counted
+    in ``failovers``, not on its old shard).  Wait runs to the
     first sub-request's start and sojourn to the last one's finish, merge
     included.  ``makespan_ns`` is the slowest shard, extended by any
     gather merge that completes after it (a request is not done until the
@@ -441,7 +421,7 @@ class ClusterMetrics(QueueMetrics, ElasticCounts):
         cross_shard_fanout: Mean number of shards a completed request
             touched (1.0 = no scatter).
         merge_ops: Host-side bitwise merges the gather stage performed.
-        per_shard: Each shard frontend's own queueing summary.
+        per_shard: Each shard's queueing summary over the records' live parts.
 
     The inherited :class:`ElasticCounts` are the cluster's lifetime
     failover/scale accounting (:meth:`ClusterFrontend.elastic_summary`).
@@ -467,7 +447,7 @@ class ClusterMetrics(QueueMetrics, ElasticCounts):
         name: str,
         records: Iterable,
         per_shard: List[QueueMetrics],
-        clock_offset: float = 0.0,
+        clock_offset: float,
         elastic: Optional[Dict[str, Any]] = None,
     ) -> "ClusterMetrics":
         """Build the roll-up from cluster records plus per-shard summaries.
@@ -475,9 +455,9 @@ class ClusterMetrics(QueueMetrics, ElasticCounts):
         ``records`` are :class:`~repro.cluster.frontend.ClusterRecord`
         envelopes (the cluster package defines them; metrics stays
         import-free of it).  ``clock_offset`` is the absolute virtual-clock
-        origin of the observation window (0 for a whole-life roll-up):
-        record finish times are measured against it so the makespan can
-        be extended past the shard makespans by late host merges.
+        origin of the observation window: record finish times are measured
+        against it so the makespan can be extended past the shard
+        makespans by late host merges.
         """
         summary, completed = summarize_envelopes(records)
         makespan = max(

@@ -1,12 +1,10 @@
 """The ``Backend`` protocol and the serial host-CPU backend.
 
-PR 3's retry client already drove both the single-device
-:class:`~repro.service.frontend.ServiceFrontend` and the sharded
-:class:`~repro.cluster.frontend.ClusterFrontend` through an *implicit*
-``offer`` / ``advance_to`` / ``drain`` / ``result`` surface.  This module
-makes that contract explicit as :class:`Backend`, the protocol every
-execution tier speaks and the only thing a
-:class:`~repro.api.session.PimSession` needs.
+:class:`Backend` is the ``clock_ns`` / ``offer`` / ``advance_to`` /
+``drain`` surface every execution tier speaks and the only thing a
+:class:`~repro.api.session.PimSession` needs.  A backend keeps no history:
+the session holds the envelopes it submitted and rolls them up
+(:meth:`~repro.api.session.PimSession.report`).
 
 Three implementations exist today:
 
@@ -28,11 +26,9 @@ made into an API.
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, runtime_checkable
+from typing import Optional, Protocol, runtime_checkable
 
-from repro.analysis.metrics import summarize_queue_records
 from repro.database.queries import QueryEngine
-from repro.service.frontend import PipelineResult
 from repro.service.requests import (
     BitmapConjunctionRequest,
     FrontendRequest,
@@ -52,10 +48,10 @@ class Backend(Protocol):
     A backend owns a virtual clock (``clock_ns``), admits requests with
     :meth:`offer` (returning a duck-typed envelope carrying ``admitted``,
     ``rejected_reason``, ``completed``, ``value``, ``metrics`` and the
-    wait/sojourn accounting), serves queued work as its clock advances —
-    settling each envelope the instant its outcome is known, so what a
-    caller reads off one is never stale — and summarizes everything served
-    with :meth:`result`.
+    wait/sojourn accounting), and serves queued work as its clock
+    advances — settling each envelope the instant its outcome is known, so
+    what a caller reads off one is never stale.  It keeps no envelope once
+    settled: whoever offered one holds it.
 
     The three tiers here also offer ``check_request(request)``, raising
     for a request :meth:`offer` would refuse outright (a type the tier
@@ -84,10 +80,6 @@ class Backend(Protocol):
         """Serve everything queued."""
         ...
 
-    def result(self, name: str = ...):
-        """Summarize everything served so far."""
-        ...
-
 
 class HostBackend:
     """Serial host-CPU execution behind the :class:`Backend` protocol.
@@ -110,8 +102,7 @@ class HostBackend:
     def __init__(self, coster: Optional[QueryEngine] = None) -> None:
         self.coster = coster or QueryEngine()
         self.clock_ns = 0.0
-        self.busy_ns = 0.0
-        self.records: List[QueuedRequest] = []
+        self._seq = 0
 
     @staticmethod
     def check_request(request: object) -> None:
@@ -135,9 +126,9 @@ class HostBackend:
             arrival_ns=arrival,
             priority=priority,
             deadline_ns=deadline_ns,
-            seq=len(self.records),
+            seq=self._seq,
         )
-        self.records.append(queued)
+        self._seq += 1
         value, metrics = self._execute(request)
         queued.modeled_ns = metrics.latency_ns
         queued.start_ns = self.clock_ns
@@ -145,7 +136,6 @@ class HostBackend:
         queued.metrics = metrics
         queued.value = value
         self.clock_ns = queued.finish_ns
-        self.busy_ns += metrics.latency_ns
         return queued
 
     def _execute(self, request: FrontendRequest):
@@ -162,14 +152,3 @@ class HostBackend:
 
     def drain(self) -> None:
         """No-op: host service is synchronous, nothing is ever queued."""
-
-    def result(self, name: str = "host") -> PipelineResult:
-        """Summarize everything served so far into a :class:`PipelineResult`."""
-        metrics = summarize_queue_records(
-            name,
-            self.records,
-            makespan_ns=self.clock_ns,
-            busy_ns=self.busy_ns,
-            batches=len(self.records),  # each request is its own "batch"
-        )
-        return PipelineResult(records=list(self.records), batches=[], metrics=metrics)

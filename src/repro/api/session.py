@@ -26,10 +26,12 @@ tier, or the serial host baseline::
   ``details`` field carrying the tier-specific extras
   (:class:`ServiceDetails` / :class:`ClusterDetails` /
   :class:`HostDetails`).
-* **Windowed reporting**: a session snapshots its backend at
-  construction and :meth:`~PimSession.report` summarizes only *its own*
-  traffic, so several sessions can share one long-lived backend without
-  folding each other's requests into their reports.
+* **One holder, one roll-up**: a backend keeps no envelope once it has
+  settled it; the session's futures are the one holder, and
+  :meth:`~PimSession.report` — the one roll-up on every tier — summarizes
+  only *its own* traffic from the backend clock at construction, so
+  several sessions can share one long-lived backend without folding each
+  other's requests into their reports.
 
 A session works over anything speaking the
 :class:`~repro.api.backends.Backend` protocol; bit-exactness of the same
@@ -720,8 +722,8 @@ class PimSession:
         """Submit a whole arrival stream; futures come back in event order.
 
         Arrivals are processed in virtual-time order (the backend serves
-        whatever its policy closes between them), exactly like the
-        frontends' own ``run`` loops.
+        whatever its policy closes between them).  With :meth:`drain` and
+        :meth:`report`, the one way to serve and roll up a stream.
         """
         return replay(
             events,
@@ -917,8 +919,7 @@ class PimSession:
         if self._check_request is not None:
             self._check_request(request)
         # Serve whatever the policy closes before this arrival, so
-        # admission sees the live queue — identical to the frontends'
-        # own run() loops.
+        # admission sees the live queue.
         self.backend.advance_to(arrival)
         record = self.backend.offer(
             request, priority=priority, deadline_ns=deadline_ns, arrival_ns=arrival

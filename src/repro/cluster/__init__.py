@@ -30,14 +30,13 @@ throughput across banks:
 
 from repro.cluster.controller import ControllerPolicy, ElasticController, ScaleEvent
 from repro.cluster.faults import FaultEvent, FaultLogEntry, FaultPlan, kill_revive_schedule
-from repro.cluster.frontend import ClusterFrontend, ClusterHealth, ClusterRecord, ClusterResult
+from repro.cluster.frontend import ClusterFrontend, ClusterHealth, ClusterRecord
 from repro.cluster.router import PlacementUnavailable, ShardRouter
 
 __all__ = [
     "ClusterFrontend",
     "ClusterHealth",
     "ClusterRecord",
-    "ClusterResult",
     "ControllerPolicy",
     "ElasticController",
     "FaultEvent",

@@ -47,25 +47,19 @@ from __future__ import annotations
 import dataclasses
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.ambit.engine import AmbitEngine
-from repro.analysis.metrics import ClusterMetrics, ElasticCounts, combine_serial
+from repro.analysis.metrics import ElasticCounts, combine_serial
 from repro.cluster.faults import FaultPlan
-from repro.cluster.router import PlacementUnavailable, ShardRouter
+from repro.cluster.router import PlacementUnavailable, ShardRouter, check_count
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.sharding import BitmapIndexShardView
 from repro.obs import DerivedSpan, Observer, resolve_observe
 from repro.service.config import MERGE_TREE_NS, PipelineConfig
-from repro.service.frontend import (
-    ArrivalEvent,
-    PipelineResult,
-    ServiceFrontend,
-    check_frontend_request,
-    replay,
-)
+from repro.service.frontend import ServiceFrontend, check_frontend_request
 from repro.service.planner import CHAIN_INTERN_CAPACITY, AnswerSlot
 from repro.service.requests import (
     BitmapConjunctionRequest,
@@ -213,30 +207,6 @@ class ClusterHealth:
     rejection_rate: float
 
 
-@dataclass
-class ClusterResult:
-    """Outcome of serving a request stream through the cluster.
-
-    Attributes:
-        records: Every offered cluster request's envelope, in offer order.
-        per_shard: Each shard frontend's own pipeline result.
-        metrics: The cluster roll-up (utilization, imbalance, fan-out,
-            aggregate percentiles).
-    """
-
-    records: List[ClusterRecord] = field(default_factory=list)
-    per_shard: List[PipelineResult] = field(default_factory=list)
-    metrics: Optional[ClusterMetrics] = None
-
-    def completed(self) -> List[ClusterRecord]:
-        """Envelopes that finished service, in offer order."""
-        return [r for r in self.records if r.completed]
-
-    def rejected(self) -> List[ClusterRecord]:
-        """Envelopes refused by admission control, in offer order."""
-        return [r for r in self.records if not r.admitted]
-
-
 class ClusterFrontend:
     """Routes, scatters, and gathers requests over N shard executors.
 
@@ -272,8 +242,7 @@ class ClusterFrontend:
         observe: Union[bool, Observer] = False,
         faults: Optional[FaultPlan] = None,
     ) -> None:
-        if num_shards < 1:
-            raise ValueError("num_shards must be at least 1")
+        check_count("num_shards", num_shards)
         config = config or PipelineConfig()
         #: One policy for the coordinator's functional write step and
         #: every shard planner's charging: pinned into the config the
@@ -285,7 +254,6 @@ class ClusterFrontend:
         self.router = router or ShardRouter(len(self.shards))
         if self.router.num_shards != len(self.shards):
             raise ValueError("router shard count must match the cluster's")
-        self.records: List[ClusterRecord] = []
         self.clock_ns = 0.0
         self._seq = 0
         self.bind_observer(resolve_observe(observe))
@@ -397,7 +365,7 @@ class ClusterFrontend:
         backlogs = {s: self.shard_load(s, at_ns) for s in self.router.routable_shards()}
         mean = sum(backlogs.values()) / len(backlogs) if backlogs else 0.0
         imbalance = max(backlogs.values()) / mean if mean > 0.0 else 1.0
-        offered = len(self.records)
+        offered = self._seq
         return ClusterHealth(backlogs, imbalance, self.rejected / offered if offered else 0.0)
 
     def _views_for(self, index: BitmapIndex) -> Dict[int, BitmapIndexShardView]:
@@ -450,7 +418,6 @@ class ClusterFrontend:
             seq=self._seq,
         )
         self._seq += 1
-        self.records.append(record)
         if self.obs.enabled:
             self._obs_offered(record)
 
@@ -1026,19 +993,8 @@ class ClusterFrontend:
         keywords."""
         return dataclasses.asdict(self.elastic)
 
-    def run(self, events: Iterable[ArrivalEvent], name: str = "cluster") -> ClusterResult:
-        """Serve a whole arrival stream across the cluster.
-
-        Arrivals are processed in global order; every shard serves the
-        batches its own policy closes before each arrival, so routing
-        reads shard loads as they stand at the arrival instant.
-        """
-        replay(events, lambda event: event.offer_to(self))
-        self.drain()
-        return self.result(name)
-
     # ------------------------------------------------------------------
-    # Gather and reporting
+    # Gather
     # ------------------------------------------------------------------
     def _part_settled(self, shard: ServiceFrontend, part: QueuedRequest) -> None:
         """A shard's settle doors report here (``on_settled``): a part lost
@@ -1138,18 +1094,3 @@ class ClusterFrontend:
         """Does nothing: a record is gathered the instant its last part
         completes (:meth:`_part_settled`).  Kept only because the frozen
         ``perf/tracing.py`` wraps it by name (ROADMAP item 1(a) removes it)."""
-
-    def result(self, name: str = "cluster") -> ClusterResult:
-        """Roll up cluster metrics over every record offered so far."""
-        per_shard = [
-            shard.result(f"{name}/shard{i}") for i, shard in enumerate(self.shards)
-        ]
-        metrics = ClusterMetrics.from_records(
-            name,
-            self.records,
-            [r.metrics for r in per_shard],
-            elastic=self.elastic_summary(),
-        )
-        return ClusterResult(
-            records=list(self.records), per_shard=per_shard, metrics=metrics
-        )

@@ -54,7 +54,8 @@ from __future__ import annotations
 
 import weakref
 import zlib
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from numbers import Integral
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 #: Signature of the load oracle callers supply: shard id -> current load
 #: (any monotone congestion measure; the cluster frontend uses modeled ns).
@@ -74,6 +75,16 @@ class PlacementUnavailable(LookupError):
     def __init__(self, message: str, key: Optional[Hashable] = None) -> None:
         super().__init__(message)
         self.key = key
+
+
+def check_count(name: str, value: Any) -> None:
+    """Refuse a shard or replica count that is not a whole number of at
+    least 1: a ``bool`` or a non-integral value is a ``TypeError`` (``2.0``
+    would route to shard ``1.0``, NaN nowhere), one below 1 a ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise TypeError(f"{name} must be an integer, not {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
 
 
 class ShardRouter:
@@ -99,10 +110,8 @@ class ShardRouter:
         hot_columns: Optional[Sequence] = None,
         strategy: str = "hash",
     ) -> None:
-        if num_shards < 1:
-            raise ValueError("num_shards must be at least 1")
-        if replication_factor < 1:
-            raise ValueError("replication_factor must be at least 1")
+        check_count("num_shards", num_shards)
+        check_count("replication_factor", replication_factor)
         if strategy not in ("hash", "range"):
             raise ValueError(f"unknown placement strategy {strategy!r}")
         self.num_shards = num_shards

@@ -1,8 +1,8 @@
 """Counters, gauges, and streaming histograms for the observability plane.
 
-The existing roll-ups (``summarize_queue_records`` and friends) retain
-every sample and compute exact percentiles at the end of a run — fine
-for thousands of requests, wrong for the ROADMAP's millions.  The
+The session's roll-up (``PimSession.report``) retains every sample and
+computes exact percentiles at the end of a run — fine for thousands of
+requests, wrong for the ROADMAP's millions.  The
 :class:`StreamingHistogram` here is the constant-memory alternative:
 log-bucketed counts (eight buckets per octave, ~9% bucket width) that
 answer p50/p99 within a few percent without retaining a single record.

@@ -19,13 +19,7 @@ from repro.service.client import BackoffPolicy, RetryClient, RetryOutcome, Retry
 from repro.service.config import BatchPolicy, PipelineConfig
 from repro.service.executor import BatchExecutor
 from repro.service.lanes import HOST_LANE, LaneSchedule
-from repro.service.frontend import (
-    ArrivalEvent,
-    PipelineResult,
-    ServiceFrontend,
-    poisson_schedule,
-    trace_schedule,
-)
+from repro.service.frontend import ArrivalEvent, ServiceFrontend, poisson_schedule, trace_schedule
 from repro.service.planner import BatchPlanner, LoweredGroup
 from repro.service.pool import VectorPool
 from repro.service.requests import (
@@ -56,7 +50,6 @@ __all__ = [
     "LaneSchedule",
     "LoweredGroup",
     "PipelineConfig",
-    "PipelineResult",
     "QueuedRequest",
     "RequestEnvelope",
     "RequestResult",

@@ -17,13 +17,13 @@ virtual clock and independent of the order retries interleave — exactly
 what keeps a post-failure retry storm from re-spiking the surviving
 shards in lockstep.
 
-The client drives anything that speaks the
-:class:`~repro.api.backends.Backend` protocol (``offer`` /
-``advance_to`` / ``drain`` / ``result``) — the single-device
+The client drives a :class:`~repro.api.session.PimSession` — one it is
+handed, or one it opens over anything that speaks the
+:class:`~repro.api.backends.Backend` protocol (the single-device
 :class:`~repro.service.frontend.ServiceFrontend`, the sharded
 :class:`~repro.cluster.frontend.ClusterFrontend`, the serial
-:class:`~repro.api.backends.HostBackend` — or a
-:class:`~repro.api.session.PimSession` wrapping any of them.
+:class:`~repro.api.backends.HostBackend`) — with one ``submit`` per
+attempt, so the session's report counts every attempt.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from repro.service.frontend import ArrivalEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.backends import Backend
-    from repro.api.session import PimSession
+    from repro.api.session import PimSession, SessionReport
 
 
 @dataclass
@@ -126,11 +126,12 @@ class RetryOutcome:
     """Outcome of serving a stream through a retrying client.
 
     Attributes:
-        result: The frontend's own pipeline/cluster result.
+        result: The driven session's report: every attempt is one of its
+            requests.
         records: Per logical request, its attempts.
     """
 
-    result: object
+    result: Optional["SessionReport"]
     records: List[RetryRecord] = field(default_factory=list)
 
     @property
@@ -152,16 +153,15 @@ class RetryOutcome:
 
 
 class RetryClient:
-    """Drives a backend, re-offering rejected requests after backoff.
+    """Drives a session, re-offering rejected requests after backoff.
 
     Args:
-        frontend: Any :class:`~repro.api.backends.Backend` — a
-            :class:`ServiceFrontend`, a
+        frontend: A :class:`~repro.api.session.PimSession`, whose futures
+            the attempts join, or any :class:`~repro.api.backends.Backend`
+            — a :class:`ServiceFrontend`, a
             :class:`~repro.cluster.frontend.ClusterFrontend`, a
-            :class:`~repro.api.backends.HostBackend` — or a
-            :class:`~repro.api.session.PimSession`, whose backend is
-            driven directly (the session's own futures/report stay
-            consistent, since both share the backend's records).
+            :class:`~repro.api.backends.HostBackend` — which each
+            :meth:`run` drives through a session of its own.
         policy: Backoff schedule (defaults to 5 µs doubling, 4 attempts).
         seed: Seed of the jitter draws.
     """
@@ -172,12 +172,7 @@ class RetryClient:
         policy: Optional[BackoffPolicy] = None,
         seed: int = 0,
     ) -> None:
-        from repro.api.session import PimSession  # local: avoid cycle
-
-        # A PimSession wraps its backend; unwrap it explicitly.  Any
-        # other object — including custom Backend decorators that happen
-        # to carry a `backend` attribute — is driven as given.
-        self.frontend = frontend.backend if isinstance(frontend, PimSession) else frontend
+        self.frontend = frontend
         self.policy = policy or BackoffPolicy()
         self.seed = seed
         #: Retries skipped because the remaining deadline slack could not
@@ -188,9 +183,14 @@ class RetryClient:
         """Serve a stream, retrying rejections, and report both views.
 
         Offers are processed in virtual-time order across first offers and
-        retries together; the frontend serves batches in between exactly
+        retries together; the backend serves batches in between exactly
         as it would for a plain arrival stream.
         """
+        from repro.api.session import PimSession  # local: avoid cycle
+
+        session = self.frontend
+        if not isinstance(session, PimSession):
+            session = PimSession(session)
         outcome = RetryOutcome(result=None)
         heap: List[Tuple[float, int, int, RetryRecord]] = []
         for i, event in enumerate(sorted(events, key=lambda e: e.arrival_ns)):
@@ -199,13 +199,12 @@ class RetryClient:
             heapq.heappush(heap, (event.arrival_ns, i, 1, record))
         while heap:
             offer_ns, key, attempt, record = heapq.heappop(heap)
-            self.frontend.advance_to(offer_ns)
-            envelope = self.frontend.offer(
+            envelope = session.submit(
                 record.event.request,
                 priority=record.event.priority,
                 deadline_ns=record.event.deadline_ns,
-                arrival_ns=offer_ns,
-            )
+                at_ns=offer_ns,
+            ).record
             record.attempts.append(envelope)
             if not envelope.admitted and attempt < self.policy.max_attempts:
                 # Jitter is keyed per (request, attempt): deterministic,
@@ -222,6 +221,6 @@ class RetryClient:
                     self.deadline_exhausted += 1
                     continue
                 heapq.heappush(heap, (offer_ns + delay, key, attempt + 1, record))
-        self.frontend.drain()
-        outcome.result = self.frontend.result(name)
+        session.drain()
+        outcome.result = session.report(name)
         return outcome

@@ -60,8 +60,9 @@ holds every other bank idle.  Completion accounting then reads lane
 horizons instead of batch makespans: request finish times come from the
 lane schedule, :attr:`completion_ns` extends the clock by the in-flight
 horizon, admission occupancy counts each bank's in-flight remainder on
-top of its queued backlog, and :attr:`busy_ns` accumulates the
-overlap-aware device-busy union rather than a sum of makespans.  With
+top of its queued backlog, and each batch's
+:attr:`~repro.analysis.metrics.BatchMetrics.busy_ns` is the
+overlap-aware device-busy time it added rather than its makespan.  With
 ``pipeline=False`` every one of these reduces to the batch-synchronous
 behaviour: the clock rides through each makespan and in-flight
 remainders are zero.
@@ -74,17 +75,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union, get_args
 
 import numpy as np
 
-from repro.analysis.metrics import (
-    BatchMetrics,
-    LaneMetrics,
-    QueueMetrics,
-    summarize_queue_records,
-)
+from repro.analysis.metrics import BatchMetrics, LaneMetrics
 from repro.ambit.engine import AmbitEngine
 from repro.obs import DerivedSpan, Observer, resolve_observe
 from repro.service.config import PipelineConfig
@@ -96,7 +92,6 @@ from repro.service.requests import (
     CopyRequest,
     FrontendRequest,
     QueuedRequest,
-    RequestEnvelope,
     RequestResult,
     check_copy_request,
     check_request_type,
@@ -149,27 +144,13 @@ class ArrivalEvent:
     priority: int = 0
     deadline_ns: Optional[float] = None
 
-    def offer_to(self, backend) -> RequestEnvelope:
-        """Let ``backend`` serve whatever its policy closes before this
-        arrival, then offer the request against the live queue.  A stamp
-        or request ``offer`` would refuse is refused before the advance."""
-        checked_arrival(backend.clock_ns, self.arrival_ns, self.deadline_ns, self.priority)
-        backend.check_request(self.request)
-        backend.advance_to(self.arrival_ns)
-        return backend.offer(
-            self.request,
-            priority=self.priority,
-            deadline_ns=self.deadline_ns,
-            arrival_ns=self.arrival_ns,
-        )
-
 
 def replay(events: Iterable[ArrivalEvent], arrive: Callable[[ArrivalEvent], Any]) -> List:
     """Feed an arrival stream to ``arrive`` in virtual-time order.
 
-    The one arrival loop (both frontends' ``run`` and
-    :meth:`PimSession.submit_stream`): simultaneous arrivals keep their
-    stream order, and the results come back in *event* order.
+    The one arrival loop (:meth:`PimSession.submit_stream`): simultaneous
+    arrivals keep their stream order, and the results come back in *event*
+    order.
     """
     events = list(events)
     results: List = [None] * len(events)
@@ -238,31 +219,6 @@ def trace_schedule(
             )
         )
     return events
-
-
-@dataclass
-class PipelineResult:
-    """Outcome of serving a request stream through the pipeline.
-
-    Attributes:
-        records: Every offered request's envelope, in offer order —
-            including rejected ones (check :attr:`QueuedRequest.admitted`).
-        batches: Each served batch's :class:`BatchMetrics` roll-up, in
-            service order (the primitives themselves are not retained).
-        metrics: Queueing summary (percentiles, misses, rejections).
-    """
-
-    records: List[QueuedRequest] = field(default_factory=list)
-    batches: List[BatchMetrics] = field(default_factory=list)
-    metrics: Optional[QueueMetrics] = None
-
-    def completed(self) -> List[QueuedRequest]:
-        """Envelopes that finished service, in offer order."""
-        return [r for r in self.records if r.completed]
-
-    def rejected(self) -> List[QueuedRequest]:
-        """Envelopes refused by admission control, in offer order."""
-        return [r for r in self.records if not r.admitted]
 
 
 class RequestSpan(DerivedSpan):
@@ -357,16 +313,12 @@ class ServiceFrontend:
         self.functional = config.functional
         self.shed_low_priority = config.shed_low_priority
         self.clock_ns = 0.0
-        self.records: List[QueuedRequest] = []
         #: One :class:`BatchMetrics` roll-up per served batch, in service
         #: order.  Only the roll-up is kept, so retention stays O(in-flight):
         #: a batch's primitives, operand/result vectors and per-op metrics
         #: are released once its envelopes hold their values.  Hold the
         #: :class:`BatchResult` that :meth:`serve_batch` returns to keep them.
         self.batches: List[BatchMetrics] = []
-        self.busy_ns = 0.0
-        #: Queued requests evicted by priority-class load shedding.
-        self.shed_requests = 0
         #: Called with (this frontend, the envelope) the moment one goes
         #: terminal, after its recording is published; a cluster installs
         #: its part handler here.
@@ -674,7 +626,6 @@ class ServiceFrontend:
             seq=self._seq,
         )
         self._seq += 1
-        self.records.append(queued)
         observe = self.obs.enabled
         if observe:
             self._obs_offered(queued)
@@ -709,7 +660,6 @@ class ServiceFrontend:
             victims.extend(extra)
         for victim in victims:
             self._remove_queued(victim, "shed")
-            self.shed_requests += 1
         heapq.heappush(self._heap, (queued.sort_key(), queued))
         window_ns = self.planner.policy.window_ns
         if window_ns is not None:
@@ -828,7 +778,6 @@ class ServiceFrontend:
                 counters["cache.invalidations"].inc(batch.metrics.cache_invalidations)
         if not pipelined:
             self.clock_ns = batch_start + batch.metrics.latency_ns
-        self.busy_ns += batch.metrics.busy_ns
         self.batches.append(batch.metrics)
         return batch
 
@@ -854,8 +803,8 @@ class ServiceFrontend:
         on :meth:`BatchExecutor.ready_ns` — a batch closes as soon as
         some bank lane is free, not when the whole previous batch has
         drained.  The clock is *not* lifted to ``until_ns``;
-        :meth:`offer` does that at arrival.  Shared by :meth:`run`, the
-        cluster frontend, and the retry client.
+        :meth:`offer` does that at arrival.  Driven by a session (before
+        each arrival) and by the cluster frontend.
         """
         max_batch = self.planner.policy.max_batch
         while self._heap and self.clock_ns < until_ns:
@@ -878,25 +827,7 @@ class ServiceFrontend:
                 break
             self.clock_ns = wake
 
-    def run(self, events: Iterable[ArrivalEvent], name: str = "frontend") -> PipelineResult:
-        """Serve a whole arrival stream and return the pipeline outcome.
-
-        Drives the virtual clock: requests are admitted at their arrival
-        times, the planner decides when each batch closes (a batch is also
-        forced once the stream has ended), and service rides the executor
-        — the clock through each batch's makespan for a barrier executor,
-        the per-bank lane horizons for a pipelined one.
-        """
-        replay(events, lambda event: event.offer_to(self))
-        self.drain()
-        return self.result(name)
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-    def result(self, name: str = "frontend") -> PipelineResult:
-        """Summarize everything served so far into a :class:`PipelineResult`."""
-        metrics = summarize_queue_records(
-            name, self.records, self.completion_ns, self.busy_ns, len(self.batches)
-        )
-        return PipelineResult(records=list(self.records), batches=list(self.batches), metrics=metrics)
+    def result(self, name: str = "frontend") -> None:
+        """Does nothing: a stream's roll-up is :meth:`PimSession.report`.
+        Kept only because the frozen ``perf/tracing.py`` wraps it by name
+        (ROADMAP item 1(a) removes it)."""

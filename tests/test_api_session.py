@@ -35,7 +35,7 @@ from repro.api import (
 )
 from repro.api.plans import CompiledChain
 from repro.cache import ResultCache
-from repro.cluster import ClusterFrontend, ShardRouter
+from repro.cluster import ClusterFrontend, ClusterRecord, ShardRouter
 from repro.database.bitmap_index import BitmapIndex
 from repro.database.bitweaving import BitWeavingColumn
 from repro.database.queries import QueryEngine, ScanBackend
@@ -61,7 +61,7 @@ from repro.service import (
 from repro.service.config import MERGE_NS_PER_OP
 from repro.service.frontend import ArrivalEvent
 from repro.service.planner import CHAIN_INTERN_CAPACITY
-from repro.service.requests import BoundChain
+from repro.service.requests import BoundChain, QueuedRequest
 from repro.storage import DeleteRequest, MaintenancePolicy, UpdateRequest
 from repro.storage.requests import check_row_ids
 from repro.verify import VerifyError
@@ -247,7 +247,7 @@ class TestFutureSemantics:
         assert first_report.offered == 1
         assert second.report().offered == 4
         assert second.report().completed == 4
-        assert frontend.result().metrics.completed == 5
+        assert sum(batch.requests for batch in frontend.batches) == 5
         # Session B's traffic never leaks into A's time-based fields: a
         # report taken *after* B ran equals the one taken before.
         late_first_report = first.report()
@@ -281,7 +281,7 @@ class TestFutureSemantics:
             second.scan(_random_column(rng), "equal", 3)
         frontend.drain()  # one shared batch serves all four scans
         assert len(frontend.batches) == 1
-        total = frontend.busy_ns
+        total = frontend.batches[0].busy_ns
         split = first.report().busy_ns + second.report().busy_ns
         assert split == pytest.approx(total)
         assert 0.0 < first.report().busy_ns < total
@@ -337,7 +337,9 @@ class TestFutureSemantics:
         events = poisson_schedule(requests, rate_per_s=1e9, seed=8)
         outcome = RetryClient(session).run(events)
         assert outcome.delivered > 0
-        assert outcome.result.metrics.completed == outcome.delivered
+        assert outcome.result.completed == outcome.delivered
+        # Every attempt is one of the session's requests.
+        assert outcome.result.offered == len(session.futures) == outcome.total_attempts
 
 
 class TestConjunctionValuesAreReadOnly:
@@ -399,6 +401,41 @@ class TestRetention:
         gc.collect()
         return session, len(gc.get_objects()) - before
 
+    @pytest.mark.parametrize("tier", ["service", "cluster"])
+    def test_a_frontend_keeps_no_envelope_it_settled(self, tier):
+        """The offerer is an envelope's one holder: offered directly and
+        dropped, every envelope is garbage once the frontend has drained —
+        rejected ones too, and a scattered record's parts.  (The slotted
+        envelopes take no weak reference, so they are counted by type.)"""
+        index = _bitmap_index(np.random.default_rng(5), rows=512)
+        pool = [
+            (("region", (1, 2, 3)), ("status", (0, 1)), ("tier", (0, 2))),
+            (("region", (0, 4)), ("tier", (0, 1))),
+        ]
+
+        def live():
+            return sum(type(o) in (QueuedRequest, ClusterRecord) for o in gc.get_objects())
+
+        gc.collect()
+        before = live()
+        # Overloaded on purpose: most offers are refused, the rest served
+        # (scattered over both shards on the cluster tier).
+        config = PipelineConfig(max_backlog_ns=10_000.0, policy=BatchPolicy(max_batch=4))
+        if tier == "cluster":
+            router = ShardRouter(2, strategy="range")
+            backend = ClusterFrontend(2, config, router=router, engine_factory=_engine)
+        else:
+            backend = ServiceFrontend(config, engine=_engine())
+        for i in range(200):
+            backend.advance_to(50.0 * i)
+            backend.offer(
+                BitmapConjunctionRequest(index=index, predicates=pool[i % 2]), arrival_ns=50.0 * i
+            )
+        backend.drain()
+        assert not backend.obs.enabled
+        gc.collect()
+        assert live() == before
+
     def test_no_primitive_outlives_its_batch(self):
         primitive_types = (BulkBitVector, BulkOpRequest, RequestResult)
         gc.collect()
@@ -413,7 +450,7 @@ class TestRetention:
         ]
         assert leaked == []
         # What the roll-ups still answer: the session's busy time.
-        assert session.report().busy_ns == pytest.approx(frontend.busy_ns)
+        assert session.report().busy_ns == pytest.approx(sum(b.busy_ns for b in frontend.batches))
 
     @pytest.mark.parametrize("tier", ["service", "cluster", "host"])
     def test_a_response_refers_to_its_envelope_not_back_to_its_future(self, tier):
@@ -665,7 +702,7 @@ class TestPlanIR:
             session.conjunction(index, predicates)
         batch = frontend.serve_batch()
         chains = iter(batch.results)
-        for record in frontend.records:
+        for record in (future.record for future in session.futures):
             steps = sum(len(v) - 1 for _c, v in record.request.predicates) + (
                 len(record.request.predicates) - 1
             )
@@ -841,11 +878,11 @@ class TestTimeValidation:
         column = _random_column(np.random.default_rng(23))
         request = ScanRequest(column=column, kind="less_than", constants=(5,))
         backend.offer(request, arrival_ns=100.0)  # queued (or served) work to disturb
-        clock, records = backend.clock_ns, len(backend.records)
+        clock, records = backend.clock_ns, backend._seq
         with pytest.raises(ValueError):
             backend.offer(request, **bad)
         assert backend.clock_ns == clock
-        assert len(backend.records) == records
+        assert backend._seq == records
 
     @bad_times
     @pytest.mark.parametrize("tier", sorted(BACKENDS))
@@ -853,14 +890,14 @@ class TestTimeValidation:
         session = PimSession(self.BACKENDS[tier]())
         column = _random_column(np.random.default_rng(24))
         good = session.scan(column, "less_than", 5, at_ns=100.0)
-        clock, records = session.backend.clock_ns, len(session.backend.records)
+        clock, records = session.backend.clock_ns, session.backend._seq
         kwargs = {("at_ns" if key == "arrival_ns" else key): value for key, value in bad.items()}
         with pytest.raises(ValueError):
             session.scan(column, "less_than", 5, **kwargs)
         # Not even the pre-arrival advance ran: the queued request is
         # still queued, and the window's percentiles stay finite.
         assert session.backend.clock_ns == clock
-        assert len(session.backend.records) == records
+        assert session.backend._seq == records
         assert len(session.futures) == 1
         assert good.result().completed
         assert np.isfinite(session.report().sojourn_p99_ns)
@@ -948,12 +985,12 @@ class TestRequestBoundary:
         index = _bitmap_index(rng)
         session = PimSession(self.BACKENDS[tier]())
         good = session.conjunction(index, [("region", (1, 2)), ("status", (0,))])
-        records = len(session.backend.records)
+        records = session.backend._seq
         with pytest.raises(KeyError):
             session.conjunction(index, [("region", (1,)), ("nope", (0,))])
         with pytest.raises(ValueError):
             session.update(index.table, index, "region", row_ids=(0, 1), values=(1,))
-        assert len(session.backend.records) == records
+        assert session.backend._seq == records
         assert len(session.futures) == 1
         expected, _ = index.evaluate_conjunction([("region", (1, 2)), ("status", (0,))])
         assert np.array_equal(good.result().value, expected)
@@ -979,9 +1016,9 @@ class TestRequestBoundary:
         shards = backend.shards if tier == "cluster" else [backend]
         first = session.conjunction(index, predicates)
         before = (
-            len(backend.records),
+            backend._seq,
             [shard.queue_depth for shard in shards],
-            [len(shard.records) for shard in shards],
+            [shard._seq for shard in shards],
             backend.clock_ns,
         )
         with pytest.raises(ValueError, match="row_ids must be in"):
@@ -993,9 +1030,9 @@ class TestRequestBoundary:
         with pytest.raises(TypeError):
             session.delete(table, index, [0.5])
         assert before == (
-            len(backend.records),
+            backend._seq,
             [shard.queue_depth for shard in shards],
-            [len(shard.records) for shard in shards],
+            [shard._seq for shard in shards],
             backend.clock_ns,
         )
         assert len(session.futures) == 1
@@ -1027,9 +1064,9 @@ class TestRequestBoundary:
 
         def state():
             return (
-                len(backend.records),
+                backend._seq,
                 [shard.queue_depth for shard in shards],
-                [len(shard.records) for shard in shards],
+                [shard._seq for shard in shards],
                 backend.clock_ns,
                 table.num_rows,
             )
@@ -1075,9 +1112,9 @@ class TestRequestBoundary:
         shards = backend.shards if tier == "cluster" else [backend]
         first = session.conjunction(index, predicates)
         before = (
-            len(backend.records),
+            backend._seq,
             [shard.queue_depth for shard in shards],
-            [len(shard.records) for shard in shards],
+            [shard._seq for shard in shards],
             backend.clock_ns,
         )
         with pytest.raises(ValueError, match="non-negative"):
@@ -1096,9 +1133,9 @@ class TestRequestBoundary:
         with pytest.raises(ValueError, match="cover exactly"):
             session.append(table, index, {"region": [0]})
         assert before == (
-            len(backend.records),
+            backend._seq,
             [shard.queue_depth for shard in shards],
-            [len(shard.records) for shard in shards],
+            [shard._seq for shard in shards],
             backend.clock_ns,
         )
         assert len(session.futures) == 1 and table.num_rows == 400
@@ -1126,8 +1163,8 @@ class TestRequestBoundary:
 
         def state():
             return (
-                len(backend.records),
-                [len(shard.records) for shard in shards],
+                backend._seq,
+                [shard._seq for shard in shards],
                 backend.clock_ns,
                 len(session.futures),
             )
@@ -1160,10 +1197,9 @@ class TestRequestBoundary:
 
     @pytest.mark.parametrize("tier", ["cluster", "service"])
     def test_a_refused_arrival_event_moves_nothing(self, tier):
-        """``run()`` replays events through ``ArrivalEvent.offer_to``, which
-        used to let the backend serve up to the event's arrival before
-        ``offer`` refused its priority: a batch closed and the clock moved
-        for a request that was never recorded."""
+        """Replaying a stream used to let the backend serve up to the
+        event's arrival before ``offer`` refused its priority: a batch
+        closed and the clock moved for a request that was never recorded."""
         column = _random_column(np.random.default_rng(37))
         config = PipelineConfig(policy=BatchPolicy(max_batch=16, window_ns=1000.0))
         backend = (
@@ -1175,12 +1211,12 @@ class TestRequestBoundary:
         backend.offer(ScanRequest(column, "less_than", (9,)), arrival_ns=0.0)
 
         def state():
-            return backend.clock_ns, len(backend.records), [len(s.batches) for s in shards]
+            return backend.clock_ns, backend._seq, [len(s.batches) for s in shards]
 
         before = state()
         bad = ArrivalEvent(ScanRequest(column, "less_than", (9,)), 5.0e6, priority="hi")
         with pytest.raises(TypeError, match="priority must be an int"):
-            backend.run([bad])
+            PimSession(backend).submit_stream([bad])
         assert state() == before
 
     @pytest.mark.parametrize("tier", ["cluster", "service"])
@@ -1263,8 +1299,8 @@ class TestRequestBoundary:
 
         def state():
             return (
-                len(backend.records),
-                [len(shard.records) for shard in shards],
+                backend._seq,
+                [shard._seq for shard in shards],
                 backend.clock_ns,
                 len(session.futures),
             )
@@ -1311,8 +1347,8 @@ class TestRequestBoundary:
         column = _random_column(np.random.default_rng(33))
         first = session.scan(column, "less_than", 9, at_ns=50.0)
         before = (
-            len(backend.records),
-            [len(shard.records) for shard in shards],
+            backend._seq,
+            [shard._seq for shard in shards],
             backend.clock_ns,
             len(session.futures),
         )
@@ -1325,8 +1361,8 @@ class TestRequestBoundary:
             with pytest.raises(TypeError, match=match):
                 backend.offer(work, arrival_ns=500.0)
         assert before == (
-            len(backend.records),
-            [len(shard.records) for shard in shards],
+            backend._seq,
+            [shard._seq for shard in shards],
             backend.clock_ns,
             len(session.futures),
         )
@@ -1335,10 +1371,11 @@ class TestRequestBoundary:
         expected, _ = column.scan("less_than", 9)
         for future in (first, second):
             assert np.array_equal(future.result().value, expected)
-        metrics = backend.result().metrics
+        metrics = session.report()
         assert (metrics.offered, metrics.admitted, metrics.rejected, metrics.completed) == (
             2, 2, 0, 2,
         )
+        assert backend._seq == 2  # the refused direct offers recorded nothing
 
     @pytest.mark.parametrize("tier", ["cluster", "service"])
     def test_dependencies_and_chains_are_planner_internal(self, tier):
@@ -1356,20 +1393,20 @@ class TestRequestBoundary:
             session.submit(BulkOpRequest("or", vectors[0], vectors[1], bank_offset=1), at_ns=0.0),
             session.submit(BulkOpRequest("and", vectors[1], vectors[2], bank_offset=1), at_ns=0.0),
         ]
-        before = (len(backend.records), [len(s.records) for s in shards], backend.clock_ns)
+        before = (backend._seq, [s._seq for s in shards], backend.clock_ns)
         chain = BoundChain([("or", vectors[0], vectors[1], vectors[2])], 1, (), (), (), 1)
         with pytest.raises(TypeError, match="unknown request type BoundChain"):
             session.submit(chain, at_ns=0.0)
         with pytest.raises(TypeError, match="unknown request type BoundChain"):
             backend.offer(chain, arrival_ns=0.0)
-        assert before == (len(backend.records), [len(s.records) for s in shards], backend.clock_ns)
+        assert before == (backend._seq, [s._seq for s in shards], backend.clock_ns)
         session.drain()
         expected = (vectors[0].data | vectors[1].data, vectors[1].data & vectors[2].data)
         for future, bits in zip(good, expected):
             assert future.status == "completed"
             assert np.array_equal(future.result().value.data, bits)
         lanes = [shard.executor.lane_metrics() for shard in shards]
-        assert sum(metrics.requests for metrics in lanes) == len(backend.records)
+        assert sum(metrics.requests for metrics in lanes) == backend._seq
 
     @pytest.mark.parametrize(
         "copy, error",
@@ -1394,12 +1431,12 @@ class TestRequestBoundary:
         session = PimSession(self.BACKENDS[tier]())
         backend = session.backend
         shards = backend.shards if tier == "cluster" else [backend]
-        before = (len(backend.records), [len(s.records) for s in shards], backend.clock_ns)
+        before = (backend._seq, [s._seq for s in shards], backend.clock_ns)
         with pytest.raises(error, match="CopyRequest"):
             session.submit(copy, at_ns=100.0)
         with pytest.raises(error, match="CopyRequest"):
             backend.offer(copy, arrival_ns=100.0)
-        assert before == (len(backend.records), [len(s.records) for s in shards], backend.clock_ns)
+        assert before == (backend._seq, [s._seq for s in shards], backend.clock_ns)
         zero = session.submit(CopyRequest(num_bytes=np.int64(0)), at_ns=100.0)
         session.drain()
         assert zero.status == "completed"
@@ -1435,7 +1472,7 @@ class TestRequestBoundary:
         assert response.latency_ns == expected.latency_ns
         assert response.energy_j == expected.energy_j
         assert response.finish_ns - response.start_ns == pytest.approx(expected.latency_ns)
-        assert backend.result().metrics.completed == 1
+        assert session.report().completed == 1
 
     def test_validation_never_repairs_a_dirty_column(self):
         """The probe is side-effect free: building a request over a
@@ -1585,10 +1622,9 @@ class TestPipelineConfig:
                 PipelineConfig(policy=BatchPolicy(max_batch=3), sanitize=True, **knobs),
                 engine=_engine(),
             )
-            for request in requests:
-                frontend.offer(request)
+            records = [frontend.offer(request) for request in requests]
             frontend.drain()
-            served.append(frontend.result().completed())
+            served.append([record for record in records if record.completed])
         implicit, explicit = served
         assert len(implicit) == len(explicit) == len(requests)
         assert sum(record.cache_hits for record in explicit) > 0

@@ -115,12 +115,13 @@ def _replay(rng_seed: int, build):
     rng = np.random.default_rng(rng_seed)
     table, index = _table_index(rng)
     frontend = build(table, index)
+    records = []
     for request in _mixed_stream(rng, table, index):
-        frontend.offer(request)
+        records.append(frontend.offer(request))
         if rng.random() < 0.5:
             frontend.drain()  # cross-batch boundaries exercise the cache
     frontend.drain()
-    return frontend
+    return frontend, records
 
 
 def _unit_indexes(count: int = 2):
@@ -434,9 +435,7 @@ class TestSourceLiveness:
                 for _ in range(2)
             ]
             frontend.drain()
-            values = [record.value for record in records]
-            frontend.records.clear()  # the envelopes pin their request's index
-            return values
+            return [record.value for record in records]
 
         table, _plain = _table_index(np.random.default_rng(5))
         index = WideIndex(table, list(CARDINALITIES))
@@ -468,10 +467,10 @@ class TestBitExactness:
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 2**16))
     def test_service_tier(self, seed):
-        on = _replay(seed, lambda t, i: _frontend(cache=True))
-        off = _replay(seed, lambda t, i: _frontend(cache=None))
-        on_records = on.result().completed()
-        off_records = off.result().completed()
+        on, on_records = _replay(seed, lambda t, i: _frontend(cache=True))
+        _, off_records = _replay(seed, lambda t, i: _frontend(cache=None))
+        on_records = [r for r in on_records if r.completed]
+        off_records = [r for r in off_records if r.completed]
         assert len(on_records) == len(off_records)
         for ours, ref in zip(on_records, off_records):
             if is_write_request(ref.request):
@@ -501,19 +500,19 @@ class TestBitExactness:
                 if rng.random() < 0.5:
                     cluster.drain()
             cluster.drain()
-            return records, cluster
+            return records
 
-        on_records, on_cluster = serve(cache=True)
-        off_records, _ = serve(cache=None)
+        on_records = serve(cache=True)
+        off_records = serve(cache=None)
         assert len(on_records) == len(off_records)
         for ours, ref in zip(on_records, off_records):
             if is_write_request(ref.request):
                 assert ours.value == ref.value
             else:
                 assert np.array_equal(ours.value, ref.value)
-        metrics = on_cluster.result().metrics
-        assert metrics.cache_hits > 0
-        assert metrics.cache_invalidations > 0
+        completed = [record for record in on_records if record.completed]
+        assert sum(record.cache_hits for record in completed) > 0
+        assert sum(record.cache_invalidations for record in completed) > 0
 
 
 class TestSameBatchWriteHazards:
@@ -662,18 +661,19 @@ class TestAccounting:
         read = BitmapConjunctionRequest(
             index=index, predicates=(("status", (0, 1)), ("tier", (0, 1)))
         )
-        frontend.offer(read)
-        frontend.drain()
-        frontend.offer(read)  # second batch: served from the cache
-        frontend.drain()
-        frontend.offer(
+        session = PimSession(frontend)
+        session.submit(read)
+        session.drain()
+        session.submit(read)  # second batch: served from the cache
+        session.drain()
+        session.submit(
             AppendRequest(
                 table=table, index=index,
                 rows={name: [0] for name in CARDINALITIES},
             )
         )
-        frontend.drain()
-        metrics = frontend.result().metrics
+        session.drain()
+        metrics = session.report()
         assert metrics.cache_hits > 0
         assert metrics.cache_misses > 0
         assert metrics.cache_invalidations > 0

@@ -62,6 +62,15 @@ def _cluster(num_shards: int, **kwargs) -> ClusterFrontend:
     return PimSession.over_cluster(num_shards=num_shards, **kwargs).backend
 
 
+def _serve(backend, events):
+    """Serve a stream through a session over ``backend``: its report and
+    the envelopes, in event order."""
+    session = PimSession(backend)
+    futures = session.submit_stream(events)
+    session.drain()
+    return session.report(), [future.record for future in futures]
+
+
 def _random_column(rng, num_bits: int, rows: int) -> BitWeavingColumn:
     return BitWeavingColumn(rng.integers(0, 1 << num_bits, size=rows), num_bits)
 
@@ -251,11 +260,11 @@ class TestClusterBitExactness:
             functional=functional,
         )
         events = poisson_schedule(requests, rate_per_s=2e6, seed=seed)
-        result = cluster.run(events)
-        assert result.metrics.completed == len(requests)
-        assert result.metrics.rejected == 0
+        result, records = _serve(cluster, events)
+        assert result.completed == len(requests)
+        assert result.rejected == 0
 
-        by_seq = {r.seq: r for r in result.records}
+        by_seq = {r.seq: r for r in records}
         for i, request in enumerate(requests):
             record = by_seq[i]
             if isinstance(request, ScanRequest):
@@ -265,9 +274,7 @@ class TestClusterBitExactness:
                 expected, _ = index.evaluate_conjunction(list(request.predicates))
             assert np.array_equal(record.value, expected)
         # Fan-out bookkeeping: host merges = sum of (parts - 1).
-        assert result.metrics.merge_ops == sum(
-            len(r.parts) - 1 for r in result.completed()
-        )
+        assert result.merge_ops == sum(len(r.parts) - 1 for r in records if r.completed)
 
     def test_cluster_agrees_with_pipeline_entry_points(self):
         """Cross-check against the single-device service entry points."""
@@ -286,8 +293,8 @@ class TestClusterBitExactness:
             )
             for p in conjunctions
         ]
-        result = cluster.run(trace_schedule(requests, [0.0] * len(requests)))
-        for record, query in zip(result.records, singles):
+        _, records = _serve(cluster, trace_schedule(requests, [0.0] * len(requests)))
+        for record, query in zip(records, singles):
             assert BitmapIndex.count(record.value, index.num_rows) == query.matching_rows
 
 
@@ -356,9 +363,7 @@ class TestClusterRoutingAndAdmission:
         cancelled = [p for p in record.parts if p.rejected_reason == "cancelled"]
         assert len(cancelled) == len(record.parts) - 1
         cluster.drain()
-        result = cluster.result()
-        assert result.metrics.rejected == 1
-        assert result.metrics.completed == 0
+        assert (cluster._seq, cluster.rejected) == (1, 1) and not record.completed
 
     def test_cluster_metrics_rollup(self):
         rng = np.random.default_rng(8)
@@ -367,8 +372,8 @@ class TestClusterRoutingAndAdmission:
         requests = [
             ScanRequest(column=c, kind="less_than", constants=(12,)) for c in columns
         ]
-        result = cluster.run(poisson_schedule(requests, rate_per_s=1e6, seed=8))
-        m = result.metrics
+        m, records = _serve(cluster, poisson_schedule(requests, rate_per_s=1e6, seed=8))
+        completed = [record for record in records if record.completed]
         assert m.shards == 2
         assert m.offered == len(requests)
         assert m.admitted + m.rejected == m.offered
@@ -384,12 +389,12 @@ class TestClusterRoutingAndAdmission:
         assert m.imbalance >= 1.0
         assert m.cross_shard_fanout == pytest.approx(1.0)
         assert m.sojourn_p99_ns >= m.sojourn_p50_ns > 0.0
-        for record in result.completed():
+        for record in completed:
             assert record.wait_ns >= 0.0
             assert record.sojourn_ns >= record.wait_ns
         # Serial latency/energy roll up from the completed records.
         assert m.energy_j == pytest.approx(
-            sum(r.metrics.energy_j for r in result.completed())
+            sum(r.metrics.energy_j for r in completed)
         )
 
     def test_single_shard_cluster_matches_plain_frontend(self):
@@ -406,13 +411,14 @@ class TestClusterRoutingAndAdmission:
             PipelineConfig(policy=BatchPolicy(max_batch=3)),
             engine=_engine_factory()(),
         )
-        plain_result = plain.run(poisson_schedule(make_requests(), rate_per_s=1e6, seed=2))
-        cluster = _cluster(1)
-        cluster_result = cluster.run(
-            poisson_schedule(make_requests(), rate_per_s=1e6, seed=2)
+        plain_result, plain_records = _serve(
+            plain, poisson_schedule(make_requests(), rate_per_s=1e6, seed=2)
         )
-        assert cluster_result.metrics.completed == plain_result.metrics.completed
-        for plain_record, record in zip(plain_result.records, cluster_result.records):
+        cluster_result, records = _serve(
+            _cluster(1), poisson_schedule(make_requests(), rate_per_s=1e6, seed=2)
+        )
+        assert cluster_result.completed == plain_result.completed
+        for plain_record, record in zip(plain_records, records, strict=True):
             assert np.array_equal(record.value, plain_record.value)
             assert record.wait_ns == pytest.approx(plain_record.wait_ns)
             assert record.sojourn_ns == pytest.approx(plain_record.sojourn_ns)
@@ -421,17 +427,38 @@ class TestClusterRoutingAndAdmission:
         rng = np.random.default_rng(10)
         cluster = _cluster(2)
         column = _random_column(rng, 8, 400)
-        impossible = cluster.offer(
-            ScanRequest(column=column, kind="less_than", constants=(3,)), deadline_ns=1.0
-        )
-        generous = cluster.offer(
-            ScanRequest(
-                column=_random_column(rng, 8, 400), kind="less_than", constants=(3,)
-            ),
-            deadline_ns=1e12,
-        )
-        cluster.drain()
-        result = cluster.result()
+        session = PimSession(cluster)
+        impossible = session.scan(column, "less_than", 3, deadline_ns=1.0).record
+        generous = session.scan(
+            _random_column(rng, 8, 400), "less_than", 3, deadline_ns=1e12
+        ).record
+        session.drain()
         assert impossible.deadline_missed
         assert not generous.deadline_missed
-        assert result.metrics.deadline_misses == 1
+        assert session.report().deadline_misses == 1
+
+
+@pytest.mark.parametrize(
+    "build, kwargs, error",
+    [
+        (ShardRouter, dict(num_shards=2.0), TypeError),  # would route to shard 1.0
+        (ShardRouter, dict(num_shards=float("nan")), TypeError),  # replicas [nan]
+        (ShardRouter, dict(num_shards=True), TypeError),  # one shard
+        (ShardRouter, dict(num_shards=0), ValueError),
+        (ShardRouter, dict(num_shards=2, replication_factor=1.5), TypeError),
+        (ShardRouter, dict(num_shards=2, replication_factor=False), TypeError),
+        (ShardRouter, dict(num_shards=2, replication_factor=0), ValueError),
+        (ClusterFrontend, dict(num_shards=True), TypeError),
+        (ClusterFrontend, dict(num_shards=2.0), TypeError),
+        (ClusterFrontend, dict(num_shards=-1), ValueError),
+    ],
+)
+def test_a_bad_shard_count_is_refused_at_construction(build, kwargs, error):
+    """A bool or a non-integral shard or replica count used to build (and
+    route) a cluster of fractional or NaN shards, or fail at the first
+    route; it is a typed error where the cluster is built."""
+    with pytest.raises(error):
+        build(**kwargs)
+    # Any integral count of at least 1 still builds, NumPy's included.
+    router = ShardRouter(np.int64(3), replication_factor=np.int64(2))
+    assert len(router.replicas("key")) == 2

@@ -78,6 +78,15 @@ def _cluster(num_shards: int, **kwargs) -> ClusterFrontend:
     return PimSession.over_cluster(num_shards=num_shards, **kwargs).backend
 
 
+def _serve(backend, events):
+    """Serve a stream through a session over ``backend``: its report and
+    the envelopes, in event order."""
+    session = PimSession(backend)
+    futures = session.submit_stream(events)
+    session.drain()
+    return session.report(), [future.record for future in futures]
+
+
 def _bitmap_index(rng, rows: int = 150) -> BitmapIndex:
     table = ColumnTable("t", rows)
     table.add_column("region", rng.integers(0, 8, size=rows), cardinality=8)
@@ -182,9 +191,7 @@ class TestFailoverBitExactness:
             router=ShardRouter(num_shards, replication_factor=2),
             pipeline=pipeline,
         )
-        healthy_result = healthy.run(
-            poisson_schedule(requests, rate_per_s=2e6, seed=seed)
-        )
+        _, healthy_records = _serve(healthy, poisson_schedule(requests, rate_per_s=2e6, seed=seed))
 
         victim = victim_offset % num_shards
         plan = kill_revive_schedule(
@@ -196,26 +203,26 @@ class TestFailoverBitExactness:
             pipeline=pipeline,
             faults=plan,
         )
-        result = faulted.run(events)
+        result, records = _serve(faulted, events)
 
         # Conservation: every request terminates exactly once.
-        assert result.metrics.offered == len(requests)
-        assert result.metrics.completed + result.metrics.rejected == len(requests)
-        assert result.metrics.rejected == 0  # rf=2 covers one dead shard
-        assert sorted(r.seq for r in result.completed()) == list(range(len(requests)))
+        assert result.offered == len(requests)
+        assert result.completed + result.rejected == len(requests)
+        assert result.rejected == 0  # rf=2 covers one dead shard
+        assert sorted(r.seq for r in records if r.completed) == list(range(len(requests)))
 
         # Bit-exactness vs the healthy run and vs direct evaluation.
-        healthy_by_seq = {r.seq: r for r in healthy_result.records}
-        for record in result.records:
+        healthy_by_seq = {r.seq: r for r in healthy_records}
+        for record in records:
             expected, _ = index.evaluate_conjunction(list(record.request.predicates))
             assert np.array_equal(record.value, expected)
             assert np.array_equal(record.value, healthy_by_seq[record.seq].value)
 
         # The schedule was actually exercised when it was due in-window.
         fired = [entry for entry in plan.log if entry.action == "kill"]
-        if kill_ns <= result.metrics.makespan_ns:
+        if kill_ns <= result.makespan_ns:
             assert fired and fired[0].applied
-            assert result.metrics.shard_failures == 1
+            assert result.shard_failures == 1
 
     def test_mid_burst_kill_migrates_queued_parts(self):
         """A kill landing mid-burst re-offers queued parts to surviving
@@ -230,17 +237,17 @@ class TestFailoverBitExactness:
             faults=plan,
             sanitize=True,  # every re-offer certified by the failover lint
         )
-        result = cluster.run(poisson_schedule(requests, rate_per_s=8e6, seed=42))
-        assert result.metrics.shard_failures == 1
-        assert result.metrics.completed == len(requests)
-        assert result.metrics.rejected == 0
-        assert result.metrics.failovers > 0
-        assert result.metrics.failover_failures == 0
-        for record in result.records:
+        result, records = _serve(cluster, poisson_schedule(requests, rate_per_s=8e6, seed=42))
+        assert result.shard_failures == 1
+        assert result.completed == len(requests)
+        assert result.rejected == 0
+        assert result.failovers > 0
+        assert result.failover_failures == 0
+        for record in records:
             expected, _ = index.evaluate_conjunction(list(record.request.predicates))
             assert np.array_equal(record.value, expected)
         # No migrated part landed back on the dead shard.
-        for record in result.records:
+        for record in records:
             if record.failovers:
                 assert all(s != 1 for s in record.shard_ids)
                 assert record.migrated_parts  # originals kept for audit
@@ -286,7 +293,7 @@ class TestDegradedMode:
         assert not record.admitted
         assert record.rejected_reason == "shard_unavailable"
         cluster.drain()
-        assert cluster.result().metrics.rejected == 1
+        assert cluster.rejected == 1
 
     def test_stranded_queued_request_fails_typed(self):
         """Work already queued on the victim with no surviving replica
@@ -359,12 +366,12 @@ class TestDrainRetireJoin:
         cluster = _cluster(
             3, router=ShardRouter(3, replication_factor=2), faults=plan
         )
-        result = cluster.run(poisson_schedule(requests, rate_per_s=8e6, seed=21))
-        assert result.metrics.completed == len(requests)
-        assert result.metrics.rejected == 0
+        result, records = _serve(cluster, poisson_schedule(requests, rate_per_s=8e6, seed=21))
+        assert result.completed == len(requests)
+        assert result.rejected == 0
         assert cluster.router.is_alive(0)
         assert not cluster.router.is_routable(0)
-        for record in result.records:
+        for record in records:
             expected, _ = index.evaluate_conjunction(list(record.request.predicates))
             assert np.array_equal(record.value, expected)
 
@@ -464,16 +471,16 @@ class TestElasticController:
             BitmapConjunctionRequest(index=index, predicates=(("region", (1, 2)),))
             for _ in range(30)
         ]
-        result = cluster.run(poisson_schedule(requests, rate_per_s=20e6, seed=31))
-        assert result.metrics.completed == len(requests)
+        result, records = _serve(cluster, poisson_schedule(requests, rate_per_s=20e6, seed=31))
+        assert result.completed == len(requests)
         replicate_events = [e for e in controller.events if e.action == "replicate"]
         assert replicate_events
         assert replicate_events[0].key == "region"
         assert len(cluster.router.replicas("region")) == 2
-        assert result.metrics.replications >= 1
-        assert result.metrics.copied_bytes > 0
+        assert result.replications >= 1
+        assert result.copied_bytes > 0
         expected, _ = index.evaluate_conjunction([("region", (1, 2))])
-        for record in result.records:
+        for record in records:
             assert np.array_equal(record.value, expected)
 
     def test_joins_under_sustained_overload(self):
@@ -494,10 +501,10 @@ class TestElasticController:
             ScanRequest(column=columns[i % 4], kind="less_than", constants=(9,))
             for i in range(40)
         ]
-        result = cluster.run(poisson_schedule(requests, rate_per_s=20e6, seed=32))
+        result, _ = _serve(cluster, poisson_schedule(requests, rate_per_s=20e6, seed=32))
         assert cluster.num_shards == 3  # grew to max_shards, not past it
-        assert result.metrics.shards_joined == 1
-        assert result.metrics.completed == len(requests)
+        assert result.shards_joined == 1
+        assert result.completed == len(requests)
 
     def test_retires_when_idle(self):
         cluster = _cluster(3, router=ShardRouter(3, replication_factor=1))
@@ -595,8 +602,8 @@ class TestControllerDecidesFromTheCluster:
             BitmapConjunctionRequest(index=index, predicates=(("region", (1, 2)),))
             for _ in range(30)
         ]
-        result = cluster.run(poisson_schedule(requests, rate_per_s=20e6, seed=33))
-        assert result.metrics.completed == len(requests)
+        result, _ = _serve(cluster, poisson_schedule(requests, rate_per_s=20e6, seed=33))
+        assert result.completed == len(requests)
         assert controller.ticks > 0
         assert [e.action for e in controller.events].count("replicate") >= 1  # it did decide
         assert not cluster.obs.enabled
@@ -618,8 +625,8 @@ class TestControllerDecidesFromTheCluster:
             cluster, ControllerPolicy(interval_ns=1_000.0, imbalance_threshold=1.2)
         )
         requests = _conjunctions(rng, index, count=30)
-        result = cluster.run(poisson_schedule(requests, rate_per_s=8e6, seed=34))
-        assert result.metrics.rejected > 0 and result.metrics.completed > 0
+        result, _ = _serve(cluster, poisson_schedule(requests, rate_per_s=8e6, seed=34))
+        assert result.rejected > 0 and result.completed > 0
         assert controller.ticks > 0
         snapshot = cluster.obs.snapshot()
         counters = snapshot["counters"]
@@ -627,14 +634,14 @@ class TestControllerDecidesFromTheCluster:
         recorded = {n[len(prefix):]: v for n, v in counters.items() if n.startswith(prefix)}
         assert recorded == {label: float(reads) for label, reads in cluster.key_reads.items()}
         assert set(recorded) == {"region", "status", "tier"}
-        assert counters["cluster.rejected"] == cluster.rejected == result.metrics.rejected
-        assert counters["cluster.offered"] == len(cluster.records)
+        assert counters["cluster.rejected"] == cluster.rejected == result.rejected
+        assert counters["cluster.offered"] == cluster._seq == result.offered
         health = cluster.publish_gauges()
         assert health == cluster.health()
         gauges = cluster.obs.snapshot()["gauges"]
         assert gauges["cluster.imbalance"] == health.imbalance
         assert gauges["cluster.rejection_rate"] == health.rejection_rate
-        assert health.rejection_rate == cluster.rejected / len(cluster.records)
+        assert health.rejection_rate == cluster.rejected / cluster._seq
         assert gauges["cluster.shards_routable"] == len(health.backlogs)
         for shard, backlog in health.backlogs.items():
             assert gauges[f"cluster.backlog_ns.shard{shard}"] == backlog == cluster.shard_load(shard)
@@ -716,8 +723,8 @@ class TestFailoverLintAndAudit:
             faults=plan,
             observe=True,
         )
-        result = cluster.run(poisson_schedule(requests, rate_per_s=8e6, seed=51))
-        metrics = result.metrics
+        result, _ = _serve(cluster, poisson_schedule(requests, rate_per_s=8e6, seed=51))
+        metrics = result
         counters = cluster.obs.snapshot()["counters"]
         assert counters.get("cluster.failover.kills", 0.0) == metrics.shard_failures
         assert counters.get("cluster.failover.revives", 0.0) == metrics.shard_revivals
@@ -824,7 +831,6 @@ class TestSettledWhereItHappens:
         future = session.conjunction(index, [("a", (1, 2)), ("b", (0, 1))], at_ns=5.0)
         record = future.record
         assert record.shard_ids == [0, 1] and future.status == "queued"
-        busy = cluster.shards[1].busy_ns
         for k, at in enumerate((10.0, 11.0, 12.0)):  # the second sheds the part
             session.scan(column, "less_than", 10 + k, priority=1, at_ns=at)
 
@@ -842,8 +848,7 @@ class TestSettledWhereItHappens:
             future.result()
         # The withdrawn sibling never runs.
         session.advance_to(200_000.0)
-        assert cluster.shards[1].busy_ns == busy
-        assert cluster.shards[1].result().metrics.completed == 0
+        assert cluster.shards[1].batches == []
 
     def test_done_means_finished_on_every_surface(self):
         cluster, index, _ = _two_shard_stream(observe=False)
@@ -860,22 +865,21 @@ class TestSettledWhereItHappens:
         assert session.report().completed == 1
 
     def test_an_idle_drain_touches_no_record(self):
+        """The cluster keeps no record list to walk: its health counts
+        offers, and an idle drain leaves a settled record as it was."""
         cluster, index, _ = _two_shard_stream(observe=False)
-        cluster.offer(
+        record = cluster.offer(
             BitmapConjunctionRequest(index=index, predicates=(("a", (1,)), ("b", (0,)))),
             arrival_ns=5.0,
         )
         cluster.drain()
-
-        class Untouchable(list):
-            def __iter__(self):
-                raise AssertionError("the lifetime record list was walked")
-
-        cluster.records = Untouchable(cluster.records)
+        settled = (record.finish_ns, record.value)
+        assert not hasattr(cluster, "records") and record.completed
         cluster.drain()
         cluster.advance_to(cluster.clock_ns + 1_000.0)
         cluster.gather()
-        assert len(cluster.records) == 1 and cluster.health().rejection_rate == 0.0
+        assert (record.finish_ns, record.value) == settled
+        assert cluster._seq == 1 and cluster.health().rejection_rate == 0.0
 
 
 class TestOneAccountingPath:
@@ -909,11 +913,11 @@ class TestOneAccountingPath:
             priorities=[int(p) for p in rng.integers(0, 3, size=len(requests))],
         )
         if tier == "service":
-            backend = PimSession.over_service(engine=_engine_factory()(), **self.KNOBS).backend
-            frontends = [backend]
+            session = PimSession.over_service(engine=_engine_factory()(), **self.KNOBS)
+            backend = session.backend
         else:
             backend = _cluster(3, router=ShardRouter(3, replication_factor=2), **self.KNOBS)
-            frontends = backend.shards
+            session = PimSession(backend)
             # `lonely` keeps one home, so killing it strands the column.
             home, spare = backend.router.replicas(lonely)
             backend.router.drop_replica(lonely, spare)
@@ -928,7 +932,7 @@ class TestOneAccountingPath:
                 setattr(backend, name, counted)
 
         half = len(events) // 2
-        offered = [event.offer_to(backend) for event in events[:half]]
+        offered = [future.record for future in session.submit_stream(events[:half])]
         if tier == "service":
             queued = [q for q in offered if q.admitted and not q.completed]
             assert not queued or backend.cancel(queued[0])
@@ -936,32 +940,29 @@ class TestOneAccountingPath:
             assert backend.fail_shard(home)
             # Settled where it happened, not at the drain below: no admitted
             # record holds a lost part, and only a live record is pointed at.
-            for record in backend.records:
+            for record in offered:
                 assert not record.admitted or all(p.admitted for p in record.parts)
                 live = record.admitted and not record.completed
                 assert all((p.parent is record) == live for p in record.parts)
                 assert all(p.parent is None for p in record.migrated_parts)
-        offered += [event.offer_to(backend) for event in events[half:]]
-        backend.drain()
-        metrics = backend.result().metrics
+        offered += [future.record for future in session.submit_stream(events[half:])]
+        session.drain()
+        metrics = session.report()
 
-        envelopes = list(backend.records)
+        envelopes = list(offered)
         if tier == "cluster":
-            envelopes += [part for frontend in frontends for part in frontend.records]
+            envelopes += [part for r in offered for part in r.parts + r.migrated_parts]
         for envelope in envelopes:
             assert envelope.completed != (not envelope.admitted)
             assert envelope.admitted == (envelope.rejected_reason == "")
             assert math.isnan(envelope.finish_ns) == (not envelope.admitted)
-        assert backend.records == offered
-        rejected = [r for r in backend.records if not r.admitted]
+        assert backend._seq == len(offered)
+        rejected = [r for r in offered if not r.admitted]
         assert metrics.offered == len(offered) == metrics.completed + metrics.rejected
         assert metrics.rejected == len(rejected)
         assert metrics.shed == sum(r.rejected_reason == "shed" for r in rejected)
-        assert sum(f.shed_requests for f in frontends) == sum(
-            q.rejected_reason == "shed" for f in frontends for q in f.records
-        )
         assert {k: getattr(metrics, k) for k in PlanCounts().plan_counts()} == _sum_counts(
-            r for r in backend.records if r.completed
+            r for r in offered if r.completed
         )
         if tier == "cluster":
             assert doors == Counter(record.seq for record in offered)  # one door, once
@@ -969,7 +970,7 @@ class TestOneAccountingPath:
             assert metrics.failover_failures == sum(
                 r.rejected_reason == "shard_unavailable" and bool(r.parts) for r in rejected
             )
-            for record in backend.records:
+            for record in offered:
                 # Counts are taken at the completion door, whole.
                 parts = record.parts if record.completed else []
                 assert record.plan_counts() == _sum_counts(parts)
@@ -998,12 +999,12 @@ class TestOneAccountingPath:
         assert conj.trace.end_ns == 7.0
         assert all(p.parent is None for p in conj.parts + conj.migrated_parts)
         assert cluster.rejected == 1 and cluster.elastic.failover_failures == 0
-        busy = [shard.busy_ns for shard in cluster.shards]
+        served = [len(shard.batches) for shard in cluster.shards]
         cluster.drain()
-        metrics = cluster.result().metrics
-        assert (metrics.offered, metrics.completed, metrics.rejected) == (2, 1, 1)
+        summary, _ = summarize_envelopes([conj, filler])
+        assert (summary["offered"], summary["completed"], summary["rejected"]) == (2, 1, 1)
         assert filler.completed and cluster.rejected == 1
-        assert cluster.shards[1].busy_ns == busy[1]  # nothing of the record ran
+        assert len(cluster.shards[1].batches) == served[1]  # nothing of the record ran
 
     def test_one_pass_fold_equals_the_expression_by_expression_rollup(self):
         """`summarize_envelopes` — one walk, each series sorted once —
@@ -1022,28 +1023,35 @@ class TestOneAccountingPath:
             )
 
         service = PimSession.over_service(engine=_engine_factory()(), **self.KNOBS).backend
-        service_result = service.run(events())
+        service_report, service_records = _serve(service, events())
         cluster = _cluster(
             3,
             router=ShardRouter(3, replication_factor=2),
             faults=kill_revive_schedule([(1, 400.0, None)]),
             **self.KNOBS,
         )
-        cluster_result = cluster.run(events())
+        cluster_report, cluster_records = _serve(cluster, events())
+        windows = [(service_report, service_records), (cluster_report, cluster_records)]
+        for shard_id, shard_metrics in enumerate(cluster_report.per_shard):
+            parts = [
+                part
+                for record in cluster_records
+                for shard, part in zip(record.shard_ids, record.parts)
+                if shard == shard_id
+            ]
+            windows.append((shard_metrics, parts))
 
-        for result in (service_result, cluster_result, *cluster_result.per_shard):
-            summary, completed = summarize_envelopes(result.records)
-            assert summary == _reference_summary(result.records)
-            assert completed == [r for r in result.records if r.completed]
+        for metrics, records in windows:
+            summary, completed = summarize_envelopes(records)
+            assert summary == _reference_summary(records)
+            assert completed == [r for r in records if r.completed]
             for name, value in summary.items():
-                assert getattr(result.metrics, name) == value
+                assert getattr(metrics, name) == value
         # Both streams exercise every number the fold produces.
-        for metrics in (service_result.metrics, cluster_result.metrics):
+        for metrics in (service_report, cluster_report):
             assert metrics.completed and metrics.shed and metrics.deadline_misses
             assert metrics.rejected > metrics.shed
             assert metrics.shared_subchains and metrics.cache_hits and metrics.host_merge_ns
-        assert cluster_result.metrics.failovers
-        assert cluster_result.metrics.merge_ops == sum(
-            r.merge_ops for r in cluster_result.completed()
-        )
+        assert cluster_report.failovers
+        assert cluster_report.merge_ops == sum(r.merge_ops for r in cluster_records if r.completed)
         assert summarize_envelopes([]) == (_reference_summary([]), [])

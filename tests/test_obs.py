@@ -21,6 +21,7 @@ the trace accessors on ``Future``/``Response``/``SessionReport``, the
 renderers.
 """
 
+import contextlib
 import dataclasses
 import importlib.util
 import json
@@ -34,7 +35,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ambit.engine import AmbitConfig, AmbitEngine
 from repro.analysis import render_lane_timeline, render_span_tree
-from repro.analysis.metrics import percentile_or, summarize_queue_records
+from repro.analysis.metrics import percentile_or
 from repro.api import PimSession
 from repro.cluster import (
     ClusterFrontend,
@@ -136,14 +137,22 @@ def _service_frontend(observe, *, banks: int = 2, max_queue_depth: int = 8):
     )
 
 
+def _serve(backend, events):
+    """Serve a stream through a session over ``backend``: its report and
+    the envelopes, in event order."""
+    session = PimSession(backend, name="obs_test")
+    futures = session.submit_stream(events)
+    session.drain()
+    return session.report(), [future.record for future in futures]
+
+
 def _run_service(observe, seed: int = 3, count: int = 24, max_queue_depth: int = 8):
     rng = np.random.default_rng(seed)
     frontend = _service_frontend(observe, max_queue_depth=max_queue_depth)
     events = poisson_schedule(
         _scan_requests(rng, count=count), rate_per_s=5e6, seed=seed
     )
-    result = frontend.run(events, name="obs_test")
-    return frontend, result
+    return (frontend, *_serve(frontend, events))
 
 
 # ---------------------------------------------------------------------
@@ -207,7 +216,7 @@ class TestPercentileOr:
         assert percentile_or([0.0, 0.0], 99.0, default=-1.0) == 0.0
 
     def test_queue_metrics_from_no_samples(self):
-        metrics = summarize_queue_records("idle", [], makespan_ns=0.0, busy_ns=0.0, batches=0)
+        metrics = PimSession(_service_frontend(False), name="idle").report()
         assert metrics.wait_p50_ns == 0.0
         assert metrics.wait_p99_ns == 0.0
         assert metrics.sojourn_p50_ns == 0.0
@@ -219,12 +228,11 @@ class TestPercentileOr:
 # ---------------------------------------------------------------------
 class TestDisabledPath:
     def test_observe_false_allocates_no_spans(self):
-        frontend, result = None, None
         before = Span.allocated
-        frontend, result = _run_service(observe=False)
+        frontend, report, _ = _run_service(observe=False)
         assert Span.allocated - before == 0
         assert frontend.obs is NULL_OBSERVER
-        assert result.metrics.completed > 0  # the run itself was real
+        assert report.completed > 0  # the run itself was real
 
     def test_null_tracer_hands_out_the_null_span(self):
         tracer = Tracer(enabled=False)
@@ -252,9 +260,10 @@ class TestBitExactness:
         return a == b or (math.isnan(a) and math.isnan(b))
 
     def _assert_runs_identical(self, plain, traced):
-        assert plain.metrics == traced.metrics
-        assert len(plain.records) == len(traced.records)
-        for a, b in zip(plain.records, traced.records):
+        (plain_report, plain_records), (traced_report, traced_records) = plain, traced
+        assert plain_report.details == traced_report.details
+        assert len(plain_records) == len(traced_records)
+        for a, b in zip(plain_records, traced_records):
             assert a.arrival_ns == b.arrival_ns
             assert self._same_ns(a.start_ns, b.start_ns)
             assert self._same_ns(a.finish_ns, b.finish_ns)
@@ -265,8 +274,8 @@ class TestBitExactness:
                 assert np.array_equal(a.value, b.value)
 
     def test_service_run_is_bit_exact_with_tracing_on(self):
-        _, plain = _run_service(observe=False)
-        _, traced = _run_service(observe=True)
+        _, *plain = _run_service(observe=False)
+        _, *traced = _run_service(observe=True)
         self._assert_runs_identical(plain, traced)
 
     @settings(max_examples=8, deadline=None)
@@ -276,8 +285,8 @@ class TestBitExactness:
     )
     def test_service_bit_exactness_property(self, seed, depth):
         """Across seeds and shed pressure: tracing never perturbs the run."""
-        _, plain = _run_service(observe=False, seed=seed, count=12, max_queue_depth=depth)
-        _, traced = _run_service(observe=True, seed=seed, count=12, max_queue_depth=depth)
+        _, *plain = _run_service(observe=False, seed=seed, count=12, max_queue_depth=depth)
+        _, *traced = _run_service(observe=True, seed=seed, count=12, max_queue_depth=depth)
         self._assert_runs_identical(plain, traced)
 
     def test_cluster_run_is_bit_exact_with_tracing_on(self):
@@ -292,12 +301,12 @@ class TestBitExactness:
             events = poisson_schedule(
                 _scan_requests(rng, count=16), rate_per_s=4e6, seed=6
             )
-            return cluster, cluster.run(events)
+            return (cluster, *_serve(cluster, events))
 
-        _, plain = run(False)
-        traced_cluster, traced = run(True)
-        assert plain.metrics == traced.metrics
-        for a, b in zip(plain.records, traced.records):
+        _, plain, plain_records = run(False)
+        traced_cluster, traced, traced_records = run(True)
+        assert plain.details == traced.details
+        for a, b in zip(plain_records, traced_records, strict=True):
             assert a.arrival_ns == b.arrival_ns
             assert self._same_ns(a.finish_ns, b.finish_ns)
             assert np.array_equal(a.value, b.value)
@@ -371,27 +380,47 @@ def _noisy_neighbours(plane: Observer) -> None:
     the same column *names* hot, and a cluster rejecting nearly all it is
     offered — everything a decision that read the plane would trip over."""
     reads = [e for e in _mixed_events(seed=999) if not is_write_request(e.request)]
-    ServiceFrontend(PipelineConfig(maintenance="hybrid"), engine=_engine(), observe=plane).run(reads)
+    _serve(ServiceFrontend(PipelineConfig(maintenance="hybrid"), engine=_engine(), observe=plane), reads)
     rejecting = ClusterFrontend(
         1,
         PipelineConfig(max_queue_depth=1, policy=BatchPolicy(max_batch=4, window_ns=None)),
         engine_factory=_engine,
         observe=plane,
     )
-    result = rejecting.run([ArrivalEvent(arrival_ns=0.0, request=e.request) for e in reads])
-    assert result.metrics.rejected == len(reads) - 1
+    report, _ = _serve(rejecting, [ArrivalEvent(arrival_ns=0.0, request=e.request) for e in reads])
+    assert report.rejected == len(reads) - 1
 
 
 #: Reasons only a frontend's door gives (anything else left a queue).
 _DOOR_REASONS = ("queue_full", "bank_occupancy")
 
 
-def _owner_counts(backend, admitted_at_door) -> dict:
+@contextlib.contextmanager
+def _door_log():
+    """Every envelope a service frontend's ``offer`` returns while open, in
+    offer order — the shard parts, their failover replacements and the
+    controller's replica copies: the frontends keep none, so the test does."""
+    envelopes = []
+    offer = ServiceFrontend.offer
+
+    def logged(self, *args, **kwargs):
+        envelope = offer(self, *args, **kwargs)
+        envelopes.append(envelope)
+        return envelope
+
+    ServiceFrontend.offer = logged
+    try:
+        yield envelopes
+    finally:
+        ServiceFrontend.offer = offer
+
+
+def _owner_counts(backend, parts, records, admitted_at_door) -> dict:
     """What the plane's counters describe, read off the owners' state:
-    envelopes, batch roll-ups and the cluster's own tallies.  A counter
-    the owners have nothing for is left out, as the registry leaves it."""
+    every frontend envelope (``parts``), the session's ``records``, batch
+    roll-ups and the cluster's own tallies.  A counter the owners have
+    nothing for is left out, as the registry leaves it."""
     shards = getattr(backend, "shards", [backend])
-    parts = [q for shard in shards for q in shard.records]
     batches = [b for shard in shards for b in shard.batches]
     counts = {
         "frontend.offered": len(parts),
@@ -408,10 +437,10 @@ def _owner_counts(backend, admitted_at_door) -> dict:
             name = f"frontend.rejected.{q.rejected_reason}"
             counts[name] = counts.get(name, 0) + 1
     if backend is not shards[0]:
-        counts["cluster.offered"] = len(backend.records)
+        counts["cluster.offered"] = len(records)
         counts["cluster.admitted"] = sum(admitted_at_door)
         # A record completes when it is gathered, not when its last part does.
-        counts["cluster.completed"] = sum(not math.isnan(r.finish_ns) for r in backend.records)
+        counts["cluster.completed"] = sum(not math.isnan(r.finish_ns) for r in records)
         counts["cluster.rejected"] = backend.rejected
     return counts
 
@@ -465,19 +494,25 @@ def _observed_run(tier: str, maintenance: str, plane: str, seed: int, sanitize: 
         future = session.submit(event.request, priority=event.priority, at_ns=event.arrival_ns)
         admitted_at_door.append(future.record.admitted)
 
-    replay(events[:half], offer)
-    if plane == "late":
-        before = _owner_counts(backend, admitted_at_door)
-        PimSession(backend, observe=True)  # binds a fresh plane mid-stream
-        assert backend.obs.enabled
-    replay(events[half:], offer)
-    session.drain()
+    def owner_counts():
+        return _owner_counts(
+            backend, parts, [f.record for f in session.futures], admitted_at_door
+        )
+
+    with _door_log() as parts:
+        replay(events[:half], offer)
+        if plane == "late":
+            before = owner_counts()
+            PimSession(backend, observe=True)  # binds a fresh plane mid-stream
+            assert backend.obs.enabled
+        replay(events[half:], offer)
+        session.drain()
     if plane == "late":
         # A display counts from the moment it is bound: every counter
         # equals its owner's state delta since then, whether or not the
         # request it counts was traced from arrival.
         counters = backend.obs.snapshot()["counters"]
-        after = _owner_counts(backend, admitted_at_door)
+        after = owner_counts()
         for name in sorted(after):
             delta = after[name] - before.get(name, 0)
             assert counters.get(name, 0.0) == delta, (name, counters.get(name), delta)
@@ -490,7 +525,7 @@ def _observed_run(tier: str, maintenance: str, plane: str, seed: int, sanitize: 
             r.value.tobytes() if isinstance(r.value, np.ndarray) else r.value,
             r.metrics,
         )
-        for r in backend.records
+        for r in (future.record for future in session.futures)
     ]
     report = dataclasses.replace(session.report(), obs=None)
     lanes = [shard.lane_metrics() for shard in getattr(backend, "shards", [backend])]
@@ -546,11 +581,11 @@ class TestIntervalLogExistsForItsReader:
             PipelineConfig(policy=BatchPolicy(max_batch=4, window_ns=None), **config),
             engine=_engine(),
         )
-        result = frontend.run(
-            poisson_schedule(_scan_requests(rng, count=20), rate_per_s=5e6, seed=12)
+        report, _ = _serve(
+            frontend, poisson_schedule(_scan_requests(rng, count=20), rate_per_s=5e6, seed=12)
         )
-        assert result.metrics.completed == 20
-        return frontend, result
+        assert report.completed == 20
+        return frontend, report.details
 
     def test_unsanitized_lanes_retain_no_placements(self):
         plain, plain_result = self._run()
@@ -560,7 +595,7 @@ class TestIntervalLogExistsForItsReader:
         assert audited.executor.lanes.log == [] and audited.executor.lanes.requests == 20
         # Same schedule, same accounting: only the recording differs.
         assert plain.lane_metrics() == audited.lane_metrics()
-        assert plain_result.metrics == audited_result.metrics
+        assert plain_result == audited_result
         assert audited.executor.sanitizer.report().placements == 20
 
     def test_auditing_a_logless_schedule_says_why(self):
@@ -602,7 +637,7 @@ class TestIntervalLogExistsForItsReader:
         with pytest.raises(ValueError, match="pipelined"):
             frontend.lane_metrics()
         _, expected = self._run(pipeline=False, sanitize=not sanitize)
-        assert result.metrics == expected.metrics
+        assert result == expected
 
     def test_hand_built_executor_follows_its_sanitize(self):
         rng = np.random.default_rng(13)
@@ -693,8 +728,8 @@ class TestAdopt:
 # ---------------------------------------------------------------------
 class TestRecordedSpans:
     def test_completed_request_tree_shape(self):
-        frontend, result = _run_service(observe=True)
-        completed = result.completed()
+        frontend, _, records = _run_service(observe=True)
+        completed = [record for record in records if record.completed]
         assert completed
         record = completed[0]
         assert record.trace is not None
@@ -708,14 +743,13 @@ class TestRecordedSpans:
         assert service.end_ns == record.finish_ns
 
     def test_rejected_request_tree_and_counters(self):
-        frontend, result = _run_service(observe=True, max_queue_depth=2)
-        metrics = result.metrics
+        frontend, metrics, records = _run_service(observe=True, max_queue_depth=2)
         assert metrics.rejected > 0
         counters = frontend.obs.snapshot()["counters"]
         assert counters["frontend.offered"] == metrics.offered
         assert counters["frontend.completed"] == metrics.completed
         assert counters["frontend.rejected"] == metrics.rejected
-        rejected = [r for r in result.records if not r.admitted]
+        rejected = [r for r in records if not r.admitted]
         span = rejected[0].trace
         assert span.attrs["status"] == "rejected"
         assert span.attrs["reason"]
@@ -723,7 +757,7 @@ class TestRecordedSpans:
         assert admission.attrs["admitted"] is False
 
     def test_executor_lanes_become_tracks(self):
-        frontend, _ = _run_service(observe=True)
+        frontend, *_ = _run_service(observe=True)
         executor = frontend.executor
         expected = {str(key) for key in executor.active_bank_keys()}
         assert set(frontend.obs.tracer.tracks) == expected | {"host", "batches"}
@@ -1033,7 +1067,7 @@ PINNED_WALKS = {
 # ---------------------------------------------------------------------
 class TestPerfettoExport:
     def test_trace_validates_and_replays_busy_union(self, tmp_path):
-        frontend, _ = _run_service(observe=True)
+        frontend, *_ = _run_service(observe=True)
         path = write_trace(
             tmp_path / "TRACE_obs.json",
             frontend.obs.tracer,
@@ -1068,7 +1102,7 @@ class TestPerfettoExport:
         assert replay.busy_union_ns == frontend.executor.lanes.busy_union_ns
 
     def test_trace_event_envelope(self):
-        frontend, _ = _run_service(observe=True)
+        frontend, *_ = _run_service(observe=True)
         payload = build_trace(frontend.obs.tracer, metrics=frontend.obs.metrics)
         assert payload["displayTimeUnit"] == "ns"
         assert "metrics" in payload
@@ -1122,7 +1156,7 @@ class TestObsWallClockLint:
 # ---------------------------------------------------------------------
 class TestRenderers:
     def test_lane_timeline_renders_tracks(self):
-        frontend, _ = _run_service(observe=True)
+        frontend, *_ = _run_service(observe=True)
         text = render_lane_timeline(frontend.obs.tracer)
         assert text.startswith("lane timeline:")
         for label in frontend.obs.tracer.tracks:
@@ -1133,8 +1167,8 @@ class TestRenderers:
         assert "no closed spans" in render_lane_timeline(Tracer())
 
     def test_span_tree_renders_depth_and_attrs(self):
-        frontend, result = _run_service(observe=True)
-        text = render_span_tree(result.completed()[0].trace)
+        frontend, _, records = _run_service(observe=True)
+        text = render_span_tree(next(r for r in records if r.completed).trace)
         lines = text.splitlines()
         assert lines[0].startswith("request")
         assert any(line.startswith("  ") for line in lines)  # indented children

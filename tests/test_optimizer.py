@@ -120,10 +120,10 @@ def _serve(requests, optimize, pipeline=True, banks=4, max_batch=4, policy=None)
         ),
         engine=_engine(banks),
     )
-    for request in requests:
-        frontend.offer(request)
-    frontend.drain()
-    return frontend, frontend.result()
+    session = PimSession(frontend)
+    futures = [session.submit(request) for request in requests]
+    session.drain()
+    return frontend, session.report(), [f.record for f in futures if f.record.completed]
 
 
 def _open_optimizer(executor):
@@ -188,17 +188,17 @@ class TestBitExactness:
     )
     def test_service_tier_matches_unoptimized_and_host(self, draws, pipeline):
         requests = _requests(draws)
-        _, base = _serve(requests, optimize=False, pipeline=pipeline)
-        _, opt = _serve(requests, optimize=True, pipeline=pipeline)
-        assert base.metrics.completed == opt.metrics.completed == len(draws)
-        for b, o in zip(base.completed(), opt.completed()):
+        _, base, base_done = _serve(requests, optimize=False, pipeline=pipeline)
+        _, opt, opt_done = _serve(requests, optimize=True, pipeline=pipeline)
+        assert base.completed == opt.completed == len(draws)
+        for b, o in zip(base_done, opt_done):
             expected, _ = INDEX.evaluate_conjunction(list(b.request.predicates))
             assert np.array_equal(b.value, expected)
             assert np.array_equal(o.value, expected)
             assert o.ops_eliminated >= 0
             assert o.shared_subchains >= 0
         # Elimination only ever removes work, never adds it.
-        assert opt.metrics.energy_j <= base.metrics.energy_j * (1 + 1e-9)
+        assert opt.energy_j <= base.energy_j * (1 + 1e-9)
 
     @settings(max_examples=8, deadline=None)
     @given(
@@ -221,12 +221,15 @@ class TestBitExactness:
             ArrivalEvent(request=r, arrival_ns=float(i) * 50.0)
             for i, r in enumerate(_requests(draws))
         ]
-        result = cluster.run(events, name="cluster")
-        assert result.metrics.completed == len(draws)
-        for record in result.completed():
-            expected, _ = INDEX.evaluate_conjunction(list(record.request.predicates))
-            assert np.array_equal(record.value, expected)
-        assert result.metrics.ops_eliminated >= 0
+        session = PimSession(cluster, name="cluster")
+        futures = session.submit_stream(events)
+        session.drain()
+        result = session.report()
+        assert result.completed == len(draws)
+        for future in futures:
+            expected, _ = INDEX.evaluate_conjunction(list(future.request.predicates))
+            assert np.array_equal(future.record.value, expected)
+        assert result.ops_eliminated >= 0
 
 
 # ----------------------------------------------------------------------
@@ -239,21 +242,20 @@ class TestCseAccounting:
         # once, the copy is charged zero device ops — only the host joins
         # of its parts, which the first pays as well.
         requests = _requests([0, 1, 2])
-        frontend, result = _serve(requests, optimize=True, max_batch=4)
-        first, copy, other = result.completed()
+        frontend, result, (first, copy, other) = _serve(requests, optimize=True, max_batch=4)
         plan_total = sum(len(v) - 1 for _, v in TEMPLATES[0]) + len(TEMPLATES[0]) - 1
         host_joins = len(TEMPLATES[0]) - 1
         assert first.ops_eliminated == 0
         assert copy.ops_eliminated == plan_total - host_joins
         assert copy.host_merge_ns == first.host_merge_ns > 0.0
         assert copy.shared_subchains > 0
-        assert result.metrics.ops_eliminated == plan_total - host_joins
-        assert result.metrics.shared_subchains == (
+        assert result.ops_eliminated == plan_total - host_joins
+        assert result.shared_subchains == (
             copy.shared_subchains + other.shared_subchains
         )
         batch = frontend.batches[0]
         assert batch.ops_eliminated == plan_total - host_joins
-        assert batch.shared_subchains == result.metrics.shared_subchains
+        assert batch.shared_subchains == result.shared_subchains
         # A fully shared request is attributed zero-cost metrics.
         assert copy.metrics.latency_ns == 0.0
         assert copy.metrics.energy_j == 0.0
@@ -331,9 +333,9 @@ class TestCseAccounting:
         # CSE cache is batch-scoped (result vectors only live while their
         # batch executes).
         requests = _requests([0, 0])
-        _, result = _serve(requests, optimize=True, max_batch=1)
-        assert result.metrics.ops_eliminated == 0
-        assert result.metrics.shared_subchains == 0
+        _, result, _ = _serve(requests, optimize=True, max_batch=1)
+        assert result.ops_eliminated == 0
+        assert result.shared_subchains == 0
 
     def test_session_report_exposes_the_counters(self):
         session = PimSession(
@@ -369,10 +371,8 @@ class TestSubchainSplitting:
         # its three predicate sub-chains on distinct lanes and host-joins
         # them afterwards.
         request = _requests([2])[0]
-        _, serial = _serve([request], optimize=False)
-        _, split = _serve([request], optimize=True)
-        (serial_q,) = serial.completed()
-        (split_q,) = split.completed()
+        _, _, (serial_q,) = _serve([request], optimize=False)
+        split, split_report, (split_q,) = _serve([request], optimize=True)
         expected, _ = INDEX.evaluate_conjunction(list(request.predicates))
         assert np.array_equal(split_q.value, expected)
         # Host joins are charged like the cluster gather tree: 3 parts
@@ -384,6 +384,9 @@ class TestSubchainSplitting:
         split_service = split_q.finish_ns - split_q.start_ns
         serial_service = serial_q.finish_ns - serial_q.start_ns
         assert split_service < serial_service
+        # The stream's makespan runs to the last join, past the executor's
+        # lane horizon (where the frontend's clock stops).
+        assert split_report.makespan_ns == split_q.finish_ns > split.executor.horizon_ns()
 
     def test_split_mode_unpins_conjunction_admission(self):
         frontend = ServiceFrontend(

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.ambit.engine import AmbitConfig, AmbitEngine
+from repro.api import PimSession
 from repro.database.bitweaving import BitWeavingColumn
 from repro.dram.device import DramDevice
 from repro.dram.energy import DramEnergyParameters
@@ -148,18 +149,17 @@ class TestLoadShedding:
     def test_high_priority_sheds_queued_low_priority(self):
         rng = np.random.default_rng(4)
         column = _random_column(rng)
-        frontend = self._loaded_frontend(rng, bound_requests=2.0)
-        low = [frontend.offer(_scan(column, c), priority=0) for c in (1, 2)]
+        session = PimSession(self._loaded_frontend(rng, bound_requests=2.0))
+        low = [session.submit(_scan(column, c), priority=0).record for c in (1, 2)]
         assert all(r.admitted for r in low)
-        urgent = frontend.offer(_scan(column, 3), priority=5)
+        urgent = session.submit(_scan(column, 3), priority=5).record
         assert urgent.admitted
         # The youngest low-priority request was shed to make room.
         assert not low[1].admitted
         assert low[1].rejected_reason == "shed"
         assert low[0].admitted
-        assert frontend.shed_requests == 1
-        frontend.drain()
-        metrics = frontend.result().metrics
+        session.drain()
+        metrics = session.report()
         assert metrics.shed == 1
         assert metrics.rejected == 1
         assert metrics.offered == metrics.admitted + metrics.rejected
@@ -174,7 +174,6 @@ class TestLoadShedding:
         assert not same.admitted
         assert same.rejected_reason == "bank_occupancy"
         assert all(r.admitted for r in first)
-        assert frontend.shed_requests == 0
 
     def test_no_shedding_when_candidate_cannot_fit(self):
         """Shedding every lower-priority request would still not admit a
@@ -199,7 +198,6 @@ class TestLoadShedding:
         assert not doomed.admitted
         assert doomed.rejected_reason == "bank_occupancy"
         assert low.admitted, "no victim may be shed for a doomed candidate"
-        assert frontend.shed_requests == 0
 
     def test_queue_full_victim_survives_doomed_occupancy(self):
         """Regression: a depth-full arrival that would still fail the
@@ -223,7 +221,6 @@ class TestLoadShedding:
         assert not doomed.admitted
         assert doomed.rejected_reason == "bank_occupancy"
         assert low.admitted, "victim must survive a doomed admission"
-        assert frontend.shed_requests == 0
         assert frontend.queue_depth == 1
 
     def test_queue_full_sheds_one_victim(self):
@@ -253,7 +250,6 @@ class TestLoadShedding:
         assert not frontend.cancel(record)  # already gone
         frontend.drain()
         assert other.completed and not record.completed
-        assert frontend.shed_requests == 0  # cancel is not shedding
 
 
 class TestRetryClient:
@@ -347,4 +343,4 @@ class TestRetryClient:
             cluster, BackoffPolicy(base_ns=10_000.0, max_attempts=6)
         ).run(events)
         assert outcome.delivered == len(requests)
-        assert outcome.result.metrics.completed == outcome.delivered
+        assert outcome.result.completed == outcome.delivered

@@ -70,6 +70,15 @@ def _frontend(banks: int = 4, engine=None, **knobs) -> ServiceFrontend:
     return ServiceFrontend(PipelineConfig(**knobs), engine=engine or _engine(banks))
 
 
+def _serve(frontend, events):
+    """Serve a stream through a session over ``frontend``: its report and
+    the envelopes, in event order."""
+    session = PimSession(frontend)
+    futures = session.submit_stream(events)
+    session.drain()
+    return session.report(), [future.record for future in futures]
+
+
 def _random_column(rng, num_bits: int, rows: int) -> BitWeavingColumn:
     return BitWeavingColumn(rng.integers(0, 1 << num_bits, size=rows), num_bits)
 
@@ -146,17 +155,17 @@ class TestQueueSemantics:
 class TestAdmissionControl:
     def test_full_queue_rejects(self):
         rng = np.random.default_rng(4)
-        frontend = _frontend(max_queue_depth=3)
+        session = PimSession(_frontend(max_queue_depth=3))
         columns = [_random_column(rng, 6, 200) for _ in range(5)]
-        records = [frontend.offer(_scan(column)) for column in columns]
+        records = [session.submit(_scan(column)).record for column in columns]
         assert [r.admitted for r in records] == [True, True, True, False, False]
         assert all(r.rejected_reason == "queue_full" for r in records[3:])
-        frontend.drain()
-        result = frontend.result()
-        assert result.metrics.offered == 5
-        assert result.metrics.admitted == 3
-        assert result.metrics.rejected == 2
-        assert result.metrics.completed == 3
+        session.drain()
+        report = session.report()
+        assert report.offered == 5
+        assert report.admitted == 3
+        assert report.rejected == 2
+        assert report.completed == 3
         # Rejected requests were never served.
         assert all(not r.completed and math.isnan(r.start_ns) for r in records[3:])
 
@@ -191,22 +200,20 @@ class TestAdmissionControl:
         second = frontend.offer(_scan(column, "less_than", 4))
         assert second.admitted
         frontend.drain()
-        assert frontend.result().metrics.completed == 3
+        assert [r.completed for r in first + [second]] == [True, True, False, True]
 
 
 class TestDeadlines:
     def test_deadline_misses_are_counted(self):
         rng = np.random.default_rng(7)
-        frontend = _frontend(policy=BatchPolicy(max_batch=8))
+        session = PimSession(_frontend(policy=BatchPolicy(max_batch=8)))
         column = _random_column(rng, 8, 400)
-        impossible = frontend.offer(_scan(column), deadline_ns=1.0)
-        generous = frontend.offer(
-            _scan(_random_column(rng, 8, 400)), deadline_ns=1e12
-        )
-        frontend.drain()
+        impossible = session.submit(_scan(column), deadline_ns=1.0).record
+        generous = session.submit(_scan(_random_column(rng, 8, 400)), deadline_ns=1e12).record
+        session.drain()
         assert impossible.deadline_missed
         assert not generous.deadline_missed
-        assert frontend.result().metrics.deadline_misses == 1
+        assert session.report().deadline_misses == 1
 
     def test_urgent_deadline_closes_batch_early(self):
         rng = np.random.default_rng(8)
@@ -221,12 +228,12 @@ class TestDeadlines:
             arrival_times_ns=[0.0, 10 * latency],
             deadlines_ns=[latency * 1.5, None],
         )
-        result = frontend.run(events)
+        report, _ = _serve(frontend, events)
         # Without the deadline clause the batch would wait for the second
         # arrival (the batch is far from full and no window is set); the
         # deadline must close it in time to make the deadline.
-        assert result.metrics.deadline_misses == 0
-        assert result.metrics.batches == 2
+        assert report.deadline_misses == 0
+        assert report.batches == 2
 
     def test_schedules_refuse_bad_rates_and_short_sequences(self):
         """A NaN rate used to stamp NaN arrivals (an infinite one stamped
@@ -255,9 +262,9 @@ class TestDeadlines:
         # Arrivals spaced well inside the window, far fewer than max_batch:
         # only the window can close the batch before the stream ends.
         events = trace_schedule(scans, arrival_times_ns=[0.0, 1e4, 2e4, window + 2e4])
-        result = frontend.run(events)
-        assert result.metrics.batches >= 2
-        first_batch = [r for r in result.records if r.batch_index == 0]
+        report, records = _serve(frontend, events)
+        assert report.batches >= 2
+        first_batch = [r for r in records if r.batch_index == 0]
         assert all(r.arrival_ns + window <= r.start_ns + 1e-6 or r.wait_ns <= window * 2
                    for r in first_batch)
 
@@ -373,13 +380,13 @@ class TestPipelineBitExactness:
         )
         requests = [ScanRequest(column=c, kind=k, constants=cs) for c, k, cs in scans]
         events = poisson_schedule(requests, rate_per_s=2e6, seed=seed)
-        result = frontend.run(events)
+        report, records = _serve(frontend, events)
 
-        assert result.metrics.completed == len(scans)
-        assert result.metrics.rejected == 0
+        assert report.completed == len(scans)
+        assert report.rejected == 0
         query_engine = QueryEngine(ambit=frontend.executor.engine)
         serial_energy = 0.0
-        by_request = {id(r.request): r for r in result.records}
+        by_request = {id(r.request): r for r in records}
         for (column, kind, cs), request in zip(scans, requests):
             record = by_request[id(request)]
             expected, plan = column.scan(kind, *cs)
@@ -388,9 +395,9 @@ class TestPipelineBitExactness:
             assert record.metrics.latency_ns == pytest.approx(sequential.latency_ns)
             assert record.metrics.energy_j == pytest.approx(sequential.energy_j)
             serial_energy += sequential.energy_j
-        assert result.metrics.energy_j == pytest.approx(serial_energy)
+        assert report.energy_j == pytest.approx(serial_energy)
         # Bank overlap may only shrink the busy time, never the work.
-        assert result.metrics.busy_ns <= result.metrics.serial_latency_ns * (1 + 1e-9)
+        assert report.busy_ns <= report.serial_latency_ns * (1 + 1e-9)
 
     def test_reused_frontend_reports_per_call_metrics(self):
         """Regression: a second session on one frontend must not fold the

@@ -259,7 +259,6 @@ class TestSharingAcrossBatches:
         (first,) = _serve(frontend, _read(index))
         dropped = weakref.ref(first.value)
         del first
-        frontend.records.clear()
         (second,) = _serve(frontend, _read(index))
         gc.collect()
         assert dropped() is None  # nothing kept the first answer alive
@@ -339,7 +338,6 @@ def _ask_again(case, sanitize=False):
         _serve(frontend, _update(table, index, "tier"))
     elif case == "dropped_answer":
         first = None
-        frontend.records.clear()
         gc.collect()
     (second,) = _serve(frontend, _read(index))
     return SimpleNamespace(
@@ -406,7 +404,6 @@ def test_an_answer_dropped_between_lowering_and_running_still_reaches_its_reques
         nonlocal first
         assert primitives[0].steps == []
         first = None
-        frontend.records.clear()
         gc.collect()
         return run(primitives, **kwargs)
 

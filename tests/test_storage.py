@@ -402,15 +402,14 @@ class TestWriteCosts:
         rng = np.random.default_rng(3)
         table, index = _table_index(rng)
         frontend = _frontend("eager")
-        frontend.offer(
+        record = frontend.offer(
             UpdateRequest(
                 table=table, index=index, column="status",
                 row_ids=[1, 2, 3], values=[0, 1, 2],
             )
         )
         frontend.drain()
-        (record,) = frontend.result().completed()
-        assert is_write_request(record.request)
+        assert record.completed and is_write_request(record.request)
         assert record.value == 3  # rows affected is the response value
         assert record.metrics.latency_ns > 0
         assert record.metrics.energy_j > 0
@@ -441,15 +440,15 @@ class TestWriteCosts:
         rng = np.random.default_rng(5)
         table, index = _table_index(rng)
         frontend = _frontend("eager")
-        frontend.offer(
+        append_record = frontend.offer(
             AppendRequest(
                 table=table, index=index,
                 rows={name: [0, 1] for name in CARDINALITIES},
             )
         )
-        frontend.offer(DeleteRequest(table=table, index=index, row_ids=[0, 4, 7]))
+        delete_record = frontend.offer(DeleteRequest(table=table, index=index, row_ids=[0, 4, 7]))
         frontend.drain()
-        append_record, delete_record = frontend.result().completed()
+        assert append_record.completed and delete_record.completed
         assert append_record.value == 2
         assert delete_record.value == 3
 
@@ -759,8 +758,9 @@ def _charge_stream(rng, table, index):
 
 def _serve_charges(tier, maintenance, banks, folded, **knobs):
     """Serve :func:`_charge_stream` with the charges folded (as lowered) or
-    unfolded; returns the backend, its service frontends and how many
-    charge runs and lazy rebuilds the lowering emitted."""
+    unfolded; returns the backend's envelopes, each service frontend with
+    its own (in offer order), and how many charge runs and lazy rebuilds
+    the lowering emitted."""
     table, index = _table_index(np.random.default_rng(41), rows=1200)
     policy = BatchPolicy(max_batch=4, window_ns=None)
     config = PipelineConfig(policy=policy, maintenance=maintenance, max_queue_depth=256, **knobs)
@@ -787,10 +787,17 @@ def _serve_charges(tier, maintenance, banks, folded, **knobs):
         shard.planner.lower_batch = counted
         if not folded:
             _unfold_charges(shard.planner)
-    for t, request in enumerate(_charge_stream(np.random.default_rng(43), table, index)):
-        backend.offer(request, arrival_ns=40.0 * t)
+    stream = _charge_stream(np.random.default_rng(43), table, index)
+    records = [backend.offer(request, arrival_ns=40.0 * t) for t, request in enumerate(stream)]
     backend.drain()
-    return backend, shards, seen
+    if tier == "cluster":
+        parts = [
+            [p for r in records for s, p in zip(r.shard_ids, r.parts) if s == shard_id]
+            for shard_id in range(len(shards))
+        ]
+    else:
+        parts = [records]
+    return records, list(zip(shards, parts)), seen
 
 
 def _charged(record):
@@ -820,15 +827,15 @@ class TestFoldedChargePlacesLikeItsOps:
         ops, ops_shards, _ = _serve_charges(tier, maintenance, banks, False, **knobs)
         assert seen["runs"] > 0
         assert (seen["rebuilds"] > 0) == (maintenance != "eager")
-        for mine, theirs in zip(folded_shards, ops_shards):
+        for (mine, mine_parts), (theirs, their_parts) in zip(folded_shards, ops_shards):
             # One LanePlacement per step, at the same instants on the same lanes.
             assert mine.executor.lanes.log == theirs.executor.lanes.log
             assert mine.batches == theirs.batches
-            for a, b in zip(mine.records, theirs.records, strict=True):
+            for a, b in zip(mine_parts, their_parts, strict=True):
                 assert (a.start_ns, a.finish_ns, _charged(a)) == (
                     b.start_ns, b.finish_ns, _charged(b)
                 )
-        for a, b in zip(folded.records, ops.records, strict=True):
+        for a, b in zip(folded, ops, strict=True):
             assert (a.finish_ns, _charged(a)) == (b.finish_ns, _charged(b))
             assert np.array_equal(a.value, b.value)
 
@@ -913,7 +920,7 @@ class TestRowIdsCheckedOnce:
             frontend.offer(update([3, 3], [1, 2]))
         with pytest.raises(TypeError, match="integers"):
             frontend.offer(DeleteRequest(table=table, index=index, row_ids=[0.5]))
-        assert frontend.records == [] and table.num_rows == 64
+        assert frontend._seq == 0 and table.num_rows == 64
 
     def test_reassigned_rows_are_checked_afresh(self):
         table, index = _small_table_index()
@@ -940,7 +947,7 @@ class TestRowIdsCheckedOnce:
         delete.row_ids = [-1]
         with pytest.raises(ValueError, match="row_ids must be in"):
             check_row_ids(delete)
-        assert frontend.records == []
+        assert frontend._seq == 0
 
     def test_table_mutators_keep_their_own_guard(self):
         table, _index = _small_table_index()

@@ -33,6 +33,7 @@ import numpy as np
 import pytest
 
 from repro.ambit.bitvector import BulkBitVector
+from repro.api import PimSession
 from repro.api.plans import lower_conjunction_steps
 from repro.cluster import ClusterFrontend, ShardRouter
 from repro.database.bitmap_index import BitmapIndex, BitmapPlan
@@ -402,6 +403,15 @@ class TestScheduleCheckKnownBad:
 # ----------------------------------------------------------------------
 # sanitize=True live on real workloads (service + cluster, both modes)
 # ----------------------------------------------------------------------
+def _served(backend, events):
+    """Serve ``events`` through a session over ``backend``; the completed
+    envelopes, in event order."""
+    session = PimSession(backend)
+    futures = session.submit_stream(events)
+    session.drain()
+    return [future.record for future in futures if future.record.completed]
+
+
 def _workload(table: ColumnTable, index: BitmapIndex):
     column = BitWeavingColumn.from_table(table, "tier")
     events = []
@@ -427,13 +437,13 @@ class TestSanitizeKnob:
     @pytest.mark.parametrize("pipeline", [True, False])
     def test_service_tier_clean_under_sanitize(self, table, index, pipeline):
         frontend = ServiceFrontend(PipelineConfig(pipeline=pipeline, sanitize=True))
-        result = frontend.run(_workload(table, index))
-        assert len(result.completed()) == 20
+        completed = _served(frontend, _workload(table, index))
+        assert len(completed) == 20
         # Same workload without the sanitizer: identical results (the
         # checker is read-only).
         baseline = ServiceFrontend(PipelineConfig(pipeline=pipeline))
-        expected = baseline.run(_workload(table, index))
-        for got, want in zip(result.completed(), expected.completed()):
+        expected = _served(baseline, _workload(table, index))
+        for got, want in zip(completed, expected, strict=True):
             assert np.array_equal(got.value, want.value)
 
     @pytest.mark.parametrize("pipeline", [True, False])
@@ -443,9 +453,9 @@ class TestSanitizeKnob:
             config=PipelineConfig(pipeline=pipeline, sanitize=True),
             router=ShardRouter(3),
         )
-        result = cluster.run(_workload(table, index))
-        assert len(result.completed()) == 20
-        for record in result.completed():
+        completed = _served(cluster, _workload(table, index))
+        assert len(completed) == 20
+        for record in completed:
             if isinstance(record.request, BitmapConjunctionRequest):
                 expected, _ = index.evaluate_conjunction(list(record.request.predicates))
                 assert np.array_equal(record.value, expected)
@@ -453,14 +463,14 @@ class TestSanitizeKnob:
     def test_sanitizer_report_over_sanitized_run(self, table, index):
         frontend = ServiceFrontend(PipelineConfig(pipeline=True, sanitize=True))
         executor = frontend.executor
-        frontend.run(_workload(table, index))
+        _served(frontend, _workload(table, index))
         report = executor.sanitizer.report()
         assert report.ok and report.placements == executor.lanes.requests
         assert report.batches == len(frontend.batches)
 
     def test_sanitizer_report_per_shard(self, table, index):
         cluster = ClusterFrontend(num_shards=2, config=PipelineConfig(sanitize=True))
-        cluster.run(_workload(table, index))
+        _served(cluster, _workload(table, index))
         reports = [shard.executor.sanitizer.report() for shard in cluster.shards]
         assert len(reports) == 2 and all(report.ok for report in reports)
         assert sum(report.placements for report in reports) == sum(
@@ -529,7 +539,7 @@ class TestCertifiedTemplates:
             )
             for i in range(count)
         ]
-        return frontend.run(events)
+        return _served(frontend, events)
 
     def test_the_full_lint_runs_once_per_template(self, index, monkeypatch):
         import repro.verify.plan_lint as plan_lint
@@ -539,8 +549,8 @@ class TestCertifiedTemplates:
         monkeypatch.setattr(
             plan_lint, "lint_lowered_conjunction", lambda *a, **k: full.append(1) or lint(*a, **k)
         )
-        result = self._serve(index, 4, monkeypatch)
-        assert len(result.completed()) == 4 and len(full) == 1
+        completed = self._serve(index, 4, monkeypatch)
+        assert len(completed) == 4 and len(full) == 1
 
     @pytest.mark.parametrize(
         "tamper",
@@ -962,56 +972,53 @@ class TestInvariantLint:
                 findings = lint_invariants.lint_source(renamed, str(path))
                 assert findings and {f.rule for f in findings} == {"terminal-write"}
 
-    # A frontend that polls its lifetime record list the way the cluster's
-    # `_finalize_records` / `_migrate_queued` did, beside the readers that may.
+    # A session that polls its futures — the one history the stack keeps —
+    # beside the readers that may walk it.
     _HISTORY_WALKS = (
-        "from dataclasses import dataclass\n"
-        "class Frontend:\n"
+        "class PimSession:\n"
         "    def drain(self):\n"
-        "        for record in self.records:\n"
-        "            record.poll()\n"
-        "    def health(self):\n"
-        "        return sum(1 for r in self.records if not r.admitted) / len(self.records)\n"
-        "    def result(self):\n"
-        "        return [r for r in self.records if r.completed]\n"
-        "    def own(self, session):\n"
-        "        return [f.record for f in session.futures] + list(self.records)\n"
-        "@dataclass\n"
-        "class Result:\n"
-        "    def completed(self):\n"
-        "        return [r for r in self.records if r.completed]\n"
+        "        for future in self.futures:\n"
+        "            future.poll()\n"
+        "    def pending(self):\n"
+        "        return sum(1 for f in self.futures if not f.done()) / len(self.futures)\n"
+        "    def report(self):\n"
+        "        return [f.record for f in self.futures]\n"
+        "    def responses(self):\n"
+        "        return [f.response() for f in self.futures]\n"
+        "    def own(self, other):\n"
+        "        return [f.record for f in other.futures] + list(self.futures)\n"
     )
 
-    def test_history_walk_flags_polls_over_the_record_list(self):
+    def test_history_walk_flags_polls_over_the_futures(self):
         for package in ("service", "cluster", "api"):
             findings = lint_invariants.lint_source(
                 self._HISTORY_WALKS, f"src/repro/{package}/x.py"
             )
             assert [(f.rule, f.line) for f in findings] == [
-                ("history-walk", 4),
-                ("history-walk", 7),
+                ("history-walk", 3),
+                ("history-walk", 6),
             ]
-        # Other packages keep lists called `records` for their own purposes.
+        # Other packages keep lists called `futures` for their own purposes.
         for path in ("src/repro/analysis/x.py", "tests/test_x.py", "tools/x.py"):
             assert lint_invariants.lint_source(self._HISTORY_WALKS, path) == []
         waived = self._HISTORY_WALKS.replace(
-            "self.records:\n", "self.records:  # lint: allow[history-walk]\n"
+            "self.futures:\n", "self.futures:  # lint: allow[history-walk]\n"
         )
-        findings = lint_invariants.lint_source(waived, "src/repro/cluster/x.py")
-        assert [f.line for f in findings] == [7]
+        findings = lint_invariants.lint_source(waived, "src/repro/api/x.py")
+        assert [f.line for f in findings] == [6]
 
     def test_history_walk_tampering_the_tree_is_caught(self):
-        """The rule is what keeps the poll deleted: re-adding it to
-        `ClusterFrontend.drain` — or walking `records` in `health` — is a
-        finding, and nothing in the tree needs a waiver."""
-        path = REPO_ROOT / "src" / "repro" / "cluster" / "frontend.py"
+        """The rule is what keeps the session's one history from being
+        polled: walking its futures on each submit — to find the ones still
+        queued — is a finding, and nothing in the tree needs a waiver."""
+        path = REPO_ROOT / "src" / "repro" / "api" / "session.py"
         source = path.read_text()
         assert "allow[history-walk]" not in source
         assert lint_invariants.lint_source(source, str(path)) == []
-        anchor = "        offered = len(self.records)\n"
+        anchor = "        self.futures.append(future)\n"
         assert anchor in source
         tampered = source.replace(
-            anchor, "        offered = sum(1 for _ in self.records)\n"
+            anchor, anchor + "        self._queued = [f for f in self.futures if not f.done()]\n"
         )
         findings = lint_invariants.lint_source(tampered, str(path))
         assert [f.rule for f in findings] == ["history-walk"]
@@ -1029,18 +1036,23 @@ class TestInvariantLint:
         "class ClusterFrontend:\n"
         "    def gather(self):\n"
         "        \"\"\"Kept for the tracer.\"\"\"\n"
-        "def advance(cluster, planner, record, now):\n"
+        "class ServiceFrontend:\n"
+        "    def result(self, name):\n"
+        "        \"\"\"Kept for the tracer.\"\"\"\n"
+        "def advance(cluster, planner, frontend, record, future, now):\n"
         "    cluster.faults.poll(cluster, now)\n"
         "    planner.urgent_close(queued=[], now_ns=now)\n"
         "    cluster.gather()\n"
+        "    frontend.result('stream')\n"
         "    record.poll()\n"
+        "    future.result()\n"
     )
 
     def test_harness_stub_flags_a_body_or_a_caller(self):
         for path in ("src/repro/cluster/x.py", "benchmarks/bench_x.py", "examples/x.py"):
             findings = lint_invariants.lint_source(self._HARNESS_STUBS, path)
             assert [(f.rule, f.line) for f in findings] == [
-                ("harness-stub", line) for line in (6, 13, 14, 15)
+                ("harness-stub", line) for line in (6, 16, 17, 18, 19)
             ]
         # Tests and tools may drive a stub; only the body rule applies there.
         for path in ("tests/test_x.py", "tools/x.py"):

@@ -83,25 +83,25 @@ Thirteen rules, each guarding an invariant the simulator's design depends on
   envelope instead of copying: stamped once, at the door, they read the
   same whenever the response is read.
 * ``history-walk`` — inside ``repro/service/``, ``repro/cluster/`` and
-  ``repro/api/``, a ``for`` loop or comprehension over ``self.records``
-  outside a method named ``result`` (the lifetime roll-up) and the result
-  containers — dataclasses such as ``PipelineResult`` / ``ClusterResult``,
-  whose ``completed()`` / ``rejected()`` helpers read the snapshot they
-  were handed.  A frontend's ``records`` is every envelope ever offered:
-  walking it to find out what happened is a poll — late (a shed scatter
-  part once left its record "queued" and its sibling running until the
-  next ``drain()``) and quadratic under ``submit(...).result()`` per
-  request.  An outcome is acted on at the settle door that produces it
+  ``repro/api/``, a ``for`` loop or comprehension over ``self.futures``
+  outside a method named ``report`` (the one roll-up) or ``responses``.
+  A session's futures are the one history the stack keeps — every
+  envelope it ever submitted (the backends keep none): walking it to find
+  out what happened is a poll — late (a shed scatter part once left its
+  record "queued" and its sibling running until the next ``drain()``) and
+  quadratic under ``submit(...).result()`` per request.  An outcome is
+  acted on at the settle door that produces it
   (``ServiceFrontend.on_settled`` → ``ClusterFrontend._part_settled``).
 * ``harness-stub`` — one of the methods kept only because the frozen
   ``perf/tracing.py`` wraps them by name (:data:`HARNESS_STUBS`:
   ``ClusterFrontend.gather``, ``BatchPlanner.urgent_close``,
-  ``FaultPlan.poll``) gaining a body beyond a docstring and a constant
-  return, or gaining a caller under ``repro/``, ``benchmarks/`` or
-  ``examples/`` (a call of the stub's name with the stub's arity, so an
-  unrelated ``record.poll()`` passes).  The stubs do nothing so that the
-  harness change that frees their names can delete all three in one
-  sweep; a body or a caller would make that deletion a behaviour change.
+  ``FaultPlan.poll``, ``ServiceFrontend.result``) gaining a body beyond a
+  docstring and a constant return, or gaining a caller under ``repro/``,
+  ``benchmarks/`` or ``examples/`` (a call of the stub's name with the
+  stub's arity, so an unrelated ``record.poll()`` or ``future.result()``
+  passes).  The stubs do nothing so that the harness change that frees
+  their names can delete all four in one sweep; a body or a caller would
+  make that deletion a behaviour change.
 
 A finding is suppressed by a ``# lint: allow[<rule>]`` comment on its
 line.  Run locally with::
@@ -208,6 +208,7 @@ HARNESS_STUBS = (
     ("ClusterFrontend", "gather", 0),
     ("BatchPlanner", "urgent_close", 2),
     ("FaultPlan", "poll", 2),
+    ("ServiceFrontend", "result", 1),
 )
 _STUB_CALLER_RE = re.compile(r"(^|/)(repro|benchmarks|examples)/")
 
@@ -367,8 +368,6 @@ class _ModuleLinter(ast.NodeVisitor):
         # Frozen-dataclass nesting: methods of a frozen dataclass may not
         # assign to self; a nested non-frozen class resets the context.
         self._frozen_stack: List[bool] = []
-        # Dataclass nesting: a result container may walk its own records.
-        self._dataclass_stack: List[bool] = []
         # Observability modules get the stricter clock rule (obs-wall-clock
         # fires there instead of the generic wall-clock rule).  The fault
         # plan and elastic controller ride on the same rule: they schedule
@@ -398,7 +397,7 @@ class _ModuleLinter(ast.NodeVisitor):
         self._rebinds: List[List[ast.AST]] = []
         self._bumped: List[bool] = []
         # Service/cluster/api constructors may not re-declare a knob, and
-        # nothing there walks the lifetime record list but the roll-up.
+        # nothing there walks a session's futures but the roll-up.
         self._in_history_scope = any(fragment in normalized for fragment in _KNOB_PACKAGES)
         # Under the simulator, benchmarks and examples nothing may call a
         # harness stub: method name -> the stub's arity.
@@ -434,9 +433,7 @@ class _ModuleLinter(ast.NodeVisitor):
             self._check_knob_drift(node, is_dataclass=decorator is not None)
         self._check_harness_stubs(node)
         self._frozen_stack.append(decorator is not None and _is_frozen(decorator))
-        self._dataclass_stack.append(decorator is not None)
         self.generic_visit(node)
-        self._dataclass_stack.pop()
         self._frozen_stack.pop()
 
     def _check_harness_stubs(self, node: ast.ClassDef) -> None:
@@ -702,17 +699,16 @@ class _ModuleLinter(ast.NodeVisitor):
         if (
             self._in_history_scope
             and isinstance(walked, ast.Attribute)
-            and walked.attr == "records"
+            and walked.attr == "futures"
             and _terminal_name(walked.value) == "self"
-            and self._function_stack[-1:] != ["result"]
-            and self._dataclass_stack[-1:] != [True]
+            and self._function_stack[-1:] not in (["report"], ["responses"])
         ):
             self._add(
                 walked,
                 "history-walk",
-                "iteration over self.records outside result(): re-reading every "
-                "envelope ever offered to find out what happened is a poll — act on "
-                "an outcome at the settle door that produces it",
+                "iteration over self.futures outside report() and responses(): "
+                "re-reading every envelope ever submitted to find out what happened "
+                "is a poll — act on an outcome at the settle door that produces it",
             )
 
     def visit_For(self, node: ast.For) -> None:
